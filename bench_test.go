@@ -39,7 +39,7 @@ func runPoint(b *testing.B, s yield.Scenario, m core.Mode) {
 	b.Helper()
 	var saving, timeInc float64
 	for i := 0; i < b.N; i++ {
-		pairs, err := core.RunPairs(s, m, suite(m))
+		pairs, err := core.Pairs(s, m, suite(m), nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +306,11 @@ func BenchmarkCorpusSweep(b *testing.B) {
 			arenas := bench.NewArenaCache() // built inside the timer: the sweep pays its one generation
 			sweep(b, func(w bench.Workload) trace.Stream { return arenas.Get(w).Cursor() },
 				func(sys *core.System, w bench.Workload, m core.Mode) (core.Report, error) {
-					return sys.RunArena(w.Name, arenas.Get(w), m)
+					reps, err := core.RunGroupArena(w.Name, arenas.Get(w), []core.GroupMember{{Sys: sys, Mode: m}})
+					if err != nil {
+						return core.Report{}, err
+					}
+					return reps[0], nil
 				})
 		}
 	})

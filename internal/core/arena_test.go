@@ -9,10 +9,11 @@ import (
 )
 
 // TestRunArenaBitIdenticalToRun is the decode-once determinism
-// contract at the System level: replaying a shared slab must produce a
-// Report — counters, cycles, per-phase segmentation, energy — that is
-// bit-identical to regenerating the workload, for a plain, a
-// dependent-load and a phase-annotated workload, in both modes.
+// contract at the System level: replaying a shared slab (RunGroupArena)
+// must produce a Report — counters, cycles, per-phase segmentation,
+// energy — that is bit-identical to regenerating the workload (Run),
+// for a plain, a dependent-load and a phase-annotated workload, in both
+// modes.
 func TestRunArenaBitIdenticalToRun(t *testing.T) {
 	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
 	arenas := bench.NewArenaCache()
@@ -27,10 +28,11 @@ func TestRunArenaBitIdenticalToRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arena, err := sys.RunArena(w.Name, arenas.Get(w), m)
+			reps, err := RunGroupArena(w.Name, arenas.Get(w), []GroupMember{{sys, m}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			arena := reps[0]
 			if !reflect.DeepEqual(gen, arena) {
 				t.Errorf("%s at %v: arena-backed Report diverges from generator-backed", name, m)
 			}
@@ -42,24 +44,25 @@ func TestRunArenaBitIdenticalToRun(t *testing.T) {
 }
 
 // TestRunPairsArenaMatchesRunPairsN pins the fan-out entry point:
-// shared-slab pairs equal generator pairs for every worker count.
+// Pairs over shared slabs equal Pairs over generator streams for every
+// worker count.
 func TestRunPairsArenaMatchesRunPairsN(t *testing.T) {
 	ws := bench.Small()
 	for i := range ws {
 		ws[i] = ws[i].ScaledTo(5_000)
 	}
-	want, err := RunPairsN(yield.ScenarioB, ModeULE, ws, 1)
+	want, err := Pairs(yield.ScenarioB, ModeULE, ws, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arenas := bench.NewArenaCache()
 	for _, workers := range []int{1, 8} {
-		got, err := RunPairsArena(yield.ScenarioB, ModeULE, ws, arenas, workers)
+		got, err := Pairs(yield.ScenarioB, ModeULE, ws, arenas, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: arena-backed pairs diverge from RunPairsN", workers)
+			t.Errorf("workers=%d: arena-backed pairs diverge from generator pairs", workers)
 		}
 	}
 }

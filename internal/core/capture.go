@@ -21,7 +21,8 @@ type teeStream interface {
 	Err() error
 }
 
-// RunStreamCapture is RunStream with live capture: the stream is teed
+// RunStreamCapture replays the stream on the system in mode m (a
+// one-member RunGroup) with live capture: the stream is teed
 // into sink as a v2 trace while it replays. Phase annotations are
 // captured automatically (o.Phases is forced on for phase-annotated
 // streams), so the captured file reproduces the per-phase segmentation
@@ -41,7 +42,7 @@ func (s *System) RunStreamCapture(name string, stream trace.Stream, m Mode, sink
 	} else {
 		tee = trace.Tee(stream, vw)
 	}
-	rep, err := s.RunStream(name, tee, m)
+	reps, err := RunGroup(name, tee, []GroupMember{{s, m}})
 	if err != nil {
 		return Report{}, err
 	}
@@ -51,14 +52,14 @@ func (s *System) RunStreamCapture(name string, stream trace.Stream, m Mode, sink
 	if err := vw.Close(); err != nil {
 		return Report{}, fmt.Errorf("core: capture sink: %w", err)
 	}
-	return rep, nil
+	return reps[0], nil
 }
 
 // RunDutyCycleCapture is RunDutyCycle with live capture: the whole
 // schedule is recorded into sink as one phase-annotated v2 trace, each
 // instruction stamped with its schedule-phase index (overriding any
 // phase ids the workload generators emit — the schedule is the regime
-// of interest here). Replaying the captured file through RunStream
+// of interest here). Replaying the captured file through RunGroup
 // yields per-phase metrics segmented exactly at the live schedule's
 // boundaries. Schedules longer than 256 phases do not fit the phase-id
 // byte and are rejected.
@@ -73,11 +74,14 @@ func (s *System) RunDutyCycleCapture(phases []Phase, sink io.Writer, o trace.V2O
 	}
 	out, err := s.runDutyCycle(phases, func(i int, ph Phase) (Report, error) {
 		tee := trace.TeeBatch(trace.WithPhase(ph.Workload.Stream(), uint8(i)), vw)
-		rep, err := s.RunStream(ph.Workload.Name, tee, ph.Mode)
-		if err == nil && tee.Err() != nil {
-			err = fmt.Errorf("capture sink: %w", tee.Err())
+		reps, err := RunGroup(ph.Workload.Name, tee, []GroupMember{{s, ph.Mode}})
+		if err != nil {
+			return Report{}, err
 		}
-		return rep, err
+		if tee.Err() != nil {
+			return Report{}, fmt.Errorf("capture sink: %w", tee.Err())
+		}
+		return reps[0], nil
 	})
 	if err != nil {
 		return DutyCycleResult{}, err

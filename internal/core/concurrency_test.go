@@ -58,23 +58,23 @@ func TestSystemConcurrentRuns(t *testing.T) {
 }
 
 // TestRunPairsWorkerCountInvariance protects the order-stable
-// aggregation: RunPairsN must return identical pairs for any pool size.
+// aggregation: Pairs must return identical pairs for any pool size.
 func TestRunPairsWorkerCountInvariance(t *testing.T) {
 	ws := bench.Small()
 	for i := range ws {
 		ws[i] = ws[i].ScaledTo(5_000)
 	}
-	base, err := RunPairsN(yield.ScenarioA, ModeULE, ws, 1)
+	base, err := Pairs(yield.ScenarioA, ModeULE, ws, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := RunPairsN(yield.ScenarioA, ModeULE, ws, workers)
+		got, err := Pairs(yield.ScenarioA, ModeULE, ws, nil, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("RunPairsN(%d workers) differs from serial", workers)
+			t.Fatalf("Pairs(%d workers) differs from serial", workers)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func BenchmarkRunPairsWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "1", 2: "2", 4: "4"}[workers], func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
-				if _, err := RunPairsN(yield.ScenarioA, ModeHP, ws, workers); err != nil {
+				if _, err := Pairs(yield.ScenarioA, ModeHP, ws, nil, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-
 	"edcache/internal/bench"
-	"edcache/internal/sim"
 	"edcache/internal/yield"
 )
 
@@ -51,50 +47,6 @@ func (p Pair) NormalizedBase() Breakdown {
 		EDC:          p.Base.EPI.EDC / t,
 		Core:         p.Base.EPI.Core / t,
 	}
-}
-
-// RunPairs evaluates baseline and proposed systems of one scenario over
-// the given workloads in the given mode, fanning the workloads out
-// across all available cores.
-func RunPairs(s yield.Scenario, m Mode, workloads []bench.Workload) ([]Pair, error) {
-	return RunPairsN(s, m, workloads, runtime.GOMAXPROCS(0))
-}
-
-// RunPairsN is RunPairs on a bounded worker pool. The two sized systems
-// are shared by every worker — System.Run is safe for concurrent use —
-// and pairs are collected by workload index, so the result is identical
-// for any worker count.
-func RunPairsN(s yield.Scenario, m Mode, workloads []bench.Workload, workers int) ([]Pair, error) {
-	return runPairsOn(s, m, workloads, workers, func(sys *System, w bench.Workload) (Report, error) {
-		return sys.Run(w, m)
-	})
-}
-
-// runPairsOn is the shared core of RunPairsN and RunPairsArena: it
-// sizes the scenario's baseline/proposed pair once and fans the
-// workloads out, with runOne supplying the replay source (fresh
-// generator stream or shared arena cursor).
-func runPairsOn(s yield.Scenario, m Mode, workloads []bench.Workload, workers int, runOne func(sys *System, w bench.Workload) (Report, error)) ([]Pair, error) {
-	base, err := NewSystem(PaperConfig(s, Baseline))
-	if err != nil {
-		return nil, err
-	}
-	prop, err := NewSystem(PaperConfig(s, Proposed))
-	if err != nil {
-		return nil, err
-	}
-	return sim.Map(workers, len(workloads), func(i int) (Pair, error) {
-		w := workloads[i]
-		rb, err := runOne(base, w)
-		if err != nil {
-			return Pair{}, fmt.Errorf("core: %s baseline: %w", w.Name, err)
-		}
-		rp, err := runOne(prop, w)
-		if err != nil {
-			return Pair{}, fmt.Errorf("core: %s proposed: %w", w.Name, err)
-		}
-		return Pair{Workload: w.Name, Base: rb, Prop: rp}, nil
-	})
 }
 
 // Summary aggregates a set of pairs into the averages the paper quotes.
@@ -155,14 +107,4 @@ func PaperModeWorkloads(m Mode) []bench.Workload {
 		return bench.Big()
 	}
 	return bench.Small()
-}
-
-// EvalPaperPoint runs the full paper comparison for one scenario and
-// mode with its designated suite.
-func EvalPaperPoint(s yield.Scenario, m Mode) ([]Pair, Summary, error) {
-	pairs, err := RunPairs(s, m, PaperModeWorkloads(m))
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	return pairs, Summarize(s, m, pairs), nil
 }

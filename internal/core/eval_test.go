@@ -34,7 +34,7 @@ func TestHeadlineNumbers(t *testing.T) {
 	for _, s := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
 		savings[s] = map[Mode]float64{}
 		for _, m := range []Mode{ModeHP, ModeULE} {
-			pairs, err := RunPairs(s, m, shortSuite(PaperModeWorkloads(m), 120000))
+			pairs, err := Pairs(s, m, shortSuite(PaperModeWorkloads(m), 120000), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestHeadlineNumbers(t *testing.T) {
 }
 
 func TestEPIBreakdownShapes(t *testing.T) {
-	pairs, err := RunPairs(yield.ScenarioA, ModeULE, shortSuite(bench.Small(), 80000))
+	pairs, err := Pairs(yield.ScenarioA, ModeULE, shortSuite(bench.Small(), 80000), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEPIBreakdownShapes(t *testing.T) {
 func TestBenchmarksBehaveSimilarly(t *testing.T) {
 	// Paper: "All benchmarks show minor differences to the average" —
 	// per-benchmark savings cluster within a few points of the mean.
-	pairs, err := RunPairs(yield.ScenarioA, ModeHP, shortSuite(bench.Big(), 80000))
+	pairs, err := Pairs(yield.ScenarioA, ModeHP, shortSuite(bench.Big(), 80000), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBenchmarksBehaveSimilarly(t *testing.T) {
 }
 
 func TestNormalizedBreakdownsSumCorrectly(t *testing.T) {
-	pairs, err := RunPairs(yield.ScenarioB, ModeULE, shortSuite(bench.Small()[:1], 40000))
+	pairs, err := Pairs(yield.ScenarioB, ModeULE, shortSuite(bench.Small()[:1], 40000), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

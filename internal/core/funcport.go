@@ -8,14 +8,12 @@ import (
 	"edcache/internal/trace"
 )
 
-// Batch path for the functional (bit-accurate) layer: the protected
-// caches used to be driven only by hand-rolled per-access loops; this
-// adapter puts a FunctionalCache behind cpu.Port AND cpu.BatchPort, so
-// a whole workload stream replays through real EDC codewords, stuck-at
-// fault maps and decoders on the same chunked fast path the
-// performance-model ports use — one dynamic dispatch per chunk instead
-// of per instruction, with bit-identical cpu.Stats (AccessBatch is
-// exactly Access in order).
+// Replay path for the functional (bit-accurate) layer: this adapter
+// puts a FunctionalCache behind cpu.BatchPort, so a whole workload
+// stream replays through real EDC codewords, stuck-at fault maps and
+// decoders on the same chunked replay loop the performance-model ports
+// use. AccessBatch behaves exactly like FunctionalCache.Load/Store per
+// op in order.
 
 // funcPort adapts a FunctionalCache to the core's port interfaces.
 type funcPort struct {
@@ -30,26 +28,10 @@ type funcPort struct {
 // encoder/decoder path exercised with varying codewords.
 func funcStoreValue(addr uint32) uint32 { return addr ^ 0xEDC0DE5A }
 
-// access performs one access against the functional cache and reports
-// whether it missed. Loads run the full decode path (fault map +
-// corrector); the value is discarded — correctness is asserted by the
-// cache's Uncorrectable counter and the functional tests.
-func (p *funcPort) access(addr uint32, write bool) (miss bool) {
-	if write {
-		return !p.fc.Store(addr, funcStoreValue(addr))
-	}
-	_, hit := p.fc.Load(addr)
-	return !hit
-}
-
-// Access implements cpu.Port.
-func (p *funcPort) Access(addr uint32, write bool) bool { return p.access(addr, write) }
-
 // AccessBatch implements cpu.BatchPort: the chunk's timing accesses
 // run as one batched call against the functional cache's simulator and
-// the protected-array work consumes the Result slice — no scalar
-// fallback. Behaviour is identical to calling Access for each op in
-// order.
+// the protected-array work consumes the Result slice. Behaviour is
+// identical to a Load (or Store of funcStoreValue) per op in order.
 func (p *funcPort) AccessBatch(ops []cpu.PortOp, miss []bool) {
 	n := len(ops)
 	if cap(p.ops) < n {
@@ -66,12 +48,10 @@ func (p *funcPort) AccessBatch(ops []cpu.PortOp, miss []bool) {
 func (p *funcPort) ExtraHitLatency() int { return p.extra }
 
 // ReplayFunctional replays a stream through two functional caches on
-// the core timing model, returning the run's cpu.Stats. Both caches
-// sit behind batch-capable ports, so batch-capable streams (generator
-// streams, arena cursors, trace readers) take the chunked replay fast
-// path; extraDL1 is the additional D-side hit latency to charge (the
-// EDC decode stage — use System.ExtraHitLatency for a sized design).
-// Unlike RunStream this drives the bit-accurate protected storage:
+// the core timing model (cpu.Run), returning the run's cpu.Stats;
+// extraDL1 is the additional D-side hit latency to charge (the EDC
+// decode stage — use System.ExtraHitLatency for a sized design).
+// Unlike System.Run this drives the bit-accurate protected storage:
 // every fetched and accessed word travels encoder → fault map →
 // decoder, so a faulty die's behaviour shows up in il1/dl1's
 // CorrectedReads and Uncorrectable counters alongside the timing.

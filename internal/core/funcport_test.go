@@ -13,11 +13,27 @@ import (
 	"edcache/internal/yield"
 )
 
-// scalarOnly hides a stream's batch capability so cpu.Run takes the
-// per-instruction path (mirrors the cpu package's own batch tests).
+// scalarOnly hides a stream's batch capability so replay takes the
+// trace.Fill fallback.
 type scalarOnly struct{ s trace.Stream }
 
 func (s scalarOnly) Next() (trace.Inst, bool) { return s.s.Next() }
+
+// naiveFunctional is the reference replay of the functional layer: one
+// FunctionalCache.Load, or Store of funcStoreValue, per cache reference,
+// timed by naiveStats.
+func naiveFunctional(il1, dl1 *FunctionalCache, extra int, s trace.Stream) cpu.Stats {
+	side := func(fc *FunctionalCache) naiveSide {
+		return naiveSide{access: func(addr uint32, write bool) bool {
+			if write {
+				return !fc.Store(addr, funcStoreValue(addr))
+			}
+			_, hit := fc.Load(addr)
+			return !hit
+		}}
+	}
+	return naiveStats(20, extra, side(il1), side(dl1), collect(s))
+}
 
 func newFuncCaches(t *testing.T, kind ecc.Kind, fmap *faults.WayFaults) (il1, dl1 *FunctionalCache) {
 	t.Helper()
@@ -32,10 +48,10 @@ func newFuncCaches(t *testing.T, kind ecc.Kind, fmap *faults.WayFaults) (il1, dl
 	return il1, dl1
 }
 
-// TestReplayFunctionalBatchMatchesScalar is the satellite's contract:
-// the functional layer's batched replay must produce bit-identical
-// cpu.Stats — and identical correction counters — to the scalar path,
-// with and without the extra EDC hit cycle.
+// TestReplayFunctionalBatchMatchesScalar is the functional layer's
+// contract: batched replay must produce cpu.Stats — and correction
+// counters — bit-identical to a naive per-access loop over
+// FunctionalCache.Load/Store, with and without the extra EDC hit cycle.
 func TestReplayFunctionalBatchMatchesScalar(t *testing.T) {
 	w, err := bench.ByName("epic_c")
 	if err != nil {
@@ -44,10 +60,7 @@ func TestReplayFunctionalBatchMatchesScalar(t *testing.T) {
 	w = w.ScaledTo(20_000)
 	for _, extra := range []int{0, 1} {
 		iScalar, dScalar := newFuncCaches(t, ecc.KindSECDED, nil)
-		scalar, err := ReplayFunctional(cpu.Config{MemLatency: 20}, iScalar, dScalar, extra, scalarOnly{w.Stream()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := naiveFunctional(iScalar, dScalar, extra, w.Stream())
 		iBatch, dBatch := newFuncCaches(t, ecc.KindSECDED, nil)
 		batch, err := ReplayFunctional(cpu.Config{MemLatency: 20}, iBatch, dBatch, extra, w.Stream())
 		if err != nil {
@@ -60,7 +73,7 @@ func TestReplayFunctionalBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("replayed %d instructions, want %d", scalar.Instructions, w.Instructions)
 		}
 		if dScalar.Uncorrectable != dBatch.Uncorrectable || dScalar.CorrectedReads != dBatch.CorrectedReads {
-			t.Fatalf("extra=%d: functional counters diverge between paths", extra)
+			t.Fatalf("extra=%d: functional counters diverge from the naive loop", extra)
 		}
 		if extra == 1 && scalar.LoadUseStalls == 0 {
 			t.Error("extra EDC cycle produced no load-use stalls")
@@ -72,7 +85,8 @@ func TestReplayFunctionalBatchMatchesScalar(t *testing.T) {
 // through a DL1 whose way carries yield-accepted hard faults: SECDED
 // must repair every manifest fault transparently (no uncorrectable
 // reads), on the batched path, while the stats stay bit-identical to
-// scalar replay on an identically faulty die.
+// the naive loop on an identically faulty die, for batch and
+// scalar-only streams.
 func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
 	if err != nil {
@@ -98,32 +112,37 @@ func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 	}
 	w = w.ScaledTo(20_000)
 
-	run := func(s trace.Stream) (cpu.Stats, *FunctionalCache) {
+	dies := func() (il1, dl1 *FunctionalCache) {
 		il1, err := NewFunctionalCache(32, 8, ecc.KindSECDED, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The fault map is read-only under replay (Apply only reads), so
-		// both runs can share one die.
-		dl1, err := NewFunctionalCache(32, 8, ecc.KindSECDED, fmap)
+		// every run can share one die.
+		dl1, err = NewFunctionalCache(32, 8, ecc.KindSECDED, fmap)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return il1, dl1
+	}
+	iNaive, dNaive := dies()
+	naive := naiveFunctional(iNaive, dNaive, 1, w.Stream())
+	var dBatch *FunctionalCache
+	for _, s := range []trace.Stream{w.Stream(), scalarOnly{w.Stream()}} {
+		il1, dl1 := dies()
 		st, err := ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, dl1
-	}
-	batch, dBatch := run(w.Stream())
-	scalar, dScalar := run(scalarOnly{w.Stream()})
-	if !reflect.DeepEqual(batch, scalar) {
-		t.Fatal("faulty-die batched Stats diverge from scalar replay")
+		if !reflect.DeepEqual(st, naive) {
+			t.Fatal("faulty-die replay Stats diverge from the naive loop")
+		}
+		if dl1.CorrectedReads != dNaive.CorrectedReads {
+			t.Error("correction counts diverge from the naive loop")
+		}
+		dBatch = dl1
 	}
 	if dBatch.Uncorrectable != 0 {
 		t.Errorf("yield-accepted die produced %d uncorrectable reads", dBatch.Uncorrectable)
-	}
-	if dBatch.CorrectedReads != dScalar.CorrectedReads {
-		t.Error("correction counts diverge between batched and scalar replay")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"edcache/internal/cache"
 	"edcache/internal/cpu"
 	"edcache/internal/trace"
 )
@@ -11,12 +12,13 @@ import (
 // all feed one shared L2, and returns one Report per core. The system
 // must be configured with a second level (Config.L2).
 //
-// Scheduling is cpu.RunShared's deterministic round-robin: each round,
-// every live core replays one chunk in core order, its IL1 miss traffic
-// reaching the shared L2 before its DL1's — so the L2 observes a
-// reproducible interleaving and two identical calls agree bit for bit.
-// Per-core counters, timing and phase segmentation are exactly those of
-// RunStream; only the shared L2 state couples the cores.
+// Each core is a one-member replay group whose hierarchy slots share
+// the L2; scheduling is cpu.RunShared's deterministic round-robin: each
+// round, every live core replays one chunk in core order, its IL1 miss
+// traffic reaching the shared L2 before its DL1's — so the L2 observes
+// a reproducible interleaving and two identical calls agree bit for
+// bit. Per-core counters, timing and phase segmentation are exactly
+// those of Run; only the shared L2 state couples the cores.
 //
 // Accounting caveat: each report prices the full shared-L2 leakage over
 // its own core's wall time, so summing reports double-counts the L2's
@@ -33,15 +35,16 @@ func (s *System) RunShared(names []string, streams []trace.Stream, m Mode) ([]Re
 	if len(names) != len(streams) {
 		return nil, fmt.Errorf("core: %d names but %d streams", len(names), len(streams))
 	}
-	l2 := s.newL2Sim()
+	one := []GroupMember{{s, m}}
+	l2 := []*cache.Cache{s.newL2Sim()}
 	cores := make([]cpu.CorePorts, len(streams))
-	ports := make([][2]*port, len(streams))
+	ports := make([][2]*multiPort, len(streams))
 	for i := range streams {
-		il1 := s.newPort(m, false, l2)
-		dl1 := s.newPort(m, true, l2)
+		il1 := newMultiPort(one, false, l2)
+		dl1 := newMultiPort(one, true, l2)
 		defer il1.release()
 		defer dl1.release()
-		ports[i] = [2]*port{il1, dl1}
+		ports[i] = [2]*multiPort{il1, dl1}
 		cores[i] = cpu.CorePorts{IL1: il1, DL1: dl1}
 	}
 	stats, err := cpu.RunShared(cpu.Config{MemLatency: s.cfg.MemLatency}, cores, streams)
@@ -50,11 +53,10 @@ func (s *System) RunShared(names []string, streams []trace.Stream, m Mode) ([]Re
 	}
 	reports := make([]Report, len(streams))
 	for i := range streams {
-		rep, err := s.assemble(names[i], m, stats[i], ports[i][0], ports[i][1])
-		if err != nil {
-			return nil, fmt.Errorf("core: shared core %d: %w", i, err)
+		if stats[i][0].Instructions == 0 {
+			return nil, fmt.Errorf("core: shared core %d: empty instruction stream %q", i, names[i])
 		}
-		reports[i] = rep
+		reports[i] = s.assemble(names[i], m, stats[i][0], ports[i][0].ports[0], ports[i][1].ports[0])
 	}
 	return reports, nil
 }

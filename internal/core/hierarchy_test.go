@@ -218,19 +218,6 @@ func TestRunSharedReports(t *testing.T) {
 	}
 }
 
-// TestRunGroupRejectsL2Members pins the banked engine's refusal to
-// replay hierarchy systems (the single-pass fan-out has no L2 path).
-func TestRunGroupRejectsL2Members(t *testing.T) {
-	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(testL2()))
-	w, err := bench.ByName("gsm_c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunGroup(w.Name, w.ScaledTo(1000).Stream(), []GroupMember{{sys, ModeHP}}); err == nil {
-		t.Error("replay group accepted an L2 member")
-	}
-}
-
 // TestDutyCycleDecompose cross-references a two-phase schedule with the
 // phased workload's regimes: rows must tile the schedule (instructions
 // sum exactly; time and energy sum to the totals minus switch costs)

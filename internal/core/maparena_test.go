@@ -14,7 +14,7 @@ import (
 // The MapArena differential oracle: the mmap-backed slab must be a
 // drop-in replacement for the materialized one at the full-system
 // level — identical Reports (stats, cycles, energy, per-phase
-// segmentation) out of RunGroupArena and RunArena for randomized
+// segmentation) out of RunGroupArena and one-member groups for randomized
 // workloads, not just identical record sequences.
 
 // writeWorkloadTrace serialises a workload as a checksummed, indexed
@@ -73,12 +73,12 @@ func TestMapArenaOracleRunGroup(t *testing.T) {
 				t.Errorf("%v/%s: mmap-backed group Reports diverge from slab-backed", sc, name)
 			}
 			for k, gm := range members {
-				single, err := gm.Sys.RunArena(w.Name, mapped, gm.Mode)
+				single, err := runOne(gm.Sys, w.Name, mapped.NewCursor(), gm.Mode)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(single, want[k]) {
-					t.Errorf("%v/%s member %d: mmap RunArena Report diverges from slab group", sc, name, k)
+					t.Errorf("%v/%s member %d: mmap one-member Report diverges from slab group", sc, name, k)
 				}
 			}
 			if name == "phased_mix" {

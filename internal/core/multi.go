@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"edcache/internal/bench"
 	"edcache/internal/cache"
@@ -11,18 +13,21 @@ import (
 	"edcache/internal/yield"
 )
 
-// Single-pass multi-configuration replay: a group of (System, Mode)
-// evaluation points that share one instruction stream is run through
-// one cpu.RunMulti pass instead of one full replay per point. The
+// Single-pass replay: a group of (System, Mode) evaluation points that
+// share one instruction stream is replayed by one cpu.RunMulti pass. The
 // stream is walked and classified once; only the cache accesses and
-// energy tallies fan out per member — and members whose cache geometry
-// and way gating coincide (baseline vs proposed at the same mode, whose
-// designs differ only in cell sizing, coding and latency, none of which
-// touch cache *state*) share a single simulator in the underlying
-// cache.MultiCache bank, so a 4-member design×mode group typically
-// simulates only 2 distinct caches per side. Reports are bit-identical
-// to RunStream member by member: the ports tally the same outcomes in
-// the same order, and the accounting tail is the shared assemble.
+// energy tallies fan out per member. Every single-stream evaluation in
+// the repo is such a group — System.Run is the one-member case — so a
+// Report never depends on which other members shared its pass.
+//
+// Members without a second level whose cache geometry and way gating
+// coincide (baseline vs proposed at the same mode, whose designs differ
+// only in cell sizing, coding and latency, none of which touch cache
+// *state*) share one simulator, so a 4-member design×mode group
+// simulates only 2 distinct caches per side. A member with Config.L2
+// gets its own L2 simulator, shared by its IL1 and DL1 (a unified
+// second level), and its own cache.Hierarchy slot on each side; those
+// slots are not deduplicated.
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -51,110 +56,112 @@ func enabledMask(sim *cache.Cache, ways int) uint64 {
 	return m
 }
 
-// multiPort adapts one side's cache bank to cpu.MultiPort: K logical
-// ports (one tally state per member) over ≤K deduplicated simulators.
-type multiPort struct {
-	ports []*port // logical member ports; sim points at the shared slot
-	slot  []int   // member k's simulator slot in the bank
-	bank  *cache.MultiCache
+// slotSim is one simulator slot of a bank: a *cache.Cache, or a
+// *cache.Hierarchy for a member with a second level.
+type slotSim interface {
+	AccessBatch(ops []cache.Op, res []cache.Result)
+}
 
-	// Scratch: the op chunk is converted cpu→cache once per AccessBatch,
-	// and each bank slot gets one Result row; rows re-slices res to the
-	// chunk length for the bank call. The op buffer (and slot 0's row)
-	// come from the shared run-scratch pool.
-	scr  *runScratch
-	res  [][]cache.Result
-	rows [][]cache.Result
+// runScratch is one bank port's conversion scratch: the op list handed
+// to the simulators and one Result row per slot, sized to the largest
+// chunk seen. Scratch is pooled across runs (and therefore across sweep
+// grid points — a sweep's steady state reuses one scratch set per pool
+// slot instead of reallocating per replay).
+type runScratch struct {
+	ops []cache.Op
+	res [][]cache.Result
+}
+
+var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
+
+// multiPort is core's cpu-facing port: one side (IL1 or DL1) of a
+// replay group, as a cpu.MultiPort — K logical ports (one tally state
+// per member) over the group's simulator slots.
+type multiPort struct {
+	ports []*port   // logical member ports
+	slot  []int     // member k's simulator slot
+	sims  []slotSim // the distinct simulators, in slot order
+	scr   *runScratch
+}
+
+// newMultiPort builds one side's bank port. l2s[k], when non-nil, is
+// member k's second level: the member gets a private L1 chained in
+// front of it as its own slot. Members without one share a slot by
+// simKey.
+func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiPort {
+	mp := &multiPort{
+		ports: make([]*port, len(members)),
+		slot:  make([]int, len(members)),
+		scr:   scratchPool.Get().(*runScratch),
+	}
+	var keys []simKey // per slot; zero for hierarchy slots
+	for k, gm := range members {
+		cfg := gm.Sys.cfg
+		p := &port{hpWays: cfg.Ways - cfg.ULEWays}
+		if dside {
+			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
+		}
+		c := gm.Sys.newSim(gm.Mode)
+		idx := len(mp.sims)
+		if l2s[k] != nil {
+			p.hier = cache.MustNewHierarchy(c, l2s[k])
+			p.l2lat = cfg.L2.Latency
+			mp.sims = append(mp.sims, p.hier)
+			keys = append(keys, simKey{})
+		} else if key := (simKey{cfg: c.Config(), enabled: enabledMask(c, cfg.Ways)}); slices.Contains(keys, key) {
+			idx = slices.Index(keys, key)
+		} else {
+			mp.sims = append(mp.sims, c)
+			keys = append(keys, key)
+		}
+		mp.ports[k] = p
+		mp.slot[k] = idx
+	}
+	return mp
 }
 
 // release returns the pooled scratch; the port must not be used after.
 func (mp *multiPort) release() {
-	if mp.scr != nil {
-		scratchPool.Put(mp.scr)
-		mp.scr = nil
-	}
-}
-
-// newMultiPort builds one side's bank port, deduplicating simulators
-// across members by simKey.
-func newMultiPort(members []GroupMember, dside bool) (*multiPort, error) {
-	mp := &multiPort{
-		ports: make([]*port, len(members)),
-		slot:  make([]int, len(members)),
-	}
-	slots := make(map[simKey]int)
-	var sims []*cache.Cache
-	for k, gm := range members {
-		cfg := cache.Config{Sets: gm.Sys.cfg.Sets, Ways: gm.Sys.cfg.Ways, LineBytes: gm.Sys.cfg.LineBytes}
-		sim := gm.Sys.newSim(gm.Mode)
-		key := simKey{cfg: cfg, enabled: enabledMask(sim, cfg.Ways)}
-		idx, ok := slots[key]
-		if !ok {
-			idx = len(sims)
-			slots[key] = idx
-			sims = append(sims, sim)
-		}
-		extra := 0
-		if dside {
-			extra = gm.Sys.ExtraHitLatency(gm.Mode)
-		}
-		mp.ports[k] = &port{sim: sims[idx], extra: extra, hpWays: gm.Sys.cfg.Ways - gm.Sys.cfg.ULEWays}
-		mp.slot[k] = idx
-	}
-	bank, err := cache.Bank(sims...)
-	if err != nil {
-		return nil, err
-	}
-	mp.bank = bank
-	mp.scr = scratchPool.Get().(*runScratch)
-	mp.res = make([][]cache.Result, bank.Len())
-	mp.rows = make([][]cache.Result, bank.Len())
-	return mp, nil
+	scratchPool.Put(mp.scr)
+	mp.scr = nil
 }
 
 // Members implements cpu.MultiPort.
 func (mp *multiPort) Members() int { return len(mp.ports) }
 
-// ExtraHitLatency implements cpu.MultiPort.
-func (mp *multiPort) ExtraHitLatency(k int) int { return mp.ports[k].extra }
+// Member implements cpu.MultiPort: member k's logical port carries its
+// EDC latency and, behind a second level, its tiered timing.
+func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
-// AccessBatch implements cpu.MultiPort: one op conversion, one banked
-// simulator pass, then each logical member folds its slot's outcomes
-// into its own energy counters — the identical tally a standalone port
-// performs, over the identical Result sequence.
+// AccessBatch implements cpu.MultiPort: one op conversion, one pass per
+// simulator slot, then each logical member folds its slot's outcomes
+// into its own energy counters — the identical tally for every member
+// sharing a slot, over the identical Result sequence.
 func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
-	mp.scr.grow(n)
-	if mp.res[0] == nil || cap(mp.res[0]) < n {
-		mp.res[0] = mp.scr.res[:cap(mp.scr.res)]
-		for s := 1; s < len(mp.res); s++ {
-			mp.res[s] = make([]cache.Result, cap(mp.scr.res))
-		}
+	scr := mp.scr
+	if cap(scr.ops) < n {
+		scr.ops = make([]cache.Op, n)
 	}
-	co := mp.scr.ops[:n]
+	for len(scr.res) < len(mp.sims) {
+		scr.res = append(scr.res, nil)
+	}
+	co := scr.ops[:n]
 	for i, op := range ops {
 		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
 	}
-	for s := range mp.res {
-		mp.rows[s] = mp.res[s][:n]
-	}
-	mp.bank.AccessBatch(co, mp.rows)
-	for k, p := range mp.ports {
-		cr := mp.rows[mp.slot[k]]
-		mk := miss[k]
-		for i := range cr {
-			write := co[i].Write
-			if write {
-				p.writes++
-			} else {
-				p.reads++
-			}
-			mk[i] = p.tally(cr[i], write)
+	for s, c := range mp.sims {
+		if cap(scr.res[s]) < n {
+			scr.res[s] = make([]cache.Result, n)
 		}
+		c.AccessBatch(co, scr.res[s][:n])
+	}
+	for k, p := range mp.ports {
+		p.tallyChunk(co, scr.res[mp.slot[k]][:n], miss[k])
 	}
 }
 
-// BeginPhase implements cpu.MultiPhasePort, snapshotting every logical
+// BeginPhase implements cpu.PhasePort, snapshotting every logical
 // member's counters at the boundary.
 func (mp *multiPort) BeginPhase(id uint8) {
 	for _, p := range mp.ports {
@@ -164,74 +171,70 @@ func (mp *multiPort) BeginPhase(id uint8) {
 
 // RunGroup replays one instruction stream through every member in a
 // single pass and returns one Report per member, in member order, each
-// bit-identical to RunStream of that member alone. All members must
-// share the same memory latency (one timing model drives the pass);
-// geometry, gating, design and mode may differ freely.
+// bit-identical to replaying that member alone. All members must share
+// the same memory latency (one timing model drives the pass); geometry,
+// gating, design, mode and second level may differ freely.
+//
+// A member with Config.L2 replays its IL1 and DL1 against one unified
+// L2 of its own: per replay chunk, the IL1 miss traffic reaches the L2
+// first, then the DL1's — the deterministic chunk-order semantics of
+// the batched hierarchy (cache.Hierarchy) — and its report gains
+// per-level breakdowns in Levels. Phase-annotated streams additionally
+// yield a per-phase segmentation of counters, time and EPI.
 func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty replay group")
 	}
+	l2s := make([]*cache.Cache, len(members))
 	for k, gm := range members {
 		if gm.Sys == nil {
 			return nil, fmt.Errorf("core: nil system in replay group member %d", k)
-		}
-		if gm.Sys.cfg.L2 != nil {
-			return nil, fmt.Errorf("core: replay group member %d (%s) has an L2 — hierarchies replay through RunStream or RunShared, not the banked engine", k, gm.Sys.cfg.Name())
 		}
 		if gm.Sys.cfg.MemLatency != members[0].Sys.cfg.MemLatency {
 			return nil, fmt.Errorf("core: replay group mixes memory latencies %d and %d",
 				members[0].Sys.cfg.MemLatency, gm.Sys.cfg.MemLatency)
 		}
+		if gm.Sys.cfg.L2 != nil {
+			l2s[k] = gm.Sys.newL2Sim()
+		}
 	}
-	il1, err := newMultiPort(members, false)
-	if err != nil {
-		return nil, err
-	}
+	il1 := newMultiPort(members, false, l2s)
 	defer il1.release()
-	dl1, err := newMultiPort(members, true)
-	if err != nil {
-		return nil, err
-	}
+	dl1 := newMultiPort(members, true, l2s)
 	defer dl1.release()
 	stats, err := cpu.RunMulti(cpu.Config{MemLatency: members[0].Sys.cfg.MemLatency}, il1, dl1, stream)
 	if err != nil {
 		return nil, err
 	}
+	if stats[0].Instructions == 0 {
+		return nil, fmt.Errorf("core: empty instruction stream %q", name)
+	}
 	reports := make([]Report, len(members))
 	for k, gm := range members {
-		rep, err := gm.Sys.assemble(name, gm.Mode, stats[k], il1.ports[k], dl1.ports[k])
-		if err != nil {
-			return nil, fmt.Errorf("core: %s group member %d (%s/%v): %w",
-				name, k, gm.Sys.cfg.Name(), gm.Mode, err)
-		}
-		reports[k] = rep
+		reports[k] = gm.Sys.assemble(name, gm.Mode, stats[k], il1.ports[k], dl1.ports[k])
 	}
 	return reports, nil
 }
 
 // RunGroupArena is RunGroup over a prepared slab (materialized or
 // mmap-backed): the group shares one fresh cursor, so an N-member
-// group costs one slab walk total.
+// group costs one slab walk total. Safe for any number of concurrent
+// calls on one slab.
 func RunGroupArena(name string, a trace.Slab, members []GroupMember) ([]Report, error) {
 	return RunGroup(name, a.NewCursor(), members)
 }
 
-// RunPairsMulti is RunPairsArena on the single-pass engine: per
-// workload, baseline and proposed replay the shared slab as one
-// two-member group (one slab walk, one classification, and — the
-// designs' cache behaviour being identical at equal mode — one cache
-// simulation per side). Pairs are bit-identical to RunPairsArena for
-// any worker count.
-func RunPairsMulti(s yield.Scenario, m Mode, workloads []bench.Workload, arenas *bench.ArenaCache, workers int) ([]Pair, error) {
-	return runPairsGrouped(s, m, workloads, workers, func(base, prop *System, w bench.Workload) ([]Report, error) {
-		return RunGroupArena(w.Name, arenas.Get(w), []GroupMember{{base, m}, {prop, m}})
-	})
-}
-
-// runPairsGrouped mirrors runPairsOn with a group evaluation per
-// workload: runGroup returns the [baseline, proposed] reports from one
-// shared pass.
-func runPairsGrouped(s yield.Scenario, m Mode, workloads []bench.Workload, workers int, runGroup func(base, prop *System, w bench.Workload) ([]Report, error)) ([]Pair, error) {
+// Pairs evaluates the baseline and proposed systems of one scenario
+// over the workloads in one mode. Per workload both designs replay as
+// one two-member group — one stream walk, one classification and, the
+// designs' cache behaviour being identical at equal mode, one cache
+// simulation per side. The stream is the workload's slab from arenas
+// (generated at most once per cache lifetime, even across scenarios and
+// modes) or, with a nil cache, a fresh generator stream. The two sized
+// systems are shared by a pool of workers (0 = GOMAXPROCS), and pairs
+// are collected by workload index, so the result is identical for any
+// worker count and either source.
+func Pairs(s yield.Scenario, m Mode, workloads []bench.Workload, arenas *bench.ArenaCache, workers int) ([]Pair, error) {
 	base, err := NewSystem(PaperConfig(s, Baseline))
 	if err != nil {
 		return nil, err
@@ -242,7 +245,13 @@ func runPairsGrouped(s yield.Scenario, m Mode, workloads []bench.Workload, worke
 	}
 	return sim.Map(workers, len(workloads), func(i int) (Pair, error) {
 		w := workloads[i]
-		reps, err := runGroup(base, prop, w)
+		var stream trace.Stream
+		if arenas != nil {
+			stream = arenas.Get(w).Cursor()
+		} else {
+			stream = w.Stream()
+		}
+		reps, err := RunGroup(w.Name, stream, []GroupMember{{base, m}, {prop, m}})
 		if err != nil {
 			return Pair{}, fmt.Errorf("core: %s: %w", w.Name, err)
 		}

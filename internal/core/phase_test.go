@@ -112,7 +112,7 @@ func TestRunStreamCaptureReplaysBitIdentically(t *testing.T) {
 	if !r.HasPhases() {
 		t.Fatal("captured file does not advertise phases")
 	}
-	replayed, err := sys.RunStream(w.Name, r, ModeULE)
+	replayed, err := runOne(sys, w.Name, r, ModeULE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunStreamCaptureUnphasedStream(t *testing.T) {
 	if r.HasPhases() {
 		t.Error("unphased capture advertised phases")
 	}
-	replayed, err := sys.RunStream(w.Name, r, ModeULE)
+	replayed, err := runOne(sys, w.Name, r, ModeULE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestRunStreamCaptureUnphasedStream(t *testing.T) {
 
 func TestRunDutyCycleCaptureAnnotatesScheduleSegments(t *testing.T) {
 	// A captured duty cycle is one phase-annotated stream whose phase
-	// ids are the schedule indices. Replaying it through RunStream must
+	// ids are the schedule indices. Replaying it through a one-member group must
 	// segment at exactly the live schedule boundaries.
 	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
 	sched := dutySchedule(t, 20_000)
@@ -190,7 +190,7 @@ func TestRunDutyCycleCaptureAnnotatesScheduleSegments(t *testing.T) {
 	if !r.HasPhases() {
 		t.Fatal("captured schedule does not advertise phases")
 	}
-	rep, err := sys.RunStream("captured-schedule", r, ModeHP)
+	rep, err := runOne(sys, "captured-schedule", r, ModeHP)
 	if err != nil {
 		t.Fatal(err)
 	}

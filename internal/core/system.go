@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"edcache/internal/bench"
 	"edcache/internal/bitcell"
@@ -10,7 +9,6 @@ import (
 	"edcache/internal/cpu"
 	"edcache/internal/ecc"
 	"edcache/internal/energy"
-	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
 
@@ -18,8 +16,8 @@ import (
 // in-order core with hybrid IL1 and DL1 caches, built by running the
 // design methodology of Section III-C for the requested configuration.
 //
-// A System is immutable after NewSystem: Run and RunStream allocate
-// fresh per-run cache and port state and only read the sized arrays and
+// A System is immutable after NewSystem: every replay allocates fresh
+// per-run cache and port state and only read the sized arrays and
 // codec models, so one System may serve any number of concurrent runs —
 // the contract the sim engine's worker pool relies on.
 type System struct {
@@ -299,38 +297,19 @@ type portPhase struct {
 	l2 l2Counters
 }
 
-// runScratch is the batched-replay conversion scratch of one port: the
-// op list handed to the simulator and the Result slice the tally
-// consumes, sized to the largest chunk seen. Scratch is pooled across
-// runs (and therefore across sweep grid points — the per-goroutine
-// steady state of a sweep reuses one scratch set per pool slot instead
-// of reallocating ~48 KB per replay).
-type runScratch struct {
-	ops []cache.Op
-	res []cache.Result
-}
-
-var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
-
-// grow ensures capacity for an n-op chunk.
-func (s *runScratch) grow(n int) {
-	if cap(s.ops) < n {
-		s.ops = make([]cache.Op, n)
-		s.res = make([]cache.Result, n)
-	}
-}
-
-// port adapts one cache instance to the cpu.Port interface and tallies
-// the event counts the energy accounting needs.
+// port is one logical cache of a replay group: the timing view the cpu
+// layer reads (cpu.Port, and cpu.TieredPort behind a second level) and
+// the event counts the energy accounting consumes. Its accesses arrive
+// through the group's multiPort, which owns the simulators.
 type port struct {
-	sim   *cache.Cache
 	extra int
 
 	hpWays int // ways [0, hpWays) are HP ways
 
 	// Two-level state, nil/zero on single-level ports: the hierarchy
-	// wrapping sim as its L1 (the L2 behind it may be shared with other
-	// ports), the L2 service latency, and the port's own L2 tallies.
+	// whose L1 is this port's simulator (the L2 behind it may be shared
+	// with other ports), the L2 service latency, and the port's own L2
+	// tallies.
 	hier   *cache.Hierarchy
 	l2lat  int
 	l2     l2Counters
@@ -338,22 +317,10 @@ type port struct {
 
 	portCounters
 
-	// Phase segmentation, driven by cpu.Run through BeginPhase.
+	// Phase segmentation, driven by cpu's ledger through BeginPhase.
 	cur  uint8
 	mark portCounters
 	segs []portPhase
-
-	scr *runScratch
-}
-
-// release returns the port's scratch to the pool. The port must not be
-// accessed afterwards; run entry points call it once the Report is
-// assembled (the report copies everything it needs).
-func (p *port) release() {
-	if p.scr != nil {
-		scratchPool.Put(p.scr)
-		p.scr = nil
-	}
 }
 
 // tally folds one access outcome into the port's event counters and
@@ -413,49 +380,20 @@ func (p *port) tallyL2Chunk() {
 	}
 }
 
-// Access implements cpu.Port.
-func (p *port) Access(addr uint32, write bool) bool {
-	if write {
-		p.writes++
-	} else {
-		p.reads++
-	}
+// tallyChunk folds one chunk's simulator outcomes into the port's
+// event counters, setting miss[i] for the core's timing.
+func (p *port) tallyChunk(ops []cache.Op, res []cache.Result, miss []bool) {
 	if p.hier != nil {
-		miss := p.tally(p.hier.Access(addr, write), write)
 		p.tallyL2Chunk()
-		return miss
 	}
-	return p.tally(p.sim.Access(addr, write), write)
-}
-
-// AccessBatch implements cpu.BatchPort: the whole chunk goes to the
-// cache simulator as one cache.AccessBatch call, then the energy tally
-// consumes the Result slice — no per-access dynamic dispatch and no
-// scalar fallback anywhere on the path. Behaviour is identical to
-// calling Access for each op in order (cache.AccessBatch guarantees
-// the same state transitions, and the tally is a fold over the same
-// per-op outcomes).
-func (p *port) AccessBatch(ops []cpu.PortOp, miss []bool) {
-	n := len(ops)
-	p.scr.grow(n)
-	co, cr := p.scr.ops[:n], p.scr.res[:n]
-	for i, op := range ops {
-		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
-	}
-	if p.hier != nil {
-		p.hier.AccessBatch(co, cr)
-		p.tallyL2Chunk()
-	} else {
-		p.sim.AccessBatch(co, cr)
-	}
-	for i := range cr {
-		write := co[i].Write
+	for i := range res {
+		write := ops[i].Write
 		if write {
 			p.writes++
 		} else {
 			p.reads++
 		}
-		miss[i] = p.tally(cr[i], write)
+		miss[i] = p.tally(res[i], write)
 	}
 }
 
@@ -474,9 +412,9 @@ func (p *port) L2FillMisses() uint64 {
 	return p.hier.FillMisses()
 }
 
-// BeginPhase implements cpu.PhasePort: cpu.Run calls it at every phase
-// boundary of a phase-annotated stream, before issuing the new phase's
-// accesses. The segment bookkeeping below mirrors cpu's phaseLedger
+// BeginPhase is forwarded by the group's multiPort at every phase
+// boundary of a phase-annotated stream, before the new phase's accesses
+// are issued. The segment bookkeeping below mirrors cpu's phase ledger
 // (snapshot at the boundary, diff, accumulate by id) — the two must
 // keep identical boundary semantics or Report.Phases' energy would be
 // attributed to different segments than its counters.
@@ -563,26 +501,6 @@ func (s *System) newL2Sim() *cache.Cache {
 	return l2
 }
 
-// newPort builds one L1 port; a non-nil l2 chains the fresh L1 behind
-// it as a two-level hierarchy (the same l2 may back several ports —
-// that sharing is the unified-L2 and shared-L2 arrangement).
-func (s *System) newPort(m Mode, dside bool, l2 *cache.Cache) *port {
-	extra := 0
-	if dside {
-		extra = s.ExtraHitLatency(m)
-	}
-	p := &port{
-		sim: s.newSim(m), extra: extra,
-		hpWays: s.cfg.Ways - s.cfg.ULEWays,
-		scr:    scratchPool.Get().(*runScratch),
-	}
-	if l2 != nil {
-		p.hier = cache.MustNewHierarchy(p.sim, l2)
-		p.l2lat = s.cfg.L2.Latency
-	}
-	return p
-}
-
 // Breakdown is the per-instruction energy decomposition of Figures 3/4.
 type Breakdown struct {
 	CacheDynamic float64 // L1 array switching energy (pJ/instr)
@@ -654,43 +572,20 @@ type LevelEPI struct {
 func (l LevelEPI) EPI() float64 { return l.Dynamic + l.Leakage + l.EDC }
 
 // Run executes the workload on the system in the given mode and returns
-// timing plus the EPI breakdown.
+// timing plus the EPI breakdown: the one-member form of RunGroup.
 func (s *System) Run(w bench.Workload, m Mode) (Report, error) {
-	return s.RunStream(w.Name, w.Stream(), m)
-}
-
-// RunStream is Run for an arbitrary instruction stream. When the stream
-// is phase-annotated (trace.PhaseAnnotated) the report additionally
-// carries a per-phase segmentation of counters, time and EPI.
-//
-// With Config.L2 set, both L1 ports feed one unified L2: per replay
-// chunk, the IL1 miss traffic reaches the L2 first, then the DL1's —
-// the deterministic chunk-order semantics of the batched hierarchy
-// (cache.Hierarchy) — and the report gains per-level breakdowns in
-// Levels.
-func (s *System) RunStream(name string, stream trace.Stream, m Mode) (Report, error) {
-	var l2 *cache.Cache
-	if s.cfg.L2 != nil {
-		l2 = s.newL2Sim()
-	}
-	il1 := s.newPort(m, false, l2)
-	dl1 := s.newPort(m, true, l2)
-	defer il1.release()
-	defer dl1.release()
-	stats, err := cpu.Run(cpu.Config{MemLatency: s.cfg.MemLatency}, il1, dl1, stream)
+	reps, err := RunGroup(w.Name, w.Stream(), []GroupMember{{s, m}})
 	if err != nil {
 		return Report{}, err
 	}
-	return s.assemble(name, m, stats, il1, dl1)
+	return reps[0], nil
 }
 
 // assemble turns one run's Stats and tallied ports into a Report: the
-// shared accounting tail of RunStream and the group runner. The ports
-// are consumed — their trailing phase segments are folded in here.
-func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *port) (Report, error) {
-	if stats.Instructions == 0 {
-		return Report{}, fmt.Errorf("core: empty instruction stream %q", name)
-	}
+// shared accounting tail of RunGroup and RunShared, whose callers have
+// rejected empty streams. The ports are consumed — their trailing phase
+// segments are folded in here.
+func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *port) Report {
 	timeNS := float64(stats.Cycles) / s.cfg.FreqGHz(m)
 
 	rep := Report{
@@ -730,7 +625,7 @@ func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *port) 
 			rep.Phases = append(rep.Phases, pr)
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // levelize splits one (sub-)run's cache accounting per level. On entry
@@ -805,7 +700,7 @@ func (s *System) l2Breakdown(m Mode, c l2Counters, timeNS float64) (dyn, leak, e
 // breakdown decomposes the energy of one (sub-)run — full run or one
 // phase segment — given the two cache ports' event counters, the
 // instruction count and the wall time. Every term is linear in its
-// counters; RunStream relies on that to make per-phase breakdowns sum
+// counters; assemble relies on that to make per-phase breakdowns sum
 // to the run-level one.
 func (s *System) breakdown(m Mode, il1c, dl1c portCounters, instructions uint64, timeNS float64) Breakdown {
 	var b Breakdown

@@ -47,17 +47,17 @@ func (p *batchPort) AccessBatch(ops []PortOp, miss []bool) {
 	}
 }
 
-// scalarOnly hides a stream's NextBatch so Run takes the scalar path
-// (but forwards phase annotations, so both paths segment alike).
+// scalarOnly hides a stream's NextBatch so replay takes the trace.Fill
+// fallback (but forwards phase annotations, so segmentation is kept).
 type scalarOnly struct{ s trace.Stream }
 
 func (s scalarOnly) Next() (trace.Inst, bool) { return s.s.Next() }
 
 func (s scalarOnly) HasPhases() bool { return trace.HasPhases(s.s) }
 
-// TestBatchedRunMatchesScalar is the fast path's contract: for every
-// generator family, chunked replay must produce bit-identical Stats to
-// the per-instruction path.
+// TestBatchedRunMatchesScalar is the replay loop's contract: for every
+// generator family, chunked replay must produce Stats bit-identical to
+// the per-instruction naive oracle.
 func TestBatchedRunMatchesScalar(t *testing.T) {
 	for _, name := range []string{"gsm_c", "adpcm_c", "ptrchase_l", "stencil_dsp", "branchy_ctrl", "phased_mix", "adversarial_l1"} {
 		t.Run(name, func(t *testing.T) {
@@ -67,10 +67,7 @@ func TestBatchedRunMatchesScalar(t *testing.T) {
 			}
 			w = w.ScaledTo(50_000)
 			for _, extra := range []int{0, 1} {
-				scalar, err := Run(Config{MemLatency: 20}, newPort(0), newPort(extra), scalarOnly{w.Stream()})
-				if err != nil {
-					t.Fatal(err)
-				}
+				scalar := naiveRun(Config{MemLatency: 20}, newPort(0), newPort(extra), w.Stream())
 				batched, err := Run(Config{MemLatency: 20}, newBatchPort(0), newBatchPort(extra), w.Stream())
 				if err != nil {
 					t.Fatal(err)
@@ -123,9 +120,9 @@ func serializeV2(t *testing.T, w bench.Workload) *trace.Reader {
 }
 
 // BenchmarkReplay measures replay throughput of one pre-materialised
-// trace (the tracegen → replay workflow, generation cost excluded)
-// through the scalar and batched paths — the chunked fast path must
-// win (recorded in the PR description).
+// trace (the tracegen → replay workflow, generation cost excluded):
+// "batch" replays zero-copy slices, "scalar" a stream without NextBatch
+// through the trace.Fill fallback, both over batch ports.
 func BenchmarkReplay(b *testing.B) {
 	w, err := bench.ByName("gsm_c")
 	if err != nil {
@@ -145,7 +142,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		b.SetBytes(insts)
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(Config{MemLatency: 20}, newPort(0), newPort(0), scalarOnly{&trace.SliceStream{Insts: recorded}}); err != nil {
+			if _, err := Run(Config{MemLatency: 20}, newBatchPort(0), newBatchPort(0), scalarOnly{&trace.SliceStream{Insts: recorded}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -20,21 +20,26 @@
 //     The I-side EDC stage is hidden by the fetch pipeline (corrections
 //     replay only on actual errors), so taken branches incur no extra
 //     redirect penalty.
+//
+// Replay has one engine: a chunk loop over lanes. A lane is one
+// instruction stream driving one IL1 bank and one DL1 bank of K cache
+// configurations (MultiPort); each chunk is pulled, classified and
+// split at phase boundaries once, and only the cache accesses and the
+// per-member tallies fan out. Run is one lane of one member, RunMulti
+// one lane of K members, and RunShared N lanes interleaved round-robin
+// at chunk granularity over caches that may share state behind the L1s.
 package cpu
 
 import (
 	"fmt"
-	"sort"
 
 	"edcache/internal/trace"
 )
 
-// Port is the interface the core uses to talk to a cache. The
-// implementation (internal/core) tracks its own energy; the core only
-// needs timing-relevant information.
+// Port is what the core reads of one cache configuration besides its
+// accesses: the extra hit latency of its EDC stage. Optional extensions
+// (TieredPort, PhasePort) are probed by type assertion.
 type Port interface {
-	// Access performs one access and reports whether it missed.
-	Access(addr uint32, write bool) (miss bool)
 	// ExtraHitLatency returns the additional hit latency in cycles
 	// beyond the single-cycle baseline (the EDC decode stage).
 	ExtraHitLatency() int
@@ -46,10 +51,10 @@ type PortOp struct {
 	Write bool
 }
 
-// BatchPort is an optional Port extension for bulk access: one call
-// covers a whole instruction chunk, replacing per-instruction dynamic
-// dispatch. AccessBatch must behave exactly like calling Access for
-// each op in order, setting miss[i] to the i-th outcome.
+// BatchPort is one cache configuration as the core drives it: one
+// AccessBatch call covers a whole instruction chunk, in program order,
+// setting miss[i] to the i-th op's outcome. The implementation
+// (internal/core) tracks its own energy.
 type BatchPort interface {
 	Port
 	AccessBatch(ops []PortOp, miss []bool)
@@ -60,9 +65,8 @@ type BatchPort interface {
 // the core prices an L1 miss at the L2 service latency instead of the
 // memory latency, and adds the full memory latency for every demand
 // fill that missed the L2 as well. L2FillMisses is a running counter
-// (monotone within a run); the core reads it by deltas, so scalar and
-// batched replay agree per construction — the counter depends only on
-// the port's own access sequence, which both paths issue identically.
+// (monotone within a run); the core reads it by deltas once per chunk,
+// so the charge depends only on the port's own access sequence.
 type TieredPort interface {
 	Port
 	// L2Latency returns the L2 hit service time in cycles; 0 means the
@@ -73,24 +77,15 @@ type TieredPort interface {
 	L2FillMisses() uint64
 }
 
-// tiered returns p as an active TieredPort, or nil when p is
-// single-level (no interface, or a zero L2 latency).
-func tiered(p Port) TieredPort {
-	if t, ok := p.(TieredPort); ok && t.L2Latency() > 0 {
-		return t
-	}
-	return nil
-}
-
-// PhasePort is an optional Port extension for phase-segmented
-// accounting: when the replayed stream is phase-annotated, Run calls
-// BeginPhase every time the stream's phase id changes (and once up
-// front if the stream opens in a non-zero phase) before issuing that
+// PhasePort is an optional port extension for phase-segmented
+// accounting, honoured on BatchPorts behind a FanPort and on MultiPorts
+// themselves: when the replayed stream is phase-annotated, the core
+// calls BeginPhase every time the stream's phase id changes (and once
+// up front if the stream opens in a non-zero phase) before issuing that
 // phase's accesses, so the port can slice its own event counters per
 // phase. Ports start in phase 0 implicitly; unannotated streams never
 // trigger a call.
 type PhasePort interface {
-	Port
 	BeginPhase(id uint8)
 }
 
@@ -197,426 +192,29 @@ func addCounters(dst *Stats, d Stats) {
 	dst.MissCycles += d.MissCycles
 }
 
-// phaseLedger accumulates per-phase counter segments by snapshotting
-// the running Stats at phase boundaries. Cost is O(boundaries), not
-// O(instructions): between boundaries the run loops touch only the
-// plain counters. core's port keeps its energy-event counters in sync
-// with the same snapshot-diff-accumulate scheme (driven by BeginPhase);
-// any change to boundary semantics here must be mirrored there.
-type phaseLedger struct {
-	cur  uint8
-	mark Stats // counters at the start of the current segment
-	segs []PhaseStats
-	ip   PhasePort // nil when the port doesn't segment itself
-	dp   PhasePort
-}
-
-func newPhaseLedger(il1, dl1 Port) *phaseLedger {
-	lg := &phaseLedger{}
-	lg.ip, _ = il1.(PhasePort)
-	lg.dp, _ = dl1.(PhasePort)
-	return lg
-}
-
-// boundary closes the current segment at the running counters st and
-// opens a segment for phase id, notifying phase-aware ports before any
-// of the new phase's accesses are issued.
-func (l *phaseLedger) boundary(st Stats, id uint8) {
-	l.closeSegment(st)
-	l.cur = id
-	if l.ip != nil {
-		l.ip.BeginPhase(id)
-	}
-	if l.dp != nil {
-		l.dp.BeginPhase(id)
-	}
-}
-
-// closeSegment folds the counters accumulated since the last snapshot
-// into the current phase's segment. A phase id recurring later (phased
-// workloads cycle) accumulates into its existing segment.
-func (l *phaseLedger) closeSegment(st Stats) {
-	st.Phases = nil
-	d := subCounters(st, l.mark)
-	l.mark = st
-	if d.Instructions == 0 {
-		return
-	}
-	for i := range l.segs {
-		if l.segs[i].Phase == l.cur {
-			addCounters(&l.segs[i].Stats, d)
-			return
-		}
-	}
-	l.segs = append(l.segs, PhaseStats{Phase: l.cur, Stats: d})
-}
-
-// finish closes the trailing segment and attaches the id-ordered
-// segmentation to st.
-func (l *phaseLedger) finish(st *Stats) {
-	l.closeSegment(*st)
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].Phase < l.segs[j].Phase })
-	st.Phases = l.segs
-}
-
-// batchSize is the chunk length of the batched replay path: large
-// enough to amortise the per-chunk calls, small enough that the
-// scratch buffers (ops, outcomes, use distances — ~20 KB) plus the
-// chunk's instructions stay L1-resident under the ports' own scratch.
-const batchSize = 1024
-
-// Run replays the stream through the core and returns the run's stats.
+// Run replays the stream through one IL1/DL1 pair and returns the run's
+// stats. It is RunMulti over two one-member banks (FanPort), so it
+// shares the one chunked replay loop: each chunk is pulled from the
+// stream once (zero-copy for trace.SliceBatcher streams, trace.Fill
+// otherwise), classified once, and issued as one AccessBatch per cache.
+// Each cache sees its own access sequence in program order; IL1 and
+// DL1 are independent state, so interleaving between them never
+// affects either unless the ports share state behind the L1s (a
+// unified L2), where the chunk order — IL1 traffic before DL1 traffic —
+// is the interleaving semantics.
 //
-// When the stream implements trace.BatchStream and both ports implement
-// BatchPort, Run processes instructions in chunks: one NextBatch call
-// per chunk and one AccessBatch call per cache instead of three dynamic
-// dispatches per instruction. The batched path produces bit-identical
-// Stats because each cache still sees its own access sequence in
-// program order — IL1 and DL1 are independent state, so interleaving
-// between them never affects either. (Ports therefore must not share
-// mutable state with each other, which no in-tree port does.)
-//
-// When the stream additionally advertises phase annotations
-// (trace.PhaseAnnotated), Run segments the counters per phase id into
-// Stats.Phases and notifies PhasePort ports at every boundary. Replay
-// behaviour is untouched — each cache still sees the identical access
-// sequence, the batch path merely splits chunks at phase boundaries —
-// and streams without the annotation run the exact unsegmented code.
-func Run(cfg Config, il1, dl1 Port, s trace.Stream) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
+// When the stream advertises phase annotations (trace.PhaseAnnotated),
+// Run segments the counters per phase id into Stats.Phases and notifies
+// PhasePort ports at every boundary; chunks split at phase boundaries,
+// so the caches still see the identical access sequence. Streams
+// without the annotation run unsegmented.
+func Run(cfg Config, il1, dl1 BatchPort, s trace.Stream) (Stats, error) {
 	if il1 == nil || dl1 == nil {
 		return Stats{}, fmt.Errorf("cpu: nil cache port")
 	}
-	phased := trace.HasPhases(s)
-	if bs, ok := s.(trace.BatchStream); ok {
-		bi, okI := il1.(BatchPort)
-		bd, okD := dl1.(BatchPort)
-		if okI && okD {
-			return runBatched(cfg, bi, bd, bs, phased), nil
-		}
+	sts, err := RunMulti(cfg, &FanPort{members: []BatchPort{il1}}, &FanPort{members: []BatchPort{dl1}}, s)
+	if err != nil {
+		return Stats{}, err
 	}
-	return runScalar(cfg, il1, dl1, s, phased), nil
-}
-
-// sideTimer prices one cache side's misses: flat memory latency for a
-// single-level port, L2 service latency plus memory latency per L2 fill
-// miss behind an active TieredPort. The fill-miss counter is read by
-// delta, so both replay paths charge exactly the fills their own access
-// sequence caused.
-type sideTimer struct {
-	tp   TieredPort
-	cost uint64 // cycles per L1 miss (memory latency, or L2 latency)
-	mem  uint64
-	mark uint64 // L2 fill-miss counter at the last read
-}
-
-func newSideTimer(p Port, mem uint64) sideTimer {
-	t := sideTimer{cost: mem, mem: mem}
-	if tp := tiered(p); tp != nil {
-		t.tp = tp
-		t.cost = uint64(tp.L2Latency())
-		t.mark = tp.L2FillMisses()
-	}
-	return t
-}
-
-// l2Delta returns the demand fills that missed the L2 since the last
-// call — always zero for single-level ports.
-func (t *sideTimer) l2Delta() uint64 {
-	if t.tp == nil {
-		return 0
-	}
-	f := t.tp.L2FillMisses()
-	d := f - t.mark
-	t.mark = f
-	return d
-}
-
-// runScalar is the per-instruction path of Run.
-func runScalar(cfg Config, il1, dl1 Port, s trace.Stream, phased bool) Stats {
-	var st Stats
-	var lg *phaseLedger
-	if phased {
-		lg = newPhaseLedger(il1, dl1)
-	}
-	dExtra := dl1.ExtraHitLatency()
-	mem := uint64(cfg.MemLatency)
-	it := newSideTimer(il1, mem)
-	dt := newSideTimer(dl1, mem)
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
-		if lg != nil && inst.Phase != lg.cur {
-			lg.boundary(st, inst.Phase)
-		}
-		st.Instructions++
-		st.Cycles++ // issue slot
-
-		// Instruction fetch: one IL1 access per instruction.
-		st.IAccesses++
-		if il1.Access(inst.PC, false) {
-			st.IMisses++
-			l2 := it.l2Delta()
-			st.IL2Misses += l2
-			stall := it.cost + l2*mem
-			st.Cycles += stall
-			st.MissCycles += stall
-		}
-
-		switch {
-		case inst.IsLoad:
-			st.Loads++
-			st.DAccesses++
-			if dl1.Access(inst.Addr, false) {
-				st.DMisses++
-				l2 := dt.l2Delta()
-				st.DL2Misses += l2
-				stall := dt.cost + l2*mem
-				st.Cycles += stall
-				st.MissCycles += stall
-			} else if dExtra > 0 && inst.UseDist > 0 {
-				// Hit: the consumer sees the value after
-				// 1+dExtra cycles; a consumer UseDist away hides
-				// UseDist of them.
-				if stall := 1 + dExtra - int(inst.UseDist); stall > 0 {
-					st.Cycles += uint64(stall)
-					st.LoadUseStalls += uint64(stall)
-				}
-			}
-		case inst.IsStore:
-			st.Stores++
-			st.DAccesses++
-			if dl1.Access(inst.Addr, true) {
-				st.DMisses++
-				l2 := dt.l2Delta()
-				st.DL2Misses += l2
-				stall := dt.cost + l2*mem
-				st.Cycles += stall
-				st.MissCycles += stall
-			}
-		case inst.IsBranch:
-			st.Branches++
-			if inst.Taken {
-				st.TakenBranches++
-			}
-		}
-	}
-	if lg != nil {
-		lg.finish(&st)
-	}
-	return st
-}
-
-// batcher holds the scratch state of the chunked fast path; process
-// replays one same-phase run of instructions.
-type batcher struct {
-	st     Stats
-	mem    uint64
-	dExtra int
-	il1    BatchPort
-	dl1    BatchPort
-	it     sideTimer
-	dt     sideTimer
-	iops   []PortOp
-	imiss  []bool
-	dops   []PortOp
-	dmiss  []bool
-	udist  []uint8 // use distance per data op (0 for stores)
-}
-
-func newBatcher(cfg Config, il1, dl1 BatchPort) *batcher {
-	mem := uint64(cfg.MemLatency)
-	return &batcher{
-		mem:    mem,
-		dExtra: dl1.ExtraHitLatency(),
-		il1:    il1,
-		dl1:    dl1,
-		it:     newSideTimer(il1, mem),
-		dt:     newSideTimer(dl1, mem),
-		iops:   make([]PortOp, batchSize),
-		imiss:  make([]bool, batchSize),
-		dops:   make([]PortOp, 0, batchSize),
-		dmiss:  make([]bool, batchSize),
-		udist:  make([]uint8, 0, batchSize),
-	}
-}
-
-// countTrue returns the number of set entries — the batched miss
-// count. The conditional increment lowers to a branch-free add, so
-// tallying a chunk's misses is one linear pass over a byte slice.
-func countTrue(m []bool) uint64 {
-	var n uint64
-	for _, v := range m {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// chunkMix is one chunk's instruction-mix tally: the classification
-// output that is identical for every cache configuration replaying the
-// chunk, which is what lets the multi-configuration path (RunMulti)
-// classify once and fan only the cache accesses out per member.
-type chunkMix struct {
-	loads, stores, branches, taken uint64
-}
-
-// classify performs the one walk over a chunk's instructions that both
-// replay paths share: it fills iops (one fetch per instruction),
-// appends the data accesses in program order to dops with their use
-// distances alongside in udist, and tallies the instruction mix. iops
-// must have length len(insts); dops and udist are returned re-sliced
-// (append semantics) so callers can reuse their backing arrays.
-func classify(insts []trace.Inst, iops []PortOp, dops []PortOp, udist []uint8) ([]PortOp, []uint8, chunkMix) {
-	var mix chunkMix
-	for i := range insts {
-		inst := &insts[i]
-		iops[i] = PortOp{Addr: inst.PC}
-		if inst.IsLoad {
-			mix.loads++
-			dops = append(dops, PortOp{Addr: inst.Addr})
-			udist = append(udist, inst.UseDist)
-		} else if inst.IsStore {
-			mix.stores++
-			dops = append(dops, PortOp{Addr: inst.Addr, Write: true})
-			udist = append(udist, 0)
-		} else if inst.IsBranch {
-			mix.branches++
-			if inst.Taken {
-				mix.taken++
-			}
-		}
-	}
-	return dops, udist, mix
-}
-
-// loadUseStalls tallies the chunk's load-to-use stall cycles for one
-// EDC-stage latency: for every load that hit (dmiss false) with a
-// consumer UseDist away, the consumer sees the value after 1+dExtra
-// cycles and hides UseDist of them. Callers skip the call entirely when
-// dExtra is zero — the baseline single-cycle hit never stalls.
-func loadUseStalls(dExtra int, udist []uint8, dmiss []bool) uint64 {
-	var stalls uint64
-	for d, ud := range udist {
-		if ud > 0 && !dmiss[d] {
-			if stall := 1 + dExtra - int(ud); stall > 0 {
-				stalls += uint64(stall)
-			}
-		}
-	}
-	return stalls
-}
-
-// foldChunk accumulates one chunk's outcome into st: n issue slots,
-// the shared mix tally, and the member-specific miss counts and
-// load-use stalls. iCost/dCost price each side's L1 misses (the memory
-// latency for single-level ports, the L2 latency behind a hierarchy);
-// il2/dl2 are the chunk's L2 fill misses, each worth the full memory
-// latency on top. With iCost == dCost == mem and zero L2 counts this is
-// exactly the single-level fold. Every term is a commutative sum, and
-// the phase ledger only snapshots Stats between chunks, so
-// chunk-granular folding is invisible to the per-phase segmentation.
-func foldChunk(st *Stats, n int, mix chunkMix, iCost, dCost, mem, imisses, dmisses, il2, dl2, loadUse uint64) {
-	missCycles := iCost*imisses + dCost*dmisses + mem*(il2+dl2)
-	st.Instructions += uint64(n)
-	st.Cycles += uint64(n) + missCycles + loadUse // issue slots + stalls
-	st.IAccesses += uint64(n)
-	st.IMisses += imisses
-	st.Loads += mix.loads
-	st.Stores += mix.stores
-	st.Branches += mix.branches
-	st.TakenBranches += mix.taken
-	st.DAccesses += mix.loads + mix.stores
-	st.DMisses += dmisses
-	st.IL2Misses += il2
-	st.DL2Misses += dl2
-	st.LoadUseStalls += loadUse
-	st.MissCycles += missCycles
-}
-
-// process performs all instruction fetches of the slice as one IL1
-// batch and all data accesses (in program order) as one DL1 batch. One
-// classifying pass builds both op lists and the mix counters; the
-// timing then needs no second walk over the instructions — misses are
-// a branch-free count over each outcome slice (every miss costs the
-// same latency regardless of which instruction missed), and load-use
-// stalls read the per-op use distances recorded alongside the data ops,
-// only when the EDC stage is active.
-func (b *batcher) process(insts []trace.Inst) {
-	n := len(insts)
-	iops := b.iops[:n]
-	dops, udist, mix := classify(insts, iops, b.dops[:0], b.udist[:0])
-	b.dops, b.udist = dops, udist
-	b.il1.AccessBatch(iops, b.imiss[:n])
-	b.dl1.AccessBatch(dops, b.dmiss[:len(dops)])
-
-	imisses := countTrue(b.imiss[:n])
-	dmisses := countTrue(b.dmiss[:len(dops)])
-	var loadUse uint64
-	if b.dExtra > 0 {
-		loadUse = loadUseStalls(b.dExtra, udist, b.dmiss)
-	}
-	foldChunk(&b.st, n, mix, b.it.cost, b.dt.cost, b.mem,
-		imisses, dmisses, b.it.l2Delta(), b.dt.l2Delta(), loadUse)
-}
-
-// runBatched is the chunked fast path of Run. For phase-annotated
-// streams each chunk is split at phase boundaries into same-phase runs
-// — the access sequences the caches see are unchanged, so Stats stay
-// bit-identical to scalar replay; boundaries are rare (thousands of
-// instructions apart), so the split costs one phase-id scan per chunk
-// and nothing at all for unannotated streams.
-//
-// Streams whose instructions already sit in memory (trace.SliceBatcher
-// — arena cursors) replay zero-copy: each chunk is a read-only window
-// into the stream's own storage instead of a copy into scratch. The
-// chunk boundaries and processing are identical, so Stats are
-// unaffected.
-func runBatched(cfg Config, il1, dl1 BatchPort, s trace.BatchStream, phased bool) Stats {
-	b := newBatcher(cfg, il1, dl1)
-	next := func(buf []trace.Inst) []trace.Inst {
-		return buf[:s.NextBatch(buf)]
-	}
-	var insts []trace.Inst
-	if sb, ok := s.(trace.SliceBatcher); ok {
-		next = func([]trace.Inst) []trace.Inst { return sb.NextSlice(batchSize) }
-	} else {
-		insts = make([]trace.Inst, batchSize)
-	}
-	if !phased {
-		for {
-			chunk := next(insts)
-			if len(chunk) == 0 {
-				break
-			}
-			b.process(chunk)
-		}
-		return b.st
-	}
-	lg := newPhaseLedger(il1, dl1)
-	for {
-		chunk := next(insts)
-		if len(chunk) == 0 {
-			break
-		}
-		for len(chunk) > 0 {
-			id := chunk[0].Phase
-			j := 1
-			for j < len(chunk) && chunk[j].Phase == id {
-				j++
-			}
-			if id != lg.cur {
-				lg.boundary(b.st, id)
-			}
-			b.process(chunk[:j])
-			chunk = chunk[j:]
-		}
-	}
-	lg.finish(&b.st)
-	return b.st
+	return sts[0], nil
 }

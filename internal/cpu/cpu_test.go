@@ -9,7 +9,8 @@ import (
 	"edcache/internal/trace"
 )
 
-// testPort adapts a cache.Cache to the Port interface for tests.
+// testPort adapts a cache.Cache to BatchPort one scalar access at a
+// time (the naive oracle drives Access directly).
 type testPort struct {
 	c     *cache.Cache
 	extra int
@@ -17,6 +18,12 @@ type testPort struct {
 
 func (p *testPort) Access(addr uint32, write bool) bool {
 	return !p.c.Access(addr, write).Hit
+}
+
+func (p *testPort) AccessBatch(ops []PortOp, miss []bool) {
+	for i, op := range ops {
+		miss[i] = p.Access(op.Addr, op.Write)
+	}
 }
 
 func (p *testPort) ExtraHitLatency() int { return p.extra }

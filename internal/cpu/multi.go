@@ -6,39 +6,31 @@ import (
 	"edcache/internal/trace"
 )
 
-// MultiPort is the bank-side contract of single-pass multi-
-// configuration replay: one port standing in for K cache
-// configurations. AccessBatch must behave exactly as if each member
-// performed the ops in order on its own — miss[k][i] is member k's
-// outcome for op i — but implementations receive the chunk once, which
-// is the point: the op list is built by one classification pass and
-// fanned out to every configuration (see cache.MultiCache for the
-// canonical backing store).
+// MultiPort is one side (IL1 or DL1) of a lane: one port standing in
+// for K cache configurations. AccessBatch must behave exactly as if
+// each member performed the ops in order on its own — miss[k][i] is
+// member k's outcome for op i — but implementations receive the chunk
+// once, which is the point: the op list is built by one classification
+// pass and fanned out to every configuration. A MultiPort that also
+// implements PhasePort is notified once per phase boundary and fans the
+// notification out to its members itself.
 type MultiPort interface {
 	// Members returns the number of configurations behind the port.
 	Members() int
-	// ExtraHitLatency returns member k's additional hit latency in
-	// cycles beyond the single-cycle baseline.
-	ExtraHitLatency(k int) int
+	// Member returns member k's view for timing: its EDC hit latency,
+	// and its second level when it implements TieredPort.
+	Member(k int) Port
 	// AccessBatch performs the ops in order on every member, setting
 	// miss[k][i] to member k's i-th outcome. Each miss[k] has exactly
 	// len(ops) entries.
 	AccessBatch(ops []PortOp, miss [][]bool)
 }
 
-// MultiPhasePort is the optional phase-segmentation extension of
-// MultiPort, mirroring PhasePort: RunMulti calls BeginPhase at every
-// phase boundary of an annotated stream, once per port — the port fans
-// the notification out to its members itself.
-type MultiPhasePort interface {
-	MultiPort
-	BeginPhase(id uint8)
-}
-
 // FanPort adapts K independent BatchPorts into a MultiPort by fanning
 // every batch out member by member. It is the generic bank adapter —
-// ports that can share work across members (one address decomposition,
-// one result tally) implement MultiPort directly instead.
+// ports that can share work across members (one op conversion, one
+// simulator for identical configurations) implement MultiPort directly
+// instead.
 type FanPort struct {
 	members []BatchPort
 }
@@ -60,8 +52,9 @@ func NewFanPort(members ...BatchPort) (*FanPort, error) {
 // Members implements MultiPort.
 func (f *FanPort) Members() int { return len(f.members) }
 
-// ExtraHitLatency implements MultiPort.
-func (f *FanPort) ExtraHitLatency(k int) int { return f.members[k].ExtraHitLatency() }
+// Member implements MultiPort, forwarding the member port itself (so a
+// TieredPort member keeps its two-level timing inside the bank).
+func (f *FanPort) Member(k int) Port { return f.members[k] }
 
 // AccessBatch implements MultiPort.
 func (f *FanPort) AccessBatch(ops []PortOp, miss [][]bool) {
@@ -70,7 +63,7 @@ func (f *FanPort) AccessBatch(ops []PortOp, miss [][]bool) {
 	}
 }
 
-// BeginPhase implements MultiPhasePort, forwarding to every member that
+// BeginPhase implements PhasePort, forwarding to every member that
 // segments itself.
 func (f *FanPort) BeginPhase(id uint8) {
 	for _, m := range f.members {
@@ -85,180 +78,16 @@ func (f *FanPort) BeginPhase(id uint8) {
 // produce for that member alone. il1 and dl1 must agree on the member
 // count; member k of each side belongs to the same configuration.
 //
-// This is the single-pass sweep engine's cpu layer: the stream is
-// walked once, each chunk is classified once (the instruction mix and
-// op lists are configuration-independent), and only the cache accesses
-// and outcome tallies fan out per member. Phase-annotated streams are
-// segmented exactly as in Run — chunks split at phase boundaries, one
-// BeginPhase per MultiPhasePort per boundary — so per-phase Stats also
-// match the single-configuration path bit for bit.
+// This is the single-pass sweep engine's cpu layer, one lane of the
+// replay loop: the stream is walked once, each chunk is classified
+// once (the instruction mix and op lists are configuration-
+// independent), and only the cache accesses and outcome tallies fan
+// out per member. Phase-annotated streams are segmented per member with
+// one BeginPhase per phase-aware bank per boundary.
 func RunMulti(cfg Config, il1, dl1 MultiPort, s trace.Stream) ([]Stats, error) {
-	if err := cfg.Validate(); err != nil {
+	sts, err := RunShared(cfg, []CorePorts{{IL1: il1, DL1: dl1}}, []trace.Stream{s})
+	if err != nil {
 		return nil, err
 	}
-	if il1 == nil || dl1 == nil {
-		return nil, fmt.Errorf("cpu: nil cache port")
-	}
-	members := il1.Members()
-	if d := dl1.Members(); d != members {
-		return nil, fmt.Errorf("cpu: IL1 bank has %d members, DL1 bank %d", members, d)
-	}
-	if members == 0 {
-		return nil, fmt.Errorf("cpu: empty cache bank")
-	}
-	b := newMultiBatcher(cfg, il1, dl1, members)
-
-	next := func(buf []trace.Inst) []trace.Inst {
-		return buf[:trace.Fill(s, buf)]
-	}
-	var insts []trace.Inst
-	if sb, ok := s.(trace.SliceBatcher); ok {
-		next = func([]trace.Inst) []trace.Inst { return sb.NextSlice(batchSize) }
-	} else {
-		insts = make([]trace.Inst, batchSize)
-	}
-	if !trace.HasPhases(s) {
-		for {
-			chunk := next(insts)
-			if len(chunk) == 0 {
-				break
-			}
-			b.process(chunk)
-		}
-		return b.sts, nil
-	}
-	lg := newMultiLedger(il1, dl1, members)
-	for {
-		chunk := next(insts)
-		if len(chunk) == 0 {
-			break
-		}
-		for len(chunk) > 0 {
-			id := chunk[0].Phase
-			j := 1
-			for j < len(chunk) && chunk[j].Phase == id {
-				j++
-			}
-			if id != lg.cur {
-				lg.boundary(b.sts, id)
-			}
-			b.process(chunk[:j])
-			chunk = chunk[j:]
-		}
-	}
-	lg.finish(b.sts)
-	return b.sts, nil
-}
-
-// multiBatcher is batcher's K-member counterpart: one classification
-// scratch set shared by all members, one outcome matrix (and Stats)
-// per member.
-type multiBatcher struct {
-	sts    []Stats
-	mem    uint64
-	dExtra []int
-	il1    MultiPort
-	dl1    MultiPort
-	iops   []PortOp
-	dops   []PortOp
-	udist  []uint8 // use distance per data op (0 for stores)
-	imiss  [][]bool
-	dmiss  [][]bool
-	// irows/drows are the per-chunk re-slicings of imiss/dmiss handed
-	// to AccessBatch (each row exactly the chunk's op count).
-	irows [][]bool
-	drows [][]bool
-}
-
-func newMultiBatcher(cfg Config, il1, dl1 MultiPort, members int) *multiBatcher {
-	b := &multiBatcher{
-		sts:    make([]Stats, members),
-		mem:    uint64(cfg.MemLatency),
-		dExtra: make([]int, members),
-		il1:    il1,
-		dl1:    dl1,
-		iops:   make([]PortOp, batchSize),
-		dops:   make([]PortOp, 0, batchSize),
-		udist:  make([]uint8, 0, batchSize),
-		imiss:  make([][]bool, members),
-		dmiss:  make([][]bool, members),
-		irows:  make([][]bool, members),
-		drows:  make([][]bool, members),
-	}
-	for k := 0; k < members; k++ {
-		b.dExtra[k] = dl1.ExtraHitLatency(k)
-		b.imiss[k] = make([]bool, batchSize)
-		b.dmiss[k] = make([]bool, batchSize)
-	}
-	return b
-}
-
-// process replays one same-phase run of instructions through every
-// member: one classification, one banked AccessBatch per side, then a
-// per-member tally fold identical to the single-configuration path.
-func (b *multiBatcher) process(insts []trace.Inst) {
-	n := len(insts)
-	iops := b.iops[:n]
-	dops, udist, mix := classify(insts, iops, b.dops[:0], b.udist[:0])
-	b.dops, b.udist = dops, udist
-	for k := range b.irows {
-		b.irows[k] = b.imiss[k][:n]
-		b.drows[k] = b.dmiss[k][:len(dops)]
-	}
-	b.il1.AccessBatch(iops, b.irows)
-	b.dl1.AccessBatch(dops, b.drows)
-
-	for k := range b.sts {
-		imisses := countTrue(b.irows[k])
-		dmisses := countTrue(b.drows[k])
-		var loadUse uint64
-		if b.dExtra[k] > 0 {
-			loadUse = loadUseStalls(b.dExtra[k], udist, b.dmiss[k])
-		}
-		foldChunk(&b.sts[k], n, mix, b.mem, b.mem, b.mem, imisses, dmisses, 0, 0, loadUse)
-	}
-}
-
-// multiLedger segments K members' Stats at shared phase boundaries:
-// one per-member phaseLedger for the counter snapshots plus a single
-// BeginPhase notification per phase-aware side. Boundaries are shared
-// by construction — every member replays the same instruction sequence
-// — so the segment structure differs only in counter values.
-type multiLedger struct {
-	cur uint8
-	lgs []phaseLedger
-	ip  MultiPhasePort // nil when the side doesn't segment itself
-	dp  MultiPhasePort
-}
-
-func newMultiLedger(il1, dl1 MultiPort, members int) *multiLedger {
-	lg := &multiLedger{lgs: make([]phaseLedger, members)}
-	lg.ip, _ = il1.(MultiPhasePort)
-	lg.dp, _ = dl1.(MultiPhasePort)
-	return lg
-}
-
-// boundary closes every member's current segment at its running
-// counters and opens a segment for phase id, notifying phase-aware
-// banks once before any of the new phase's accesses are issued.
-func (l *multiLedger) boundary(sts []Stats, id uint8) {
-	for k := range l.lgs {
-		l.lgs[k].closeSegment(sts[k])
-		l.lgs[k].cur = id
-	}
-	l.cur = id
-	if l.ip != nil {
-		l.ip.BeginPhase(id)
-	}
-	if l.dp != nil {
-		l.dp.BeginPhase(id)
-	}
-}
-
-// finish closes every member's trailing segment and attaches the
-// id-ordered segmentations.
-func (l *multiLedger) finish(sts []Stats) {
-	for k := range l.lgs {
-		l.lgs[k].finish(&sts[k])
-	}
+	return sts[0], nil
 }

@@ -14,9 +14,10 @@ func newBatchPortCfg(cfg cache.Config, extra int) *batchPort {
 
 // TestRunMultiMatchesRunPerMember is the single-pass engine's cpu-layer
 // contract: one RunMulti pass over a stream must produce, for every
-// bank member, Stats bit-identical to a standalone Run of that member's
-// configuration — including phase segmentation on annotated streams
-// (phased_mix) and per-member EDC latencies (mixed dExtra in one bank).
+// bank member, Stats bit-identical to a standalone run of that member's
+// configuration — the naive oracle, Run's specification — including
+// phase segmentation on annotated streams (phased_mix) and per-member
+// EDC latencies (mixed dExtra in one bank).
 func TestRunMultiMatchesRunPerMember(t *testing.T) {
 	type member struct {
 		il1   cache.Config
@@ -39,12 +40,8 @@ func TestRunMultiMatchesRunPerMember(t *testing.T) {
 
 			want := make([]Stats, len(members))
 			for k, m := range members {
-				st, err := Run(Config{MemLatency: 20},
+				want[k] = naiveRun(Config{MemLatency: 20},
 					newBatchPortCfg(m.il1, 0), newBatchPortCfg(m.dl1, m.extra), w.Stream())
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[k] = st
 			}
 
 			iports := make([]BatchPort, len(members))

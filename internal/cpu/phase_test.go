@@ -114,7 +114,7 @@ func TestPhasePortNotifiedAtBoundaries(t *testing.T) {
 
 func TestPhasedBatchMatchesScalarOnSerialisedTrace(t *testing.T) {
 	// End to end: phased workload → v2 file with phase ids → batched
-	// replay must match scalar replay bit-for-bit, segments included.
+	// replay must match the naive oracle bit-for-bit, segments included.
 	w, err := bench.ByName("phased_mix")
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +122,7 @@ func TestPhasedBatchMatchesScalarOnSerialisedTrace(t *testing.T) {
 	w.PhaseInsts = 3_000
 	w = w.ScaledTo(25_000)
 
-	scalar, err := Run(Config{MemLatency: 20}, newPort(0), newPort(1), scalarOnly{w.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	scalar := naiveRun(Config{MemLatency: 20}, newPort(0), newPort(1), w.Stream())
 	if len(scalar.Phases) < 2 {
 		t.Fatalf("phased_mix produced %d segments", len(scalar.Phases))
 	}

@@ -6,17 +6,18 @@ import (
 	"edcache/internal/trace"
 )
 
-// CorePorts is one core's pair of private L1 ports. The ports may share
-// cache state *behind* the L1s with other cores' ports — a hierarchy
-// port whose L2 is common — which is exactly the arrangement RunShared
+// CorePorts is one core's pair of private L1 banks. The banks may share
+// cache state *behind* the L1s with other cores' banks — hierarchy
+// ports whose L2 is common — which is exactly the arrangement RunShared
 // serialises.
 type CorePorts struct {
-	IL1 BatchPort
-	DL1 BatchPort
+	IL1 MultiPort
+	DL1 MultiPort
 }
 
 // RunShared replays one stream per core, interleaving the cores
-// round-robin at chunk granularity, and returns one Stats per core.
+// round-robin at chunk granularity, and returns one Stats per member of
+// each core's banks (out[core][member]).
 //
 // The schedule is the semantics: in every round each live core replays
 // one chunk (up to batchSize instructions) in core order, so any state
@@ -25,13 +26,10 @@ type CorePorts struct {
 // (everything runs on the caller's goroutine). Cores whose streams end
 // early drop out of the rotation; the rest keep their relative order.
 // With fully private ports the result is bit-identical to running each
-// (core, stream) through Run alone — the rotation only matters to
-// shared state.
-//
-// Phase annotations are honoured per core: each annotated stream gets
-// its own ledger and BeginPhase notifications, segmented exactly as in
-// Run, with chunks split at that stream's phase boundaries.
-func RunShared(cfg Config, cores []CorePorts, streams []trace.Stream) ([]Stats, error) {
+// (core, stream) through RunMulti alone — the rotation only matters to
+// shared state. Phase annotations are honoured per core, exactly as in
+// RunMulti.
+func RunShared(cfg Config, cores []CorePorts, streams []trace.Stream) ([][]Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -41,70 +39,16 @@ func RunShared(cfg Config, cores []CorePorts, streams []trace.Stream) ([]Stats, 
 	if len(cores) != len(streams) {
 		return nil, fmt.Errorf("cpu: %d cores but %d streams", len(cores), len(streams))
 	}
-	type coreState struct {
-		b    *batcher
-		lg   *phaseLedger // nil for unannotated streams
-		next func([]trace.Inst) []trace.Inst
-		buf  []trace.Inst
-		done bool
-	}
-	states := make([]coreState, len(cores))
-	for i := range cores {
-		if cores[i].IL1 == nil || cores[i].DL1 == nil {
-			return nil, fmt.Errorf("cpu: core %d has a nil cache port", i)
-		}
-		s := streams[i]
-		if s == nil {
-			return nil, fmt.Errorf("cpu: core %d has a nil stream", i)
-		}
-		cs := &states[i]
-		cs.b = newBatcher(cfg, cores[i].IL1, cores[i].DL1)
-		if sb, ok := s.(trace.SliceBatcher); ok {
-			cs.next = func([]trace.Inst) []trace.Inst { return sb.NextSlice(batchSize) }
-		} else {
-			cs.buf = make([]trace.Inst, batchSize)
-			cs.next = func(buf []trace.Inst) []trace.Inst { return buf[:trace.Fill(s, buf)] }
-		}
-		if trace.HasPhases(s) {
-			cs.lg = newPhaseLedger(cores[i].IL1, cores[i].DL1)
-		}
-	}
-	for remaining := len(states); remaining > 0; {
-		for i := range states {
-			cs := &states[i]
-			if cs.done {
-				continue
+	lanes := make([]*lane, len(cores))
+	for i, c := range cores {
+		l, err := newLane(cfg, c.IL1, c.DL1, streams[i])
+		if err != nil {
+			if len(cores) > 1 {
+				err = fmt.Errorf("core %d: %w", i, err)
 			}
-			chunk := cs.next(cs.buf)
-			if len(chunk) == 0 {
-				cs.done = true
-				remaining--
-				continue
-			}
-			if cs.lg == nil {
-				cs.b.process(chunk)
-				continue
-			}
-			for len(chunk) > 0 {
-				id := chunk[0].Phase
-				j := 1
-				for j < len(chunk) && chunk[j].Phase == id {
-					j++
-				}
-				if id != cs.lg.cur {
-					cs.lg.boundary(cs.b.st, id)
-				}
-				cs.b.process(chunk[:j])
-				chunk = chunk[j:]
-			}
+			return nil, err
 		}
+		lanes[i] = l
 	}
-	out := make([]Stats, len(states))
-	for i := range states {
-		if states[i].lg != nil {
-			states[i].lg.finish(&states[i].b.st)
-		}
-		out[i] = states[i].b.st
-	}
-	return out, nil
+	return replay(lanes), nil
 }

@@ -9,8 +9,9 @@ import (
 	"edcache/internal/trace"
 )
 
-// hierPort adapts a cache.Hierarchy to the Port/BatchPort/TieredPort
-// contracts — the same wiring core's hierarchy port uses, minus energy.
+// hierPort adapts a cache.Hierarchy to the BatchPort/TieredPort
+// contracts — the same wiring core's hierarchy port uses, minus energy
+// — plus the scalar Access the naive oracle drives.
 type hierPort struct {
 	h    *cache.Hierarchy
 	lat  int
@@ -81,65 +82,58 @@ func TestTieredTimingExactFormula(t *testing.T) {
 	}
 }
 
-// TestTieredScalarBatchIdentical holds the batched path to the scalar
-// path behind a real two-level hierarchy (private L2 per side, so the
+// TestTieredScalarBatchIdentical holds the replay loop to the naive
+// oracle behind a real two-level hierarchy (private L2 per side, so the
 // per-side access sequences fully determine the state): Stats must be
-// bit-identical, with live L2 counters.
+// bit-identical, with live L2 counters, for batch and scalar-only
+// streams alike.
 func TestTieredScalarBatchIdentical(t *testing.T) {
 	w, err := bench.ByName("gsm_c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w = w.ScaledTo(50_000)
-	run := func(s trace.Stream) Stats {
-		st, err := Run(Config{MemLatency: 20},
-			newHierPort(tinyL1, midL2, nil, 6),
-			newHierPort(tinyL1, midL2, nil, 6), s)
+	scalar := naiveRun(Config{MemLatency: 20},
+		newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), w.Stream())
+	for _, s := range []trace.Stream{w.Stream(), scalarOnly{w.Stream()}} {
+		batched, err := Run(Config{MemLatency: 20},
+			newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		if !reflect.DeepEqual(scalar, batched) {
+			t.Fatalf("batched stats %+v != scalar %+v", batched, scalar)
+		}
 	}
-	scalar := run(scalarOnly{w.Stream()})
-	batched := run(w.Stream())
-	if !reflect.DeepEqual(scalar, batched) {
-		t.Fatalf("batched stats %+v != scalar %+v", batched, scalar)
+	if scalar.IL2Misses == 0 || scalar.DL2Misses == 0 {
+		t.Fatalf("expected live L2 counters, got %+v", scalar)
 	}
-	if batched.IL2Misses == 0 || batched.DL2Misses == 0 {
-		t.Fatalf("expected live L2 counters, got %+v", batched)
-	}
-	if batched.IL2Misses > batched.IMisses || batched.DL2Misses > batched.DMisses {
-		t.Fatalf("L2 misses exceed L1 misses: %+v", batched)
+	if scalar.IL2Misses > scalar.IMisses || scalar.DL2Misses > scalar.DMisses {
+		t.Fatalf("L2 misses exceed L1 misses: %+v", scalar)
 	}
 }
 
 // TestRunSharedPrivatePortsMatchRun proves the round-robin rotation is
 // pure scheduling: with fully private ports each core's Stats must be
-// bit-identical to replaying its stream through Run alone.
+// bit-identical to the naive oracle replaying its stream alone.
 func TestRunSharedPrivatePortsMatchRun(t *testing.T) {
 	ws := bench.Small()
 	if len(ws) < 2 {
 		t.Fatal("need two workloads")
 	}
 	w0, w1 := ws[0].ScaledTo(30_000), ws[1].ScaledTo(47_000) // uneven: one core drops out early
+	hp := func() *FanPort { return mustFan(t, newHierPort(tinyL1, midL2, nil, 6)) }
 	shared, err := RunShared(Config{MemLatency: 20},
-		[]CorePorts{
-			{IL1: newHierPort(tinyL1, midL2, nil, 6), DL1: newHierPort(tinyL1, midL2, nil, 6)},
-			{IL1: newHierPort(tinyL1, midL2, nil, 6), DL1: newHierPort(tinyL1, midL2, nil, 6)},
-		},
+		[]CorePorts{{IL1: hp(), DL1: hp()}, {IL1: hp(), DL1: hp()}},
 		[]trace.Stream{w0.Stream(), w1.Stream()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range []bench.Workload{w0, w1} {
-		alone, err := Run(Config{MemLatency: 20},
-			newHierPort(tinyL1, midL2, nil, 6),
-			newHierPort(tinyL1, midL2, nil, 6), w.Stream())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(shared[i], alone) {
-			t.Errorf("core %d (%s): shared-run stats %+v != solo %+v", i, w.Name, shared[i], alone)
+		alone := naiveRun(Config{MemLatency: 20},
+			newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), w.Stream())
+		if !reflect.DeepEqual(shared[i][0], alone) {
+			t.Errorf("core %d (%s): shared-run stats %+v != solo %+v", i, w.Name, shared[i][0], alone)
 		}
 	}
 }
@@ -151,14 +145,12 @@ func TestRunSharedL2Interference(t *testing.T) {
 	ws := bench.Small()
 	w0, w1 := ws[0].ScaledTo(40_000), ws[1].ScaledTo(40_000)
 	smallL2 := cache.Config{Sets: 8, Ways: 2, LineBytes: 32} // small enough to thrash
-	runShared := func() []Stats {
+	runShared := func() [][]Stats {
 		il2 := cache.MustNew(smallL2)
 		dl2 := cache.MustNew(smallL2)
+		hp := func(l2 *cache.Cache) *FanPort { return mustFan(t, newHierPort(tinyL1, smallL2, l2, 6)) }
 		sts, err := RunShared(Config{MemLatency: 20},
-			[]CorePorts{
-				{IL1: newHierPort(tinyL1, smallL2, il2, 6), DL1: newHierPort(tinyL1, smallL2, dl2, 6)},
-				{IL1: newHierPort(tinyL1, smallL2, il2, 6), DL1: newHierPort(tinyL1, smallL2, dl2, 6)},
-			},
+			[]CorePorts{{IL1: hp(il2), DL1: hp(dl2)}, {IL1: hp(il2), DL1: hp(dl2)}},
 			[]trace.Stream{w0.Stream(), w1.Stream()})
 		if err != nil {
 			t.Fatal(err)
@@ -170,17 +162,18 @@ func TestRunSharedL2Interference(t *testing.T) {
 		t.Fatalf("shared-L2 replay not deterministic: %+v vs %+v", a, b)
 	}
 	for i := range a {
-		if a[i].IL2Misses == 0 && a[i].DL2Misses == 0 {
-			t.Errorf("core %d: no L2 misses on a thrashing shared L2: %+v", i, a[i])
+		st := a[i][0]
+		if st.IL2Misses == 0 && st.DL2Misses == 0 {
+			t.Errorf("core %d: no L2 misses on a thrashing shared L2: %+v", i, st)
 		}
-		if a[i].IL2Misses > a[i].IMisses || a[i].DL2Misses > a[i].DMisses {
-			t.Errorf("core %d: L2 misses exceed L1 misses: %+v", i, a[i])
+		if st.IL2Misses > st.IMisses || st.DL2Misses > st.DMisses {
+			t.Errorf("core %d: L2 misses exceed L1 misses: %+v", i, st)
 		}
 	}
 }
 
 func TestRunSharedValidation(t *testing.T) {
-	p := func() *hierPort { return newHierPort(tinyL1, midL2, nil, 6) }
+	p := func() *FanPort { return mustFan(t, newHierPort(tinyL1, midL2, nil, 6)) }
 	s := &trace.SliceStream{}
 	if _, err := RunShared(Config{MemLatency: 20}, nil, nil); err == nil {
 		t.Error("empty core list accepted")

@@ -61,11 +61,7 @@ func waySplitAblation(o Options) sim.Experiment {
 			cb.ULEWays = ule
 			cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cp.ULEWays = ule
-			rb, err := core.MustNewSystem(cb).RunArena(w.Name, arena, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rp, err := core.MustNewSystem(cp).RunArena(w.Name, arena, m)
+			rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), m)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -114,11 +110,7 @@ func memLatencyAblation(o Options) sim.Experiment {
 				cb.MemLatency = lat
 				cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 				cp.MemLatency = lat
-				rb, err := core.MustNewSystem(cb).RunArena(w.Name, arena, m)
-				if err != nil {
-					return sim.Result{}, err
-				}
-				rp, err := core.MustNewSystem(cp).RunArena(w.Name, arena, m)
+				rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), m)
 				if err != nil {
 					return sim.Result{}, err
 				}
@@ -277,7 +269,7 @@ func uleReuseAblation(o Options) sim.Experiment {
 			}
 			cfg := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cfg.GateULEWaysAtHP = gate
-			rep, err := core.MustNewSystem(cfg).RunArena(w.Name, arena, core.ModeHP)
+			rep, err := replayOne(w.Name, arena, core.MustNewSystem(cfg), core.ModeHP)
 			if err != nil {
 				return sim.Result{}, err
 			}

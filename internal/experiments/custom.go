@@ -179,9 +179,9 @@ func runHybridStream(sys *core.System, spec HybridSpec) (core.Report, error) {
 		if err != nil {
 			return core.Report{}, err
 		}
-		rep, err := sys.RunStream(spec.TraceFile, r, spec.Mode)
+		reps, err := core.RunGroup(spec.TraceFile, r, []core.GroupMember{{Sys: sys, Mode: spec.Mode}})
 		// The reader's error is the root cause when both fail: a corrupt
-		// first chunk delivers zero records, and RunStream's "empty
+		// first chunk delivers zero records, and the replay's "empty
 		// stream" complaint would mask the real corruption report.
 		if rerr := r.Err(); rerr != nil {
 			return core.Report{}, rerr
@@ -189,7 +189,7 @@ func runHybridStream(sys *core.System, spec HybridSpec) (core.Report, error) {
 		if err != nil {
 			return core.Report{}, err
 		}
-		return rep, nil
+		return reps[0], nil
 	}
 	w, err := workloadByName(spec.Workload, spec.Instructions)
 	if err != nil {

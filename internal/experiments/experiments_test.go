@@ -170,7 +170,7 @@ func TestFigureSummaryMatchesSerialSummarize(t *testing.T) {
 	if !found {
 		t.Fatal("fig4 produced no scenario-A average row")
 	}
-	pairs, err := core.RunPairsN(yield.ScenarioA, core.ModeULE, suite(core.ModeULE, o.Instructions), 1)
+	pairs, err := core.Pairs(yield.ScenarioA, core.ModeULE, suite(core.ModeULE, o.Instructions), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,3 +85,22 @@ func (g *pairGroups) pair(k groupKey, m core.Mode) (core.Pair, error) {
 	}
 	return core.Pair{Workload: reps[i].Workload, Base: reps[i], Prop: reps[i+1]}, nil
 }
+
+// replayTwo replays two systems in one mode as a single-pass group over
+// the slab and returns their reports in order.
+func replayTwo(name string, slab trace.Slab, a, b *core.System, m core.Mode) (ra, rb core.Report, err error) {
+	reps, err := core.RunGroupArena(name, slab, []core.GroupMember{{Sys: a, Mode: m}, {Sys: b, Mode: m}})
+	if err != nil {
+		return core.Report{}, core.Report{}, err
+	}
+	return reps[0], reps[1], nil
+}
+
+// replayOne replays one system alone over the slab.
+func replayOne(name string, slab trace.Slab, sys *core.System, m core.Mode) (core.Report, error) {
+	reps, err := core.RunGroupArena(name, slab, []core.GroupMember{{Sys: sys, Mode: m}})
+	if err != nil {
+		return core.Report{}, err
+	}
+	return reps[0], nil
+}

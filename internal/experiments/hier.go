@@ -156,11 +156,7 @@ func hierEPIExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rep, err := sys.RunArena(w.Name, arena, core.ModeHP)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			frep, err := fsys.RunArena(w.Name, arena, core.ModeHP)
+			rep, frep, err := replayTwo(w.Name, arena, sys, fsys, core.ModeHP)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -245,7 +241,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 				"core", "epi pJ/i", "Δepi", "l2 misses", "Δmisses")
 			arenas := []*trace.Arena{aa, ab}
 			for i, rep := range shared {
-				alone, err := sys.RunArena(rep.Workload, arenas[i], core.ModeHP)
+				alone, err := replayOne(rep.Workload, arenas[i], sys, core.ModeHP)
 				if err != nil {
 					return sim.Result{}, err
 				}

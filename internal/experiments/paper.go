@@ -159,13 +159,11 @@ func runPairTask(t sim.Task, m core.Mode, o Options, systems *sharedSystems) (si
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
-	reps, err := core.RunGroupArena(w.Name, arena, []core.GroupMember{
-		{Sys: base, Mode: m}, {Sys: prop, Mode: m},
-	})
+	rb, rp, err := replayTwo(w.Name, arena, base, prop, m)
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
-	p := core.Pair{Workload: w.Name, Base: reps[0], Prop: reps[1]}
+	p := core.Pair{Workload: w.Name, Base: rb, Prop: rp}
 	res := sim.Result{Metrics: pairMetrics(p), Data: p}
 	return res, p, nil
 }
@@ -286,7 +284,7 @@ func fig4Experiment(o Options) sim.Experiment {
 
 // headlineExperiment prints the paper-vs-measured summary (E3). Each
 // grid task is one (scenario, mode) point whose workload suite fans out
-// on the inner pool via core.RunPairsMulti, each workload replaying
+// on the inner pool via core.Pairs, each workload replaying
 // both designs in a single pass.
 func headlineExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
@@ -318,7 +316,7 @@ func headlineExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			pairs, err := core.RunPairsMulti(s, m, suite(m, o.Instructions), o.arenas, o.Workers)
+			pairs, err := core.Pairs(s, m, suite(m, o.Instructions), o.arenas, o.Workers)
 			if err != nil {
 				return sim.Result{}, err
 			}

@@ -75,11 +75,7 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rb, err := base.RunArena(name, arena, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rp, err := prop.RunArena(name, arena, m)
+			rb, rp, err := replayTwo(name, arena, base, prop, m)
 			if err != nil {
 				return sim.Result{}, err
 			}

@@ -11,7 +11,7 @@ import (
 
 // Slab is the replay-many contract shared by the materialized Arena
 // and the mmap-backed MapArena: an immutable instruction sequence that
-// hands out any number of independent replay cursors. core.RunArena,
+// hands out any number of independent replay cursors.
 // core.RunGroupArena and the experiments layer run against Slab, so
 // the two arena kinds are interchangeable behind OpenSlab's size
 // threshold.
