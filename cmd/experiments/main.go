@@ -80,6 +80,21 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	// Grid sizes and latencies have no negative meaning; 0 keeps
+	// selecting the documented default.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"instructions", int64(*instructions)}, {"trials", int64(*trials)}, {"workers", int64(*workers)},
+		{"l2lat", int64(*l2Lat)}, {"map-threshold", *mapThreshold},
+	} {
+		if f.v < 0 {
+			fmt.Fprintf(fs.Output(), "invalid value %d for flag -%s: must not be negative\n", f.v, f.name)
+			fs.Usage()
+			return cli.ErrBadFlags
+		}
+	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume requires -store DIR (there is nothing to resume from)")
 	}

@@ -71,6 +71,23 @@ func TestDeterministicOutputAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestNegativeGridFlagsRejected pins the usage error for negative grid
+// sizes and latencies: each exits 2 (cli.ErrBadFlags) instead of
+// silently running at the defaults, while 0 still selects the default.
+func TestNegativeGridFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-instructions", "-trials", "-workers", "-l2lat", "-map-threshold"} {
+		for _, v := range []string{"-1", "-5"} {
+			err := run([]string{"-run", "area", flag, v}, &bytes.Buffer{})
+			if !errors.Is(err, cli.ErrBadFlags) {
+				t.Errorf("%s %s: want a usage error, got %v", flag, v, err)
+			}
+		}
+		if err := run([]string{"-run", "area", flag, "0"}, &bytes.Buffer{}); err != nil {
+			t.Errorf("%s 0 (the default): %v", flag, err)
+		}
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown experiment accepted")
