@@ -17,7 +17,7 @@ import (
 // design methodology of Section III-C for the requested configuration.
 //
 // A System is immutable after NewSystem: every replay allocates fresh
-// per-run cache and port state and only read the sized arrays and
+// per-run cache and port state and only reads the sized arrays and
 // codec models, so one System may serve any number of concurrent runs —
 // the contract the sim engine's worker pool relies on.
 type System struct {
