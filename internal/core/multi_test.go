@@ -111,6 +111,41 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	}
 }
 
+// TestRunPairsMultiMatchesRunPairsArena pins the grouped fan-out entry
+// point against the per-replay one, for every worker count: Pairs, which
+// replays baseline and proposed as one two-member group, must equal
+// pairs built from each design replayed alone over the same slab.
+func TestRunPairsMultiMatchesRunPairsArena(t *testing.T) {
+	ws := bench.Small()
+	for i := range ws {
+		ws[i] = ws[i].ScaledTo(5_000)
+	}
+	arenas := bench.NewArenaCache()
+	base := MustNewSystem(PaperConfig(yield.ScenarioB, Baseline))
+	prop := MustNewSystem(PaperConfig(yield.ScenarioB, Proposed))
+	want := make([]Pair, len(ws))
+	for i, w := range ws {
+		b, err := RunGroupArena(w.Name, arenas.Get(w), []GroupMember{{base, ModeULE}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := RunGroupArena(w.Name, arenas.Get(w), []GroupMember{{prop, ModeULE}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Pair{Workload: w.Name, Base: b[0], Prop: p[0]}
+	}
+	for _, workers := range []int{1, 8} {
+		got, err := Pairs(yield.ScenarioB, ModeULE, ws, arenas, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: grouped pairs diverge from per-replay pairs", workers)
+		}
+	}
+}
+
 // TestRunGroupL2MemberMatchesAloneAndOracle lifts the old refusal of
 // hierarchy members: in a mixed group of flat and tiered members, each
 // L2 member's Report must equal the same member replayed alone, and its
