@@ -23,11 +23,15 @@ import (
 // Members without a second level whose cache geometry and way gating
 // coincide (baseline vs proposed at the same mode, whose designs differ
 // only in cell sizing, coding and latency, none of which touch cache
-// *state*) share one simulator, so a 4-member design×mode group
-// simulates only 2 distinct caches per side. A member with Config.L2
-// gets its own L2 simulator, shared by its IL1 and DL1 (a unified
-// second level), and its own cache.Hierarchy slot on each side; those
-// slots are not deduplicated.
+// *state*) share one simulator, so the paper's 8-member scenario ×
+// mode × design group simulates only 2 distinct caches per side.
+// Members of one slot that also split HP and ULE ways at the same index
+// share one tally: the first of them folds the slot's outcomes into its
+// counters, and the others copy its counters and miss row per chunk, so
+// the 8-member group tallies twice per side instead of eight times. A
+// member with Config.L2 gets its own L2 simulator, shared by its IL1 and
+// DL1 (a unified second level), and its own cache.Hierarchy slot on each
+// side; those slots, and their tallies, are never shared.
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -80,6 +84,7 @@ var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 type multiPort struct {
 	ports []*port   // logical member ports
 	slot  []int     // member k's simulator slot
+	lead  []int     // member k's tally lead: k itself, or an earlier member it copies
 	sims  []slotSim // the distinct simulators, in slot order
 	scr   *runScratch
 }
@@ -87,11 +92,13 @@ type multiPort struct {
 // newMultiPort builds one side's bank port. l2s[k], when non-nil, is
 // member k's second level: the member gets a private L1 chained in
 // front of it as its own slot. Members without one share a slot by
-// simKey.
+// simKey, and a tally with the first member of their slot that has the
+// same HP/ULE way split.
 func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiPort {
 	mp := &multiPort{
 		ports: make([]*port, len(members)),
 		slot:  make([]int, len(members)),
+		lead:  make([]int, len(members)),
 		scr:   scratchPool.Get().(*runScratch),
 	}
 	var keys []simKey // per slot; zero for hierarchy slots
@@ -116,6 +123,13 @@ func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiP
 		}
 		mp.ports[k] = p
 		mp.slot[k] = idx
+		mp.lead[k] = k
+		for j := 0; j < k; j++ {
+			if mp.slot[j] == idx && mp.ports[j].hpWays == p.hpWays {
+				mp.lead[k] = j
+				break
+			}
+		}
 	}
 	return mp
 }
@@ -134,9 +148,11 @@ func (mp *multiPort) Members() int { return len(mp.ports) }
 func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
 // AccessBatch implements cpu.MultiPort: one op conversion, one pass per
-// simulator slot, then each logical member folds its slot's outcomes
-// into its own energy counters — the identical tally for every member
-// sharing a slot, over the identical Result sequence.
+// simulator slot, then each tally lead folds its slot's outcomes into
+// its energy counters and miss row. A follower's tally over the same
+// Result sequence and way split would be identical, so it copies the
+// lead's instead. Phase boundaries still reach every member, and a
+// follower's segments diff the same counters as its lead's.
 func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
 	scr := mp.scr
@@ -157,6 +173,11 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 		c.AccessBatch(co, scr.res[s][:n])
 	}
 	for k, p := range mp.ports {
+		if l := mp.lead[k]; l != k {
+			p.portCounters = mp.ports[l].portCounters
+			copy(miss[k], miss[l])
+			continue
+		}
 		p.tallyChunk(co, scr.res[mp.slot[k]][:n], miss[k])
 	}
 }

@@ -111,6 +111,73 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	}
 }
 
+// TestSharedTallyMatchesAlone pins the shared tally: in the paper's
+// 8-member scenario × mode × design group over a phase-annotated
+// stream, the four members of each mode share one slot and one tally
+// per side, and every member's Report — Phases included — must equal
+// the member replayed alone, with Stats equal to the naive oracle's.
+// Two members that share a slot but split their ways differently (ULE
+// ways 1 vs 2, HP mode, no gating) must keep separate tallies.
+func TestSharedTallyMatchesAlone(t *testing.T) {
+	var paper []GroupMember
+	for _, sc := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
+		base := MustNewSystem(PaperConfig(sc, Baseline))
+		prop := MustNewSystem(PaperConfig(sc, Proposed))
+		for _, m := range []Mode{ModeHP, ModeULE} {
+			paper = append(paper, GroupMember{base, m}, GroupMember{prop, m})
+		}
+	}
+	split := PaperConfig(yield.ScenarioA, Baseline)
+	split.ULEWays = 2
+	mixed := []GroupMember{paper[0], {MustNewSystem(split), ModeHP}, paper[1]}
+	w, err := bench.ByName("phased_mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.ScaledTo(45_000)
+	slab := bench.NewArenaCache().Get(w)
+	for _, tc := range []struct {
+		name    string
+		members []GroupMember
+		slots   int
+		lead    []int // per member, on both sides
+	}{
+		{"paper group", paper, 2, []int{0, 0, 2, 2, 0, 0, 2, 2}},
+		{"way split 7+1 vs 6+2", mixed, 1, []int{0, 1, 0}},
+	} {
+		for _, dside := range []bool{false, true} {
+			mp := newMultiPort(tc.members, dside, make([]*cache.Cache, len(tc.members)))
+			lead, slots := mp.lead, len(mp.sims)
+			mp.release()
+			if !reflect.DeepEqual(lead, tc.lead) || slots != tc.slots {
+				t.Fatalf("%s (dside %v): tally leads %v over %d slots, want %v", tc.name, dside, lead, slots, tc.lead)
+			}
+		}
+		got, err := RunGroupArena(w.Name, slab, tc.members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, gm := range tc.members {
+			label := fmt.Sprintf("%s member %d (%s/%v)", tc.name, k, gm.Sys.Config().Name(), gm.Mode)
+			if len(got[k].Phases) < 2 {
+				t.Fatalf("%s: %d phase segments, want a phase boundary", label, len(got[k].Phases))
+			}
+			alone, err := runOne(gm.Sys, w.Name, slab.NewCursor(), gm.Mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[k], alone) {
+				t.Errorf("%s: group Report diverges from the member alone", label)
+			}
+			il1, dl1 := naiveSides(gm.Sys, gm.Mode)
+			want := naivePhasedStats(gm.Sys.cfg.MemLatency, gm.Sys.ExtraHitLatency(gm.Mode), il1, dl1, collect(slab.NewCursor()))
+			if !reflect.DeepEqual(got[k].Stats, want) {
+				t.Errorf("%s: stats diverge from the naive oracle:\n got  %+v\n want %+v", label, got[k].Stats, want)
+			}
+		}
+	}
+}
+
 // TestRunPairsMultiMatchesRunPairsArena pins the grouped fan-out entry
 // point against the per-replay one, for every worker count: Pairs, which
 // replays baseline and proposed as one two-member group, must equal

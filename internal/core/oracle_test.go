@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+
 	"edcache/internal/cache"
 	"edcache/internal/cpu"
 	"edcache/internal/trace"
@@ -49,8 +51,17 @@ func simSide(c *cache.Cache) naiveSide {
 // core's ports. Per-phase segmentation is left out (Phases nil); the
 // chunk walk only orders the two sides' traffic for a unified L2.
 func naiveStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.Inst) cpu.Stats {
+	return withoutPhases(naivePhasedStats(memLatency, extra, il1, dl1, insts))
+}
+
+// naivePhasedStats is naiveStats with the per-phase segmentation of a
+// phase-annotated stream: each same-phase run is counted on its own and
+// added, field by field, to the run total and to its phase id's
+// segment; Phases lists the segments that saw instructions, by id.
+func naivePhasedStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.Inst) cpu.Stats {
 	mem := uint64(memLatency)
-	var st cpu.Stats
+	var total cpu.Stats
+	var segs [256]cpu.Stats
 	// miss performs one access and returns whether it missed, the stall
 	// it costs and the L2 fill misses it caused.
 	miss := func(sd naiveSide, addr uint32, write bool) (bool, uint64, uint64) {
@@ -77,6 +88,7 @@ func naiveStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.Inst) c
 			}
 			run := chunk[:n]
 			chunk = chunk[n:]
+			var st cpu.Stats
 			for _, in := range run {
 				st.Instructions++
 				st.Cycles++
@@ -116,9 +128,27 @@ func naiveStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.Inst) c
 					st.LoadUseStalls += stall
 				}
 			}
+			addStats(&total, st)
+			addStats(&segs[run[0].Phase], st)
 		}
 	}
-	return st
+	for id, seg := range segs {
+		if seg.Instructions > 0 {
+			total.Phases = append(total.Phases, cpu.PhaseStats{Phase: uint8(id), Stats: seg})
+		}
+	}
+	return total
+}
+
+// addStats adds every counter of d into dst by reflection, so the
+// oracle shares no accumulation code with cpu.
+func addStats(dst *cpu.Stats, d cpu.Stats) {
+	dv, sv := reflect.ValueOf(dst).Elem(), reflect.ValueOf(d)
+	for i := 0; i < dv.NumField(); i++ {
+		if f := dv.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(f.Uint() + sv.Field(i).Uint())
+		}
+	}
 }
 
 // collect drains a stream into a slice for the oracle.

@@ -18,21 +18,18 @@ import (
 // chasing, stencils, branch-heavy control, phased working sets, the
 // conflict adversary) — across both scenarios and both operating
 // modes: EPI for baseline and proposed, miss rates, and the ULE-mode
-// slowdown from the EDC pipeline stage. The grid fans out on the
-// engine with single-pass grouped replay on top of decode-once arenas:
-// every workload is generated once into a shared slab, and the four
-// design×mode points of one (scenario, workload) replay it as ONE
-// core.RunGroupArena pass — one cursor walk, one classification, and
-// (designs sharing cache state at equal mode) two cache simulations
-// per side where the grid has four evaluation points. Each grid task
-// keeps its own row; it just reads its mode's pair out of the shared
-// group, so grid shape, metrics and the workers-invariance contract
-// are untouched — grouped replay is bit-identical to per-point replay.
-// Options.TraceFiles adds captured trace files as further grid points,
-// completing the capture-then-sweep loop on the engine.
+// slowdown from the EDC pipeline stage. Every workload is generated
+// once into a shared slab and replayed once for the whole run: the
+// eight scenario×mode×design points of a source are one
+// core.RunGroupArena pass (group.go), shared with fig3, fig4, headline
+// and phase-epi. Each grid task keeps its own row and reads its pair
+// out of that replay, so grid shape, metrics and the workers-invariance
+// contract are untouched — grouped replay is bit-identical to
+// per-point replay. Options.TraceFiles adds captured trace files as
+// further grid points, completing the capture-then-sweep loop on the
+// engine.
 func corpusExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	groups := newPairGroups(o, newSharedSystems())
 	return sim.Def{
 		ExpName: "corpus",
 		Desc:    "corpus-wide sweep — EPI, miss rates and ULE slowdown for every registered workload (and any -trace file), both scenarios and modes",
@@ -40,7 +37,7 @@ func corpusExperiment(o Options) sim.Experiment {
 			traceNames := traceSourceNames(o.TraceFiles)
 			var tasks []sim.Task
 			for _, s := range scenarios {
-				for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
+				for _, m := range modes {
 					for _, w := range bench.Full() {
 						tasks = append(tasks, sim.Task{
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, w.Name),
@@ -61,15 +58,11 @@ func corpusExperiment(o Options) sim.Experiment {
 			return tasks
 		},
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
 			m, err := modeByName(t.Params["mode"])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			p, err := groups.pair(groupKey{scenario: s, workload: t.Params["workload"], trace: t.Params["trace"]}, m)
+			p, err := o.taskPair(t, m)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -93,7 +86,7 @@ func corpusExperiment(o Options) sim.Experiment {
 			// whatever -trace files a run happens to add.
 			out := results
 			for _, s := range scenarios {
-				for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
+				for _, m := range modes {
 					var pairs []core.Pair
 					for _, r := range results {
 						if r.Task.Params["scenario"] != s.String() || r.Task.Params["mode"] != m.String() ||
@@ -278,9 +271,10 @@ var replayPool = sync.Pool{New: func() any {
 }}
 
 // dataRefChunks drains the stream, extracting loads and stores in
-// program order into pooled chunks and handing each op chunk to sink.
-// It is the shared walk of ReplayDataRefs and ProfileDataRefs.
-func dataRefChunks(s trace.Stream, sink func(ops []cache.Op)) (refs int) {
+// program order into pooled chunks and handing each op chunk to sink,
+// with a result row of the same length from the same scratch set. It is
+// the shared walk of ReplayDataRefs and ProfileDataRefs.
+func dataRefChunks(s trace.Stream, sink func(ops []cache.Op, res []cache.Result)) (refs int) {
 	scr := replayPool.Get().(*replayScratch)
 	defer replayPool.Put(scr)
 	for {
@@ -294,7 +288,7 @@ func dataRefChunks(s trace.Stream, sink func(ops []cache.Op)) (refs int) {
 				ops = append(ops, cache.Op{Addr: scr.insts[i].Addr, Write: scr.insts[i].IsStore})
 			}
 		}
-		sink(ops)
+		sink(ops, scr.res[:len(ops)])
 		refs += len(ops)
 	}
 }
@@ -306,17 +300,14 @@ func dataRefChunks(s trace.Stream, sink func(ops []cache.Op)) (refs int) {
 // the root benchmark harness reuses it so BenchmarkCorpusSweep
 // measures exactly this loop.
 func ReplayDataRefs(s trace.Stream, c *cache.Cache) (refs, misses int) {
-	scr := replayPool.Get().(*replayScratch)
-	res := scr.res
-	refs = dataRefChunks(s, func(ops []cache.Op) {
-		c.AccessBatch(ops, res[:len(ops)])
-		for i := range ops {
+	refs = dataRefChunks(s, func(ops []cache.Op, res []cache.Result) {
+		c.AccessBatch(ops, res)
+		for i := range res {
 			if !res[i].Hit {
 				misses++
 			}
 		}
 	})
-	replayPool.Put(scr)
 	return refs, misses
 }
 
@@ -326,5 +317,5 @@ func ReplayDataRefs(s trace.Stream, c *cache.Cache) (refs, misses int) {
 // reference count (equal to what any ReplayDataRefs over the same
 // stream reports).
 func ProfileDataRefs(s trace.Stream, p *cache.StackProfile) (refs int) {
-	return dataRefChunks(s, p.AccessBatch)
+	return dataRefChunks(s, func(ops []cache.Op, _ []cache.Result) { p.AccessBatch(ops) })
 }

@@ -64,12 +64,20 @@ type Options struct {
 	// bit-identical either way.
 	MapThreshold int64
 
-	// arenas memoizes materialized workload slabs and fileArenas
-	// opened trace files, so every experiment registered from one
-	// RegisterAll call generates/opens each source exactly once per
-	// run. Both are installed by withDefaults and shared through it.
-	arenas     *bench.ArenaCache
-	fileArenas *sim.Shared[string, trace.Slab]
+	// memos are the run's shared caches, installed by withDefaults and
+	// shared by every experiment registered from one RegisterAll call.
+	// They sit behind one pointer so that Options stays small enough
+	// for the experiments' closures to capture it by value.
+	*memos
+}
+
+// memos are the run-scoped caches behind Options. Each builds lazily,
+// on first use, and at most once per key per run.
+type memos struct {
+	arenas     *bench.ArenaCache                            // workload slabs
+	fileArenas *sim.Shared[string, trace.Slab]              // opened trace files
+	systems    *sim.Shared[yield.Scenario, [2]*core.System] // sized baseline/proposed pair per scenario
+	replays    *sim.Shared[source, []core.Report]           // each source's single group replay (group.go)
 }
 
 func (o Options) withDefaults() Options {
@@ -91,14 +99,16 @@ func (o Options) withDefaults() Options {
 	if o.L2Latency <= 0 {
 		o.L2Latency = 6
 	}
-	if o.arenas == nil {
-		o.arenas = bench.NewArenaCache()
-	}
-	if o.fileArenas == nil {
+	if o.memos == nil {
 		threshold := o.MapThreshold
-		o.fileArenas = sim.NewShared(func(path string) (trace.Slab, error) {
-			return trace.OpenSlab(path, threshold)
-		})
+		o.memos = &memos{
+			arenas: bench.NewArenaCache(),
+			fileArenas: sim.NewShared(func(path string) (trace.Slab, error) {
+				return trace.OpenSlab(path, threshold)
+			}),
+			systems: newSystems(),
+		}
+		o.replays = sim.NewShared(o.replayGroup)
 	}
 	return o
 }
@@ -171,8 +181,11 @@ func RegisterAll(r *sim.Registry, o Options) {
 }
 
 // scenarios is the evaluation order of the paper's two reliability
-// scenarios.
-var scenarios = []yield.Scenario{yield.ScenarioA, yield.ScenarioB}
+// scenarios, and modes that of its two operating modes.
+var (
+	scenarios = []yield.Scenario{yield.ScenarioA, yield.ScenarioB}
+	modes     = []core.Mode{core.ModeHP, core.ModeULE}
+)
 
 // scenarioByName resolves a task's "scenario" parameter.
 func scenarioByName(name string) (yield.Scenario, error) {
@@ -217,25 +230,6 @@ func (o Options) workloadArena(name string) (bench.Workload, *trace.Arena, error
 		return bench.Workload{}, nil, err
 	}
 	return w, o.arenas.Get(w), nil
-}
-
-// taskArena resolves a grid task's replay source: a trace-file slab
-// (materialized or mmap-backed, per MapThreshold) when the task names
-// one (the "trace" parameter), the workload's shared slab otherwise.
-// The returned name labels reports.
-func (o Options) taskArena(t sim.Task) (string, trace.Slab, error) {
-	if path := t.Params["trace"]; path != "" {
-		a, err := o.fileArenas.Get(path)
-		if err != nil {
-			return "", nil, err
-		}
-		return t.Params["workload"], a, nil
-	}
-	w, a, err := o.workloadArena(t.Params["workload"])
-	if err != nil {
-		return "", nil, err
-	}
-	return w.Name, a, nil
 }
 
 // traceSourceNames labels each file-backed sweep source for the

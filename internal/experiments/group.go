@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"edcache/internal/core"
 	"edcache/internal/sim"
@@ -9,81 +10,84 @@ import (
 	"edcache/internal/yield"
 )
 
-// groupKey identifies one (scenario, replay source) group of corpus
-// grid points: the four design×mode evaluations that share a single
-// arena pass.
-type groupKey struct {
-	scenario yield.Scenario
-	workload string
-	trace    string // file path for trace-backed sources, "" otherwise
+// One replay per source. Every experiment that prices the paper's
+// baseline/proposed pair over a source — fig3, fig4, headline, corpus
+// and phase-epi — reads its core.Pair from one run-wide memo
+// (Options.replays) keyed by source: a workload name, or a trace file.
+// The first request for a source replays it once, as one
+// core.RunGroupArena pass over 8 members, [A, B] × [HP, ULE] ×
+// [baseline, proposed]. The paper's two scenarios share the L1 geometry
+// and the designs share cache state at equal mode, so that pass
+// simulates 2 caches per side and tallies each once (core/multi.go).
+// Every later request, from any experiment, mode or scenario, is a
+// lookup. A Report never depends on the group it was replayed in, so
+// the bytes of each experiment are those of its members replayed alone,
+// whichever experiment ran first.
+
+// source identifies one replay source of the memo.
+type source struct {
+	name  string // report label: the workload name, or the trace file's sweep label
+	trace string // file path for trace-backed sources, "" otherwise
 }
 
-// groupReports is one group's outcome, ordered [baseline, proposed] ×
-// [HP, ULE].
-type groupReports [4]core.Report
-
-// pairGroups memoizes single-pass design×mode replays per (scenario,
-// source): the first grid task that needs any member of a group runs
-// the whole group through core.RunGroupArena once, and every other
-// task of the same group — the other mode, concurrent or later — reads
-// its pair out of the shared result. Combined with the bank's
-// simulator dedup (designs share cache state at equal mode), a
-// scenario's four corpus grid points cost roughly one replay where
-// they used to cost four.
-type pairGroups struct {
-	o       Options
-	systems *sharedSystems
-	shared  *sim.Shared[groupKey, groupReports]
+// newSystems returns the memo of sized baseline/proposed pairs, one
+// per scenario. A System is immutable and serves concurrent replays.
+func newSystems() *sim.Shared[yield.Scenario, [2]*core.System] {
+	return sim.NewShared(func(s yield.Scenario) ([2]*core.System, error) {
+		base, err := core.NewSystem(core.PaperConfig(s, core.Baseline))
+		if err != nil {
+			return [2]*core.System{}, err
+		}
+		prop, err := core.NewSystem(core.PaperConfig(s, core.Proposed))
+		return [2]*core.System{base, prop}, err
+	})
 }
 
-func newPairGroups(o Options, systems *sharedSystems) *pairGroups {
-	g := &pairGroups{o: o, systems: systems}
-	g.shared = sim.NewShared(g.build)
-	return g
-}
-
-// build runs one group: both designs at both modes over the key's
-// shared arena, in a single pass.
-func (g *pairGroups) build(k groupKey) (groupReports, error) {
-	var name string
+// replayGroup is the memo's build: the source's single replay, with
+// reports ordered scenario-major, then mode, then [baseline, proposed].
+func (o Options) replayGroup(src source) ([]core.Report, error) {
 	var arena trace.Slab
 	var err error
-	if k.trace != "" {
-		name = k.workload
-		arena, err = g.o.fileArenas.Get(k.trace)
+	if src.trace != "" {
+		arena, err = o.fileArenas.Get(src.trace)
 	} else {
-		_, arena, err = g.o.workloadArena(k.workload)
-		name = k.workload
+		_, arena, err = o.workloadArena(src.name)
 	}
 	if err != nil {
-		return groupReports{}, err
+		return nil, err
 	}
-	base, prop, err := g.systems.get(k.scenario)
-	if err != nil {
-		return groupReports{}, err
+	var members []core.GroupMember
+	for _, s := range scenarios {
+		sys, err := o.systems.Get(s)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range modes {
+			members = append(members, core.GroupMember{Sys: sys[0], Mode: m}, core.GroupMember{Sys: sys[1], Mode: m})
+		}
 	}
-	reps, err := core.RunGroupArena(name, arena, []core.GroupMember{
-		{Sys: base, Mode: core.ModeHP}, {Sys: prop, Mode: core.ModeHP},
-		{Sys: base, Mode: core.ModeULE}, {Sys: prop, Mode: core.ModeULE},
-	})
-	if err != nil {
-		return groupReports{}, err
-	}
-	return groupReports(reps), nil
+	return core.RunGroupArena(src.name, arena, members)
 }
 
-// pair returns the group's baseline/proposed pair for one mode,
-// triggering the group's single replay on first use.
-func (g *pairGroups) pair(k groupKey, m core.Mode) (core.Pair, error) {
-	reps, err := g.shared.Get(k)
+// pair returns the source's baseline/proposed pair in one scenario and
+// mode, triggering the source's single replay on first use.
+func (o Options) pair(src source, s yield.Scenario, m core.Mode) (core.Pair, error) {
+	reps, err := o.replays.Get(src)
 	if err != nil {
-		return core.Pair{}, fmt.Errorf("experiments: %s group: %w", k.workload, err)
+		return core.Pair{}, fmt.Errorf("experiments: %s group: %w", src.name, err)
 	}
-	i := 0
-	if m == core.ModeULE {
-		i = 2
+	i := 2 * (len(modes)*slices.Index(scenarios, s) + slices.Index(modes, m))
+	return core.Pair{Workload: src.name, Base: reps[i], Prop: reps[i+1]}, nil
+}
+
+// taskPair is pair for a grid task: its "scenario", its "workload"
+// label and, for file-backed points, its "trace" path.
+func (o Options) taskPair(t sim.Task, m core.Mode) (core.Pair, error) {
+	s, err := taskScenario(t)
+	if err != nil {
+		return core.Pair{}, err
 	}
-	return core.Pair{Workload: reps[i].Workload, Base: reps[i], Prop: reps[i+1]}, nil
+	return o.pair(source{name: t.Params["workload"], trace: t.Params["trace"]}, s, m)
 }
 
 // replayTwo replays two systems in one mode as a single-pass group over

@@ -115,57 +115,15 @@ func pairGrid(m core.Mode, instructions int) []sim.Task {
 	return tasks
 }
 
-// sharedSystems lazily builds the sized baseline/proposed pair per
-// scenario so every grid task of a figure reuses one sizing run — a
-// System is immutable and serves concurrent Run calls. It is a thin
-// typed wrapper over the engine's generic shared-resource helper.
-type sharedSystems struct {
-	shared *sim.Shared[yield.Scenario, [2]*core.System]
-}
-
-func newSharedSystems() *sharedSystems {
-	return &sharedSystems{shared: sim.NewShared(func(s yield.Scenario) ([2]*core.System, error) {
-		base, err := core.NewSystem(core.PaperConfig(s, core.Baseline))
-		if err != nil {
-			return [2]*core.System{}, err
-		}
-		prop, err := core.NewSystem(core.PaperConfig(s, core.Proposed))
-		if err != nil {
-			return [2]*core.System{}, err
-		}
-		return [2]*core.System{base, prop}, nil
-	})}
-}
-
-func (c *sharedSystems) get(s yield.Scenario) (base, prop *core.System, err error) {
-	pair, err := c.shared.Get(s)
-	return pair[0], pair[1], err
-}
-
-// runPairTask evaluates one (scenario, workload) bar pair — replaying
-// the workload's shared decode-once slab on both designs as one
-// two-member group (a single slab walk and classification) — and
-// attaches the Pair as the result payload for the Finish aggregation.
-func runPairTask(t sim.Task, m core.Mode, o Options, systems *sharedSystems) (sim.Result, core.Pair, error) {
-	s, err := taskScenario(t)
+// runPairTask evaluates one (scenario, workload) bar pair, read from
+// the workload's single shared replay (group.go), and attaches the Pair
+// as the result payload for the Finish aggregation.
+func runPairTask(t sim.Task, m core.Mode, o Options) (sim.Result, core.Pair, error) {
+	p, err := o.taskPair(t, m)
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
-	w, arena, err := o.workloadArena(t.Params["workload"])
-	if err != nil {
-		return sim.Result{}, core.Pair{}, err
-	}
-	base, prop, err := systems.get(s)
-	if err != nil {
-		return sim.Result{}, core.Pair{}, err
-	}
-	rb, rp, err := replayTwo(w.Name, arena, base, prop, m)
-	if err != nil {
-		return sim.Result{}, core.Pair{}, err
-	}
-	p := core.Pair{Workload: w.Name, Base: rb, Prop: rp}
-	res := sim.Result{Metrics: pairMetrics(p), Data: p}
-	return res, p, nil
+	return sim.Result{Metrics: pairMetrics(p), Data: p}, p, nil
 }
 
 func pairMetrics(p core.Pair) []sim.Metric {
@@ -246,13 +204,12 @@ func figureFinish(name string, m core.Mode, paperSaving map[yield.Scenario]strin
 // HP mode over BigBench, one grid task per (scenario, workload).
 func fig3Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "fig3",
 		Desc:    "E1: Fig. 3 — normalized average EPI at HP mode (BigBench)",
 		GridFn:  func() []sim.Task { return pairGrid(core.ModeHP, o.Instructions) },
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, _, err := runPairTask(t, core.ModeHP, o, systems)
+			res, _, err := runPairTask(t, core.ModeHP, o)
 			return res, err
 		},
 		FinishFn: figureFinish("fig3", core.ModeHP,
@@ -264,13 +221,12 @@ func fig3Experiment(o Options) sim.Experiment {
 // at ULE mode over SmallBench, bars included per task.
 func fig4Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "fig4",
 		Desc:    "E2: Fig. 4 — normalized EPI breakdowns at ULE mode (SmallBench)",
 		GridFn:  func() []sim.Task { return pairGrid(core.ModeULE, o.Instructions) },
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, p, err := runPairTask(t, core.ModeULE, o, systems)
+			res, p, err := runPairTask(t, core.ModeULE, o)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -284,8 +240,8 @@ func fig4Experiment(o Options) sim.Experiment {
 
 // headlineExperiment prints the paper-vs-measured summary (E3). Each
 // grid task is one (scenario, mode) point whose workload suite fans out
-// on the inner pool via core.Pairs, each workload replaying
-// both designs in a single pass.
+// on the inner pool, each workload's pair read from its single shared
+// replay (group.go).
 func headlineExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	paper := map[yield.Scenario]map[core.Mode]string{
@@ -298,7 +254,7 @@ func headlineExperiment(o Options) sim.Experiment {
 		GridFn: func() []sim.Task {
 			var tasks []sim.Task
 			for _, s := range scenarios {
-				for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
+				for _, m := range modes {
 					tasks = append(tasks, sim.Task{
 						Label:  fmt.Sprintf("scenario=%v mode=%v", s, m),
 						Params: sim.P("scenario", s.String(), "mode", m.String()),
@@ -316,7 +272,10 @@ func headlineExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			pairs, err := core.Pairs(s, m, suite(m, o.Instructions), o.arenas, o.Workers)
+			ws := suite(m, o.Instructions)
+			pairs, err := sim.Map(o.Workers, len(ws), func(i int) (core.Pair, error) {
+				return o.pair(source{name: ws[i].Name}, s, m)
+			})
 			if err != nil {
 				return sim.Result{}, err
 			}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"edcache/internal/bench"
-	"edcache/internal/core"
 	"edcache/internal/sim"
 )
 
@@ -15,15 +14,15 @@ import (
 // working-set regime (phase id) instead of per run — the view a
 // run-level average hides exactly when the working set shifts
 // mid-stream. Each task reports baseline and proposed EPI per phase,
-// the per-phase saving, and the per-phase DL1 miss rate. Workloads
-// replay from shared decode-once arenas; Options.TraceFiles adds
-// captured phase-annotated traces (duty-cycle captures, tracegen
-// -phases output) as further grid points — recorded schedules as
-// first-class sweep inputs. A named file without phase annotations
-// reports "phases: none" rather than failing the sweep.
+// the per-phase saving, and the per-phase DL1 miss rate, read from the
+// source's single shared replay (group.go) — usually already run by
+// corpus. Options.TraceFiles adds captured phase-annotated traces
+// (duty-cycle captures, tracegen -phases output) as further grid
+// points — recorded schedules as first-class sweep inputs. A named file
+// without phase annotations reports "phases: none" rather than failing
+// the sweep, without replaying it.
 func phaseEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	systems := newSharedSystems()
 	return sim.Def{
 		ExpName: "phase-epi",
 		Desc:    "phase-segmented corpus sweep — EPI, saving and miss rate per working-set regime of every phase-annotated workload (and any -trace file)",
@@ -31,7 +30,7 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 			traceNames := traceSourceNames(o.TraceFiles)
 			var tasks []sim.Task
 			for _, s := range scenarios {
-				for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
+				for _, m := range modes {
 					for _, w := range bench.Full() {
 						if !w.HasPhases() {
 							continue
@@ -54,33 +53,28 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 			return tasks
 		},
 		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
 			m, err := modeByName(t.Params["mode"])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			name, arena, err := o.taskArena(t)
+			if path := t.Params["trace"]; path != "" {
+				arena, err := o.fileArenas.Get(path)
+				if err != nil {
+					return sim.Result{}, err
+				}
+				if !arena.HasPhases() {
+					return sim.Result{Metrics: []sim.Metric{
+						sim.Str("phases", "none (file carries no phase annotations; capture with -phases or RunDutyCycleCapture)"),
+					}}, nil
+				}
+			}
+			p, err := o.taskPair(t, m)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			if t.Params["trace"] != "" && !arena.HasPhases() {
-				return sim.Result{Metrics: []sim.Metric{
-					sim.Str("phases", "none (file carries no phase annotations; capture with -phases or RunDutyCycleCapture)"),
-				}}, nil
-			}
-			base, prop, err := systems.get(s)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rb, rp, err := replayTwo(name, arena, base, prop, m)
-			if err != nil {
-				return sim.Result{}, err
-			}
+			rb, rp := p.Base, p.Prop
 			if len(rp.Phases) == 0 || len(rb.Phases) != len(rp.Phases) {
-				return sim.Result{}, fmt.Errorf("experiments: %s reported %d/%d phase segments", name, len(rb.Phases), len(rp.Phases))
+				return sim.Result{}, fmt.Errorf("experiments: %s reported %d/%d phase segments", p.Workload, len(rb.Phases), len(rp.Phases))
 			}
 			ms := []sim.Metric{
 				sim.NumU("run_base_epi", rb.EPI.Total(), "pJ/i"),
