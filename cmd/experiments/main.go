@@ -11,7 +11,7 @@
 //
 // Experiment names may be unique prefixes ("rel" for "reliability").
 // For a fixed -seed, output is byte-identical for every -workers value.
-// -trace adds captured trace files (tracegen output, live captures) to
+// -trace adds captured trace files (tracegen output) to
 // the corpus/corpus-miss/phase-epi sweeps as file-backed grid points;
 // each file is decoded once and replayed from every point.
 //
@@ -109,7 +109,9 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if *l2Geoms != "" {
 		var err error
 		if geoms, err = experiments.ParseL2Geometries(*l2Geoms); err != nil {
-			return err
+			fmt.Fprintf(fs.Output(), "invalid value %q for flag -l2: %v\n", *l2Geoms, err)
+			fs.Usage()
+			return cli.ErrBadFlags
 		}
 	}
 	opts := experiments.Options{

@@ -88,6 +88,23 @@ func TestNegativeGridFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestBadL2GeometriesRejected pins the same usage error for -l2 values
+// that do not parse or that core.L2Config.Validate refuses, whichever
+// experiment is selected.
+func TestBadL2GeometriesRejected(t *testing.T) {
+	for _, v := range []string{"foo", "3x8", "0x8", "128x0", "128x8,3x8"} {
+		for _, sel := range []string{"area", "fig3"} {
+			err := run([]string{"-run", sel, "-l2", v}, &bytes.Buffer{})
+			if !errors.Is(err, cli.ErrBadFlags) {
+				t.Errorf("-run %s -l2 %s: want a usage error, got %v", sel, v, err)
+			}
+		}
+	}
+	if err := run([]string{"-run", "area", "-l2", "128x8,512x4"}, &bytes.Buffer{}); err != nil {
+		t.Errorf("-l2 128x8,512x4: %v", err)
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -120,20 +120,12 @@ const (
 // memory stays consistent — the flush writebacks are estimated from the
 // previous phase's dirty-line count).
 func (s *System) RunDutyCycle(phases []Phase) (DutyCycleResult, error) {
-	return s.runDutyCycle(phases, func(_ int, ph Phase) (Report, error) {
-		return s.Run(ph.Workload, ph.Mode)
-	})
-}
-
-// runDutyCycle is the schedule walk shared by RunDutyCycle and
-// RunDutyCycleCapture; run executes one phase and returns its report.
-func (s *System) runDutyCycle(phases []Phase, run func(i int, ph Phase) (Report, error)) (DutyCycleResult, error) {
 	if len(phases) == 0 {
 		return DutyCycleResult{}, fmt.Errorf("core: empty duty-cycle schedule")
 	}
 	var out DutyCycleResult
 	for i, ph := range phases {
-		rep, err := run(i, ph)
+		rep, err := s.Run(ph.Workload, ph.Mode)
 		if err != nil {
 			return DutyCycleResult{}, fmt.Errorf("core: phase %d (%s at %v): %w", i, ph.Workload.Name, ph.Mode, err)
 		}

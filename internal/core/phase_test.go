@@ -91,26 +91,30 @@ func TestUnphasedRunHasNoPhaseReports(t *testing.T) {
 }
 
 func TestRunStreamCaptureReplaysBitIdentically(t *testing.T) {
-	// The acceptance contract: a TeeStream-captured v2 file replays
+	// The capture-then-sweep contract (tracegen -phases, then -trace):
+	// a generator stream written with WriteV2 replays through RunGroup
 	// with bit-identical Stats to the live run — phase segmentation
 	// included.
 	sys := MustNewSystem(PaperConfig(yield.ScenarioB, Proposed))
 	w := phasedWorkload(t)
-	var sink bytes.Buffer
-	live, err := sys.RunStreamCapture(w.Name, w.Stream(), ModeULE, &sink, trace.V2Options{Compress: true})
+	live, err := runOne(sys, w.Name, w.Stream(), ModeULE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(live.Phases) == 0 {
-		t.Fatal("live capture run lost phase segmentation")
+		t.Fatal("live run lost phase segmentation")
 	}
 
+	var sink bytes.Buffer
+	if _, err := trace.WriteV2(&sink, w.Stream(), trace.V2Options{Compress: true, Phases: true}); err != nil {
+		t.Fatal(err)
+	}
 	r, err := trace.NewReader(bytes.NewReader(sink.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.HasPhases() {
-		t.Fatal("captured file does not advertise phases")
+		t.Fatal("written file does not advertise phases")
 	}
 	replayed, err := runOne(sys, w.Name, r, ModeULE)
 	if err != nil {
@@ -128,17 +132,20 @@ func TestRunStreamCaptureReplaysBitIdentically(t *testing.T) {
 }
 
 func TestRunStreamCaptureUnphasedStream(t *testing.T) {
-	// Capturing an unphased stream writes a phase-less container that
-	// replays identically (and without a phase flag).
+	// An unphased stream writes a phase-less container that replays
+	// identically (and without a phase flag).
 	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
 	w, err := bench.ByName("adpcm_c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w = w.ScaledTo(15_000)
-	var sink bytes.Buffer
-	live, err := sys.RunStreamCapture(w.Name, w.Stream(), ModeULE, &sink, trace.V2Options{})
+	live, err := runOne(sys, w.Name, w.Stream(), ModeULE)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	if _, err := trace.WriteV2(&sink, w.Stream(), trace.V2Options{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := trace.NewReader(bytes.NewReader(sink.Bytes()))
@@ -146,86 +153,19 @@ func TestRunStreamCaptureUnphasedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.HasPhases() {
-		t.Error("unphased capture advertised phases")
+		t.Error("unphased file advertised phases")
 	}
 	replayed, err := runOne(sys, w.Name, r, ModeULE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live.Stats, replayed.Stats) {
-		t.Error("unphased captured replay not bit-identical")
-	}
-}
-
-func TestRunDutyCycleCaptureAnnotatesScheduleSegments(t *testing.T) {
-	// A captured duty cycle is one phase-annotated stream whose phase
-	// ids are the schedule indices. Replaying it through a one-member group must
-	// segment at exactly the live schedule boundaries.
-	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
-	sched := dutySchedule(t, 20_000)
-	var sink bytes.Buffer
-	live, err := sys.RunDutyCycleCapture(sched, &sink, trace.V2Options{ChunkRecords: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live.Phases) != len(sched) {
-		t.Fatalf("duty-cycle reports %d, want %d", len(live.Phases), len(sched))
-	}
-
-	// The capture accounting must agree with the uncaptured run.
-	plain, err := sys.RunDutyCycle(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.TotalInstructions != plain.TotalInstructions ||
-		math.Abs(live.TotalEnergyPJ-plain.TotalEnergyPJ)/plain.TotalEnergyPJ > 1e-12 {
-		t.Errorf("capture changed duty-cycle accounting: %d/%.4g vs %d/%.4g",
-			live.TotalInstructions, live.TotalEnergyPJ, plain.TotalInstructions, plain.TotalEnergyPJ)
-	}
-
-	r, err := trace.NewReader(bytes.NewReader(sink.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.HasPhases() {
-		t.Fatal("captured schedule does not advertise phases")
-	}
-	rep, err := runOne(sys, "captured-schedule", r, ModeHP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if len(rep.Phases) != len(sched) {
-		t.Fatalf("replay segmented into %d phases, want %d", len(rep.Phases), len(sched))
+	if !reflect.DeepEqual(live.Stats, replayed.Stats) {
+		t.Error("unphased replay not bit-identical")
 	}
-	var total uint64
-	for i, p := range rep.Phases {
-		if p.Phase != uint8(i) {
-			t.Errorf("segment %d has phase id %d", i, p.Phase)
-		}
-		if want := live.Phases[i].Stats.Instructions; p.Stats.Instructions != want {
-			t.Errorf("segment %d: %d instructions, want %d (live phase)", i, p.Stats.Instructions, want)
-		}
-		total += p.Stats.Instructions
-	}
-	if total != live.TotalInstructions {
-		t.Errorf("captured instructions %d, want %d", total, live.TotalInstructions)
-	}
-}
-
-func TestRunDutyCycleCaptureRejectsOversizedSchedules(t *testing.T) {
-	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
-	w, err := bench.ByName("adpcm_c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := make([]Phase, 257)
-	for i := range sched {
-		sched[i] = Phase{Mode: ModeULE, Workload: w.ScaledTo(100)}
-	}
-	if _, err := sys.RunDutyCycleCapture(sched, &bytes.Buffer{}, trace.V2Options{}); err == nil {
-		t.Error("257-phase schedule accepted (phase id is one byte)")
+	if live.Phases != nil || replayed.Phases != nil {
+		t.Error("unphased run produced phase reports")
 	}
 }

@@ -603,32 +603,9 @@ func (m *Manager) claimWait(worker string) (j *job, idx, gen int, ids []int, ok 
 // work someone else now owns. (Its checkpoints so far still help: the
 // new holder replays them from the store.)
 func (m *Manager) runShard(j *job, worker string, idx, gen int, ids []int) {
-	shardCtx, stop := context.WithCancel(j.ctx)
-	defer stop()
-	lost := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		beat := m.cfg.LeaseTTL / 3
-		if beat < time.Millisecond {
-			beat = time.Millisecond
-		}
-		tick := time.NewTicker(beat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-shardCtx.Done():
-				return
-			case <-tick.C:
-				if !j.table.renew(idx, gen) {
-					close(lost)
-					stop()
-					return
-				}
-			}
-		}
-	}()
-
+	shardCtx, stop := withHeartbeat(j.ctx, m.cfg.LeaseTTL, func(context.Context) bool {
+		return j.table.renew(idx, gen)
+	})
 	runner := sim.Runner{
 		Workers:   1,
 		Seed:      j.spec.Seed,
@@ -639,7 +616,6 @@ func (m *Manager) runShard(j *job, worker string, idx, gen int, ids []int) {
 	}
 	results, err := runner.RunTasks(shardCtx, j.exp, ids)
 	stop()
-	<-hbDone
 
 	if err != nil {
 		var pe *sim.PanicError
@@ -651,15 +627,9 @@ func (m *Manager) runShard(j *job, worker string, idx, gen int, ids []int) {
 			m.cond.Broadcast()
 			return
 		}
-		leaseLost := false
-		select {
-		case <-lost:
-			leaseLost = true
-		default:
-		}
 		// Penalize only genuine task failures: a cancelled job or a lost
 		// lease is scheduling, not evidence the shard is bad.
-		penalize := !leaseLost && j.ctx.Err() == nil
+		penalize := !errors.Is(context.Cause(shardCtx), errLeaseLost) && j.ctx.Err() == nil
 		j.table.fail(idx, gen, penalize)
 		if penalize {
 			j.mu.Lock()

@@ -1,10 +1,47 @@
 package edcached
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
+
+// errLeaseLost is the cancellation cause of a shard context whose
+// lease renewal was refused: the lease expired and moved on.
+var errLeaseLost = errors.New("edcached: shard lease lost")
+
+// withHeartbeat returns a context for computing one leased shard and
+// renews the lease every ttl/3 until stop is called. renew reports
+// whether the lease is still held; a refusal cancels the context with
+// cause errLeaseLost, so the holder stops burning CPU on work someone
+// else now owns. stop cancels the context and waits for the heartbeat
+// to exit.
+func withHeartbeat(parent context.Context, ttl time.Duration, renew func(context.Context) bool) (ctx context.Context, stop func()) {
+	ctx, cancel := context.WithCancelCause(parent)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(max(ttl/3, time.Millisecond))
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				if !renew(ctx) {
+					cancel(errLeaseLost)
+					return
+				}
+			}
+		}
+	}()
+	return ctx, func() {
+		cancel(nil)
+		<-done
+	}
+}
 
 // shard lease states.
 const (

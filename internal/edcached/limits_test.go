@@ -1,0 +1,62 @@
+package edcached
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestOversizedBodiesAnswer413 sends every JSON endpoint a body just
+// over maxBodyBytes: each must answer 413 (never 500), and the server
+// must then still run a normal job to completion.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	pad := strings.Repeat("a", maxBodyBytes)
+	for _, path := range []string{"/jobs", "/shards/claim", "/shards/renew", "/shards/complete"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+path, map[string]string{"worker": "w", "pad": pad})
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413: %s", resp.StatusCode, body)
+			}
+		})
+	}
+	st := submitJob(t, ts, JobSpec{Experiment: "summed", Seed: 1, Options: GridOptions{Instructions: 4}})
+	if final := waitTerminal(t, ts, st.ID); final.State != JobDone {
+		t.Fatalf("job after oversized bodies ended %q: %s", final.State, final.Error)
+	}
+}
+
+// TestHeartbeatCancelsOnLostLease pins the shared renew loop: a refused
+// renewal cancels the shard context with errLeaseLost, while stop on a
+// held lease cancels it with no lease-lost cause.
+func TestHeartbeatCancelsOnLostLease(t *testing.T) {
+	ctx, stop := withHeartbeat(context.Background(), 3*time.Millisecond, func(context.Context) bool { return false })
+	<-ctx.Done()
+	stop()
+	if cause := context.Cause(ctx); !errors.Is(cause, errLeaseLost) {
+		t.Errorf("refused renewal: cause %v, want errLeaseLost", cause)
+	}
+
+	var beats atomic.Int32
+	ctx, stop = withHeartbeat(context.Background(), 3*time.Millisecond, func(context.Context) bool {
+		beats.Add(1)
+		return true
+	})
+	for deadline := time.Now().Add(10 * time.Second); beats.Load() < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("held lease cancelled the shard: %v", context.Cause(ctx))
+	}
+	stop()
+	if beats.Load() < 3 {
+		t.Errorf("%d renewals, want at least 3", beats.Load())
+	}
+	if cause := context.Cause(ctx); ctx.Err() == nil || errors.Is(cause, errLeaseLost) {
+		t.Errorf("stop on a held lease: err %v, cause %v", ctx.Err(), cause)
+	}
+}

@@ -131,14 +131,34 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes bounds every JSON request body. The largest legitimate
+// one, a JobSpec, is well under a kilobyte.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it answers the request itself — 413 for an oversized body,
+// 400 for any other decode error — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, maxBodyBytes))
+	default:
+		httpError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+	}
+	return false
+}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST /jobs")
 		return
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JobSpec: "+err.Error())
+	if !decodeBody(w, r, &spec, "JobSpec") {
 		return
 	}
 	st, err := s.m.Submit(spec)
@@ -284,8 +304,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClaimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad ClaimRequest: "+err.Error())
+	if !decodeBody(w, r, &req, "ClaimRequest") {
 		return
 	}
 	cl, ok := s.m.Claim(req)
@@ -302,8 +321,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ref ShardRef
-	if err := json.NewDecoder(r.Body).Decode(&ref); err != nil {
-		httpError(w, http.StatusBadRequest, "bad ShardRef: "+err.Error())
+	if !decodeBody(w, r, &ref, "ShardRef") {
 		return
 	}
 	if !s.m.Renew(ref) {
@@ -319,8 +337,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ref ShardRef
-	if err := json.NewDecoder(r.Body).Decode(&ref); err != nil {
-		httpError(w, http.StatusBadRequest, "bad ShardRef: "+err.Error())
+	if !decodeBody(w, r, &ref, "ShardRef") {
 		return
 	}
 	if err := s.m.CompleteExternal(ref); err != nil {

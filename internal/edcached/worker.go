@@ -96,38 +96,17 @@ func (w *Worker) runClaim(ctx context.Context, cl ClaimResponse) {
 	}
 	cache := &sim.StoreCache{Store: st, Scope: cl.Scope, Read: true}
 
-	shardCtx, stop := context.WithCancel(ctx)
-	defer stop()
 	ref := ShardRef{Worker: w.Name, Job: cl.Job, Shard: cl.Shard, Gen: cl.Gen}
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		beat := time.Duration(cl.TTLMS) * time.Millisecond / 3
-		if beat < time.Millisecond {
-			beat = time.Millisecond
-		}
-		tick := time.NewTicker(beat)
-		defer tick.Stop()
-		for {
-			select {
-			case <-shardCtx.Done():
-				return
-			case <-tick.C:
-				code, err := w.post(shardCtx, "/shards/renew", ref, nil)
-				if err == nil && code != http.StatusOK {
-					stop() // lease lost: stop computing work someone else owns
-					return
-				}
-				// Transport errors fall through: the server may be mid-
-				// restart, and computing on is harmless (idempotent).
-			}
-		}
-	}()
-
+	ttl := time.Duration(cl.TTLMS) * time.Millisecond
+	shardCtx, stop := withHeartbeat(ctx, ttl, func(ctx context.Context) bool {
+		code, err := w.post(ctx, "/shards/renew", ref, nil)
+		// Transport errors keep the lease: the server may be mid-restart,
+		// and computing on is harmless (idempotent).
+		return err != nil || code == http.StatusOK
+	})
 	runner := sim.Runner{Workers: 1, Seed: cl.Seed, Retries: w.Retries, Cache: cache}
 	_, err = runner.RunTasks(shardCtx, exp, cl.TaskIDs)
 	stop()
-	<-hbDone
 	if err != nil {
 		logf("edcached worker %s: job %s shard %d: %v", w.Name, cl.Job, cl.Shard, err)
 		return // completed points are checkpointed; the lease recycles the rest

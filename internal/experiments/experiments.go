@@ -39,12 +39,12 @@ type Options struct {
 	// queues runnable goroutines, it does not change results.
 	Workers int
 
-	// TraceFiles names captured trace files (v1 or v2, from tracegen or
-	// the System capture entry points) to sweep as first-class grid
-	// points alongside the generator corpus: corpus and corpus-miss add
-	// one grid point per (scenario/ways, mode, file), phase-epi one per
-	// file when the file carries phase annotations. Each file is opened
-	// once as a shared slab and every grid point replays it.
+	// TraceFiles names captured trace files (v1 or v2, from tracegen)
+	// to sweep as first-class grid points alongside the generator
+	// corpus: corpus and corpus-miss add one grid point per
+	// (scenario/ways, mode, file), phase-epi one per file when the file
+	// carries phase annotations. Each file is opened once as a shared
+	// slab and every grid point replays it.
 	TraceFiles []string
 
 	// L2Geometries lists the second-level geometries (sets × ways at

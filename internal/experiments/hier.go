@@ -46,6 +46,13 @@ func ParseL2Geometries(spec string) ([]L2Geometry, error) {
 		if g.Ways, err = strconv.Atoi(ways); err != nil {
 			return nil, fmt.Errorf("experiments: bad L2 geometry %q (want SETSxWAYS)", part)
 		}
+		// Refuse a shape the hierarchy cannot build now, not when the
+		// first hier-epi task does. Latency and protection are not part
+		// of the geometry, so the smallest valid ones stand in.
+		cfg := hierConfig(g, 1, ecc.KindNone)
+		if err := cfg.L2.Validate(cfg); err != nil {
+			return nil, fmt.Errorf("experiments: bad L2 geometry %q: %w", part, err)
+		}
 		out = append(out, g)
 	}
 	if len(out) == 0 {
@@ -93,16 +100,20 @@ type hierKey struct {
 	prot ecc.Kind
 }
 
+// hierConfig is the platform both hierarchy experiments sweep: the
+// scenario-A proposed L1s over one L2 of the given shape and policy.
+func hierConfig(g L2Geometry, latency int, prot ecc.Kind) core.Config {
+	return core.PaperConfig(scenarios[0], core.Proposed).WithL2(core.L2Config{
+		Sets: g.Sets, Ways: g.Ways, LineBytes: 32, Latency: latency, Protection: prot,
+	})
+}
+
 // newHierSystems memoizes one scenario-A proposed System per hierarchy
 // design point, plus the flat (no-L2) sibling every delta compares
 // against.
 func newHierSystems(o Options) (*sim.Shared[hierKey, *core.System], *sim.Shared[struct{}, *core.System]) {
 	tiered := sim.NewShared(func(k hierKey) (*core.System, error) {
-		cfg := core.PaperConfig(scenarios[0], core.Proposed).WithL2(core.L2Config{
-			Sets: k.geom.Sets, Ways: k.geom.Ways, LineBytes: 32,
-			Latency: o.L2Latency, Protection: k.prot,
-		})
-		return core.NewSystem(cfg)
+		return core.NewSystem(hierConfig(k.geom, o.L2Latency, k.prot))
 	})
 	flat := sim.NewShared(func(struct{}) (*core.System, error) {
 		return core.NewSystem(core.PaperConfig(scenarios[0], core.Proposed))

@@ -17,10 +17,10 @@ import (
 // the per-phase saving, and the per-phase DL1 miss rate, read from the
 // source's single shared replay (group.go) — usually already run by
 // corpus. Options.TraceFiles adds captured phase-annotated traces
-// (duty-cycle captures, tracegen -phases output) as further grid
-// points — recorded schedules as first-class sweep inputs. A named file
-// without phase annotations reports "phases: none" rather than failing
-// the sweep, without replaying it.
+// (tracegen -phases output) as further grid points — recorded streams
+// as first-class sweep inputs. A named file without phase annotations
+// reports "phases: none" rather than failing the sweep, without
+// replaying it.
 func phaseEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	return sim.Def{
@@ -64,7 +64,7 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 				}
 				if !arena.HasPhases() {
 					return sim.Result{Metrics: []sim.Metric{
-						sim.Str("phases", "none (file carries no phase annotations; capture with -phases or RunDutyCycleCapture)"),
+						sim.Str("phases", "none (file carries no phase annotations; write it with tracegen -phases)"),
 					}}, nil
 				}
 			}

@@ -32,7 +32,7 @@ type Slab interface {
 // decode-once half of the decode-once/replay-many workflow. A slab is
 // built exactly once — drained from a generator Stream (NewArena) or
 // decoded once from a serialised v1/v2 trace file, gzip chunks included
-// (LoadArena) — and then hands out any number of cheap Cursor values
+// (LoadArenaFile) — and then hands out any number of cheap Cursor values
 // that replay it concurrently. Every sweep grid point that used to
 // regenerate its workload (re-running the generator RNG) or re-decode
 // its trace file instead replays the shared slab, which is what turns
@@ -83,11 +83,11 @@ func NewArena(s Stream) *Arena {
 	return &Arena{insts: insts, phased: HasPhases(s)}
 }
 
-// LoadArena decodes a serialised trace (either container version,
+// loadArena decodes a serialised trace (either container version,
 // compressed or not) into a slab in one pass, validating it end to end
 // — trailer count, reserved bits, gzip checksum — exactly as streaming
 // replay would. Phase annotation follows the file's stream-flag bit 1.
-func LoadArena(r io.Reader) (*Arena, error) {
+func loadArena(r io.Reader) (*Arena, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
@@ -100,7 +100,7 @@ func LoadArena(r io.Reader) (*Arena, error) {
 	return a, nil
 }
 
-// LoadArenaFile is LoadArena over a file path, with a fast path for
+// LoadArenaFile is loadArena over a file path, with a fast path for
 // indexed containers (v2 stream-flag bit 3): the validated chunk index
 // gives every chunk's file offset and record count, so the slab is
 // sized exactly up front and the chunks are decoded in parallel across
@@ -128,7 +128,7 @@ func LoadArenaFile(path string) (*Arena, error) {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	a, err := LoadArena(f)
+	a, err := loadArena(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -94,10 +94,17 @@ func TestArenaInheritsPhaseAnnotation(t *testing.T) {
 	if !a.HasPhases() || !a.Cursor().HasPhases() {
 		t.Error("phase-annotated source lost its annotation in the arena")
 	}
-	// WithPhase advertises phases even when every id is zero.
-	a = trace.NewArena(trace.WithPhase(&trace.SliceStream{Insts: randomInsts(100, false, 9)}, 0))
+	// A source stamped with one regime throughout is still annotated.
+	stamped := randomInsts(100, false, 9)
+	for i := range stamped {
+		stamped[i].Phase = 9
+	}
+	a = trace.NewArena(&trace.SliceStream{Insts: stamped})
 	if !a.HasPhases() {
-		t.Error("WithPhase-stamped source lost its annotation in the arena")
+		t.Error("uniformly stamped source lost its annotation in the arena")
+	}
+	if a = trace.NewArena(&trace.SliceStream{Insts: randomInsts(100, false, 9)}); a.HasPhases() {
+		t.Error("unannotated source gained a phase annotation in the arena")
 	}
 }
 
@@ -130,7 +137,7 @@ func TestLoadArenaRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := trace.LoadArena(buf)
+			a, err := trace.LoadArenaFile(writeBytesFile(t, buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,10 +165,10 @@ func TestLoadArenaRejectsCorruptContainers(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := b.Bytes()
-	if _, err := trace.LoadArena(bytes.NewReader(full[:len(full)-5])); err == nil {
+	if _, err := trace.LoadArenaFile(writeBytesFile(t, full[:len(full)-5])); err == nil {
 		t.Error("truncated v2 container loaded without error")
 	}
-	if _, err := trace.LoadArena(bytes.NewReader([]byte("not a trace"))); err == nil {
+	if _, err := trace.LoadArenaFile(writeBytesFile(t, []byte("not a trace"))); err == nil {
 		t.Error("garbage loaded without error")
 	}
 }

@@ -102,7 +102,7 @@ func TestCompatMatrix(t *testing.T) {
 				name string
 				do   func() (*Arena, error)
 			}{
-				{"LoadArena", func() (*Arena, error) { return LoadArena(bytes.NewReader(data)) }},
+				{"loadArena", func() (*Arena, error) { return loadArena(bytes.NewReader(data)) }},
 				{"LoadArenaFile", func() (*Arena, error) { return LoadArenaFile(path) }},
 			} {
 				a, err := load.do()
@@ -137,25 +137,6 @@ func TestCompatMatrix(t *testing.T) {
 			}
 			if c, ok := slab.(interface{ Close() error }); ok {
 				c.Close()
-			}
-
-			// Seekable opens: indexed variants replay from chunk 0, the
-			// rest are refused with ErrNoIndex.
-			fc, err := OpenAtChunk(path, 0)
-			if !v.v1 && v.o.Index {
-				if err != nil {
-					t.Fatalf("OpenAtChunk: %v", err)
-				}
-				got := drainAll(fc)
-				if err := fc.Err(); err != nil {
-					t.Fatal(err)
-				}
-				fc.Close()
-				if !reflect.DeepEqual(got, want) {
-					t.Error("OpenAtChunk records differ")
-				}
-			} else if !errors.Is(err, ErrNoIndex) {
-				t.Errorf("OpenAtChunk on unindexed file: error %v, want ErrNoIndex", err)
 			}
 
 			// Bit-identity: re-serialising what was read, with the same
@@ -206,10 +187,9 @@ func TestCompatRejectsFutureBits(t *testing.T) {
 		do   func() error
 	}{
 		{"NewReader", func() error { _, err := NewReader(bytes.NewReader(data)); return err }},
-		{"LoadArena", func() error { _, err := LoadArena(bytes.NewReader(data)); return err }},
+		{"loadArena", func() error { _, err := loadArena(bytes.NewReader(data)); return err }},
 		{"LoadArenaFile", func() error { _, err := LoadArenaFile(path); return err }},
 		{"OpenMapArena", func() error { _, err := OpenMapArena(path); return err }},
-		{"OpenAtChunk", func() error { _, err := OpenAtChunk(path, 0); return err }},
 		{"OpenSlab", func() error { _, err := OpenSlab(path, 1); return err }},
 	} {
 		if err := p.do(); !errors.Is(err, ErrHeader) {
@@ -245,19 +225,6 @@ func TestCompatEmptyTrace(t *testing.T) {
 					t.Errorf("empty trace mapped %d records", ma.Len())
 				}
 				ma.Close()
-			}
-			if !v.v1 && v.o.Index {
-				fc, err := OpenAtChunk(path, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := fc.Next(); ok {
-					t.Error("empty indexed trace produced a record")
-				}
-				if err := fc.Err(); err != nil {
-					t.Fatal(err)
-				}
-				fc.Close()
 			}
 		})
 	}

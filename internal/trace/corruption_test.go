@@ -14,8 +14,8 @@ import (
 // container (header, chunk body, chunk CRC, end marker, trailer, index
 // entries, index CRC, footer) is flipped — and the file truncated at
 // every byte boundary — and every read path (streaming, slab loading,
-// parallel indexed loading, mmap, seekable open) must fail with a
-// wrapped sentinel naming the region: no panics, no silent success.
+// parallel indexed loading, mmap) must fail with a wrapped sentinel
+// naming the region: no panics, no silent success.
 
 // corpusInsts is the fixed instruction sequence the corruption suite
 // serialises: 10 phase-annotated records in chunks of 4, giving three
@@ -102,7 +102,7 @@ func tempTrace(t *testing.T, data []byte) string {
 
 // readPaths is every consumer the suite drives over each corruption:
 // the streaming reader, slab loading (streaming and parallel indexed),
-// the mmap arena, and the seekable cursor.
+// and the mmap arena.
 var readPaths = []readPath{
 	{"stream", func(t *testing.T, data []byte) error {
 		r, err := NewReader(bytes.NewReader(data))
@@ -117,7 +117,7 @@ var readPaths = []readPath{
 		return r.Err()
 	}},
 	{"load-arena", func(t *testing.T, data []byte) error {
-		_, err := LoadArena(bytes.NewReader(data))
+		_, err := loadArena(bytes.NewReader(data))
 		return err
 	}},
 	{"load-arena-file", func(t *testing.T, data []byte) error {
@@ -130,19 +130,6 @@ var readPaths = []readPath{
 			a.Close()
 		}
 		return err
-	}},
-	{"open-at-chunk", func(t *testing.T, data []byte) error {
-		c, err := OpenAtChunk(tempTrace(t, data), 0)
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		for {
-			if _, ok := c.Next(); !ok {
-				break
-			}
-		}
-		return c.Err()
 	}},
 }
 

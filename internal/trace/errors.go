@@ -49,14 +49,4 @@ var (
 	// the on-disk bytes are not the records). OpenSlab falls back to
 	// slab loading on it.
 	ErrNotMappable = errors.New("container not mappable")
-
-	// ErrNoIndex: the file carries no chunk index (stream-flag bit 3
-	// clear, or a v1 container), so seekable opens (OpenAtChunk,
-	// OpenAtPhase) and parallel decode cannot address its chunks.
-	// tracegen -reindex retrofits one.
-	ErrNoIndex = errors.New("container carries no chunk index")
-
-	// ErrPhaseNotFound: OpenAtPhase found no record with the requested
-	// phase id.
-	ErrPhaseNotFound = errors.New("phase id not present in trace")
 )

@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Seekable chunk index (v2 stream-flag bit 3, docs/TRACEFORMAT.md):
 // the container's last bytes are a fixed 16-byte footer pointing back
 // at one 16-byte entry per chunk plus an index CRC32C. A seekable
 // consumer reads the footer, walks back to the entries, and from then
-// on can address any chunk — start replay mid-file (OpenAtChunk,
-// OpenAtPhase), decode chunks in parallel (LoadArenaFile), or map the
-// records in place (OpenMapArena) — without touching the body prefix.
+// on can address any chunk — decode chunks in parallel
+// (LoadArenaFile) or map the records in place (OpenMapArena) — without
+// streaming the body.
 
 const (
 	indexEntryBytes  = 16
@@ -85,9 +84,8 @@ func getIndexFooter(b []byte) (chunks uint32, indexOff int64, err error) {
 
 // fileMeta is a container's header — and, when present, its fully
 // validated chunk index — parsed from a seekable source without
-// reading the body. It is the shared foundation of every random-access
-// consumer: OpenAtChunk/OpenAtPhase, parallel arena loading, and the
-// mmap arena.
+// reading the body. It is the shared foundation of both random-access
+// consumers: parallel arena loading and the mmap arena.
 type fileMeta struct {
 	version    int
 	compressed bool
@@ -274,165 +272,3 @@ func (m *fileMeta) decodeChunkAt(r io.ReaderAt, e IndexEntry, chunkIdx int, dst 
 	}
 	return dst, raw, nil
 }
-
-// FileCursor replays an indexed trace file from a chosen chunk to the
-// end of the trace, decoding only the chunks it visits — the seekable
-// counterpart of the streaming Reader for replay that must not pay for
-// the prefix. It validates as it goes (chunk CRCs, record flag bits,
-// the index's declared counts and phase ranges); failures surface
-// through Err, like the Reader's. Close releases the underlying file.
-type FileCursor struct {
-	f    *os.File
-	meta *fileMeta
-
-	cur   int // next index entry to decode
-	chunk []Inst
-	pos   int
-	raw   []byte
-
-	err  error
-	done bool
-}
-
-// OpenAtChunk opens an indexed trace file positioned at the start of
-// chunk (0-based, as listed in the file's index), without reading any
-// earlier chunk. Files without an index (pre-index v2, v1) are
-// rejected with ErrNoIndex — tracegen -reindex retrofits one.
-func OpenAtChunk(path string, chunk int) (*FileCursor, error) {
-	fc, err := openIndexed(path)
-	if err != nil {
-		return nil, err
-	}
-	if chunk < 0 || (chunk >= len(fc.meta.entries) && !(chunk == 0 && len(fc.meta.entries) == 0)) {
-		fc.Close()
-		return nil, fmt.Errorf("trace: chunk %d out of range [0, %d)", chunk, len(fc.meta.entries))
-	}
-	fc.cur = chunk
-	return fc, nil
-}
-
-// OpenAtPhase opens an indexed trace file positioned at the first
-// record whose phase id equals phase, located through the index's
-// per-chunk phase ranges — chunks whose range excludes the phase are
-// skipped without being read. Replay continues to the end of the
-// trace, not just the end of the phase. A phase id that occurs nowhere
-// is reported with ErrPhaseNotFound. Phase-less files position at the
-// start for phase 0 (their records replay as phase 0) and have no
-// other phases.
-func OpenAtPhase(path string, phase uint8) (*FileCursor, error) {
-	fc, err := openIndexed(path)
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range fc.meta.entries {
-		if phase < e.MinPhase || phase > e.MaxPhase {
-			continue
-		}
-		// Candidate chunk: the range bounds the phases present but a
-		// phase strictly inside the range may be absent, so scan.
-		fc.cur = i
-		if !fc.loadChunk() {
-			err := fc.err
-			fc.Close()
-			return nil, err
-		}
-		for j, inst := range fc.chunk {
-			if inst.Phase == phase {
-				fc.pos = j
-				return fc, nil
-			}
-		}
-	}
-	fc.Close()
-	return nil, fmt.Errorf("trace: %w: phase %d", ErrPhaseNotFound, phase)
-}
-
-// openIndexed opens the file and parses + validates its index.
-func openIndexed(path string) (*FileCursor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	meta, err := readFileMeta(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if meta.version != traceVersionV2 || !meta.indexed {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, ErrNoIndex)
-	}
-	return &FileCursor{f: f, meta: meta}, nil
-}
-
-// loadChunk decodes index entry cur into the chunk buffer.
-func (c *FileCursor) loadChunk() bool {
-	if c.err != nil || c.cur >= len(c.meta.entries) {
-		return false
-	}
-	e := c.meta.entries[c.cur]
-	c.chunk = c.chunk[:0]
-	if cap(c.chunk) < e.Count {
-		c.chunk = make([]Inst, 0, c.meta.chunkCap)
-	}
-	var err error
-	c.chunk, c.raw, err = c.meta.decodeChunkAt(c.f, e, c.cur, c.chunk, c.raw)
-	if err != nil {
-		c.err = fmt.Errorf("%s: %w", c.f.Name(), err)
-		return false
-	}
-	c.cur++
-	c.pos = 0
-	return true
-}
-
-// Next implements Stream.
-func (c *FileCursor) Next() (Inst, bool) {
-	if c.done || c.err != nil {
-		return Inst{}, false
-	}
-	if c.pos >= len(c.chunk) {
-		if !c.loadChunk() {
-			c.done = true
-			return Inst{}, false
-		}
-	}
-	inst := c.chunk[c.pos]
-	c.pos++
-	return inst, true
-}
-
-// NextBatch implements BatchStream.
-func (c *FileCursor) NextBatch(buf []Inst) int {
-	if c.done || c.err != nil {
-		return 0
-	}
-	n := 0
-	for n < len(buf) {
-		if c.pos >= len(c.chunk) {
-			if !c.loadChunk() {
-				c.done = true
-				break
-			}
-		}
-		m := copy(buf[n:], c.chunk[c.pos:])
-		c.pos += m
-		n += m
-	}
-	return n
-}
-
-// HasPhases implements PhaseAnnotated.
-func (c *FileCursor) HasPhases() bool { return c.meta.phases }
-
-// Err reports a validation failure encountered while replaying.
-func (c *FileCursor) Err() error { return c.err }
-
-// Close releases the underlying file. The cursor must not be used
-// afterwards.
-func (c *FileCursor) Close() error { return c.f.Close() }

@@ -18,8 +18,15 @@ func writeTraceFile(t *testing.T, insts []trace.Inst, o trace.V2Options) string 
 	if _, err := trace.WriteV2(&buf, &trace.SliceStream{Insts: insts}, o); err != nil {
 		t.Fatal(err)
 	}
+	return writeBytesFile(t, buf.Bytes())
+}
+
+// writeBytesFile writes a serialised container to a file for the
+// path-based loaders.
+func writeBytesFile(t *testing.T, data []byte) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "arena.trace")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -132,72 +133,31 @@ func TestUnadvertisedPhaseBytesCounted(t *testing.T) {
 	}
 }
 
-func TestWithPhaseStampsEverything(t *testing.T) {
-	s := WithPhase(&SliceStream{Insts: phasedSample()}, 9)
-	if !HasPhases(s) {
-		t.Error("WithPhase stream must advertise phases")
-	}
-	buf := make([]Inst, 17)
-	seen := 0
-	for {
-		n := s.NextBatch(buf)
-		if n == 0 {
-			break
-		}
-		for _, inst := range buf[:n] {
-			if inst.Phase != 9 {
-				t.Fatalf("phase %d, want 9", inst.Phase)
-			}
-		}
-		seen += n
-	}
-	if seen != len(phasedSample()) {
-		t.Errorf("stamped %d records, want %d", seen, len(phasedSample()))
-	}
-}
-
 func TestTeeCapturesIdenticalStream(t *testing.T) {
-	// The tee contract: the consumer sees the untouched sequence and
-	// the captured file replays bit-identically — scalar and batch.
+	// Records pushed into a V2Writer one at a time, or in batches that
+	// straddle chunk boundaries, produce the very container WriteV2
+	// pulls from the same sequence, and it replays bit-identically.
 	insts := phasedSample()
-	for _, batch := range []bool{false, true} {
+	o := V2Options{Phases: true, ChunkRecords: 11}
+	want := writeV2(t, insts, o)
+	for _, batch := range []int{1, 13} {
 		var sink bytes.Buffer
-		vw, err := NewV2Writer(&sink, V2Options{Phases: true, ChunkRecords: 11})
+		vw, err := NewV2Writer(&sink, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var replayed []Inst
-		var teeErr func() error
-		if batch {
-			tee := TeeBatch(&SliceStream{Insts: insts}, vw)
-			buf := make([]Inst, 13)
-			for {
-				n := tee.NextBatch(buf)
-				if n == 0 {
-					break
-				}
-				replayed = append(replayed, buf[:n]...)
+		for rest := insts; len(rest) > 0; {
+			n := min(batch, len(rest))
+			if err := vw.Append(rest[:n]...); err != nil {
+				t.Fatal(err)
 			}
-			teeErr = tee.Err
-		} else {
-			tee := Tee(&SliceStream{Insts: insts}, vw)
-			for {
-				inst, ok := tee.Next()
-				if !ok {
-					break
-				}
-				replayed = append(replayed, inst)
-			}
-			teeErr = tee.Err
-		}
-		if err := teeErr(); err != nil {
-			t.Fatal(err)
+			rest = rest[n:]
 		}
 		if err := vw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(replayed, insts) {
-			t.Errorf("batch=%v: tee altered the replayed sequence", batch)
+		if !bytes.Equal(sink.Bytes(), want) {
+			t.Errorf("batch=%d: pushed container differs from WriteV2's", batch)
 		}
 		r, err := NewReader(bytes.NewReader(sink.Bytes()))
 		if err != nil {
@@ -208,22 +168,8 @@ func TestTeeCapturesIdenticalStream(t *testing.T) {
 			t.Fatal(r.Err())
 		}
 		if !reflect.DeepEqual(captured, insts) {
-			t.Errorf("batch=%v: captured file does not replay bit-identically", batch)
+			t.Errorf("batch=%d: pushed container does not replay bit-identically", batch)
 		}
-	}
-}
-
-func TestTeeForwardsPhaseAnnotation(t *testing.T) {
-	var sink bytes.Buffer
-	vw, err := NewV2Writer(&sink, V2Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if HasPhases(Tee(&SliceStream{}, vw)) {
-		t.Error("tee over an unphased stream claims phases")
-	}
-	if !HasPhases(TeeBatch(WithPhase(&SliceStream{Insts: sample()}, 1), vw)) {
-		t.Error("tee over a phased stream lost the annotation")
 	}
 }
 
@@ -244,22 +190,24 @@ func (f *failAfter) Write(p []byte) (int, error) {
 var errSinkFull = bytes.ErrTooLarge
 
 func TestTeeSinkFailureIsSticky(t *testing.T) {
-	insts := make([]Inst, 4096)
-	for i := range insts {
-		insts[i] = Inst{PC: uint32(i)}
-	}
+	// A sink write failure is sticky: the failing Append and every later
+	// Append and Close report it, so a truncated container can never
+	// pass as a complete one.
 	vw, err := NewV2Writer(&failAfter{limit: 64}, V2Options{ChunkRecords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tee := TeeBatch(&SliceStream{Insts: insts}, vw)
-	buf := make([]Inst, 64)
-	for tee.NextBatch(buf) != 0 {
+	var failed error
+	for i := 0; i < 4096 && failed == nil; i++ {
+		failed = vw.Append(Inst{PC: uint32(i)})
 	}
-	if tee.Err() == nil {
-		t.Error("sink failure not reported by Err")
+	if !errors.Is(failed, errSinkFull) {
+		t.Fatalf("sink failure not reported by Append: %v", failed)
 	}
-	if vw.Close() == nil {
+	if err := vw.Append(Inst{}); !errors.Is(err, errSinkFull) {
+		t.Errorf("Append after sink failure: %v, want the sink error", err)
+	}
+	if err := vw.Close(); err == nil {
 		t.Error("Close after sink failure must fail")
 	}
 }

@@ -83,8 +83,8 @@ type V2Options struct {
 	// Index appends a seekable chunk index after the trailer
 	// (stream-flag bit 3): per chunk its file offset, record count and
 	// phase-id range, plus an index CRC and a fixed footer. It is what
-	// lets LoadArenaFile decode chunks in parallel and
-	// OpenAtChunk/OpenAtPhase start replay mid-file.
+	// lets LoadArenaFile decode chunks in parallel and OpenMapArena
+	// validate a mapping without reading the body.
 	Index bool
 }
 
@@ -124,12 +124,9 @@ func WriteV2(w io.Writer, s Stream, o V2Options) (int64, error) {
 
 // V2Writer is the push-side counterpart of WriteV2: records are
 // appended as they become available instead of being pulled from a
-// Stream, which is what lets a live simulation capture its own replay
-// (TeeStream) or several phases append into one container
-// (System.RunDutyCycleCapture). Memory use is bounded by one chunk,
-// plus one 16-byte index entry per flushed chunk when Index is on. The
-// container is invalid until Close writes the end marker, trailer and
-// (when enabled) index.
+// Stream. Memory use is bounded by one chunk, plus one 16-byte index
+// entry per flushed chunk when Index is on. The container is invalid
+// until Close writes the end marker, trailer and (when enabled) index.
 type V2Writer struct {
 	bw        *bufio.Writer
 	body      io.Writer // bw or the gzip layer

@@ -34,8 +34,8 @@ type Inst struct {
 	// instruction belongs to. It never changes replay behaviour — it
 	// only segments metrics (cpu.Stats, core.Report) per regime.
 	// Phase ids are carried by phase-annotated streams (bench's phased
-	// generators, WithPhase, v2 trace files whose stream-flag bit 1 is
-	// set) and are 0 everywhere else.
+	// generators, v2 trace files whose stream-flag bit 1 is set) and are
+	// 0 everywhere else.
 	Phase uint8
 }
 
@@ -87,41 +87,6 @@ func HasPhases(s Stream) bool {
 	pa, ok := s.(PhaseAnnotated)
 	return ok && pa.HasPhases()
 }
-
-// WithPhase returns a stream that replays s unchanged except that every
-// instruction's phase id is overridden to id. It is how a live run is
-// stamped with an externally known regime — e.g. RunDutyCycleCapture
-// tags each schedule segment with its index before teeing the stream to
-// a trace file. The wrapper batches through the underlying stream, so
-// replay and serialisation keep their bulk fast paths.
-func WithPhase(s Stream, id uint8) BatchStream {
-	return &phaseStamp{s: s, id: id}
-}
-
-// phaseStamp implements WithPhase.
-type phaseStamp struct {
-	s  Stream
-	id uint8
-}
-
-// Next implements Stream.
-func (p *phaseStamp) Next() (Inst, bool) {
-	inst, ok := p.s.Next()
-	inst.Phase = p.id
-	return inst, ok
-}
-
-// NextBatch implements BatchStream.
-func (p *phaseStamp) NextBatch(buf []Inst) int {
-	n := Fill(p.s, buf)
-	for i := range buf[:n] {
-		buf[i].Phase = p.id
-	}
-	return n
-}
-
-// HasPhases implements PhaseAnnotated.
-func (p *phaseStamp) HasPhases() bool { return true }
 
 // Fill pulls up to len(buf) instructions from s into buf, taking the
 // bulk path when s implements BatchStream. It returns how many
