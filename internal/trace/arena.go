@@ -117,7 +117,7 @@ func LoadArenaFile(path string) (*Arena, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if meta.version == traceVersionV2 && meta.indexed {
+		if meta.indexed {
 			a, err := loadArenaIndexed(f, meta)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", path, err)
@@ -136,31 +136,38 @@ func LoadArenaFile(path string) (*Arena, error) {
 }
 
 // loadArenaIndexed decodes an indexed v2 container into a slab chunk by
-// chunk across a worker pool. The index (already fully validated by
-// readFileMeta) gives each chunk's slab range via a prefix sum over the
-// entry counts, so workers write disjoint ranges with no
-// synchronisation beyond the work counter; every chunk still gets the
-// full record-level validation (CRC, reserved flag bits, phase range).
+// chunk across a worker pool. The index (validated by readFileMeta)
+// gives each chunk's slab range via a prefix sum over the entry counts,
+// so workers write disjoint ranges with no synchronisation beyond the
+// work counter. Every chunk frame goes through decodeChunk, and the
+// entry it implies must equal the index entry exactly, as in the
+// streaming reader's index cross-check.
 func loadArenaIndexed(f *os.File, meta *fileMeta) (*Arena, error) {
 	insts := make([]Inst, meta.total)
 	starts := make([]int, len(meta.entries)+1)
 	for i, e := range meta.entries {
 		starts[i+1] = starts[i] + e.Count
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(meta.entries) {
-		workers = len(meta.entries)
-	}
-	if workers <= 1 {
-		var raw []byte
-		for i, e := range meta.entries {
-			var err error
-			_, raw, err = meta.decodeChunkAt(f, e, i, insts[starts[i]:starts[i]:starts[i+1]], raw)
-			if err != nil {
-				return nil, err
-			}
+	// decode reads chunk i's frame into raw (grown as needed) and
+	// decodes it into its slab range.
+	decode := func(i int, raw []byte) ([]byte, error) {
+		e := meta.entries[i]
+		if n := meta.frameBytes(e.Count); cap(raw) < n {
+			raw = make([]byte, n)
+		} else {
+			raw = raw[:n]
 		}
-		return &Arena{insts: insts, phased: meta.phases}, nil
+		if _, err := f.ReadAt(raw, e.Offset); err != nil {
+			return raw, fmt.Errorf("trace: %w: chunk %d at offset %d: %v", ErrTruncated, i, e.Offset, err)
+		}
+		got, _, err := meta.decodeChunk(raw, insts[starts[i]:starts[i+1]])
+		if err != nil {
+			return raw, fmt.Errorf("%w (chunk %d)", err, i)
+		}
+		if got.Offset = e.Offset; got != e {
+			return raw, fmt.Errorf("trace: %w: entry %d is %+v, chunk holds %+v", ErrIndex, i, e, got)
+		}
+		return raw, nil
 	}
 	var (
 		next     atomic.Int64 // next chunk to claim
@@ -169,7 +176,7 @@ func loadArenaIndexed(f *os.File, meta *fileMeta) (*Arena, error) {
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(meta.entries)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -179,10 +186,8 @@ func loadArenaIndexed(f *os.File, meta *fileMeta) (*Arena, error) {
 				if i >= len(meta.entries) || failed.Load() {
 					return
 				}
-				e := meta.entries[i]
 				var err error
-				_, raw, err = meta.decodeChunkAt(f, e, i, insts[starts[i]:starts[i]:starts[i+1]], raw)
-				if err != nil {
+				if raw, err = decode(i, raw); err != nil {
 					failed.Store(true)
 					mu.Lock()
 					if firstErr == nil {

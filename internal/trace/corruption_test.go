@@ -178,6 +178,10 @@ func TestCorruptionInjection(t *testing.T) {
 			d[l.index+14] = 1
 			l.fixIndexCRC(d)
 		}, []error{ErrIndex}},
+		{"index-entry-phase-range-widened-crc-fixed", func(d []byte) {
+			d[l.index+12], d[l.index+13] = 0, 255 // chunk 0 holds phases 0..1
+			l.fixIndexCRC(d)
+		}, []error{ErrIndex}},
 		{"index-crc", func(d []byte) { d[l.indexCRC] ^= 0x01 }, []error{ErrIndexCRC}},
 		{"footer-magic", func(d []byte) { d[l.footer] ^= 0xFF }, []error{ErrIndex}},
 		{"footer-chunk-count", func(d []byte) { d[l.footer+4] ^= 0x01 }, []error{ErrIndex}},

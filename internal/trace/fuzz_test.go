@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,7 +147,10 @@ func FuzzRoundTrip(f *testing.F) {
 // indexed arena loader and the mmap arena — and must never make them
 // disagree with the streaming reader: any file the streaming reader
 // accepts, the seekable paths must accept with the identical record
-// sequence.
+// sequence, and any file it rejects they must reject. An input whose
+// footer and entries parse runs a second time with its index CRC
+// recomputed, so mutated entry fields reach the semantic checks
+// instead of stopping at the CRC.
 func FuzzIndex(f *testing.F) {
 	for _, o := range []V2Options{
 		{Index: true},
@@ -169,50 +174,82 @@ func FuzzIndex(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		// The streaming reader is the oracle: its verdict on the mutated
-		// bytes decides what the seekable paths must do.
-		var want []Inst
-		streamOK := false
-		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			for {
-				inst, ok := r.Next()
-				if !ok {
-					break
-				}
-				want = append(want, inst)
-				if len(want) > 1<<20 {
-					t.Fatalf("runaway reader: %d records from a %d-byte input", len(want), len(data))
-				}
-			}
-			streamOK = r.Err() == nil
-		}
-
-		path := filepath.Join(t.TempDir(), "fuzz.trace")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if a, err := LoadArenaFile(path); err == nil {
-			if !streamOK {
-				t.Fatal("arena loader accepted a file the streaming reader rejects")
-			}
-			if got := drainAll(a.Cursor()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("arena loaded %d records unlike the %d the stream read", len(got), len(want))
-			}
-		} else if streamOK {
-			t.Fatalf("arena loader rejected a stream-valid file: %v", err)
-		}
-		if ma, err := OpenMapArena(path); err == nil {
-			if !streamOK {
-				t.Fatal("mmap arena accepted a file the streaming reader rejects")
-			}
-			if got := drainAll(ma.NewCursor()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mmap arena mapped %d records unlike the %d the stream read", len(got), len(want))
-			}
-			ma.Close()
-		} else if streamOK && !isUnmappable(err) {
-			t.Fatalf("mmap arena rejected a stream-valid file: %v", err)
+		checkSeekableAgree(t, data)
+		if fixed := withIndexCRCFixed(data); fixed != nil && !bytes.Equal(fixed, data) {
+			checkSeekableAgree(t, fixed)
 		}
 	})
+}
+
+// checkSeekableAgree holds the arena loader and the mmap arena to the
+// streaming reader's verdict and record sequence on data.
+func checkSeekableAgree(t *testing.T, data []byte) {
+	t.Helper()
+	// The streaming reader is the oracle: its verdict on the mutated
+	// bytes decides what the seekable paths must do.
+	var want []Inst
+	streamOK := false
+	if r, err := NewReader(bytes.NewReader(data)); err == nil {
+		for {
+			inst, ok := r.Next()
+			if !ok {
+				break
+			}
+			want = append(want, inst)
+			if len(want) > 1<<20 {
+				t.Fatalf("runaway reader: %d records from a %d-byte input", len(want), len(data))
+			}
+		}
+		streamOK = r.Err() == nil
+	}
+
+	path := filepath.Join(t.TempDir(), "fuzz.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := LoadArenaFile(path); err == nil {
+		if !streamOK {
+			t.Fatal("arena loader accepted a file the streaming reader rejects")
+		}
+		if got := drainAll(a.Cursor()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arena loaded %d records unlike the %d the stream read", len(got), len(want))
+		}
+	} else if streamOK {
+		t.Fatalf("arena loader rejected a stream-valid file: %v", err)
+	}
+	if ma, err := OpenMapArena(path); err == nil {
+		if !streamOK {
+			t.Fatal("mmap arena accepted a file the streaming reader rejects")
+		}
+		if got := drainAll(ma.NewCursor()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mmap arena mapped %d records unlike the %d the stream read", len(got), len(want))
+		}
+		ma.Close()
+	} else if streamOK && !isUnmappable(err) {
+		t.Fatalf("mmap arena rejected a stream-valid file: %v", err)
+	}
+}
+
+// withIndexCRCFixed returns a copy of data with its index CRC
+// recomputed over its entries, or nil when data's footer does not
+// frame an index whose entries parse.
+func withIndexCRCFixed(data []byte) []byte {
+	if len(data) < indexFooterBytes {
+		return nil
+	}
+	chunks, off, err := getIndexFooter(data[len(data)-indexFooterBytes:])
+	end := off + int64(chunks)*indexEntryBytes
+	if err != nil || off < v2HeaderBytes || end+chunkCRCBytes+indexFooterBytes != int64(len(data)) {
+		return nil
+	}
+	for e := off; e < end; e += indexEntryBytes {
+		if _, err := getIndexEntry(data[e:]); err != nil {
+			return nil
+		}
+	}
+	fixed := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(fixed[end:], crc32.Checksum(data[off:end], castagnoli))
+	return fixed
 }
 
 // sampleInsts mirrors serialize_test.go's sample for fuzz seeds.

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -9,15 +11,15 @@ import (
 // MapArena is the mmap-backed counterpart of Arena: instead of
 // materialising a 16 B/record slab it maps the trace file's validated
 // on-disk records (12 B each) and decodes them on cursor read, chunk
-// windows at a time. OpenMapArena validates the whole container once —
-// header, framing (from the chunk index when present, a frame walk
-// otherwise), chunk CRCs, reserved record flag bits, trailer and index
-// — so cursors replay a proven-clean byte range with an infallible
-// decode and the exact Cursor/SliceBatcher contract slab arenas offer.
-// The records stay in the page cache, shared between arenas, cursors
-// and processes, which is what makes very large traces replayable
-// without duplicating them on the heap. A MapArena is immutable and
-// safe for any number of concurrent cursors; Close unmaps it.
+// windows at a time. OpenMapArena validates the whole mapping once by
+// streaming it through a Reader — header, chunk framing, chunk CRCs,
+// reserved record flag bits, trailer and index — so cursors replay a
+// proven-clean byte range with an infallible decode and the exact
+// Cursor/SliceBatcher contract slab arenas offer. The records stay in
+// the page cache, shared between arenas, cursors and processes, which
+// is what makes very large traces replayable without duplicating them
+// on the heap. A MapArena is immutable and safe for any number of
+// concurrent cursors; Close unmaps it.
 type MapArena struct {
 	data   []byte // the whole mapped (or, on fallback, read) file
 	chunks []mapChunk
@@ -35,13 +37,13 @@ type mapChunk struct {
 	start int // cumulative record index of the run's first record
 }
 
-// OpenMapArena maps a trace file for in-place replay. The container is
-// fully validated before the arena is returned; corrupt files are
-// rejected with the same region sentinels the streaming reader uses.
-// Only containers whose record bytes are addressable on disk are
-// mappable: v1 and uncompressed v2 qualify, gzip bodies are rejected
-// with ErrNotMappable (use LoadArenaFile or OpenSlab, which fall back
-// to slab decoding).
+// OpenMapArena maps a trace file for in-place replay. The mapped bytes
+// are validated by the streaming Reader before the arena is returned,
+// so a file fails here exactly as it fails streaming replay, with the
+// same region sentinels. Only containers whose record bytes are
+// addressable on disk are mappable: v1 and uncompressed v2 qualify,
+// gzip bodies are rejected with ErrNotMappable (use LoadArenaFile or
+// OpenSlab, which fall back to slab decoding).
 func OpenMapArena(path string) (*MapArena, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -55,138 +57,31 @@ func OpenMapArena(path string) (*MapArena, error) {
 	if !st.Mode().IsRegular() {
 		return nil, fmt.Errorf("%s: %w: not a regular file", path, ErrNotMappable)
 	}
-	meta, err := readFileMeta(f, st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if meta.compressed {
-		return nil, fmt.Errorf("%s: %w: gzip body has no addressable records", path, ErrNotMappable)
-	}
 	data, unmap, err := mapFile(f, st.Size())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w: %v", path, ErrNotMappable, err)
 	}
-	a := &MapArena{data: data, phased: meta.phases, unmap: unmap}
-	if err := a.validate(meta); err != nil {
+	a := &MapArena{data: data, unmap: unmap}
+	rd, err := NewReader(bytes.NewReader(data))
+	if err == nil && rd.Compressed() {
+		err = fmt.Errorf("%w: gzip body has no addressable records", ErrNotMappable)
+	}
+	if err == nil {
+		rd.onChunk = func(recOff int64, n int) {
+			a.chunks = append(a.chunks, mapChunk{off: int(recOff), count: n, start: a.n})
+			a.n += n
+		}
+		buf := make([]Inst, DefaultChunkRecords)
+		for rd.NextBatch(buf) > 0 {
+		}
+		err = rd.Err()
+	}
+	if err != nil {
 		a.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	a.phased = rd.HasPhases()
 	return a, nil
-}
-
-// validate walks the mapped container once, building the chunk table
-// and proving every byte cursors will later decode: v1 is one flat
-// record run, v2 is walked frame by frame — against the index when
-// present (offsets, counts and phase ranges already validated by
-// readFileMeta, CRCs and record bytes checked here) or by raw frame
-// walk when not.
-func (a *MapArena) validate(meta *fileMeta) error {
-	if meta.version == traceVersionV1 {
-		// readFileMeta proved the geometry and trailer; the record bytes
-		// remain to be checked.
-		n := int(meta.total)
-		for i := 0; i < n; i++ {
-			rec := a.data[8+i*recordBytes:]
-			if _, err := decodeRecord(rec, false); err != nil {
-				return fmt.Errorf("%w (record %d)", err, i)
-			}
-		}
-		a.chunks = []mapChunk{{off: 8, count: n}}
-		a.n = n
-		return nil
-	}
-	var scratch chunkScratch
-	if meta.indexed {
-		a.chunks = make([]mapChunk, 0, len(meta.entries))
-		for i, e := range meta.entries {
-			if err := a.validateChunk(meta, e, i, &scratch); err != nil {
-				return err
-			}
-			a.chunks = append(a.chunks, mapChunk{off: int(e.Offset) + 4, count: e.Count, start: a.n})
-			a.n += e.Count
-		}
-		return nil
-	}
-	// No index: walk the chunk frames. This re-derives exactly the
-	// framing the streaming reader would, including the end marker,
-	// trailer and the no-trailing-data rule.
-	off := int64(v2HeaderBytes)
-	var total uint64
-	for i := 0; ; i++ {
-		if off+4 > int64(len(a.data)) {
-			return fmt.Errorf("trace: %w: chunk header after %d records", ErrTruncated, total)
-		}
-		n := int(le32(a.data[off:]))
-		if n == 0 {
-			if off+v2EndBytes > int64(len(a.data)) {
-				return fmt.Errorf("trace: %w: trailer after %d records", ErrTruncated, total)
-			}
-			if got := le64(a.data[off+4:]); got != total {
-				return fmt.Errorf("trace: %w: trailer count %d, mapped %d records (truncated file?)", ErrTrailer, got, total)
-			}
-			if off+v2EndBytes != int64(len(a.data)) {
-				return fmt.Errorf("trace: %w: trailing data after trailer", ErrTrailer)
-			}
-			return nil
-		}
-		if n > meta.chunkCap {
-			return fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, meta.chunkCap)
-		}
-		// Synthetic entry for the shared chunk validator; without a real
-		// index there is no declared phase range to enforce.
-		e := IndexEntry{Offset: off, Count: n}
-		if meta.phases {
-			e.MaxPhase = 0xFF
-		}
-		if e.Offset+e.frameBytes(meta.checksums) > int64(len(a.data)) {
-			return fmt.Errorf("trace: %w: chunk after %d records", ErrTruncated, total)
-		}
-		if err := a.validateChunk(meta, e, i, &scratch); err != nil {
-			return err
-		}
-		a.chunks = append(a.chunks, mapChunk{off: int(off) + 4, count: n, start: a.n})
-		a.n += n
-		total += uint64(n)
-		off += e.frameBytes(meta.checksums)
-	}
-}
-
-// chunkScratch is the decode scratch validate reuses across chunks.
-type chunkScratch struct {
-	insts []Inst
-	raw   []byte
-}
-
-// validateChunk checks one chunk frame in place: stored count, CRC when
-// the stream carries checksums, reserved record flag bits, and the
-// index's declared phase range when the chunk came from an index.
-func (a *MapArena) validateChunk(meta *fileMeta, e IndexEntry, chunkIdx int, s *chunkScratch) error {
-	var err error
-	s.insts, s.raw, err = meta.decodeChunkAt(noCopyReaderAt{a.data}, e, chunkIdx, s.insts[:0], s.raw)
-	return err
-}
-
-// noCopyReaderAt adapts the mapped bytes to io.ReaderAt so chunk
-// validation shares decodeChunkAt with the file-backed paths.
-type noCopyReaderAt struct{ data []byte }
-
-func (r noCopyReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(r.data)) {
-		return 0, fmt.Errorf("offset %d outside mapped %d bytes", off, len(r.data))
-	}
-	n := copy(p, r.data[off:])
-	if n < len(p) {
-		return n, fmt.Errorf("short read at offset %d", off)
-	}
-	return n, nil
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func le64(b []byte) uint64 {
-	return uint64(le32(b)) | uint64(le32(b[4:]))<<32
 }
 
 // Len implements Slab.
@@ -254,15 +149,15 @@ func (c *MapCursor) decodeInto(dst []Inst, max int) int {
 		}
 		recs := c.a.data[ch.off+i*recordBytes : ch.off+(i+take)*recordBytes]
 		out := dst[n : n+take]
-		// Inline decode of the validated records: the open-time walk
-		// proved every flag byte, so no error path — this loop is the
+		// Inline decode of the validated records: the open-time
+		// streaming pass proved every flag byte, so no error path — this loop is the
 		// replay hot path that keeps mmap replay near slab replay.
 		for k := range out {
 			rec := recs[k*recordBytes : k*recordBytes+recordBytes : k*recordBytes+recordBytes]
 			flags := rec[8]
 			out[k] = Inst{
-				PC:       le32(rec[0:4]),
-				Addr:     le32(rec[4:8]),
+				PC:       binary.LittleEndian.Uint32(rec[0:4]),
+				Addr:     binary.LittleEndian.Uint32(rec[4:8]),
 				IsLoad:   flags&flagLoad != 0,
 				IsStore:  flags&flagStore != 0,
 				IsBranch: flags&flagBranch != 0,

@@ -133,31 +133,30 @@ func TestUnadvertisedPhaseBytesCounted(t *testing.T) {
 	}
 }
 
-func TestTeeCapturesIdenticalStream(t *testing.T) {
-	// Records pushed into a V2Writer one at a time, or in batches that
-	// straddle chunk boundaries, produce the very container WriteV2
-	// pulls from the same sequence, and it replays bit-identically.
+// batchedStream hands out at most batch records per NextBatch call.
+type batchedStream struct {
+	SliceStream
+	batch int
+}
+
+func (s *batchedStream) NextBatch(buf []Inst) int {
+	return s.SliceStream.NextBatch(buf[:min(len(buf), s.batch)])
+}
+
+func TestWriteV2ChunksIndependentOfSourceBatches(t *testing.T) {
+	// A source handing out one record, or 13, per batch — batches that
+	// straddle the 11-record chunks — yields the very container a
+	// whole-slice source does, and it replays bit-identically.
 	insts := phasedSample()
-	o := V2Options{Phases: true, ChunkRecords: 11}
+	o := V2Options{Phases: true, Checksums: true, Index: true, ChunkRecords: 11}
 	want := writeV2(t, insts, o)
 	for _, batch := range []int{1, 13} {
 		var sink bytes.Buffer
-		vw, err := NewV2Writer(&sink, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rest := insts; len(rest) > 0; {
-			n := min(batch, len(rest))
-			if err := vw.Append(rest[:n]...); err != nil {
-				t.Fatal(err)
-			}
-			rest = rest[n:]
-		}
-		if err := vw.Close(); err != nil {
+		if _, err := WriteV2(&sink, &batchedStream{SliceStream{Insts: insts}, batch}, o); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(sink.Bytes(), want) {
-			t.Errorf("batch=%d: pushed container differs from WriteV2's", batch)
+			t.Errorf("batch=%d: container differs from the whole-slice source's", batch)
 		}
 		r, err := NewReader(bytes.NewReader(sink.Bytes()))
 		if err != nil {
@@ -168,7 +167,7 @@ func TestTeeCapturesIdenticalStream(t *testing.T) {
 			t.Fatal(r.Err())
 		}
 		if !reflect.DeepEqual(captured, insts) {
-			t.Errorf("batch=%d: pushed container does not replay bit-identically", batch)
+			t.Errorf("batch=%d: container does not replay bit-identically", batch)
 		}
 	}
 }
@@ -189,48 +188,23 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 var errSinkFull = bytes.ErrTooLarge
 
-func TestTeeSinkFailureIsSticky(t *testing.T) {
-	// A sink write failure is sticky: the failing Append and every later
-	// Append and Close report it, so a truncated container can never
-	// pass as a complete one.
-	vw, err := NewV2Writer(&failAfter{limit: 64}, V2Options{ChunkRecords: 2})
-	if err != nil {
-		t.Fatal(err)
+func TestWriteV2ReturnsSinkError(t *testing.T) {
+	// A sink that fails partway — in the header, mid-body or at the
+	// final flush — fails WriteV2 with the sink's error, so a truncated
+	// container never passes as a complete one.
+	insts := make([]Inst, 3000)
+	for i := range insts {
+		insts[i] = Inst{PC: uint32(4 * i), IsLoad: i%3 == 0, Addr: uint32(i * 40), Phase: uint8(i / 1000)}
 	}
-	var failed error
-	for i := 0; i < 4096 && failed == nil; i++ {
-		failed = vw.Append(Inst{PC: uint32(i)})
-	}
-	if !errors.Is(failed, errSinkFull) {
-		t.Fatalf("sink failure not reported by Append: %v", failed)
-	}
-	if err := vw.Append(Inst{}); !errors.Is(err, errSinkFull) {
-		t.Errorf("Append after sink failure: %v, want the sink error", err)
-	}
-	if err := vw.Close(); err == nil {
-		t.Error("Close after sink failure must fail")
-	}
-}
-
-func TestV2WriterRejectsAppendAfterClose(t *testing.T) {
-	var sink bytes.Buffer
-	vw, err := NewV2Writer(&sink, V2Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vw.Append(sample()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := vw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := vw.Append(Inst{}); err == nil {
-		t.Error("append after Close accepted")
-	}
-	if err := vw.Close(); err != nil {
-		t.Errorf("second Close not idempotent: %v", err)
-	}
-	if vw.Count() != int64(len(sample())) {
-		t.Errorf("Count() = %d, want %d", vw.Count(), len(sample()))
+	for _, o := range []V2Options{
+		{ChunkRecords: 64, Phases: true, Checksums: true, Index: true},
+		{ChunkRecords: 64, Compress: true},
+	} {
+		full := writeV2(t, insts, o)
+		for _, limit := range []int{0, 64, len(full) / 2, len(full) - 1} {
+			if _, err := WriteV2(&failAfter{limit: limit}, &SliceStream{Insts: insts}, o); !errors.Is(err, errSinkFull) {
+				t.Errorf("%+v, sink full after %d of %d bytes: error %v, want the sink's", o, limit, len(full), err)
+			}
+		}
 	}
 }

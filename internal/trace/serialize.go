@@ -142,10 +142,10 @@ func Write(w io.Writer, s Stream) (int, error) {
 // by chunk, so multi-million-instruction traces replay in constant
 // memory. Reader also implements BatchStream for the replay fast path.
 type Reader struct {
-	version int
-	err     error
-	done    bool
-	read    uint64 // records streamed so far, checked against the trailer
+	hdr  header
+	err  error
+	done bool
+	read uint64 // records streamed so far, checked against the trailer
 
 	// stray counts records whose reserved phase byte (record byte 10)
 	// is non-zero in a stream that does not advertise phases. The spec
@@ -157,58 +157,106 @@ type Reader struct {
 	br *bufio.Reader // v1: record source; v2: raw (pre-decompression) source
 
 	v2 *readerV2 // nil for v1 files
+
+	// onChunk, when set, is handed the file offset of each validated
+	// run of records and its length: every v2 chunk as it streams, and
+	// a v1 file's whole record array once its trailer checks out. The
+	// mmap arena builds its chunk table from it.
+	onChunk func(recOff int64, n int)
+}
+
+// header is a container's parsed header. The stream-flag and capacity
+// fields are zero for v1.
+type header struct {
+	version    int
+	compressed bool // stream-flag bit 0: the body is one gzip stream
+	phases     bool // bit 1: record byte 10 is a phase id
+	checksums  bool // bit 2: chunks carry a CRC32C
+	indexed    bool // bit 3: a chunk index follows the trailer
+	chunkCap   int
+}
+
+// readHeader is the one parser of the container header: magic and
+// version, and for v2 the stream flags and chunk capacity. It consumes
+// 8 bytes of a v1 file and 16 of a v2 file.
+func readHeader(r io.Reader) (header, error) {
+	var b [v2HeaderBytes]byte
+	if _, err := io.ReadFull(r, b[:8]); err != nil {
+		return header{}, fmt.Errorf("trace: %w: %w: short header: %v", ErrHeader, ErrTruncated, err)
+	}
+	if m := binary.LittleEndian.Uint32(b[0:4]); m != traceMagic {
+		return header{}, fmt.Errorf("trace: %w: bad magic %#x", ErrHeader, m)
+	}
+	switch v := binary.LittleEndian.Uint32(b[4:8]); v {
+	case traceVersionV1:
+		return header{version: traceVersionV1}, nil
+	case traceVersionV2:
+	default:
+		return header{}, fmt.Errorf("trace: %w: unsupported version %d", ErrHeader, v)
+	}
+	if _, err := io.ReadFull(r, b[8:]); err != nil {
+		return header{}, fmt.Errorf("trace: %w: %w: short v2 header: %v", ErrHeader, ErrTruncated, err)
+	}
+	flags := binary.LittleEndian.Uint32(b[8:12])
+	if flags&^uint32(v2FlagKnown) != 0 {
+		return header{}, fmt.Errorf("trace: %w: unknown v2 stream flag bits %#x", ErrHeader, flags&^uint32(v2FlagKnown))
+	}
+	if flags&v2FlagGzip != 0 && flags&(v2FlagCRC|v2FlagIndex) != 0 {
+		return header{}, fmt.Errorf("trace: %w: stream flags %#x combine gzip with per-chunk CRC/index (reserved combination)", ErrHeader, flags)
+	}
+	chunkCap := binary.LittleEndian.Uint32(b[12:16])
+	if chunkCap < 1 || chunkCap > MaxChunkRecords {
+		return header{}, fmt.Errorf("trace: %w: v2 chunk capacity %d outside [1, %d]", ErrHeader, chunkCap, MaxChunkRecords)
+	}
+	return header{
+		version:    traceVersionV2,
+		compressed: flags&v2FlagGzip != 0,
+		phases:     flags&v2FlagPhases != 0,
+		checksums:  flags&v2FlagCRC != 0,
+		indexed:    flags&v2FlagIndex != 0,
+		chunkCap:   int(chunkCap),
+	}, nil
 }
 
 // NewReader validates the header and returns a replaying stream for a
 // v1 or v2 trace file.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: %w: %w: short header: %v", ErrHeader, ErrTruncated, err)
+	h, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != traceMagic {
-		return nil, fmt.Errorf("trace: %w: bad magic %#x", ErrHeader, binary.LittleEndian.Uint32(hdr[0:4]))
-	}
-	rd := &Reader{br: br}
-	switch v := binary.LittleEndian.Uint32(hdr[4:8]); v {
-	case traceVersionV1:
-		rd.version = traceVersionV1
-	case traceVersionV2:
-		rd.version = traceVersionV2
-		v2, err := newReaderV2(br)
-		if err != nil {
+	rd := &Reader{hdr: h, br: br}
+	if h.version == traceVersionV2 {
+		if rd.v2, err = newReaderV2(br, h); err != nil {
 			return nil, err
 		}
-		rd.v2 = v2
-	default:
-		return nil, fmt.Errorf("trace: %w: unsupported version %d", ErrHeader, v)
 	}
 	return rd, nil
 }
 
 // Version reports the format version of the file being read (1 or 2).
-func (r *Reader) Version() int { return r.version }
+func (r *Reader) Version() int { return r.hdr.version }
 
 // Compressed reports whether the file's body is gzip-compressed (always
 // false for v1).
-func (r *Reader) Compressed() bool { return r.v2 != nil && r.v2.compressed }
+func (r *Reader) Compressed() bool { return r.hdr.compressed }
 
 // HasPhases implements PhaseAnnotated: it reports whether the file
 // advertises per-record phase ids (v2 stream-flag bit 1; always false
 // for v1 and phase-less v2 files).
-func (r *Reader) HasPhases() bool { return r.v2 != nil && r.v2.phases }
+func (r *Reader) HasPhases() bool { return r.hdr.phases }
 
 // HasChecksums reports whether the file carries per-chunk CRC32C
 // checksums (v2 stream-flag bit 2). Gzip bodies report false here —
 // their integrity comes from the deflate stream's own CRC32.
-func (r *Reader) HasChecksums() bool { return r.v2 != nil && r.v2.checksums }
+func (r *Reader) HasChecksums() bool { return r.hdr.checksums }
 
 // HasIndex reports whether the file carries a seekable chunk index (v2
 // stream-flag bit 3). When true, the streaming reader cross-checks the
 // index against the chunks it streamed before declaring the trace
 // clean.
-func (r *Reader) HasIndex() bool { return r.v2 != nil && r.v2.indexed }
+func (r *Reader) HasIndex() bool { return r.hdr.indexed }
 
 // Chunks reports how many chunks have been streamed so far (0 for v1
 // files, the file's chunk total once the stream finishes cleanly).
@@ -221,12 +269,7 @@ func (r *Reader) Chunks() uint64 {
 
 // ChunkCap reports the file's declared per-chunk record capacity (0 for
 // v1 files, which are not chunked).
-func (r *Reader) ChunkCap() int {
-	if r.v2 == nil {
-		return 0
-	}
-	return r.v2.chunkCap
-}
+func (r *Reader) ChunkCap() int { return r.hdr.chunkCap }
 
 // UnadvertisedPhaseBytes counts the records streamed so far whose
 // reserved phase byte was non-zero although the stream does not
@@ -260,6 +303,8 @@ func (r *Reader) nextV1() (Inst, bool) {
 			// truncated file cannot pass silently.
 			if count := binary.LittleEndian.Uint32(rec[0:4]); uint64(count) != r.read {
 				r.err = fmt.Errorf("trace: %w: trailer count %d, streamed %d records (truncated file?)", ErrTrailer, count, r.read)
+			} else if r.onChunk != nil {
+				r.onChunk(8, int(r.read)) // the records follow the 8-byte header
 			}
 			return Inst{}, false
 		}

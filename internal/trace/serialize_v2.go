@@ -60,7 +60,7 @@ const (
 // index checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// V2Options configures WriteV2 and NewV2Writer.
+// V2Options configures WriteV2.
 type V2Options struct {
 	// Compress gzips the body (header stays plain so Version/flags are
 	// readable without decompression). Incompatible with Checksums and
@@ -83,8 +83,7 @@ type V2Options struct {
 	// Index appends a seekable chunk index after the trailer
 	// (stream-flag bit 3): per chunk its file offset, record count and
 	// phase-id range, plus an index CRC and a fixed footer. It is what
-	// lets LoadArenaFile decode chunks in parallel and OpenMapArena
-	// validate a mapping without reading the body.
+	// lets LoadArenaFile decode chunks in parallel.
 	Index bool
 }
 
@@ -99,69 +98,72 @@ func (o V2Options) chunkRecords() (int, error) {
 	return c, nil
 }
 
+// frameBytes is the length of a chunk frame holding n records: the
+// count field, the records and, under stream-flag bit 2, the CRC32C.
+func (h header) frameBytes(n int) int {
+	f := 4 + n*recordBytes
+	if h.checksums {
+		f += chunkCRCBytes
+	}
+	return f
+}
+
+// decodeChunk is the one validator of a v2 chunk frame. frame holds the
+// whole frame of len(dst) records, and its stored count must say so. It
+// verifies the CRC32C under stream-flag bit 2 and every record's
+// reserved flag bits, decodes the records into dst, and returns the
+// index entry the frame implies (count and phase range; the caller
+// knows the offset) plus the number of records whose reserved phase
+// byte is set in a phase-less stream.
+func (h header) decodeChunk(frame []byte, dst []Inst) (IndexEntry, uint64, error) {
+	if n := binary.LittleEndian.Uint32(frame[0:4]); int(n) != len(dst) {
+		return IndexEntry{}, 0, fmt.Errorf("trace: %w: stored count %d, expected %d", ErrChunk, n, len(dst))
+	}
+	if h.checksums {
+		body := frame[:len(frame)-chunkCRCBytes]
+		if want, got := binary.LittleEndian.Uint32(frame[len(body):]), crc32.Checksum(body, castagnoli); want != got {
+			return IndexEntry{}, 0, fmt.Errorf("trace: %w: stored %08x, computed %08x", ErrChunkCRC, want, got)
+		}
+	}
+	e := IndexEntry{Count: len(dst)}
+	var stray uint64
+	for i := range dst {
+		rec := frame[4+i*recordBytes:]
+		inst, err := decodeRecord(rec, h.phases)
+		if err != nil {
+			return IndexEntry{}, 0, fmt.Errorf("%w (record %d of the chunk)", err, i)
+		}
+		if h.phases {
+			if i == 0 || inst.Phase < e.MinPhase {
+				e.MinPhase = inst.Phase
+			}
+			if inst.Phase > e.MaxPhase {
+				e.MaxPhase = inst.Phase
+			}
+		} else if rec[10] != 0 {
+			stray++
+		}
+		dst[i] = inst
+	}
+	return e, stray, nil
+}
+
 // WriteV2 serialises the full stream to w in format v2 and returns the
 // record count. Memory use is bounded by one chunk (plus 16 bytes per
 // chunk when an index is requested) regardless of the stream length; if
-// s implements BatchStream the chunk buffer is filled in bulk. Unlike
-// v1 there is no practical length limit (the trailer is 64-bit).
+// s implements BatchStream the chunk buffer is filled in bulk. Every
+// chunk but the last holds exactly the chunk capacity, whatever batch
+// sizes s hands out. Unlike v1 there is no practical length limit (the
+// trailer is 64-bit).
 func WriteV2(w io.Writer, s Stream, o V2Options) (int64, error) {
-	vw, err := NewV2Writer(w, o)
+	chunkCap, err := o.chunkRecords()
 	if err != nil {
 		return 0, err
 	}
-	insts := make([]Inst, vw.chunkCap)
-	for {
-		n := Fill(s, insts)
-		if n == 0 {
-			break
-		}
-		if err := vw.Append(insts[:n]...); err != nil {
-			return vw.Count(), err
-		}
-	}
-	return vw.Count(), vw.Close()
-}
-
-// V2Writer is the push-side counterpart of WriteV2: records are
-// appended as they become available instead of being pulled from a
-// Stream. Memory use is bounded by one chunk, plus one 16-byte index
-// entry per flushed chunk when Index is on. The container is invalid
-// until Close writes the end marker, trailer and (when enabled) index.
-type V2Writer struct {
-	bw        *bufio.Writer
-	body      io.Writer // bw or the gzip layer
-	gz        *gzip.Writer
-	phases    bool
-	checksums bool
-	index     bool
-
-	chunkCap int
-	raw      []byte // one encoded chunk: 4-byte count + records + CRC room
-	n        int    // records pending in raw
-	total    int64  // records flushed + pending
-
-	off        int64        // file offset the next chunk frame lands at
-	entries    []IndexEntry // one per flushed chunk, when index is on
-	pMin, pMax uint8        // phase-id range of the pending chunk
-
-	err    error
-	closed bool
-}
-
-// NewV2Writer writes the v2 header to w and returns a writer ready to
-// Append records.
-func NewV2Writer(w io.Writer, o V2Options) (*V2Writer, error) {
-	chunkRecs, err := o.chunkRecords()
-	if err != nil {
-		return nil, err
-	}
 	if o.Compress && (o.Checksums || o.Index) {
-		return nil, fmt.Errorf("trace: %w: per-chunk checksums and the chunk index need an uncompressed body (gzip carries its own CRC and hides chunk offsets)", ErrHeader)
+		return 0, fmt.Errorf("trace: %w: per-chunk checksums and the chunk index need an uncompressed body (gzip carries its own CRC and hides chunk offsets)", ErrHeader)
 	}
-	bw := bufio.NewWriter(w)
-	var hdr [v2HeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], traceVersionV2)
+	h := header{checksums: o.Checksums}
 	var flags uint32
 	if o.Compress {
 		flags |= v2FlagGzip
@@ -175,203 +177,125 @@ func NewV2Writer(w io.Writer, o V2Options) (*V2Writer, error) {
 	if o.Index {
 		flags |= v2FlagIndex
 	}
+	bw := bufio.NewWriter(w)
+	var hdr [v2HeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], traceMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], traceVersionV2)
 	binary.LittleEndian.PutUint32(hdr[8:12], flags)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(chunkRecs))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(chunkCap))
 	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
-	vw := &V2Writer{
-		bw:        bw,
-		body:      bw,
-		phases:    o.Phases,
-		checksums: o.Checksums,
-		index:     o.Index,
-		chunkCap:  chunkRecs,
-		raw:       make([]byte, 4+chunkRecs*recordBytes+chunkCRCBytes),
-		off:       v2HeaderBytes,
-	}
+	var body io.Writer = bw
+	var gz *gzip.Writer
 	if o.Compress {
-		vw.gz = gzip.NewWriter(bw)
-		vw.body = vw.gz
+		gz = gzip.NewWriter(bw)
+		body = gz
 	}
-	return vw, nil
-}
 
-// Append encodes the instructions into the pending chunk, flushing full
-// chunks to the underlying writer. A write failure is sticky: it is
-// returned now and by every later Append/Close.
-func (vw *V2Writer) Append(insts ...Inst) error {
-	if vw.err != nil {
-		return vw.err
-	}
-	if vw.closed {
-		return fmt.Errorf("trace: append to closed V2Writer")
-	}
-	for _, inst := range insts {
-		encodeRecord(vw.raw[4+vw.n*recordBytes:], inst, vw.phases)
-		if vw.phases {
-			if vw.n == 0 {
-				vw.pMin, vw.pMax = inst.Phase, inst.Phase
-			} else if inst.Phase < vw.pMin {
-				vw.pMin = inst.Phase
-			} else if inst.Phase > vw.pMax {
-				vw.pMax = inst.Phase
+	insts := make([]Inst, chunkCap)
+	raw := make([]byte, h.frameBytes(chunkCap))
+	var (
+		total   int64
+		off     int64 = v2HeaderBytes // file offset of the next chunk frame
+		entries []IndexEntry
+	)
+	for full := true; full; {
+		n := 0
+		for n < chunkCap {
+			k := Fill(s, insts[n:])
+			if k == 0 {
+				full = false
+				break
+			}
+			n += k
+		}
+		if n == 0 {
+			break
+		}
+		frame := raw[:h.frameBytes(n)]
+		binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
+		e := IndexEntry{Offset: off, Count: n}
+		for i, inst := range insts[:n] {
+			encodeRecord(frame[4+i*recordBytes:], inst, o.Phases)
+			if o.Phases {
+				if i == 0 || inst.Phase < e.MinPhase {
+					e.MinPhase = inst.Phase
+				}
+				if inst.Phase > e.MaxPhase {
+					e.MaxPhase = inst.Phase
+				}
 			}
 		}
-		vw.n++
-		vw.total++
-		if vw.n == vw.chunkCap {
-			if err := vw.flushChunk(); err != nil {
-				return err
-			}
+		if o.Checksums {
+			crc := frame[len(frame)-chunkCRCBytes:]
+			binary.LittleEndian.PutUint32(crc, crc32.Checksum(frame[:len(frame)-chunkCRCBytes], castagnoli))
+		}
+		if _, err := body.Write(frame); err != nil {
+			return total, err
+		}
+		if o.Index {
+			entries = append(entries, e)
+		}
+		off += int64(len(frame))
+		total += int64(n)
+	}
+
+	// The end marker (a zero count) and the 64-bit total trailer, then
+	// the index: its entries, their CRC and the footer that ends the
+	// file.
+	tail := make([]byte, v2EndBytes)
+	binary.LittleEndian.PutUint64(tail[4:12], uint64(total))
+	if o.Index {
+		idx := make([]byte, len(entries)*indexEntryBytes+chunkCRCBytes+indexFooterBytes)
+		for i, e := range entries {
+			putIndexEntry(idx[i*indexEntryBytes:], e)
+		}
+		entryBytes := len(entries) * indexEntryBytes
+		binary.LittleEndian.PutUint32(idx[entryBytes:], crc32.Checksum(idx[:entryBytes], castagnoli))
+		putIndexFooter(idx[entryBytes+chunkCRCBytes:], uint32(len(entries)), off+v2EndBytes)
+		tail = append(tail, idx...)
+	}
+	if _, err := body.Write(tail); err != nil {
+		return total, err
+	}
+	if gz != nil {
+		if err := gz.Close(); err != nil {
+			return total, err
 		}
 	}
-	return nil
-}
-
-// flushChunk writes the pending records (if any) as one chunk,
-// appending the chunk CRC and recording the index entry when those
-// extensions are on.
-func (vw *V2Writer) flushChunk() error {
-	if vw.n == 0 {
-		return nil
-	}
-	binary.LittleEndian.PutUint32(vw.raw[0:4], uint32(vw.n))
-	frame := vw.raw[:4+vw.n*recordBytes]
-	if vw.checksums {
-		crc := crc32.Checksum(frame, castagnoli)
-		binary.LittleEndian.PutUint32(vw.raw[len(frame):len(frame)+chunkCRCBytes], crc)
-		frame = vw.raw[:len(frame)+chunkCRCBytes]
-	}
-	if _, err := vw.body.Write(frame); err != nil {
-		vw.err = err
-		return err
-	}
-	if vw.index {
-		e := IndexEntry{Offset: vw.off, Count: vw.n}
-		if vw.phases {
-			e.MinPhase, e.MaxPhase = vw.pMin, vw.pMax
-		}
-		vw.entries = append(vw.entries, e)
-	}
-	vw.off += int64(len(frame))
-	vw.n = 0
-	return nil
-}
-
-// Count returns the number of records appended so far.
-func (vw *V2Writer) Count() int64 { return vw.total }
-
-// Close flushes the pending chunk, writes the end marker, the 64-bit
-// record-count trailer and (when enabled) the chunk index, and flushes
-// every buffering layer. Close is idempotent; later calls return the
-// first outcome.
-func (vw *V2Writer) Close() error {
-	if vw.closed || vw.err != nil {
-		return vw.err
-	}
-	vw.closed = true
-	if err := vw.flushChunk(); err != nil {
-		return err
-	}
-	var end [v2EndBytes]byte // 4-byte zero count + 8-byte total trailer
-	binary.LittleEndian.PutUint64(end[4:12], uint64(vw.total))
-	if _, err := vw.body.Write(end[:]); err != nil {
-		vw.err = err
-		return err
-	}
-	vw.off += v2EndBytes
-	if vw.index {
-		if err := vw.writeIndex(); err != nil {
-			return err
-		}
-	}
-	if vw.gz != nil {
-		if err := vw.gz.Close(); err != nil {
-			vw.err = err
-			return err
-		}
-	}
-	if err := vw.bw.Flush(); err != nil {
-		vw.err = err
-		return err
-	}
-	return nil
-}
-
-// writeIndex emits the chunk index, its CRC and the footer — the last
-// bytes of the container.
-func (vw *V2Writer) writeIndex() error {
-	idx := make([]byte, len(vw.entries)*indexEntryBytes+chunkCRCBytes+indexFooterBytes)
-	for i, e := range vw.entries {
-		putIndexEntry(idx[i*indexEntryBytes:], e)
-	}
-	entryBytes := len(vw.entries) * indexEntryBytes
-	binary.LittleEndian.PutUint32(idx[entryBytes:], crc32.Checksum(idx[:entryBytes], castagnoli))
-	putIndexFooter(idx[entryBytes+chunkCRCBytes:], uint32(len(vw.entries)), vw.off)
-	if _, err := vw.body.Write(idx); err != nil {
-		vw.err = err
-		return err
-	}
-	vw.off += int64(len(idx))
-	return nil
+	return total, bw.Flush()
 }
 
 // readerV2 holds the v2-specific decoding state of a Reader.
 type readerV2 struct {
-	body       io.Reader // raw or gzip-decompressed chunk source
-	gz         *gzip.Reader
-	compressed bool
-	phases     bool // stream-flag bit 1: record byte 10 is a phase id
-	checksums  bool // stream-flag bit 2: chunks carry a CRC32C
-	indexed    bool // stream-flag bit 3: a chunk index follows the trailer
-	chunkCap   int
+	body io.Reader // raw or gzip-decompressed chunk source
+	gz   *gzip.Reader
 
 	chunk []Inst // decoded records of the current chunk
 	pos   int    // replay cursor within chunk
-	raw   []byte // scratch for one encoded chunk
+	raw   []byte // scratch for one chunk frame
 
 	chunks   uint64       // chunks streamed so far
 	chunkOff int64        // file offset of the next chunk frame
 	streamed []IndexEntry // what the body actually contained, for the index cross-check
 }
 
-// newReaderV2 reads the v2 header tail (flags + chunk capacity) from
-// the source positioned just past the 8-byte common header.
-func newReaderV2(br *bufio.Reader) (*readerV2, error) {
-	var tail [8]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, fmt.Errorf("trace: %w: %w: short v2 header: %v", ErrHeader, ErrTruncated, err)
-	}
-	flags := binary.LittleEndian.Uint32(tail[0:4])
-	if flags&^uint32(v2FlagKnown) != 0 {
-		return nil, fmt.Errorf("trace: %w: unknown v2 stream flag bits %#x", ErrHeader, flags&^uint32(v2FlagKnown))
-	}
-	if flags&v2FlagGzip != 0 && flags&(v2FlagCRC|v2FlagIndex) != 0 {
-		return nil, fmt.Errorf("trace: %w: stream flags %#x combine gzip with per-chunk CRC/index (reserved combination)", ErrHeader, flags)
-	}
-	chunkCap := binary.LittleEndian.Uint32(tail[4:8])
-	if chunkCap < 1 || chunkCap > MaxChunkRecords {
-		return nil, fmt.Errorf("trace: %w: v2 chunk capacity %d outside [1, %d]", ErrHeader, chunkCap, MaxChunkRecords)
-	}
+// newReaderV2 sets up body decoding for a v2 file whose header h has
+// been read from br.
+func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
 	v2 := &readerV2{
-		compressed: flags&v2FlagGzip != 0,
-		phases:     flags&v2FlagPhases != 0,
-		checksums:  flags&v2FlagCRC != 0,
-		indexed:    flags&v2FlagIndex != 0,
-		chunkCap:   int(chunkCap),
-		raw:        make([]byte, int(chunkCap)*recordBytes),
-		chunkOff:   v2HeaderBytes,
+		body:     br,
+		raw:      make([]byte, h.frameBytes(h.chunkCap)),
+		chunkOff: v2HeaderBytes,
 	}
-	if v2.compressed {
+	if h.compressed {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w: bad gzip body: %v", ErrChunk, err)
 		}
 		v2.gz = gz
 		v2.body = gz
-	} else {
-		v2.body = br
 	}
 	return v2, nil
 }
@@ -381,112 +305,82 @@ func newReaderV2(br *bufio.Reader) (*readerV2, error) {
 // trailer and, when advertised, verified index) or with r.err set.
 func (r *Reader) loadChunk() bool {
 	v2 := r.v2
-	var cnt [4]byte
-	if _, err := io.ReadFull(v2.body, cnt[:]); err != nil {
+	if _, err := io.ReadFull(v2.body, v2.raw[0:4]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err)
 		return false
 	}
-	n := binary.LittleEndian.Uint32(cnt[0:4])
+	n := int(binary.LittleEndian.Uint32(v2.raw[0:4]))
 	if n == 0 {
-		// End marker: verify the 8-byte trailer, the index when
-		// advertised, and that nothing trails the logical end.
-		var trailer [8]byte
-		if _, err := io.ReadFull(v2.body, trailer[:]); err != nil {
-			r.err = fmt.Errorf("trace: %w: trailer after %d records: %v", ErrTruncated, r.read, err)
-			return false
-		}
-		if total := binary.LittleEndian.Uint64(trailer[:]); total != r.read {
-			r.err = fmt.Errorf("trace: %w: trailer count %d, streamed %d records (truncated file?)", ErrTrailer, total, r.read)
-			return false
-		}
-		if v2.indexed {
-			if err := v2.verifyStreamedIndex(); err != nil {
-				r.err = err
-				return false
-			}
-		}
-		// The index (or trailer) must be the end: read one more byte
-		// and demand EOF, so concatenation damage cannot pass as valid.
-		// For a compressed body this read also forces the gzip checksum
-		// verification.
-		var one [1]byte
-		switch _, err := io.ReadFull(v2.body, one[:]); err {
-		case io.EOF:
-		case nil:
-			r.err = fmt.Errorf("trace: %w: trailing data after trailer", ErrTrailer)
-			return false
-		default:
-			r.err = fmt.Errorf("trace: %w: corrupt body after trailer: %v", ErrChunk, err)
-			return false
-		}
-		if v2.gz != nil {
-			if err := v2.gz.Close(); err != nil {
-				r.err = fmt.Errorf("trace: %w: corrupt gzip body: %v", ErrChunk, err)
-				return false
-			}
-		}
+		r.err = r.finishV2()
 		return false
 	}
-	if int(n) > v2.chunkCap {
-		r.err = fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, v2.chunkCap)
+	if n > r.hdr.chunkCap {
+		r.err = fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, r.hdr.chunkCap)
 		return false
 	}
-	raw := v2.raw[:int(n)*recordBytes]
-	if _, err := io.ReadFull(v2.body, raw); err != nil {
+	frame := v2.raw[:r.hdr.frameBytes(n)]
+	if _, err := io.ReadFull(v2.body, frame[4:]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err)
 		return false
 	}
-	if v2.checksums {
-		var crcb [chunkCRCBytes]byte
-		if _, err := io.ReadFull(v2.body, crcb[:]); err != nil {
-			r.err = fmt.Errorf("trace: %w: chunk checksum after %d records: %v", ErrTruncated, r.read, err)
-			return false
-		}
-		want := binary.LittleEndian.Uint32(crcb[:])
-		got := crc32.Update(crc32.Checksum(cnt[:], castagnoli), castagnoli, raw)
-		if got != want {
-			r.err = fmt.Errorf("trace: %w: chunk %d (records %d..%d): stored %08x, computed %08x",
-				ErrChunkCRC, v2.chunks, r.read, r.read+uint64(n)-1, want, got)
-			return false
-		}
+	if cap(v2.chunk) < n {
+		v2.chunk = make([]Inst, n)
 	}
-	if cap(v2.chunk) < int(n) {
-		v2.chunk = make([]Inst, int(n))
+	v2.chunk = v2.chunk[:n]
+	e, stray, err := r.hdr.decodeChunk(frame, v2.chunk)
+	if err != nil {
+		r.err = fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1)
+		return false
 	}
-	v2.chunk = v2.chunk[:int(n)]
-	var pMin, pMax uint8
-	for i := range v2.chunk {
-		inst, err := decodeRecord(raw[i*recordBytes:], v2.phases)
-		if err != nil {
-			r.err = fmt.Errorf("%w (record %d)", err, r.read+uint64(i))
-			return false
-		}
-		if v2.phases {
-			if i == 0 {
-				pMin, pMax = inst.Phase, inst.Phase
-			} else if inst.Phase < pMin {
-				pMin = inst.Phase
-			} else if inst.Phase > pMax {
-				pMax = inst.Phase
-			}
-		} else if raw[i*recordBytes+10] != 0 {
-			r.stray++
-		}
-		v2.chunk[i] = inst
+	r.stray += stray
+	e.Offset = v2.chunkOff
+	if r.hdr.indexed {
+		v2.streamed = append(v2.streamed, e)
 	}
-	if v2.indexed {
-		v2.streamed = append(v2.streamed, IndexEntry{
-			Offset: v2.chunkOff, Count: int(n), MinPhase: pMin, MaxPhase: pMax,
-		})
+	if r.onChunk != nil {
+		r.onChunk(e.Offset+4, n)
 	}
-	frame := int64(4 + int(n)*recordBytes)
-	if v2.checksums {
-		frame += chunkCRCBytes
-	}
-	v2.chunkOff += frame
+	v2.chunkOff += int64(len(frame))
 	v2.chunks++
 	v2.pos = 0
 	return true
+}
+
+// finishV2 validates everything after the end marker: the 8-byte
+// trailer, the index when advertised, and that nothing trails the
+// logical end.
+func (r *Reader) finishV2() error {
+	v2 := r.v2
+	var trailer [8]byte
+	if _, err := io.ReadFull(v2.body, trailer[:]); err != nil {
+		return fmt.Errorf("trace: %w: trailer after %d records: %v", ErrTruncated, r.read, err)
+	}
+	if total := binary.LittleEndian.Uint64(trailer[:]); total != r.read {
+		return fmt.Errorf("trace: %w: trailer count %d, streamed %d records (truncated file?)", ErrTrailer, total, r.read)
+	}
+	if r.hdr.indexed {
+		if err := v2.verifyStreamedIndex(); err != nil {
+			return err
+		}
+	}
+	// The index (or trailer) must be the end: read one more byte and
+	// demand EOF, so concatenation damage cannot pass as valid. For a
+	// compressed body this read also forces the gzip checksum
+	// verification.
+	var one [1]byte
+	switch _, err := io.ReadFull(v2.body, one[:]); err {
+	case io.EOF:
+	case nil:
+		return fmt.Errorf("trace: %w: trailing data after trailer", ErrTrailer)
+	default:
+		return fmt.Errorf("trace: %w: corrupt body after trailer: %v", ErrChunk, err)
+	}
+	if v2.gz != nil {
+		if err := v2.gz.Close(); err != nil {
+			return fmt.Errorf("trace: %w: corrupt gzip body: %v", ErrChunk, err)
+		}
+	}
+	return nil
 }
 
 // verifyStreamedIndex reads the chunk index, its CRC and the footer
