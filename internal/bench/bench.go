@@ -170,44 +170,18 @@ func (w Workload) Stream() trace.Stream {
 	case PatternAdversarial:
 		return newAdversarialStream(w)
 	default:
-		return &genStream{
-			w:   w,
-			rng: rand.New(rand.NewSource(w.Seed)),
-			pc:  codeBase,
-		}
+		g := &genStream{w: w, rng: rand.New(rand.NewSource(w.Seed)), pc: codeBase}
+		return &seqStream{n: w.Instructions, gen: g.gen}
 	}
 }
 
-// genStream generates the instruction sequence lazily.
+// genStream is the MediaBench-calibrated generator's state; seqStream
+// meters out its instructions.
 type genStream struct {
-	w       Workload
-	rng     *rand.Rand
-	emitted int
-	pc      uint32
-	stream  uint32 // streaming cursor within the data region
-}
-
-// Next implements trace.Stream.
-func (g *genStream) Next() (trace.Inst, bool) {
-	if g.emitted >= g.w.Instructions {
-		return trace.Inst{}, false
-	}
-	g.emitted++
-	return g.gen(), true
-}
-
-// NextBatch implements trace.BatchStream: same sequence as Next, one
-// call per chunk.
-func (g *genStream) NextBatch(buf []trace.Inst) int {
-	n := g.w.Instructions - g.emitted
-	if n > len(buf) {
-		n = len(buf)
-	}
-	for i := 0; i < n; i++ {
-		buf[i] = g.gen()
-	}
-	g.emitted += n
-	return n
+	w      Workload
+	rng    *rand.Rand
+	pc     uint32
+	stream uint32 // streaming cursor within the data region
 }
 
 // gen produces the next instruction of the sequence.

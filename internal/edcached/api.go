@@ -50,8 +50,8 @@ type JobSpec struct {
 	// Shards overrides the server's default shard count (capped at the
 	// grid size; 0 = server default).
 	Shards int `json:"shards,omitempty"`
-	// DeadlineMS caps the job's total runtime in milliseconds
-	// (0 = server default; the default may be "none").
+	// DeadlineMS caps the job's total runtime in milliseconds, at most
+	// math.MaxInt64/1e6 (0 = server default; the default may be "none").
 	DeadlineMS int64 `json:"deadlineMS,omitempty"`
 }
 

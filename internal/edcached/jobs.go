@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -270,6 +271,9 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // Submit validates and enqueues a job.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
+	if spec.DeadlineMS < 0 || spec.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
+		return JobStatus{}, fmt.Errorf("%w: deadlineMS %d does not fit a time.Duration", ErrBadRequest, spec.DeadlineMS)
+	}
 	reg := m.cfg.Registry(spec.Options)
 	names, err := reg.Resolve(spec.Experiment)
 	if err != nil {

@@ -3,6 +3,7 @@ package edcached
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -58,5 +59,24 @@ func TestHeartbeatCancelsOnLostLease(t *testing.T) {
 	}
 	if cause := context.Cause(ctx); ctx.Err() == nil || errors.Is(cause, errLeaseLost) {
 		t.Errorf("stop on a held lease: err %v, cause %v", ctx.Err(), cause)
+	}
+}
+
+// TestDeadlineMSBounded pins JobSpec.DeadlineMS to what a time.Duration
+// holds: a negative deadline, or one whose nanoseconds overflow int64,
+// answers 400 instead of wrapping to a tiny or negative timeout, and
+// the largest representable one lets a job run to completion.
+func TestDeadlineMSBounded(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	maxMS := int64(math.MaxInt64 / int64(time.Millisecond))
+	for _, ms := range []int64{-1, maxMS + 1, 10_000_000_000_000, 18446744073710} {
+		spec := JobSpec{Experiment: "summed", Seed: 1, Options: GridOptions{Instructions: 4}, DeadlineMS: ms}
+		if resp, body := postJSON(t, ts.URL+"/jobs", spec); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("deadlineMS %d: status %d, want 400: %s", ms, resp.StatusCode, body)
+		}
+	}
+	st := submitJob(t, ts, JobSpec{Experiment: "summed", Seed: 1, Options: GridOptions{Instructions: 4}, DeadlineMS: maxMS})
+	if final := waitTerminal(t, ts, st.ID); final.State != JobDone {
+		t.Fatalf("deadlineMS %d: job ended %q: %s", maxMS, final.State, final.Error)
 	}
 }

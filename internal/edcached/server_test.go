@@ -79,7 +79,7 @@ func testScope(o GridOptions, seed int64) []string {
 // newTestServer stands up a Server over fresh store/jobs dirs; mod
 // tweaks the config before construction. The HTTP front is an
 // httptest.Server; cleanup drains.
-func newTestServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	storeDir := t.TempDir()
 	st, err := store.Open(storeDir)

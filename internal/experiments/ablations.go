@@ -269,10 +269,11 @@ func uleReuseAblation(o Options) sim.Experiment {
 			}
 			cfg := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cfg.GateULEWaysAtHP = gate
-			rep, err := replayOne(w.Name, arena, core.MustNewSystem(cfg), core.ModeHP)
+			reps, err := core.RunGroupArena(w.Name, arena, []core.GroupMember{{Sys: core.MustNewSystem(cfg), Mode: core.ModeHP}})
 			if err != nil {
 				return sim.Result{}, err
 			}
+			rep := reps[0]
 			memEPI := memAccessPJ * float64(rep.Stats.DMisses+rep.Stats.IMisses) / float64(rep.Stats.Instructions)
 			return sim.Result{Metrics: []sim.Metric{
 				sim.Fmt("dl1_miss", missPct(rep.Stats.DMisses, rep.Stats.DAccesses), "%.3f%%"),

@@ -10,15 +10,16 @@ import (
 	"edcache/internal/yield"
 )
 
-// One replay per source. Every experiment that prices the paper's
-// baseline/proposed pair over a source — fig3, fig4, headline, corpus
-// and phase-epi — reads its core.Pair from one run-wide memo
-// (Options.replays) keyed by source: a workload name, or a trace file.
-// The first request for a source replays it once, as one
-// core.RunGroupArena pass over 8 members, [A, B] × [HP, ULE] ×
-// [baseline, proposed]. The paper's two scenarios share the L1 geometry
-// and the designs share cache state at equal mode, so that pass
-// simulates 2 caches per side and tallies each once (core/multi.go).
+// One replay per source. Every experiment that replays a source — fig3,
+// fig4, headline, corpus, phase-epi, hier-epi and shared-l2 — reads its
+// reports from one run-wide memo (Options.replays) keyed by source: a
+// workload name, or a trace file. The first request for a source
+// replays it once, as one core.RunGroupArena pass. A paper source has 8
+// members, [A, B] × [HP, ULE] × [baseline, proposed]. The paper's two
+// scenarios share the L1 geometry and the designs share cache state at
+// equal mode, so that pass simulates 2 caches per side and tallies each
+// once (core/multi.go). A hier source is a workload behind every
+// Options.L2Geometries × l2Protections design point at HP (hier.go).
 // Every later request, from any experiment, mode or scenario, is a
 // lookup. A Report never depends on the group it was replayed in, so
 // the bytes of each experiment are those of its members replayed alone,
@@ -28,6 +29,7 @@ import (
 type source struct {
 	name  string // report label: the workload name, or the trace file's sweep label
 	trace string // file path for trace-backed sources, "" otherwise
+	hier  bool   // the workload's hierarchy group, not its paper group
 }
 
 // newSystems returns the memo of sized baseline/proposed pairs, one
@@ -43,8 +45,9 @@ func newSystems() *sim.Shared[yield.Scenario, [2]*core.System] {
 	})
 }
 
-// replayGroup is the memo's build: the source's single replay, with
-// reports ordered scenario-major, then mode, then [baseline, proposed].
+// replayGroup is the memo's build: the source's single replay. A paper
+// group's reports are ordered scenario-major, then mode, then
+// [baseline, proposed]; a hier group's geometry-major, then protection.
 func (o Options) replayGroup(src source) ([]core.Report, error) {
 	var arena trace.Slab
 	var err error
@@ -57,6 +60,18 @@ func (o Options) replayGroup(src source) ([]core.Report, error) {
 		return nil, err
 	}
 	var members []core.GroupMember
+	if src.hier {
+		for _, g := range o.L2Geometries {
+			for _, p := range l2Protections {
+				sys, err := core.NewSystem(hierConfig(g, o.L2Latency, p.kind))
+				if err != nil {
+					return nil, err
+				}
+				members = append(members, core.GroupMember{Sys: sys, Mode: core.ModeHP})
+			}
+		}
+		return core.RunGroupArena(src.name, arena, members)
+	}
 	for _, s := range scenarios {
 		sys, err := o.systems.Get(s)
 		if err != nil {
@@ -98,13 +113,4 @@ func replayTwo(name string, slab trace.Slab, a, b *core.System, m core.Mode) (ra
 		return core.Report{}, core.Report{}, err
 	}
 	return reps[0], reps[1], nil
-}
-
-// replayOne replays one system alone over the slab.
-func replayOne(name string, slab trace.Slab, sys *core.System, m core.Mode) (core.Report, error) {
-	reps, err := core.RunGroupArena(name, slab, []core.GroupMember{{Sys: sys, Mode: m}})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return reps[0], nil
 }

@@ -13,9 +13,9 @@ import (
 	"edcache/internal/trace"
 )
 
-// sharedReplayExperiments read their pairs from the run-wide replay
+// sharedReplayExperiments read their reports from the run-wide replay
 // memo.
-var sharedReplayExperiments = []string{"fig3", "fig4", "headline", "corpus", "phase-epi"}
+var sharedReplayExperiments = []string{"fig3", "fig4", "headline", "corpus", "phase-epi", "hier-epi", "shared-l2"}
 
 // replayTestOptions are tinyOptions plus a phase-annotated and an
 // unannotated trace file, so the memo holds file sources as well.
@@ -115,9 +115,11 @@ func (s countingSlab) NewCursor() trace.SliceBatcher {
 
 // TestRunAllReplaysEachSourceOnce counts the memo's builds over one
 // full-suite run with trace files: every generator workload and every
-// file is replayed exactly once, whichever experiments read it. Each
-// file is walked exactly twice — its group replay and corpus-miss's
-// stack-distance profile — so no reader replays it behind the memo.
+// file is replayed exactly once, whichever experiments read it, and so
+// is each hier workload's hierarchy group, which both hier-epi and
+// shared-l2 read. Each file is walked exactly twice — its group replay
+// and corpus-miss's stack-distance profile — so no reader replays it
+// behind the memo.
 func TestRunAllReplaysEachSourceOnce(t *testing.T) {
 	o := replayTestOptions(t).withDefaults()
 	walks := map[string]*atomic.Int64{}
@@ -145,6 +147,9 @@ func TestRunAllReplaysEachSourceOnce(t *testing.T) {
 	want := map[source]bool{}
 	for _, w := range bench.Full() {
 		want[source{name: w.Name}] = true
+	}
+	for _, w := range hierWorkloads {
+		want[source{name: w, hier: true}] = true
 	}
 	for path, name := range traceSourceNames(o.TraceFiles) {
 		want[source{name: name, trace: path}] = true

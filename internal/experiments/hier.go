@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,8 +17,8 @@ import (
 // much of the L1 miss cost an L2 absorbs per workload (hier-epi, with
 // per-level energy attribution), and what two cores contending for one
 // shared L2 cost each other (shared-l2). Both sweep Options.L2Geometries
-// at Options.L2Latency; systems are memoized per design point so a grid
-// of N workloads builds each hierarchy configuration once.
+// at Options.L2Latency and read their tiered reports from the
+// workload's hier group in the run-wide replay memo (group.go).
 
 // L2Geometry is one swept second-level shape; the line size is always
 // the L1's.
@@ -80,10 +81,11 @@ var l2Protections = []struct {
 	{"dected", ecc.KindDECTED},
 }
 
-func protByName(name string) (ecc.Kind, error) {
-	for _, p := range l2Protections {
+// protByName returns the index of a protection on l2Protections.
+func protByName(name string) (int, error) {
+	for i, p := range l2Protections {
 		if p.name == name {
-			return p.kind, nil
+			return i, nil
 		}
 	}
 	return 0, fmt.Errorf("experiments: unknown L2 protection %q", name)
@@ -94,12 +96,6 @@ func protByName(name string) (ecc.Kind, error) {
 // phase-shifting mix and the L1-adversarial sweep.
 var hierWorkloads = []string{"gsm_c", "ptrchase_l", "stencil_dsp", "phased_mix", "adversarial_l1"}
 
-// hierKey identifies one memoized hierarchy design point.
-type hierKey struct {
-	geom L2Geometry
-	prot ecc.Kind
-}
-
 // hierConfig is the platform both hierarchy experiments sweep: the
 // scenario-A proposed L1s over one L2 of the given shape and policy.
 func hierConfig(g L2Geometry, latency int, prot ecc.Kind) core.Config {
@@ -108,17 +104,23 @@ func hierConfig(g L2Geometry, latency int, prot ecc.Kind) core.Config {
 	})
 }
 
-// newHierSystems memoizes one scenario-A proposed System per hierarchy
-// design point, plus the flat (no-L2) sibling every delta compares
-// against.
-func newHierSystems(o Options) (*sim.Shared[hierKey, *core.System], *sim.Shared[struct{}, *core.System]) {
-	tiered := sim.NewShared(func(k hierKey) (*core.System, error) {
-		return core.NewSystem(hierConfig(k.geom, o.L2Latency, k.prot))
-	})
-	flat := sim.NewShared(func(struct{}) (*core.System, error) {
-		return core.NewSystem(core.PaperConfig(scenarios[0], core.Proposed))
-	})
-	return tiered, flat
+// hierReport returns the workload's tiered report at one design point
+// of the run's axes, triggering the workload's hier group replay on
+// first use.
+func (o Options) hierReport(w string, g L2Geometry, prot string) (core.Report, error) {
+	gi := slices.Index(o.L2Geometries, g)
+	if gi < 0 {
+		return core.Report{}, fmt.Errorf("experiments: L2 geometry %v is not on the run's axis %v", g, o.L2Geometries)
+	}
+	pi, err := protByName(prot)
+	if err != nil {
+		return core.Report{}, err
+	}
+	reps, err := o.replays.Get(source{name: w, hier: true})
+	if err != nil {
+		return core.Report{}, fmt.Errorf("experiments: %s hier group: %w", w, err)
+	}
+	return reps[gi*len(l2Protections)+pi], nil
 }
 
 // hierEPIExperiment sweeps L2 geometry × protection × workload on the
@@ -127,7 +129,6 @@ func newHierSystems(o Options) (*sim.Shared[hierKey, *core.System], *sim.Shared[
 // whole-run EPI and cycle delta against the single-level platform.
 func hierEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	tiered, flat := newHierSystems(o)
 	return sim.Def{
 		ExpName: "hier-epi",
 		Desc:    "two-level hierarchy sweep — per-level EPI, traffic and stall breakdown across L2 geometry × protection × workload, with deltas vs the single-level platform",
@@ -151,31 +152,19 @@ func hierEPIExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			prot, err := protByName(t.Params["prot"])
+			rep, err := o.hierReport(t.Params["workload"], g, t.Params["prot"])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			w, arena, err := o.workloadArena(t.Params["workload"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			sys, err := tiered.Get(hierKey{geom: g, prot: prot})
-			if err != nil {
-				return sim.Result{}, err
-			}
-			fsys, err := flat.Get(struct{}{})
-			if err != nil {
-				return sim.Result{}, err
-			}
-			rep, frep, err := replayTwo(w.Name, arena, sys, fsys, core.ModeHP)
+			flat, err := o.pair(source{name: t.Params["workload"]}, scenarios[0], core.ModeHP)
 			if err != nil {
 				return sim.Result{}, err
 			}
 			l1, l2 := rep.Levels[0], rep.Levels[1]
 			ms := []sim.Metric{
 				sim.NumU("epi", rep.EPI.Total(), "pJ/i"),
-				sim.Fmt("epi_delta", 100*(rep.EPI.Total()/frep.EPI.Total()-1), "%+.1f%%"),
-				sim.Fmt("cycles_delta", 100*(float64(rep.Stats.Cycles)/float64(frep.Stats.Cycles)-1), "%+.1f%%"),
+				sim.Fmt("epi_delta", 100*(rep.EPI.Total()/flat.Prop.EPI.Total()-1), "%+.1f%%"),
+				sim.Fmt("cycles_delta", 100*(float64(rep.Stats.Cycles)/float64(flat.Prop.Stats.Cycles)-1), "%+.1f%%"),
 				sim.NumU("l1_epi", l1.EPI(), "pJ/i"),
 				sim.NumU("l2_epi", l2.EPI(), "pJ/i"),
 				sim.Fmt("l2_miss", missPct(l2.Misses, l2.Accesses), "%.2f%%"),
@@ -206,7 +195,6 @@ var sharedPairs = [][2]string{
 // when sharing versus running the same hierarchy alone.
 func sharedL2Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	tiered, _ := newHierSystems(o)
 	return sim.Def{
 		ExpName: "shared-l2",
 		Desc:    "shared-L2 contention sweep — per-core EPI and L2 miss inflation of co-running workload pairs vs each running the hierarchy alone",
@@ -236,7 +224,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			sys, err := tiered.Get(hierKey{geom: g, prot: ecc.KindNone})
+			sys, err := core.NewSystem(hierConfig(g, o.L2Latency, ecc.KindNone))
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -250,9 +238,8 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			var detail strings.Builder
 			fmt.Fprintf(&detail, "  %-16s %10s %10s %12s %12s\n",
 				"core", "epi pJ/i", "Δepi", "l2 misses", "Δmisses")
-			arenas := []*trace.Arena{aa, ab}
 			for i, rep := range shared {
-				alone, err := replayOne(rep.Workload, arenas[i], sys, core.ModeHP)
+				alone, err := o.hierReport(rep.Workload, g, "none")
 				if err != nil {
 					return sim.Result{}, err
 				}

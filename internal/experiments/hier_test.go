@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"edcache/internal/sim"
+)
 
 func TestParseL2Geometries(t *testing.T) {
 	gs, err := ParseL2Geometries("128x8, 512x8,16x2")
@@ -35,5 +40,21 @@ func TestHierGridShape(t *testing.T) {
 	}
 	if got, want := len(sharedL2Experiment(o).Grid()), len(o.L2Geometries)*len(sharedPairs); got != want {
 		t.Errorf("shared-l2 grid has %d tasks, want %d", got, want)
+	}
+}
+
+// TestHierOffAxisTaskFails runs hier-epi tasks whose L2 geometry or
+// protection is not on the run's axes: each must fail with an error,
+// never index the hier group out of range.
+func TestHierOffAxisTaskFails(t *testing.T) {
+	o := Options{Instructions: 1000}.withDefaults()
+	e := hierEPIExperiment(o)
+	for _, params := range []map[string]string{
+		sim.P("l2", "32x2", "prot", "none", "workload", "gsm_c", "mode", "HP"),
+		sim.P("l2", o.L2Geometries[0].String(), "prot", "parity", "workload", "gsm_c", "mode", "HP"),
+	} {
+		if _, err := e.Run(sim.Task{Params: params}, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("off-axis task %v: no error", params)
+		}
 	}
 }
