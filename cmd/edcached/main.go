@@ -8,7 +8,7 @@
 // Server mode:
 //
 //	edcached -data DIR [-listen 127.0.0.1:8344] [-workers N] [-queue N]
-//	         [-shards N] [-lease-ttl 10s] [-deadline 0] [-retries 2]
+//	         [-shards N] [-lease-ttl 10s] [-deadline 0]
 //	         [-request-timeout 30s] [-drain-timeout 30s]
 //
 // The store lives at DIR/store and the job journal at DIR/jobs. The
@@ -76,7 +76,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		shards       = fs.Int("shards", 8, "default shards per job (capped at the grid size)")
 		leaseTTL     = fs.Duration("lease-ttl", 10*time.Second, "shard lease TTL between heartbeats")
 		deadline     = fs.Duration("deadline", 0, "default per-job deadline (0 = none)")
-		retries      = fs.Int("retries", 2, "transient-error retries per grid point")
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "timeout for non-streaming HTTP requests")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a drain may take before the exit stops waiting")
 	)
@@ -90,7 +89,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 			wname = fmt.Sprintf("worker-%d", os.Getpid())
 		}
 		fmt.Fprintf(stdout, "edcached: worker %s claiming from %s\n", wname, *server)
-		w := &edcached.Worker{Server: *server, Name: wname, Poll: *poll, Retries: *retries}
+		w := &edcached.Worker{Server: *server, Name: wname, Poll: *poll}
 		return w.Run(ctx)
 	}
 
@@ -114,7 +113,6 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		DefaultShards:   *shards,
 		LeaseTTL:        *leaseTTL,
 		DefaultDeadline: *deadline,
-		Retries:         *retries,
 		RequestTimeout:  *reqTimeout,
 	})
 	if err != nil {

@@ -30,7 +30,8 @@ import "edcache/internal/sim"
 // that shape a job's grid and results. Zero values mean the package
 // defaults (see experiments.Options). Workers here is the engine's
 // inner Monte-Carlo fan-out, proven result-neutral — it shapes speed,
-// not bytes — so it is safe to let clients tune it per job.
+// not bytes — so it is safe to let clients tune it per job. Submit
+// caps Instructions at 10 000 000 and Trials at 1 000 000.
 type GridOptions struct {
 	Instructions int `json:"instructions,omitempty"`
 	Trials       int `json:"trials,omitempty"`

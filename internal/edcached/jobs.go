@@ -108,11 +108,6 @@ type Config struct {
 	// DefaultDeadline caps jobs that do not set one; 0 means none.
 	DefaultDeadline time.Duration
 
-	// Retries / RetryBase configure the engine's transient-retry loop
-	// per shard runner.
-	Retries   int
-	RetryBase time.Duration
-
 	// RequestTimeout bounds every non-streaming HTTP request;
 	// 0 means 30s. (Used by Server, carried here so one struct
 	// configures the daemon.)
@@ -269,8 +264,20 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
+// Admission caps on a job's grid options, 33× and 500× paper scale:
+// instructions size every workload slab (16 B each), so an unbounded
+// count lets one request make the first claimant allocate terabytes.
+const (
+	maxInstructions = 10_000_000
+	maxTrials       = 1_000_000
+)
+
 // Submit validates and enqueues a job.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
+	if spec.Options.Instructions > maxInstructions || spec.Options.Trials > maxTrials {
+		return JobStatus{}, fmt.Errorf("%w: options exceed instructions %d or trials %d",
+			ErrBadRequest, maxInstructions, maxTrials)
+	}
 	if spec.DeadlineMS < 0 || spec.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
 		return JobStatus{}, fmt.Errorf("%w: deadlineMS %d does not fit a time.Duration", ErrBadRequest, spec.DeadlineMS)
 	}
@@ -610,14 +617,7 @@ func (m *Manager) runShard(j *job, worker string, idx, gen int, ids []int) {
 	shardCtx, stop := withHeartbeat(j.ctx, m.cfg.LeaseTTL, func(context.Context) bool {
 		return j.table.renew(idx, gen)
 	})
-	runner := sim.Runner{
-		Workers:   1,
-		Seed:      j.spec.Seed,
-		Retries:   m.cfg.Retries,
-		RetryBase: m.cfg.RetryBase,
-		Cache:     j.cache,
-		Progress:  j.pointEvent,
-	}
+	runner := sim.Runner{Workers: 1, Seed: j.spec.Seed, Cache: j.cache, Progress: j.pointEvent}
 	results, err := runner.RunTasks(shardCtx, j.exp, ids)
 	stop()
 
@@ -680,8 +680,8 @@ func (m *Manager) supervise(j *job) {
 }
 
 // assemble orders the deposited shard results by grid index, applies
-// the Finish hook (under a panic shield — Finish runs experiment code)
-// and completes the job.
+// the Finish hook (sim.Finish shields it: a panic there quarantines the
+// job) and completes the job.
 func (m *Manager) assemble(j *job) {
 	j.mu.Lock()
 	results := make([]sim.Result, 0, len(j.grid))
@@ -696,10 +696,10 @@ func (m *Manager) assemble(j *job) {
 	}
 	j.mu.Unlock()
 
-	final, err := safeFinish(j.exp, results)
+	final, err := sim.Finish(j.exp, results)
 	if err != nil {
 		state := JobFailed
-		var pe *panicError
+		var pe *sim.PanicError
 		if errors.As(err, &pe) {
 			state = JobQuarantined
 		}
@@ -710,20 +710,6 @@ func (m *Manager) assemble(j *job) {
 	j.final = final
 	j.mu.Unlock()
 	m.finishJob(j, JobDone, "")
-}
-
-// panicError wraps a recovered Finish-hook panic.
-type panicError struct{ val any }
-
-func (e *panicError) Error() string { return fmt.Sprintf("finish hook panicked: %v", e.val) }
-
-func safeFinish(e sim.Experiment, results []sim.Result) (out []sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			out, err = nil, &panicError{v}
-		}
-	}()
-	return sim.Finish(e, results)
 }
 
 // finishJob performs the single terminal transition: state, journal,

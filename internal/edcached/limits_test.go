@@ -80,3 +80,29 @@ func TestDeadlineMSBounded(t *testing.T) {
 		t.Fatalf("deadlineMS %d: job ended %q: %s", maxMS, final.State, final.Error)
 	}
 }
+
+// TestGridOptionsAdmissionCaps pins the POST /jobs caps on the grid
+// options: a job at maxInstructions or maxTrials is admitted, one past
+// either cap answers 400. The server runs no shard and its registry caps
+// grids at 16 points, so an admitted job computes and allocates nothing.
+func TestGridOptionsAdmissionCaps(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Registry = fuzzRegistry
+		c.Workers = 0
+	})
+	for _, tc := range []struct {
+		opts GridOptions
+		want int
+	}{
+		{GridOptions{Instructions: maxInstructions}, http.StatusAccepted},
+		{GridOptions{Trials: maxTrials}, http.StatusAccepted},
+		{GridOptions{Instructions: maxInstructions + 1}, http.StatusBadRequest},
+		{GridOptions{Trials: maxTrials + 1}, http.StatusBadRequest},
+		{GridOptions{Instructions: 1_000_000_000_000}, http.StatusBadRequest},
+	} {
+		spec := JobSpec{Experiment: "sweep", Seed: 1, Options: tc.opts}
+		if resp, body := postJSON(t, ts.URL+"/jobs", spec); resp.StatusCode != tc.want {
+			t.Errorf("options %+v: status %d, want %d: %s", tc.opts, resp.StatusCode, tc.want, body)
+		}
+	}
+}

@@ -36,8 +36,6 @@ type Worker struct {
 	Registry RegistryFunc
 	// Poll is the idle claim interval; 0 means 500ms.
 	Poll time.Duration
-	// Retries configures the per-shard runner's transient-retry loop.
-	Retries int
 
 	mu     sync.Mutex
 	stores map[string]*store.Store
@@ -104,7 +102,7 @@ func (w *Worker) runClaim(ctx context.Context, cl ClaimResponse) {
 		// and computing on is harmless (idempotent).
 		return err != nil || code == http.StatusOK
 	})
-	runner := sim.Runner{Workers: 1, Seed: cl.Seed, Retries: w.Retries, Cache: cache}
+	runner := sim.Runner{Workers: 1, Seed: cl.Seed, Cache: cache}
 	_, err = runner.RunTasks(shardCtx, exp, cl.TaskIDs)
 	stop()
 	if err != nil {

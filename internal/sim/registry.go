@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,19 +66,25 @@ func (r *Registry) Names() []string {
 // yields every registered experiment, otherwise the selector is a
 // comma-separated list where each element must match a name exactly or
 // be the unique prefix of one (so "ablations" is spelled "a1…a6" but
-// "fig" alone is ambiguous and rejected).
+// "fig" alone is ambiguous and rejected). A name selected more than once
+// is listed once, at its first mention.
 func (r *Registry) Resolve(selector string) ([]string, error) {
 	if selector == "" || selector == "all" {
 		return r.Names(), nil
 	}
 	var out []string
+	add := func(name string) {
+		if !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+	}
 	for _, part := range strings.Split(selector, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		if _, ok := r.Get(part); ok {
-			out = append(out, part)
+			add(part)
 			continue
 		}
 		var matches []string
@@ -90,7 +97,7 @@ func (r *Registry) Resolve(selector string) ([]string, error) {
 		case 0:
 			return nil, fmt.Errorf("sim: unknown experiment %q (have: %s)", part, strings.Join(r.Names(), ", "))
 		case 1:
-			out = append(out, matches[0])
+			add(matches[0])
 		default:
 			sort.Strings(matches)
 			return nil, fmt.Errorf("sim: ambiguous experiment %q (matches %s)", part, strings.Join(matches, ", "))

@@ -7,40 +7,29 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Runner executes an experiment's parameter grid on a worker pool.
 //
-// Tasks are handed to workers through a channel, but each worker writes
-// its result into the slot indexed by the task ID, so the collected
-// slice — and everything derived from it (Finish summaries, sink
-// output) — is identical for any worker count.
+// Workers take grid positions in order, but each writes its result into
+// the slot indexed by the task ID, so the collected slice — and
+// everything derived from it (Finish summaries, sink output) — is
+// identical for any worker count.
 //
-// The Runner is fault-tolerant by construction: a panicking grid point
-// becomes an error naming the point (the pool survives), errors marked
-// Transient are retried with deterministic seeded backoff, a cancelled
-// context drains the pool without leaking goroutines, and a configured
-// Cache checkpoints every completed task so an interrupted sweep
-// resumes with hits. None of this changes the determinism contract:
-// byte-identical output for any worker count, with or without a warm
-// cache.
+// A task runs once, and every failure takes one path: a returned error
+// or a recovered panic becomes an error naming the experiment and grid
+// point, stops further dispatch, and comes back with the results that
+// did complete. A cancelled context drains the pool without leaking
+// goroutines, and a configured Cache checkpoints every completed task
+// so an interrupted sweep resumes with hits. None of this changes the
+// determinism contract: byte-identical output for any worker count,
+// with or without a warm cache.
 type Runner struct {
 	// Workers is the pool size; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Seed is the master seed every per-task RNG derives from. Zero is
 	// a valid (and the default) fixed seed.
 	Seed int64
-
-	// Retries is how many times a task whose error is marked Transient
-	// is re-attempted (with a fresh identically-seeded RNG, so a retry
-	// that succeeds is byte-identical to a first try that did) before
-	// the failure is final. Zero disables retries.
-	Retries int
-	// RetryBase is the base backoff delay before retry k:
-	// RetryBase·2^k scaled by deterministic jitter in [0.5, 1.5).
-	// ≤ 0 means 50ms.
-	RetryBase time.Duration
 
 	// Cache, when non-nil, is consulted before each task runs and
 	// written after it completes — the durable-resume hook (see
@@ -51,24 +40,9 @@ type Runner struct {
 	// completes successfully — computed or served from Cache — with the
 	// fully stamped result. It is called from worker goroutines, so it
 	// must be safe for concurrent use, and it is the service layer's
-	// per-grid-point event hook: failures and retries are not reported
-	// here, they surface through the run's returned error.
+	// per-grid-point event hook: failures are not reported here, they
+	// surface through the run's returned error.
 	Progress func(r Result, cached bool)
-}
-
-// workers returns the effective pool size for n tasks.
-func (r Runner) workers(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Run executes every task of the experiment's grid and returns the
@@ -137,7 +111,7 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	runOne := func(pos int) {
+	forEach(runCtx, r.Workers, n, func(pos int) {
 		i := ids[pos]
 		t := tasks[i]
 		t.ID = i
@@ -156,9 +130,11 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 				return
 			}
 		}
-		res, err := r.attempt(runCtx, e, t)
+		res, err := runShielded(func() (Result, error) {
+			return e.Run(t, rand.New(rand.NewSource(t.Seed)))
+		})
 		if err != nil {
-			errs[pos] = err
+			errs[pos] = fmt.Errorf("%s [%s]: %w", e.Name(), t.Label, err)
 			cancel() // first failure stops dispatching new tasks
 			return
 		}
@@ -171,35 +147,7 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 		if r.Progress != nil {
 			r.Progress(res, false)
 		}
-	}
-
-	if workers := r.workers(n); workers == 1 {
-		for pos := 0; pos < n && runCtx.Err() == nil; pos++ {
-			runOne(pos)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pos := range jobs {
-					runOne(pos)
-				}
-			}()
-		}
-	feed:
-		for pos := 0; pos < n; pos++ {
-			select {
-			case jobs <- pos:
-			case <-runCtx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	})
 
 	var firstErr error
 	for _, err := range errs {
@@ -228,13 +176,17 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 // hook added with the experiment name. Experiments without a Finisher
 // pass through unchanged. Callers that assemble a grid from shards
 // (RunTasks) use this to get the exact result set RunContext would have
-// produced.
+// produced. A panicking hook comes back as an error wrapping a
+// *PanicError, like a panicking task.
 func Finish(e Experiment, results []Result) ([]Result, error) {
 	f, ok := e.(Finisher)
 	if !ok {
 		return results, nil
 	}
-	results, err := f.Finish(results)
+	results, err := runShielded(func() ([]Result, error) { return f.Finish(results) })
+	if _, panicked := err.(*PanicError); panicked {
+		err = fmt.Errorf("finish hook panicked: %w", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: finish: %w", e.Name(), err)
 	}
@@ -244,36 +196,6 @@ func Finish(e Experiment, results []Result) ([]Result, error) {
 		}
 	}
 	return results, nil
-}
-
-// attempt runs one task through the panic shield and the transient-
-// retry loop. Every attempt gets a fresh RNG from the same task seed,
-// so a task that succeeds on retry k is byte-identical to one that
-// succeeded immediately — retries are invisible to the determinism
-// contract. The backoff schedule itself is seeded from (master seed,
-// experiment, task), never from the wall clock.
-func (r Runner) attempt(ctx context.Context, e Experiment, t Task) (Result, error) {
-	base := r.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	var jr *rand.Rand
-	for attempt := 0; ; attempt++ {
-		res, err := runShielded(e, t, rand.New(rand.NewSource(t.Seed)))
-		if err == nil {
-			return res, nil
-		}
-		wrapped := fmt.Errorf("%s [%s]: %w", e.Name(), t.Label, err)
-		if attempt >= r.Retries || !IsTransient(err) {
-			return Result{}, wrapped
-		}
-		if jr == nil {
-			jr = rand.New(rand.NewSource(SubSeed(r.Seed, e.Name()+"/retry", t.ID)))
-		}
-		if !sleepCtx(ctx, backoff(base, attempt, jr)) {
-			return Result{}, wrapped // cancelled mid-backoff: fail with the last error
-		}
-	}
 }
 
 // RunAll runs the named experiments from the registry in order and
@@ -305,31 +227,50 @@ func (r Runner) RunAllContext(ctx context.Context, reg *Registry, names []string
 }
 
 // Map fans fn out over indices [0, n) across a pool of `workers`
-// goroutines and returns the outputs in index order. The first error by
-// index wins; remaining indices may or may not have been evaluated.
-// It is the engine's primitive for embarrassingly parallel inner loops
-// (workload fan-out, Monte-Carlo trial shards).
+// goroutines and returns the outputs in index order. It is the engine's
+// primitive for embarrassingly parallel inner loops (workload fan-out,
+// Monte-Carlo trial shards). The first error stops dispatch: indices are
+// handed out in order, so every index below a failing one has run, and
+// the error returned is the one at the lowest index.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make([]T, n)
+	errs := make([]error, n)
+	forEach(ctx, workers, n, func(i int) {
+		if out[i], errs[i] = fn(i); errs[i] != nil {
+			cancel()
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// forEach calls fn(i) for i in [0, n), dispatching indices in order to
+// up to workers goroutines (≤ 0 means runtime.GOMAXPROCS(0); the count
+// is clamped to n, and one or fewer runs serially on the caller's
+// goroutine). Once ctx is done no further index is dispatched; forEach
+// returns after every call it made has returned. It is the one worker
+// pool behind Runner and Map.
+func forEach(ctx context.Context, workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
 		}
-		return out, nil
+		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -338,21 +279,20 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i], errs[i] = fn(i)
+				fn(i)
 			}
 		}()
 	}
+feed:
 	for i := 0; i < n; i++ {
-		jobs <- i
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break feed
+		}
 	}
 	close(jobs)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // SubSeed derives a deterministic per-task seed from a master seed, a

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -166,5 +167,30 @@ func TestFinishHelperWrapsErrors(t *testing.T) {
 	}
 	if _, err := Finish(e, nil); err == nil || err.Error() != "finfail: finish: no aggregate" {
 		t.Fatalf("finish error not wrapped: %v", err)
+	}
+}
+
+func TestFinishPanicIsAnError(t *testing.T) {
+	e := Def{
+		ExpName:  "finpanic",
+		GridFn:   gridExperiment("finpanic", 2).GridFn,
+		RunFn:    gridExperiment("finpanic", 2).RunFn,
+		FinishFn: func([]Result) ([]Result, error) { panic("summary bug") },
+	}
+	for _, run := range []func() ([]Result, error){
+		func() ([]Result, error) { return Finish(e, nil) },
+		func() ([]Result, error) { return Runner{Workers: 2}.Run(e) },
+	} {
+		res, err := run()
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "summary bug" {
+			t.Fatalf("Finish panic not returned as a PanicError: %v", err)
+		}
+		if !strings.HasPrefix(err.Error(), "finpanic: finish: finish hook panicked: panic: summary bug") {
+			t.Fatalf("Finish panic error = %q", err)
+		}
+		if res != nil {
+			t.Fatalf("Finish panic returned results: %v", res)
+		}
 	}
 }

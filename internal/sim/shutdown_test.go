@@ -3,8 +3,8 @@ package sim
 // Runner shutdown-path coverage: cancellation and first-error shutdowns
 // must drain the worker pool without leaking goroutines (checked by
 // goroutine count, run under -race in CI), a panicking Experiment must
-// surface as an error naming the grid point, and transient retries must
-// be deterministic and invisible in the results.
+// surface as an error naming the grid point, and a failing task must run
+// exactly once.
 
 import (
 	"context"
@@ -152,91 +152,21 @@ func TestRunContextPanicNamesGridPoint(t *testing.T) {
 	assertNoLeakedGoroutines(t, baseline)
 }
 
-func TestTransientRetriesSucceedDeterministically(t *testing.T) {
-	flaky := func() Def {
+func TestFailingTaskRunsOnce(t *testing.T) {
+	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
-		attempts := map[int]int{}
-		return sleepyExperiment("flaky", 8, 0, func(tk Task) error {
+		runs := 0
+		fatal := sleepyExperiment("fatal", 1, 0, func(tk Task) error {
 			mu.Lock()
-			defer mu.Unlock()
-			attempts[tk.ID]++
-			if tk.ID%3 == 0 && attempts[tk.ID] <= 2 {
-				return Transient(fmt.Errorf("simulated I/O hiccup %d", attempts[tk.ID]))
-			}
-			return nil
+			runs++
+			mu.Unlock()
+			return errors.New("deterministic failure")
 		})
-	}
-	r := Runner{Workers: 4, Retries: 3, RetryBase: time.Microsecond}
-	got, err := r.Run(flaky())
-	if err != nil {
-		t.Fatalf("retries did not heal the flake: %v", err)
-	}
-	want, err := Runner{Workers: 4}.Run(sleepyExperiment("flaky", 8, 0, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("result counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Metrics[0].Value != want[i].Metrics[0].Value {
-			t.Fatalf("task %d: retried run diverged (%v vs %v) — retry must reuse the task seed",
-				i, got[i].Metrics[0].Value, want[i].Metrics[0].Value)
+		if _, err := (Runner{Workers: workers}).Run(fatal); err == nil || !strings.Contains(err.Error(), "deterministic failure") {
+			t.Fatalf("workers=%d: want the task error, got %v", workers, err)
 		}
-	}
-}
-
-func TestRetriesExhaustAndNonTransientFailsFast(t *testing.T) {
-	var mu sync.Mutex
-	counts := map[string]int{}
-	count := func(k string) {
-		mu.Lock()
-		counts[k]++
-		mu.Unlock()
-	}
-
-	hopeless := sleepyExperiment("hopeless", 1, 0, func(tk Task) error {
-		count("hopeless")
-		return Transient(errors.New("never heals"))
-	})
-	r := Runner{Workers: 1, Retries: 2, RetryBase: time.Microsecond}
-	if _, err := r.Run(hopeless); err == nil || !strings.Contains(err.Error(), "never heals") {
-		t.Fatalf("want the transient error after exhaustion, got %v", err)
-	}
-	if counts["hopeless"] != 3 { // initial try + 2 retries
-		t.Fatalf("transient task ran %d times, want 3", counts["hopeless"])
-	}
-
-	fatal := sleepyExperiment("fatal", 1, 0, func(tk Task) error {
-		count("fatal")
-		return errors.New("deterministic failure")
-	})
-	if _, err := r.Run(fatal); err == nil {
-		t.Fatal("fatal error vanished")
-	}
-	if counts["fatal"] != 1 {
-		t.Fatalf("non-transient task retried: ran %d times", counts["fatal"])
-	}
-}
-
-func TestBackoffScheduleIsDeterministic(t *testing.T) {
-	schedule := func() []time.Duration {
-		jr := rand.New(rand.NewSource(SubSeed(7, "exp/retry", 3)))
-		out := make([]time.Duration, 5)
-		for k := range out {
-			out[k] = backoff(50*time.Millisecond, k, jr)
-		}
-		return out
-	}
-	a, b := schedule(), schedule()
-	for k := range a {
-		if a[k] != b[k] {
-			t.Fatalf("backoff attempt %d differs across runs: %v vs %v", k, a[k], b[k])
-		}
-		lo := 50 * time.Millisecond / 2 << uint(k)
-		hi := 3 * 50 * time.Millisecond / 2 << uint(k)
-		if a[k] < lo || a[k] >= hi {
-			t.Fatalf("backoff attempt %d = %v outside [%v, %v)", k, a[k], lo, hi)
+		if runs != 1 {
+			t.Fatalf("workers=%d: failing task ran %d times, want 1", workers, runs)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // rngExperiment exercises per-task RNG determinism: each task draws
@@ -162,15 +163,43 @@ func TestMapOrderAndConcurrency(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Map(8, 50, func(i int) (int, error) {
-		if i == 31 {
-			return 0, boom
+	err3, err7 := errors.New("index 3"), errors.New("index 7")
+	for _, workers := range []int{1, 4, 8} {
+		_, err := Map(workers, 64, func(i int) (int, error) {
+			switch i {
+			case 3:
+				time.Sleep(20 * time.Millisecond) // let index 7 fail first
+				return 0, err3
+			case 7:
+				return 0, err7
+			}
+			return i, nil
+		})
+		if !errors.Is(err, err3) {
+			t.Fatalf("workers=%d: Map error = %v, want the lowest index's", workers, err)
 		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("Map error = %v, want boom", err)
+	}
+}
+
+func TestMapStopsDispatchAfterError(t *testing.T) {
+	const n = 10000
+	boom := errors.New("boom")
+	for _, workers := range []int{4, 8} {
+		var calls atomic.Int32
+		_, err := Map(workers, n, func(i int) (int, error) {
+			calls.Add(1)
+			if i == 0 {
+				return 0, boom
+			}
+			time.Sleep(10 * time.Microsecond)
+			return i, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: Map error = %v, want boom", workers, err)
+		}
+		if c := calls.Load(); c >= n/10 {
+			t.Fatalf("workers=%d: fn ran %d of %d times after index 0 failed", workers, c, n)
+		}
 	}
 }
 
@@ -218,6 +247,19 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := r.Resolve("nope"); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+	// A name selected twice, exactly or by prefix, runs once, in the
+	// order of its first mention.
+	for sel, want := range map[string][]string{
+		"alpha,alpha":      {"alpha"},
+		"beta,al,alpha":    {"beta", "alpha"},
+		"beam,alpha,beam":  {"beam", "alpha"},
+		"al, alpha ,beta,": {"alpha", "beta"},
+	} {
+		names, err := r.Resolve(sel)
+		if err != nil || !reflect.DeepEqual(names, want) {
+			t.Fatalf("Resolve(%q) = %v, %v; want %v", sel, names, err, want)
+		}
 	}
 }
 
