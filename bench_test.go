@@ -232,7 +232,7 @@ func BenchmarkImportanceSampling(b *testing.B) {
 	cell := bitcell.MustNew(bitcell.T10, 2.6)
 	var pf float64
 	for i := 0; i < b.N; i++ {
-		pf = bitcell.MonteCarloFailureProb(cell, 0.35, 10_000, int64(i)).Pf
+		pf = bitcell.MonteCarloFailureProbN(cell, 0.35, 10_000, int64(i), 1).Pf
 	}
 	b.ReportMetric(pf*1e6, "Pf-x1e6")
 }

@@ -41,20 +41,6 @@ func (t Topology) String() string {
 	}
 }
 
-// Transistors returns the device count of the topology.
-func (t Topology) Transistors() int {
-	switch t {
-	case T6:
-		return 6
-	case T8:
-		return 8
-	case T10:
-		return 10
-	default:
-		return 0
-	}
-}
-
 // Cell is a sized SRAM bitcell: a topology plus a transistor width/length
 // scaling factor relative to the minimum size allowed by the technology
 // node (Size = 1.0 is minimum size).
@@ -155,25 +141,6 @@ func DynScale(vcc float64) float64 { return (vcc / Vnom) * (vcc / Vnom) }
 // QFunc is the standard normal tail probability Q(x) = P(Z > x).
 func QFunc(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
 
-// QInv inverts QFunc for p in (0, 0.5]: it returns x with Q(x) = p,
-// solved by bisection (monotone, well-conditioned for the Pf ranges the
-// sizing methodology uses).
-func QInv(p float64) float64 {
-	if p <= 0 || p > 0.5 {
-		panic(fmt.Sprintf("bitcell: QInv domain violation: p=%g", p))
-	}
-	lo, hi := 0.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if QFunc(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // SizeFor returns the smallest size factor (quantised to SizeStep) at
 // which the topology meets the target failure probability at the given
 // voltage, stepping exactly as the paper's Fig. 2 loop does. The boolean
@@ -188,30 +155,6 @@ func SizeFor(t Topology, vcc, targetPf float64) (Cell, bool) {
 		}
 	}
 	return Cell{Topo: t, Size: MaxSizeFactor}, false
-}
-
-// SizingTrace records one iteration of the Fig. 2 loop, for reporting.
-type SizingTrace struct {
-	Size float64
-	Pf   float64
-	Met  bool
-}
-
-// SizeForTrace is SizeFor, additionally returning the per-iteration trace
-// (cell size tried, resulting Pf) that cmd/sizer prints as the Fig. 2
-// walkthrough.
-func SizeForTrace(t Topology, vcc, targetPf float64) (Cell, bool, []SizingTrace) {
-	var trace []SizingTrace
-	for size := 1.0; size <= MaxSizeFactor+1e-9; size += SizeStep {
-		c := Cell{Topo: t, Size: quantise(size)}
-		pf := c.FailureProb(vcc)
-		met := pf <= targetPf
-		trace = append(trace, SizingTrace{Size: c.Size, Pf: pf, Met: met})
-		if met {
-			return c, true, trace
-		}
-	}
-	return Cell{Topo: t, Size: MaxSizeFactor}, false, trace
 }
 
 func quantise(size float64) float64 {

@@ -15,40 +15,6 @@ type MonteCarloResult struct {
 	Analytic float64 // closed-form value, for cross-checking
 }
 
-// MonteCarloFailureProb estimates the cell's hard-fault probability at
-// the given voltage by mean-shift importance sampling, mirroring the
-// approach of Chen et al. (ICCAD 2007) that the paper uses: the margin
-// distribution N(mu, sigma) is sampled under a proposal N(0, sigma)
-// centred on the failure boundary, and each failing sample is weighted by
-// the density ratio. This turns a 1e-6-probability tail, which plain
-// Monte-Carlo would need ~1e8 samples to resolve, into an estimate with a
-// few percent relative error at ~1e4 samples.
-func MonteCarloFailureProb(c Cell, vcc float64, samples int, seed int64) MonteCarloResult {
-	mu := c.MarginMean(vcc)
-	sigma := c.MarginSigma(vcc)
-	rng := rand.New(rand.NewSource(seed))
-	sum, sumSq := isChunk(mu, sigma, samples, rng)
-	return reduceIS(c, vcc, samples, sum, sumSq)
-}
-
-// reduceIS turns accumulated importance-sampling weights into the
-// final estimate — shared by the serial and sharded estimators so the
-// floor term and variance clamp cannot diverge.
-func reduceIS(c Cell, vcc float64, samples int, sum, sumSq float64) MonteCarloResult {
-	n := float64(samples)
-	mean := sum / n
-	variance := (sumSq/n - mean*mean) / n
-	if variance < 0 {
-		variance = 0
-	}
-	return MonteCarloResult{
-		Pf:       mean + c.FailureFloor(vcc),
-		StdErr:   math.Sqrt(variance),
-		Samples:  samples,
-		Analytic: c.FailureProb(vcc),
-	}
-}
-
 // isChunk draws `samples` importance-sampling weights and returns their
 // sum and sum of squares. Proposal: margin* ~ N(shift, sigma) with
 // shift = 0 (the failure boundary). Weight for sample x: f(x)/g(x) with
@@ -73,9 +39,18 @@ func isChunk(mu, sigma float64, samples int, rng *rand.Rand) (sum, sumSq float64
 // size.
 const mcShard = 4096
 
-// MonteCarloFailureProbN is MonteCarloFailureProb with the sample loop
-// sharded across a worker pool: samples are split into fixed-size
-// sub-seeded shards whose partial sums are reduced in shard order.
+// MonteCarloFailureProbN estimates the cell's hard-fault probability at
+// the given voltage by mean-shift importance sampling, mirroring the
+// approach of Chen et al. (ICCAD 2007) that the paper uses: the margin
+// distribution N(mu, sigma) is sampled under a proposal N(0, sigma)
+// centred on the failure boundary, and each failing sample is weighted by
+// the density ratio. This turns a 1e-6-probability tail, which plain
+// Monte-Carlo would need ~1e8 samples to resolve, into an estimate with a
+// few percent relative error at ~1e4 samples.
+//
+// The sample loop is sharded across a worker pool: samples are split
+// into fixed-size sub-seeded shards whose partial sums are reduced in
+// shard order, so the estimate is bit-identical for any worker count.
 func MonteCarloFailureProbN(c Cell, vcc float64, samples int, seed int64, workers int) MonteCarloResult {
 	mu := c.MarginMean(vcc)
 	sigma := c.MarginSigma(vcc)
@@ -98,7 +73,18 @@ func MonteCarloFailureProbN(c Cell, vcc float64, samples int, seed int64, worker
 		sum += p.sum
 		sumSq += p.sumSq
 	}
-	return reduceIS(c, vcc, samples, sum, sumSq)
+	n := float64(samples)
+	mean := sum / n
+	variance := (sumSq/n - mean*mean) / n
+	if variance < 0 {
+		variance = 0
+	}
+	return MonteCarloResult{
+		Pf:       mean + c.FailureFloor(vcc),
+		StdErr:   math.Sqrt(variance),
+		Samples:  samples,
+		Analytic: c.FailureProb(vcc),
+	}
 }
 
 // NaiveMonteCarloFailureProb is the unshifted estimator, retained to

@@ -3,7 +3,8 @@ package cache
 import "fmt"
 
 // MultiCache is a bank of K independent cache configurations driven by
-// one access stream: the single-pass half of the sweep engine. Every
+// one access stream. The replay engine's own bank is core's multiPort;
+// MultiCache is kept for edbench's probe, the only caller of Bank. Every
 // member owns its full simulator state — tag/LRU slabs, packed
 // valid/dirty masks, enabled mask, memo — so members may differ in
 // geometry and gating, and each one's behaviour is exactly that of a
@@ -20,23 +21,6 @@ import "fmt"
 // for concurrent use.
 type MultiCache struct {
 	members []*Cache
-}
-
-// NewMultiCache builds a bank with one freshly-constructed, all-ways-
-// enabled member per configuration.
-func NewMultiCache(cfgs ...Config) (*MultiCache, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("cache: empty multi-cache bank")
-	}
-	members := make([]*Cache, len(cfgs))
-	for i, cfg := range cfgs {
-		c, err := New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cache: bank member %d: %w", i, err)
-		}
-		members[i] = c
-	}
-	return &MultiCache{members: members}, nil
 }
 
 // Bank wraps already-constructed caches (way gating applied by the

@@ -20,7 +20,11 @@ func TestPropertyMultiCacheMatchesIndependentCaches(t *testing.T) {
 		{Sets: 8, Ways: 1, LineBytes: 32},  // direct-mapped
 		{Sets: 1, Ways: 64, LineBytes: 32}, // full mask word, one set
 	}
-	bank, err := NewMultiCache(cfgs...)
+	members := make([]*Cache, len(cfgs))
+	for k, cfg := range cfgs {
+		members[k] = MustNew(cfg)
+	}
+	bank, err := Bank(members...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +103,6 @@ func TestPropertyMultiCacheMatchesIndependentCaches(t *testing.T) {
 }
 
 func TestMultiCacheConstructorErrors(t *testing.T) {
-	if _, err := NewMultiCache(); err == nil {
-		t.Fatal("empty bank accepted")
-	}
-	if _, err := NewMultiCache(Config{Sets: 32, Ways: 8, LineBytes: 24}); err == nil {
-		t.Fatal("invalid member config accepted")
-	}
 	if _, err := Bank(); err == nil {
 		t.Fatal("empty Bank accepted")
 	}
@@ -114,9 +112,9 @@ func TestMultiCacheConstructorErrors(t *testing.T) {
 }
 
 func TestMultiCacheAccessBatchPanicsOnShortResults(t *testing.T) {
-	bank, _ := NewMultiCache(
-		Config{Sets: 4, Ways: 2, LineBytes: 32},
-		Config{Sets: 4, Ways: 4, LineBytes: 32},
+	bank, _ := Bank(
+		MustNew(Config{Sets: 4, Ways: 2, LineBytes: 32}),
+		MustNew(Config{Sets: 4, Ways: 4, LineBytes: 32}),
 	)
 	defer func() {
 		if recover() == nil {
@@ -205,11 +203,6 @@ func TestPropertyStackProfileMatchesPerGeometryReplay(t *testing.T) {
 				t.Fatalf("cfg %+v ways %d: profile misses %d, replay misses %d",
 					cfg, w, got, misses[w-1])
 			}
-		}
-		// Reset clears everything.
-		p.Reset()
-		if p.Refs() != 0 || p.Misses(1) != 0 {
-			t.Fatalf("cfg %+v: Reset left refs=%d misses=%d", cfg, p.Refs(), p.Misses(1))
 		}
 	}
 }

@@ -62,8 +62,8 @@ func (r *refCache) access(addr uint32, write bool, ways int) Result {
 func TestDifferentialAgainstReferenceModel(t *testing.T) {
 	configs := []Config{
 		{Sets: 32, Ways: 8, LineBytes: 32}, // the paper's L1
-		DirectMapped(64, 32),
-		FullyAssociative(16, 64),
+		{Sets: 64, Ways: 1, LineBytes: 32}, // direct-mapped
+		{Sets: 1, Ways: 16, LineBytes: 64}, // fully associative
 		{Sets: 4, Ways: 2, LineBytes: 16},
 	}
 	for _, cfg := range configs {
@@ -93,32 +93,9 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-func TestOrganizationHelpers(t *testing.T) {
-	dm := DirectMapped(64, 32)
-	if err := dm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !dm.IsDirectMapped() || dm.IsFullyAssociative() {
-		t.Error("direct-mapped classification")
-	}
-	if dm.SizeBytes() != 2048 {
-		t.Errorf("DM size %d", dm.SizeBytes())
-	}
-	fa := FullyAssociative(16, 64)
-	if err := fa.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !fa.IsFullyAssociative() || fa.IsDirectMapped() {
-		t.Error("fully-associative classification")
-	}
-	if fa.SizeBytes() != 1024 {
-		t.Errorf("FA size %d", fa.SizeBytes())
-	}
-}
-
 func TestFullyAssociativeNoConflicts(t *testing.T) {
 	// 16 distinct lines in a 16-line FA cache never conflict.
-	c := MustNew(FullyAssociative(16, 64))
+	c := MustNew(Config{Sets: 1, Ways: 16, LineBytes: 64})
 	for pass := 0; pass < 3; pass++ {
 		misses := 0
 		for i := 0; i < 16; i++ {

@@ -151,14 +151,3 @@ func (p *StackProfile) Misses(ways int) uint64 {
 	}
 	return p.refs - hits
 }
-
-// Reset clears all profiled state, keeping the geometry.
-func (p *StackProfile) Reset() {
-	for i := range p.depth {
-		p.depth[i] = 0
-	}
-	for i := range p.hist {
-		p.hist[i] = 0
-	}
-	p.refs = 0
-}

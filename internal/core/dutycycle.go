@@ -52,59 +52,6 @@ func (r DutyCycleResult) EPI() float64 {
 	return r.TotalEnergyPJ / float64(r.TotalInstructions)
 }
 
-// ScheduleRegime is one cell of a duty-cycle schedule's two-axis
-// decomposition: the intersection of one schedule phase (a workload run
-// in one mode) with one of that workload's phase-annotated regimes.
-// Unannotated schedule phases contribute a single cell with Regime -1.
-type ScheduleRegime struct {
-	Schedule int    // index into DutyCycleResult.Phases
-	Mode     Mode   // the schedule phase's operating mode
-	Workload string // the schedule phase's workload name
-	Regime   int    // workload phase id, or -1 for unannotated phases
-
-	Instructions uint64
-	TimeNS       float64
-	EPI          Breakdown
-
-	// Levels is the cell's per-level split (nil on single-level runs):
-	// the duty-cycle × workload-regime × cache-level cross-reference.
-	Levels []LevelEPI
-}
-
-// Decompose cross-references the schedule's mode phases with each
-// workload's execution regimes: one row per (schedule phase, workload
-// phase) pair, in schedule order. Instruction counts sum exactly to
-// TotalInstructions; time and energy sum to the totals minus the
-// mode-switch overheads (which belong to no regime — read them from
-// Switches). Rows of hierarchy runs carry the per-level breakdown, so a
-// duty cycle can be audited per schedule phase, per working-set regime
-// and per cache level at once.
-func (r DutyCycleResult) Decompose() []ScheduleRegime {
-	var out []ScheduleRegime
-	for i, rep := range r.Phases {
-		if len(rep.Phases) == 0 {
-			out = append(out, ScheduleRegime{
-				Schedule: i, Mode: rep.Mode, Workload: rep.Workload, Regime: -1,
-				Instructions: rep.Stats.Instructions,
-				TimeNS:       rep.TimeNS,
-				EPI:          rep.EPI,
-				Levels:       rep.Levels,
-			})
-			continue
-		}
-		for _, ph := range rep.Phases {
-			out = append(out, ScheduleRegime{
-				Schedule: i, Mode: rep.Mode, Workload: rep.Workload, Regime: int(ph.Phase),
-				Instructions: ph.Stats.Instructions,
-				TimeNS:       ph.TimeNS,
-				EPI:          ph.EPI,
-				Levels:       ph.Levels,
-			})
-		}
-	}
-	return out
-}
-
 // Per-switch constants: a conservative regulator settle time and the
 // gating transition energy, both of which the result reports so the
 // "negligible" claim is auditable rather than assumed.

@@ -25,30 +25,6 @@ func (p Pair) TimeIncreasePct() float64 {
 	return 100 * (p.Prop.TimeNS/p.Base.TimeNS - 1)
 }
 
-// NormalizedProp returns the proposed breakdown normalised to the
-// baseline's total EPI (the y-axis of the paper's figures).
-func (p Pair) NormalizedProp() Breakdown {
-	t := p.Base.EPI.Total()
-	return Breakdown{
-		CacheDynamic: p.Prop.EPI.CacheDynamic / t,
-		CacheLeakage: p.Prop.EPI.CacheLeakage / t,
-		EDC:          p.Prop.EPI.EDC / t,
-		Core:         p.Prop.EPI.Core / t,
-	}
-}
-
-// NormalizedBase returns the baseline breakdown normalised to its own
-// total (components sum to 1).
-func (p Pair) NormalizedBase() Breakdown {
-	t := p.Base.EPI.Total()
-	return Breakdown{
-		CacheDynamic: p.Base.EPI.CacheDynamic / t,
-		CacheLeakage: p.Base.EPI.CacheLeakage / t,
-		EDC:          p.Base.EPI.EDC / t,
-		Core:         p.Base.EPI.Core / t,
-	}
-}
-
 // Summary aggregates a set of pairs into the averages the paper quotes.
 type Summary struct {
 	Scenario yield.Scenario

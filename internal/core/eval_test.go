@@ -121,26 +121,6 @@ func TestBenchmarksBehaveSimilarly(t *testing.T) {
 	}
 }
 
-func TestNormalizedBreakdownsSumCorrectly(t *testing.T) {
-	pairs, err := Pairs(yield.ScenarioB, ModeULE, shortSuite(bench.Small()[:1], 40000), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pairs[0]
-	nb := p.NormalizedBase()
-	if tot := nb.Total(); tot < 0.999 || tot > 1.001 {
-		t.Errorf("normalized baseline total %.4f, want 1", tot)
-	}
-	np := p.NormalizedProp()
-	want := p.Prop.EPI.Total() / p.Base.EPI.Total()
-	if tot := np.Total(); tot < want-1e-9 || tot > want+1e-9 {
-		t.Errorf("normalized proposed total %.4f, want %.4f", tot, want)
-	}
-	if 100*(1-np.Total()) < 30 {
-		t.Errorf("scenario B ULE saving %.1f%% too small", 100*(1-np.Total()))
-	}
-}
-
 func TestSummarizeEmptyPairs(t *testing.T) {
 	sum := Summarize(yield.ScenarioA, ModeHP, nil)
 	if sum.AvgSavingPct != 0 || sum.AvgBase.Total() != 0 {

@@ -218,64 +218,6 @@ func TestRunSharedReports(t *testing.T) {
 	}
 }
 
-// TestDutyCycleDecompose cross-references a two-phase schedule with the
-// phased workload's regimes: rows must tile the schedule (instructions
-// sum exactly; time and energy sum to the totals minus switch costs)
-// and hierarchy rows must carry per-level breakdowns.
-func TestDutyCycleDecompose(t *testing.T) {
-	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(testL2()))
-	phased := phasedWorkload(t)
-	small, err := bench.ByName("gsm_c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.RunDutyCycle([]Phase{
-		{Mode: ModeHP, Workload: phased},
-		{Mode: ModeULE, Workload: small.ScaledTo(5_000)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Decompose()
-	if len(rows) < 3 {
-		t.Fatalf("expected ≥3 rows (phased regimes + 1), got %d", len(rows))
-	}
-	var instr uint64
-	var tm, e float64
-	seenRegime := false
-	for _, row := range rows {
-		instr += row.Instructions
-		tm += row.TimeNS
-		e += row.EPI.Total() * float64(row.Instructions)
-		if row.Regime >= 0 {
-			seenRegime = true
-		}
-		if len(row.Levels) != 2 {
-			t.Errorf("schedule %d regime %d missing levels", row.Schedule, row.Regime)
-		}
-	}
-	if !seenRegime {
-		t.Error("no annotated regimes surfaced")
-	}
-	if rows[len(rows)-1].Regime != -1 {
-		t.Errorf("unannotated phase row has regime %d", rows[len(rows)-1].Regime)
-	}
-	if instr != res.TotalInstructions {
-		t.Errorf("instructions %d != total %d", instr, res.TotalInstructions)
-	}
-	var sw ModeSwitchCost
-	for _, s := range res.Switches {
-		sw.SettleNS += s.SettleNS
-		sw.EnergyPJ += s.EnergyPJ
-	}
-	if d := relDiff(tm+sw.SettleNS, res.TotalTimeNS); d > 1e-9 {
-		t.Errorf("time tiling off by %g", d)
-	}
-	if d := relDiff(e+sw.EnergyPJ, res.TotalEnergyPJ); d > 1e-9 {
-		t.Errorf("energy tiling off by %g", d)
-	}
-}
-
 // TestL2ConfigValidate exercises the geometry/policy gate.
 func TestL2ConfigValidate(t *testing.T) {
 	base := PaperConfig(yield.ScenarioA, Baseline)

@@ -59,9 +59,6 @@ func NewProtectedWay(lines, wordsPerLine int, kind ecc.Kind, dataBits, tagBits i
 // Geometry returns the way's physical geometry (codeword widths).
 func (p *ProtectedWay) Geometry() faults.WayGeometry { return p.geom }
 
-// DataCodec returns the codec protecting data words.
-func (p *ProtectedWay) DataCodec() ecc.Codec { return p.dataCodec }
-
 func (p *ProtectedWay) checkData(line, word int) {
 	if line < 0 || line >= p.geom.Lines || word < 0 || word >= p.geom.WordsPerLine {
 		panic(fmt.Sprintf("core: data word (%d,%d) out of range", line, word))
@@ -108,26 +105,4 @@ func (p *ProtectedWay) InjectSoftError(line, word int, rng *rand.Rand) {
 	p.checkData(line, word)
 	k := faults.WordKey{Line: line, Word: word}
 	p.store[k] = faults.FlipRandomBit(p.store[k], ecc.TotalBits(p.dataCodec), rng)
-}
-
-// Scrub re-encodes every stored word from its current decoded value,
-// clearing accumulated correctable soft errors (the periodic scrub the
-// architecture can run at mode switches). It returns the number of words
-// whose decode reported an uncorrectable error; those words keep their
-// raw contents.
-func (p *ProtectedWay) Scrub() int {
-	bad := 0
-	for k, stored := range p.store {
-		var codec ecc.Codec = p.dataCodec
-		if k.Word == p.geom.TagWordIndex() {
-			codec = p.tagCodec
-		}
-		v, res := codec.Decode(p.fmap.Apply(k, stored))
-		if res.Status == ecc.Detected {
-			bad++
-			continue
-		}
-		p.store[k] = codec.Encode(v)
-	}
-	return bad
 }

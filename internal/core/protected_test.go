@@ -109,25 +109,6 @@ func TestProtectedWaySECDEDCannotTakeHardPlusSoft(t *testing.T) {
 	}
 }
 
-func TestProtectedWayScrub(t *testing.T) {
-	p, err := NewProtectedWay(4, 2, ecc.KindSECDED, 32, 26, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	p.WriteData(0, 0, 0xABCD)
-	p.InjectSoftError(0, 0, rng)
-	if bad := p.Scrub(); bad != 0 {
-		t.Fatalf("scrub reported %d uncorrectable words", bad)
-	}
-	// After scrubbing, a second soft error is still correctable.
-	p.InjectSoftError(0, 0, rng)
-	got, res := p.ReadData(0, 0)
-	if got != 0xABCD || res.Status == ecc.Detected {
-		t.Fatalf("post-scrub read: %#x %v", got, res.Status)
-	}
-}
-
 func TestProtectedWayGeometryMismatch(t *testing.T) {
 	geom := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 39, TagWordBits: 33}
 	fm := faults.Empty(geom)

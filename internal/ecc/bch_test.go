@@ -28,7 +28,7 @@ func TestFieldConstruction(t *testing.T) {
 func TestFieldAxioms(t *testing.T) {
 	f, _ := NewField(6, primPolyGF64)
 	for a := uint16(1); a < 64; a++ {
-		if got := f.Mul(a, f.Inv(a)); got != 1 {
+		if got := f.Mul(a, f.Div(1, a)); got != 1 {
 			t.Fatalf("a·a⁻¹ = %d for a=%d", got, a)
 		}
 		if got := f.Div(a, a); got != 1 {

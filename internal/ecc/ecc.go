@@ -59,32 +59,6 @@ func (k Kind) CheckBits() int {
 	}
 }
 
-// CorrectableErrors returns the guaranteed per-word correction capability.
-func (k Kind) CorrectableErrors() int {
-	switch k {
-	case KindSECDED:
-		return 1
-	case KindDECTED:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// DetectableErrors returns the guaranteed per-word detection capability.
-func (k Kind) DetectableErrors() int {
-	switch k {
-	case KindParity:
-		return 1
-	case KindSECDED:
-		return 2
-	case KindDECTED:
-		return 3
-	default:
-		return 0
-	}
-}
-
 // Status reports the outcome of decoding one codeword.
 type Status int
 

@@ -7,11 +7,9 @@ import "fmt"
 // by the DECTED construction (m = 6, so positions up to n = 63 exist, more
 // than enough for 32+12-bit shortened codewords).
 type Field struct {
-	m    int
-	n    int // 2^m - 1, the multiplicative order
-	poly uint32
-	exp  []uint16 // exp[i] = α^i, i in [0, 2n)
-	log  []int    // log[x] = i with α^i = x, defined for x in [1, 2^m)
+	n   int      // 2^m - 1, the multiplicative order
+	exp []uint16 // exp[i] = α^i, i in [0, 2n)
+	log []int    // log[x] = i with α^i = x, defined for x in [1, 2^m)
 }
 
 // NewField builds GF(2^m) from the given primitive polynomial (with the
@@ -24,11 +22,9 @@ func NewField(m int, poly uint32) (*Field, error) {
 		return nil, fmt.Errorf("ecc: polynomial %#x is not monic of degree %d", poly, m)
 	}
 	f := &Field{
-		m:    m,
-		n:    (1 << uint(m)) - 1,
-		poly: poly,
-		exp:  make([]uint16, 2*((1<<uint(m))-1)),
-		log:  make([]int, 1<<uint(m)),
+		n:   (1 << uint(m)) - 1,
+		exp: make([]uint16, 2*((1<<uint(m))-1)),
+		log: make([]int, 1<<uint(m)),
 	}
 	x := uint32(1)
 	for i := 0; i < f.n; i++ {
@@ -47,9 +43,6 @@ func NewField(m int, poly uint32) (*Field, error) {
 	}
 	return f, nil
 }
-
-// M returns the field degree m.
-func (f *Field) M() int { return f.m }
 
 // N returns the multiplicative order 2^m - 1.
 func (f *Field) N() int { return f.n }
@@ -82,14 +75,6 @@ func (f *Field) Div(a, b uint16) uint16 {
 		return 0
 	}
 	return f.exp[f.log[a]-f.log[b]+f.n]
-}
-
-// Inv returns the multiplicative inverse of a non-zero element.
-func (f *Field) Inv(a uint16) uint16 {
-	if a == 0 {
-		panic("ecc: inverse of zero field element")
-	}
-	return f.exp[f.n-f.log[a]]
 }
 
 // Pow returns a^e (with 0^0 = 1).

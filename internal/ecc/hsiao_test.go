@@ -253,7 +253,4 @@ func TestKindStringsAndBudgets(t *testing.T) {
 	if KindSECDED.String() != "SECDED" || KindDECTED.String() != "DECTED" {
 		t.Errorf("kind names: %q %q", KindSECDED, KindDECTED)
 	}
-	if KindDECTED.CorrectableErrors() != 2 || KindDECTED.DetectableErrors() != 3 {
-		t.Errorf("DECTED capability: %d/%d", KindDECTED.CorrectableErrors(), KindDECTED.DetectableErrors())
-	}
 }

@@ -1,119 +1,6 @@
 package ecc
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// SEC is a plain Hamming single-error-correction code (no double-error
-// detection). It is not used by the paper's architecture — SECDED is the
-// minimum it considers — but it anchors the code-strength ablation: SEC
-// silently miscorrects double errors, which is exactly the hazard the
-// Hsiao odd-weight-column construction exists to close.
-type SEC struct {
-	k    int
-	r    int
-	cols []uint32
-	// checkMask[j] covers the codeword bits in parity equation j.
-	checkMask  []uint64
-	encodeMask []uint64
-	posBySyn   map[uint32]int
-}
-
-// NewSEC builds a Hamming SEC codec for k-bit words with the minimal
-// number of check bits (2^r ≥ k + r + 1).
-func NewSEC(k int) (*SEC, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("ecc: SEC data width %d must be positive", k)
-	}
-	r := 2
-	for (1<<uint(r))-r-1 < k {
-		r++
-	}
-	if k+r > 64 {
-		return nil, fmt.Errorf("ecc: SEC codeword length %d exceeds 64", k+r)
-	}
-	c := &SEC{
-		k:          k,
-		r:          r,
-		cols:       make([]uint32, k+r),
-		checkMask:  make([]uint64, r),
-		encodeMask: make([]uint64, r),
-		posBySyn:   make(map[uint32]int, k+r),
-	}
-	// Data columns: the non-power-of-two values 3, 5, 6, 7, 9, … in
-	// order; check columns: the powers of two.
-	col := uint32(3)
-	for i := 0; i < k; i++ {
-		for col&(col-1) == 0 {
-			col++
-		}
-		c.cols[i] = col
-		col++
-	}
-	for j := 0; j < r; j++ {
-		c.cols[k+j] = 1 << uint(j)
-	}
-	for i, cc := range c.cols {
-		for j := 0; j < r; j++ {
-			if cc&(1<<uint(j)) != 0 {
-				c.checkMask[j] |= 1 << uint(i)
-				if i < k {
-					c.encodeMask[j] |= 1 << uint(i)
-				}
-			}
-		}
-		c.posBySyn[cc] = i
-	}
-	return c, nil
-}
-
-// Name implements Codec.
-func (c *SEC) Name() string { return fmt.Sprintf("Hamming-SEC(%d,%d)", c.k+c.r, c.k) }
-
-// Kind implements Codec. SEC has no dedicated Kind; it reports
-// KindParity-level detection via its own capability and is labelled by
-// Name. For the architecture's configuration tables only the four main
-// kinds exist; SEC is an analysis-only codec.
-func (c *SEC) Kind() Kind { return KindSECDED } // closest family; see Name
-
-// DataBits implements Codec.
-func (c *SEC) DataBits() int { return c.k }
-
-// CheckBits implements Codec.
-func (c *SEC) CheckBits() int { return c.r }
-
-// Encode implements Codec.
-func (c *SEC) Encode(data uint64) uint64 {
-	d := data & DataMask(c)
-	w := d
-	for j := 0; j < c.r; j++ {
-		p := uint64(bits.OnesCount64(d&c.encodeMask[j]) & 1)
-		w |= p << uint(c.k+j)
-	}
-	return w
-}
-
-// Decode implements Codec. Any non-zero syndrome matching a column is
-// "corrected" — for double errors this is usually a miscorrection, the
-// behaviour the ablation quantifies.
-func (c *SEC) Decode(word uint64) (uint64, Result) {
-	w := word & ((uint64(1) << uint(c.k+c.r)) - 1)
-	var s uint32
-	for j := 0; j < c.r; j++ {
-		if bits.OnesCount64(w&c.checkMask[j])&1 != 0 {
-			s |= 1 << uint(j)
-		}
-	}
-	if s == 0 {
-		return w & DataMask(c), Result{Status: OK}
-	}
-	if pos, ok := c.posBySyn[s]; ok {
-		w ^= 1 << uint(pos)
-		return w & DataMask(c), Result{Status: Corrected, Corrected: 1}
-	}
-	return w & DataMask(c), Result{Status: Detected}
-}
+import "fmt"
 
 // Interleaved wraps N copies of an inner codec over an N·k-bit word,
 // bit-interleaving the codewords in storage: physical bit p belongs to

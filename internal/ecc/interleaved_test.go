@@ -5,76 +5,6 @@ import (
 	"testing"
 )
 
-func TestSECGeometry(t *testing.T) {
-	cases := []struct{ k, wantR int }{
-		{4, 3}, {11, 4}, {26, 5}, {32, 6}, {57, 6},
-	}
-	for _, tc := range cases {
-		c, err := NewSEC(tc.k)
-		if err != nil {
-			t.Fatalf("NewSEC(%d): %v", tc.k, err)
-		}
-		if c.CheckBits() != tc.wantR {
-			t.Errorf("k=%d: r=%d, want %d", tc.k, c.CheckBits(), tc.wantR)
-		}
-	}
-	if _, err := NewSEC(60); err == nil {
-		t.Error("oversized SEC accepted")
-	}
-	if _, err := NewSEC(0); err == nil {
-		t.Error("zero-width SEC accepted")
-	}
-}
-
-func TestSECCorrectsSingles(t *testing.T) {
-	c, _ := NewSEC(32)
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 100; trial++ {
-		data := rng.Uint64() & DataMask(c)
-		cw := c.Encode(data)
-		for pos := 0; pos < TotalBits(c); pos++ {
-			got, res := c.Decode(cw ^ 1<<uint(pos))
-			if got != data || res.Status != Corrected {
-				t.Fatalf("pos %d: (%#x, %v)", pos, got, res.Status)
-			}
-		}
-	}
-}
-
-func TestSECMiscorrectsDoubles(t *testing.T) {
-	// The hazard SECDED exists to close: plain Hamming SEC treats most
-	// double errors as a single error somewhere else and corrupts a
-	// third bit. Count the miscorrection rate and compare with Hsiao
-	// SECDED's guaranteed zero.
-	sec, _ := NewSEC(32)
-	secded, _ := NewSECDED(32)
-	data := uint64(0xCAFEBABE)
-	cwSEC := sec.Encode(data)
-	cwSD := secded.Encode(data)
-
-	misSEC, misSD := 0, 0
-	for i := 0; i < TotalBits(sec); i++ {
-		for j := i + 1; j < TotalBits(sec); j++ {
-			if got, res := sec.Decode(cwSEC ^ 1<<uint(i) ^ 1<<uint(j)); res.Status == Corrected && got != data {
-				misSEC++
-			}
-		}
-	}
-	for i := 0; i < TotalBits(secded); i++ {
-		for j := i + 1; j < TotalBits(secded); j++ {
-			if got, res := secded.Decode(cwSD ^ 1<<uint(i) ^ 1<<uint(j)); res.Status == Corrected && got != data {
-				misSD++
-			}
-		}
-	}
-	if misSD != 0 {
-		t.Errorf("Hsiao SECDED miscorrected %d double errors; its guarantee is zero", misSD)
-	}
-	if misSEC == 0 {
-		t.Error("plain SEC should miscorrect double errors — the ablation depends on it")
-	}
-}
-
 func TestInterleavedGeometry(t *testing.T) {
 	c, err := NewInterleaved(KindSECDED, 8, 4)
 	if err != nil {

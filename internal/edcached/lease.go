@@ -242,21 +242,6 @@ func (t *shardTable) err() error {
 	return t.poisoned
 }
 
-// hasPending reports whether a claim could succeed right now.
-func (t *shardTable) hasPending() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.poisoned != nil {
-		return false
-	}
-	for i := range t.shards {
-		if t.shards[i].state == shardPending {
-			return true
-		}
-	}
-	return false
-}
-
 // statuses snapshots every shard for GET /jobs/{id}.
 func (t *shardTable) statuses() []ShardStatus {
 	t.mu.Lock()

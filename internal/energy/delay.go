@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Access-time model: the third quantity CACTI reports alongside energy
 // and area. The paper fixes its operating points at 1 GHz (1 V) and
@@ -56,15 +53,4 @@ func (w WayArray) AccessDelayNS(vcc float64, p Partition) float64 {
 		wordlineGates +
 		bitlineGatesPerCell*cellsPerBitline*load +
 		senseGates + outputGates)
-}
-
-// CycleFeasible reports whether the way meets the given clock frequency
-// at the given voltage, and the achieved slack ratio (cycle/delay).
-func (w WayArray) CycleFeasible(vcc, freqGHz float64, p Partition) (bool, float64, error) {
-	if freqGHz <= 0 {
-		return false, 0, fmt.Errorf("energy: frequency %g GHz", freqGHz)
-	}
-	cycleNS := 1.0 / freqGHz
-	d := w.AccessDelayNS(vcc, p)
-	return d <= cycleNS, cycleNS / d, nil
 }

@@ -40,22 +40,21 @@ func TestPaperOperatingPointsAreFeasible(t *testing.T) {
 	ule10 := paperWay(bitcell.MustNew(bitcell.T10, 2.6), 0)
 	flat := Partition{1, 1}
 
-	ok, slack, err := hp.CycleFeasible(1.0, 1.0, flat)
-	if err != nil || !ok {
-		t.Errorf("6T way misses 1 GHz at 1 V (slack %.2f, err %v)", slack, err)
+	if d := hp.AccessDelayNS(1.0, flat); d > 1/1.0 {
+		t.Errorf("6T way misses 1 GHz at 1 V (slack %.2f)", (1/1.0)/d)
 	}
 	for _, w := range []WayArray{ule8, ule10} {
-		ok, slack, err := w.CycleFeasible(0.35, 0.005, flat)
-		if err != nil || !ok {
+		cycle, d := 1/0.005, w.AccessDelayNS(0.35, flat)
+		if d > cycle {
 			t.Errorf("%v way misses 5 MHz at 350 mV", w.Cell)
 		}
-		if slack < 5 {
+		if slack := cycle / d; slack < 5 {
 			t.Errorf("%v way ULE slack %.1f implausibly tight for the paper's conservative clock", w.Cell, slack)
 		}
 	}
 	// But the ULE arrays cannot run anywhere near HP frequency at NST
 	// voltage — the reason the ULE mode clock is three decades slower.
-	if ok, _, _ := ule10.CycleFeasible(0.35, 1.0, flat); ok {
+	if ule10.AccessDelayNS(0.35, flat) <= 1/1.0 {
 		t.Error("10T way closing 1 GHz at 350 mV is implausible")
 	}
 }
@@ -66,12 +65,5 @@ func TestBitlineSegmentationShortensDelay(t *testing.T) {
 	d4 := w.AccessDelayNS(0.35, Partition{1, 4})
 	if d4 >= d1 {
 		t.Errorf("Ndbl=4 delay %g not below flat %g", d4, d1)
-	}
-}
-
-func TestCycleFeasibleValidation(t *testing.T) {
-	w := paperWay(bitcell.MustNew(bitcell.T6, 1.0), 0)
-	if _, _, err := w.CycleFeasible(1.0, 0, Partition{1, 1}); err == nil {
-		t.Error("zero frequency accepted")
 	}
 }

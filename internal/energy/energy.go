@@ -43,11 +43,6 @@ func (w WayArray) StorageBits() int {
 	return w.Lines * (w.WordsPerLine*(w.DataBits+w.DataCheck) + w.TagBits + w.TagCheck)
 }
 
-// PayloadBits returns the data+tag payload bits (no check columns).
-func (w WayArray) PayloadBits() int {
-	return w.Lines * (w.WordsPerLine*w.DataBits + w.TagBits)
-}
-
 // AccessEnergy returns the dynamic energy (pJ) of one access that senses
 // dataBits of one data word and tagBits of the tag word in this way, at
 // the given supply voltage. The caller chooses the widths per operating

@@ -19,18 +19,12 @@ func paperWay(cell bitcell.Cell, check int) WayArray {
 
 func TestWayArrayBitCounts(t *testing.T) {
 	w := paperWay(bitcell.MustNew(bitcell.T10, 2.6), 0)
-	if got := w.PayloadBits(); got != 9024 {
-		t.Errorf("payload bits = %d, want 9024 (1 KB data + 32 tags)", got)
-	}
 	if got := w.StorageBits(); got != 9024 {
 		t.Errorf("uncoded storage bits = %d, want 9024", got)
 	}
 	ws := paperWay(bitcell.MustNew(bitcell.T8, 1.2), 7)
 	if got := ws.StorageBits(); got != 32*(8*39+33) {
 		t.Errorf("SECDED storage bits = %d, want %d", got, 32*(8*39+33))
-	}
-	if ws.PayloadBits() != 9024 {
-		t.Error("check bits must not count as payload")
 	}
 }
 

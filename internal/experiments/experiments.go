@@ -283,5 +283,4 @@ func breakdownMetrics(prefix string, b core.Breakdown) []sim.Metric {
 }
 
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

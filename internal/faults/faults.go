@@ -139,17 +139,3 @@ func (w *WayFaults) Geometry() WayGeometry { return w.geom }
 func FlipRandomBit(codeword uint64, bits int, rng *rand.Rand) uint64 {
 	return codeword ^ 1<<uint(rng.Intn(bits))
 }
-
-// FlipBurst injects a multi-bit upset: `length` physically adjacent bits
-// flipped at a uniformly chosen position within the low `bits` of the
-// codeword. At deep-scaled nodes a single particle strike upsets
-// neighbouring cells; this is the fault model the bit-interleaving
-// extension (ecc.Interleaved, ablation A4) defends against.
-func FlipBurst(codeword uint64, bits, length int, rng *rand.Rand) uint64 {
-	if length < 1 || length > bits {
-		panic(fmt.Sprintf("faults: burst length %d outside [1,%d]", length, bits))
-	}
-	start := rng.Intn(bits - length + 1)
-	mask := (uint64(1)<<uint(length) - 1) << uint(start)
-	return codeword ^ mask
-}

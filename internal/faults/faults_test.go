@@ -130,35 +130,6 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
-func TestFlipBurst(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for length := 1; length <= 4; length++ {
-		for i := 0; i < 200; i++ {
-			word := rng.Uint64() & ((1 << 39) - 1)
-			flipped := FlipBurst(word, 39, length, rng)
-			diff := flipped ^ word
-			// The diff must be exactly `length` contiguous set bits
-			// inside the word.
-			if diff == 0 || diff >= 1<<39 {
-				t.Fatalf("len %d: diff %#x out of range", length, diff)
-			}
-			low := diff & -diff
-			if diff/low != (1<<uint(length))-1 {
-				t.Fatalf("len %d: diff %#x not a contiguous burst", length, diff)
-			}
-		}
-	}
-}
-
-func TestFlipBurstValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized burst must panic")
-		}
-	}()
-	FlipBurst(0, 8, 9, rand.New(rand.NewSource(1)))
-}
-
 func TestInterleavedSurvivesBurstsFunctionally(t *testing.T) {
 	// End-to-end MBU story: interleaved SECDED words absorb random
 	// bursts up to the interleave degree, every time.
@@ -172,7 +143,8 @@ func TestInterleavedSurvivesBurstsFunctionally(t *testing.T) {
 		data := rng.Uint64() & ecc.DataMask(codec)
 		cw := codec.Encode(data)
 		burst := 1 + rng.Intn(4)
-		got, res := codec.Decode(FlipBurst(cw, n, burst, rng))
+		mask := uint64(1)<<uint(burst) - 1
+		got, res := codec.Decode(cw ^ mask<<uint(rng.Intn(n-burst+1)))
 		if got != data || res.Status == ecc.Detected {
 			t.Fatalf("trial %d burst %d: (%#x, %v), want %#x", trial, burst, got, res.Status, data)
 		}

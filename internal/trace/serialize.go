@@ -267,10 +267,6 @@ func (r *Reader) Chunks() uint64 {
 	return r.v2.chunks
 }
 
-// ChunkCap reports the file's declared per-chunk record capacity (0 for
-// v1 files, which are not chunked).
-func (r *Reader) ChunkCap() int { return r.hdr.chunkCap }
-
 // UnadvertisedPhaseBytes counts the records streamed so far whose
 // reserved phase byte was non-zero although the stream does not
 // advertise phases. Those records replay with Phase 0 (reserved bytes

@@ -10,18 +10,6 @@ import (
 // convergence relies on these monotonicity facts, so they are pinned
 // explicitly.
 
-func TestRequiredPfWayMonotoneInYieldTarget(t *testing.T) {
-	g := PaperWay()
-	prev := math.Inf(1)
-	for _, y := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999} {
-		pf := RequiredPfWay(y, g, 7, 7, 1)
-		if pf >= prev {
-			t.Errorf("yield %.4f: required Pf %.3g not below previous %.3g", y, pf, prev)
-		}
-		prev = pf
-	}
-}
-
 func TestRequiredPfBitsMonotoneInBits(t *testing.T) {
 	prev := math.Inf(1)
 	for _, bits := range []int{1024, 8192, 65536, 1 << 20} {

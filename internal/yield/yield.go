@@ -81,11 +81,6 @@ func (g WayGeometry) DataWords() int { return g.Lines * g.WordsPerLine }
 // TagWords returns TW of Eq. (2) for this way (one tag word per line).
 func (g WayGeometry) TagWords() int { return g.Lines }
 
-// PayloadBits returns the total payload (non-check) bits of the way.
-func (g WayGeometry) PayloadBits() int {
-	return g.DataWords()*g.DataBits + g.TagWords()*g.TagBits
-}
-
 // TotalBits returns total stored bits including per-word check bits.
 func (g WayGeometry) TotalBits(dataCheck, tagCheck int) int {
 	return g.DataWords()*(g.DataBits+dataCheck) + g.TagWords()*(g.TagBits+tagCheck)
@@ -125,25 +120,4 @@ func RequiredPfBits(targetYield float64, bits int) float64 {
 	}
 	// 1 − Y^(1/bits), computed stably: −expm1(ln(Y)/bits).
 	return -math.Expm1(math.Log(targetYield) / float64(bits))
-}
-
-// RequiredPfWay solves for the largest per-bit Pf at which the way still
-// meets the target yield under Eq. (1)/(2), by bisection on log10(Pf).
-func RequiredPfWay(targetYield float64, g WayGeometry, dataCheck, tagCheck, tolerable int) float64 {
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	if targetYield <= 0 || targetYield >= 1 {
-		panic(fmt.Sprintf("yield: target yield %g outside (0,1)", targetYield))
-	}
-	lo, hi := -15.0, 0.0 // log10(Pf) bounds
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if WaySurvival(math.Pow(10, mid), g, dataCheck, tagCheck, tolerable) >= targetYield {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Pow(10, (lo+hi)/2)
 }
