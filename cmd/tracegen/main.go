@@ -155,13 +155,12 @@ func verifyTrace(path string, stdout io.Writer) error {
 	}
 	var n, loads, stores, branches int
 	var phaseCounts [256]int
-	buf := make([]trace.Inst, 4096)
 	for {
-		c := r.NextBatch(buf)
-		if c == 0 {
+		w := r.NextSlice(4096)
+		if len(w) == 0 {
 			break
 		}
-		for _, inst := range buf[:c] {
+		for _, inst := range w {
 			switch {
 			case inst.IsLoad:
 				loads++
@@ -172,7 +171,7 @@ func verifyTrace(path string, stdout io.Writer) error {
 			}
 			phaseCounts[inst.Phase]++
 		}
-		n += c
+		n += len(w)
 	}
 	if err := r.Err(); err != nil {
 		return err

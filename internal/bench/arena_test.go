@@ -56,20 +56,7 @@ func TestArenaCacheReplaysGeneratorExactly(t *testing.T) {
 		if cur.HasPhases() != w.HasPhases() {
 			t.Errorf("%s: arena phase annotation %v, workload %v", w.Name, cur.HasPhases(), w.HasPhases())
 		}
-		fresh := w.Stream()
-		got := make([]trace.Inst, 0, 3_000)
-		want := make([]trace.Inst, 0, 3_000)
-		buf := make([]trace.Inst, 512)
-		for {
-			n := trace.Fill(cur, buf)
-			got = append(got, buf[:n]...)
-			m := trace.Fill(fresh, buf)
-			want = append(want, buf[:m]...)
-			if n == 0 && m == 0 {
-				break
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(collect(cur), collect(w.Stream())) {
 			t.Errorf("%s: arena replay diverges from a fresh generator stream", w.Name)
 		}
 	}

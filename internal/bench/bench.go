@@ -154,9 +154,8 @@ func (w Workload) ScaledTo(instructions int) Workload {
 func (w Workload) HasPhases() bool { return w.Pattern == PatternPhased }
 
 // Stream returns a fresh deterministic instruction stream for the
-// workload. Every returned stream also implements trace.BatchStream, so
-// serialisation (trace.WriteV2) and replay (cpu.Run) take their bulk
-// fast paths.
+// workload. It generates each window on demand, so serialisation
+// (trace.WriteV2) and replay (cpu.Run) hold one window at a time.
 func (w Workload) Stream() trace.Stream {
 	switch w.Pattern {
 	case PatternPointerChase:

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"edcache/internal/trace"
@@ -52,20 +53,18 @@ func TestStreamsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	w = w.ScaledTo(5000)
-	a, b := w.Stream(), w.Stream()
-	for i := 0; ; i++ {
-		ia, oka := a.Next()
-		ib, okb := b.Next()
-		if oka != okb {
-			t.Fatal("streams ended at different lengths")
-		}
-		if !oka {
-			break
-		}
-		if ia != ib {
-			t.Fatalf("instruction %d differs between identical streams", i)
-		}
+	if !reflect.DeepEqual(collect(w.Stream()), collect(w.Stream())) {
+		t.Fatal("identical streams differ")
 	}
+}
+
+// collect drains a stream in 1024-instruction windows.
+func collect(s trace.Stream) []trace.Inst {
+	var out []trace.Inst
+	for w := s.NextSlice(1024); len(w) > 0; w = s.NextSlice(1024) {
+		out = append(out, w...)
+	}
+	return out
 }
 
 func TestStreamLengthAndMix(t *testing.T) {
@@ -73,11 +72,7 @@ func TestStreamLengthAndMix(t *testing.T) {
 		w = w.ScaledTo(50000)
 		s := w.Stream()
 		var n, loads, stores, branches, dist1 int
-		for {
-			inst, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, inst := range collect(s) {
 			n++
 			switch {
 			case inst.IsLoad:
@@ -116,11 +111,7 @@ func TestAddressesStayInDeclaredFootprints(t *testing.T) {
 	for _, w := range All() {
 		w = w.ScaledTo(20000)
 		s := w.Stream()
-		for {
-			inst, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, inst := range collect(s) {
 			if inst.PC < codeBase || inst.PC >= codeBase+uint32(w.CodeBytes) {
 				t.Fatalf("%s: PC %#x outside code footprint", w.Name, inst.PC)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edcache/internal/cache"
+	"edcache/internal/trace"
 )
 
 func TestCalibrateFootprint(t *testing.T) {
@@ -46,12 +47,7 @@ func TestCalibratedCorpusTracksGeometry(t *testing.T) {
 			t.Errorf("%s: footprint %d below the fit point %d", w.Name, w.DataBytes, cfg.SizeBytes())
 		}
 		// Every instance must generate a usable stream.
-		s := w.ScaledTo(100).Stream()
-		n := 0
-		for _, ok := s.Next(); ok; _, ok = s.Next() {
-			n++
-		}
-		if n != 100 {
+		if n := trace.Count(w.ScaledTo(100).Stream()); n != 100 {
 			t.Errorf("%s: generated %d instructions, want 100", w.Name, n)
 		}
 	}

@@ -17,36 +17,30 @@ import (
 )
 
 // seqStream adapts a per-instruction generator function to
-// trace.Stream and trace.BatchStream under an instruction budget.
+// trace.Stream under an instruction budget: each window is generated
+// into the stream's own buffer.
 type seqStream struct {
 	n      int // remaining instructions
 	gen    func() trace.Inst
-	phased bool // generator stamps phase ids (trace.PhaseAnnotated)
+	phased bool // generator stamps phase ids
+	win    []trace.Inst
 }
 
-// HasPhases implements trace.PhaseAnnotated.
+// HasPhases implements trace.Stream.
 func (s *seqStream) HasPhases() bool { return s.phased }
 
-// Next implements trace.Stream.
-func (s *seqStream) Next() (trace.Inst, bool) {
-	if s.n <= 0 {
-		return trace.Inst{}, false
+// NextSlice implements trace.Stream.
+func (s *seqStream) NextSlice(max int) []trace.Inst {
+	n := min(max, s.n)
+	if cap(s.win) < n {
+		s.win = make([]trace.Inst, n)
 	}
-	s.n--
-	return s.gen(), true
-}
-
-// NextBatch implements trace.BatchStream.
-func (s *seqStream) NextBatch(buf []trace.Inst) int {
-	n := len(buf)
-	if n > s.n {
-		n = s.n
-	}
-	for i := 0; i < n; i++ {
-		buf[i] = s.gen()
+	win := s.win[:n]
+	for i := range win {
+		win[i] = s.gen()
 	}
 	s.n -= n
-	return n
+	return win
 }
 
 // chaseNodeBytes is the node size of the pointer-chase list: a next

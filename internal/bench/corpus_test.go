@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"edcache/internal/trace"
@@ -52,20 +54,11 @@ func TestCorpusStreamsDeterministicAndBounded(t *testing.T) {
 	for _, w := range Corpus() {
 		w := w.ScaledTo(20_000)
 		t.Run(w.Name, func(t *testing.T) {
-			a, b := w.Stream(), w.Stream()
-			n := 0
-			for {
-				ia, oka := a.Next()
-				ib, okb := b.Next()
-				if oka != okb {
-					t.Fatal("identical streams ended at different lengths")
-				}
-				if !oka {
-					break
-				}
-				if ia != ib {
-					t.Fatalf("instruction %d differs between identical streams", n)
-				}
+			a := collect(w.Stream())
+			if !reflect.DeepEqual(a, collect(w.Stream())) {
+				t.Fatal("identical streams differ")
+			}
+			for n, ia := range a {
 				if ia.PC < codeBase || ia.PC >= codeBase+uint32(w.CodeBytes) || ia.PC%4 != 0 {
 					t.Fatalf("instruction %d: PC %#x outside code footprint", n, ia.PC)
 				}
@@ -74,46 +67,46 @@ func TestCorpusStreamsDeterministicAndBounded(t *testing.T) {
 						t.Fatalf("instruction %d: address %#x outside working set", n, ia.Addr)
 					}
 				}
-				n++
 			}
-			if n != 20_000 {
-				t.Fatalf("stream length %d, want 20000", n)
+			if len(a) != 20_000 {
+				t.Fatalf("stream length %d, want 20000", len(a))
 			}
 		})
 	}
 }
 
 func TestCorpusBatchMatchesScalar(t *testing.T) {
-	// NextBatch must observe the same sequence as Next, for every
-	// generator family and across odd batch boundaries.
+	// Every generator holds the trace.Stream window contract: under a
+	// seeded random sequence of window sizes each window is exactly
+	// min(max, remaining) instructions, and the windows concatenate to
+	// the sequence 1-instruction windows read.
 	for _, w := range Full() {
 		w := w.ScaledTo(5_000)
 		t.Run(w.Name, func(t *testing.T) {
-			scalar := w.Stream()
-			batch := w.Stream().(trace.BatchStream)
-			buf := make([]trace.Inst, 97)
-			got := 0
+			var scalar []trace.Inst
+			s := w.Stream()
+			for one := s.NextSlice(1); len(one) > 0; one = s.NextSlice(1) {
+				scalar = append(scalar, one...)
+			}
+			if len(scalar) != 5_000 {
+				t.Fatalf("1-instruction windows read %d instructions", len(scalar))
+			}
+			rng := rand.New(rand.NewSource(int64(len(w.Name))))
+			var got []trace.Inst
+			s = w.Stream()
 			for {
-				n := batch.NextBatch(buf)
-				if n == 0 {
+				max := 1 + rng.Intn(1500)
+				win := s.NextSlice(max)
+				if want := min(max, len(scalar)-len(got)); len(win) != want {
+					t.Fatalf("after %d instructions: window of %d for max %d, want %d", len(got), len(win), max, want)
+				}
+				if len(win) == 0 {
 					break
 				}
-				for i := 0; i < n; i++ {
-					want, ok := scalar.Next()
-					if !ok {
-						t.Fatalf("scalar stream ended early at %d", got)
-					}
-					if buf[i] != want {
-						t.Fatalf("instruction %d: batch %+v != scalar %+v", got, buf[i], want)
-					}
-					got++
-				}
+				got = append(got, win...)
 			}
-			if _, ok := scalar.Next(); ok {
-				t.Fatal("batch stream ended before scalar")
-			}
-			if got != 5_000 {
-				t.Fatalf("batched stream produced %d instructions", got)
+			if !reflect.DeepEqual(got, scalar) {
+				t.Fatal("random windows diverge from 1-instruction windows")
 			}
 		})
 	}
@@ -129,11 +122,7 @@ func TestPointerChaseIsDependentChain(t *testing.T) {
 	s := w.Stream()
 	seen := map[uint32]bool{}
 	loads := 0
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range collect(s) {
 		if !inst.IsLoad {
 			continue
 		}
@@ -160,11 +149,7 @@ func TestStencilStreamsSequentially(t *testing.T) {
 	w = w.ScaledTo(8_000)
 	s := w.Stream()
 	var stores []uint32
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range collect(s) {
 		if inst.IsStore {
 			stores = append(stores, inst.Addr)
 		}
@@ -188,11 +173,7 @@ func TestBranchyIsBranchHeavy(t *testing.T) {
 	w = w.ScaledTo(40_000)
 	s := w.Stream()
 	branches, taken, n := 0, 0, 0
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range collect(s) {
 		n++
 		if inst.IsBranch {
 			branches++
@@ -224,11 +205,7 @@ func TestPhasedShiftsWorkingSetAndCodeRegion(t *testing.T) {
 		footprint[p] = map[uint32]bool{}
 		pcs[p] = map[uint32]bool{}
 	}
-	for i := 0; ; i++ {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for i, inst := range collect(s) {
 		p := i / w.PhaseInsts
 		if inst.IsLoad || inst.IsStore {
 			footprint[p][inst.Addr&^63] = true // 64 B granules
@@ -261,34 +238,12 @@ func TestPhasedEmitsPhaseIDsNatively(t *testing.T) {
 	w.PhaseInsts = 2_000
 	w = w.ScaledTo(w.PhaseInsts * phaseCount * 2) // two full cycles
 	s := w.Stream()
-	if !trace.HasPhases(s) {
+	if !s.HasPhases() {
 		t.Fatal("phased stream does not advertise phases")
 	}
-	for i := 0; ; i++ {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for i, inst := range collect(s) {
 		if want := uint8((i / w.PhaseInsts) % phaseCount); inst.Phase != want {
 			t.Fatalf("instruction %d: phase %d, want %d", i, inst.Phase, want)
-		}
-	}
-	// The batch path must stamp the same ids.
-	bs, ok := w.Stream().(trace.BatchStream)
-	if !ok {
-		t.Fatal("phased stream lost BatchStream")
-	}
-	buf := make([]trace.Inst, 513)
-	for i := 0; ; {
-		n := bs.NextBatch(buf)
-		if n == 0 {
-			break
-		}
-		for _, inst := range buf[:n] {
-			if want := uint8((i / w.PhaseInsts) % phaseCount); inst.Phase != want {
-				t.Fatalf("batched instruction %d: phase %d, want %d", i, inst.Phase, want)
-			}
-			i++
 		}
 	}
 }
@@ -303,14 +258,10 @@ func TestUnphasedGeneratorsStayUnannotated(t *testing.T) {
 			t.Errorf("%s claims phases", name)
 		}
 		s := w.ScaledTo(2_000).Stream()
-		if trace.HasPhases(s) {
+		if s.HasPhases() {
 			t.Errorf("%s stream advertises phases", name)
 		}
-		for {
-			inst, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, inst := range collect(s) {
 			if inst.Phase != 0 {
 				t.Fatalf("%s emitted phase %d", name, inst.Phase)
 			}
@@ -326,11 +277,7 @@ func TestAdversarialMapsToOneSet(t *testing.T) {
 	w = w.ScaledTo(10_000)
 	s := w.Stream()
 	distinct := map[uint32]bool{}
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range collect(s) {
 		if inst.IsLoad || inst.IsStore {
 			if inst.Addr%uint32(w.StrideBytes) != 0 {
 				t.Fatalf("address %#x not set-stride aligned", inst.Addr)

@@ -14,12 +14,7 @@ func ExampleByName() {
 		panic(err)
 	}
 	w = w.ScaledTo(8) // two loop iterations of the 4-instruction body
-	s := w.Stream()
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range w.Stream().NextSlice(8) {
 		kind := "alu"
 		switch {
 		case inst.IsLoad:

@@ -13,12 +13,6 @@ import (
 	"edcache/internal/yield"
 )
 
-// scalarOnly hides a stream's batch capability so replay takes the
-// trace.Fill fallback.
-type scalarOnly struct{ s trace.Stream }
-
-func (s scalarOnly) Next() (trace.Inst, bool) { return s.s.Next() }
-
 // naiveFunctional is the reference replay of the functional layer: one
 // FunctionalCache.Load, or Store of funcStoreValue, per cache reference,
 // timed by naiveStats.
@@ -85,8 +79,7 @@ func TestReplayFunctionalBatchMatchesScalar(t *testing.T) {
 // through a DL1 whose way carries yield-accepted hard faults: SECDED
 // must repair every manifest fault transparently (no uncorrectable
 // reads), on the batched path, while the stats stay bit-identical to
-// the naive loop on an identically faulty die, for batch and
-// scalar-only streams.
+// the naive loop on an identically faulty die.
 func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
 	if err != nil {
@@ -127,22 +120,18 @@ func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 	}
 	iNaive, dNaive := dies()
 	naive := naiveFunctional(iNaive, dNaive, 1, w.Stream())
-	var dBatch *FunctionalCache
-	for _, s := range []trace.Stream{w.Stream(), scalarOnly{w.Stream()}} {
-		il1, dl1 := dies()
-		st, err := ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st, naive) {
-			t.Fatal("faulty-die replay Stats diverge from the naive loop")
-		}
-		if dl1.CorrectedReads != dNaive.CorrectedReads {
-			t.Error("correction counts diverge from the naive loop")
-		}
-		dBatch = dl1
+	il1, dl1 := dies()
+	st, err := ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, w.Stream())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dBatch.Uncorrectable != 0 {
-		t.Errorf("yield-accepted die produced %d uncorrectable reads", dBatch.Uncorrectable)
+	if !reflect.DeepEqual(st, naive) {
+		t.Fatal("faulty-die replay Stats diverge from the naive loop")
+	}
+	if dl1.CorrectedReads != dNaive.CorrectedReads {
+		t.Error("correction counts diverge from the naive loop")
+	}
+	if dl1.Uncorrectable != 0 {
+		t.Errorf("yield-accepted die produced %d uncorrectable reads", dl1.Uncorrectable)
 	}
 }

@@ -155,12 +155,7 @@ func TestFunctionalCacheRunsWorkloadAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := refMemory{}
-	s := w.Stream()
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, inst := range collect(w.Stream()) {
 		switch {
 		case inst.IsStore:
 			fc.Store(inst.Addr, inst.Addr^0xABCD)

@@ -154,13 +154,10 @@ func addStats(dst *cpu.Stats, d cpu.Stats) {
 // collect drains a stream into a slice for the oracle.
 func collect(s trace.Stream) []trace.Inst {
 	var insts []trace.Inst
-	for {
-		in, ok := s.Next()
-		if !ok {
-			return insts
-		}
-		insts = append(insts, in)
+	for w := s.NextSlice(1024); len(w) > 0; w = s.NextSlice(1024) {
+		insts = append(insts, w...)
 	}
+	return insts
 }
 
 // withoutPhases returns st with its per-phase segmentation dropped, for

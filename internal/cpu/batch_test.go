@@ -47,14 +47,6 @@ func (p *batchPort) AccessBatch(ops []PortOp, miss []bool) {
 	}
 }
 
-// scalarOnly hides a stream's NextBatch so replay takes the trace.Fill
-// fallback (but forwards phase annotations, so segmentation is kept).
-type scalarOnly struct{ s trace.Stream }
-
-func (s scalarOnly) Next() (trace.Inst, bool) { return s.s.Next() }
-
-func (s scalarOnly) HasPhases() bool { return trace.HasPhases(s.s) }
-
 // TestBatchedRunMatchesScalar is the replay loop's contract: for every
 // generator family, chunked replay must produce Stats bit-identical to
 // the per-instruction naive oracle.
@@ -80,7 +72,7 @@ func TestBatchedRunMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestBatchedRunReplaysSerialisedTrace covers the Reader-as-BatchStream
+// TestBatchedRunReplaysSerialisedTrace covers the Reader-as-Stream
 // combination the tools use: generate → serialise v2 → replay batched.
 func TestBatchedRunReplaysSerialisedTrace(t *testing.T) {
 	w, err := bench.ByName("gsm_c")
@@ -121,8 +113,7 @@ func serializeV2(t *testing.T, w bench.Workload) *trace.Reader {
 
 // BenchmarkReplay measures replay throughput of one pre-materialised
 // trace (the tracegen → replay workflow, generation cost excluded):
-// "batch" replays zero-copy slices, "scalar" a stream without NextBatch
-// through the trace.Fill fallback, both over batch ports.
+// "batch" replays zero-copy windows of a SliceStream over batch ports.
 func BenchmarkReplay(b *testing.B) {
 	w, err := bench.ByName("gsm_c")
 	if err != nil {
@@ -130,23 +121,7 @@ func BenchmarkReplay(b *testing.B) {
 	}
 	const insts = 200_000
 	w = w.ScaledTo(insts)
-	recorded := make([]trace.Inst, 0, insts)
-	s := w.Stream()
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
-		}
-		recorded = append(recorded, inst)
-	}
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(insts)
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(Config{MemLatency: 20}, newBatchPort(0), newBatchPort(0), scalarOnly{&trace.SliceStream{Insts: recorded}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	recorded := append([]trace.Inst(nil), w.Stream().NextSlice(insts)...)
 	b.Run("batch", func(b *testing.B) {
 		b.SetBytes(insts)
 		for i := 0; i < b.N; i++ {

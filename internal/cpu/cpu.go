@@ -23,11 +23,14 @@
 //
 // Replay has one engine: a chunk loop over lanes. A lane is one
 // instruction stream driving one IL1 bank and one DL1 bank of K cache
-// configurations (MultiPort); each chunk is pulled, classified and
-// split at phase boundaries once, and only the cache accesses and the
-// per-member tallies fan out. Run is one lane of one member, RunMulti
-// one lane of K members, and RunShared N lanes interleaved round-robin
-// at chunk granularity over caches that may share state behind the L1s.
+// configurations (MultiPort); each chunk is one NextSlice window of the
+// stream, classified and split at phase boundaries once, and only the
+// cache accesses and the per-member tallies fan out. Every trace source
+// serves full windows, so the chunk grain is the same whether the
+// stream is a generator, a slab cursor or a file Reader. Run is one
+// lane of one member, RunMulti one lane of K members, and RunShared N
+// lanes interleaved round-robin at chunk granularity over caches that
+// may share state behind the L1s.
 package cpu
 
 import (
@@ -130,7 +133,7 @@ type Stats struct {
 
 	// Phases segments every counter above by the stream's phase id,
 	// ordered by id. It is nil unless the replayed stream advertises
-	// phase annotations (trace.PhaseAnnotated), so unphased replay
+	// phase annotations (trace.Stream's HasPhases), so unphased replay
 	// keeps its exact fast path. When present, each counter sums over
 	// the segments to exactly the run-level value.
 	Phases []PhaseStats
@@ -194,17 +197,16 @@ func addCounters(dst *Stats, d Stats) {
 
 // Run replays the stream through one IL1/DL1 pair and returns the run's
 // stats. It is RunMulti over two one-member banks (FanPort), so it
-// shares the one chunked replay loop: each chunk is pulled from the
-// stream once (zero-copy for trace.SliceBatcher streams, trace.Fill
-// otherwise), classified once, and issued as one AccessBatch per cache.
-// Each cache sees its own access sequence in program order; IL1 and
-// DL1 are independent state, so interleaving between them never
-// affects either unless the ports share state behind the L1s (a
+// shares the one chunked replay loop: each chunk is one NextSlice
+// window of the stream, classified once and issued as one AccessBatch
+// per cache. Each cache sees its own access sequence in program order;
+// IL1 and DL1 are independent state, so interleaving between them
+// never affects either unless the ports share state behind the L1s (a
 // unified L2), where the chunk order — IL1 traffic before DL1 traffic —
 // is the interleaving semantics.
 //
-// When the stream advertises phase annotations (trace.PhaseAnnotated),
-// Run segments the counters per phase id into Stats.Phases and notifies
+// When the stream advertises phase annotations (HasPhases), Run
+// segments the counters per phase id into Stats.Phases and notifies
 // PhasePort ports at every boundary; chunks split at phase boundaries,
 // so the caches still see the identical access sequence. Streams
 // without the annotation run unsegmented.

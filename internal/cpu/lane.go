@@ -15,14 +15,12 @@ import (
 // and a unified L2 sees one chunk's IL1 traffic before its DL1 traffic.
 const batchSize = 1024
 
-// lane is one stream replayed through one IL1/DL1 bank pair: the chunk
-// source, K member Stats with their miss pricing, a phase ledger for
-// annotated streams, and the classification scratch shared by all
-// members.
+// lane is one stream replayed through one IL1/DL1 bank pair: the stream
+// that serves its chunks as NextSlice windows of batchSize, K member
+// Stats with their miss pricing, a phase ledger for annotated streams,
+// and the classification scratch shared by all members.
 type lane struct {
 	s    trace.Stream
-	sb   trace.SliceBatcher // non-nil: zero-copy chunks
-	buf  []trace.Inst       // Fill target for every other stream
 	done bool
 
 	il1, dl1 MultiPort
@@ -72,11 +70,6 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 		irows:  make([][]bool, k),
 		drows:  make([][]bool, k),
 	}
-	if sb, ok := s.(trace.SliceBatcher); ok {
-		l.sb = sb
-	} else {
-		l.buf = make([]trace.Inst, batchSize)
-	}
 	for m := 0; m < k; m++ {
 		l.dExtra[m] = dl1.Member(m).ExtraHitLatency()
 		l.it[m] = newSideTimer(il1.Member(m), mem)
@@ -84,7 +77,7 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 		l.imiss[m] = make([]bool, batchSize)
 		l.dmiss[m] = make([]bool, batchSize)
 	}
-	if trace.HasPhases(s) {
+	if s.HasPhases() {
 		l.lg = newLedger(il1, dl1, k)
 	}
 	return l, nil
@@ -116,12 +109,7 @@ func replay(lanes []*lane) [][]Stats {
 // step replays the lane's next chunk, split into same-phase runs on
 // annotated streams, and reports whether the stream had one.
 func (l *lane) step() bool {
-	var chunk []trace.Inst
-	if l.sb != nil {
-		chunk = l.sb.NextSlice(batchSize)
-	} else {
-		chunk = l.buf[:trace.Fill(l.s, l.buf)]
-	}
+	chunk := l.s.NextSlice(batchSize)
 	if len(chunk) == 0 {
 		return false
 	}

@@ -108,30 +108,6 @@ func TestRunMultiValidation(t *testing.T) {
 	}
 }
 
-// TestRunMultiScalarOnlyStream covers the Fill fallback: a stream
-// without NextBatch still replays through the bank, with identical
-// Stats.
-func TestRunMultiScalarOnlyStream(t *testing.T) {
-	w, err := bench.ByName("phased_mix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = w.ScaledTo(10_000)
-	batched, err := RunMulti(Config{MemLatency: 20},
-		mustFan(t, newBatchPort(0)), mustFan(t, newBatchPort(1)), w.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := RunMulti(Config{MemLatency: 20},
-		mustFan(t, newBatchPort(0)), mustFan(t, newBatchPort(1)), scalarOnly{w.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batched, scalar) {
-		t.Fatalf("Fill-fallback stats %+v != slice-path %+v", scalar, batched)
-	}
-}
-
 func mustFan(t *testing.T, ports ...BatchPort) *FanPort {
 	t.Helper()
 	f, err := NewFanPort(ports...)

@@ -94,21 +94,15 @@ type phasePort struct {
 func (p *phasePort) BeginPhase(id uint8) { p.calls = append(p.calls, id) }
 
 func TestPhasePortNotifiedAtBoundaries(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		il1 := &phasePort{batchPort: newBatchPort(0)}
-		dl1 := &phasePort{batchPort: newBatchPort(0)}
-		var s trace.Stream = &trace.SliceStream{Insts: phasedInsts()}
-		if !batch {
-			s = scalarOnly{s}
-		}
-		if _, err := Run(Config{MemLatency: 20}, il1, dl1, s); err != nil {
-			t.Fatal(err)
-		}
-		// Stream opens in phase 2, drops to 0, returns to 2.
-		want := []uint8{2, 0, 2}
-		if !reflect.DeepEqual(il1.calls, want) || !reflect.DeepEqual(dl1.calls, want) {
-			t.Errorf("batch=%v: boundary calls il1=%v dl1=%v, want %v", batch, il1.calls, dl1.calls, want)
-		}
+	il1 := &phasePort{batchPort: newBatchPort(0)}
+	dl1 := &phasePort{batchPort: newBatchPort(0)}
+	if _, err := Run(Config{MemLatency: 20}, il1, dl1, &trace.SliceStream{Insts: phasedInsts()}); err != nil {
+		t.Fatal(err)
+	}
+	// Stream opens in phase 2, drops to 0, returns to 2.
+	want := []uint8{2, 0, 2}
+	if !reflect.DeepEqual(il1.calls, want) || !reflect.DeepEqual(dl1.calls, want) {
+		t.Errorf("boundary calls il1=%v dl1=%v, want %v", il1.calls, dl1.calls, want)
 	}
 }
 

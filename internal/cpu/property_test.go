@@ -1,28 +1,23 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"edcache/internal/bench"
 	"edcache/internal/cache"
 	"edcache/internal/trace"
 )
-
-// batchOnly hides a stream's NextSlice, so replay copies chunks through
-// NextBatch instead of viewing the backing storage.
-type batchOnly struct{ s *trace.SliceStream }
-
-func (b batchOnly) Next() (trace.Inst, bool)       { return b.s.Next() }
-func (b batchOnly) NextBatch(buf []trace.Inst) int { return b.s.NextBatch(buf) }
-func (b batchOnly) HasPhases() bool                { return b.s.HasPhases() }
 
 // memberSpec is one random cache configuration of a lane.
 type memberSpec struct {
 	il1, dl1 cache.Config
 	extra    int
-	l2lat    int // 0: flat; else a private L2 per side at this latency
+	l2lat    int  // 0: flat; else an L2 at this latency
+	unified  bool // with l2lat: one L2 behind both sides, else one per side
 }
 
 // ports builds a fresh IL1/DL1 pair for the spec; both the replay loop
@@ -32,8 +27,11 @@ func (m memberSpec) ports() (il1, dl1 scalarBatchPort) {
 		return newBatchPortCfg(m.il1, 0), newBatchPortCfg(m.dl1, m.extra)
 	}
 	l2 := cache.Config{Sets: 32, Ways: 4, LineBytes: m.il1.LineBytes}
-	return newHierPort(m.il1, l2, nil, m.l2lat),
-		&extraHierPort{newHierPort(m.dl1, cache.Config{Sets: 32, Ways: 4, LineBytes: m.dl1.LineBytes}, nil, m.l2lat), m.extra}
+	var shared *cache.Cache
+	if m.unified {
+		shared = cache.MustNew(l2)
+	}
+	return newHierPort(m.il1, l2, shared, m.l2lat), &extraHierPort{newHierPort(m.dl1, l2, shared, m.l2lat), m.extra}
 }
 
 type scalarBatchPort interface {
@@ -73,26 +71,42 @@ func randomInsts(rng *rand.Rand, n int, phased bool) []trace.Inst {
 	return insts
 }
 
-// stream wraps insts as one of the three stream kinds the loop
-// distinguishes: scalar-only (trace.Fill fallback), BatchStream, or
-// SliceBatcher (zero-copy).
-func stream(kind int, insts []trace.Inst) trace.Stream {
-	s := &trace.SliceStream{Insts: insts}
+// source returns a factory of fresh streams of one of three kinds: 0 a
+// SliceStream over n random instructions, 1 a bench generator scaled to
+// n instructions, 2 a Reader over the random instructions written in
+// 11-record chunks, so its windows span chunk boundaries. Readers it
+// opens are appended to readers for an end-of-test error check.
+func source(t *testing.T, rng *rand.Rand, kind, n int, phased bool, readers *[]*trace.Reader) func() trace.Stream {
 	switch kind {
 	case 0:
-		return scalarOnly{s}
+		insts := randomInsts(rng, n, phased)
+		return func() trace.Stream { return &trace.SliceStream{Insts: insts} }
 	case 1:
-		return batchOnly{s}
-	default:
-		return s
+		ws := bench.Full()
+		w := ws[rng.Intn(len(ws))].ScaledTo(n)
+		return w.Stream
+	}
+	var b bytes.Buffer
+	if _, err := trace.WriteV2(&b, &trace.SliceStream{Insts: randomInsts(rng, n, phased)}, trace.V2Options{ChunkRecords: 11, Phases: phased}); err != nil {
+		t.Fatal(err)
+	}
+	return func() trace.Stream {
+		r, err := trace.NewReader(bytes.NewReader(b.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		*readers = append(*readers, r)
+		return r
 	}
 }
 
 // TestReplayMatchesNaiveOracle drives the one replay loop with random
-// inputs — stream kind, phases on or off, flat or tiered members, K =
-// 1..4 members per lane and N = 1..3 lanes, through Run, RunMulti or
-// RunShared — and requires every member's Stats to DeepEqual the naive
-// oracle replaying that member's stream alone.
+// inputs — stream kind, phases on or off, flat, tiered or unified-L2
+// members, K = 1..4 members per lane and N = 1..3 lanes, through Run,
+// RunMulti or RunShared — and requires every member's Stats to
+// DeepEqual the naive oracle replaying that member's stream alone. A
+// unified L2 sees each chunk's IL1 traffic before its DL1 traffic, so
+// those members also pin every source to full batchSize windows.
 func TestReplayMatchesNaiveOracle(t *testing.T) {
 	geoms := []cache.Config{
 		{Sets: 4, Ways: 1, LineBytes: 32},
@@ -107,9 +121,10 @@ func TestReplayMatchesNaiveOracle(t *testing.T) {
 		kind := rng.Intn(3)
 		phased := rng.Intn(2) == 0
 		specs := make([][]memberSpec, lanes)
-		insts := make([][]trace.Inst, lanes)
+		open := make([]func() trace.Stream, lanes)
+		var readers []*trace.Reader
 		for i := range specs {
-			insts[i] = randomInsts(rng, rng.Intn(5000), phased)
+			open[i] = source(t, rng, kind, rng.Intn(5000), phased, &readers)
 			for k := 0; k < members; k++ {
 				g := geoms[rng.Intn(len(geoms))]
 				spec := memberSpec{il1: g, dl1: g, extra: rng.Intn(2)}
@@ -117,8 +132,9 @@ func TestReplayMatchesNaiveOracle(t *testing.T) {
 					spec.dl1 = geoms[rng.Intn(len(geoms))]
 					spec.dl1.LineBytes = g.LineBytes
 				}
-				if rng.Intn(2) == 0 {
+				if l2 := rng.Intn(3); l2 > 0 {
 					spec.l2lat = 3 + rng.Intn(6)
+					spec.unified = l2 == 2
 				}
 				specs[i] = append(specs[i], spec)
 			}
@@ -134,7 +150,7 @@ func TestReplayMatchesNaiveOracle(t *testing.T) {
 				iports[k], dports[k] = spec.ports()
 			}
 			cores[i] = CorePorts{IL1: mustFan(t, iports...), DL1: mustFan(t, dports...)}
-			streams[i] = stream(kind, insts[i])
+			streams[i] = open[i]()
 		}
 		var got [][]Stats
 		var err error
@@ -156,10 +172,15 @@ func TestReplayMatchesNaiveOracle(t *testing.T) {
 		for i := range specs {
 			for k, spec := range specs[i] {
 				il1, dl1 := spec.ports()
-				want := naiveRun(Config{MemLatency: 20}, il1, dl1, stream(kind, insts[i]))
+				want := naiveRun(Config{MemLatency: 20}, il1, dl1, open[i]())
 				if !reflect.DeepEqual(got[i][k], want) {
 					t.Fatalf("%s: lane %d member %d (%+v):\n got  %+v\n want %+v", name, i, k, spec, got[i][k], want)
 				}
+			}
+		}
+		for _, r := range readers {
+			if r.Err() != nil {
+				t.Fatalf("%s: %v", name, r.Err())
 			}
 		}
 	}

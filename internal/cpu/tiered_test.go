@@ -85,8 +85,7 @@ func TestTieredTimingExactFormula(t *testing.T) {
 // TestTieredScalarBatchIdentical holds the replay loop to the naive
 // oracle behind a real two-level hierarchy (private L2 per side, so the
 // per-side access sequences fully determine the state): Stats must be
-// bit-identical, with live L2 counters, for batch and scalar-only
-// streams alike.
+// bit-identical, with live L2 counters.
 func TestTieredScalarBatchIdentical(t *testing.T) {
 	w, err := bench.ByName("gsm_c")
 	if err != nil {
@@ -95,15 +94,13 @@ func TestTieredScalarBatchIdentical(t *testing.T) {
 	w = w.ScaledTo(50_000)
 	scalar := naiveRun(Config{MemLatency: 20},
 		newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), w.Stream())
-	for _, s := range []trace.Stream{w.Stream(), scalarOnly{w.Stream()}} {
-		batched, err := Run(Config{MemLatency: 20},
-			newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(scalar, batched) {
-			t.Fatalf("batched stats %+v != scalar %+v", batched, scalar)
-		}
+	batched, err := Run(Config{MemLatency: 20},
+		newHierPort(tinyL1, midL2, nil, 6), newHierPort(tinyL1, midL2, nil, 6), w.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scalar, batched) {
+		t.Fatalf("batched stats %+v != scalar %+v", batched, scalar)
 	}
 	if scalar.IL2Misses == 0 || scalar.DL2Misses == 0 {
 		t.Fatalf("expected live L2 counters, got %+v", scalar)

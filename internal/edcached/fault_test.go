@@ -4,15 +4,21 @@ package edcached
 // exercised against a live httptest server. The shared invariant is
 // byte-identity — whatever crashes, expires, or fails mid-flight, a
 // job that reaches "done" must serve exactly the bytes a solo
-// single-process run produces.
+// single-process run produces. One job's bytes are also pinned to a
+// committed golden, so a shift that moves the service and the solo run
+// alike still fails.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,6 +136,29 @@ func TestWorkerCrashMidShardReleasedAndRecomputed(t *testing.T) {
 	_, result := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=json")
 	if want := soloBytes(t, spec.Options, spec.Seed, "summed", "json"); string(result) != want {
 		t.Fatal("post-crash result differs from solo run")
+	}
+	checkGolden(t, "worker_crash_summed.json", result)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata golden files from the current build")
+
+// checkGolden compares got with testdata/name byte for byte; running
+// the test with -update rewrites the file instead.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("result differs from %s:\n got  %s\n want %s", path, got, want)
 	}
 }
 

@@ -255,18 +255,16 @@ const replayChunk = 4096
 
 // replayScratch is one replay loop's buffer set, pooled so the sweep's
 // steady state (thousands of grid points across worker goroutines)
-// reuses a few scratch sets instead of allocating ~170 KB per point.
+// reuses a few scratch sets instead of allocating ~130 KB per point.
 type replayScratch struct {
-	insts []trace.Inst
-	ops   []cache.Op
-	res   []cache.Result
+	ops []cache.Op
+	res []cache.Result
 }
 
 var replayPool = sync.Pool{New: func() any {
 	return &replayScratch{
-		insts: make([]trace.Inst, replayChunk),
-		ops:   make([]cache.Op, 0, replayChunk),
-		res:   make([]cache.Result, replayChunk),
+		ops: make([]cache.Op, 0, replayChunk),
+		res: make([]cache.Result, replayChunk),
 	}
 }}
 
@@ -278,14 +276,14 @@ func dataRefChunks(s trace.Stream, sink func(ops []cache.Op, res []cache.Result)
 	scr := replayPool.Get().(*replayScratch)
 	defer replayPool.Put(scr)
 	for {
-		n := trace.Fill(s, scr.insts)
-		if n == 0 {
+		insts := s.NextSlice(replayChunk)
+		if len(insts) == 0 {
 			return refs
 		}
 		ops := scr.ops[:0]
-		for i := 0; i < n; i++ {
-			if scr.insts[i].IsLoad || scr.insts[i].IsStore {
-				ops = append(ops, cache.Op{Addr: scr.insts[i].Addr, Write: scr.insts[i].IsStore})
+		for i := range insts {
+			if insts[i].IsLoad || insts[i].IsStore {
+				ops = append(ops, cache.Op{Addr: insts[i].Addr, Write: insts[i].IsStore})
 			}
 		}
 		sink(ops, scr.res[:len(ops)])

@@ -22,10 +22,8 @@ type Slab interface {
 	HasPhases() bool
 	// NewCursor returns a fresh replay over the slab from the first
 	// instruction. Cursors are independent; any number may replay
-	// concurrently. The returned stream implements SliceBatcher (and
-	// therefore BatchStream/Stream semantics via NextSlice) plus
-	// PhaseAnnotated.
-	NewCursor() SliceBatcher
+	// concurrently.
+	NewCursor() Stream
 }
 
 // Arena is an immutable, fully materialized instruction slab: the
@@ -40,8 +38,8 @@ type Slab interface {
 //
 // An Arena is immutable after construction and safe for concurrent use
 // by any number of cursors; it carries the stream's phase-annotation
-// bit so arena-backed replay takes exactly the code paths (batched,
-// phase-segmented or not) the originating stream would have, making
+// bit so arena-backed replay takes exactly the code path
+// (phase-segmented or not) the originating stream would have, making
 // cpu.Stats and core.Report bit-identical to generator-backed runs —
 // the determinism contract the experiment engine relies on.
 type Arena struct {
@@ -49,27 +47,25 @@ type Arena struct {
 	phased bool
 }
 
-// arenaChunk is the granularity NewArena drains its source with; one
-// Fill call per chunk keeps the bulk path of batch-capable sources.
+// arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
-// NewArena materializes the whole stream into a slab. The source is
-// drained via its batch fast path when it has one; phase annotation is
-// inherited from the stream (trace.PhaseAnnotated), so cursors replay
-// exactly as the source stream would.
+// NewArena materializes the whole stream into a slab. Phase annotation
+// is inherited from the stream, so cursors replay exactly as the source
+// stream would.
 func NewArena(s Stream) *Arena {
 	var insts []Inst
 	for {
-		if cap(insts)-len(insts) < arenaChunk {
+		w := s.NextSlice(arenaChunk)
+		if len(w) == 0 {
+			break
+		}
+		if cap(insts)-len(insts) < len(w) {
 			grown := make([]Inst, len(insts), 2*cap(insts)+arenaChunk)
 			copy(grown, insts)
 			insts = grown
 		}
-		n := Fill(s, insts[len(insts):len(insts)+arenaChunk])
-		if n == 0 {
-			break
-		}
-		insts = insts[:len(insts)+n]
+		insts = append(insts, w...)
 	}
 	// Shrink to fit: arenas live for a whole run (the caches retain
 	// them), so the doubling loop's excess capacity — up to ~2x — would
@@ -80,7 +76,7 @@ func NewArena(s Stream) *Arena {
 		copy(exact, insts)
 		insts = exact
 	}
-	return &Arena{insts: insts, phased: HasPhases(s)}
+	return &Arena{insts: insts, phased: s.HasPhases()}
 }
 
 // loadArena decodes a serialised trace (either container version,
@@ -250,14 +246,13 @@ func (a *Arena) HasPhases() bool { return a.phased }
 // Cursor returns a fresh replay over the slab, starting at the first
 // instruction. Cursors are cheap (two words of state over the shared
 // slab) and independent: any number may replay concurrently, each at
-// its own position. The returned stream implements BatchStream and
-// PhaseAnnotated, so replay and serialisation take their bulk paths.
+// its own position.
 func (a *Arena) Cursor() *Cursor {
 	return &Cursor{insts: a.insts, phased: a.phased}
 }
 
 // NewCursor implements Slab.
-func (a *Arena) NewCursor() SliceBatcher { return a.Cursor() }
+func (a *Arena) NewCursor() Stream { return a.Cursor() }
 
 // Cursor is one replay position over an Arena's shared slab. The zero
 // value is an empty stream; use Arena.Cursor. A Cursor must not be
@@ -269,37 +264,16 @@ type Cursor struct {
 	phased bool
 }
 
-// Next implements Stream.
-func (c *Cursor) Next() (Inst, bool) {
-	if c.pos >= len(c.insts) {
-		return Inst{}, false
-	}
-	inst := c.insts[c.pos]
-	c.pos++
-	return inst, true
-}
-
-// NextBatch implements BatchStream: a bulk copy out of the shared slab,
-// no per-instruction work at all.
-func (c *Cursor) NextBatch(buf []Inst) int {
-	n := copy(buf, c.insts[c.pos:])
-	c.pos += n
-	return n
-}
-
-// NextSlice implements SliceBatcher: a read-only window straight into
-// the shared slab — the zero-copy replay path.
+// NextSlice implements Stream: a read-only window straight into the
+// shared slab — the zero-copy replay path.
 func (c *Cursor) NextSlice(max int) []Inst {
-	n := len(c.insts) - c.pos
-	if n > max {
-		n = max
-	}
+	n := min(max, len(c.insts)-c.pos)
 	s := c.insts[c.pos : c.pos+n]
 	c.pos += n
 	return s
 }
 
-// HasPhases implements PhaseAnnotated.
+// HasPhases implements Stream.
 func (c *Cursor) HasPhases() bool { return c.phased }
 
 // Reset rewinds the cursor to the start of the slab.

@@ -39,25 +39,17 @@ func randomInsts(n int, phased bool, seed int64) []trace.Inst {
 	return insts
 }
 
-// drain replays a stream with a deterministic mix of scalar and batched
-// reads, exercising both cursor paths.
-func drain(s trace.Stream, batchEvery int) []trace.Inst {
+// drain replays a stream in windows of 1 to 64 records drawn from seed,
+// so different seeds cut the sequence at different places.
+func drain(s trace.Stream, seed int64) []trace.Inst {
+	rng := rand.New(rand.NewSource(seed))
 	var out []trace.Inst
-	buf := make([]trace.Inst, 37) // odd size: chunk boundaries move around
-	for i := 0; ; i++ {
-		if batchEvery > 0 && i%batchEvery == 0 {
-			n := trace.Fill(s, buf)
-			if n == 0 {
-				return out
-			}
-			out = append(out, buf[:n]...)
-			continue
-		}
-		inst, ok := s.Next()
-		if !ok {
+	for {
+		w := s.NextSlice(1 + rng.Intn(64))
+		if len(w) == 0 {
 			return out
 		}
-		out = append(out, inst)
+		out = append(out, w...)
 	}
 }
 
@@ -70,20 +62,20 @@ func TestArenaCursorReplaysSource(t *testing.T) {
 	if a.HasPhases() {
 		t.Error("unphased source produced a phase-annotated arena")
 	}
-	for _, batchEvery := range []int{0, 1, 3} {
-		got := drain(a.Cursor(), batchEvery)
+	for seed := int64(0); seed < 3; seed++ {
+		got := drain(a.Cursor(), seed)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cursor replay (batchEvery=%d) diverges from the source", batchEvery)
+			t.Fatalf("cursor replay (seed %d) diverges from the source", seed)
 		}
 	}
 	// A second cursor is independent of the first's position.
 	c1, c2 := a.Cursor(), a.Cursor()
-	c1.NextBatch(make([]trace.Inst, 5000))
-	if inst, ok := c2.Next(); !ok || inst != want[0] {
+	c1.NextSlice(5000)
+	if w := c2.NextSlice(1); len(w) != 1 || w[0] != want[0] {
 		t.Fatal("second cursor does not start at the slab's first instruction")
 	}
 	c1.Reset()
-	if inst, ok := c1.Next(); !ok || inst != want[0] {
+	if w := c1.NextSlice(1); len(w) != 1 || w[0] != want[0] {
 		t.Fatal("Reset did not rewind the cursor")
 	}
 }
@@ -208,7 +200,7 @@ func TestArenaConcurrentCursors(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got := drain(a.Cursor(), g%4) // every goroutine mixes paths differently
+			got := drain(a.Cursor(), int64(g)) // every goroutine cuts different windows
 			if !reflect.DeepEqual(got, want) {
 				errs[g] = "concurrent cursor replay diverged"
 			}

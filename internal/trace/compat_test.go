@@ -158,17 +158,13 @@ func TestCompatMatrix(t *testing.T) {
 	}
 }
 
-// drainAll empties a stream via its batch path.
+// drainAll empties a stream in 7-record windows.
 func drainAll(s Stream) []Inst {
 	var out []Inst
-	buf := make([]Inst, 7)
-	for {
-		n := Fill(s, buf)
-		if n == 0 {
-			return out
-		}
-		out = append(out, buf[:n]...)
+	for w := s.NextSlice(7); len(w) > 0; w = s.NextSlice(7) {
+		out = append(out, w...)
 	}
+	return out
 }
 
 // TestCompatRejectsFutureBits proves forward compatibility is loud: a

@@ -109,11 +109,7 @@ var readPaths = []readPath{
 		if err != nil {
 			return err
 		}
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-		}
+		readAll(t, r)
 		return r.Err()
 	}},
 	{"load-arena", func(t *testing.T, data []byte) error {

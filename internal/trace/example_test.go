@@ -27,12 +27,10 @@ func ExampleWriteV2() {
 		panic(err)
 	}
 	fmt.Printf("format v%d, compressed=%v\n", r.Version(), r.Compressed())
-	for {
-		inst, ok := r.Next()
-		if !ok {
-			break
+	for w := r.NextSlice(64); len(w) > 0; w = r.NextSlice(64) {
+		for _, inst := range w {
+			fmt.Printf("pc=%#x load=%v branch=%v\n", inst.PC, inst.IsLoad, inst.IsBranch)
 		}
-		fmt.Printf("pc=%#x load=%v branch=%v\n", inst.PC, inst.IsLoad, inst.IsBranch)
 	}
 	if r.Err() != nil {
 		panic(r.Err())
@@ -45,10 +43,11 @@ func ExampleWriteV2() {
 	// pc=0x400008 load=false branch=true
 }
 
-// ExampleReader_NextBatch drains a trace in bulk — the pattern the
-// replay fast path uses: one call per chunk instead of one dynamic
-// dispatch per instruction.
-func ExampleReader_NextBatch() {
+// ExampleReader_NextSlice drains a trace in windows — the pattern the
+// replay loop uses: one call per window instead of one dynamic dispatch
+// per instruction. Every window but the last is full, even where it
+// spans the file's 4-record chunks.
+func ExampleReader_NextSlice() {
 	src := make([]trace.Inst, 10)
 	for i := range src {
 		src[i] = trace.Inst{PC: uint32(0x40_0000 + 4*i)}
@@ -61,16 +60,11 @@ func ExampleReader_NextBatch() {
 	if err != nil {
 		panic(err)
 	}
-	batch := make([]trace.Inst, 3)
-	total := 0
-	for {
-		n := r.NextBatch(batch)
-		if n == 0 {
-			break
-		}
-		total += n
+	var windows []int
+	for w := r.NextSlice(3); len(w) > 0; w = r.NextSlice(3) {
+		windows = append(windows, len(w))
 	}
-	fmt.Printf("replayed %d instructions in batches of ≤%d\n", total, len(batch))
+	fmt.Printf("replayed windows of %v\n", windows)
 	// Output:
-	// replayed 10 instructions in batches of ≤3
+	// replayed windows of [3 3 3 1]
 }

@@ -7,21 +7,24 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // FuzzReader feeds arbitrary bytes to the reader: whatever the input —
 // truncated headers, hostile chunk counts, corrupt gzip bodies — the
 // reader must terminate without panicking and either replay records or
-// report an error, never both silently wrong.
+// report an error, never both silently wrong. It drains in windows of
+// window+1 records, and the records and the clean-end verdict must
+// match a second read of the same bytes one record at a time.
 func FuzzReader(f *testing.F) {
 	// Seed with valid v1, v2 and v2-gzip files plus degenerate inputs.
 	var v1 bytes.Buffer
 	if _, err := Write(&v1, &SliceStream{Insts: sampleInsts()}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v1.Bytes())
-	for _, o := range []V2Options{
+	f.Add(v1.Bytes(), uint8(2))
+	for i, o := range []V2Options{
 		{}, {Compress: true}, {ChunkRecords: 2}, {Phases: true}, {Compress: true, Phases: true},
 		// v2.1 corpora: checksummed, indexed, and both, plus tiny chunks
 		// so the fuzzer reaches multi-chunk index mutations fast.
@@ -32,30 +35,47 @@ func FuzzReader(f *testing.F) {
 		if _, err := WriteV2(&v2, &SliceStream{Insts: sampleInsts()}, o); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v2.Bytes())
+		f.Add(v2.Bytes(), uint8(i))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x54, 0x43, 0x44, 0x45})
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0x54, 0x43, 0x44, 0x45}, uint8(255))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, window uint8) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		n := 0
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-			n++
-			if n > 1<<20 {
-				t.Fatalf("runaway reader: %d records from a %d-byte input", n, len(data))
-			}
-		}
 		// A clean end on a well-formed prefix is fine; an error is
-		// fine; the reader just must have terminated, which it did.
-		_ = r.Err()
+		// fine; the reader must terminate, whatever its window.
+		got := readWindows(t, r, int(window)+1, len(data))
+		r1, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := readWindows(t, r1, 1, len(data))
+		if !slices.Equal(got, want) {
+			t.Fatalf("window %d read %d records unlike the %d of window 1", int(window)+1, len(got), len(want))
+		}
+		if (r.Err() == nil) != (r1.Err() == nil) {
+			t.Fatalf("window %d ends with %v, window 1 with %v", int(window)+1, r.Err(), r1.Err())
+		}
 	})
+}
+
+// readWindows drains r in windows of max records, failing on an
+// oversized window or a runaway record count for an inputLen-byte file.
+func readWindows(t *testing.T, r *Reader, max, inputLen int) []Inst {
+	t.Helper()
+	var out []Inst
+	for w := r.NextSlice(max); len(w) > 0; w = r.NextSlice(max) {
+		if len(w) > max {
+			t.Fatalf("window of %d records, asked for %d", len(w), max)
+		}
+		if out = append(out, w...); len(out) > 1<<20 {
+			t.Fatalf("runaway reader: %d records from a %d-byte input", len(out), inputLen)
+		}
+	}
+	return out
 }
 
 // FuzzRoundTrip derives an instruction stream from the fuzz input and
@@ -122,17 +142,8 @@ func FuzzRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for i, want := range tc.want {
-				got, ok := r.Next()
-				if !ok {
-					t.Fatalf("%s: stream ended at record %d of %d (err: %v)", name, i, len(tc.want), r.Err())
-				}
-				if got != want {
-					t.Fatalf("%s: record %d: %+v != %+v", name, i, got, want)
-				}
-			}
-			if _, ok := r.Next(); ok {
-				t.Fatalf("%s: stream did not end after %d records", name, len(tc.want))
+			if got := readAll(t, r); !slices.Equal(got, tc.want) {
+				t.Fatalf("%s: replayed %d records unlike the %d written (err: %v)", name, len(got), len(tc.want), r.Err())
 			}
 			if r.Err() != nil {
 				t.Fatalf("%s: %v", name, r.Err())
@@ -190,16 +201,7 @@ func checkSeekableAgree(t *testing.T, data []byte) {
 	var want []Inst
 	streamOK := false
 	if r, err := NewReader(bytes.NewReader(data)); err == nil {
-		for {
-			inst, ok := r.Next()
-			if !ok {
-				break
-			}
-			want = append(want, inst)
-			if len(want) > 1<<20 {
-				t.Fatalf("runaway reader: %d records from a %d-byte input", len(want), len(data))
-			}
-		}
+		want = readWindows(t, r, 1, len(data))
 		streamOK = r.Err() == nil
 	}
 

@@ -15,7 +15,7 @@ import (
 // streaming it through a Reader — header, chunk framing, chunk CRCs,
 // reserved record flag bits, trailer and index — so cursors replay a
 // proven-clean byte range with an infallible decode and the exact
-// Cursor/SliceBatcher contract slab arenas offer. The records stay in
+// Stream contract slab cursors offer. The records stay in
 // the page cache, shared between arenas, cursors and processes, which
 // is what makes very large traces replayable without duplicating them
 // on the heap. A MapArena is immutable and safe for any number of
@@ -71,8 +71,7 @@ func OpenMapArena(path string) (*MapArena, error) {
 			a.chunks = append(a.chunks, mapChunk{off: int(recOff), count: n, start: a.n})
 			a.n += n
 		}
-		buf := make([]Inst, DefaultChunkRecords)
-		for rd.NextBatch(buf) > 0 {
+		for len(rd.NextSlice(DefaultChunkRecords)) > 0 {
 		}
 		err = rd.Err()
 	}
@@ -94,7 +93,7 @@ func (a *MapArena) HasPhases() bool { return a.phased }
 // from the first instruction. Cursors are independent and safe to use
 // concurrently (each decodes into its own buffer); a cursor must not
 // outlive the arena's Close.
-func (a *MapArena) NewCursor() SliceBatcher {
+func (a *MapArena) NewCursor() Stream {
 	return &MapCursor{a: a, buf: make([]Inst, mapCursorBatch)}
 }
 
@@ -120,7 +119,7 @@ const mapCursorBatch = 1024
 // MapCursor is one replay position over a MapArena. It decodes records
 // out of the mapped bytes into a private buffer window by window;
 // NextSlice returns views of that buffer (read-only, not retained
-// across calls, per the SliceBatcher contract). The decode cannot fail:
+// across calls, per the Stream contract). The decode cannot fail:
 // the arena validated every record at open time. A MapCursor must not
 // be shared between goroutines.
 type MapCursor struct {
@@ -131,9 +130,13 @@ type MapCursor struct {
 	buf   []Inst
 }
 
-// decodeInto decodes up to max records starting at c.pos into dst,
-// returning how many were produced. dst must hold max records.
-func (c *MapCursor) decodeInto(dst []Inst, max int) int {
+// NextSlice implements Stream: the next records are decoded out of the
+// mapped bytes into the cursor's private window, chunk run by chunk
+// run, and a view of it is returned.
+func (c *MapCursor) NextSlice(max int) []Inst {
+	if max > len(c.buf) {
+		c.buf = make([]Inst, max)
+	}
 	n := 0
 	for n < max && c.pos < c.a.n {
 		// Advance to the chunk containing pos (chunks are in order and
@@ -143,12 +146,9 @@ func (c *MapCursor) decodeInto(dst []Inst, max int) int {
 		}
 		ch := c.a.chunks[c.chunk]
 		i := c.pos - ch.start
-		take := ch.count - i
-		if take > max-n {
-			take = max - n
-		}
+		take := min(ch.count-i, max-n)
 		recs := c.a.data[ch.off+i*recordBytes : ch.off+(i+take)*recordBytes]
-		out := dst[n : n+take]
+		out := c.buf[n : n+take]
 		// Inline decode of the validated records: the open-time
 		// streaming pass proved every flag byte, so no error path — this loop is the
 		// replay hot path that keeps mmap replay near slab replay.
@@ -173,35 +173,10 @@ func (c *MapCursor) decodeInto(dst []Inst, max int) int {
 		n += take
 		c.pos += take
 	}
-	return n
-}
-
-// Next implements Stream.
-func (c *MapCursor) Next() (Inst, bool) {
-	if c.pos >= c.a.n {
-		return Inst{}, false
-	}
-	var one [1]Inst
-	c.decodeInto(one[:], 1)
-	return one[0], true
-}
-
-// NextBatch implements BatchStream.
-func (c *MapCursor) NextBatch(buf []Inst) int {
-	return c.decodeInto(buf, len(buf))
-}
-
-// NextSlice implements SliceBatcher: records are decoded into the
-// cursor's private window and a view of it is returned.
-func (c *MapCursor) NextSlice(max int) []Inst {
-	if max > len(c.buf) {
-		c.buf = make([]Inst, max)
-	}
-	n := c.decodeInto(c.buf, max)
 	return c.buf[:n]
 }
 
-// HasPhases implements PhaseAnnotated.
+// HasPhases implements Stream.
 func (c *MapCursor) HasPhases() bool { return c.a.phased }
 
 // Reset rewinds the cursor to the start of the arena.

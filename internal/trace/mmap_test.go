@@ -35,7 +35,7 @@ func writeBytesFile(t *testing.T, data []byte) string {
 // TestMapArenaMatchesArena is the representation-level half of the
 // differential oracle: for every mappable variant, the mmap arena and
 // the materialized slab must expose identical length, phase bit and
-// record sequence under mixed scalar/batch replay.
+// record sequence under random-window replay.
 func TestMapArenaMatchesArena(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -66,11 +66,11 @@ func TestMapArenaMatchesArena(t *testing.T) {
 			if slab.HasPhases() != mapped.HasPhases() {
 				t.Fatalf("HasPhases: slab %v, mapped %v", slab.HasPhases(), mapped.HasPhases())
 			}
-			for batchEvery := 0; batchEvery < 4; batchEvery++ {
-				want := drain(slab.NewCursor(), batchEvery)
-				got := drain(mapped.NewCursor(), batchEvery)
+			for seed := int64(0); seed < 4; seed++ {
+				want := drain(slab.NewCursor(), seed)
+				got := drain(mapped.NewCursor(), seed)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batchEvery=%d: mapped replay diverges from slab replay", batchEvery)
+					t.Fatalf("seed %d: mapped replay diverges from slab replay", seed)
 				}
 			}
 		})
@@ -115,7 +115,7 @@ func TestMapArenaConcurrentCursors(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got := drain(a.NewCursor(), g%4)
+			got := drain(a.NewCursor(), int64(g))
 			if !reflect.DeepEqual(got, insts) {
 				t.Errorf("cursor %d diverged", g)
 			}

@@ -133,42 +133,39 @@ func TestUnadvertisedPhaseBytesCounted(t *testing.T) {
 	}
 }
 
-// batchedStream hands out at most batch records per NextBatch call.
-type batchedStream struct {
-	SliceStream
-	batch int
-}
-
-func (s *batchedStream) NextBatch(buf []Inst) int {
-	return s.SliceStream.NextBatch(buf[:min(len(buf), s.batch)])
-}
-
 func TestWriteV2ChunksIndependentOfSourceBatches(t *testing.T) {
-	// A source handing out one record, or 13, per batch — batches that
-	// straddle the 11-record chunks — yields the very container a
-	// whole-slice source does, and it replays bit-identically.
+	// A Reader over 11-record chunks, rewritten at chunk 13, serves
+	// 13-record windows that straddle its own chunks; the container it
+	// yields is the very one a whole-slice source does, and it replays
+	// bit-identically.
 	insts := phasedSample()
 	o := V2Options{Phases: true, Checksums: true, Index: true, ChunkRecords: 11}
+	src, err := NewReader(bytes.NewReader(writeV2(t, insts, o)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.ChunkRecords = 13
 	want := writeV2(t, insts, o)
-	for _, batch := range []int{1, 13} {
-		var sink bytes.Buffer
-		if _, err := WriteV2(&sink, &batchedStream{SliceStream{Insts: insts}, batch}, o); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sink.Bytes(), want) {
-			t.Errorf("batch=%d: container differs from the whole-slice source's", batch)
-		}
-		r, err := NewReader(bytes.NewReader(sink.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		captured := readAll(t, r)
-		if r.Err() != nil {
-			t.Fatal(r.Err())
-		}
-		if !reflect.DeepEqual(captured, insts) {
-			t.Errorf("batch=%d: container does not replay bit-identically", batch)
-		}
+	var sink bytes.Buffer
+	if _, err := WriteV2(&sink, src, o); err != nil {
+		t.Fatal(err)
+	}
+	if src.Err() != nil {
+		t.Fatal(src.Err())
+	}
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Error("container rewritten from 11-record chunks differs from the whole-slice source's")
+	}
+	r, err := NewReader(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := readAll(t, r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	if !reflect.DeepEqual(captured, insts) {
+		t.Error("rewritten container does not replay bit-identically")
 	}
 }
 

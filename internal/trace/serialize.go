@@ -114,19 +114,17 @@ func Write(w io.Writer, s Stream) (int, error) {
 	}
 	var count uint64
 	var rec [recordBytes]byte
-	for {
-		inst, ok := s.Next()
-		if !ok {
-			break
+	for w := s.NextSlice(DefaultChunkRecords); len(w) > 0; w = s.NextSlice(DefaultChunkRecords) {
+		for _, inst := range w {
+			if count >= maxV1Records {
+				return int(count), fmt.Errorf("trace: stream exceeds %d records, too long for format v1 (use WriteV2)", maxV1Records)
+			}
+			encodeRecord(rec[:], inst, false)
+			if _, err := bw.Write(rec[:]); err != nil {
+				return int(count), err
+			}
+			count++
 		}
-		if count >= maxV1Records {
-			return int(count), fmt.Errorf("trace: stream exceeds %d records, too long for format v1 (use WriteV2)", maxV1Records)
-		}
-		encodeRecord(rec[:], inst, false)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return int(count), err
-		}
-		count++
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], uint32(count))
@@ -140,12 +138,13 @@ func Write(w io.Writer, s Stream) (int, error) {
 // files transparently (NewReader sniffs the header version) and never
 // materialises the full trace: v1 is decoded record by record, v2 chunk
 // by chunk, so multi-million-instruction traces replay in constant
-// memory. Reader also implements BatchStream for the replay fast path.
+// memory. NextSlice windows span v2 chunk boundaries.
 type Reader struct {
 	hdr  header
 	err  error
 	done bool
 	read uint64 // records streamed so far, checked against the trailer
+	win  []Inst // NextSlice's window when it is not a view of one v2 chunk
 
 	// stray counts records whose reserved phase byte (record byte 10)
 	// is non-zero in a stream that does not advertise phases. The spec
@@ -242,7 +241,7 @@ func (r *Reader) Version() int { return r.hdr.version }
 // false for v1).
 func (r *Reader) Compressed() bool { return r.hdr.compressed }
 
-// HasPhases implements PhaseAnnotated: it reports whether the file
+// HasPhases implements Stream: it reports whether the file
 // advertises per-record phase ids (v2 stream-flag bit 1; always false
 // for v1 and phase-less v2 files).
 func (r *Reader) HasPhases() bool { return r.hdr.phases }
@@ -275,15 +274,34 @@ func (r *Reader) Chunks() uint64 {
 // and tools should report it rather than ignore it silently.
 func (r *Reader) UnadvertisedPhaseBytes() uint64 { return r.stray }
 
-// Next implements Stream.
-func (r *Reader) Next() (Inst, bool) {
-	if r.done || r.err != nil {
-		return Inst{}, false
+// NextSlice implements Stream. A window that lies inside one decoded
+// v2 chunk is a view of it; any other window is assembled in the
+// Reader's own buffer, across as many chunks as it spans. Read failures
+// end the stream early and are reported by Err.
+func (r *Reader) NextSlice(max int) []Inst {
+	win := r.win[:0]
+	for len(win) < max && !r.done && r.err == nil {
+		if r.v2 == nil {
+			if inst, ok := r.nextV1(); ok {
+				win = append(win, inst)
+			}
+			continue
+		}
+		v2 := r.v2
+		if v2.pos == len(v2.chunk) && !r.loadChunk() {
+			r.done = true
+			break
+		}
+		run := v2.chunk[v2.pos:min(len(v2.chunk), v2.pos+max-len(win))]
+		v2.pos += len(run)
+		r.read += uint64(len(run))
+		if len(run) == max {
+			return run
+		}
+		win = append(win, run...)
 	}
-	if r.v2 != nil {
-		return r.nextV2()
-	}
-	return r.nextV1()
+	r.win = win
+	return win
 }
 
 // nextV1 decodes one flat v1 record. The 12-byte records are
@@ -324,16 +342,9 @@ func (r *Reader) nextV1() (Inst, bool) {
 	return inst, true
 }
 
-// NextBatch implements BatchStream: it fills buf with up to len(buf)
-// consecutive instructions and returns how many were produced. For v2
-// files the records are decoded straight out of the chunk buffer with
-// no per-instruction indirection.
-func (r *Reader) NextBatch(buf []Inst) int {
-	if r.v2 != nil {
-		return r.nextBatchV2(buf)
-	}
-	return fillFromNext(r.Next, buf)
-}
+// NextBatch copies the next window into buf and returns its length; it
+// is NextSlice under the batch signature edbench's probe still calls.
+func (r *Reader) NextBatch(buf []Inst) int { return copy(buf, r.NextSlice(len(buf))) }
 
 // Err reports a non-EOF read failure encountered during streaming.
 func (r *Reader) Err() error { return r.err }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -29,17 +30,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range sample() {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("stream ended at record %d", i)
-		}
-		if got != want {
-			t.Fatalf("record %d: %+v != %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("stream did not end")
+	if got := readAll(t, r); !reflect.DeepEqual(got, sample()) {
+		t.Fatalf("replayed %+v, want %+v", got, sample())
 	}
 	if r.Err() != nil {
 		t.Errorf("unexpected error: %v", r.Err())
@@ -55,7 +47,7 @@ func TestEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Next(); ok {
+	if len(r.NextSlice(1)) != 0 {
 		t.Error("empty trace produced a record")
 	}
 	if r.Err() != nil {
@@ -87,11 +79,7 @@ func TestTruncationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-	}
+	readAll(t, r)
 	if r.Err() == nil {
 		t.Error("mid-record truncation not detected")
 	}
@@ -102,11 +90,7 @@ func TestTruncationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, ok := r2.Next(); !ok {
-			break
-		}
-	}
+	readAll(t, r2)
 	if r2.Err() == nil {
 		t.Error("record-count mismatch not detected")
 	}

@@ -150,11 +150,10 @@ func (h header) decodeChunk(frame []byte, dst []Inst) (IndexEntry, uint64, error
 
 // WriteV2 serialises the full stream to w in format v2 and returns the
 // record count. Memory use is bounded by one chunk (plus 16 bytes per
-// chunk when an index is requested) regardless of the stream length; if
-// s implements BatchStream the chunk buffer is filled in bulk. Every
-// chunk but the last holds exactly the chunk capacity, whatever batch
-// sizes s hands out. Unlike v1 there is no practical length limit (the
-// trailer is 64-bit).
+// chunk when an index is requested) regardless of the stream length.
+// Each chunk is one NextSlice window of the chunk capacity, so every
+// chunk but the last holds exactly the capacity. Unlike v1 there is no
+// practical length limit (the trailer is 64-bit).
 func WriteV2(w io.Writer, s Stream, o V2Options) (int64, error) {
 	chunkCap, err := o.chunkRecords()
 	if err != nil {
@@ -193,30 +192,22 @@ func WriteV2(w io.Writer, s Stream, o V2Options) (int64, error) {
 		body = gz
 	}
 
-	insts := make([]Inst, chunkCap)
 	raw := make([]byte, h.frameBytes(chunkCap))
 	var (
 		total   int64
 		off     int64 = v2HeaderBytes // file offset of the next chunk frame
 		entries []IndexEntry
 	)
-	for full := true; full; {
-		n := 0
-		for n < chunkCap {
-			k := Fill(s, insts[n:])
-			if k == 0 {
-				full = false
-				break
-			}
-			n += k
-		}
+	for {
+		insts := s.NextSlice(chunkCap)
+		n := len(insts)
 		if n == 0 {
 			break
 		}
 		frame := raw[:h.frameBytes(n)]
 		binary.LittleEndian.PutUint32(frame[0:4], uint32(n))
 		e := IndexEntry{Offset: off, Count: n}
-		for i, inst := range insts[:n] {
+		for i, inst := range insts {
 			encodeRecord(frame[4+i*recordBytes:], inst, o.Phases)
 			if o.Phases {
 				if i == 0 || inst.Phase < e.MinPhase {
@@ -423,42 +414,4 @@ func (v2 *readerV2) verifyStreamedIndex() error {
 		return fmt.Errorf("trace: %w: footer index offset %d, index started at %d", ErrIndex, indexOff, wantOff)
 	}
 	return nil
-}
-
-// nextV2 returns the next record of a v2 file, loading chunks on
-// demand.
-func (r *Reader) nextV2() (Inst, bool) {
-	v2 := r.v2
-	if v2.pos >= len(v2.chunk) {
-		if !r.loadChunk() {
-			r.done = true
-			return Inst{}, false
-		}
-	}
-	inst := v2.chunk[v2.pos]
-	v2.pos++
-	r.read++
-	return inst, true
-}
-
-// nextBatchV2 copies decoded records out of the chunk buffer in bulk.
-func (r *Reader) nextBatchV2(buf []Inst) int {
-	if r.done || r.err != nil {
-		return 0
-	}
-	v2 := r.v2
-	n := 0
-	for n < len(buf) {
-		if v2.pos >= len(v2.chunk) {
-			if !r.loadChunk() {
-				r.done = true
-				break
-			}
-		}
-		c := copy(buf[n:], v2.chunk[v2.pos:])
-		v2.pos += c
-		r.read += uint64(c)
-		n += c
-	}
-	return n
 }

@@ -21,15 +21,13 @@ func writeV2(t *testing.T, insts []Inst, o V2Options) []byte {
 	return buf.Bytes()
 }
 
+// readAll drains r one record per window, the finest grain a consumer
+// can pull.
 func readAll(t *testing.T, r *Reader) []Inst {
 	t.Helper()
 	var out []Inst
-	for {
-		inst, ok := r.Next()
-		if !ok {
-			break
-		}
-		out = append(out, inst)
+	for w := r.NextSlice(1); len(w) > 0; w = r.NextSlice(1) {
+		out = append(out, w...)
 	}
 	return out
 }
@@ -79,7 +77,7 @@ func TestV2EmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Next(); ok {
+	if len(r.NextSlice(1)) != 0 {
 		t.Error("empty trace produced a record")
 	}
 	if r.Err() != nil {
@@ -130,15 +128,17 @@ func TestV2InterleavedNextAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// NextSlice windows and NextBatch copies, alternated, read one
+	// sequence.
 	var got []Inst
 	buf := make([]Inst, 7)
 	for i := 0; ; i++ {
 		if i%2 == 0 {
-			inst, ok := r.Next()
-			if !ok {
+			w := r.NextSlice(5)
+			if len(w) == 0 {
 				break
 			}
-			got = append(got, inst)
+			got = append(got, w...)
 		} else {
 			n := r.NextBatch(buf)
 			if n == 0 {
@@ -182,15 +182,7 @@ func TestV2StreamsThroughPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	buf := make([]Inst, 4096)
-	for {
-		c := r.NextBatch(buf)
-		if c == 0 {
-			break
-		}
-		count += c
-	}
+	count := Count(r)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}

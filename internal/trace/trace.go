@@ -39,80 +39,27 @@ type Inst struct {
 	Phase uint8
 }
 
-// Stream produces instructions one at a time. Implementations must be
-// deterministic for a given construction so experiments are repeatable.
+// Stream produces instructions window by window. Implementations must
+// be deterministic for a given construction so experiments are
+// repeatable.
 type Stream interface {
-	// Next returns the next instruction; ok is false when the stream is
-	// exhausted.
-	Next() (inst Inst, ok bool)
-}
-
-// BatchStream is an optional Stream extension for bulk production: a
-// single NextBatch call replaces len(buf) interface dispatches, which
-// is what makes the cpu package's chunked replay fast path worthwhile.
-// Implementations fill buf from the front and return how many
-// instructions were produced; 0 means the stream is exhausted. Batched
-// and per-instruction reads may be interleaved and must observe the
-// same underlying sequence.
-type BatchStream interface {
-	Stream
-	NextBatch(buf []Inst) int
-}
-
-// SliceBatcher is an optional BatchStream extension for zero-copy bulk
-// replay: NextSlice returns a view of up to max consecutive
-// instructions straight out of the stream's backing storage, advancing
-// the stream past them; nil/empty means exhausted. Callers MUST treat
-// the returned slice as read-only and must not retain it across calls.
-// Only streams whose instructions already sit in memory (arena
-// cursors, slice streams) can offer this; consumers fall back to
-// NextBatch otherwise.
-type SliceBatcher interface {
-	BatchStream
+	// NextSlice returns the next window of exactly min(max, remaining)
+	// instructions, advancing the stream past them; an empty window
+	// means the stream is exhausted. The window is a read-only view
+	// that stays valid only until the next call. Windows span whatever
+	// internal storage boundaries the source has (v2 chunks, decode
+	// buffers), so a consumer's window size alone fixes its grain.
 	NextSlice(max int) []Inst
-}
-
-// PhaseAnnotated is an optional Stream extension: HasPhases reports
-// whether the stream's instructions may carry non-zero phase ids.
-// Consumers that segment metrics per phase (cpu.Run) check it once up
-// front, so unannotated streams replay on the exact unsegmented fast
-// path with no per-instruction phase bookkeeping.
-type PhaseAnnotated interface {
+	// HasPhases reports whether the stream's instructions may carry
+	// non-zero phase ids. Consumers that segment metrics per phase
+	// (cpu.Run) check it once up front, so unannotated streams replay
+	// with no per-instruction phase bookkeeping.
 	HasPhases() bool
 }
 
-// HasPhases reports whether s declares phase annotations (implements
-// PhaseAnnotated and answers true).
-func HasPhases(s Stream) bool {
-	pa, ok := s.(PhaseAnnotated)
-	return ok && pa.HasPhases()
-}
-
-// Fill pulls up to len(buf) instructions from s into buf, taking the
-// bulk path when s implements BatchStream. It returns how many
-// instructions were produced; 0 means the stream is exhausted.
-// Serialisation and replay loops share it.
-func Fill(s Stream, buf []Inst) int {
-	if b, ok := s.(BatchStream); ok {
-		return b.NextBatch(buf)
-	}
-	return fillFromNext(s.Next, buf)
-}
-
-// fillFromNext is the scalar fallback of Fill, shared with BatchStream
-// implementations whose underlying production is per-instruction.
-func fillFromNext(next func() (Inst, bool), buf []Inst) int {
-	n := 0
-	for n < len(buf) {
-		inst, ok := next()
-		if !ok {
-			break
-		}
-		buf[n] = inst
-		n++
-	}
-	return n
-}
+// SliceBatcher is Stream under its former name, which edbench's probe
+// still spells.
+type SliceBatcher = Stream
 
 // SliceStream replays a fixed slice (used in tests).
 type SliceStream struct {
@@ -120,30 +67,10 @@ type SliceStream struct {
 	pos   int
 }
 
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.Insts) {
-		return Inst{}, false
-	}
-	i := s.Insts[s.pos]
-	s.pos++
-	return i, true
-}
-
-// NextBatch implements BatchStream.
-func (s *SliceStream) NextBatch(buf []Inst) int {
-	n := copy(buf, s.Insts[s.pos:])
-	s.pos += n
-	return n
-}
-
-// NextSlice implements SliceBatcher (zero-copy view of the backing
-// slice).
+// NextSlice implements Stream with a zero-copy view of the backing
+// slice.
 func (s *SliceStream) NextSlice(max int) []Inst {
-	n := len(s.Insts) - s.pos
-	if n > max {
-		n = max
-	}
+	n := min(max, len(s.Insts)-s.pos)
 	out := s.Insts[s.pos : s.pos+n]
 	s.pos += n
 	return out
@@ -152,7 +79,7 @@ func (s *SliceStream) NextSlice(max int) []Inst {
 // Reset rewinds the stream.
 func (s *SliceStream) Reset() { s.pos = 0 }
 
-// HasPhases implements PhaseAnnotated by scanning the slice (tests use
+// HasPhases implements Stream by scanning the slice (tests use
 // SliceStream; the scan keeps them honest without an extra field).
 func (s *SliceStream) HasPhases() bool {
 	for _, inst := range s.Insts {
@@ -166,10 +93,8 @@ func (s *SliceStream) HasPhases() bool {
 // Count drains a stream and returns the instruction count (test helper).
 func Count(s Stream) int {
 	n := 0
-	for {
-		if _, ok := s.Next(); !ok {
-			return n
-		}
-		n++
+	for w := s.NextSlice(DefaultChunkRecords); len(w) > 0; w = s.NextSlice(DefaultChunkRecords) {
+		n += len(w)
 	}
+	return n
 }
