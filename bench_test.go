@@ -121,6 +121,7 @@ func BenchmarkReliabilityCampaign(b *testing.B) {
 	}
 	g := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 39, TagWordBits: 33}
 	usable, total := 0, 0
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m, err := faults.Generate(g, res.ProposedPf, rand.New(rand.NewSource(int64(i))))
 		if err != nil {

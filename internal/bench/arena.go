@@ -21,9 +21,9 @@ import (
 // indistinguishable from a fresh Stream — the experiment engine's
 // workers-invariant determinism contract holds with any worker count.
 //
-// Memory: a slab is 16 bytes per instruction, retained for the cache's
-// lifetime — the full 18-workload corpus at the paper's 300 k
-// instructions is ~86 MB, the price of decode-once replay.
+// Memory: a slab is one exact allocation of 16 bytes per instruction
+// (no transient 2x growth), retained for the cache's lifetime — the
+// full 18-workload corpus at the paper's 300 k instructions is ~86 MB.
 type ArenaCache struct {
 	shared *sim.Shared[Workload, *trace.Arena]
 }
@@ -31,7 +31,7 @@ type ArenaCache struct {
 // NewArenaCache returns an empty cache.
 func NewArenaCache() *ArenaCache {
 	return &ArenaCache{shared: sim.NewShared(func(w Workload) (*trace.Arena, error) {
-		return trace.NewArena(w.Stream()), nil
+		return trace.NewArena(w.Stream(), w.Instructions), nil
 	})}
 }
 

@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"edcache/internal/cache"
 	"edcache/internal/cpu"
@@ -42,6 +44,49 @@ func TestArenaCacheSharesOneSlabPerWorkload(t *testing.T) {
 	if c.Get(w.ScaledTo(1_000)) == arenas[0] {
 		t.Fatal("different trace lengths share one slab")
 	}
+}
+
+// TestArenaCacheSlabIsExact: a workload's slab is sized from its
+// instruction count, so it is one allocation of exactly that length. A
+// cursor's first whole-slab window is a view of the slab, so its
+// capacity is the slab's.
+func TestArenaCacheSlabIsExact(t *testing.T) {
+	c := NewArenaCache()
+	for _, w := range Full() {
+		w := w.ScaledTo(20_000)
+		a := c.Get(w)
+		win := a.Cursor().NextSlice(a.Len())
+		if a.Len() != w.Instructions || len(win) != w.Instructions || cap(win) != w.Instructions {
+			t.Errorf("%s: slab len %d, window len %d cap %d, want all %d", w.Name, a.Len(), len(win), cap(win), w.Instructions)
+		}
+	}
+	// Beyond what the generator itself allocates, building a slab costs
+	// the slab's bytes once: no doubling copies, no shrink copy.
+	w, err := ByName("gsm_c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.ScaledTo(200_000)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	gen := allocated(func() { collectLen(w.Stream()) })
+	slab := allocated(func() { NewArenaCache().Get(w) })
+	if limit := gen + 5*uint64(unsafe.Sizeof(trace.Inst{}))*uint64(w.Instructions)/4; slab > limit {
+		t.Errorf("building a %d-instruction slab allocated %d B, generator alone %d B: want under %d", w.Instructions, slab, gen, limit)
+	}
+}
+
+// collectLen drains a stream without keeping its records.
+func collectLen(s trace.Stream) (n int) {
+	for w := s.NextSlice(8192); len(w) > 0; w = s.NextSlice(8192) {
+		n += len(w)
+	}
+	return n
 }
 
 // TestArenaCacheReplaysGeneratorExactly is the decode-once determinism

@@ -135,3 +135,48 @@ func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 		t.Errorf("yield-accepted die produced %d uncorrectable reads", dl1.Uncorrectable)
 	}
 }
+
+// BenchmarkReplayFunctional measures the bit-accurate replay func-corr
+// runs for every accepted die: stencil_s from a shared slab through a
+// fresh functional IL1/DL1 pair protected by each scenario's proposed
+// code (SECDED for A, DECTED for B), the DL1 over a faulty way drawn
+// at 10x the sized Pf.
+func BenchmarkReplayFunctional(b *testing.B) {
+	w, err := bench.ByName("stencil_s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w = w.ScaledTo(60_000)
+	slab := bench.NewArenaCache().Get(w)
+	for _, s := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
+		kind := s.ProposedCode()
+		b.Run(kind.String(), func(b *testing.B) {
+			res, err := yield.Run(yield.PaperInput(s))
+			if err != nil {
+				b.Fatal(err)
+			}
+			check := kind.CheckBits()
+			geom := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 32 + check, TagWordBits: 26 + check}
+			fmap, err := faults.Generate(geom, 10*res.ProposedPf, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(w.Instructions))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				il1, err := NewFunctionalCache(32, 8, kind, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				dl1, err := NewFunctionalCache(32, 8, kind, fmap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, slab.Cursor()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

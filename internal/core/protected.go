@@ -20,7 +20,7 @@ type ProtectedWay struct {
 	dataCodec ecc.Codec
 	tagCodec  ecc.Codec
 	fmap      *faults.WayFaults
-	store     map[faults.WordKey]uint64
+	store     []uint64 // codewords at line*(WordsPerLine+1)+word, the tag last
 }
 
 // NewProtectedWay builds a way with the given geometry, code family and
@@ -52,7 +52,7 @@ func NewProtectedWay(lines, wordsPerLine int, kind ecc.Kind, dataBits, tagBits i
 		dataCodec: dataCodec,
 		tagCodec:  tagCodec,
 		fmap:      fmap,
-		store:     make(map[faults.WordKey]uint64),
+		store:     make([]uint64, lines*(wordsPerLine+1)),
 	}, nil
 }
 
@@ -65,19 +65,20 @@ func (p *ProtectedWay) checkData(line, word int) {
 	}
 }
 
+// slot returns a word's index in store.
+func (p *ProtectedWay) slot(line, word int) int { return line*(p.geom.WordsPerLine+1) + word }
+
 // WriteData encodes and stores a data word.
 func (p *ProtectedWay) WriteData(line, word int, value uint64) {
 	p.checkData(line, word)
-	k := faults.WordKey{Line: line, Word: word}
-	p.store[k] = p.dataCodec.Encode(value & ecc.DataMask(p.dataCodec))
+	p.store[p.slot(line, word)] = p.dataCodec.Encode(value & ecc.DataMask(p.dataCodec))
 }
 
 // ReadData reads a data word through the fault map and the decoder.
 func (p *ProtectedWay) ReadData(line, word int) (uint64, ecc.Result) {
 	p.checkData(line, word)
 	k := faults.WordKey{Line: line, Word: word}
-	raw := p.fmap.Apply(k, p.store[k])
-	return p.dataCodec.Decode(raw)
+	return p.dataCodec.Decode(p.fmap.Apply(k, p.store[p.slot(line, word)]))
 }
 
 // WriteTag encodes and stores a line's tag word.
@@ -85,8 +86,7 @@ func (p *ProtectedWay) WriteTag(line int, value uint64) {
 	if line < 0 || line >= p.geom.Lines {
 		panic(fmt.Sprintf("core: tag line %d out of range", line))
 	}
-	k := faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}
-	p.store[k] = p.tagCodec.Encode(value & ecc.DataMask(p.tagCodec))
+	p.store[p.slot(line, p.geom.TagWordIndex())] = p.tagCodec.Encode(value & ecc.DataMask(p.tagCodec))
 }
 
 // ReadTag reads a line's tag word through the fault map and decoder.
@@ -95,14 +95,13 @@ func (p *ProtectedWay) ReadTag(line int) (uint64, ecc.Result) {
 		panic(fmt.Sprintf("core: tag line %d out of range", line))
 	}
 	k := faults.WordKey{Line: line, Word: p.geom.TagWordIndex()}
-	raw := p.fmap.Apply(k, p.store[k])
-	return p.tagCodec.Decode(raw)
+	return p.tagCodec.Decode(p.fmap.Apply(k, p.store[p.slot(k.Line, k.Word)]))
 }
 
 // InjectSoftError flips one random stored bit of the given data word,
 // modelling a particle strike between write and read.
 func (p *ProtectedWay) InjectSoftError(line, word int, rng *rand.Rand) {
 	p.checkData(line, word)
-	k := faults.WordKey{Line: line, Word: word}
-	p.store[k] = faults.FlipRandomBit(p.store[k], ecc.TotalBits(p.dataCodec), rng)
+	i := p.slot(line, word)
+	p.store[i] = faults.FlipRandomBit(p.store[i], ecc.TotalBits(p.dataCodec), rng)
 }

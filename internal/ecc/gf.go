@@ -1,6 +1,9 @@
 package ecc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Field is a binary extension field GF(2^m) represented with log/antilog
 // tables over a primitive polynomial. It is sized for the BCH codes used
@@ -138,14 +141,7 @@ func polyMulGF2(a, b uint64) uint64 {
 }
 
 // polyDeg returns the degree of a GF(2) polynomial (-1 for the zero poly).
-func polyDeg(p uint64) int {
-	d := -1
-	for p != 0 {
-		d++
-		p >>= 1
-	}
-	return d
-}
+func polyDeg(p uint64) int { return bits.Len64(p) - 1 }
 
 // polyModGF2 reduces a modulo m over GF(2).
 func polyModGF2(a, m uint64) uint64 {

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"edcache/internal/sim"
 )
@@ -32,27 +33,34 @@ func (r CampaignResult) Yield() float64 {
 	return float64(r.Usable) / float64(r.Trials)
 }
 
-// Run executes the campaign on a worker pool. Every trial derives its
-// own RNG from (seed, trial index), so the result is identical for any
-// worker count — the property the engine's determinism test locks in.
+// Run executes the campaign on a worker pool. Each worker owns one RNG
+// and one fault map, reseeded from (seed, trial index) and redrawn per
+// trial, so the result is identical for any worker count — the property
+// the engine's determinism test locks in.
 func (c Campaign) Run(seed int64, workers int) (CampaignResult, error) {
 	if c.Trials <= 0 {
 		return CampaignResult{}, fmt.Errorf("faults: campaign needs a positive trial count, got %d", c.Trials)
 	}
-	usable, err := sim.Map(workers, c.Trials, func(i int) (int, error) {
-		rng := rand.New(rand.NewSource(sim.SubSeed(seed, "faults.campaign", i)))
-		m, err := Generate(c.Geometry, c.Pf, rng)
-		if err != nil {
-			return 0, err
-		}
-		if m.Usable(c.Tolerable) {
-			return 1, nil
-		}
-		return 0, nil
-	})
-	if err != nil {
+	if err := validate(c.Geometry, c.Pf); err != nil {
 		return CampaignResult{}, err
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, c.Trials)
+	// Worker k runs a contiguous block of trials, none of which can fail.
+	usable, _ := sim.Map(workers, workers, func(k int) (int, error) {
+		rng, m := rand.New(rand.NewSource(seed)), Empty(c.Geometry)
+		n := 0
+		for i := k * c.Trials / workers; i < (k+1)*c.Trials/workers; i++ {
+			rng.Seed(sim.SubSeed(seed, "faults.campaign", i))
+			m.redraw(c.Pf, rng)
+			if m.Usable(c.Tolerable) {
+				n++
+			}
+		}
+		return n, nil
+	})
 	res := CampaignResult{Trials: c.Trials}
 	for _, u := range usable {
 		res.Usable += u

@@ -9,6 +9,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // BitFault is one stuck-at bit within a stored word.
@@ -33,10 +34,10 @@ type WayGeometry struct {
 	TagWordBits  int // total codeword bits per tag word
 }
 
-// Validate reports whether the geometry is usable.
+// Validate reports whether the geometry is usable (words of 1..64 bits).
 func (g WayGeometry) Validate() error {
-	if g.Lines <= 0 || g.WordsPerLine <= 0 || g.DataWordBits <= 0 || g.TagWordBits <= 0 {
-		return fmt.Errorf("faults: invalid geometry %+v", g)
+	if min(g.Lines, g.WordsPerLine, g.DataWordBits, g.TagWordBits) <= 0 || max(g.DataWordBits, g.TagWordBits) > 64 {
+		return fmt.Errorf("faults: invalid geometry %+v (word widths must lie in 1..64)", g)
 	}
 	return nil
 }
@@ -49,24 +50,41 @@ func (g WayGeometry) TotalBits() int {
 	return g.Lines * (g.WordsPerLine*g.DataWordBits + g.TagWordBits)
 }
 
-// WayFaults is a sparse stuck-at fault map over one way.
+// WayFaults is a dense stuck-at fault map over one way. Its flat
+// per-word slices are indexed line*(WordsPerLine+1)+word, the tag last.
 type WayFaults struct {
-	geom  WayGeometry
-	words map[WordKey][]BitFault
-	count int
+	geom      WayGeometry
+	mask, val []uint64 // the word's stuck bits and the values they are stuck at
+	n         []int    // the word's fault count
+	count     int
 }
 
 // Generate draws a fault map with independent per-bit probability pf,
 // using the supplied RNG (deterministic campaigns seed it explicitly).
 // Stuck values are equiprobable 0/1.
 func Generate(g WayGeometry, pf float64, rng *rand.Rand) (*WayFaults, error) {
-	if err := g.Validate(); err != nil {
+	if err := validate(g, pf); err != nil {
 		return nil, err
 	}
+	w := Empty(g)
+	w.redraw(pf, rng)
+	return w, nil
+}
+
+func validate(g WayGeometry, pf float64) error {
 	if pf < 0 || pf > 1 {
-		return nil, fmt.Errorf("faults: Pf %g outside [0,1]", pf)
+		return fmt.Errorf("faults: Pf %g outside [0,1]", pf)
 	}
-	w := &WayFaults{geom: g, words: make(map[WordKey][]BitFault)}
+	return g.Validate()
+}
+
+// redraw clears the map and draws every cell in (line, word, bit) order.
+func (w *WayFaults) redraw(pf float64, rng *rand.Rand) {
+	clear(w.mask)
+	clear(w.val)
+	clear(w.n)
+	w.count = 0
+	g := w.geom
 	for line := 0; line < g.Lines; line++ {
 		for word := 0; word <= g.WordsPerLine; word++ {
 			bits := g.DataWordBits
@@ -75,56 +93,59 @@ func Generate(g WayGeometry, pf float64, rng *rand.Rand) (*WayFaults, error) {
 			}
 			for b := 0; b < bits; b++ {
 				if rng.Float64() < pf {
-					k := WordKey{Line: line, Word: word}
-					w.words[k] = append(w.words[k], BitFault{Pos: b, Stuck: uint64(rng.Intn(2))})
-					w.count++
+					w.Inject(WordKey{Line: line, Word: word}, BitFault{Pos: b, Stuck: uint64(rng.Intn(2))})
 				}
 			}
 		}
 	}
-	return w, nil
 }
 
-// Empty returns a fault-free map for the geometry.
+// Empty returns a fault-free map for the geometry, which must be valid.
 func Empty(g WayGeometry) *WayFaults {
-	return &WayFaults{geom: g, words: make(map[WordKey][]BitFault)}
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	n := g.Lines * (g.WordsPerLine + 1)
+	return &WayFaults{geom: g, mask: make([]uint64, n), val: make([]uint64, n), n: make([]int, n)}
 }
 
 // Inject adds one explicit stuck-at fault (for directed tests and the
-// fault-injection example).
+// fault-injection example); a repeat on one bit overrides its stuck
+// value and counts again. It panics outside the geometry.
 func (w *WayFaults) Inject(k WordKey, f BitFault) {
-	w.words[k] = append(w.words[k], f)
+	bits := w.geom.DataWordBits
+	if k.Word == w.geom.TagWordIndex() {
+		bits = w.geom.TagWordBits
+	}
+	if k.Line < 0 || k.Line >= w.geom.Lines || k.Word < 0 || k.Word > w.geom.WordsPerLine || f.Pos < 0 || f.Pos >= bits {
+		panic(fmt.Sprintf("faults: fault %+v in word %+v outside geometry %+v", f, k, w.geom))
+	}
+	i, bit := w.index(k), uint64(1)<<uint(f.Pos)
+	w.mask[i] |= bit
+	w.val[i] = w.val[i]&^bit | f.Stuck<<uint(f.Pos)
+	w.n[i]++
 	w.count++
 }
+
+func (w *WayFaults) index(k WordKey) int { return k.Line*(w.geom.WordsPerLine+1) + k.Word }
 
 // Apply forces the stuck bits of the addressed word onto a codeword,
 // modelling what the array returns on a read after the word was written.
 func (w *WayFaults) Apply(k WordKey, codeword uint64) uint64 {
-	for _, f := range w.words[k] {
-		mask := uint64(1) << uint(f.Pos)
-		codeword = codeword&^mask | f.Stuck<<uint(f.Pos)
-	}
-	return codeword
+	i := w.index(k)
+	return codeword&^w.mask[i] | w.val[i]
 }
 
 // Count returns the total number of stuck-at cells in the way.
 func (w *WayFaults) Count() int { return w.count }
 
 // FaultsIn returns the number of stuck-at cells in one word.
-func (w *WayFaults) FaultsIn(k WordKey) int { return len(w.words[k]) }
+func (w *WayFaults) FaultsIn(k WordKey) int { return w.n[w.index(k)] }
 
 // MaxPerWord returns the largest number of faults found in any single
 // word — the quantity yield analysis cares about (a word with more hard
 // faults than the code can dedicate to them is unusable).
-func (w *WayFaults) MaxPerWord() int {
-	max := 0
-	for _, fs := range w.words {
-		if len(fs) > max {
-			max = len(fs)
-		}
-	}
-	return max
-}
+func (w *WayFaults) MaxPerWord() int { return slices.Max(w.n) }
 
 // Usable reports whether every word has at most `tolerable` hard faults —
 // the acceptance criterion of the paper's Eq. (1)/(2).

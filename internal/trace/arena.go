@@ -50,11 +50,11 @@ type Arena struct {
 // arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
-// NewArena materializes the whole stream into a slab. Phase annotation
-// is inherited from the stream, so cursors replay exactly as the source
-// stream would.
-func NewArena(s Stream) *Arena {
-	var insts []Inst
+// NewArena materializes the whole stream into a slab; n is the expected
+// length (0 if unknown), so an exact n makes the slab one allocation.
+// Phase annotation is inherited, so cursors replay as the stream would.
+func NewArena(s Stream, n int) *Arena {
+	insts := make([]Inst, 0, n)
 	for {
 		w := s.NextSlice(arenaChunk)
 		if len(w) == 0 {
@@ -68,9 +68,9 @@ func NewArena(s Stream) *Arena {
 		insts = append(insts, w...)
 	}
 	// Shrink to fit: arenas live for a whole run (the caches retain
-	// them), so the doubling loop's excess capacity — up to ~2x — would
-	// otherwise be pinned alongside every slab. One copy bounds the
-	// slab at exactly 16 B/instruction.
+	// them), so excess capacity from the doubling loop (up to ~2x) or an
+	// overlong hint would otherwise be pinned alongside every slab. One
+	// copy bounds the slab at exactly 16 B/instruction.
 	if cap(insts) > len(insts) {
 		exact := make([]Inst, len(insts))
 		copy(exact, insts)
@@ -88,7 +88,7 @@ func loadArena(r io.Reader) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := NewArena(rd)
+	a := NewArena(rd, 0)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}

@@ -1,0 +1,31 @@
+package trace
+
+import (
+	"reflect"
+	"testing"
+)
+
+// TestNewArenaHintKeepsRecordsAndFit: whatever the length hint — unknown
+// (0), short, exact or long — the slab holds the stream's records and
+// phase bit, at exactly its length.
+func TestNewArenaHintKeepsRecordsAndFit(t *testing.T) {
+	const n = 3*arenaChunk + 17 // several windows, so a short hint must grow
+	for _, phased := range []bool{false, true} {
+		src := make([]Inst, n)
+		for i := range src {
+			src[i] = Inst{PC: uint32(4 * i), Addr: uint32(i * 7), IsLoad: i%3 == 0}
+			if phased {
+				src[i].Phase = uint8(i / arenaChunk)
+			}
+		}
+		for _, hint := range []int{0, 1, arenaChunk, n - 1, n, n + 1, 2 * n} {
+			a := NewArena(&SliceStream{Insts: src}, hint)
+			if !reflect.DeepEqual(a.insts, src) || a.HasPhases() != phased {
+				t.Fatalf("phased %v hint %d: slab differs from the stream (phases %v)", phased, hint, a.HasPhases())
+			}
+			if cap(a.insts) != len(a.insts) {
+				t.Errorf("phased %v hint %d: cap %d, len %d, want an exact fit", phased, hint, cap(a.insts), len(a.insts))
+			}
+		}
+	}
+}

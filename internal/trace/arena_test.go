@@ -55,7 +55,7 @@ func drain(s trace.Stream, seed int64) []trace.Inst {
 
 func TestArenaCursorReplaysSource(t *testing.T) {
 	want := randomInsts(10_000, false, 7)
-	a := trace.NewArena(&trace.SliceStream{Insts: want})
+	a := trace.NewArena(&trace.SliceStream{Insts: want}, 0)
 	if a.Len() != len(want) {
 		t.Fatalf("arena holds %d instructions, want %d", a.Len(), len(want))
 	}
@@ -82,7 +82,7 @@ func TestArenaCursorReplaysSource(t *testing.T) {
 
 func TestArenaInheritsPhaseAnnotation(t *testing.T) {
 	insts := randomInsts(1000, true, 8)
-	a := trace.NewArena(&trace.SliceStream{Insts: insts})
+	a := trace.NewArena(&trace.SliceStream{Insts: insts}, 0)
 	if !a.HasPhases() || !a.Cursor().HasPhases() {
 		t.Error("phase-annotated source lost its annotation in the arena")
 	}
@@ -91,11 +91,11 @@ func TestArenaInheritsPhaseAnnotation(t *testing.T) {
 	for i := range stamped {
 		stamped[i].Phase = 9
 	}
-	a = trace.NewArena(&trace.SliceStream{Insts: stamped})
+	a = trace.NewArena(&trace.SliceStream{Insts: stamped}, 0)
 	if !a.HasPhases() {
 		t.Error("uniformly stamped source lost its annotation in the arena")
 	}
-	if a = trace.NewArena(&trace.SliceStream{Insts: randomInsts(100, false, 9)}); a.HasPhases() {
+	if a = trace.NewArena(&trace.SliceStream{Insts: randomInsts(100, false, 9)}, 0); a.HasPhases() {
 		t.Error("unannotated source gained a phase annotation in the arena")
 	}
 }
@@ -192,7 +192,7 @@ func TestLoadArenaFile(t *testing.T) {
 // this proves the arena's concurrent-replay contract.
 func TestArenaConcurrentCursors(t *testing.T) {
 	want := randomInsts(20_000, true, 13)
-	a := trace.NewArena(&trace.SliceStream{Insts: want})
+	a := trace.NewArena(&trace.SliceStream{Insts: want}, 0)
 	const replays = 16
 	var wg sync.WaitGroup
 	errs := make([]string, replays)

@@ -92,7 +92,7 @@ func TestNextSliceServesFullWindows(t *testing.T) {
 		want []trace.Inst
 	}{
 		{"slice", func(*testing.T) trace.Stream { return &trace.SliceStream{Insts: insts} }, insts},
-		{"cursor", func(*testing.T) trace.Stream { return trace.NewArena(&trace.SliceStream{Insts: insts}).Cursor() }, insts},
+		{"cursor", func(*testing.T) trace.Stream { return trace.NewArena(&trace.SliceStream{Insts: insts}, 0).Cursor() }, insts},
 		{"mapcursor-v1", mapped(v1.Bytes()), unphased},
 		{"mapcursor-v2-chunk11", mapped(chunk11), insts},
 		{"reader-v1", reader(v1.Bytes()), unphased},
