@@ -10,7 +10,6 @@
 package edcache_bench
 
 import (
-	"math/rand"
 	"testing"
 
 	"edcache/internal/bench"
@@ -113,26 +112,26 @@ func BenchmarkYieldEquations(b *testing.B) {
 }
 
 // BenchmarkReliabilityCampaign measures the Monte-Carlo fault campaign
-// (E7): silicon samples per second and the resulting MC yield.
+// the reliability experiment (E7) runs: one faults.Campaign.Run of 500
+// trials at the sized ULE-mode Pf per op, on one worker so the figure
+// is the campaign's own cost, and the resulting MC yield.
 func BenchmarkReliabilityCampaign(b *testing.B) {
 	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 39, TagWordBits: 33}
-	usable, total := 0, 0
+	c := faults.Campaign{
+		Geometry: faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 39, TagWordBits: 33},
+		Pf:       res.ProposedPf, Trials: 500, Tolerable: 1,
+	}
+	var r faults.CampaignResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := faults.Generate(g, res.ProposedPf, rand.New(rand.NewSource(int64(i))))
-		if err != nil {
+		if r, err = c.Run(int64(i), 1); err != nil {
 			b.Fatal(err)
 		}
-		total++
-		if m.Usable(1) {
-			usable++
-		}
 	}
-	b.ReportMetric(float64(usable)/float64(total), "mc-yield")
+	b.ReportMetric(r.Yield(), "mc-yield")
 }
 
 // BenchmarkWaySplitAblation runs ablation A1 (7+1 vs 6+2).
@@ -430,10 +429,11 @@ func BenchmarkDutyCycle(b *testing.B) {
 
 // BenchmarkHierarchyReplay measures what the second cache level costs
 // the simulator: the same workload replayed single-level, through a
-// private L1+L2 hierarchy, and as two streams contending for one shared
-// L2 (instructions per second over all replayed streams). Each variant
-// also reports its miss-stall share so throughput changes can be read
-// against the timing work the L2 adds.
+// private L1+L2 hierarchy, as two streams contending for one shared L2
+// (instructions per second over all replayed streams), and through
+// hier-epi's 6-member group in one pass. Each variant also reports its
+// miss-stall share so throughput changes can be read against the
+// timing work the L2 adds.
 func BenchmarkHierarchyReplay(b *testing.B) {
 	l2 := core.L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6}
 	flat := core.MustNewSystem(core.PaperConfig(yield.ScenarioA, core.Proposed))
@@ -482,6 +482,27 @@ func BenchmarkHierarchyReplay(b *testing.B) {
 			}
 		}
 		b.ReportMetric((stallPct(reps[0])+stallPct(reps[1]))/2, "stall-%")
+	})
+	b.Run("hiergroup", func(b *testing.B) {
+		// hier-epi's replay group: 2 L2 geometries × 3 protections at
+		// HP in one pass over a slab.
+		var members []core.GroupMember
+		for _, g := range [][2]int{{128, 8}, {512, 8}} {
+			for _, p := range []ecc.Kind{ecc.KindNone, ecc.KindSECDED, ecc.KindDECTED} {
+				members = append(members, core.GroupMember{Mode: core.ModeHP, Sys: core.MustNewSystem(
+					core.PaperConfig(yield.ScenarioA, core.Proposed).WithL2(core.L2Config{
+						Sets: g[0], Ways: g[1], LineBytes: 32, Latency: 6, Protection: p}))})
+			}
+		}
+		slab := trace.NewArena(w.Stream(), w.Instructions)
+		b.SetBytes(int64(benchInstructions))
+		var reps []core.Report
+		for i := 0; i < b.N; i++ {
+			if reps, err = core.RunGroup(w.Name, slab.Cursor(), members); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(stallPct(reps[0]), "stall-%")
 	})
 }
 

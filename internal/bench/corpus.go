@@ -35,7 +35,7 @@ func (s *seqStream) NextSlice(max int) []trace.Inst {
 	if cap(s.win) < n {
 		s.win = make([]trace.Inst, n)
 	}
-	win := s.win[:n]
+	win := s.win[:n:n]
 	for i := range win {
 		win[i] = s.gen()
 	}

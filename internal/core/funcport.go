@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"edcache/internal/cache"
 	"edcache/internal/cpu"
@@ -9,17 +10,18 @@ import (
 )
 
 // Replay path for the functional (bit-accurate) layer: this adapter
-// puts a FunctionalCache behind cpu.BatchPort, so a whole workload
+// puts FunctionalCaches behind cpu.MultiPort, so a whole workload
 // stream replays through real EDC codewords, stuck-at fault maps and
 // decoders on the same chunked replay loop the performance-model ports
-// use. AccessBatch behaves exactly like FunctionalCache.Load/Store per
-// op in order.
+// use.
 
-// funcPort adapts a FunctionalCache to the core's port interfaces.
-type funcPort struct {
-	fc    *FunctionalCache
-	extra int
-	ops   []cache.Op // AccessBatch scratch
+// funcBank is one side of a functional replay group: member k replays
+// through fcs[k], or copies member 0's miss row past the last cache —
+// the one fault-free IL1 of a group of dice, the same for every die.
+type funcBank struct {
+	fcs      []*FunctionalCache
+	k, extra int
+	ops      []cache.Op // AccessBatch scratch
 }
 
 // funcStoreValue synthesizes the value a replayed store writes. Trace
@@ -28,36 +30,62 @@ type funcPort struct {
 // encoder/decoder path exercised with varying codewords.
 func funcStoreValue(addr uint32) uint32 { return addr ^ 0xEDC0DE5A }
 
-// AccessBatch implements cpu.BatchPort: the chunk's timing accesses
-// run as one batched call against the functional cache's simulator and
-// the protected-array work consumes the Result slice. Behaviour is
-// identical to a Load (or Store of funcStoreValue) per op in order.
-func (p *funcPort) AccessBatch(ops []cpu.PortOp, miss []bool) {
+// Members implements cpu.MultiPort.
+func (b *funcBank) Members() int { return b.k }
+
+// Member implements cpu.MultiPort: members share the EDC hit latency.
+func (b *funcBank) Member(int) cpu.Port { return b }
+
+// ExtraHitLatency implements cpu.Port.
+func (b *funcBank) ExtraHitLatency() int { return b.extra }
+
+// AccessBatch implements cpu.MultiPort: the ops are converted once;
+// per cache, the chunk's timing accesses run as one batched call
+// against its simulator and the protected-array work consumes the
+// Result slice, exactly like a Load (or Store of funcStoreValue) per op.
+func (b *funcBank) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
-	if cap(p.ops) < n {
-		p.ops = make([]cache.Op, n)
+	if cap(b.ops) < n {
+		b.ops = make([]cache.Op, n)
 	}
-	co := p.ops[:n]
+	co := b.ops[:n]
 	for i, op := range ops {
 		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
 	}
-	p.fc.accessBatch(co, funcStoreValue, miss)
+	for k := range miss {
+		if k < len(b.fcs) {
+			b.fcs[k].accessBatch(co, funcStoreValue, miss[k])
+		} else {
+			copy(miss[k], miss[0])
+		}
+	}
 }
 
-// ExtraHitLatency implements cpu.Port.
-func (p *funcPort) ExtraHitLatency() int { return p.extra }
-
 // ReplayFunctional replays a stream through two functional caches on
-// the core timing model (cpu.Run), returning the run's cpu.Stats;
-// extraDL1 is the additional D-side hit latency to charge (the EDC
-// decode stage — use System.ExtraHitLatency for a sized design).
-// Unlike System.Run this drives the bit-accurate protected storage:
-// every fetched and accessed word travels encoder → fault map →
-// decoder, so a faulty die's behaviour shows up in il1/dl1's
-// CorrectedReads and Uncorrectable counters alongside the timing.
+// the core timing model, returning the run's cpu.Stats; extraDL1 is the
+// additional D-side hit latency to charge (the EDC decode stage — use
+// System.ExtraHitLatency for a sized design). Unlike System.Run this
+// drives the bit-accurate protected storage: every fetched and accessed
+// word travels encoder → fault map → decoder, so a faulty die's
+// behaviour shows up in il1/dl1's CorrectedReads and Uncorrectable
+// counters alongside the timing. It is the one-die ReplayFunctionalGroup.
 func ReplayFunctional(cfg cpu.Config, il1, dl1 *FunctionalCache, extraDL1 int, s trace.Stream) (cpu.Stats, error) {
-	if il1 == nil || dl1 == nil {
-		return cpu.Stats{}, fmt.Errorf("core: nil functional cache")
+	sts, err := ReplayFunctionalGroup(cfg, il1, []*FunctionalCache{dl1}, extraDL1, s)
+	if err != nil {
+		return cpu.Stats{}, err
 	}
-	return cpu.Run(cfg, &funcPort{fc: il1}, &funcPort{fc: dl1, extra: extraDL1}, s)
+	return sts[0], nil
+}
+
+// ReplayFunctionalGroup replays one stream once for several dice: one
+// fault-free IL1, replayed once and shared by every die, in front of
+// one distinct DL1 per die, in a single cpu.RunMulti pass. It returns one
+// cpu.Stats per DL1, each equal to ReplayFunctional of that die alone
+// with a fresh IL1; il1's counters are those of one replay.
+func ReplayFunctionalGroup(cfg cpu.Config, il1 *FunctionalCache, dl1s []*FunctionalCache, extraDL1 int, s trace.Stream) ([]cpu.Stats, error) {
+	if il1 == nil || len(dl1s) == 0 || slices.Contains(dl1s, nil) {
+		return nil, fmt.Errorf("core: nil functional cache")
+	}
+	k := len(dl1s)
+	return cpu.RunMulti(cfg, &funcBank{fcs: []*FunctionalCache{il1}, k: k}, &funcBank{fcs: dl1s, k: k, extra: extraDL1}, s)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,11 +137,83 @@ func TestReplayFunctionalOnFaultySilicon(t *testing.T) {
 	}
 }
 
+// TestReplayFunctionalGroupMatchesAlone pins the one-pass dice replay:
+// over 1, 2 and 12 dice drawn at 10x the sized Pf (so some words carry
+// more faults than the code corrects), each die's Stats, CorrectedReads
+// and Uncorrectable must equal ReplayFunctional of that die alone with
+// a fresh IL1, for SECDED and DECTED; the shared IL1 must end as the
+// lone IL1 does.
+func TestReplayFunctionalGroupMatchesAlone(t *testing.T) {
+	w, err := bench.ByName("stencil_s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.ScaledTo(20_000)
+	slab := bench.NewArenaCache().Get(w)
+	cfg := cpu.Config{MemLatency: 20}
+	var corrected, uncorrectable int // over every die, so the test is known to reach both
+	for _, s := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
+		kind := s.ProposedCode()
+		res, err := yield.Run(yield.PaperInput(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := kind.CheckBits()
+		geom := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 32 + check, TagWordBits: 26 + check}
+		rng := rand.New(rand.NewSource(24))
+		for _, n := range []int{1, 2, 12} {
+			il1, _ := newFuncCaches(t, kind, nil)
+			maps := make([]*faults.WayFaults, n)
+			dl1s := make([]*FunctionalCache, n)
+			for d := range maps {
+				if maps[d], err = faults.Generate(geom, 10*res.ProposedPf, rng); err != nil {
+					t.Fatal(err)
+				}
+				_, dl1s[d] = newFuncCaches(t, kind, maps[d])
+			}
+			sts, err := ReplayFunctionalGroup(cfg, il1, dl1s, 1, slab.Cursor())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sts) != n {
+				t.Fatalf("%v, %d dice: %d Stats", kind, n, len(sts))
+			}
+			for d, m := range maps {
+				aloneI, aloneD := newFuncCaches(t, kind, m)
+				want, err := ReplayFunctional(cfg, aloneI, aloneD, 1, slab.Cursor())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sts[d], want) {
+					t.Errorf("%v, %d dice, die %d: group Stats diverge from the die alone:\n%+v\n%+v", kind, n, d, sts[d], want)
+				}
+				corrected += aloneD.CorrectedReads
+				uncorrectable += aloneD.Uncorrectable
+				if got := dl1s[d]; got.CorrectedReads != aloneD.CorrectedReads || got.Uncorrectable != aloneD.Uncorrectable {
+					t.Errorf("%v, %d dice, die %d: corrected/uncorrectable %d/%d, alone %d/%d", kind, n, d,
+						got.CorrectedReads, got.Uncorrectable, aloneD.CorrectedReads, aloneD.Uncorrectable)
+				}
+				if il1.CorrectedReads != aloneI.CorrectedReads || il1.Uncorrectable != aloneI.Uncorrectable {
+					t.Errorf("%v, %d dice: shared IL1 counters diverge from a lone IL1", kind, n)
+				}
+			}
+		}
+	}
+	if corrected == 0 || uncorrectable == 0 {
+		t.Errorf("the dice saw %d corrected and %d uncorrectable reads, want both", corrected, uncorrectable)
+	}
+	if _, err := ReplayFunctionalGroup(cfg, nil, nil, 1, slab.Cursor()); err == nil {
+		t.Error("empty group accepted")
+	}
+}
+
 // BenchmarkReplayFunctional measures the bit-accurate replay func-corr
-// runs for every accepted die: stencil_s from a shared slab through a
-// fresh functional IL1/DL1 pair protected by each scenario's proposed
-// code (SECDED for A, DECTED for B), the DL1 over a faulty way drawn
-// at 10x the sized Pf.
+// runs: stencil_s from a shared slab through a fresh functional IL1 and
+// DL1s protected by each scenario's proposed code (SECDED for A, DECTED
+// for B), each DL1 over a faulty way drawn at 10x the sized Pf. The
+// plain cases replay one die; the -12dice cases replay a full func-corr
+// task's 12 dice as one ReplayFunctionalGroup (SetBytes counts
+// die-instructions, so MB/s compares across the two).
 func BenchmarkReplayFunctional(b *testing.B) {
 	w, err := bench.ByName("stencil_s")
 	if err != nil {
@@ -150,33 +223,44 @@ func BenchmarkReplayFunctional(b *testing.B) {
 	slab := bench.NewArenaCache().Get(w)
 	for _, s := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
 		kind := s.ProposedCode()
-		b.Run(kind.String(), func(b *testing.B) {
-			res, err := yield.Run(yield.PaperInput(s))
-			if err != nil {
-				b.Fatal(err)
+		res, err := yield.Run(yield.PaperInput(s))
+		if err != nil {
+			b.Fatal(err)
+		}
+		check := kind.CheckBits()
+		geom := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 32 + check, TagWordBits: 26 + check}
+		for _, dice := range []int{1, 12} {
+			name := kind.String()
+			if dice > 1 {
+				name = fmt.Sprintf("%s-%ddice", name, dice)
 			}
-			check := kind.CheckBits()
-			geom := faults.WayGeometry{Lines: 32, WordsPerLine: 8, DataWordBits: 32 + check, TagWordBits: 26 + check}
-			fmap, err := faults.Generate(geom, 10*res.ProposedPf, rand.New(rand.NewSource(1)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(w.Instructions))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				il1, err := NewFunctionalCache(32, 8, kind, nil)
-				if err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				maps := make([]*faults.WayFaults, dice)
+				for d := range maps {
+					if maps[d], err = faults.Generate(geom, 10*res.ProposedPf, rng); err != nil {
+						b.Fatal(err)
+					}
 				}
-				dl1, err := NewFunctionalCache(32, 8, kind, fmap)
-				if err != nil {
-					b.Fatal(err)
+				b.ReportAllocs()
+				b.SetBytes(int64(dice * w.Instructions))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					il1, err := NewFunctionalCache(32, 8, kind, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dl1s := make([]*FunctionalCache, dice)
+					for d, m := range maps {
+						if dl1s[d], err = NewFunctionalCache(32, 8, kind, m); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := ReplayFunctionalGroup(cpu.Config{MemLatency: 20}, il1, dl1s, 1, slab.Cursor()); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, slab.Cursor()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"edcache/internal/cache"
 	"edcache/internal/ecc"
@@ -22,6 +23,8 @@ type FunctionalCache struct {
 	mem map[uint32]uint32
 	cfg cache.Config
 	wpl int
+
+	shift, tagShift int // log2 of LineBytes and of LineBytes*Sets (powers of two)
 	// lineAddr[line] tracks which memory line each cache line holds so
 	// evictions can write back decoded contents.
 	lineAddr []uint32
@@ -57,17 +60,15 @@ func NewFunctionalCache(lines, wordsPerLine int, kind ecc.Kind, fmap *faults.Way
 		mem:      make(map[uint32]uint32),
 		cfg:      cfg,
 		wpl:      wordsPerLine,
+		shift:    bits.TrailingZeros(uint(cfg.LineBytes)),
+		tagShift: bits.TrailingZeros(uint(cfg.LineBytes * lines)),
 		lineAddr: make([]uint32, lines),
 		lineUsed: make([]bool, lines),
 	}, nil
 }
 
 func (f *FunctionalCache) locate(addr uint32) (set, word int) {
-	wordAddr := addr &^ 3
-	line := f.sim.LineAddr(wordAddr)
-	set = int(line/uint32(f.cfg.LineBytes)) % f.cfg.Sets
-	word = int(wordAddr-line) / 4
-	return set, word
+	return int(addr>>f.shift) & (f.cfg.Sets - 1), int(addr&uint32(f.cfg.LineBytes-1)) >> 2
 }
 
 // Load returns the 32-bit word at addr (word-aligned), filling the line
@@ -140,7 +141,7 @@ func (f *FunctionalCache) fill(set int, addr uint32, res cache.Result) {
 	for w := 0; w < f.wpl; w++ {
 		f.way.WriteData(set, w, uint64(f.mem[lineBase+uint32(w*4)]))
 	}
-	tag := uint64(lineBase) / uint64(f.cfg.LineBytes*f.cfg.Sets)
+	tag := uint64(lineBase) >> f.tagShift
 	f.way.WriteTag(set, tag&((1<<26)-1))
 	f.lineAddr[set] = lineBase
 	f.lineUsed[set] = true

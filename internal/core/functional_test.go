@@ -171,3 +171,34 @@ func TestFunctionalCacheRunsWorkloadAddresses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocateAndTagMatchDivision pins the shift-and-mask address split
+// against the division formulas it replaced, over seeded random
+// addresses and several power-of-two geometries: locate's set and word,
+// and the tag a miss fills into the protected tag word.
+func TestLocateAndTagMatchDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, g := range [][2]int{{32, 8}, {64, 4}, {16, 16}, {1, 2}} {
+		lines, wpl := g[0], g[1]
+		f, err := NewFunctionalCache(lines, wpl, ecc.KindSECDED, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lineBytes := uint32(wpl * 4)
+		for i := 0; i < 2000; i++ {
+			addr := rng.Uint32()
+			wordAddr := addr &^ 3
+			line := wordAddr &^ (lineBytes - 1)
+			wantSet := int(line/lineBytes) % lines
+			wantWord := int(wordAddr-line) / 4
+			if set, word := f.locate(addr); set != wantSet || word != wantWord {
+				t.Fatalf("%dx%d: locate(%#x) = (%d, %d), want (%d, %d)", lines, wpl, addr, set, word, wantSet, wantWord)
+			}
+			f.Load(wordAddr)
+			wantTag := uint64(line) / uint64(lineBytes*uint32(lines)) & (1<<26 - 1)
+			if tag, _ := f.way.ReadTag(wantSet); tag != wantTag {
+				t.Fatalf("%dx%d: fill of %#x wrote tag %#x, want %#x", lines, wpl, addr, tag, wantTag)
+			}
+		}
+	}
+}

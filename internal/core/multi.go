@@ -29,9 +29,10 @@ import (
 // share one tally: the first of them folds the slot's outcomes into its
 // counters, and the others copy its counters and miss row per chunk, so
 // the 8-member group tallies twice per side instead of eight times. A
-// member with Config.L2 gets its own L2 simulator, shared by its IL1 and
-// DL1 (a unified second level), and its own cache.Hierarchy slot on each
-// side; those slots, and their tallies, are never shared.
+// member with Config.L2 has a cache.Hierarchy slot per side over one
+// unified L2. Members with equal L1 keys and equal L2 geometry and
+// enabled ways share that L2, both slots and a tally lead, so the
+// 6-member hier group simulates 2 slots per side (timing stays per member).
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -40,24 +41,26 @@ type GroupMember struct {
 }
 
 // simKey identifies cache simulators that evolve identically under any
-// access sequence: same geometry, same initially-enabled way set.
-// Everything else a member configures — EDC latency, cell sizing,
-// energy models — lives outside the simulator state.
+// access sequence: same geometry, same initially-enabled way set, same
+// L2 behind them (nil for none). Everything else a member configures —
+// EDC latency, cell sizing, energy models, L2 latency and protection —
+// lives outside the simulator state.
 type simKey struct {
 	cfg     cache.Config
 	enabled uint64
+	l2      *cache.Cache
 }
 
-// enabledMask packs a simulator's initially-enabled ways into the
-// dedup key.
-func enabledMask(sim *cache.Cache, ways int) uint64 {
-	var m uint64
-	for w := 0; w < ways; w++ {
-		if sim.WayEnabled(w) {
-			m |= 1 << w
+// keyOf returns a fresh simulator's dedup key, with l2 the second
+// level it will front (nil for none).
+func keyOf(c, l2 *cache.Cache) simKey {
+	k := simKey{cfg: c.Config(), l2: l2}
+	for w := 0; w < k.cfg.Ways; w++ {
+		if c.WayEnabled(w) {
+			k.enabled |= 1 << w
 		}
 	}
-	return m
+	return k
 }
 
 // slotSim is one simulator slot of a bank: a *cache.Cache, or a
@@ -89,11 +92,12 @@ type multiPort struct {
 	scr   *runScratch
 }
 
-// newMultiPort builds one side's bank port. l2s[k], when non-nil, is
-// member k's second level: the member gets a private L1 chained in
-// front of it as its own slot. Members without one share a slot by
-// simKey, and a tally with the first member of their slot that has the
-// same HP/ULE way split.
+// newMultiPort builds one side's bank port. l2s[k] is member k's second
+// level, whose slot is an L1 chained in front of it; a nil entry of a
+// member with Config.L2 is filled in, with the L2 of an earlier member
+// of equal L1 and L2 state or a fresh one, for the other side to reuse.
+// Members share a slot by simKey, and a tally with the first member of
+// their slot that has the same HP/ULE way split.
 func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiPort {
 	mp := &multiPort{
 		ports: make([]*port, len(members)),
@@ -101,7 +105,8 @@ func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiP
 		lead:  make([]int, len(members)),
 		scr:   scratchPool.Get().(*runScratch),
 	}
-	var keys []simKey // per slot; zero for hierarchy slots
+	var keys []simKey // per slot
+	shared := make(map[[2]simKey]*cache.Cache)
 	for k, gm := range members {
 		cfg := gm.Sys.cfg
 		p := &port{hpWays: cfg.Ways - cfg.ULEWays}
@@ -109,21 +114,28 @@ func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiP
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
 		}
 		c := gm.Sys.newSim(gm.Mode)
-		idx := len(mp.sims)
-		if l2s[k] != nil {
-			p.hier = cache.MustNewHierarchy(c, l2s[k])
-			p.l2lat = cfg.L2.Latency
-			mp.sims = append(mp.sims, p.hier)
-			keys = append(keys, simKey{})
-		} else if key := (simKey{cfg: c.Config(), enabled: enabledMask(c, cfg.Ways)}); slices.Contains(keys, key) {
-			idx = slices.Index(keys, key)
-		} else {
-			mp.sims = append(mp.sims, c)
-			keys = append(keys, key)
+		if cfg.L2 != nil && l2s[k] == nil {
+			l2 := gm.Sys.newL2Sim()
+			key := [2]simKey{keyOf(c, nil), keyOf(l2, nil)}
+			if shared[key] == nil {
+				shared[key] = l2
+			}
+			l2s[k] = shared[key]
 		}
-		mp.ports[k] = p
-		mp.slot[k] = idx
-		mp.lead[k] = k
+		key := keyOf(c, l2s[k])
+		idx := slices.Index(keys, key)
+		if idx < 0 {
+			idx = len(mp.sims)
+			keys = append(keys, key)
+			mp.sims = append(mp.sims, c)
+			if key.l2 != nil {
+				mp.sims[idx] = cache.MustNewHierarchy(c, key.l2)
+			}
+		}
+		if key.l2 != nil {
+			p.hier, p.l2lat = mp.sims[idx].(*cache.Hierarchy), cfg.L2.Latency
+		}
+		mp.ports[k], mp.slot[k], mp.lead[k] = p, idx, k
 		for j := 0; j < k; j++ {
 			if mp.slot[j] == idx && mp.ports[j].hpWays == p.hpWays {
 				mp.lead[k] = j
@@ -174,7 +186,7 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	}
 	for k, p := range mp.ports {
 		if l := mp.lead[k]; l != k {
-			p.portCounters = mp.ports[l].portCounters
+			p.portCounters, p.l2 = mp.ports[l].portCounters, mp.ports[l].l2
 			copy(miss[k], miss[l])
 			continue
 		}
@@ -197,7 +209,8 @@ func (mp *multiPort) BeginPhase(id uint8) {
 // gating, design, mode and second level may differ freely.
 //
 // A member with Config.L2 replays its IL1 and DL1 against one unified
-// L2 of its own: per replay chunk, the IL1 miss traffic reaches the L2
+// L2 (shared with members of equal L1 and L2 state, which evolve
+// identically): per replay chunk, the IL1 miss traffic reaches the L2
 // first, then the DL1's — the deterministic chunk-order semantics of
 // the batched hierarchy (cache.Hierarchy) — and its report gains
 // per-level breakdowns in Levels. Phase-annotated streams additionally
@@ -214,9 +227,6 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 		if gm.Sys.cfg.MemLatency != members[0].Sys.cfg.MemLatency {
 			return nil, fmt.Errorf("core: replay group mixes memory latencies %d and %d",
 				members[0].Sys.cfg.MemLatency, gm.Sys.cfg.MemLatency)
-		}
-		if gm.Sys.cfg.L2 != nil {
-			l2s[k] = gm.Sys.newL2Sim()
 		}
 	}
 	il1 := newMultiPort(members, false, l2s)

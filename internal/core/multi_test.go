@@ -7,6 +7,7 @@ import (
 
 	"edcache/internal/bench"
 	"edcache/internal/cache"
+	"edcache/internal/ecc"
 	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
@@ -72,7 +73,7 @@ func checkMember(t *testing.T, label string, got Report, gm GroupMember, w bench
 // a design×mode group cheap: baseline and proposed at the same mode
 // have identical cache geometry and gating, so the 4-member paper group
 // must build only 2 distinct simulators per side. Members with a second
-// level get slots of their own.
+// level share a slot only over the same L2.
 func TestGroupDedupSharesSimulators(t *testing.T) {
 	base := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
 	prop := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
@@ -101,13 +102,105 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	if len(mp2.sims) != 2 {
 		t.Fatalf("gated and ungated HP members share a simulator (%d slots)", len(mp2.sims))
 	}
-	// A hierarchy member never shares, even with an identical L1.
+	// A hierarchy member shares a slot only with members over the same
+	// L2 (and an equal L1): never with a flat member of identical L1,
+	// nor with an identical member over another L2.
 	tiered := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(testL2()))
-	mp3 := newMultiPort([]GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}}, false,
-		[]*cache.Cache{nil, tiered.newL2Sim(), nil})
+	l2a, l2b := tiered.newL2Sim(), tiered.newL2Sim()
+	mp3 := newMultiPort([]GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}, {tiered, ModeHP}, {tiered, ModeHP}}, false,
+		[]*cache.Cache{nil, l2a, nil, l2a, l2b})
 	defer mp3.release()
-	if len(mp3.sims) != 2 || mp3.slot[0] != mp3.slot[2] || mp3.slot[1] == mp3.slot[0] {
-		t.Fatalf("hierarchy member slots %v over %d simulators, want its own slot", mp3.slot, len(mp3.sims))
+	if want := []int{0, 1, 0, 1, 2}; len(mp3.sims) != 3 || !reflect.DeepEqual(mp3.slot, want) {
+		t.Fatalf("hierarchy member slots %v over %d simulators, want %v over 3", mp3.slot, len(mp3.sims), want)
+	}
+	if want := []int{0, 1, 0, 1, 4}; !reflect.DeepEqual(mp3.lead, want) {
+		t.Fatalf("hierarchy tally leads %v, want %v", mp3.lead, want)
+	}
+}
+
+// TestHierGroupSharesEqualShapes pins the hierarchy slot sharing on a
+// hier-epi-shaped group — 2 L2 geometries × 3 protections — plus
+// members that differ from the first only in L2 latency (shares), in
+// an L2 way cap (its own slot), in an L2 way cap equal to the way count
+// (the same state, so it shares), in mode (another L1, its own slot)
+// and in having no L2 at all. Both sides must hold the asserted slots
+// and tally leads over the same L2s, and every member's Report must
+// equal the member replayed alone, with Stats equal to the naive
+// unified-L2 oracle on plain and phase-annotated streams.
+func TestHierGroupSharesEqualShapes(t *testing.T) {
+	tiered := func(sets, ways, latency, enabled int, prot ecc.Kind) *System {
+		return MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(L2Config{
+			Sets: sets, Ways: ways, LineBytes: 32, Latency: latency, EnabledWays: enabled, Protection: prot}))
+	}
+	var members []GroupMember
+	for _, g := range [][2]int{{64, 8}, {256, 4}} {
+		for _, prot := range []ecc.Kind{ecc.KindNone, ecc.KindSECDED, ecc.KindDECTED} {
+			members = append(members, GroupMember{tiered(g[0], g[1], 6, 0, prot), ModeHP})
+		}
+	}
+	members = append(members,
+		GroupMember{tiered(64, 8, 9, 0, ecc.KindNone), ModeHP},
+		GroupMember{tiered(64, 8, 6, 4, ecc.KindNone), ModeHP},
+		GroupMember{tiered(64, 8, 6, 8, ecc.KindSECDED), ModeHP},
+		GroupMember{tiered(64, 8, 6, 0, ecc.KindNone), ModeULE},
+		GroupMember{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed)), ModeHP},
+	)
+	wantSlot := []int{0, 0, 0, 1, 1, 1, 0, 2, 0, 3, 4}
+	wantLead := []int{0, 0, 0, 3, 3, 3, 0, 7, 0, 9, 10}
+	l2s := make([]*cache.Cache, len(members))
+	for _, dside := range []bool{false, true} {
+		mp := newMultiPort(members, dside, l2s)
+		slot, lead, sims := mp.slot, mp.lead, len(mp.sims)
+		mp.release()
+		if sims != 5 || !reflect.DeepEqual(slot, wantSlot) || !reflect.DeepEqual(lead, wantLead) {
+			t.Fatalf("dside %v: slots %v, leads %v over %d simulators; want %v, %v over 5", dside, slot, lead, sims, wantSlot, wantLead)
+		}
+	}
+	for k, lead := range wantLead {
+		if (l2s[k] == nil) != (members[k].Sys.cfg.L2 == nil) || l2s[k] != l2s[lead] {
+			t.Fatalf("member %d: L2 %p, want its lead's %p", k, l2s[k], l2s[lead])
+		}
+	}
+
+	arenas := bench.NewArenaCache()
+	capped := false // the way cap changed some member's outcome
+	for _, tc := range []struct {
+		name  string
+		insts int
+	}{{"gsm_c", 12_000}, {"adversarial_l1", 12_000}, {"phased_mix", 45_000}} {
+		name := tc.name
+		w, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w = w.ScaledTo(tc.insts)
+		slab := arenas.Get(w)
+		got, err := RunGroupArena(w.Name, slab, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, gm := range members {
+			label := fmt.Sprintf("%s member %d", name, k)
+			checkMember(t, label, got[k], gm, w, slab)
+			if !slab.HasPhases() {
+				continue
+			}
+			if len(got[k].Phases) < 2 {
+				t.Fatalf("%s: %d phase segments, want a phase boundary", label, len(got[k].Phases))
+			}
+			il1, dl1 := naiveSides(gm.Sys, gm.Mode)
+			want := naivePhasedStats(gm.Sys.cfg.MemLatency, gm.Sys.ExtraHitLatency(gm.Mode), il1, dl1, collect(slab.NewCursor()))
+			if !reflect.DeepEqual(got[k].Stats, want) {
+				t.Errorf("%s: phased stats diverge from the naive oracle:\n got  %+v\n want %+v", label, got[k].Stats, want)
+			}
+		}
+		if got[0].Stats.IL2Misses+got[0].Stats.DL2Misses == 0 {
+			t.Errorf("%s: L2 members show no L2 fill misses", name)
+		}
+		capped = capped || !reflect.DeepEqual(got[7].Stats, got[0].Stats)
+	}
+	if !capped {
+		t.Error("the L2 way cap changed no outcome on any workload")
 	}
 }
 

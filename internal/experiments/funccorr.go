@@ -26,14 +26,15 @@ const funcCorrInstructions = 60_000
 
 // funcCorrExperiment puts the protected layer on the engine (the
 // ROADMAP follow-up): each grid task replays one corpus workload
-// through core.ReplayFunctional — both L1s behind bit-accurate EDC
-// codewords on the batched port — over freshly sampled faulty dice at
-// a swept fault probability (multiples of the sized ULE-mode Pf, the
-// paper's operating point). Dice that yield screening would reject
-// (more faults in one word than the code corrects) are counted and
-// skipped, exactly as manufacturing test would; accepted dice must
-// replay with zero uncorrectable reads, and the reported correction
-// counts show how hard the decoders work as Pf grows.
+// through bit-accurate EDC-protected L1s over freshly sampled faulty
+// dice at a swept fault probability (multiples of the sized ULE-mode
+// Pf, the paper's operating point). Dice that yield screening would
+// reject (more faults in one word than the code corrects) are counted
+// and skipped, exactly as manufacturing test would; a task's accepted
+// dice replay together in one core.ReplayFunctionalGroup pass (one
+// fault-free IL1, one faulty DL1 per die) and must show zero
+// uncorrectable reads, and the reported correction counts show how
+// hard the decoders work as Pf grows.
 func funcCorrExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	sizing := sizingFor()
@@ -101,9 +102,11 @@ func funcCorrExperiment(o Options) sim.Experiment {
 			}
 			pf := res.ProposedPf * scale
 
-			var accepted, rejected int
-			var faultCount, corrected, uncorrectable int
-			var replayed uint64
+			// Draw every die first, in rng order, then replay the
+			// accepted ones as one group: one pass over the slab, one
+			// classification and one fault-free IL1 for all of them.
+			var rejected, faultCount int
+			var dl1s []*core.FunctionalCache
 			for d := 0; d < dice; d++ {
 				m, err := faults.Generate(geom, pf, rng)
 				if err != nil {
@@ -114,22 +117,29 @@ func funcCorrExperiment(o Options) sim.Experiment {
 					rejected++
 					continue
 				}
-				accepted++
-				il1, err := core.NewFunctionalCache(32, 8, kind, nil)
-				if err != nil {
-					return sim.Result{}, err
-				}
 				dl1, err := core.NewFunctionalCache(32, 8, kind, m)
 				if err != nil {
 					return sim.Result{}, err
 				}
-				st, err := core.ReplayFunctional(cpu.Config{MemLatency: 20}, il1, dl1, 1, arena.Cursor())
+				dl1s = append(dl1s, dl1)
+			}
+			accepted := len(dl1s)
+			var corrected, uncorrectable int
+			var replayed uint64
+			if accepted > 0 {
+				il1, err := core.NewFunctionalCache(32, 8, kind, nil)
 				if err != nil {
 					return sim.Result{}, err
 				}
-				replayed += st.Instructions
-				corrected += dl1.CorrectedReads
-				uncorrectable += dl1.Uncorrectable
+				sts, err := core.ReplayFunctionalGroup(cpu.Config{MemLatency: 20}, il1, dl1s, 1, arena.Cursor())
+				if err != nil {
+					return sim.Result{}, err
+				}
+				for d, dl1 := range dl1s {
+					replayed += sts[d].Instructions
+					corrected += dl1.CorrectedReads
+					uncorrectable += dl1.Uncorrectable
+				}
 			}
 			ms := []sim.Metric{
 				sim.Fmt("pf", pf, "%.3e"),

@@ -265,10 +265,11 @@ type Cursor struct {
 }
 
 // NextSlice implements Stream: a read-only window straight into the
-// shared slab — the zero-copy replay path.
+// shared slab — the zero-copy replay path. Its capacity ends with it,
+// so an append to the window cannot overwrite the records after it.
 func (c *Cursor) NextSlice(max int) []Inst {
 	n := min(max, len(c.insts)-c.pos)
-	s := c.insts[c.pos : c.pos+n]
+	s := c.insts[c.pos : c.pos+n : c.pos+n]
 	c.pos += n
 	return s
 }

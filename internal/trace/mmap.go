@@ -173,7 +173,7 @@ func (c *MapCursor) NextSlice(max int) []Inst {
 		n += take
 		c.pos += take
 	}
-	return c.buf[:n]
+	return c.buf[:n:n]
 }
 
 // HasPhases implements Stream.

@@ -276,8 +276,9 @@ func (r *Reader) UnadvertisedPhaseBytes() uint64 { return r.stray }
 
 // NextSlice implements Stream. A window that lies inside one decoded
 // v2 chunk is a view of it; any other window is assembled in the
-// Reader's own buffer, across as many chunks as it spans. Read failures
-// end the stream early and are reported by Err.
+// Reader's own buffer, across as many chunks as it spans. Either way
+// its capacity ends with it. Read failures end the stream early and
+// are reported by Err.
 func (r *Reader) NextSlice(max int) []Inst {
 	win := r.win[:0]
 	for len(win) < max && !r.done && r.err == nil {
@@ -292,7 +293,8 @@ func (r *Reader) NextSlice(max int) []Inst {
 			r.done = true
 			break
 		}
-		run := v2.chunk[v2.pos:min(len(v2.chunk), v2.pos+max-len(win))]
+		end := min(len(v2.chunk), v2.pos+max-len(win))
+		run := v2.chunk[v2.pos:end:end]
 		v2.pos += len(run)
 		r.read += uint64(len(run))
 		if len(run) == max {
@@ -301,7 +303,7 @@ func (r *Reader) NextSlice(max int) []Inst {
 		win = append(win, run...)
 	}
 	r.win = win
-	return win
+	return win[:len(win):len(win)]
 }
 
 // nextV1 decodes one flat v1 record. The 12-byte records are

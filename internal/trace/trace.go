@@ -68,10 +68,10 @@ type SliceStream struct {
 }
 
 // NextSlice implements Stream with a zero-copy view of the backing
-// slice.
+// slice, capped at its length.
 func (s *SliceStream) NextSlice(max int) []Inst {
 	n := min(max, len(s.Insts)-s.pos)
-	out := s.Insts[s.pos : s.pos+n]
+	out := s.Insts[s.pos : s.pos+n : s.pos+n]
 	s.pos += n
 	return out
 }
