@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // as text and JSON, the file-backed sweeps over a small phase-annotated
 // indexed trace (testdata/phased_mix.trace, made by
 // `tracegen -workload phased_mix -instructions 45000 -phases`), and the
-// hierarchy sweeps at two custom L2 geometries. They pin every printed
+// hierarchy sweeps at two and at three custom L2 geometries. They pin every printed
 // number independently of the code that produces it, so a refactor of
 // the replay engine is checked against the bytes it must keep, not
 // against a second path of the same build.
@@ -29,6 +29,7 @@ var goldenCases = []struct {
 	{"trace.txt", []string{"-run", "corpus,corpus-miss,phase-epi", "-instructions", "20000", "-seed", "1",
 		"-trace", filepath.Join("testdata", "phased_mix.trace")}},
 	{"hier.txt", []string{"-run", "hier-epi,shared-l2", "-l2", "64x4,256x8", "-instructions", "20000", "-seed", "1"}},
+	{"hier3.txt", []string{"-run", "hier-epi,shared-l2", "-l2", "64x4,128x8,512x16", "-instructions", "20000", "-seed", "1"}},
 }
 
 // TestGoldenOutputs compares the driver's output with the committed
