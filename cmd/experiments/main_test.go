@@ -55,6 +55,32 @@ func TestRunWithTinyGridAndWorkers(t *testing.T) {
 	}
 }
 
+// TestFuncCorrOneTable runs func-corr at flags where both pf=10x tasks
+// screen out every die: those rows must still carry the correction
+// columns (as 0), so the text output keeps one table under one header.
+func TestFuncCorrOneTable(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-run", "func-corr", "-instructions", "20000", "-trials", "200", "-seed", "2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var headers, empty int
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) > 0 && f[0] == "task" {
+			headers++
+		}
+		if len(f) == 11 && f[5] == "0" { // accepted 0 of the dice
+			empty++
+			if f[9] != "0.0" || f[10] != "0.000" {
+				t.Errorf("row with no accepted die reports corrections %s %s, want 0.0 0.000", f[9], f[10])
+			}
+		}
+	}
+	if headers != 1 || empty == 0 {
+		t.Fatalf("%d headers and %d rows without an accepted die, want 1 header and such rows:\n%s", headers, empty, out.String())
+	}
+}
+
 func TestDeterministicOutputAcrossWorkers(t *testing.T) {
 	outputs := make([]string, 0, 2)
 	for _, workers := range []string{"1", "8"} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"edcache/internal/cache"
 	"edcache/internal/cpu"
 	"edcache/internal/trace"
 )
@@ -13,7 +12,8 @@ import (
 // puts FunctionalCaches behind cpu.MultiPort, so a whole workload
 // stream replays through real EDC codewords, stuck-at fault maps and
 // decoders on the same chunked replay loop the performance-model ports
-// use.
+// use. Each FunctionalCache decides its own hits and misses from its
+// line state, so a replay runs no cache.Cache beside the dice.
 
 // funcBank is one side of a functional replay group: member k replays
 // through fcs[k], or copies member 0's miss row past the last cache —
@@ -21,7 +21,6 @@ import (
 type funcBank struct {
 	fcs      []*FunctionalCache
 	k, extra int
-	ops      []cache.Op // AccessBatch scratch
 }
 
 // funcStoreValue synthesizes the value a replayed store writes. Trace
@@ -39,24 +38,22 @@ func (b *funcBank) Member(int) cpu.Port { return b }
 // ExtraHitLatency implements cpu.Port.
 func (b *funcBank) ExtraHitLatency() int { return b.extra }
 
-// AccessBatch implements cpu.MultiPort: the ops are converted once;
-// per cache, the chunk's timing accesses run as one batched call
-// against its simulator and the protected-array work consumes the
-// Result slice, exactly like a Load (or Store of funcStoreValue) per op.
+// AccessBatch implements cpu.MultiPort: each cache replays the chunk
+// as a Load (or Store of funcStoreValue) per op.
 func (b *funcBank) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
-	n := len(ops)
-	if cap(b.ops) < n {
-		b.ops = make([]cache.Op, n)
-	}
-	co := b.ops[:n]
-	for i, op := range ops {
-		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
-	}
 	for k := range miss {
-		if k < len(b.fcs) {
-			b.fcs[k].accessBatch(co, funcStoreValue, miss[k])
-		} else {
+		if k >= len(b.fcs) {
 			copy(miss[k], miss[0])
+			continue
+		}
+		for i, op := range ops {
+			var hit bool
+			if op.Write {
+				hit = b.fcs[k].Store(op.Addr, funcStoreValue(op.Addr))
+			} else {
+				_, hit = b.fcs[k].Load(op.Addr)
+			}
+			miss[k][i] = !hit
 		}
 	}
 }

@@ -16,19 +16,21 @@ import (
 // map and the decoder — the executable counterpart of the performance
 // model, used by the integration tests to prove the architecture's
 // correctness claim (software never observes a hard fault) rather than
-// assume it.
+// assume it. Its line bookkeeping is the whole of its cache state: a
+// hit is a valid line holding the address's memory line, and a miss
+// writes the victim back if it was written since its fill.
 type FunctionalCache struct {
-	sim *cache.Cache
 	way *ProtectedWay
 	mem map[uint32]uint32
 	cfg cache.Config
 	wpl int
 
 	shift, tagShift int // log2 of LineBytes and of LineBytes*Sets (powers of two)
-	// lineAddr[line] tracks which memory line each cache line holds so
-	// evictions can write back decoded contents.
+	// lineAddr[set] is the memory line that cache line set holds, valid
+	// iff lineUsed[set]; dirty[set] marks it stored to since its fill.
 	lineAddr []uint32
 	lineUsed []bool
+	dirty    []bool
 
 	// Uncorrectable counts reads whose decode reported Detected; the
 	// architecture would raise a machine-check — the integration tests
@@ -36,9 +38,6 @@ type FunctionalCache struct {
 	Uncorrectable int
 	// CorrectedReads counts transparently repaired reads.
 	CorrectedReads int
-
-	// res is accessBatch's Result scratch, sized to the largest chunk.
-	res []cache.Result
 }
 
 // NewFunctionalCache builds the functional ULE cache: `lines` sets of
@@ -46,8 +45,7 @@ type FunctionalCache struct {
 // fault map (nil for fault-free).
 func NewFunctionalCache(lines, wordsPerLine int, kind ecc.Kind, fmap *faults.WayFaults) (*FunctionalCache, error) {
 	cfg := cache.Config{Sets: lines, Ways: 1, LineBytes: wordsPerLine * 4}
-	sim, err := cache.New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	way, err := NewProtectedWay(lines, wordsPerLine, kind, 32, 26, fmap)
@@ -55,7 +53,6 @@ func NewFunctionalCache(lines, wordsPerLine int, kind ecc.Kind, fmap *faults.Way
 		return nil, err
 	}
 	return &FunctionalCache{
-		sim:      sim,
 		way:      way,
 		mem:      make(map[uint32]uint32),
 		cfg:      cfg,
@@ -64,6 +61,7 @@ func NewFunctionalCache(lines, wordsPerLine int, kind ecc.Kind, fmap *faults.Way
 		tagShift: bits.TrailingZeros(uint(cfg.LineBytes * lines)),
 		lineAddr: make([]uint32, lines),
 		lineUsed: make([]bool, lines),
+		dirty:    make([]bool, lines),
 	}, nil
 }
 
@@ -71,66 +69,42 @@ func (f *FunctionalCache) locate(addr uint32) (set, word int) {
 	return int(addr>>f.shift) & (f.cfg.Sets - 1), int(addr&uint32(f.cfg.LineBytes-1)) >> 2
 }
 
+// access locates addr's word, filling its line on a miss and marking
+// it dirty on a write, and reports whether it hit.
+func (f *FunctionalCache) access(addr uint32, write bool) (set, word int, hit bool) {
+	set, word = f.locate(addr)
+	lineBase := addr &^ uint32(f.cfg.LineBytes-1)
+	hit = f.lineUsed[set] && f.lineAddr[set] == lineBase
+	if !hit {
+		f.fill(set, lineBase)
+	}
+	if write {
+		f.dirty[set] = true
+	}
+	return set, word, hit
+}
+
 // Load returns the 32-bit word at addr (word-aligned), filling the line
 // on a miss.
 func (f *FunctionalCache) Load(addr uint32) (uint32, bool) {
-	res := f.sim.Access(addr, false)
-	set, word := f.locate(addr)
-	if !res.Hit {
-		f.fill(set, addr, res)
-	}
+	set, word, hit := f.access(addr, false)
 	v, dres := f.way.ReadData(set, word)
 	f.note(dres)
-	return uint32(v), res.Hit
+	return uint32(v), hit
 }
 
 // Store writes the 32-bit word at addr (word-aligned), write-allocating
 // on a miss.
 func (f *FunctionalCache) Store(addr uint32, value uint32) bool {
-	res := f.sim.Access(addr, true)
-	set, word := f.locate(addr)
-	if !res.Hit {
-		f.fill(set, addr, res)
-	}
+	set, word, hit := f.access(addr, true)
 	f.way.WriteData(set, word, uint64(value))
-	return res.Hit
-}
-
-// accessBatch replays ops in order on the batched replay path: the
-// whole chunk drives the timing simulator as one cache.AccessBatch
-// call, then the protected-array work — fills, encoded stores, decoded
-// loads — consumes the Result slice per op. Stores write value(addr)
-// (the replay pattern ReplayFunctional uses; trace records carry no
-// data). Semantically this is exactly Load/Store per op: the timing
-// simulator sees the identical access sequence, and the protected
-// state advances in the same order because nothing between the ops
-// touches it.
-func (f *FunctionalCache) accessBatch(ops []cache.Op, value func(addr uint32) uint32, miss []bool) {
-	if cap(f.res) < len(ops) {
-		f.res = make([]cache.Result, len(ops))
-	}
-	res := f.res[:len(ops)]
-	f.sim.AccessBatch(ops, res)
-	for i, op := range ops {
-		set, word := f.locate(op.Addr)
-		if !res[i].Hit {
-			f.fill(set, op.Addr, res[i])
-		}
-		if op.Write {
-			f.way.WriteData(set, word, uint64(value(op.Addr)))
-		} else {
-			_, dres := f.way.ReadData(set, word)
-			f.note(dres)
-		}
-		miss[i] = !res[i].Hit
-	}
+	return hit
 }
 
 // fill loads a line from memory through the encoder, writing back the
 // victim first if it was dirty.
-func (f *FunctionalCache) fill(set int, addr uint32, res cache.Result) {
-	lineBase := f.sim.LineAddr(addr &^ 3)
-	if res.Writeback && f.lineUsed[set] {
+func (f *FunctionalCache) fill(set int, lineBase uint32) {
+	if f.lineUsed[set] && f.dirty[set] {
 		old := f.lineAddr[set]
 		for w := 0; w < f.wpl; w++ {
 			v, dres := f.way.ReadData(set, w)
@@ -145,6 +119,7 @@ func (f *FunctionalCache) fill(set int, addr uint32, res cache.Result) {
 	f.way.WriteTag(set, tag&((1<<26)-1))
 	f.lineAddr[set] = lineBase
 	f.lineUsed[set] = true
+	f.dirty[set] = false
 }
 
 func (f *FunctionalCache) note(r ecc.Result) {
@@ -159,7 +134,8 @@ func (f *FunctionalCache) note(r ecc.Result) {
 // MemWord returns the backing-memory copy of a word (test helper).
 func (f *FunctionalCache) MemWord(addr uint32) uint32 { return f.mem[addr&^3] }
 
-// Flush writes every dirty line back to memory through the decoder.
+// Flush writes every valid line back to memory through the decoder and
+// invalidates the cache.
 func (f *FunctionalCache) Flush() error {
 	for set := 0; set < f.cfg.Sets; set++ {
 		if !f.lineUsed[set] {
@@ -172,10 +148,7 @@ func (f *FunctionalCache) Flush() error {
 			f.mem[base+uint32(w*4)] = uint32(v)
 		}
 	}
-	f.sim.Flush()
-	for i := range f.lineUsed {
-		f.lineUsed[i] = false
-	}
+	clear(f.lineUsed)
 	if f.Uncorrectable > 0 {
 		return fmt.Errorf("core: %d uncorrectable words encountered", f.Uncorrectable)
 	}

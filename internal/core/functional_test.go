@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edcache/internal/bench"
+	"edcache/internal/cache"
 	"edcache/internal/ecc"
 	"edcache/internal/faults"
 	"edcache/internal/yield"
@@ -169,6 +170,85 @@ func TestFunctionalCacheRunsWorkloadAddresses(t *testing.T) {
 	}
 	if err := fc.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFunctionalCacheMatchesReferenceCache holds FunctionalCache's own
+// line bookkeeping to an independent model of its geometry, a 1-way
+// cache.Cache, over a workload's loads and stores with a Flush halfway:
+// every op must hit or miss as the reference does; each reference
+// write-back must leave the victim line's last stored values in memory;
+// and memory must hold exactly the words of the lines written back so
+// far, so a write-back the reference does not make shows up too.
+func TestFunctionalCacheMatchesReferenceCache(t *testing.T) {
+	const lines, wpl = 32, 8
+	w, err := bench.ByName("gsm_c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := collect(w.ScaledTo(30_000).Stream())
+	fc, err := NewFunctionalCache(lines, wpl, ecc.KindSECDED, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cache.MustNew(cache.Config{Sets: lines, Ways: 1, LineBytes: wpl * 4})
+	stored := map[uint32]uint32{} // last value stored per word
+	touched := map[uint32]bool{}  // every line accessed
+	backed := map[uint32]bool{}   // every line written back to memory
+	checkMem := func(at int, line uint32) {
+		t.Helper()
+		for a := line; a < line+wpl*4; a += 4 {
+			if v, ok := stored[a]; ok && fc.MemWord(a) != v {
+				t.Fatalf("op %d: memory word %#x holds %#x, last stored %#x", at, a, fc.MemWord(a), v)
+			}
+		}
+	}
+	var hits, writebacks int
+	for i, inst := range insts {
+		if i == len(insts)/2 {
+			for line := range touched {
+				if ref.Contains(line) {
+					backed[line] = true
+				}
+			}
+			ref.Flush()
+			if err := fc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for a := range stored {
+				checkMem(i, a&^(wpl*4-1))
+			}
+		}
+		if !inst.IsLoad && !inst.IsStore {
+			continue
+		}
+		addr := inst.Addr &^ 3
+		touched[ref.LineAddr(addr)] = true
+		want := ref.Access(addr, inst.IsStore)
+		var hit bool
+		if inst.IsStore {
+			stored[addr] = uint32(i) ^ 0x5A5A0000
+			hit = fc.Store(addr, stored[addr])
+		} else {
+			_, hit = fc.Load(addr)
+		}
+		if hit != want.Hit {
+			t.Fatalf("op %d (%#x, store %v): hit %v, reference %v", i, addr, inst.IsStore, hit, want.Hit)
+		}
+		if hit {
+			hits++
+		}
+		if want.Writeback {
+			writebacks++
+			backed[want.Victim] = true
+			checkMem(i, want.Victim)
+		}
+		if len(fc.mem) != wpl*len(backed) {
+			t.Fatalf("op %d: memory holds %d words, want the %d of %d written-back lines", i, len(fc.mem), wpl*len(backed), len(backed))
+		}
+	}
+	if hits == 0 || hits == len(insts) || writebacks == 0 {
+		t.Fatalf("%d hits and %d write-backs: the workload must hit, miss and write back", hits, writebacks)
 	}
 }
 

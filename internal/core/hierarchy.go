@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"edcache/internal/cache"
 	"edcache/internal/cpu"
 	"edcache/internal/trace"
 )
@@ -35,13 +34,14 @@ func (s *System) RunShared(names []string, streams []trace.Stream, m Mode) ([]Re
 	if len(names) != len(streams) {
 		return nil, fmt.Errorf("core: %d names but %d streams", len(names), len(streams))
 	}
+	// One plan for every core: its one slot's L2 is the shared L2.
 	one := []GroupMember{{s, m}}
-	l2 := []*cache.Cache{s.newL2Sim()}
+	plan := planGroup(one)
 	cores := make([]cpu.CorePorts, len(streams))
 	ports := make([][2]*multiPort, len(streams))
 	for i := range streams {
-		il1 := newMultiPort(one, false, l2)
-		dl1 := newMultiPort(one, true, l2)
+		il1 := newMultiPort(one, plan, false)
+		dl1 := newMultiPort(one, plan, true)
 		defer il1.release()
 		defer dl1.release()
 		ports[i] = [2]*multiPort{il1, dl1}

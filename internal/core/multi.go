@@ -20,19 +20,20 @@ import (
 // the repo is such a group — System.Run is the one-member case — so a
 // Report never depends on which other members shared its pass.
 //
-// Members without a second level whose cache geometry and way gating
-// coincide (baseline vs proposed at the same mode, whose designs differ
-// only in cell sizing, coding and latency, none of which touch cache
-// *state*) share one simulator, so the paper's 8-member scenario ×
-// mode × design group simulates only 2 distinct caches per side.
-// Members of one slot that also split HP and ULE ways at the same index
-// share one tally: the first of them folds the slot's outcomes into its
-// counters, and the others copy its counters and miss row per chunk, so
-// the 8-member group tallies twice per side instead of eight times. A
-// member with Config.L2 has a cache.Hierarchy slot per side over one
-// unified L2. Members with equal L1 keys and equal L2 geometry and
-// enabled ways share that L2, both slots and a tally lead, so the
-// 6-member hier group simulates 2 slots per side (timing stays per member).
+// Slots are planned from configuration before any simulator is built
+// (planGroup): members whose slotKey — L1 geometry and way gating, plus
+// L2 geometry and way cap for a member with Config.L2 — coincides share
+// one slot. Baseline and proposed at the same mode differ only in cell
+// sizing, coding and latency, none of which touch cache *state*, so the
+// paper's 8-member scenario × mode × design group builds only 2 caches
+// per side, and the 6-member hier group (2 L2 geometries × 3
+// protections) 2 slots per side over 2 L2s. Each side builds one L1 per
+// slot; a slot with a second level is a cache.Hierarchy per side over
+// one unified L2 that both sides front. Members of one slot that also
+// split HP and ULE ways at the same index share one tally: the first of
+// them folds the slot's outcomes into its counters, and the others copy
+// its counters and miss row per chunk, so the 8-member group tallies
+// twice per side instead of eight times (timing stays per member).
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -40,27 +41,54 @@ type GroupMember struct {
 	Mode Mode
 }
 
-// simKey identifies cache simulators that evolve identically under any
-// access sequence: same geometry, same initially-enabled way set, same
-// L2 behind them (nil for none). Everything else a member configures —
+// slotKey identifies members whose caches evolve identically under any
+// access sequence: the same L1 geometry and initially-enabled ways and,
+// for a member with a second level, the same L2 geometry and enabled
+// ways (l2 is zero without one). Everything else a member configures —
 // EDC latency, cell sizing, energy models, L2 latency and protection —
 // lives outside the simulator state.
-type simKey struct {
-	cfg     cache.Config
-	enabled uint64
-	l2      *cache.Cache
+type slotKey struct {
+	l1, l2         cache.Config
+	l1Ways, l2Ways uint64 // enabled-way masks
 }
 
-// keyOf returns a fresh simulator's dedup key, with l2 the second
-// level it will front (nil for none).
-func keyOf(c, l2 *cache.Cache) simKey {
-	k := simKey{cfg: c.Config(), l2: l2}
-	for w := 0; w < k.cfg.Ways; w++ {
-		if c.WayEnabled(w) {
-			k.enabled |= 1 << w
+// groupPlan is a replay group's slot assignment, computed from the
+// members' configurations before any simulator is built. It does not
+// depend on the side: the IL1 and DL1 banks build one L1 per slot, and
+// a slot's L2 is built once and fronted by both.
+type groupPlan struct {
+	slot []int          // member k's slot
+	lead []int          // member k's tally lead: k itself, or an earlier member it copies
+	keys []slotKey      // slot s's cache state
+	l2   []*cache.Cache // slot s's second level, nil for none
+}
+
+// planGroup assigns members to slots by slotKey and to the tally of the
+// first member of their slot with the same HP/ULE way split, and builds
+// each slot's L2.
+func planGroup(members []GroupMember) *groupPlan {
+	g := &groupPlan{slot: make([]int, len(members)), lead: make([]int, len(members))}
+	for k, gm := range members {
+		key := gm.Sys.slotKey(gm.Mode)
+		idx := slices.Index(g.keys, key)
+		if idx < 0 {
+			idx = len(g.keys)
+			g.keys = append(g.keys, key)
+			var l2 *cache.Cache
+			if gm.Sys.cfg.L2 != nil {
+				l2 = newSim(key.l2, key.l2Ways)
+			}
+			g.l2 = append(g.l2, l2)
+		}
+		g.slot[k], g.lead[k] = idx, k
+		for j := 0; j < k; j++ {
+			if g.slot[j] == idx && members[j].Sys.hpWays() == gm.Sys.hpWays() {
+				g.lead[k] = j
+				break
+			}
 		}
 	}
-	return k
+	return g
 }
 
 // slotSim is one simulator slot of a bank: a *cache.Cache, or a
@@ -83,65 +111,39 @@ var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
 // multiPort is core's cpu-facing port: one side (IL1 or DL1) of a
 // replay group, as a cpu.MultiPort — K logical ports (one tally state
-// per member) over the group's simulator slots.
+// per member) over the group plan's simulator slots.
 type multiPort struct {
+	plan  *groupPlan
 	ports []*port   // logical member ports
-	slot  []int     // member k's simulator slot
-	lead  []int     // member k's tally lead: k itself, or an earlier member it copies
-	sims  []slotSim // the distinct simulators, in slot order
+	sims  []slotSim // one simulator per plan slot
 	scr   *runScratch
 }
 
-// newMultiPort builds one side's bank port. l2s[k] is member k's second
-// level, whose slot is an L1 chained in front of it; a nil entry of a
-// member with Config.L2 is filled in, with the L2 of an earlier member
-// of equal L1 and L2 state or a fresh one, for the other side to reuse.
-// Members share a slot by simKey, and a tally with the first member of
-// their slot that has the same HP/ULE way split.
-func newMultiPort(members []GroupMember, dside bool, l2s []*cache.Cache) *multiPort {
+// newMultiPort builds one side's bank port over plan: one L1 per slot,
+// chained in front of the slot's L2 if it has one.
+func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort {
 	mp := &multiPort{
+		plan:  plan,
 		ports: make([]*port, len(members)),
-		slot:  make([]int, len(members)),
-		lead:  make([]int, len(members)),
+		sims:  make([]slotSim, len(plan.keys)),
 		scr:   scratchPool.Get().(*runScratch),
 	}
-	var keys []simKey // per slot
-	shared := make(map[[2]simKey]*cache.Cache)
+	for s, key := range plan.keys {
+		l1 := newSim(key.l1, key.l1Ways)
+		mp.sims[s] = l1
+		if l2 := plan.l2[s]; l2 != nil {
+			mp.sims[s] = cache.MustNewHierarchy(l1, l2)
+		}
+	}
 	for k, gm := range members {
-		cfg := gm.Sys.cfg
-		p := &port{hpWays: cfg.Ways - cfg.ULEWays}
+		p := &port{hpWays: gm.Sys.hpWays()}
 		if dside {
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
 		}
-		c := gm.Sys.newSim(gm.Mode)
-		if cfg.L2 != nil && l2s[k] == nil {
-			l2 := gm.Sys.newL2Sim()
-			key := [2]simKey{keyOf(c, nil), keyOf(l2, nil)}
-			if shared[key] == nil {
-				shared[key] = l2
-			}
-			l2s[k] = shared[key]
+		if h, ok := mp.sims[plan.slot[k]].(*cache.Hierarchy); ok {
+			p.hier, p.l2lat = h, gm.Sys.cfg.L2.Latency
 		}
-		key := keyOf(c, l2s[k])
-		idx := slices.Index(keys, key)
-		if idx < 0 {
-			idx = len(mp.sims)
-			keys = append(keys, key)
-			mp.sims = append(mp.sims, c)
-			if key.l2 != nil {
-				mp.sims[idx] = cache.MustNewHierarchy(c, key.l2)
-			}
-		}
-		if key.l2 != nil {
-			p.hier, p.l2lat = mp.sims[idx].(*cache.Hierarchy), cfg.L2.Latency
-		}
-		mp.ports[k], mp.slot[k], mp.lead[k] = p, idx, k
-		for j := 0; j < k; j++ {
-			if mp.slot[j] == idx && mp.ports[j].hpWays == p.hpWays {
-				mp.lead[k] = j
-				break
-			}
-		}
+		mp.ports[k] = p
 	}
 	return mp
 }
@@ -185,12 +187,12 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 		c.AccessBatch(co, scr.res[s][:n])
 	}
 	for k, p := range mp.ports {
-		if l := mp.lead[k]; l != k {
+		if l := mp.plan.lead[k]; l != k {
 			p.portCounters, p.l2 = mp.ports[l].portCounters, mp.ports[l].l2
 			copy(miss[k], miss[l])
 			continue
 		}
-		p.tallyChunk(co, scr.res[mp.slot[k]][:n], miss[k])
+		p.tallyChunk(co, scr.res[mp.plan.slot[k]][:n], miss[k])
 	}
 }
 
@@ -219,7 +221,6 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty replay group")
 	}
-	l2s := make([]*cache.Cache, len(members))
 	for k, gm := range members {
 		if gm.Sys == nil {
 			return nil, fmt.Errorf("core: nil system in replay group member %d", k)
@@ -229,9 +230,10 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 				members[0].Sys.cfg.MemLatency, gm.Sys.cfg.MemLatency)
 		}
 	}
-	il1 := newMultiPort(members, false, l2s)
+	plan := planGroup(members)
+	il1 := newMultiPort(members, plan, false)
 	defer il1.release()
-	dl1 := newMultiPort(members, true, l2s)
+	dl1 := newMultiPort(members, plan, true)
 	defer dl1.release()
 	stats, err := cpu.RunMulti(cpu.Config{MemLatency: members[0].Sys.cfg.MemLatency}, il1, dl1, stream)
 	if err != nil {

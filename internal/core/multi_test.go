@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"edcache/internal/bench"
@@ -73,21 +74,16 @@ func checkMember(t *testing.T, label string, got Report, gm GroupMember, w bench
 // a design×mode group cheap: baseline and proposed at the same mode
 // have identical cache geometry and gating, so the 4-member paper group
 // must build only 2 distinct simulators per side. Members with a second
-// level share a slot only over the same L2.
+// level never share a slot with flat members.
 func TestGroupDedupSharesSimulators(t *testing.T) {
 	base := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
 	prop := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
 	members := []GroupMember{
 		{base, ModeHP}, {prop, ModeHP}, {base, ModeULE}, {prop, ModeULE},
 	}
-	mp := newMultiPort(members, true, make([]*cache.Cache, len(members)))
+	plan := checkPlan(t, "design×mode group", members, []int{0, 0, 1, 1}, []int{0, 0, 2, 2}, 0)
+	mp := newMultiPort(members, plan, true)
 	defer mp.release()
-	if len(mp.sims) != 2 {
-		t.Fatalf("4-member design×mode group built %d simulators, want 2 (one per mode)", len(mp.sims))
-	}
-	if mp.slot[0] != mp.slot[1] || mp.slot[2] != mp.slot[3] || mp.slot[0] == mp.slot[2] {
-		t.Fatalf("slot assignment %v, want designs sharing per mode", mp.slot)
-	}
 	// The EDC latency stays per logical member despite the shared slot.
 	if mp.Member(2).ExtraHitLatency() != 0 || mp.Member(3).ExtraHitLatency() != 1 {
 		t.Fatalf("ULE extra latencies = %d/%d, want 0 (baseline) and 1 (proposed)",
@@ -97,25 +93,56 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	gatedCfg := PaperConfig(yield.ScenarioA, Baseline)
 	gatedCfg.GateULEWaysAtHP = true
 	gated := MustNewSystem(gatedCfg)
-	mp2 := newMultiPort([]GroupMember{{base, ModeHP}, {gated, ModeHP}}, false, make([]*cache.Cache, 2))
-	defer mp2.release()
-	if len(mp2.sims) != 2 {
-		t.Fatalf("gated and ungated HP members share a simulator (%d slots)", len(mp2.sims))
-	}
-	// A hierarchy member shares a slot only with members over the same
-	// L2 (and an equal L1): never with a flat member of identical L1,
-	// nor with an identical member over another L2.
+	checkPlan(t, "gated vs ungated HP", []GroupMember{{base, ModeHP}, {gated, ModeHP}}, []int{0, 1}, []int{0, 1}, 0)
+	// A hierarchy member never shares a slot with a flat member of
+	// identical L1.
 	tiered := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(testL2()))
-	l2a, l2b := tiered.newL2Sim(), tiered.newL2Sim()
-	mp3 := newMultiPort([]GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}, {tiered, ModeHP}, {tiered, ModeHP}}, false,
-		[]*cache.Cache{nil, l2a, nil, l2a, l2b})
-	defer mp3.release()
-	if want := []int{0, 1, 0, 1, 2}; len(mp3.sims) != 3 || !reflect.DeepEqual(mp3.slot, want) {
-		t.Fatalf("hierarchy member slots %v over %d simulators, want %v over 3", mp3.slot, len(mp3.sims), want)
+	checkPlan(t, "flat vs hierarchy", []GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}, {tiered, ModeHP}},
+		[]int{0, 1, 0, 1}, []int{0, 1, 0, 1}, 1)
+}
+
+// checkPlan plans a group and requires the given slots and tally leads
+// with l2s distinct L2s, and both sides' banks built over the plan to
+// hold one L1 per slot, each side's own, in front of the slot's L2:
+// the IL1 and DL1 of slot s front the same *cache.Cache.
+func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, wantLead []int, l2s int) *groupPlan {
+	t.Helper()
+	plan := planGroup(members)
+	if !reflect.DeepEqual(plan.slot, wantSlot) || !reflect.DeepEqual(plan.lead, wantLead) {
+		t.Fatalf("%s: slots %v, leads %v; want %v, %v", label, plan.slot, plan.lead, wantSlot, wantLead)
 	}
-	if want := []int{0, 1, 0, 1, 4}; !reflect.DeepEqual(mp3.lead, want) {
-		t.Fatalf("hierarchy tally leads %v, want %v", mp3.lead, want)
+	il1, dl1 := newMultiPort(members, plan, false), newMultiPort(members, plan, true)
+	defer il1.release()
+	defer dl1.release()
+	if slots := slices.Max(wantSlot) + 1; len(il1.sims) != slots || len(dl1.sims) != slots {
+		t.Fatalf("%s: %d IL1 and %d DL1 simulators, want %d per side", label, len(il1.sims), len(dl1.sims), slots)
 	}
+	distinct := map[*cache.Cache]bool{}
+	for s, l2 := range plan.l2 {
+		i, ihier := il1.sims[s].(*cache.Hierarchy)
+		d, dhier := dl1.sims[s].(*cache.Hierarchy)
+		if ihier != (l2 != nil) || dhier != (l2 != nil) {
+			t.Fatalf("%s slot %d: hierarchy IL1 %v, DL1 %v, L2 %p", label, s, ihier, dhier, l2)
+		}
+		if l2 == nil {
+			continue
+		}
+		if i.L2() != l2 || d.L2() != l2 || i.L1() == d.L1() {
+			t.Fatalf("%s slot %d: IL1 and DL1 must front the slot's L2 from their own L1s", label, s)
+		}
+		distinct[l2] = true
+	}
+	if len(distinct) != l2s {
+		t.Fatalf("%s: %d distinct L2s, want %d", label, len(distinct), l2s)
+	}
+	for k, slot := range plan.slot {
+		for _, mp := range []*multiPort{il1, dl1} {
+			if h, _ := mp.sims[slot].(*cache.Hierarchy); mp.ports[k].hier != h || (h == nil) != (members[k].Sys.cfg.L2 == nil) {
+				t.Fatalf("%s member %d: port hierarchy %p, want its slot's %p", label, k, mp.ports[k].hier, h)
+			}
+		}
+	}
+	return plan
 }
 
 // TestHierGroupSharesEqualShapes pins the hierarchy slot sharing on a
@@ -145,22 +172,10 @@ func TestHierGroupSharesEqualShapes(t *testing.T) {
 		GroupMember{tiered(64, 8, 6, 0, ecc.KindNone), ModeULE},
 		GroupMember{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed)), ModeHP},
 	)
-	wantSlot := []int{0, 0, 0, 1, 1, 1, 0, 2, 0, 3, 4}
-	wantLead := []int{0, 0, 0, 3, 3, 3, 0, 7, 0, 9, 10}
-	l2s := make([]*cache.Cache, len(members))
-	for _, dside := range []bool{false, true} {
-		mp := newMultiPort(members, dside, l2s)
-		slot, lead, sims := mp.slot, mp.lead, len(mp.sims)
-		mp.release()
-		if sims != 5 || !reflect.DeepEqual(slot, wantSlot) || !reflect.DeepEqual(lead, wantLead) {
-			t.Fatalf("dside %v: slots %v, leads %v over %d simulators; want %v, %v over 5", dside, slot, lead, sims, wantSlot, wantLead)
-		}
-	}
-	for k, lead := range wantLead {
-		if (l2s[k] == nil) != (members[k].Sys.cfg.L2 == nil) || l2s[k] != l2s[lead] {
-			t.Fatalf("member %d: L2 %p, want its lead's %p", k, l2s[k], l2s[lead])
-		}
-	}
+	// The hier-epi shape alone: 2 slots per side over 2 L2s.
+	checkPlan(t, "hier-epi group", members[:6], []int{0, 0, 0, 1, 1, 1}, []int{0, 0, 0, 3, 3, 3}, 2)
+	checkPlan(t, "extended group", members,
+		[]int{0, 0, 0, 1, 1, 1, 0, 2, 0, 3, 4}, []int{0, 0, 0, 3, 3, 3, 0, 7, 0, 9, 10}, 4)
 
 	arenas := bench.NewArenaCache()
 	capped := false // the way cap changed some member's outcome
@@ -233,18 +248,13 @@ func TestSharedTallyMatchesAlone(t *testing.T) {
 		name    string
 		members []GroupMember
 		slots   int
-		lead    []int // per member, on both sides
+		lead    []int // per member
 	}{
 		{"paper group", paper, 2, []int{0, 0, 2, 2, 0, 0, 2, 2}},
 		{"way split 7+1 vs 6+2", mixed, 1, []int{0, 1, 0}},
 	} {
-		for _, dside := range []bool{false, true} {
-			mp := newMultiPort(tc.members, dside, make([]*cache.Cache, len(tc.members)))
-			lead, slots := mp.lead, len(mp.sims)
-			mp.release()
-			if !reflect.DeepEqual(lead, tc.lead) || slots != tc.slots {
-				t.Fatalf("%s (dside %v): tally leads %v over %d slots, want %v", tc.name, dside, lead, slots, tc.lead)
-			}
+		if plan := planGroup(tc.members); !reflect.DeepEqual(plan.lead, tc.lead) || len(plan.keys) != tc.slots {
+			t.Fatalf("%s: tally leads %v over %d slots, want %v over %d", tc.name, plan.lead, len(plan.keys), tc.lead, tc.slots)
 		}
 		got, err := RunGroupArena(w.Name, slab, tc.members)
 		if err != nil {

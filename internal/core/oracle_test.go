@@ -23,15 +23,39 @@ type naiveSide struct {
 	l2lat  uint64
 }
 
+// naiveL1 builds a fresh L1 simulator for a system in a mode, gating
+// ways one by one as the paper describes: ULE mode powers only the ULE
+// ways, and HP mode gates them when GateULEWaysAtHP is set.
+func naiveL1(s *System, m Mode) *cache.Cache {
+	c := cache.MustNew(cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes})
+	for w := 0; w < s.cfg.Ways; w++ {
+		ule := w >= s.cfg.Ways-s.cfg.ULEWays
+		if (m == ModeULE && !ule) || (m == ModeHP && ule && s.cfg.GateULEWaysAtHP) {
+			c.SetWayEnabled(w, false)
+		}
+	}
+	return c
+}
+
+// naiveL2 builds a fresh second-level simulator with the ways past its
+// EnabledWays cap (0 for none) gated, in either mode.
+func naiveL2(s *System) *cache.Cache {
+	l2 := cache.MustNew(cache.Config{Sets: s.cfg.L2.Sets, Ways: s.cfg.L2.Ways, LineBytes: s.cfg.L2.LineBytes})
+	for w := s.cfg.L2.EnabledWays; s.cfg.L2.EnabledWays > 0 && w < s.cfg.L2.Ways; w++ {
+		l2.SetWayEnabled(w, false)
+	}
+	return l2
+}
+
 // naiveSides builds fresh oracle sides for a system in a mode: plain
 // simulators, or two hierarchies over one unified L2.
 func naiveSides(s *System, m Mode) (il1, dl1 naiveSide) {
 	if s.cfg.L2 == nil {
-		return simSide(s.newSim(m)), simSide(s.newSim(m))
+		return simSide(naiveL1(s, m)), simSide(naiveL1(s, m))
 	}
-	l2 := s.newL2Sim()
+	l2 := naiveL2(s)
 	side := func() naiveSide {
-		h := cache.MustNewHierarchy(s.newSim(m), l2)
+		h := cache.MustNewHierarchy(naiveL1(s, m), l2)
 		return naiveSide{
 			access: func(addr uint32, write bool) bool { return !h.Access(addr, write).Hit },
 			fills:  h.FillMisses,

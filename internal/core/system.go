@@ -465,40 +465,46 @@ func (p *port) phaseL2(id uint8) l2Counters {
 	return l2Counters{}
 }
 
-// newSim builds one fresh cache simulator with the configuration's
-// geometry and the mode's way gating applied: ULE mode disables the HP
-// ways, HP mode optionally gates the ULE ways (ablation A5). This is
-// the entire mode- and design-dependence of the cache *state* — the
-// EDC latency and energy models live outside the simulator — which is
-// what lets the group runner share one simulator between configurations
-// whose geometry and gating coincide (baseline vs proposed at the same
-// mode, in particular).
-func (s *System) newSim(m Mode) *cache.Cache {
-	sim := cache.MustNew(cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes})
-	if m == ModeULE {
-		for w := 0; w < s.cfg.Ways-s.cfg.ULEWays; w++ {
-			sim.SetWayEnabled(w, false)
-		}
-	} else if s.cfg.GateULEWaysAtHP {
-		for w := s.cfg.Ways - s.cfg.ULEWays; w < s.cfg.Ways; w++ {
-			sim.SetWayEnabled(w, false)
+// hpWays is the L1's HP way count: ways [0, hpWays) are HP ways.
+func (s *System) hpWays() int { return s.cfg.Ways - s.cfg.ULEWays }
+
+// lowWays returns the way mask of ways [0, n).
+func lowWays(n int) uint64 { return ^uint64(0) >> (64 - n) }
+
+// slotKey returns the cache state a member in mode m starts from: ULE
+// mode disables the HP ways, HP mode optionally gates the ULE ways
+// (ablation A5), and an L2 keeps its way cap in both modes, since it
+// sits behind the mode-switched L1s and is not part of the way split.
+func (s *System) slotKey(m Mode) slotKey {
+	k := slotKey{l1: cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes}}
+	switch {
+	case m == ModeULE:
+		k.l1Ways = lowWays(s.cfg.Ways) &^ lowWays(s.hpWays())
+	case s.cfg.GateULEWaysAtHP:
+		k.l1Ways = lowWays(s.hpWays())
+	default:
+		k.l1Ways = lowWays(s.cfg.Ways)
+	}
+	if l2 := s.cfg.L2; l2 != nil {
+		k.l2 = cache.Config{Sets: l2.Sets, Ways: l2.Ways, LineBytes: l2.LineBytes}
+		k.l2Ways = lowWays(l2.Ways)
+		if l2.EnabledWays > 0 {
+			k.l2Ways = lowWays(l2.EnabledWays)
 		}
 	}
-	return sim
+	return k
 }
 
-// newL2Sim builds one fresh second-level simulator with the configured
-// geometry and enabled-way cap. The L2 keeps its full way set in both
-// modes — it sits behind the mode-switched L1s and is not part of the
-// hybrid way split.
-func (s *System) newL2Sim() *cache.Cache {
-	l2 := cache.MustNew(cache.Config{Sets: s.cfg.L2.Sets, Ways: s.cfg.L2.Ways, LineBytes: s.cfg.L2.LineBytes})
-	if n := s.cfg.L2.EnabledWays; n > 0 {
-		for w := n; w < s.cfg.L2.Ways; w++ {
-			l2.SetWayEnabled(w, false)
+// newSim builds one fresh cache simulator of geometry cfg with only the
+// ways in the enabled mask powered.
+func newSim(cfg cache.Config, enabled uint64) *cache.Cache {
+	c := cache.MustNew(cfg)
+	for w := 0; w < cfg.Ways; w++ {
+		if enabled&(1<<w) == 0 {
+			c.SetWayEnabled(w, false)
 		}
 	}
-	return l2
+	return c
 }
 
 // Breakdown is the per-instruction energy decomposition of Figures 3/4.

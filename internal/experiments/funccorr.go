@@ -141,20 +141,22 @@ func funcCorrExperiment(o Options) sim.Experiment {
 					uncorrectable += dl1.Uncorrectable
 				}
 			}
-			ms := []sim.Metric{
+			// A task that accepts no die replays nothing and reports 0
+			// corrections, so every row carries the same columns.
+			var perDie, perKI float64
+			if accepted > 0 {
+				perDie, perKI = float64(corrected)/float64(accepted), 1000*float64(corrected)/float64(replayed)
+			}
+			return sim.Result{Metrics: []sim.Metric{
 				sim.Fmt("pf", pf, "%.3e"),
 				sim.Num("dice", float64(dice)),
 				sim.Num("accepted", float64(accepted)),
 				sim.Num("rejected", float64(rejected)),
 				sim.Fmt("faults_per_die", float64(faultCount)/float64(dice), "%.2f"),
 				sim.Num("uncorrectable", float64(uncorrectable)),
-			}
-			if accepted > 0 {
-				ms = append(ms,
-					sim.Fmt("corrected_per_die", float64(corrected)/float64(accepted), "%.1f"),
-					sim.Fmt("corrected_per_ki", 1000*float64(corrected)/float64(replayed), "%.3f"))
-			}
-			return sim.Result{Metrics: ms}, nil
+				sim.Fmt("corrected_per_die", perDie, "%.1f"),
+				sim.Fmt("corrected_per_ki", perKI, "%.3f"),
+			}}, nil
 		},
 	}
 }
