@@ -134,11 +134,11 @@ func (f *FunctionalCache) note(r ecc.Result) {
 // MemWord returns the backing-memory copy of a word (test helper).
 func (f *FunctionalCache) MemWord(addr uint32) uint32 { return f.mem[addr&^3] }
 
-// Flush writes every valid line back to memory through the decoder and
+// Flush writes every dirty line back to memory through the decoder and
 // invalidates the cache.
 func (f *FunctionalCache) Flush() error {
 	for set := 0; set < f.cfg.Sets; set++ {
-		if !f.lineUsed[set] {
+		if !f.lineUsed[set] || !f.dirty[set] {
 			continue
 		}
 		base := f.lineAddr[set]
@@ -149,6 +149,7 @@ func (f *FunctionalCache) Flush() error {
 		}
 	}
 	clear(f.lineUsed)
+	clear(f.dirty)
 	if f.Uncorrectable > 0 {
 		return fmt.Errorf("core: %d uncorrectable words encountered", f.Uncorrectable)
 	}

@@ -179,21 +179,28 @@ func TestFunctionalCacheRunsWorkloadAddresses(t *testing.T) {
 // every op must hit or miss as the reference does; each reference
 // write-back must leave the victim line's last stored values in memory;
 // and memory must hold exactly the words of the lines written back so
-// far, so a write-back the reference does not make shows up too.
+// far, so a write-back the reference does not make shows up too. Just
+// before the Flush a load brings in a line the workload never touches,
+// so a Flush that writes back a clean line shows up as well.
 func TestFunctionalCacheMatchesReferenceCache(t *testing.T) {
 	const lines, wpl = 32, 8
+	const spare = 0xFFFF_FFE0 // a line outside the workload
 	w, err := bench.ByName("gsm_c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	insts := collect(w.ScaledTo(30_000).Stream())
+	for _, inst := range insts {
+		if (inst.IsLoad || inst.IsStore) && inst.Addr&^(wpl*4-1) == spare {
+			t.Fatalf("the workload touches the spare line %#x", spare)
+		}
+	}
 	fc, err := NewFunctionalCache(lines, wpl, ecc.KindSECDED, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := cache.MustNew(cache.Config{Sets: lines, Ways: 1, LineBytes: wpl * 4})
 	stored := map[uint32]uint32{} // last value stored per word
-	touched := map[uint32]bool{}  // every line accessed
 	backed := map[uint32]bool{}   // every line written back to memory
 	checkMem := func(at int, line uint32) {
 		t.Helper()
@@ -203,37 +210,25 @@ func TestFunctionalCacheMatchesReferenceCache(t *testing.T) {
 			}
 		}
 	}
+	checkSize := func(at int) {
+		t.Helper()
+		if len(fc.mem) != wpl*len(backed) {
+			t.Fatalf("op %d: memory holds %d words, want the %d of %d written-back lines", at, len(fc.mem), wpl*len(backed), len(backed))
+		}
+	}
 	var hits, writebacks int
-	for i, inst := range insts {
-		if i == len(insts)/2 {
-			for line := range touched {
-				if ref.Contains(line) {
-					backed[line] = true
-				}
-			}
-			ref.Flush()
-			if err := fc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for a := range stored {
-				checkMem(i, a&^(wpl*4-1))
-			}
-		}
-		if !inst.IsLoad && !inst.IsStore {
-			continue
-		}
-		addr := inst.Addr &^ 3
-		touched[ref.LineAddr(addr)] = true
-		want := ref.Access(addr, inst.IsStore)
+	access := func(at int, addr uint32, store bool) {
+		t.Helper()
+		want := ref.Access(addr, store)
 		var hit bool
-		if inst.IsStore {
-			stored[addr] = uint32(i) ^ 0x5A5A0000
+		if store {
+			stored[addr] = uint32(at) ^ 0x5A5A0000
 			hit = fc.Store(addr, stored[addr])
 		} else {
 			_, hit = fc.Load(addr)
 		}
 		if hit != want.Hit {
-			t.Fatalf("op %d (%#x, store %v): hit %v, reference %v", i, addr, inst.IsStore, hit, want.Hit)
+			t.Fatalf("op %d (%#x, store %v): hit %v, reference %v", at, addr, store, hit, want.Hit)
 		}
 		if hit {
 			hits++
@@ -241,10 +236,24 @@ func TestFunctionalCacheMatchesReferenceCache(t *testing.T) {
 		if want.Writeback {
 			writebacks++
 			backed[want.Victim] = true
-			checkMem(i, want.Victim)
+			checkMem(at, want.Victim)
 		}
-		if len(fc.mem) != wpl*len(backed) {
-			t.Fatalf("op %d: memory holds %d words, want the %d of %d written-back lines", i, len(fc.mem), wpl*len(backed), len(backed))
+		checkSize(at)
+	}
+	for i, inst := range insts {
+		if i == len(insts)/2 {
+			access(i, spare, false)
+			ref.DrainDirty(func(line uint32) { backed[line] = true })
+			if err := fc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for a := range stored {
+				checkMem(i, a&^(wpl*4-1))
+			}
+			checkSize(i)
+		}
+		if inst.IsLoad || inst.IsStore {
+			access(i, inst.Addr&^3, inst.IsStore)
 		}
 	}
 	if hits == 0 || hits == len(insts) || writebacks == 0 {

@@ -20,8 +20,8 @@ import (
 // the repo is such a group — System.Run is the one-member case — so a
 // Report never depends on which other members shared its pass.
 //
-// Slots are planned from configuration before any simulator is built
-// (planGroup): members whose slotKey — L1 geometry and way gating, plus
+// Slots are keyed from configuration (planGroup), so a simulator is
+// built only for a new slot: members whose slotKey — L1 geometry and way gating, plus
 // L2 geometry and way cap for a member with Config.L2 — coincides share
 // one slot. Baseline and proposed at the same mode differ only in cell
 // sizing, coding and latency, none of which touch cache *state*, so the
@@ -52,10 +52,10 @@ type slotKey struct {
 	l1Ways, l2Ways uint64 // enabled-way masks
 }
 
-// groupPlan is a replay group's slot assignment, computed from the
-// members' configurations before any simulator is built. It does not
-// depend on the side: the IL1 and DL1 banks build one L1 per slot, and
-// a slot's L2 is built once and fronted by both.
+// groupPlan is a replay group's slot assignment, keyed from the
+// members' configurations, and owns each slot's L2. It does not depend
+// on the side: the IL1 and DL1 banks build one L1 per slot, and both
+// front the slot's one L2.
 type groupPlan struct {
 	slot []int          // member k's slot
 	lead []int          // member k's tally lead: k itself, or an earlier member it copies
@@ -69,7 +69,7 @@ type groupPlan struct {
 func planGroup(members []GroupMember) *groupPlan {
 	g := &groupPlan{slot: make([]int, len(members)), lead: make([]int, len(members))}
 	for k, gm := range members {
-		key := gm.Sys.slotKey(gm.Mode)
+		key := gm.Sys.stateKey(gm.Mode)
 		idx := slices.Index(g.keys, key)
 		if idx < 0 {
 			idx = len(g.keys)

@@ -471,11 +471,11 @@ func (s *System) hpWays() int { return s.cfg.Ways - s.cfg.ULEWays }
 // lowWays returns the way mask of ways [0, n).
 func lowWays(n int) uint64 { return ^uint64(0) >> (64 - n) }
 
-// slotKey returns the cache state a member in mode m starts from: ULE
+// stateKey returns the cache state a member in mode m starts from: ULE
 // mode disables the HP ways, HP mode optionally gates the ULE ways
 // (ablation A5), and an L2 keeps its way cap in both modes, since it
 // sits behind the mode-switched L1s and is not part of the way split.
-func (s *System) slotKey(m Mode) slotKey {
+func (s *System) stateKey(m Mode) slotKey {
 	k := slotKey{l1: cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes}}
 	switch {
 	case m == ModeULE:

@@ -124,8 +124,11 @@ func funcCorrExperiment(o Options) sim.Experiment {
 				dl1s = append(dl1s, dl1)
 			}
 			accepted := len(dl1s)
+			// A task that accepts no die replays nothing and reports 0
+			// corrections, so every row carries the same columns.
 			var corrected, uncorrectable int
 			var replayed uint64
+			var perDie, perKI float64
 			if accepted > 0 {
 				il1, err := core.NewFunctionalCache(32, 8, kind, nil)
 				if err != nil {
@@ -140,11 +143,6 @@ func funcCorrExperiment(o Options) sim.Experiment {
 					corrected += dl1.CorrectedReads
 					uncorrectable += dl1.Uncorrectable
 				}
-			}
-			// A task that accepts no die replays nothing and reports 0
-			// corrections, so every row carries the same columns.
-			var perDie, perKI float64
-			if accepted > 0 {
 				perDie, perKI = float64(corrected)/float64(accepted), 1000*float64(corrected)/float64(replayed)
 			}
 			return sim.Result{Metrics: []sim.Metric{
