@@ -430,8 +430,9 @@ func BenchmarkDutyCycle(b *testing.B) {
 // BenchmarkHierarchyReplay measures what the second cache level costs
 // the simulator: the same workload replayed single-level, through a
 // private L1+L2 hierarchy, as two streams contending for one shared L2
-// (instructions per second over all replayed streams), and through
-// hier-epi's 6-member group in one pass. Each variant also reports its
+// (instructions per second over all replayed streams), phase-annotated
+// (phased_mix, counted per phase), and through hier-epi's 6-member
+// group in one pass. Each variant also reports its
 // miss-stall share so throughput changes can be read against the
 // timing work the L2 adds.
 func BenchmarkHierarchyReplay(b *testing.B) {
@@ -482,6 +483,23 @@ func BenchmarkHierarchyReplay(b *testing.B) {
 			}
 		}
 		b.ReportMetric((stallPct(reps[0])+stallPct(reps[1]))/2, "stall-%")
+	})
+	b.Run("phased", func(b *testing.B) {
+		// A phase-annotated stream on the tiered system: every phase
+		// change selects the phase's counters on both levels.
+		pw, err := bench.ByName("phased_mix")
+		if err != nil {
+			b.Fatal(err)
+		}
+		pw = pw.ScaledTo(benchInstructions)
+		b.SetBytes(int64(benchInstructions))
+		var rep core.Report
+		for i := 0; i < b.N; i++ {
+			if rep, err = tiered.Run(pw, core.ModeHP); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(stallPct(rep), "stall-%")
 	})
 	b.Run("hiergroup", func(b *testing.B) {
 		// hier-epi's replay group: 2 L2 geometries × 3 protections at

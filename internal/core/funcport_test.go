@@ -19,7 +19,7 @@ import (
 // timed by naiveStats.
 func naiveFunctional(il1, dl1 *FunctionalCache, extra int, s trace.Stream) cpu.Stats {
 	side := func(fc *FunctionalCache) naiveSide {
-		return naiveSide{access: func(addr uint32, write bool) bool {
+		return naiveSide{access: func(_ uint8, addr uint32, write bool) bool {
 			if write {
 				return !fc.Store(addr, funcStoreValue(addr))
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"testing"
 
 	"edcache/internal/cache"
 	"edcache/internal/cpu"
@@ -15,12 +16,75 @@ import (
 const oracleChunk = 1024
 
 // naiveSide is one cache side of the naive oracle: a per-access call
-// and, behind a second level, its running L2 fill-miss counter and
-// service latency.
+// given the access's phase id and, behind a second level, its running
+// L2 fill-miss counter and service latency. Sides over the oracle's
+// own simulators also count their energy events in ev.
 type naiveSide struct {
-	access func(addr uint32, write bool) (miss bool)
+	access func(phase uint8, addr uint32, write bool) (miss bool)
 	fills  func() uint64 // nil for a single-level side
 	l2lat  uint64
+	ev     *naiveEvents // nil on sides that count no events
+}
+
+// naiveCount is one side's energy events over one phase (or the run),
+// counted access by access from plain cache.Results. Way classes are
+// indexed 0 for HP ways, 1 for ULE ways.
+type naiveCount struct {
+	reads, writes          uint64
+	fills, wbs, wordWrites [2]uint64
+	// l2 counts the second level's reads, writes, fills and
+	// write-backs, in that order.
+	l2 [4]uint64
+}
+
+// naiveEvents is one side's event counts for the run and per phase id.
+type naiveEvents struct {
+	run   naiveCount
+	phase [256]naiveCount
+}
+
+// countL1 counts one L1 access: its lookup, the fill and any dirty
+// victim's write-back on a miss, and a store's word write into the way
+// it hit or filled (write-allocate), each in the class of Result.Way.
+func (e *naiveEvents) countL1(phase uint8, r cache.Result, write bool, hpWays int) {
+	class := 0
+	if r.Way >= hpWays {
+		class = 1
+	}
+	for _, c := range []*naiveCount{&e.run, &e.phase[phase]} {
+		if write {
+			c.writes++
+			c.wordWrites[class]++
+		} else {
+			c.reads++
+		}
+		if !r.Hit {
+			c.fills[class]++
+			if r.Writeback {
+				c.wbs[class]++
+			}
+		}
+	}
+}
+
+// countL2 counts the L2 traffic of the hierarchy's last access.
+func (e *naiveEvents) countL2(phase uint8, h *cache.Hierarchy) {
+	ops, rs := h.L2Ops(), h.L2Results()
+	for _, c := range []*naiveCount{&e.run, &e.phase[phase]} {
+		for i, r := range rs {
+			if ops[i].Write {
+				c.l2[1]++
+			} else {
+				c.l2[0]++
+			}
+			if !r.Hit {
+				c.l2[2]++
+				if r.Writeback {
+					c.l2[3]++
+				}
+			}
+		}
+	}
 }
 
 // naiveL1 builds a fresh L1 simulator for a system in a mode, gating
@@ -49,30 +113,44 @@ func naiveL2(s *System) *cache.Cache {
 
 // naiveSides builds fresh oracle sides for a system in a mode: plain
 // simulators, or two hierarchies over one unified L2.
+// Both sides count their events, the L1's split into HP and ULE way
+// classes by the system's HP way count.
 func naiveSides(s *System, m Mode) (il1, dl1 naiveSide) {
+	hpWays := s.cfg.Ways - s.cfg.ULEWays
 	if s.cfg.L2 == nil {
-		return simSide(naiveL1(s, m)), simSide(naiveL1(s, m))
+		side := func() naiveSide {
+			c, ev := naiveL1(s, m), new(naiveEvents)
+			return naiveSide{ev: ev, access: func(phase uint8, addr uint32, write bool) bool {
+				r := c.Access(addr, write)
+				ev.countL1(phase, r, write, hpWays)
+				return !r.Hit
+			}}
+		}
+		return side(), side()
 	}
 	l2 := naiveL2(s)
 	side := func() naiveSide {
-		h := cache.MustNewHierarchy(naiveL1(s, m), l2)
+		h, ev := cache.MustNewHierarchy(naiveL1(s, m), l2), new(naiveEvents)
 		return naiveSide{
-			access: func(addr uint32, write bool) bool { return !h.Access(addr, write).Hit },
-			fills:  h.FillMisses,
-			l2lat:  uint64(s.cfg.L2.Latency),
+			access: func(phase uint8, addr uint32, write bool) bool {
+				r := h.Access(addr, write)
+				ev.countL1(phase, r, write, hpWays)
+				ev.countL2(phase, h)
+				return !r.Hit
+			},
+			fills: h.FillMisses,
+			l2lat: uint64(s.cfg.L2.Latency),
+			ev:    ev,
 		}
 	}
 	return side(), side()
 }
 
-func simSide(c *cache.Cache) naiveSide {
-	return naiveSide{access: func(addr uint32, write bool) bool { return !c.Access(addr, write).Hit }}
-}
-
 // naiveStats is the reference timing of one member: one access per
 // cache reference through plain per-access calls, every instruction's
 // cycles added one by one. It shares no code with cpu's replay loop or
-// core's ports. Per-phase segmentation is left out (Phases nil); the
+// core's ports; sides built by naiveSides count their energy events
+// along the way. Per-phase segmentation is left out (Phases nil); the
 // chunk walk only orders the two sides' traffic for a unified L2.
 func naiveStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.Inst) cpu.Stats {
 	return withoutPhases(naivePhasedStats(memLatency, extra, il1, dl1, insts))
@@ -88,12 +166,12 @@ func naivePhasedStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.I
 	var segs [256]cpu.Stats
 	// miss performs one access and returns whether it missed, the stall
 	// it costs and the L2 fill misses it caused.
-	miss := func(sd naiveSide, addr uint32, write bool) (bool, uint64, uint64) {
+	miss := func(sd naiveSide, phase uint8, addr uint32, write bool) (bool, uint64, uint64) {
 		var before uint64
 		if sd.fills != nil {
 			before = sd.fills()
 		}
-		if !sd.access(addr, write) {
+		if !sd.access(phase, addr, write) {
 			return false, 0, 0
 		}
 		if sd.fills == nil {
@@ -117,7 +195,7 @@ func naivePhasedStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.I
 				st.Instructions++
 				st.Cycles++
 				st.IAccesses++
-				if m, stall, l2 := miss(il1, in.PC, false); m {
+				if m, stall, l2 := miss(il1, in.Phase, in.PC, false); m {
 					st.IMisses++
 					st.IL2Misses += l2
 					st.Cycles += stall
@@ -140,7 +218,7 @@ func naivePhasedStats(memLatency, extra int, il1, dl1 naiveSide, insts []trace.I
 					continue
 				}
 				st.DAccesses++
-				m, stall, l2 := miss(dl1, in.Addr, !in.IsLoad)
+				m, stall, l2 := miss(dl1, in.Phase, in.Addr, !in.IsLoad)
 				if m {
 					st.DMisses++
 					st.DL2Misses += l2
@@ -198,4 +276,58 @@ func runOne(sys *System, name string, s trace.Stream, m Mode) (Report, error) {
 		return Report{}, err
 	}
 	return reps[0], nil
+}
+
+// counters converts one side's naive counts into the accounting's
+// input types.
+func (c naiveCount) counters() (portCounters, l2Counters) {
+	return portCounters{
+			reads: c.reads, writes: c.writes,
+			fillsHP: c.fills[0], fillsULE: c.fills[1],
+			wbHP: c.wbs[0], wbULE: c.wbs[1],
+			writeHitHP: c.wordWrites[0], writeHitULE: c.wordWrites[1],
+		}, l2Counters{
+			reads: c.l2[0], writes: c.l2[1], fills: c.l2[2], wbs: c.l2[3],
+		}
+}
+
+// checkEnergyOracle replays insts through the naive oracle for one
+// member and holds the member's Report to it: Stats (Phases included)
+// equal, and the run-level and every per-phase EPI and Levels equal to
+// breakdown and levelize applied to the oracle's own event counts. The
+// energy model is shared with the code under test; the counting is not.
+func checkEnergyOracle(t *testing.T, label string, got Report, gm GroupMember, insts []trace.Inst) {
+	t.Helper()
+	s, m := gm.Sys, gm.Mode
+	il1, dl1 := naiveSides(s, m)
+	st := naivePhasedStats(s.cfg.MemLatency, s.ExtraHitLatency(m), il1, dl1, insts)
+	if !reflect.DeepEqual(got.Stats, st) {
+		t.Errorf("%s: stats diverge from the naive oracle:\n got  %+v\n want %+v", label, got.Stats, st)
+		return
+	}
+	price := func(st cpu.Stats, i, d naiveCount) (Breakdown, []LevelEPI) {
+		timeNS := float64(st.Cycles) / s.cfg.FreqGHz(m)
+		ip, il2 := i.counters()
+		dp, dl2 := d.counters()
+		b := s.breakdown(m, ip, dp, st.Instructions, timeNS)
+		if s.cfg.L2 == nil {
+			return b, nil
+		}
+		l2 := l2Counters{reads: il2.reads + dl2.reads, writes: il2.writes + dl2.writes,
+			fills: il2.fills + dl2.fills, wbs: il2.wbs + dl2.wbs}
+		return b, s.levelize(m, &b, st, l2, timeNS)
+	}
+	if epi, lv := price(st, il1.ev.run, dl1.ev.run); got.EPI != epi || !reflect.DeepEqual(got.Levels, lv) {
+		t.Errorf("%s: run energy diverges from the naive counts:\n got  %+v %+v\n want %+v %+v", label, got.EPI, got.Levels, epi, lv)
+	}
+	if len(got.Phases) != len(st.Phases) {
+		t.Fatalf("%s: %d phase reports, naive oracle has %d segments", label, len(got.Phases), len(st.Phases))
+	}
+	for i, seg := range st.Phases {
+		epi, lv := price(seg.Stats, il1.ev.phase[seg.Phase], dl1.ev.phase[seg.Phase])
+		if pr := got.Phases[i]; pr.Phase != seg.Phase || pr.EPI != epi || !reflect.DeepEqual(pr.Levels, lv) {
+			t.Errorf("%s phase %d: energy diverges from the naive counts:\n got  %+v %+v\n want %+v %+v",
+				label, seg.Phase, pr.EPI, pr.Levels, epi, lv)
+		}
+	}
 }

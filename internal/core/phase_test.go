@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"edcache/internal/bench"
+	"edcache/internal/ecc"
 	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
@@ -167,5 +170,95 @@ func TestRunStreamCaptureUnphasedStream(t *testing.T) {
 	}
 	if live.Phases != nil || replayed.Phases != nil {
 		t.Error("unphased run produced phase reports")
+	}
+}
+
+// phasedOracleInsts builds a stream that opens in phase 2, drops to 0
+// and returns to 2, each run longer than a replay chunk, with loads,
+// stores and branches over a footprint a few times the L1 so every
+// phase fills, writes back and reaches the L2.
+func phasedOracleInsts() []trace.Inst {
+	rng := rand.New(rand.NewSource(27))
+	var insts []trace.Inst
+	for seg, run := range []struct {
+		phase uint8
+		n     int
+	}{{2, 1500}, {0, 2300}, {2, 1700}} {
+		for i := 0; i < run.n; i++ {
+			inst := trace.Inst{PC: uint32(0x40000 + 4*rng.Intn(4096)), Phase: run.phase}
+			addr := uint32(0x100000+seg*0x2000) + 4*uint32(rng.Intn(8192))
+			switch rng.Intn(5) {
+			case 0, 1:
+				inst.IsLoad, inst.Addr, inst.UseDist = true, addr, uint8(rng.Intn(3))
+			case 2:
+				inst.IsStore, inst.Addr = true, addr
+			case 3:
+				inst.IsBranch, inst.Taken = true, rng.Intn(2) == 0
+			}
+			insts = append(insts, inst)
+		}
+	}
+	return insts
+}
+
+// TestPhaseEnergyMatchesNaiveOracle holds every member's per-phase and
+// run-level energy to the naive oracle's own event counts: the paper's
+// 8-member group (whose members share tallies) and the hier-epi-shaped
+// 6-member group (per-phase L2 counts) over phased_mix, and both groups
+// over a hand-built stream that opens in phase 2, drops to 0 and
+// returns to 2.
+func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
+	var paper, hier []GroupMember
+	for _, sc := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
+		base := MustNewSystem(PaperConfig(sc, Baseline))
+		prop := MustNewSystem(PaperConfig(sc, Proposed))
+		for _, m := range []Mode{ModeHP, ModeULE} {
+			paper = append(paper, GroupMember{base, m}, GroupMember{prop, m})
+		}
+	}
+	for _, g := range [][2]int{{128, 8}, {512, 8}} {
+		for _, prot := range []ecc.Kind{ecc.KindNone, ecc.KindSECDED, ecc.KindDECTED} {
+			hier = append(hier, GroupMember{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(L2Config{
+				Sets: g[0], Ways: g[1], LineBytes: 32, Latency: 6, Protection: prot})), ModeHP})
+		}
+	}
+	if plan := planGroup(paper); reflect.DeepEqual(plan.lead, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("paper group has no tally followers (leads %v)", plan.lead)
+	}
+	w, err := bench.ByName("phased_mix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.ScaledTo(45_000)
+	mix := collect(w.Stream())
+	hand := phasedOracleInsts()
+	for _, tc := range []struct {
+		name    string
+		members []GroupMember
+		insts   []trace.Inst
+	}{
+		{"paper group/phased_mix", paper, mix},
+		{"hier group/phased_mix", hier, mix},
+		{"paper group/2-0-2", paper, hand},
+		{"hier group/2-0-2", hier, hand},
+	} {
+		got, err := RunGroup(tc.name, &trace.SliceStream{Insts: tc.insts}, tc.members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, gm := range tc.members {
+			label := fmt.Sprintf("%s member %d (%s/%v)", tc.name, k, gm.Sys.Config().Name(), gm.Mode)
+			if len(got[k].Phases) < 2 {
+				t.Fatalf("%s: %d phase segments, want a phase boundary", label, len(got[k].Phases))
+			}
+			checkEnergyOracle(t, label, got[k], gm, tc.insts)
+			if gm.Sys.cfg.L2 != nil {
+				for _, pr := range got[k].Phases {
+					if pr.Levels[1].Accesses == 0 {
+						t.Fatalf("%s phase %d: no L2 traffic", label, pr.Phase)
+					}
+				}
+			}
+		}
 	}
 }
