@@ -119,19 +119,6 @@ func (h *Hierarchy) L2Results() []Result { return h.l2res }
 // full memory latency for exactly these.
 func (h *Hierarchy) FillMisses() uint64 { return h.fillMisses }
 
-// SetWayEnabled gates one way of the given level (1 or 2) on or off —
-// the per-level way mask the architecture's gating policies drive.
-func (h *Hierarchy) SetWayEnabled(level, way int, on bool) {
-	switch level {
-	case 1:
-		h.l1.SetWayEnabled(way, on)
-	case 2:
-		h.l2.SetWayEnabled(way, on)
-	default:
-		panic(fmt.Sprintf("cache: hierarchy level %d out of range", level))
-	}
-}
-
 // Flush drains the whole hierarchy: the L1's dirty lines are written
 // into the L2 as one deterministic write batch (DrainDirty order), then
 // the L2 is flushed. It returns the per-level dirty counts — L1 lines

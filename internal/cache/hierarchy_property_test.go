@@ -154,7 +154,7 @@ func TestPropertyHierarchyMatchesNaiveTwoLevelModel(t *testing.T) {
 				if !on && c.EnabledWays() == 1 && c.WayEnabled(way) {
 					on = true
 				}
-				h.SetWayEnabled(level, way, on)
+				c.SetWayEnabled(way, on)
 				nc.setWayEnabled(way, on)
 			default: // full-hierarchy flush
 				gotL1, gotL2 := h.Flush()

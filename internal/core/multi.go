@@ -21,18 +21,19 @@ import (
 // Report never depends on which other members shared its pass.
 //
 // Slots are keyed from configuration (planGroup), so a simulator is
-// built only for a new slot: members whose slotKey — L1 geometry and way gating, plus
-// L2 geometry and way cap for a member with Config.L2 — coincides share
-// one slot. Baseline and proposed at the same mode differ only in cell
-// sizing, coding and latency, none of which touch cache *state*, so the
-// paper's 8-member scenario × mode × design group builds only 2 caches
-// per side, and the 6-member hier group (2 L2 geometries × 3
-// protections) 2 slots per side over 2 L2s. Each side builds one L1 per
-// slot; a slot with a second level is a cache.Hierarchy per side over
-// one unified L2 that both sides front. Members of one slot that also
-// split HP and ULE ways at the same index share one tally: the first of
-// them folds the slot's outcomes into its counters, and the others copy
-// its counters and miss row per chunk, so the 8-member group tallies
+// built only for a new slot: members whose slotKey — L1 geometry and
+// way gating, plus L2 geometry and way cap for a member with Config.L2
+// — coincides share one slot. Baseline and proposed at the same mode
+// differ only in cell sizing, coding and latency, none of which touch
+// cache *state*, so the paper's 8-member scenario × mode × design group
+// builds only 2 caches per side, and the 6-member hier group (2 L2
+// geometries × 3 protections) 2 slots per side over 2 L2s. Each side
+// builds one L1 per slot; a slot with a second level is a
+// cache.Hierarchy per side over one unified L2 that both sides front.
+// Members of one slot that also split HP and ULE ways at the same index
+// share one tally: the first of them, the lead, counts the slot's
+// outcomes, and the others, its followers, point at the lead's tally
+// and copy only its miss row per chunk, so the 8-member group tallies
 // twice per side instead of eight times (timing stays per member).
 
 // GroupMember is one evaluation point of a replay group.
@@ -58,7 +59,7 @@ type slotKey struct {
 // front the slot's one L2.
 type groupPlan struct {
 	slot []int          // member k's slot
-	lead []int          // member k's tally lead: k itself, or an earlier member it copies
+	lead []int          // member k's tally lead: k itself, or an earlier member whose tally it shares
 	keys []slotKey      // slot s's cache state
 	l2   []*cache.Cache // slot s's second level, nil for none
 }
@@ -137,6 +138,11 @@ func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort
 	}
 	for k, gm := range members {
 		p := &port{hpWays: gm.Sys.hpWays()}
+		if l := plan.lead[k]; l != k {
+			p.t = mp.ports[l].t
+		} else {
+			p.t = newTally()
+		}
 		if dside {
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
 		}
@@ -163,10 +169,9 @@ func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
 // AccessBatch implements cpu.MultiPort: one op conversion, one pass per
 // simulator slot, then each tally lead folds its slot's outcomes into
-// its energy counters and miss row. A follower's tally over the same
-// Result sequence and way split would be identical, so it copies the
-// lead's instead. Phase boundaries still reach every member, and a
-// follower's segments diff the same counters as its lead's.
+// its tally and miss row. A follower's counts over the same Result
+// sequence and way split would be identical, so it shares the lead's
+// tally and copies only the miss row.
 func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
 	scr := mp.scr
@@ -188,7 +193,6 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	}
 	for k, p := range mp.ports {
 		if l := mp.plan.lead[k]; l != k {
-			p.portCounters, p.l2 = mp.ports[l].portCounters, mp.ports[l].l2
 			copy(miss[k], miss[l])
 			continue
 		}
@@ -196,11 +200,12 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 	}
 }
 
-// BeginPhase implements cpu.PhasePort, snapshotting every logical
-// member's counters at the boundary.
+// BeginPhase implements cpu.PhasePort, selecting phase id's slot in
+// every member's tally. A follower's tally is its lead's, already
+// selected, so beginning it again changes nothing.
 func (mp *multiPort) BeginPhase(id uint8) {
 	for _, p := range mp.ports {
-		p.BeginPhase(id)
+		p.t.begin(id)
 	}
 }
 
@@ -244,7 +249,7 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 	}
 	reports := make([]Report, len(members))
 	for k, gm := range members {
-		reports[k] = gm.Sys.assemble(name, gm.Mode, stats[k], il1.ports[k], dl1.ports[k])
+		reports[k] = gm.Sys.assemble(name, gm.Mode, stats[k], il1.ports[k].t, dl1.ports[k].t)
 	}
 	return reports, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"edcache/internal/bench"
 	"edcache/internal/bitcell"
@@ -231,24 +232,12 @@ func (s *System) cacheLeakPower(m Mode) float64 {
 }
 
 // portCounters are the per-cache event counts the energy accounting
-// consumes. They live in their own struct so a run can be sliced: the
-// port keeps running totals plus, for phase-annotated streams, one
-// delta per phase id.
+// consumes.
 type portCounters struct {
 	reads, writes           uint64
 	fillsHP, fillsULE       uint64
 	wbHP, wbULE             uint64
 	writeHitHP, writeHitULE uint64
-}
-
-// sub returns the field-wise difference c − m.
-func (c portCounters) sub(m portCounters) portCounters {
-	return portCounters{
-		reads: c.reads - m.reads, writes: c.writes - m.writes,
-		fillsHP: c.fillsHP - m.fillsHP, fillsULE: c.fillsULE - m.fillsULE,
-		wbHP: c.wbHP - m.wbHP, wbULE: c.wbULE - m.wbULE,
-		writeHitHP: c.writeHitHP - m.writeHitHP, writeHitULE: c.writeHitULE - m.writeHitULE,
-	}
 }
 
 // add accumulates d into c.
@@ -263,6 +252,49 @@ func (c *portCounters) add(d portCounters) {
 	c.writeHitULE += d.writeHitULE
 }
 
+// tally folds one access outcome into the counters and reports whether
+// it missed. Ways [0, hpWays) are HP ways.
+func (c *portCounters) tally(res cache.Result, write bool, hpWays int) (miss bool) {
+	if write {
+		c.writes++
+	} else {
+		c.reads++
+	}
+	ule := res.Way >= hpWays
+	if res.Hit {
+		if write {
+			if ule {
+				c.writeHitULE++
+			} else {
+				c.writeHitHP++
+			}
+		}
+		return false
+	}
+	if ule {
+		c.fillsULE++
+	} else {
+		c.fillsHP++
+	}
+	if res.Writeback {
+		if ule {
+			c.wbULE++
+		} else {
+			c.wbHP++
+		}
+	}
+	// A filled line is immediately written (write-allocate): account the
+	// store's word write as a write hit into the fill way.
+	if write {
+		if ule {
+			c.writeHitULE++
+		} else {
+			c.writeHitHP++
+		}
+	}
+	return true
+}
+
 // l2Counters are one port's second-level event counts. Word writes into
 // the L2 need no separate tally: every L2 write (an L1 victim line
 // coming down, or a flush) lands its words exactly once, so writes is
@@ -274,14 +306,6 @@ type l2Counters struct {
 	wbs    uint64 // dirty L2 lines written back to memory
 }
 
-// sub returns the field-wise difference c − m.
-func (c l2Counters) sub(m l2Counters) l2Counters {
-	return l2Counters{
-		reads: c.reads - m.reads, writes: c.writes - m.writes,
-		fills: c.fills - m.fills, wbs: c.wbs - m.wbs,
-	}
-}
-
 // add accumulates d into c.
 func (c *l2Counters) add(d l2Counters) {
 	c.reads += d.reads
@@ -290,12 +314,66 @@ func (c *l2Counters) add(d l2Counters) {
 	c.wbs += d.wbs
 }
 
-// portPhase is one phase's slice of a port's counters.
-type portPhase struct {
-	id uint8
+// tally folds one L2 batch into the counters.
+func (c *l2Counters) tally(ops []cache.Op, rs []cache.Result) {
+	for i := range rs {
+		if ops[i].Write {
+			c.writes++
+		} else {
+			c.reads++
+		}
+		if !rs[i].Hit {
+			c.fills++
+			if rs[i].Writeback {
+				c.wbs++
+			}
+		}
+	}
+}
+
+// counts are one logical cache's event counts over one phase or one
+// run: its L1 counters and, behind a second level, its L2 counters.
+type counts struct {
 	portCounters
 	l2 l2Counters
 }
+
+// tally is one logical cache's counts, one slot per phase id: slot 0 is
+// phase 0, and other ids get a slot when first begun. Each access is
+// counted in place in the current phase's slot; the run's counts are
+// the sum of the slots.
+type tally struct {
+	ids   []uint8 // slot i's phase id
+	slots []counts
+	cur   int // the current phase's slot
+}
+
+func newTally() *tally { return &tally{ids: []uint8{0}, slots: make([]counts, 1)} }
+
+// begin selects phase id's slot, adding one for a new id. Beginning the
+// current phase again changes nothing.
+func (t *tally) begin(id uint8) {
+	t.cur = slices.Index(t.ids, id)
+	if t.cur < 0 {
+		t.cur = len(t.ids)
+		t.ids = append(t.ids, id)
+		t.slots = append(t.slots, counts{})
+	}
+}
+
+// run returns the counts summed over every phase.
+func (t *tally) run() counts {
+	var c counts
+	for _, s := range t.slots {
+		c.portCounters.add(s.portCounters)
+		c.l2.add(s.l2)
+	}
+	return c
+}
+
+// phase returns the counts of one phase id, which must have been begun
+// (or be phase 0).
+func (t *tally) phase(id uint8) counts { return t.slots[slices.Index(t.ids, id)] }
 
 // port is one logical cache of a replay group: the timing view the cpu
 // layer reads (cpu.Port, and cpu.TieredPort behind a second level) and
@@ -308,92 +386,25 @@ type port struct {
 
 	// Two-level state, nil/zero on single-level ports: the hierarchy
 	// whose L1 is this port's simulator (the L2 behind it may be shared
-	// with other ports), the L2 service latency, and the port's own L2
-	// tallies.
-	hier   *cache.Hierarchy
-	l2lat  int
-	l2     l2Counters
-	l2mark l2Counters
+	// with other ports) and the L2 service latency.
+	hier  *cache.Hierarchy
+	l2lat int
 
-	portCounters
-
-	// Phase segmentation, driven by cpu's ledger through BeginPhase.
-	cur  uint8
-	mark portCounters
-	segs []portPhase
+	// t holds the port's counts per phase. A tally follower points at
+	// its lead's tally.
+	t *tally
 }
 
-// tally folds one access outcome into the port's event counters and
-// reports whether it missed.
-func (p *port) tally(res cache.Result, write bool) (miss bool) {
-	ule := res.Way >= p.hpWays
-	if res.Hit {
-		if write {
-			if ule {
-				p.writeHitULE++
-			} else {
-				p.writeHitHP++
-			}
-		}
-		return false
-	}
-	if ule {
-		p.fillsULE++
-	} else {
-		p.fillsHP++
-	}
-	if res.Writeback {
-		if ule {
-			p.wbULE++
-		} else {
-			p.wbHP++
-		}
-	}
-	// A filled line is immediately written (write-allocate): account the
-	// store's word write as a write hit into the fill way.
-	if write {
-		if ule {
-			p.writeHitULE++
-		} else {
-			p.writeHitHP++
-		}
-	}
-	return true
-}
-
-// tallyL2Chunk folds the hierarchy's most recent L2 batch into the
-// port's second-level counters.
-func (p *port) tallyL2Chunk() {
-	ops, rs := p.hier.L2Ops(), p.hier.L2Results()
-	for i := range rs {
-		if ops[i].Write {
-			p.l2.writes++
-		} else {
-			p.l2.reads++
-		}
-		if !rs[i].Hit {
-			p.l2.fills++
-			if rs[i].Writeback {
-				p.l2.wbs++
-			}
-		}
-	}
-}
-
-// tallyChunk folds one chunk's simulator outcomes into the port's
-// event counters, setting miss[i] for the core's timing.
+// tallyChunk folds one chunk's simulator outcomes, and behind a second
+// level the hierarchy's L2 batch for the chunk, into the current
+// phase's counts, setting miss[i] for the core's timing.
 func (p *port) tallyChunk(ops []cache.Op, res []cache.Result, miss []bool) {
+	c := &p.t.slots[p.t.cur]
 	if p.hier != nil {
-		p.tallyL2Chunk()
+		c.l2.tally(p.hier.L2Ops(), p.hier.L2Results())
 	}
 	for i := range res {
-		write := ops[i].Write
-		if write {
-			p.writes++
-		} else {
-			p.reads++
-		}
-		miss[i] = p.tally(res[i], write)
+		miss[i] = c.tally(res[i], ops[i].Write, p.hpWays)
 	}
 }
 
@@ -410,59 +421,6 @@ func (p *port) L2FillMisses() uint64 {
 		return 0
 	}
 	return p.hier.FillMisses()
-}
-
-// BeginPhase is forwarded by the group's multiPort at every phase
-// boundary of a phase-annotated stream, before the new phase's accesses
-// are issued. The segment bookkeeping below mirrors cpu's phase ledger
-// (snapshot at the boundary, diff, accumulate by id) — the two must
-// keep identical boundary semantics or Report.Phases' energy would be
-// attributed to different segments than its counters.
-func (p *port) BeginPhase(id uint8) {
-	p.closeSegment()
-	p.cur = id
-}
-
-// closeSegment folds the counters accumulated since the last boundary
-// into the current phase's slice.
-func (p *port) closeSegment() {
-	d := p.portCounters.sub(p.mark)
-	d2 := p.l2.sub(p.l2mark)
-	p.mark = p.portCounters
-	p.l2mark = p.l2
-	if d == (portCounters{}) && d2 == (l2Counters{}) {
-		return
-	}
-	for i := range p.segs {
-		if p.segs[i].id == p.cur {
-			p.segs[i].add(d)
-			p.segs[i].l2.add(d2)
-			return
-		}
-	}
-	p.segs = append(p.segs, portPhase{id: p.cur, portCounters: d, l2: d2})
-}
-
-// phase returns this port's counters for one phase id (zero counters
-// when the phase issued no accesses on this port). Call closeSegment
-// first so the trailing segment is folded in.
-func (p *port) phase(id uint8) portCounters {
-	for i := range p.segs {
-		if p.segs[i].id == id {
-			return p.segs[i].portCounters
-		}
-	}
-	return portCounters{}
-}
-
-// phaseL2 returns this port's second-level counters for one phase id.
-func (p *port) phaseL2(id uint8) l2Counters {
-	for i := range p.segs {
-		if p.segs[i].id == id {
-			return p.segs[i].l2
-		}
-	}
-	return l2Counters{}
 }
 
 // hpWays is the L1's HP way count: ways [0, hpWays) are HP ways.
@@ -587,51 +545,34 @@ func (s *System) Run(w bench.Workload, m Mode) (Report, error) {
 	return reps[0], nil
 }
 
-// assemble turns one run's Stats and tallied ports into a Report: the
-// shared accounting tail of RunGroup and RunShared, whose callers have
-// rejected empty streams. The ports are consumed — their trailing phase
-// segments are folded in here.
-func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *port) Report {
-	timeNS := float64(stats.Cycles) / s.cfg.FreqGHz(m)
-
-	rep := Report{
-		Config:   s.cfg,
-		Mode:     m,
-		Workload: name,
-		Stats:    stats,
-		TimeNS:   timeNS,
-		EPI:      s.breakdown(m, il1.portCounters, dl1.portCounters, stats.Instructions, timeNS),
-	}
-	hier := il1.hier != nil
-	if hier {
-		l2c := il1.l2
-		l2c.add(dl1.l2)
-		rep.Levels = s.levelize(m, &rep.EPI, stats, l2c, timeNS)
-	}
-	if stats.Phases != nil {
-		// Fold each port's trailing segment in, then decompose every
-		// phase with the same accounting the run-level breakdown uses —
-		// the terms are linear in the counters, so phases sum to the
-		// totals (exactly for counters, to float rounding for energy).
-		il1.closeSegment()
-		dl1.closeSegment()
-		for _, seg := range stats.Phases {
-			pt := float64(seg.Stats.Cycles) / s.cfg.FreqGHz(m)
-			pr := PhaseReport{
-				Phase:  seg.Phase,
-				Stats:  seg.Stats,
-				TimeNS: pt,
-				EPI:    s.breakdown(m, il1.phase(seg.Phase), dl1.phase(seg.Phase), seg.Stats.Instructions, pt),
-			}
-			if hier {
-				pl2 := il1.phaseL2(seg.Phase)
-				pl2.add(dl1.phaseL2(seg.Phase))
-				pr.Levels = s.levelize(m, &pr.EPI, seg.Stats, pl2, pt)
-			}
-			rep.Phases = append(rep.Phases, pr)
-		}
+// assemble turns one run's Stats and the two L1s' tallies into a
+// Report: the shared accounting tail of RunGroup and RunShared, whose
+// callers have rejected empty streams. The run is priced from each
+// tally's summed slots and every phase from its own slot, with the same
+// accounting: its terms are linear in the counters, so phases sum to
+// the totals (exactly for counters, to float rounding for energy).
+func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *tally) Report {
+	rep := Report{Config: s.cfg, Mode: m, Workload: name, Stats: stats}
+	rep.TimeNS, rep.EPI, rep.Levels = s.price(m, stats, il1.run(), dl1.run())
+	for _, seg := range stats.Phases {
+		pr := PhaseReport{Phase: seg.Phase, Stats: seg.Stats}
+		pr.TimeNS, pr.EPI, pr.Levels = s.price(m, seg.Stats, il1.phase(seg.Phase), dl1.phase(seg.Phase))
+		rep.Phases = append(rep.Phases, pr)
 	}
 	return rep
+}
+
+// price returns one (sub-)run's wall time, EPI breakdown and, behind a
+// second level, per-level split, from its Stats and the two L1s' counts.
+func (s *System) price(m Mode, st cpu.Stats, il1, dl1 counts) (float64, Breakdown, []LevelEPI) {
+	timeNS := float64(st.Cycles) / s.cfg.FreqGHz(m)
+	b := s.breakdown(m, il1.portCounters, dl1.portCounters, st.Instructions, timeNS)
+	if s.cfg.L2 == nil {
+		return timeNS, b, nil
+	}
+	l2 := il1.l2
+	l2.add(dl1.l2)
+	return timeNS, b, s.levelize(m, &b, st, l2, timeNS)
 }
 
 // levelize splits one (sub-)run's cache accounting per level. On entry

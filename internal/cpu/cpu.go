@@ -80,14 +80,14 @@ type TieredPort interface {
 	L2FillMisses() uint64
 }
 
-// PhasePort is an optional port extension for phase-segmented
-// accounting, honoured on BatchPorts behind a FanPort and on MultiPorts
-// themselves: when the replayed stream is phase-annotated, the core
-// calls BeginPhase every time the stream's phase id changes (and once
-// up front if the stream opens in a non-zero phase) before issuing that
-// phase's accesses, so the port can slice its own event counters per
-// phase. Ports start in phase 0 implicitly; unannotated streams never
-// trigger a call.
+// PhasePort is an optional port extension for per-phase accounting,
+// honoured on BatchPorts behind a FanPort and on MultiPorts themselves:
+// when the replayed stream is phase-annotated, the core calls
+// BeginPhase every time the stream's phase id changes (and once up
+// front if the stream opens in a non-zero phase) before issuing that
+// phase's accesses, so the port can count its own events in place, in
+// that phase's counters, as the core does with Stats. Ports start in
+// phase 0 implicitly; unannotated streams never trigger a call.
 type PhasePort interface {
 	BeginPhase(id uint8)
 }
@@ -155,28 +155,6 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// subCounters returns the field-wise difference a − b of the plain
-// counters (Phases excluded); the phase ledger uses it to turn two
-// running snapshots into one segment.
-func subCounters(a, b Stats) Stats {
-	return Stats{
-		Instructions:  a.Instructions - b.Instructions,
-		Cycles:        a.Cycles - b.Cycles,
-		Loads:         a.Loads - b.Loads,
-		Stores:        a.Stores - b.Stores,
-		Branches:      a.Branches - b.Branches,
-		TakenBranches: a.TakenBranches - b.TakenBranches,
-		IAccesses:     a.IAccesses - b.IAccesses,
-		IMisses:       a.IMisses - b.IMisses,
-		DAccesses:     a.DAccesses - b.DAccesses,
-		DMisses:       a.DMisses - b.DMisses,
-		IL2Misses:     a.IL2Misses - b.IL2Misses,
-		DL2Misses:     a.DL2Misses - b.DL2Misses,
-		LoadUseStalls: a.LoadUseStalls - b.LoadUseStalls,
-		MissCycles:    a.MissCycles - b.MissCycles,
-	}
-}
-
 // addCounters accumulates the plain counters of d into dst.
 func addCounters(dst *Stats, d Stats) {
 	dst.Instructions += d.Instructions
@@ -205,8 +183,8 @@ func addCounters(dst *Stats, d Stats) {
 // unified L2), where the chunk order — IL1 traffic before DL1 traffic —
 // is the interleaving semantics.
 //
-// When the stream advertises phase annotations (HasPhases), Run
-// segments the counters per phase id into Stats.Phases and notifies
+// When the stream advertises phase annotations (HasPhases), the replay
+// lane counts every phase id on its own into Stats.Phases and notifies
 // PhasePort ports at every boundary; chunks split at phase boundaries,
 // so the caches still see the identical access sequence. Streams
 // without the annotation run unsegmented.

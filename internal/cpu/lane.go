@@ -1,8 +1,9 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"edcache/internal/trace"
 )
@@ -114,7 +115,7 @@ func (l *lane) step() bool {
 		return false
 	}
 	if l.lg == nil {
-		l.process(chunk)
+		l.process(chunk, l.sts)
 		return true
 	}
 	for len(chunk) > 0 {
@@ -123,22 +124,20 @@ func (l *lane) step() bool {
 		for j < len(chunk) && chunk[j].Phase == id {
 			j++
 		}
-		if id != l.lg.cur {
-			l.lg.boundary(l.sts, id)
-		}
-		l.process(chunk[:j])
+		l.process(chunk[:j], l.lg.phase(id))
 		chunk = chunk[j:]
 	}
 	return true
 }
 
 // process replays one same-phase run of instructions through every
-// member: one classification, one banked AccessBatch per side, then a
-// per-member fold. Misses are a branch-free count over each outcome
-// row (every miss on a side costs the same latency), and load-use
-// stalls read the use distances recorded alongside the data ops, only
-// for members with an active EDC stage.
-func (l *lane) process(insts []trace.Inst) {
+// member and folds member k's outcome into sts[k]: one classification,
+// one banked AccessBatch per side, then a per-member fold. Misses are a
+// branch-free count over each outcome row (every miss on a side costs
+// the same latency), and load-use stalls read the use distances
+// recorded alongside the data ops, only for members with an active EDC
+// stage.
+func (l *lane) process(insts []trace.Inst, sts []Stats) {
 	n := len(insts)
 	iops := l.iops[:n]
 	dops, udist, mix := classify(insts, iops, l.dops[:0], l.udist[:0])
@@ -150,13 +149,13 @@ func (l *lane) process(insts []trace.Inst) {
 	l.il1.AccessBatch(iops, l.irows)
 	l.dl1.AccessBatch(dops, l.drows)
 
-	for k := range l.sts {
+	for k := range sts {
 		var loadUse uint64
 		if l.dExtra[k] > 0 {
 			loadUse = loadUseStalls(l.dExtra[k], udist, l.drows[k])
 		}
 		it, dt := &l.it[k], &l.dt[k]
-		foldChunk(&l.sts[k], n, mix, it.cost, dt.cost, l.mem,
+		foldChunk(&sts[k], n, mix, it.cost, dt.cost, l.mem,
 			countTrue(l.irows[k]), countTrue(l.drows[k]), it.l2Delta(), dt.l2Delta(), loadUse)
 	}
 }
@@ -265,9 +264,8 @@ func loadUseStalls(dExtra int, udist []uint8, dmiss []bool) uint64 {
 // load-use stalls. iCost/dCost price each side's L1 misses (the memory
 // latency for single-level ports, the L2 latency behind a hierarchy);
 // il2/dl2 are the chunk's L2 fill misses, each worth the full memory
-// latency on top. Every term is a commutative sum, and the ledger only
-// snapshots Stats between chunks, so chunk-granular folding is
-// invisible to the per-phase segmentation.
+// latency on top. Every term is a commutative sum, so the run totals
+// the ledger sums from its per-phase Stats equal one running sum.
 func foldChunk(st *Stats, n int, mix chunkMix, iCost, dCost, mem, imisses, dmisses, il2, dl2, loadUse uint64) {
 	missCycles := iCost*imisses + dCost*dmisses + mem*(il2+dl2)
 	st.Instructions += uint64(n)
@@ -286,72 +284,59 @@ func foldChunk(st *Stats, n int, mix chunkMix, iCost, dCost, mem, imisses, dmiss
 	st.MissCycles += missCycles
 }
 
-// ledger segments a lane's member Stats at the stream's phase
-// boundaries by snapshotting the running counters there: cost is
-// O(boundaries), not O(instructions). Boundaries are shared by every
-// member — they replay the same instruction sequence — so one
-// BeginPhase per phase-aware bank covers them all. core's port keeps
-// its energy counters in sync with the same snapshot-diff-accumulate
-// scheme (driven by BeginPhase); any change to boundary semantics here
-// must be mirrored there.
+// ledger counts a lane's member Stats per phase in place: one Stats
+// per member per phase id, which the lane folds each same-phase run
+// straight into. Slot 0 is phase 0; other ids get a slot when they
+// first appear. Phases are shared by every member — they replay the
+// same instruction sequence — so one BeginPhase per phase-aware bank
+// covers them all.
 type ledger struct {
-	cur   uint8
-	marks []Stats // counters at the start of the current segment
-	segs  [][]PhaseStats
-	ip    PhasePort // nil when the side doesn't segment itself
+	ids   []uint8   // slot i's phase id
+	slots [][]Stats // slots[i][k]: member k's counters over phase ids[i]
+	cur   int       // the current phase's slot
+	ip    PhasePort // nil when the side doesn't count phases itself
 	dp    PhasePort
 }
 
 func newLedger(il1, dl1 MultiPort, members int) *ledger {
-	lg := &ledger{marks: make([]Stats, members), segs: make([][]PhaseStats, members)}
+	lg := &ledger{ids: []uint8{0}, slots: [][]Stats{make([]Stats, members)}}
 	lg.ip, _ = il1.(PhasePort)
 	lg.dp, _ = dl1.(PhasePort)
 	return lg
 }
 
-// boundary closes every member's current segment at its running
-// counters and opens a segment for phase id, notifying phase-aware
-// banks before any of the new phase's accesses are issued.
-func (l *ledger) boundary(sts []Stats, id uint8) {
-	l.close(sts)
-	l.cur = id
-	if l.ip != nil {
-		l.ip.BeginPhase(id)
+// phase returns the member Stats that phase id's instructions fold
+// into. When id is not the current phase it selects id's slot, adding
+// one for a new id, and notifies the phase-aware banks before any of
+// the phase's accesses are issued.
+func (l *ledger) phase(id uint8) []Stats {
+	if id != l.ids[l.cur] {
+		l.cur = slices.Index(l.ids, id)
+		if l.cur < 0 {
+			l.cur = len(l.ids)
+			l.ids = append(l.ids, id)
+			l.slots = append(l.slots, make([]Stats, len(l.slots[0])))
+		}
+		if l.ip != nil {
+			l.ip.BeginPhase(id)
+		}
+		if l.dp != nil {
+			l.dp.BeginPhase(id)
+		}
 	}
-	if l.dp != nil {
-		l.dp.BeginPhase(id)
-	}
+	return l.slots[l.cur]
 }
 
-// close folds each member's counters accumulated since the last
-// snapshot into the current phase's segment. A phase id recurring later
-// (phased workloads cycle) accumulates into its existing segment.
-func (l *ledger) close(sts []Stats) {
-	for k, st := range sts {
-		st.Phases = nil
-		d := subCounters(st, l.marks[k])
-		l.marks[k] = st
-		if d.Instructions == 0 {
-			continue
-		}
-		i := 0
-		for i < len(l.segs[k]) && l.segs[k][i].Phase != l.cur {
-			i++
-		}
-		if i == len(l.segs[k]) {
-			l.segs[k] = append(l.segs[k], PhaseStats{Phase: l.cur})
-		}
-		addCounters(&l.segs[k][i].Stats, d)
-	}
-}
-
-// finish closes the trailing segments and attaches each member's
-// id-ordered segmentation.
+// finish sums each member's slots into its run totals and attaches the
+// slots that saw instructions, ordered by phase id.
 func (l *ledger) finish(sts []Stats) {
-	l.close(sts)
 	for k := range sts {
-		segs := l.segs[k]
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Phase < segs[j].Phase })
-		sts[k].Phases = segs
+		for i, id := range l.ids {
+			if seg := l.slots[i][k]; seg.Instructions > 0 {
+				addCounters(&sts[k], seg)
+				sts[k].Phases = append(sts[k].Phases, PhaseStats{Phase: id, Stats: seg})
+			}
+		}
+		slices.SortFunc(sts[k].Phases, func(a, b PhaseStats) int { return cmp.Compare(a.Phase, b.Phase) })
 	}
 }

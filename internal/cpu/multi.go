@@ -64,7 +64,7 @@ func (f *FanPort) AccessBatch(ops []PortOp, miss [][]bool) {
 }
 
 // BeginPhase implements PhasePort, forwarding to every member that
-// segments itself.
+// counts phases itself.
 func (f *FanPort) BeginPhase(id uint8) {
 	for _, m := range f.members {
 		if p, ok := m.(PhasePort); ok {
@@ -82,8 +82,8 @@ func (f *FanPort) BeginPhase(id uint8) {
 // replay loop: the stream is walked once, each chunk is classified
 // once (the instruction mix and op lists are configuration-
 // independent), and only the cache accesses and outcome tallies fan
-// out per member. Phase-annotated streams are segmented per member with
-// one BeginPhase per phase-aware bank per boundary.
+// out per member. Phase-annotated streams are counted per phase per
+// member, with one BeginPhase per phase-aware bank per boundary.
 func RunMulti(cfg Config, il1, dl1 MultiPort, s trace.Stream) ([]Stats, error) {
 	sts, err := RunShared(cfg, []CorePorts{{IL1: il1, DL1: dl1}}, []trace.Stream{s})
 	if err != nil {

@@ -51,9 +51,9 @@ type Stream interface {
 	// buffers), so a consumer's window size alone fixes its grain.
 	NextSlice(max int) []Inst
 	// HasPhases reports whether the stream's instructions may carry
-	// non-zero phase ids. Consumers that segment metrics per phase
-	// (cpu.Run) check it once up front, so unannotated streams replay
-	// with no per-instruction phase bookkeeping.
+	// non-zero phase ids. cpu's replay lane, which counts metrics per
+	// phase behind cpu.RunMulti and core.RunGroup, checks it once up
+	// front, so unannotated streams replay with no phase bookkeeping.
 	HasPhases() bool
 }
 
