@@ -1,13 +1,16 @@
 // Package faults models the hard (manufacturing / low-voltage) faults and
 // soft errors the cache architecture must survive. Hard faults are
-// stuck-at bits drawn per-cell with the failure probability supplied by
-// the bitcell model; soft errors are transient single-bit flips. The
-// package supports both the Monte-Carlo yield campaigns (experiment E7)
-// and the functional fault-injection example.
+// stuck-at bits: every cell is faulty independently with the failure
+// probability supplied by the bitcell model, and the sampler draws them
+// by skipping geometrically from one faulty cell to the next, so a die
+// costs draws per fault, not per cell. Soft errors are transient
+// single-bit flips. The package supports both the Monte-Carlo yield
+// campaigns (experiment E7) and the functional fault-injection example.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 )
@@ -59,9 +62,10 @@ type WayFaults struct {
 	count     int
 }
 
-// Generate draws a fault map with independent per-bit probability pf,
-// using the supplied RNG (deterministic campaigns seed it explicitly).
-// Stuck values are equiprobable 0/1.
+// Generate draws a fault map in which every cell is faulty independently
+// with probability pf, with an equiprobable 0/1 stuck value, using the
+// supplied RNG (deterministic campaigns seed it explicitly). The cells
+// are drawn by skipping: see redraw.
 func Generate(g WayGeometry, pf float64, rng *rand.Rand) (*WayFaults, error) {
 	if err := validate(g, pf); err != nil {
 		return nil, err
@@ -78,25 +82,43 @@ func validate(g WayGeometry, pf float64) error {
 	return g.Validate()
 }
 
-// redraw clears the map and draws every cell in (line, word, bit) order.
+// redraw clears the map and draws it anew over the way's flat cell
+// index, which runs through each line's data words and then its tag
+// word, bit by bit. The gap of fault-free cells before the next faulty
+// one is geometric, G = ⌊ln U / ln(1−pf)⌋ by inversion (Devroye,
+// Non-Uniform Random Variate Generation, 1986, ch. X.2), so each fault
+// costs one gap draw and one stuck-value draw. At pf 1 every gap is 0.
 func (w *WayFaults) redraw(pf float64, rng *rand.Rand) {
 	clear(w.mask)
 	clear(w.val)
 	clear(w.n)
 	w.count = 0
+	if pf == 0 {
+		return
+	}
 	g := w.geom
-	for line := 0; line < g.Lines; line++ {
-		for word := 0; word <= g.WordsPerLine; word++ {
-			bits := g.DataWordBits
-			if word == g.TagWordIndex() {
-				bits = g.TagWordBits
-			}
-			for b := 0; b < bits; b++ {
-				if rng.Float64() < pf {
-					w.Inject(WordKey{Line: line, Word: word}, BitFault{Pos: b, Stuck: uint64(rng.Intn(2))})
-				}
-			}
+	tagStart := g.WordsPerLine * g.DataWordBits // a line's first tag cell
+	lineBits := tagStart + g.TagWordBits
+	logq, last := math.Log1p(-pf), g.TotalBits()-1
+	for cell := -1; ; {
+		u := rng.Float64()
+		for u == 0 { // ln 0 is −∞: U must lie in (0, 1)
+			u = rng.Float64()
 		}
+		// Compared as a float first: at a tiny pf the gap can exceed
+		// every int.
+		gap := math.Log(u) / logq
+		if gap >= float64(last-cell) {
+			return
+		}
+		cell += 1 + int(gap)
+		k, pos := WordKey{Line: cell / lineBits}, cell%lineBits
+		if pos < tagStart {
+			k.Word, pos = pos/g.DataWordBits, pos%g.DataWordBits
+		} else {
+			k.Word, pos = g.WordsPerLine, pos-tagStart
+		}
+		w.Inject(k, BitFault{Pos: pos, Stuck: uint64(rng.Intn(2))})
 	}
 }
 

@@ -2,7 +2,10 @@ package faults
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,24 +108,231 @@ var oracleGeoms = []WayGeometry{
 	{Lines: 3, WordsPerLine: 5, DataWordBits: 64, TagWordBits: 1},
 }
 
-func oraclePfs(t *testing.T) []float64 {
+// sizedPf is the proposed ULE way's Pf as the design methodology sizes
+// it for scenario A.
+func sizedPf(t *testing.T) float64 {
 	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []float64{0, 1e-9, res.ProposedPf, 10 * res.ProposedPf, 0.5, 1}
+	return res.ProposedPf
 }
 
+// mapStats are the observables of one map the samplers are compared
+// on: total faults, the most in one word, faults in tag words and
+// cells stuck at 1.
+type mapStats [4]int
+
+var mapStatNames = [4]string{"faults", "max per word", "tag-word faults", "stuck-at-1 cells"}
+
+func statsOf(m *WayFaults) mapStats {
+	g := m.Geometry()
+	s := mapStats{m.Count(), m.MaxPerWord()}
+	for line := 0; line < g.Lines; line++ {
+		for word := 0; word <= g.WordsPerLine; word++ {
+			k := WordKey{Line: line, Word: word}
+			if word == g.TagWordIndex() {
+				s[2] += m.FaultsIn(k)
+			}
+			s[3] += bits.OnesCount64(m.Apply(k, 0))
+		}
+	}
+	return s
+}
+
+func (r *refMap) stats() mapStats {
+	s := mapStats{r.count, r.maxPerWord()}
+	for k, fs := range r.words {
+		if k.Word == r.geom.WordsPerLine {
+			s[2] += len(fs)
+		}
+		for _, f := range fs {
+			s[3] += int(f.Stuck)
+		}
+	}
+	return s
+}
+
+// chiSquareHomogeneity tests whether two equal-size samples of a
+// discrete statistic come from one distribution. Values are pooled in
+// ascending order into bins holding at least 10 observations of both
+// samples together (an expected count of 5 per sample); it returns the
+// statistic Σ (a−b)²/(a+b) and its upper-tail p-value under χ² with
+// bins−1 degrees of freedom (1 when there is a single bin).
+func chiSquareHomogeneity(a, b []int) (stat, p float64) {
+	hist := map[int][2]int{}
+	for j, xs := range [2][]int{a, b} {
+		for _, v := range xs {
+			c := hist[v]
+			c[j]++
+			hist[v] = c
+		}
+	}
+	var vals []int
+	for v := range hist {
+		vals = append(vals, v)
+	}
+	slices.Sort(vals)
+	var bins [][2]int
+	var cur [2]int
+	for _, v := range vals {
+		cur[0] += hist[v][0]
+		cur[1] += hist[v][1]
+		if cur[0]+cur[1] >= 10 {
+			bins, cur = append(bins, cur), [2]int{}
+		}
+	}
+	if len(bins) == 0 {
+		return 0, 1
+	}
+	bins[len(bins)-1][0] += cur[0]
+	bins[len(bins)-1][1] += cur[1]
+	for _, c := range bins {
+		d := float64(c[0] - c[1])
+		stat += d * d / float64(c[0]+c[1])
+	}
+	return stat, upperGammaQ(float64(max(len(bins)-1, 1))/2, stat/2)
+}
+
+// upperGammaQ is the regularized upper incomplete gamma function
+// Q(a, x), so that Q(df/2, χ²/2) is the χ² upper-tail p-value: the
+// series for P below x = a+1 and Lentz's continued fraction above it
+// (Numerical Recipes, 3rd ed., §6.2).
+func upperGammaQ(a, x float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	lg, _ := math.Lgamma(a)
+	front := math.Exp(a*math.Log(x) - x - lg)
+	if x < a+1 {
+		sum, term := 1/a, 1/a
+		for n := 1.0; math.Abs(term) > 1e-15*math.Abs(sum); n++ {
+			term *= x / (a + n)
+			sum += term
+		}
+		return 1 - front*sum
+	}
+	const tiny = 1e-300
+	b := x + 1 - a
+	c, d := 1/tiny, 1/b
+	h := d
+	for i := 1.0; i < 1000; i++ {
+		an := -i * (i - a)
+		b += 2
+		d = an*d + b
+		if math.Abs(d) < tiny {
+			d = tiny
+		}
+		c = b + an/c
+		if math.Abs(c) < tiny {
+			c = tiny
+		}
+		d = 1 / d
+		h *= d * c
+		if math.Abs(d*c-1) < 1e-15 {
+			break
+		}
+	}
+	return front * h
+}
+
+func TestChiSquareHomogeneity(t *testing.T) {
+	// Q(1/2, x/2) is the χ²(1) tail: 3.841 at 5 %, 10.83 at 0.1 %.
+	for _, c := range []struct{ df, x, want float64 }{{1, 3.841, 0.05}, {1, 10.83, 0.001}, {10, 29.59, 0.001}, {4, 2, 0.7358}} {
+		if got := upperGammaQ(c.df/2, c.x/2); math.Abs(got-c.want) > 1e-3*max(c.want, 0.01) {
+			t.Errorf("χ²(%g) tail at %g = %.5f, want %.4f", c.df, c.x, got, c.want)
+		}
+	}
+	same := []int{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9}
+	if _, p := chiSquareHomogeneity(same, same); p != 1 {
+		t.Errorf("identical samples: p %g, want 1", p)
+	}
+	lo, hi := make([]int, 1000), make([]int, 1000)
+	for i := range lo {
+		lo[i], hi[i] = i%10, i%10+1
+	}
+	if _, p := chiSquareHomogeneity(lo, hi); p > 1e-6 {
+		t.Errorf("samples shifted by one: p %g, want ≈ 0", p)
+	}
+}
+
+// TestGenerateMatchesReference holds the skipping sampler to the
+// per-cell reference in distribution: 10k maps from each, at multiples
+// of the sized Pf and at both ends of the range, compared on every
+// mapStats observable by a χ² homogeneity test at α = 0.001 with fixed
+// seeds. The two draw different numbers from one seed, so the
+// comparison is between samples, not map for map. The sampler side
+// runs as a campaign worker does: one map redrawn per trial from a
+// splitMix64 reseeded by sim.SubSeed.
 func TestGenerateMatchesReference(t *testing.T) {
-	for _, g := range oracleGeoms {
-		for _, pf := range oraclePfs(t) {
-			for seed := int64(1); seed <= 4; seed++ {
-				what := fmt.Sprintf("geom %+v pf %g seed %d", g, pf, seed)
-				m, err := Generate(g, pf, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatal(err)
+	const maps, alpha = 10_000, 1e-3
+	pf := sizedPf(t)
+	type tc struct {
+		g  WayGeometry
+		pf float64
+	}
+	// At Pf 0.5 the odd geometry and one whose tag word is wider than
+	// its data words put the tag boundary at both kinds of offset.
+	wideTag := WayGeometry{Lines: 4, WordsPerLine: 3, DataWordBits: 7, TagWordBits: 40}
+	cases := []tc{{oracleGeoms[0], 1e-9}, {oracleGeoms[2], 0.5}, {wideTag, 0.5}}
+	for _, scale := range []float64{0.3, 1, 3, 10} {
+		cases = append(cases, tc{oracleGeoms[0], scale * pf})
+	}
+	for i, c := range cases {
+		c, seed := c, int64(100+i)
+		t.Run(fmt.Sprintf("%+v/pf=%g", c.g, c.pf), func(t *testing.T) {
+			t.Parallel()
+			var got, want [4][]int
+			m, rng, refRng := Empty(c.g), rand.New(new(splitMix64)), rand.New(rand.NewSource(seed))
+			for i := 0; i < maps; i++ {
+				rng.Seed(sim.SubSeed(seed, "faults.oracle", i))
+				m.redraw(c.pf, rng)
+				gs, ws := statsOf(m), refGenerate(c.g, c.pf, refRng).stats()
+				for j := range gs {
+					got[j], want[j] = append(got[j], gs[j]), append(want[j], ws[j])
 				}
-				sameAsRef(t, what, m, refGenerate(g, pf, rand.New(rand.NewSource(seed))), rand.New(rand.NewSource(seed)))
+			}
+			for j, name := range mapStatNames {
+				if stat, p := chiSquareHomogeneity(got[j], want[j]); p < alpha {
+					t.Errorf("%s: χ² %.1f, p %.2g < %g: Generate and the per-cell reference differ in distribution",
+						name, stat, p, alpha)
+				}
+			}
+		})
+	}
+}
+
+// TestSplitMix64KnownAnswers checks the campaign's source against the
+// published SplitMix64 outputs for seed 1234567.
+func TestSplitMix64KnownAnswers(t *testing.T) {
+	s := splitMix64(1234567)
+	for i, want := range []uint64{6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821} {
+		if got := s.Uint64(); got != want {
+			t.Fatalf("output %d: %d, want %d", i, got, want)
+		}
+	}
+	s.Seed(1234567)
+	if got := s.Int63(); got != int64(6457827717110365317>>1) {
+		t.Fatalf("Int63 after Seed: %d, want the first output shifted right once", got)
+	}
+}
+
+// TestGenerateAtExtremePfs pins the ends of the gap arithmetic: at
+// Pf 1e-300 the gap overflows every int and no fault may be drawn (nor
+// a panic raised); at 1−1e-12 every cell is faulty, each once.
+func TestGenerateAtExtremePfs(t *testing.T) {
+	for _, g := range oracleGeoms {
+		for seed := int64(1); seed <= 50; seed++ {
+			m, err := Generate(g, 1e-300, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Count() != 0 {
+				t.Fatalf("%+v seed %d: %d faults at Pf 1e-300", g, seed, m.Count())
+			}
+			if m, _ = Generate(g, 1-1e-12, rand.New(rand.NewSource(seed))); m.Count() != g.TotalBits() || m.MaxPerWord() != max(g.DataWordBits, g.TagWordBits) {
+				t.Fatalf("%+v seed %d: %d faults, at most %d in a word, at Pf 1−1e-12; want each of %d cells once",
+					g, seed, m.Count(), m.MaxPerWord(), g.TotalBits())
 			}
 		}
 	}
@@ -186,8 +396,12 @@ func TestCampaignMatchesNaiveTrialLoop(t *testing.T) {
 				c := Campaign{Geometry: g, Pf: pf, Trials: trials, Tolerable: 1}
 				want := 0
 				for i := 0; i < trials; i++ {
-					r := refGenerate(g, pf, rand.New(rand.NewSource(sim.SubSeed(9, "faults.campaign", i))))
-					if r.maxPerWord() <= c.Tolerable {
+					src := splitMix64(sim.SubSeed(9, "faults.campaign", i))
+					m, err := Generate(g, pf, rand.New(&src))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.MaxPerWord() <= c.Tolerable {
 						want++
 					}
 				}
@@ -249,11 +463,7 @@ func TestInjectOutsideGeometryPanics(t *testing.T) {
 }
 
 func TestCampaignAllocatesPerWorkerNotPerTrial(t *testing.T) {
-	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Campaign{Geometry: paperGeom(39, 33), Pf: res.ProposedPf, Trials: 2000, Tolerable: 1}
+	c := Campaign{Geometry: paperGeom(39, 33), Pf: sizedPf(t), Trials: 2000, Tolerable: 1}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := c.Run(1, 2); err != nil {
 			t.Fatal(err)
