@@ -19,6 +19,7 @@ import (
 	"edcache/internal/ecc"
 	"edcache/internal/experiments"
 	"edcache/internal/faults"
+	"edcache/internal/sim"
 	"edcache/internal/trace"
 	"edcache/internal/wcet"
 	"edcache/internal/yield"
@@ -114,7 +115,9 @@ func BenchmarkYieldEquations(b *testing.B) {
 // BenchmarkReliabilityCampaign measures the Monte-Carlo fault campaign
 // the reliability experiment (E7) runs: one faults.Campaign.Run of 500
 // trials at the sized ULE-mode Pf per op, on one worker so the figure
-// is the campaign's own cost, and the resulting MC yield.
+// is the campaign's own cost, and the resulting MC yield. Every op runs
+// the same seed, so the reported yield is a property of the sampler and
+// does not depend on b.N.
 func BenchmarkReliabilityCampaign(b *testing.B) {
 	res, err := yield.Run(yield.PaperInput(yield.ScenarioA))
 	if err != nil {
@@ -127,7 +130,7 @@ func BenchmarkReliabilityCampaign(b *testing.B) {
 	var r faults.CampaignResult
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if r, err = c.Run(int64(i), 1); err != nil {
+		if r, err = c.Run(1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,6 +350,22 @@ func BenchmarkCorpusSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCorpusMissExperiment runs the corpus-miss capacity sweep as
+// cmd/experiments does, on a two-worker Runner. Each op registers the
+// suite afresh, so it generates its workloads and builds every source's
+// stack-distance profile again: the figure covers the Runner's dispatch
+// of the per-source groups together with the passes they share.
+func BenchmarkCorpusMissExperiment(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reg := sim.NewRegistry()
+		experiments.RegisterAll(reg, experiments.Options{Instructions: 60_000, Workers: 2})
+		if _, err := (sim.Runner{Workers: 2}).RunAll(reg, []string{"corpus-miss"}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed

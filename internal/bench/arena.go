@@ -40,3 +40,7 @@ func (c *ArenaCache) Get(w Workload) *trace.Arena {
 	a, _ := c.shared.Get(w) // the generator build cannot fail
 	return a
 }
+
+// Len reports how many slabs the cache holds. Tests use it to pin how
+// many workloads a run materialised.
+func (c *ArenaCache) Len() int { return c.shared.Len() }

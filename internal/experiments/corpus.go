@@ -144,16 +144,24 @@ type profileKey struct {
 	suite    string // "calibrated" resolves through calibratedByName
 }
 
+// taskProfileKey reads a corpus-miss task's source from its Params.
+func taskProfileKey(t sim.Task) profileKey {
+	return profileKey{workload: t.Params["workload"], trace: t.Params["trace"], suite: t.Params["suite"]}
+}
+
+// group is the sim.Task.Group of the source's ways tasks.
+func (k profileKey) group() string { return k.suite + "\x00" + k.workload + "\x00" + k.trace }
+
 // corpusMissExperiment characterises every corpus workload's data-side
 // locality: DL1 miss rate as capacity grows from the 1 KB ULE way to
 // the full 8 KB cache (ways 1, 2, 4, 8). The sweep separates capacity
 // misses (vanish with ways) from the adversary's conflict misses (they
 // never do). The capacity axis runs on Mattson-style single-pass
-// profiling: per source, ONE cache.StackProfile pass over the shared
-// decode-once arena replaces the per-associativity replays — each
-// ways-k grid point is then an O(histogram) readout, bit-identical to
-// replaying a k-way cache (the LRU inclusion property, pinned by the
-// profiler's property test and this package's replay cross-check).
+// profiling: per source, ONE cache.StackProfile pass replaces the
+// per-associativity replays — each ways-k grid point is then an
+// O(histogram) readout, bit-identical to replaying a k-way cache (the
+// LRU inclusion property, pinned by the profiler's property test and
+// this package's replay cross-check).
 // Alongside the registered corpus it sweeps bench.CalibratedCorpus:
 // stencil and pointer-chase instances footprint-sized at fit/2×/8× of
 // the swept geometry by bench.CalibrateFootprint, so the capacity axis
@@ -163,25 +171,40 @@ type profileKey struct {
 func corpusMissExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	ways := []int{1, 2, 4, 8}
+	// profiles holds each source's one stack-distance pass. A source's
+	// ways tasks share a sim.Task.Group, so one worker builds the
+	// profile and reads it out for all of them while the other workers
+	// profile other sources; no task waits on a build elsewhere unless
+	// RunTasks splits the source across shards.
 	profiles := sim.NewShared(func(k profileKey) (*cache.StackProfile, error) {
-		var arena trace.Slab
+		// The registered workloads and trace files replay the slabs the
+		// corpus grid shares. A calibrated instance is read by this one
+		// pass only, so it streams from its generator instead of
+		// materialising a slab the run would keep.
+		var s trace.Stream
 		var err error
 		switch {
 		case k.suite == "calibrated":
 			var w bench.Workload
 			if w, err = calibratedByName(k.workload, o.Instructions); err == nil {
-				arena = o.arenas.Get(w)
+				s = w.Stream()
 			}
 		case k.trace != "":
-			arena, err = o.fileArenas.Get(k.trace)
+			var arena trace.Slab
+			if arena, err = o.fileArenas.Get(k.trace); err == nil {
+				s = arena.NewCursor()
+			}
 		default:
-			_, arena, err = o.workloadArena(k.workload)
+			var arena *trace.Arena
+			if _, arena, err = o.workloadArena(k.workload); err == nil {
+				s = arena.NewCursor()
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
 		p := cache.MustNewStackProfile(corpusMissGeometry)
-		ProfileDataRefs(arena.NewCursor(), p)
+		ProfileDataRefs(s, p)
 		return p, nil
 	})
 	return sim.Def{
@@ -190,32 +213,26 @@ func corpusMissExperiment(o Options) sim.Experiment {
 		GridFn: func() []sim.Task {
 			traceNames := traceSourceNames(o.TraceFiles)
 			var tasks []sim.Task
-			for _, w := range bench.Full() {
+			// source appends one source's ways axis, grouped on its
+			// profile.
+			source := func(name string, params ...string) {
 				for _, k := range ways {
-					tasks = append(tasks, sim.Task{
-						Label: fmt.Sprintf("%s ways=%d", w.Name, k),
-						Params: sim.P("workload", w.Name, "ways", strconv.Itoa(k),
-							"suite", w.Suite.String(), "pattern", w.Pattern.String()),
-					})
+					t := sim.Task{
+						Label:  fmt.Sprintf("%s ways=%d", name, k),
+						Params: sim.P(append([]string{"workload", name, "ways", strconv.Itoa(k)}, params...)...),
+					}
+					t.Group = taskProfileKey(t).group()
+					tasks = append(tasks, t)
 				}
+			}
+			for _, w := range bench.Full() {
+				source(w.Name, "suite", w.Suite.String(), "pattern", w.Pattern.String())
 			}
 			for _, w := range bench.CalibratedCorpus(corpusMissGeometry) {
-				for _, k := range ways {
-					tasks = append(tasks, sim.Task{
-						Label: fmt.Sprintf("%s ways=%d", w.Name, k),
-						Params: sim.P("workload", w.Name, "ways", strconv.Itoa(k),
-							"suite", "calibrated", "pattern", w.Pattern.String()),
-					})
-				}
+				source(w.Name, "suite", "calibrated", "pattern", w.Pattern.String())
 			}
 			for _, tf := range o.TraceFiles {
-				for _, k := range ways {
-					tasks = append(tasks, sim.Task{
-						Label: fmt.Sprintf("%s ways=%d", traceNames[tf], k),
-						Params: sim.P("workload", traceNames[tf], "trace", tf,
-							"ways", strconv.Itoa(k), "suite", "trace", "pattern", "trace"),
-					})
-				}
+				source(traceNames[tf], "trace", tf, "suite", "trace", "pattern", "trace")
 			}
 			return tasks
 		},
@@ -227,9 +244,7 @@ func corpusMissExperiment(o Options) sim.Experiment {
 			// One profile pass per source serves every ways-k task; the
 			// post-build reads (Refs, Misses) are read-only and safe for
 			// the concurrent tasks sharing it.
-			prof, err := profiles.Get(profileKey{
-				workload: t.Params["workload"], trace: t.Params["trace"], suite: t.Params["suite"],
-			})
+			prof, err := profiles.Get(taskProfileKey(t))
 			if err != nil {
 				return sim.Result{}, err
 			}

@@ -182,3 +182,74 @@ func TestCorpusMissSweep(t *testing.T) {
 		t.Errorf("8× chase misses only %.1f%% at full capacity, want ≥ 50%%", x8)
 	}
 }
+
+// TestCorpusMissGroupStreamsCalibratedSources holds corpus-miss's
+// calibrated rows to an oracle that shares nothing with the sweep: one
+// ReplayDataRefs per ways-k cache over a fresh generator stream. It
+// also pins what the sweep leaves in the run's arena memo: the
+// registered workloads' slabs, which the corpus grid replays too, and
+// none for the calibrated instances, which are read once and streamed.
+func TestCorpusMissGroupStreamsCalibratedSources(t *testing.T) {
+	o := tinyOptions()
+	o.Instructions = 20_000
+	o = o.withDefaults()
+	reg := sim.NewRegistry()
+	RegisterAll(reg, o)
+	res, err := sim.Runner{Workers: 2, Seed: 3}.RunAll(reg, []string{"corpus-miss"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, r := range res {
+		if r.Task.Params["suite"] != "calibrated" {
+			continue
+		}
+		w, err := calibratedByName(r.Task.Params["workload"], o.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geom := corpusMissGeometry
+		if geom.Ways, err = strconv.Atoi(r.Task.Params["ways"]); err != nil {
+			t.Fatal(err)
+		}
+		refs, misses := ReplayDataRefs(w.Stream(), cache.MustNew(geom))
+		gotRefs, _ := r.Metric("refs")
+		gotRate, _ := r.Metric("miss_rate")
+		if gotRefs.Value != float64(refs) || gotRate.Value != 100*float64(misses)/float64(refs) {
+			t.Errorf("%s: refs %v, miss_rate %v; a replay of a fresh stream gives %d refs, %v",
+				r.Task.Label, gotRefs.Value, gotRate.Value, refs, 100*float64(misses)/float64(refs))
+		}
+		checked++
+	}
+	if want := 4 * len(bench.CalibratedCorpus(corpusMissGeometry)); checked != want {
+		t.Fatalf("checked %d calibrated rows, want %d", checked, want)
+	}
+	if got, want := o.arenas.Len(), len(bench.Full()); got != want {
+		t.Errorf("corpus-miss left %d slabs in the arena memo, want %d (one per registered workload)", got, want)
+	}
+}
+
+// TestCorpusMissGroupOneUnitPerSource pins the grid's dispatch groups:
+// a source's ways axis shares one Group, and no two sources share one.
+func TestCorpusMissGroupOneUnitPerSource(t *testing.T) {
+	o := tinyOptions()
+	o.TraceFiles = []string{"a/x.trace", "b/x.trace"} // one basename, two sources
+	bySource := map[profileKey]string{}
+	owner := map[string]profileKey{}
+	for _, tk := range corpusMissExperiment(o).Grid() {
+		k := taskProfileKey(tk)
+		if tk.Group == "" {
+			t.Fatalf("%s: no group", tk.Label)
+		}
+		if g, ok := bySource[k]; ok && g != tk.Group {
+			t.Errorf("%s: group %q, its source's other tasks have %q", tk.Label, tk.Group, g)
+		}
+		if k2, ok := owner[tk.Group]; ok && k2 != k {
+			t.Errorf("sources %+v and %+v share group %q", k, k2, tk.Group)
+		}
+		bySource[k], owner[tk.Group] = tk.Group, k
+	}
+	if want := len(bench.Full()) + len(bench.CalibratedCorpus(corpusMissGeometry)) + 2; len(bySource) != want {
+		t.Errorf("%d sources, want %d", len(bySource), want)
+	}
+}

@@ -11,10 +11,13 @@ import (
 
 // Runner executes an experiment's parameter grid on a worker pool.
 //
-// Workers take grid positions in order, but each writes its result into
-// the slot indexed by the task ID, so the collected slice — and
-// everything derived from it (Finish summaries, sink output) — is
-// identical for any worker count.
+// Workers take dispatch units in grid order: a task on its own, or
+// every task that shares a non-empty Task.Group, run back to back on
+// one worker so siblings never wait on a memo another worker is
+// building. Each worker writes a result into the slot indexed by its
+// task's grid position, so the collected slice — and everything derived
+// from it (Finish summaries, sink output) — is identical for any worker
+// count and any grouping.
 //
 // A task runs once, and every failure takes one path: a returned error
 // or a recovered panic becomes an error naming the experiment and grid
@@ -101,7 +104,8 @@ func (r Runner) RunTasks(ctx context.Context, e Experiment, ids []int) ([]Result
 
 // runTasks is the pooled execution core shared by RunContext (all ids)
 // and RunTasks (a shard): positions index ids, task identity comes from
-// the grid.
+// the grid. The pool dispatches units (see units), and a worker runs a
+// unit's tasks in position order, checking the context between them.
 func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []int) ([]Result, error) {
 	n := len(ids)
 	results := make([]Result, n)
@@ -111,7 +115,7 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	forEach(runCtx, r.Workers, n, func(pos int) {
+	runOne := func(pos int) {
 		i := ids[pos]
 		t := tasks[i]
 		t.ID = i
@@ -147,6 +151,15 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 		if r.Progress != nil {
 			r.Progress(res, false)
 		}
+	}
+	us := units(tasks, ids)
+	forEach(runCtx, r.Workers, len(us), func(u int) {
+		for _, pos := range us[u] {
+			if runCtx.Err() != nil {
+				return
+			}
+			runOne(pos)
+		}
 	})
 
 	var firstErr error
@@ -169,6 +182,31 @@ func (r Runner) runTasks(ctx context.Context, e Experiment, tasks []Task, ids []
 		return partial, firstErr
 	}
 	return results, nil
+}
+
+// units partitions the positions of ids into dispatch units: the
+// tasks sharing a non-empty Group form one unit, in position order, and
+// every other task is a unit of its own. Units are ordered by their
+// first position, so a grid without groups is dispatched task by task
+// in grid order. Only the tasks named by ids are grouped.
+func units(tasks []Task, ids []int) [][]int {
+	us := make([][]int, 0, len(ids))
+	byGroup := make(map[string]int)
+	for pos, id := range ids {
+		g := tasks[id].Group
+		if g == "" {
+			us = append(us, []int{pos})
+			continue
+		}
+		u, ok := byGroup[g]
+		if !ok {
+			u = len(us)
+			byGroup[g] = u
+			us = append(us, nil)
+		}
+		us[u] = append(us[u], pos)
+	}
+	return us
 }
 
 // Finish applies the experiment's Finisher hook — summary rows derived

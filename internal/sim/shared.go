@@ -50,3 +50,7 @@ func (s *Shared[K, V]) Get(k K) (V, error) {
 	e.once.Do(func() { e.v, e.err = s.build(k) })
 	return e.v, e.err
 }
+
+// Len reports how many keys have been requested. Tests use it to pin how
+// many values a run built.
+func (s *Shared[K, V]) Len() int { s.mu.Lock(); defer s.mu.Unlock(); return len(s.m) }

@@ -37,6 +37,13 @@ type Task struct {
 	// Seed is the task's deterministic RNG seed, derived by the Runner
 	// from its master seed, the experiment name and the task ID.
 	Seed int64 `json:"-"`
+
+	// Group, when non-empty, names the shared work the task reads (a
+	// memoised replay or profile). The Runner hands every task of one
+	// group to one worker, back to back, so no sibling waits on a memo
+	// another worker is building. It is a scheduling hint only: it is
+	// not rendered, stored or hashed, and cannot change a result.
+	Group string `json:"-"`
 }
 
 // P builds a Params map from alternating key/value strings.
