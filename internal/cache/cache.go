@@ -339,9 +339,3 @@ func (c *Cache) DrainDirty(emit func(addr uint32)) int {
 	}
 	return dirty
 }
-
-// LineAddr returns the line-aligned address, for callers that track
-// per-line state.
-func (c *Cache) LineAddr(addr uint32) uint32 {
-	return addr &^ (uint32(c.cfg.LineBytes) - 1)
-}

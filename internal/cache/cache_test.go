@@ -175,13 +175,6 @@ func TestSingleWayModeIsDirectMapped(t *testing.T) {
 	}
 }
 
-func TestLineAddr(t *testing.T) {
-	c := MustNew(paperCfg())
-	if got := c.LineAddr(0x1234_5678); got != 0x1234_5660 {
-		t.Errorf("LineAddr = %#x", got)
-	}
-}
-
 func TestQuickPropertyHitAfterFill(t *testing.T) {
 	// Property: immediately re-accessing any address hits, regardless
 	// of history.

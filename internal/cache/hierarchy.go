@@ -81,7 +81,7 @@ func (h *Hierarchy) AccessBatch(ops []Op, res []Result) {
 	h.l1.AccessBatch(ops, res)
 	h.l2ops = h.l2ops[:0]
 	for i := range ops {
-		r := res[i]
+		r := &res[i]
 		if r.Hit {
 			continue
 		}

@@ -39,8 +39,9 @@ func (b *funcBank) Member(int) cpu.Port { return b }
 func (b *funcBank) ExtraHitLatency() int { return b.extra }
 
 // AccessBatch implements cpu.MultiPort: each cache replays the chunk
-// as a Load (or Store of funcStoreValue) per op.
-func (b *funcBank) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
+// as a Load (or Store of funcStoreValue) per op. The caches count no
+// phases, so the id is ignored.
+func (b *funcBank) AccessBatch(_ uint8, ops []cpu.PortOp, miss [][]bool) {
 	for k := range miss {
 		if k >= len(b.fcs) {
 			copy(miss[k], miss[0])

@@ -35,6 +35,9 @@ import (
 // outcomes, and the others, its followers, point at the lead's tally
 // and copy only its miss row per chunk, so the 8-member group tallies
 // twice per side instead of eight times (timing stays per member).
+// Each batch arrives with its phase id, and a lead counts it in place
+// in its tally's entry for that id, so per-phase counts need no state
+// beyond the tally itself.
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -141,7 +144,7 @@ func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort
 		if l := plan.lead[k]; l != k {
 			p.t = mp.ports[l].t
 		} else {
-			p.t = newTally()
+			p.t = new(tally)
 		}
 		if dside {
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
@@ -169,10 +172,11 @@ func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
 // AccessBatch implements cpu.MultiPort: one op conversion, one pass per
 // simulator slot, then each tally lead folds its slot's outcomes into
-// its tally and miss row. A follower's counts over the same Result
-// sequence and way split would be identical, so it shares the lead's
-// tally and copies only the miss row.
-func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
+// its tally's entry for the batch's phase id, and into its miss row. A
+// follower's counts over the same Result sequence and way split would
+// be identical, so it shares the lead's tally and copies only the miss
+// row.
+func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
 	scr := mp.scr
 	if cap(scr.ops) < n {
@@ -196,16 +200,7 @@ func (mp *multiPort) AccessBatch(ops []cpu.PortOp, miss [][]bool) {
 			copy(miss[k], miss[l])
 			continue
 		}
-		p.tallyChunk(co, scr.res[mp.plan.slot[k]][:n], miss[k])
-	}
-}
-
-// BeginPhase implements cpu.PhasePort, selecting phase id's slot in
-// every member's tally. A follower's tally is its lead's, already
-// selected, so beginning it again changes nothing.
-func (mp *multiPort) BeginPhase(id uint8) {
-	for _, p := range mp.ports {
-		p.t.begin(id)
+		p.tallyChunk(phase, co, scr.res[mp.plan.slot[k]][:n], miss[k])
 	}
 }
 

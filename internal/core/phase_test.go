@@ -173,17 +173,17 @@ func TestRunStreamCaptureUnphasedStream(t *testing.T) {
 	}
 }
 
-// phasedOracleInsts builds a stream that opens in phase 2, drops to 0
-// and returns to 2, each run longer than a replay chunk, with loads,
-// stores and branches over a footprint a few times the L1 so every
-// phase fills, writes back and reaches the L2.
-func phasedOracleInsts() []trace.Inst {
+// phasedOracleInsts builds a stream that opens in phase outer, drops to
+// inner and returns to outer, each run longer than a replay chunk, with
+// loads, stores and branches over a footprint a few times the L1 so
+// every phase fills, writes back and reaches the L2.
+func phasedOracleInsts(outer, inner uint8) []trace.Inst {
 	rng := rand.New(rand.NewSource(27))
 	var insts []trace.Inst
 	for seg, run := range []struct {
 		phase uint8
 		n     int
-	}{{2, 1500}, {0, 2300}, {2, 1700}} {
+	}{{outer, 1500}, {inner, 2300}, {outer, 1700}} {
 		for i := 0; i < run.n; i++ {
 			inst := trace.Inst{PC: uint32(0x40000 + 4*rng.Intn(4096)), Phase: run.phase}
 			addr := uint32(0x100000+seg*0x2000) + 4*uint32(rng.Intn(8192))
@@ -201,14 +201,10 @@ func phasedOracleInsts() []trace.Inst {
 	return insts
 }
 
-// TestPhaseEnergyMatchesNaiveOracle holds every member's per-phase and
-// run-level energy to the naive oracle's own event counts: the paper's
-// 8-member group (whose members share tallies) and the hier-epi-shaped
-// 6-member group (per-phase L2 counts) over phased_mix, and both groups
-// over a hand-built stream that opens in phase 2, drops to 0 and
-// returns to 2.
-func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
-	var paper, hier []GroupMember
+// oracleGroups returns the paper's 8-member scenario × mode × design
+// group and a hier-epi-shaped 6-member group (2 L2 geometries × 3
+// protections).
+func oracleGroups() (paper, hier []GroupMember) {
 	for _, sc := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
 		base := MustNewSystem(PaperConfig(sc, Baseline))
 		prop := MustNewSystem(PaperConfig(sc, Proposed))
@@ -222,6 +218,18 @@ func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
 				Sets: g[0], Ways: g[1], LineBytes: 32, Latency: 6, Protection: prot})), ModeHP})
 		}
 	}
+	return paper, hier
+}
+
+// TestPhaseEnergyMatchesNaiveOracle holds every member's per-phase and
+// run-level energy to the naive oracle's own event counts: the paper's
+// 8-member group (whose members share tallies) and the hier-epi-shaped
+// 6-member group (per-phase L2 counts) over phased_mix, and both groups
+// over hand-built streams that open in phase 2, drop to 0 and return
+// to 2, and that open in phase 255, drop to 3 and return to 255 — ids
+// far apart, the first one past every id the stream later carries.
+func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
+	paper, hier := oracleGroups()
 	if plan := planGroup(paper); reflect.DeepEqual(plan.lead, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
 		t.Fatalf("paper group has no tally followers (leads %v)", plan.lead)
 	}
@@ -231,16 +239,20 @@ func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
 	}
 	w = w.ScaledTo(45_000)
 	mix := collect(w.Stream())
-	hand := phasedOracleInsts()
+	hand := phasedOracleInsts(2, 0)
+	sparse := phasedOracleInsts(255, 3)
 	for _, tc := range []struct {
 		name    string
 		members []GroupMember
 		insts   []trace.Inst
+		ids     []uint8 // when set, the phase ids every report must list
 	}{
-		{"paper group/phased_mix", paper, mix},
-		{"hier group/phased_mix", hier, mix},
-		{"paper group/2-0-2", paper, hand},
-		{"hier group/2-0-2", hier, hand},
+		{"paper group/phased_mix", paper, mix, nil},
+		{"hier group/phased_mix", hier, mix, nil},
+		{"paper group/2-0-2", paper, hand, nil},
+		{"hier group/2-0-2", hier, hand, nil},
+		{"paper group/255-3-255", paper, sparse, []uint8{3, 255}},
+		{"hier group/255-3-255", hier, sparse, []uint8{3, 255}},
 	} {
 		got, err := RunGroup(tc.name, &trace.SliceStream{Insts: tc.insts}, tc.members)
 		if err != nil {
@@ -252,12 +264,63 @@ func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
 				t.Fatalf("%s: %d phase segments, want a phase boundary", label, len(got[k].Phases))
 			}
 			checkEnergyOracle(t, label, got[k], gm, tc.insts)
+			if tc.ids != nil {
+				checkPhaseIDs(t, label, got[k], tc.ids)
+			}
 			if gm.Sys.cfg.L2 != nil {
 				for _, pr := range got[k].Phases {
 					if pr.Levels[1].Accesses == 0 {
 						t.Fatalf("%s phase %d: no L2 traffic", label, pr.Phase)
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkPhaseIDs requires a report's Stats segments and phase reports to
+// list exactly ids, in that order.
+func checkPhaseIDs(t *testing.T, label string, rep Report, ids []uint8) {
+	t.Helper()
+	var stats, reports []uint8
+	for _, seg := range rep.Stats.Phases {
+		stats = append(stats, seg.Phase)
+	}
+	for _, pr := range rep.Phases {
+		reports = append(reports, pr.Phase)
+	}
+	if !reflect.DeepEqual(stats, ids) || !reflect.DeepEqual(reports, ids) {
+		t.Errorf("%s: segment ids %v, phase report ids %v; want %v", label, stats, reports, ids)
+	}
+}
+
+// annotated advertises phase ids on a slice stream whose ids may all be
+// 0, which SliceStream's own scan would report as unannotated.
+type annotated struct{ trace.SliceStream }
+
+func (*annotated) HasPhases() bool { return true }
+
+// TestAnnotatedPhaseZeroStreamHasOneSegment replays an annotated stream
+// that never leaves phase 0: every member must report exactly one
+// segment, phase 0, equal to the run and to the naive oracle.
+func TestAnnotatedPhaseZeroStreamHasOneSegment(t *testing.T) {
+	paper, hier := oracleGroups()
+	insts := phasedOracleInsts(0, 0)
+	for _, tc := range []struct {
+		name    string
+		members []GroupMember
+	}{{"paper group/0", paper}, {"hier group/0", hier}} {
+		got, err := RunGroup(tc.name, &annotated{trace.SliceStream{Insts: insts}}, tc.members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, gm := range tc.members {
+			label := fmt.Sprintf("%s member %d (%s/%v)", tc.name, k, gm.Sys.Config().Name(), gm.Mode)
+			checkPhaseIDs(t, label, got[k], []uint8{0})
+			checkEnergyOracle(t, label, got[k], gm, insts)
+			if pr := got[k].Phases[0]; pr.EPI != got[k].EPI || !reflect.DeepEqual(pr.Levels, got[k].Levels) {
+				t.Errorf("%s: the one phase's energy %+v %+v differs from the run's %+v %+v",
+					label, pr.EPI, pr.Levels, got[k].EPI, got[k].Levels)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"edcache/internal/bench"
 	"edcache/internal/bitcell"
@@ -338,42 +337,29 @@ type counts struct {
 	l2 l2Counters
 }
 
-// tally is one logical cache's counts, one slot per phase id: slot 0 is
-// phase 0, and other ids get a slot when first begun. Each access is
-// counted in place in the current phase's slot; the run's counts are
-// the sum of the slots.
-type tally struct {
-	ids   []uint8 // slot i's phase id
-	slots []counts
-	cur   int // the current phase's slot
-}
+// tally is one logical cache's counts indexed by phase id, grown on
+// first use: each batch is counted in place in its phase's entry, ids
+// the stream never carried stay zero, and the run's counts are the sum
+// of the entries. An unannotated stream counts everything as phase 0.
+type tally []counts
 
-func newTally() *tally { return &tally{ids: []uint8{0}, slots: make([]counts, 1)} }
-
-// begin selects phase id's slot, adding one for a new id. Beginning the
-// current phase again changes nothing.
-func (t *tally) begin(id uint8) {
-	t.cur = slices.Index(t.ids, id)
-	if t.cur < 0 {
-		t.cur = len(t.ids)
-		t.ids = append(t.ids, id)
-		t.slots = append(t.slots, counts{})
+// phase returns phase id's counts, growing the table to cover id.
+func (t *tally) phase(id uint8) *counts {
+	if int(id) >= len(*t) {
+		*t = append(*t, make(tally, int(id)+1-len(*t))...)
 	}
+	return &(*t)[id]
 }
 
 // run returns the counts summed over every phase.
-func (t *tally) run() counts {
+func (t tally) run() counts {
 	var c counts
-	for _, s := range t.slots {
+	for _, s := range t {
 		c.portCounters.add(s.portCounters)
 		c.l2.add(s.l2)
 	}
 	return c
 }
-
-// phase returns the counts of one phase id, which must have been begun
-// (or be phase 0).
-func (t *tally) phase(id uint8) counts { return t.slots[slices.Index(t.ids, id)] }
 
 // port is one logical cache of a replay group: the timing view the cpu
 // layer reads (cpu.Port, and cpu.TieredPort behind a second level) and
@@ -396,10 +382,10 @@ type port struct {
 }
 
 // tallyChunk folds one chunk's simulator outcomes, and behind a second
-// level the hierarchy's L2 batch for the chunk, into the current
-// phase's counts, setting miss[i] for the core's timing.
-func (p *port) tallyChunk(ops []cache.Op, res []cache.Result, miss []bool) {
-	c := &p.t.slots[p.t.cur]
+// level the hierarchy's L2 batch for the chunk, into phase id's counts,
+// setting miss[i] for the core's timing.
+func (p *port) tallyChunk(id uint8, ops []cache.Op, res []cache.Result, miss []bool) {
+	c := p.t.phase(id)
 	if p.hier != nil {
 		c.l2.tally(p.hier.L2Ops(), p.hier.L2Results())
 	}
@@ -548,15 +534,15 @@ func (s *System) Run(w bench.Workload, m Mode) (Report, error) {
 // assemble turns one run's Stats and the two L1s' tallies into a
 // Report: the shared accounting tail of RunGroup and RunShared, whose
 // callers have rejected empty streams. The run is priced from each
-// tally's summed slots and every phase from its own slot, with the same
-// accounting: its terms are linear in the counters, so phases sum to
-// the totals (exactly for counters, to float rounding for energy).
+// tally's summed entries and every phase from its own entry, with the
+// same accounting: its terms are linear in the counters, so phases sum
+// to the totals (exactly for counters, to float rounding for energy).
 func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *tally) Report {
 	rep := Report{Config: s.cfg, Mode: m, Workload: name, Stats: stats}
 	rep.TimeNS, rep.EPI, rep.Levels = s.price(m, stats, il1.run(), dl1.run())
 	for _, seg := range stats.Phases {
 		pr := PhaseReport{Phase: seg.Phase, Stats: seg.Stats}
-		pr.TimeNS, pr.EPI, pr.Levels = s.price(m, seg.Stats, il1.phase(seg.Phase), dl1.phase(seg.Phase))
+		pr.TimeNS, pr.EPI, pr.Levels = s.price(m, seg.Stats, *il1.phase(seg.Phase), *dl1.phase(seg.Phase))
 		rep.Phases = append(rep.Phases, pr)
 	}
 	return rep

@@ -25,12 +25,14 @@
 // instruction stream driving one IL1 bank and one DL1 bank of K cache
 // configurations (MultiPort); each chunk is one NextSlice window of the
 // stream, classified and split at phase boundaries once, and only the
-// cache accesses and the per-member tallies fan out. Every trace source
-// serves full windows, so the chunk grain is the same whether the
-// stream is a generator, a slab cursor or a file Reader. Run is one
-// lane of one member, RunMulti one lane of K members, and RunShared N
-// lanes interleaved round-robin at chunk granularity over caches that
-// may share state behind the L1s.
+// cache accesses and the per-member tallies fan out. Each bank batch
+// carries its run's phase id, so a bank that counts its own events per
+// phase indexes its table by that id. Every trace source serves full
+// windows, so the chunk grain is the same whether the stream is a
+// generator, a slab cursor or a file Reader. Run is one lane of one
+// member, RunMulti one lane of K members, and RunShared N lanes
+// interleaved round-robin at chunk granularity over caches that may
+// share state behind the L1s.
 package cpu
 
 import (
@@ -40,8 +42,8 @@ import (
 )
 
 // Port is what the core reads of one cache configuration besides its
-// accesses: the extra hit latency of its EDC stage. Optional extensions
-// (TieredPort, PhasePort) are probed by type assertion.
+// accesses: the extra hit latency of its EDC stage. The optional
+// TieredPort extension is probed by type assertion.
 type Port interface {
 	// ExtraHitLatency returns the additional hit latency in cycles
 	// beyond the single-cycle baseline (the EDC decode stage).
@@ -78,18 +80,6 @@ type TieredPort interface {
 	// L2FillMisses returns the running count of demand fills that
 	// missed the L2 (memory fetches) since the port was built.
 	L2FillMisses() uint64
-}
-
-// PhasePort is an optional port extension for per-phase accounting,
-// honoured on BatchPorts behind a FanPort and on MultiPorts themselves:
-// when the replayed stream is phase-annotated, the core calls
-// BeginPhase every time the stream's phase id changes (and once up
-// front if the stream opens in a non-zero phase) before issuing that
-// phase's accesses, so the port can count its own events in place, in
-// that phase's counters, as the core does with Stats. Ports start in
-// phase 0 implicitly; unannotated streams never trigger a call.
-type PhasePort interface {
-	BeginPhase(id uint8)
 }
 
 // Config is the core's timing configuration.
@@ -184,10 +174,9 @@ func addCounters(dst *Stats, d Stats) {
 // is the interleaving semantics.
 //
 // When the stream advertises phase annotations (HasPhases), the replay
-// lane counts every phase id on its own into Stats.Phases and notifies
-// PhasePort ports at every boundary; chunks split at phase boundaries,
-// so the caches still see the identical access sequence. Streams
-// without the annotation run unsegmented.
+// lane counts every phase id on its own into Stats.Phases; chunks split
+// at phase boundaries, so the caches still see the identical access
+// sequence. Streams without the annotation run unsegmented.
 func Run(cfg Config, il1, dl1 BatchPort, s trace.Stream) (Stats, error) {
 	if il1 == nil || dl1 == nil {
 		return Stats{}, fmt.Errorf("cpu: nil cache port")

@@ -1,9 +1,7 @@
 package cpu
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"edcache/internal/trace"
 )
@@ -21,15 +19,16 @@ const batchSize = 1024
 // Stats with their miss pricing, a phase ledger for annotated streams,
 // and the classification scratch shared by all members.
 type lane struct {
-	s    trace.Stream
-	done bool
+	s      trace.Stream
+	phased bool // the stream advertises phase ids
+	done   bool
 
 	il1, dl1 MultiPort
 	sts      []Stats
 	mem      uint64
 	dExtra   []int
 	it, dt   []sideTimer
-	lg       *ledger // nil for unannotated streams
+	lg       ledger // stays empty on unannotated streams
 
 	iops  []PortOp
 	dops  []PortOp
@@ -58,7 +57,7 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 	}
 	mem := uint64(cfg.MemLatency)
 	l := &lane{
-		s: s, il1: il1, dl1: dl1, mem: mem,
+		s: s, phased: s.HasPhases(), il1: il1, dl1: dl1, mem: mem,
 		sts:    make([]Stats, k),
 		dExtra: make([]int, k),
 		it:     make([]sideTimer, k),
@@ -78,9 +77,6 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 		l.imiss[m] = make([]bool, batchSize)
 		l.dmiss[m] = make([]bool, batchSize)
 	}
-	if s.HasPhases() {
-		l.lg = newLedger(il1, dl1, k)
-	}
 	return l, nil
 }
 
@@ -99,23 +95,22 @@ func replay(lanes []*lane) [][]Stats {
 	}
 	out := make([][]Stats, len(lanes))
 	for i, l := range lanes {
-		if l.lg != nil {
-			l.lg.finish(l.sts)
-		}
+		l.lg.finish(l.sts)
 		out[i] = l.sts
 	}
 	return out
 }
 
 // step replays the lane's next chunk, split into same-phase runs on
-// annotated streams, and reports whether the stream had one.
+// annotated streams, and reports whether the stream had one. An
+// unannotated chunk is one phase-0 run.
 func (l *lane) step() bool {
 	chunk := l.s.NextSlice(batchSize)
 	if len(chunk) == 0 {
 		return false
 	}
-	if l.lg == nil {
-		l.process(chunk, l.sts)
+	if !l.phased {
+		l.process(0, chunk, l.sts)
 		return true
 	}
 	for len(chunk) > 0 {
@@ -124,20 +119,20 @@ func (l *lane) step() bool {
 		for j < len(chunk) && chunk[j].Phase == id {
 			j++
 		}
-		l.process(chunk[:j], l.lg.phase(id))
+		l.process(id, chunk[:j], l.lg.phase(id, len(l.sts)))
 		chunk = chunk[j:]
 	}
 	return true
 }
 
-// process replays one same-phase run of instructions through every
+// process replays one run of phase id's instructions through every
 // member and folds member k's outcome into sts[k]: one classification,
-// one banked AccessBatch per side, then a per-member fold. Misses are a
-// branch-free count over each outcome row (every miss on a side costs
-// the same latency), and load-use stalls read the use distances
-// recorded alongside the data ops, only for members with an active EDC
-// stage.
-func (l *lane) process(insts []trace.Inst, sts []Stats) {
+// one banked AccessBatch per side carrying the id, then a per-member
+// fold. Misses are a branch-free count over each outcome row (every
+// miss on a side costs the same latency), and load-use stalls read the
+// use distances recorded alongside the data ops, only for members with
+// an active EDC stage.
+func (l *lane) process(id uint8, insts []trace.Inst, sts []Stats) {
 	n := len(insts)
 	iops := l.iops[:n]
 	dops, udist, mix := classify(insts, iops, l.dops[:0], l.udist[:0])
@@ -146,8 +141,8 @@ func (l *lane) process(insts []trace.Inst, sts []Stats) {
 		l.irows[k] = l.imiss[k][:n]
 		l.drows[k] = l.dmiss[k][:len(dops)]
 	}
-	l.il1.AccessBatch(iops, l.irows)
-	l.dl1.AccessBatch(dops, l.drows)
+	l.il1.AccessBatch(id, iops, l.irows)
+	l.dl1.AccessBatch(id, dops, l.drows)
 
 	for k := range sts {
 		var loadUse uint64
@@ -284,59 +279,34 @@ func foldChunk(st *Stats, n int, mix chunkMix, iCost, dCost, mem, imisses, dmiss
 	st.MissCycles += missCycles
 }
 
-// ledger counts a lane's member Stats per phase in place: one Stats
-// per member per phase id, which the lane folds each same-phase run
-// straight into. Slot 0 is phase 0; other ids get a slot when they
-// first appear. Phases are shared by every member — they replay the
-// same instruction sequence — so one BeginPhase per phase-aware bank
-// covers them all.
-type ledger struct {
-	ids   []uint8   // slot i's phase id
-	slots [][]Stats // slots[i][k]: member k's counters over phase ids[i]
-	cur   int       // the current phase's slot
-	ip    PhasePort // nil when the side doesn't count phases itself
-	dp    PhasePort
-}
-
-func newLedger(il1, dl1 MultiPort, members int) *ledger {
-	lg := &ledger{ids: []uint8{0}, slots: [][]Stats{make([]Stats, members)}}
-	lg.ip, _ = il1.(PhasePort)
-	lg.dp, _ = dl1.(PhasePort)
-	return lg
-}
+// ledger counts a lane's member Stats per phase in place, indexed by
+// phase id: lg[id][k] is member k's counters over phase id, made when
+// the id first appears and nil for ids the stream never carried. Phases
+// are shared by every member — they replay the same instruction
+// sequence.
+type ledger [][]Stats
 
 // phase returns the member Stats that phase id's instructions fold
-// into. When id is not the current phase it selects id's slot, adding
-// one for a new id, and notifies the phase-aware banks before any of
-// the phase's accesses are issued.
-func (l *ledger) phase(id uint8) []Stats {
-	if id != l.ids[l.cur] {
-		l.cur = slices.Index(l.ids, id)
-		if l.cur < 0 {
-			l.cur = len(l.ids)
-			l.ids = append(l.ids, id)
-			l.slots = append(l.slots, make([]Stats, len(l.slots[0])))
-		}
-		if l.ip != nil {
-			l.ip.BeginPhase(id)
-		}
-		if l.dp != nil {
-			l.dp.BeginPhase(id)
-		}
+// into, growing the table to cover id.
+func (lg *ledger) phase(id uint8, members int) []Stats {
+	if int(id) >= len(*lg) {
+		*lg = append(*lg, make(ledger, int(id)+1-len(*lg))...)
 	}
-	return l.slots[l.cur]
+	if (*lg)[id] == nil {
+		(*lg)[id] = make([]Stats, members)
+	}
+	return (*lg)[id]
 }
 
-// finish sums each member's slots into its run totals and attaches the
-// slots that saw instructions, ordered by phase id.
-func (l *ledger) finish(sts []Stats) {
+// finish sums each member's phases into its run totals and attaches
+// them in id order.
+func (lg ledger) finish(sts []Stats) {
 	for k := range sts {
-		for i, id := range l.ids {
-			if seg := l.slots[i][k]; seg.Instructions > 0 {
-				addCounters(&sts[k], seg)
-				sts[k].Phases = append(sts[k].Phases, PhaseStats{Phase: id, Stats: seg})
+		for id, seg := range lg {
+			if seg != nil {
+				addCounters(&sts[k], seg[k])
+				sts[k].Phases = append(sts[k].Phases, PhaseStats{Phase: uint8(id), Stats: seg[k]})
 			}
 		}
-		slices.SortFunc(sts[k].Phases, func(a, b PhaseStats) int { return cmp.Compare(a.Phase, b.Phase) })
 	}
 }

@@ -11,9 +11,9 @@ import (
 // each member performed the ops in order on its own — miss[k][i] is
 // member k's outcome for op i — but implementations receive the chunk
 // once, which is the point: the op list is built by one classification
-// pass and fanned out to every configuration. A MultiPort that also
-// implements PhasePort is notified once per phase boundary and fans the
-// notification out to its members itself.
+// pass and fanned out to every configuration. Every batch holds the ops
+// of one phase, whose id comes with it: a MultiPort that counts its own
+// events per phase folds the batch into that id's counters.
 type MultiPort interface {
 	// Members returns the number of configurations behind the port.
 	Members() int
@@ -22,8 +22,9 @@ type MultiPort interface {
 	Member(k int) Port
 	// AccessBatch performs the ops in order on every member, setting
 	// miss[k][i] to member k's i-th outcome. Each miss[k] has exactly
-	// len(ops) entries.
-	AccessBatch(ops []PortOp, miss [][]bool)
+	// len(ops) entries. phase is the ops' phase id: the stream's
+	// annotation, or 0 on an unannotated stream.
+	AccessBatch(phase uint8, ops []PortOp, miss [][]bool)
 }
 
 // FanPort adapts K independent BatchPorts into a MultiPort by fanning
@@ -56,20 +57,11 @@ func (f *FanPort) Members() int { return len(f.members) }
 // TieredPort member keeps its two-level timing inside the bank).
 func (f *FanPort) Member(k int) Port { return f.members[k] }
 
-// AccessBatch implements MultiPort.
-func (f *FanPort) AccessBatch(ops []PortOp, miss [][]bool) {
+// AccessBatch implements MultiPort. The members count no phases, so
+// the id is ignored.
+func (f *FanPort) AccessBatch(_ uint8, ops []PortOp, miss [][]bool) {
 	for k, m := range f.members {
 		m.AccessBatch(ops, miss[k])
-	}
-}
-
-// BeginPhase implements PhasePort, forwarding to every member that
-// counts phases itself.
-func (f *FanPort) BeginPhase(id uint8) {
-	for _, m := range f.members {
-		if p, ok := m.(PhasePort); ok {
-			p.BeginPhase(id)
-		}
 	}
 }
 
@@ -83,7 +75,7 @@ func (f *FanPort) BeginPhase(id uint8) {
 // once (the instruction mix and op lists are configuration-
 // independent), and only the cache accesses and outcome tallies fan
 // out per member. Phase-annotated streams are counted per phase per
-// member, with one BeginPhase per phase-aware bank per boundary.
+// member, each bank batch carrying its phase id.
 func RunMulti(cfg Config, il1, dl1 MultiPort, s trace.Stream) ([]Stats, error) {
 	sts, err := RunShared(cfg, []CorePorts{{IL1: il1, DL1: dl1}}, []trace.Stream{s})
 	if err != nil {

@@ -1,11 +1,14 @@
 package cpu
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"edcache/internal/bench"
+	"edcache/internal/cache"
 	"edcache/internal/trace"
 )
 
@@ -84,28 +87,6 @@ func TestUnphasedStreamHasNilPhases(t *testing.T) {
 	}
 }
 
-// phasePort records BeginPhase notifications on top of the plain batch
-// port.
-type phasePort struct {
-	*batchPort
-	calls []uint8
-}
-
-func (p *phasePort) BeginPhase(id uint8) { p.calls = append(p.calls, id) }
-
-func TestPhasePortNotifiedAtBoundaries(t *testing.T) {
-	il1 := &phasePort{batchPort: newBatchPort(0)}
-	dl1 := &phasePort{batchPort: newBatchPort(0)}
-	if _, err := Run(Config{MemLatency: 20}, il1, dl1, &trace.SliceStream{Insts: phasedInsts()}); err != nil {
-		t.Fatal(err)
-	}
-	// Stream opens in phase 2, drops to 0, returns to 2.
-	want := []uint8{2, 0, 2}
-	if !reflect.DeepEqual(il1.calls, want) || !reflect.DeepEqual(dl1.calls, want) {
-		t.Errorf("boundary calls il1=%v dl1=%v, want %v", il1.calls, dl1.calls, want)
-	}
-}
-
 func TestPhasedBatchMatchesScalarOnSerialisedTrace(t *testing.T) {
 	// End to end: phased workload → v2 file with phase ids → batched
 	// replay must match the naive oracle bit-for-bit, segments included.
@@ -141,4 +122,76 @@ func serializeV2Phased(t *testing.T, w bench.Workload) *trace.Reader {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// phaseRunInsts builds one run of n random instructions per entry of
+// phases, each run carrying that phase id; runs longer than batchSize
+// cross chunk boundaries.
+func phaseRunInsts(seed int64, n int, phases ...uint8) []trace.Inst {
+	rng := rand.New(rand.NewSource(seed))
+	var insts []trace.Inst
+	for _, ph := range phases {
+		run := randomInsts(rng, n, false)
+		for i := range run {
+			run[i].Phase = ph
+		}
+		insts = append(insts, run...)
+	}
+	return insts
+}
+
+// annotated advertises phase ids on a slice stream whose ids may all be
+// 0, which SliceStream's own scan would report as unannotated.
+type annotated struct{ trace.SliceStream }
+
+func (*annotated) HasPhases() bool { return true }
+
+// TestPhaseCasesMatchNaiveOracle replays hand-built phase streams
+// through one lane of flat, tiered and unified-L2 members: one opening
+// in phase 2 that drops to 0 and returns, one opening in phase 255 that
+// drops to 3 and returns, and an annotated stream that never leaves
+// phase 0. Every member's Stats must DeepEqual the naive oracle's and
+// list exactly the expected phase ids, in id order.
+func TestPhaseCasesMatchNaiveOracle(t *testing.T) {
+	g := cache.Config{Sets: 16, Ways: 2, LineBytes: 32}
+	specs := []memberSpec{
+		{il1: g, dl1: g, extra: 1},
+		{il1: g, dl1: g, l2lat: 4},
+		{il1: g, dl1: g, extra: 1, l2lat: 6, unified: true},
+	}
+	sparse := phaseRunInsts(30, 1500, 255, 3, 255)
+	zero := phaseRunInsts(31, 3000, 0)
+	for _, tc := range []struct {
+		name string
+		open func() trace.Stream
+		ids  []uint8
+	}{
+		{"2-0-2", func() trace.Stream { return &trace.SliceStream{Insts: phasedInsts()} }, []uint8{0, 2}},
+		{"255-3-255", func() trace.Stream { return &trace.SliceStream{Insts: sparse} }, []uint8{3, 255}},
+		{"annotated 0", func() trace.Stream { return &annotated{trace.SliceStream{Insts: zero}} }, []uint8{0}},
+	} {
+		iports := make([]BatchPort, len(specs))
+		dports := make([]BatchPort, len(specs))
+		for k, spec := range specs {
+			iports[k], dports[k] = spec.ports()
+		}
+		got, err := RunMulti(Config{MemLatency: 20}, mustFan(t, iports...), mustFan(t, dports...), tc.open())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for k, spec := range specs {
+			label := fmt.Sprintf("%s member %d (%+v)", tc.name, k, spec)
+			il1, dl1 := spec.ports()
+			if want := naiveRun(Config{MemLatency: 20}, il1, dl1, tc.open()); !reflect.DeepEqual(got[k], want) {
+				t.Errorf("%s:\n got  %+v\n want %+v", label, got[k], want)
+			}
+			var ids []uint8
+			for _, seg := range got[k].Phases {
+				ids = append(ids, seg.Phase)
+			}
+			if !reflect.DeepEqual(ids, tc.ids) {
+				t.Errorf("%s: phase ids %v, want %v", label, ids, tc.ids)
+			}
+		}
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -413,5 +414,48 @@ func TestRestartTombstonesTerminalJobs(t *testing.T) {
 	_, evBody := getBody(t, ts2.URL+"/jobs/"+st.ID+"/events")
 	if !strings.Contains(string(evBody), `"state":"done"`) {
 		t.Fatalf("tombstone events missing terminal state: %s", evBody)
+	}
+}
+
+// TestJournalSyncsBeforeRename records the journal's filesystem steps
+// over one job's life and requires the store's write order for every
+// journal file: create the temp file, write it, fsync it, close it,
+// rename it over the journal file, fsync the directory. A rename before
+// the temp file's fsync can leave an empty or partial journal after a
+// crash, and replay would drop the job.
+func TestJournalSyncsBeforeRename(t *testing.T) {
+	rec := errfs.New(store.OSFS{}, nil)
+	var jobsDir string
+	_, ts := newTestServer(t, func(c *Config) {
+		c.fs = rec
+		jobsDir = c.JobsDir
+	})
+	st := submitJob(t, ts, JobSpec{Experiment: "summed", Seed: 3, Options: GridOptions{Instructions: 10}, Shards: 2})
+	if final := waitTerminal(t, ts, st.ID); final.State != JobDone {
+		t.Fatalf("job ended %q: %s", final.State, final.Error)
+	}
+	path := filepath.Join(jobsDir, st.ID+".json")
+	tmp := path + ".tmp"
+	steps := func() []errfs.Op {
+		var ops []errfs.Op
+		for _, s := range rec.Steps() {
+			switch s.Path {
+			case tmp, tmp + " -> " + path, jobsDir:
+				ops = append(ops, s.Op)
+			}
+		}
+		return ops
+	}
+	once := []errfs.Op{errfs.OpCreate, errfs.OpWrite, errfs.OpSync, errfs.OpClose, errfs.OpRename, errfs.OpSyncDir}
+	// One journal write when the job is queued, one when it is done.
+	// The status turns done before the second write ends, so wait for
+	// its directory sync.
+	want := append(slices.Clone(once), once...)
+	got := steps()
+	for deadline := time.Now().Add(5 * time.Second); len(got) < len(want) && time.Now().Before(deadline); got = steps() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("journal steps %v, want %v", got, want)
 	}
 }

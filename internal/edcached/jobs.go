@@ -115,6 +115,9 @@ type Config struct {
 
 	// now is the lease clock, injectable by tests.
 	now func() time.Time
+	// fs is the filesystem the job journal is written through,
+	// injectable by tests.
+	fs store.FS
 }
 
 func (c Config) withDefaults() Config {
@@ -141,6 +144,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if c.fs == nil {
+		c.fs = store.OSFS{}
 	}
 	return c
 }
@@ -820,9 +826,12 @@ type journalEntry struct {
 }
 
 // journal durably records the job's current state with the store's
-// write discipline (temp + rename + dir sync). Journal failures are
-// logged, never fatal: a lost journal write costs restart fidelity,
-// not correctness — results always re-derive from the store.
+// write discipline: create a temp file, write, fsync, close, rename it
+// over the journal file, fsync the directory. Without the file's fsync
+// a crash after the rename can leave an empty or partial journal file,
+// which replay skips as unparsable. Journal failures are logged, never
+// fatal: a lost journal write costs restart fidelity, not correctness —
+// results always re-derive from the store.
 func (m *Manager) journal(j *job) {
 	j.mu.Lock()
 	e := journalEntry{ID: j.id, Spec: j.spec, State: j.state, Error: j.errMsg}
@@ -835,18 +844,32 @@ func (m *Manager) journal(j *job) {
 		logf("edcached: journal %s: %v", j.id, err)
 		return
 	}
+	fsys := m.cfg.fs
 	path := filepath.Join(m.cfg.JobsDir, j.id+".json")
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := fsys.Create(tmp)
+	if err != nil {
 		logf("edcached: journal %s: %v", j.id, err)
 		return
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
 		logf("edcached: journal %s: %v", j.id, err)
 		return
 	}
-	store.OSFS{}.SyncDir(m.cfg.JobsDir)
+	if err := fsys.SyncDir(m.cfg.JobsDir); err != nil {
+		logf("edcached: journal %s: sync dir: %v", j.id, err)
+	}
 }
 
 // replayJournal loads every journaled job: terminal states become

@@ -165,7 +165,7 @@ func RegisterAll(r *sim.Registry, o Options) {
 	r.MustRegister(areaExperiment())
 	r.MustRegister(reliabilityExperiment(o))
 	r.MustRegister(wcetExperiment())
-	r.MustRegister(serExperiment())
+	r.MustRegister(serExperiment(o))
 	for _, e := range ablationExperiments(o) {
 		r.MustRegister(e)
 	}

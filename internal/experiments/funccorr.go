@@ -37,7 +37,6 @@ const funcCorrInstructions = 60_000
 // hard the decoders work as Pf grows.
 func funcCorrExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	sizing := sizingFor()
 	// The sized ULE-mode Pf puts a couple of hard faults on every die;
 	// much past 10× of it, screening rejects nearly all silicon (a
 	// word collects more faults than the code corrects), so the axis
@@ -80,7 +79,7 @@ func funcCorrExperiment(o Options) sim.Experiment {
 			if _, err := fmt.Sscanf(t.Params["pf_scale"], "%g", &scale); err != nil {
 				return sim.Result{}, fmt.Errorf("experiments: bad pf_scale %q", t.Params["pf_scale"])
 			}
-			res, err := sizing(s)
+			res, err := o.sizing(s)
 			if err != nil {
 				return sim.Result{}, err
 			}

@@ -45,6 +45,17 @@ func newSystems() *sim.Shared[yield.Scenario, [2]*core.System] {
 	})
 }
 
+// sizing returns scenario s's design-methodology run, read from the
+// memo's sized pair: the paper configuration's input (yield.PaperInput)
+// does not depend on the design, so both systems carry the same run.
+func (o Options) sizing(s yield.Scenario) (yield.Result, error) {
+	sys, err := o.systems.Get(s)
+	if err != nil {
+		return yield.Result{}, err
+	}
+	return sys[0].Sizing(), nil
+}
+
 // replayGroup is the memo's build: the source's single replay. A paper
 // group's reports are ordered scenario-major, then mode, then
 // [baseline, proposed]; a hier group's geometry-major, then protection.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"edcache/internal/core"
 	"edcache/internal/faults"
@@ -15,24 +14,11 @@ import (
 	"edcache/internal/yield"
 )
 
-// sizingFor returns per-scenario memoized design-methodology runs, so
-// grid tasks that share an operating point size it once.
-func sizingFor() func(yield.Scenario) (yield.Result, error) {
-	once := make(map[yield.Scenario]func() (yield.Result, error), len(scenarios))
-	for _, s := range scenarios {
-		s := s
-		once[s] = sync.OnceValues(func() (yield.Result, error) {
-			return yield.Run(yield.PaperInput(s))
-		})
-	}
-	return func(s yield.Scenario) (yield.Result, error) { return once[s]() }
-}
-
 // reliabilityExperiment runs the Monte-Carlo yield-equivalence campaign
 // (E7): one grid task per (scenario, design), each fanning its silicon
 // samples across the inner trial pool.
 func reliabilityExperiment(o Options) sim.Experiment {
-	sizing := sizingFor()
+	o = o.withDefaults()
 	return sim.Def{
 		ExpName: "reliability",
 		Desc:    "E7: reliability equivalence — Monte-Carlo fault campaigns vs analytic yield (Eq. 2)",
@@ -53,7 +39,7 @@ func reliabilityExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			res, err := sizing(s)
+			res, err := o.sizing(s)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -156,12 +142,12 @@ func wcetExperiment() sim.Experiment {
 // correction budget is partly consumed by a hard fault; the DUE rate
 // under a Poisson soft-error process with periodic scrubbing must not
 // regress the 10T+SECDED baseline's.
-func serExperiment() sim.Experiment {
+func serExperiment(o Options) sim.Experiment {
 	const (
 		words  = 256 + 32
 		lambda = 1e-13 // soft errors / bit / second (SER-class magnitude)
 	)
-	sizing := sizingFor()
+	o = o.withDefaults()
 	return sim.Def{
 		ExpName: "ser",
 		Desc:    "E9: soft-error MTTF at ULE mode, scenario B (DECTED vs SECDED, scrub-interval sweep)",
@@ -180,7 +166,7 @@ func serExperiment() sim.Experiment {
 			if _, err := fmt.Sscanf(t.Params["scrub_s"], "%f", &scrub); err != nil {
 				return sim.Result{}, err
 			}
-			res, err := sizing(yield.ScenarioB)
+			res, err := o.sizing(yield.ScenarioB)
 			if err != nil {
 				return sim.Result{}, err
 			}
