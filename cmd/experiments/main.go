@@ -8,6 +8,7 @@
 //	experiments [-run name,...|all] [-workers N] [-format text|json|csv]
 //	            [-seed S] [-instructions N] [-trials N] [-trace f.trace,...]
 //	            [-l2 SETSxWAYS,...] [-l2lat N] [-store DIR] [-resume] [-list]
+//	            [-cpuprofile FILE] [-memprofile FILE]
 //
 // Experiment names may be unique prefixes ("rel" for "reliability").
 // For a fixed -seed, output is byte-identical for every -workers value.
@@ -24,6 +25,10 @@
 // wrong result, and resumed output stays byte-identical to an
 // uninterrupted run. On interrupt or task failure the driver still
 // writes every result that did complete, then exits non-zero.
+//
+// -cpuprofile FILE writes a CPU profile of the run and -memprofile FILE
+// an allocation profile taken at its end, both in the runtime/pprof
+// format that go tool pprof reads. Neither changes the output.
 package main
 
 import (
@@ -32,6 +37,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -60,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // runCtx is the testable driver body.
-func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
+func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		runSel       = fs.String("run", "all", "experiments to run: comma-separated names, unique prefixes, or \"all\"")
@@ -76,6 +83,8 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		storeDir     = fs.String("store", "", "directory of the durable result store; every completed grid point is checkpointed there")
 		resume       = fs.Bool("resume", false, "serve matching -store checkpoints as cache hits instead of recomputing (requires -store)")
 		list         = fs.Bool("list", false, "list registered experiments and exit")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile   = fs.String("memprofile", "", "write an allocation profile to this file at the end of the run")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -140,6 +149,29 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = cerr
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if perr := writeAllocProfile(*memProfile); err == nil {
+				err = perr
+			}
+		}()
+	}
 	sink, err := sim.NewSink(*format, stdout)
 	if err != nil {
 		return err
@@ -182,4 +214,20 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	return sink.Write(results)
+}
+
+// writeAllocProfile writes the allocation profile to path after a
+// garbage collection, so it reflects the whole run, as go test's
+// -memprofile does.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -98,6 +98,29 @@ func TestDeterministicOutputAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// profile, and the run's output is the same as without them.
+func TestProfileFlags(t *testing.T) {
+	args := []string{"-run", "headline,corpus", "-instructions", "20000", "-format", "json"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() != profiled.String() {
+		t.Error("output with -cpuprofile and -memprofile differs from the output without them")
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (stat: %v)", filepath.Base(path), err)
+		}
+	}
+}
+
 // TestNegativeGridFlagsRejected pins the usage error for negative grid
 // sizes and latencies: each exits 2 (cli.ErrBadFlags) instead of
 // silently running at the defaults, while 0 still selects the default.

@@ -24,6 +24,9 @@ import (
 // Memory: a slab is one exact allocation of 16 bytes per instruction
 // (no transient 2x growth), retained for the cache's lifetime — the
 // full 18-workload corpus at the paper's 300 k instructions is ~86 MB.
+// The generator fills the slab in place, so building it allocates
+// nothing beyond the slab and the generator's own state: no window
+// buffer and no window copy.
 type ArenaCache struct {
 	shared *sim.Shared[Workload, *trace.Arena]
 }

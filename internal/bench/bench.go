@@ -155,7 +155,8 @@ func (w Workload) HasPhases() bool { return w.Pattern == PatternPhased }
 
 // Stream returns a fresh deterministic instruction stream for the
 // workload. It generates each window on demand, so serialisation
-// (trace.WriteV2) and replay (cpu.Run) hold one window at a time.
+// (trace.WriteV2) and replay (cpu.Run) hold one window at a time, and
+// trace.NewArena has it fill a slab in place.
 func (w Workload) Stream() trace.Stream {
 	switch w.Pattern {
 	case PatternPointerChase:
@@ -170,7 +171,7 @@ func (w Workload) Stream() trace.Stream {
 		return newAdversarialStream(w)
 	default:
 		g := &genStream{w: w, rng: rand.New(rand.NewSource(w.Seed)), pc: codeBase}
-		return &seqStream{n: w.Instructions, gen: g.gen}
+		return &seqStream{n: w.Instructions, fill: g.fill}
 	}
 }
 
@@ -183,63 +184,64 @@ type genStream struct {
 	stream uint32 // streaming cursor within the data region
 }
 
-// gen produces the next instruction of the sequence.
-func (g *genStream) gen() trace.Inst {
-	inst := trace.Inst{PC: g.pc}
-	r := g.rng.Float64()
-	switch {
-	case r < g.w.LoadFrac:
-		inst.IsLoad = true
-		inst.Addr = g.nextAddr()
-		inst.UseDist = g.useDist()
-	case r < g.w.LoadFrac+g.w.StoreFrac:
-		inst.IsStore = true
-		inst.Addr = g.nextAddr()
-	case r < g.w.LoadFrac+g.w.StoreFrac+g.w.BranchFrac:
-		inst.IsBranch = true
-		inst.Taken = g.rng.Float64() < g.w.TakenFrac
-	}
-
-	// Advance the program counter; taken branches jump within the code
-	// footprint (loop structure), everything else falls through. The PC
-	// wraps at the end of the code region (outer loop).
-	if inst.IsBranch && inst.Taken {
-		g.pc = codeBase + uint32(g.rng.Intn(g.w.CodeBytes/4))*4
-	} else {
-		g.pc += 4
-		if g.pc >= codeBase+uint32(g.w.CodeBytes) {
-			g.pc = codeBase
+// fill generates the next len(win) instructions in place. Each one
+// draws its class; a memory reference then draws its address (a
+// streaming ref walks the working set sequentially with the workload's
+// stride, the rest hit a uniformly random word of it, for reuse) and a
+// load its load-to-use distance; a branch draws whether it is taken.
+// Taken branches jump within the code footprint (loop structure),
+// everything else falls through, and the PC wraps at the end of the
+// code region (outer loop). The cut points keep the association order
+// of the running sums they replace, so no comparison can flip.
+func (g *genStream) fill(win []trace.Inst) {
+	w, rng, pc, stream := &g.w, g.rng, g.pc, g.stream
+	loadCut := w.LoadFrac
+	storeCut := loadCut + w.StoreFrac
+	branchCut := storeCut + w.BranchFrac
+	use1Cut := w.UseDist1Frac
+	use2Cut := use1Cut + 0.30
+	codeWords, codeEnd := w.CodeBytes/4, codeBase+uint32(w.CodeBytes)
+	dataWords, dataBytes, stride := w.DataBytes/4, uint32(w.DataBytes), uint32(w.StrideBytes)
+	for i := range win {
+		in := trace.Inst{PC: pc}
+		switch r := rng.Float64(); {
+		case r < loadCut:
+			in.IsLoad = true
+		case r < storeCut:
+			in.IsStore = true
+		case r < branchCut:
+			in.IsBranch = true
+			in.Taken = rng.Float64() < w.TakenFrac
 		}
-	}
-	return inst
-}
-
-// nextAddr produces a data address: streaming refs walk the working set
-// sequentially with the workload's stride; the rest hit a uniformly
-// random word of the working set (reuse).
-func (g *genStream) nextAddr() uint32 {
-	if g.rng.Float64() < g.w.StreamFrac {
-		a := dataBase + g.stream
-		g.stream += uint32(g.w.StrideBytes)
-		if g.stream >= uint32(g.w.DataBytes) {
-			g.stream = 0
+		if in.IsLoad || in.IsStore {
+			if rng.Float64() < w.StreamFrac {
+				in.Addr = dataBase + stream
+				stream += stride
+				if stream >= dataBytes {
+					stream = 0
+				}
+			} else {
+				in.Addr = dataBase + uint32(rng.Intn(dataWords))*4
+			}
+			if in.IsLoad {
+				switch r := rng.Float64(); {
+				case r < use1Cut:
+					in.UseDist = 1
+				case r < use2Cut:
+					in.UseDist = 2
+				default:
+					in.UseDist = 3
+				}
+			}
 		}
-		return a
+		if in.Taken {
+			pc = codeBase + uint32(rng.Intn(codeWords))*4
+		} else if pc += 4; pc >= codeEnd {
+			pc = codeBase
+		}
+		win[i] = in
 	}
-	return dataBase + uint32(g.rng.Intn(g.w.DataBytes/4))*4
-}
-
-// useDist draws the load-to-use distance.
-func (g *genStream) useDist() uint8 {
-	r := g.rng.Float64()
-	switch {
-	case r < g.w.UseDist1Frac:
-		return 1
-	case r < g.w.UseDist1Frac+0.30:
-		return 2
-	default:
-		return 3
-	}
+	g.pc, g.stream = pc, stream
 }
 
 // defaultInstructions is the per-run dynamic length used by the

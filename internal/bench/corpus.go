@@ -16,12 +16,14 @@ import (
 	"edcache/internal/trace"
 )
 
-// seqStream adapts a per-instruction generator function to
-// trace.Stream under an instruction budget: each window is generated
-// into the stream's own buffer.
+// seqStream adapts a generator family's fill loop to trace.Stream
+// under an instruction budget. fill writes the next len(win)
+// instructions into win, carrying the generator's state from one call
+// to the next, so a window boundary falls anywhere without changing
+// the sequence.
 type seqStream struct {
 	n      int // remaining instructions
-	gen    func() trace.Inst
+	fill   func(win []trace.Inst)
 	phased bool // generator stamps phase ids
 	win    []trace.Inst
 }
@@ -29,18 +31,27 @@ type seqStream struct {
 // HasPhases implements trace.Stream.
 func (s *seqStream) HasPhases() bool { return s.phased }
 
-// NextSlice implements trace.Stream.
+// NextSlice implements trace.Stream: each window is generated into the
+// stream's own buffer, allocated on the first call.
 func (s *seqStream) NextSlice(max int) []trace.Inst {
 	n := min(max, s.n)
 	if cap(s.win) < n {
 		s.win = make([]trace.Inst, n)
 	}
 	win := s.win[:n:n]
-	for i := range win {
-		win[i] = s.gen()
-	}
-	s.n -= n
+	s.Fill(win)
 	return win
+}
+
+// Fill generates the next min(len(dst), remaining) instructions
+// straight into dst and returns how many it wrote. trace.NewArena
+// calls it to generate a slab in place: no window buffer, no window
+// copy.
+func (s *seqStream) Fill(dst []trace.Inst) int {
+	n := min(len(dst), s.n)
+	s.fill(dst[:n])
+	s.n -= n
+	return n
 }
 
 // chaseNodeBytes is the node size of the pointer-chase list: a next
@@ -74,33 +85,41 @@ func PointerChase(name string, suite Suite, dataBytes, loadPeriod int, seed int6
 // loadPeriod instructions: the chase load, ALU filler, and a taken
 // back-edge.
 func newChaseStream(w Workload) trace.Stream {
-	nodes := w.DataBytes / chaseNodeBytes
 	rng := rand.New(rand.NewSource(w.Seed))
-	next := cyclicPermutation(nodes, rng)
-	bodyLen := w.CodeBytes / 4
-	cur, pos := 0, 0
-	pc := uint32(codeBase)
-	gen := func() trace.Inst {
-		inst := trace.Inst{PC: pc}
+	g := &chaseGen{next: cyclicPermutation(w.DataBytes/chaseNodeBytes, rng), bodyLen: w.CodeBytes / 4, pc: codeBase}
+	return &seqStream{n: w.Instructions, fill: g.fill}
+}
+
+// chaseGen is the pointer chase's state: the node the next load reads
+// and the position in the loop body.
+type chaseGen struct {
+	next     []int32
+	bodyLen  int
+	cur, pos int
+	pc       uint32
+}
+
+func (g *chaseGen) fill(win []trace.Inst) {
+	next, bodyLen, cur, pos, pc := g.next, g.bodyLen, g.cur, g.pos, g.pc
+	for i := range win {
+		in := trace.Inst{PC: pc}
 		switch pos {
 		case 0:
-			inst.IsLoad = true
-			inst.Addr = dataBase + uint32(cur*chaseNodeBytes)
-			inst.UseDist = 1 // the next hop needs this pointer now
+			in.IsLoad = true
+			in.Addr = dataBase + uint32(cur*chaseNodeBytes)
+			in.UseDist = 1 // the next hop needs this pointer now
 			cur = int(next[cur])
 		case bodyLen - 1:
-			inst.IsBranch, inst.Taken = true, true
+			in.IsBranch, in.Taken = true, true
 		}
-		pos++
-		if pos >= bodyLen {
-			pos = 0
-			pc = codeBase
+		if pos++; pos >= bodyLen {
+			pos, pc = 0, codeBase
 		} else {
 			pc += 4
 		}
-		return inst
+		win[i] = in
 	}
-	return &seqStream{n: w.Instructions, gen: gen}
+	g.cur, g.pos, g.pc = cur, pos, pc
 }
 
 // cyclicPermutation returns a uniformly random single-cycle permutation
@@ -146,41 +165,49 @@ func Stencil(name string, suite Suite, dataBytes, elemBytes int, seed int64) Wor
 }
 
 func newStencilStream(w Workload) trace.Stream {
-	elem := w.StrideBytes
-	n := (w.DataBytes / 2) / elem // elements per array
-	inBase := uint32(dataBase)
-	outBase := uint32(dataBase + w.DataBytes/2)
-	at := func(i int) uint32 { return inBase + uint32(((i+n)%n)*elem) }
-	i, pos := 0, 0
-	pc := uint32(codeBase)
-	gen := func() trace.Inst {
-		inst := trace.Inst{PC: pc}
+	g := &stencilGen{elem: w.StrideBytes, n: (w.DataBytes / 2) / w.StrideBytes, pc: codeBase}
+	g.outBase = uint32(dataBase + w.DataBytes/2)
+	return &seqStream{n: w.Instructions, fill: g.fill}
+}
+
+// stencilGen is the stencil's state: the output element i and the
+// position in the loop body. The input array starts at dataBase, the
+// output array n elements of elem bytes after it.
+type stencilGen struct {
+	elem, n int
+	outBase uint32
+	i, pos  int
+	pc      uint32
+}
+
+func (g *stencilGen) fill(win []trace.Inst) {
+	elem, n, outBase, i, pos, pc := g.elem, g.n, g.outBase, g.i, g.pos, g.pc
+	at := func(i int) uint32 { return dataBase + uint32(((i+n)%n)*elem) }
+	for k := range win {
+		in := trace.Inst{PC: pc}
 		switch pos {
 		case 0:
-			inst.IsLoad, inst.Addr, inst.UseDist = true, at(i-1), 3
+			in.IsLoad, in.Addr, in.UseDist = true, at(i-1), 3
 		case 1:
-			inst.IsLoad, inst.Addr, inst.UseDist = true, at(i), 2
+			in.IsLoad, in.Addr, in.UseDist = true, at(i), 2
 		case 2:
-			inst.IsLoad, inst.Addr, inst.UseDist = true, at(i+1), 1
+			in.IsLoad, in.Addr, in.UseDist = true, at(i+1), 1
 		case 5:
-			inst.IsStore, inst.Addr = true, outBase+uint32(i*elem)
+			in.IsStore, in.Addr = true, outBase+uint32(i*elem)
 		case stencilBody - 1:
-			inst.IsBranch, inst.Taken = true, true
+			in.IsBranch, in.Taken = true, true
 		}
-		pos++
-		if pos >= stencilBody {
-			pos = 0
-			pc = codeBase
-			i++
-			if i >= n {
+		if pos++; pos >= stencilBody {
+			pos, pc = 0, codeBase
+			if i++; i >= n {
 				i = 0
 			}
 		} else {
 			pc += 4
 		}
-		return inst
+		win[k] = in
 	}
-	return &seqStream{n: w.Instructions, gen: gen}
+	g.i, g.pos, g.pc = i, pos, pc
 }
 
 // branchyBlock is the 4-instruction basic block of the control-heavy
@@ -209,25 +236,41 @@ func Branchy(name string, suite Suite, codeBytes, dataBytes int, seed int64) Wor
 }
 
 func newBranchyStream(w Workload) trace.Stream {
-	rng := rand.New(rand.NewSource(w.Seed))
-	blocks := w.CodeBytes / (4 * branchyBlock)
-	block, pos := 0, 0
-	trips := 1 // remaining back-edge takes of the current block
-	visit := 0
-	pc := func() uint32 { return codeBase + uint32((block*branchyBlock+pos)*4) }
-	gen := func() trace.Inst {
-		inst := trace.Inst{PC: pc()}
+	g := &branchyGen{
+		rng:       rand.New(rand.NewSource(w.Seed)),
+		blocks:    w.CodeBytes / (4 * branchyBlock),
+		dataWords: w.DataBytes / 4,
+		trips:     1,
+	}
+	return &seqStream{n: w.Instructions, fill: g.fill}
+}
+
+// branchyGen is the control-heavy generator's state: the current block,
+// the position in it, the back-edge takes it has left and the number of
+// blocks visited so far.
+type branchyGen struct {
+	rng               *rand.Rand
+	blocks, dataWords int
+	block, pos        int
+	trips             int // remaining back-edge takes of the current block
+	visit             int
+}
+
+func (g *branchyGen) fill(win []trace.Inst) {
+	rng, blocks, dataWords := g.rng, g.blocks, g.dataWords
+	block, pos, trips, visit := g.block, g.pos, g.trips, g.visit
+	for i := range win {
+		in := trace.Inst{PC: codeBase + uint32((block*branchyBlock+pos)*4)}
 		switch pos {
 		case 1:
-			inst.IsLoad = true
-			inst.Addr = dataBase + uint32(rng.Intn(w.DataBytes/4))*4
-			inst.UseDist = 2 + uint8(visit%2)
+			in.IsLoad = true
+			in.Addr = dataBase + uint32(rng.Intn(dataWords))*4
+			in.UseDist = 2 + uint8(visit%2)
 		case branchyBlock - 1:
-			inst.IsBranch = true
-			inst.Taken = trips > 0
+			in.IsBranch = true
+			in.Taken = trips > 0
 		}
-		pos++
-		if pos >= branchyBlock {
+		if pos++; pos >= branchyBlock {
 			pos = 0
 			if trips > 0 {
 				trips-- // back-edge taken: re-run this block
@@ -239,9 +282,9 @@ func newBranchyStream(w Workload) trace.Stream {
 				trips = 1 + (visit*7+block*3)%6
 			}
 		}
-		return inst
+		win[i] = in
 	}
-	return &seqStream{n: w.Instructions, gen: gen}
+	g.block, g.pos, g.trips, g.visit = block, pos, trips, visit
 }
 
 // phaseCount is the number of distinct phases a phased workload cycles
@@ -295,66 +338,88 @@ func Phased(name string, suite Suite, dataBytes, phaseInsts int, seed int64) Wor
 }
 
 func newPhasedStream(w Workload) trace.Stream {
-	rng := rand.New(rand.NewSource(w.Seed))
-	regionWords := w.CodeBytes / 4 / phaseCount
-	phase, inPhase := 0, 0
-	pc := uint32(codeBase)
-	var stream uint32
-	gen := func() trace.Inst {
+	g := &phasedGen{w: w, rng: rand.New(rand.NewSource(w.Seed)), regionWords: w.CodeBytes / 4 / phaseCount, pc: codeBase}
+	return &seqStream{n: w.Instructions, fill: g.fill, phased: true}
+}
+
+// phasedGen is the phased generator's state: the current phase, the
+// instructions generated in it, the PC and the streaming cursor within
+// the phase's footprint.
+type phasedGen struct {
+	w              Workload
+	rng            *rand.Rand
+	regionWords    int
+	phase, inPhase int
+	pc, stream     uint32
+}
+
+// fill generates win one phase run at a time: a phase's mix cut points,
+// footprint and code region are fixed for the whole run. At a phase
+// boundary the generator moves to the next phase, restarts the PC at
+// that phase's region and rewinds the streaming cursor. Within a run,
+// each instruction draws its class; a load then draws its load-to-use
+// distance and a memory reference its address (streaming or uniform
+// reuse within the phase's footprint); a branch draws whether it is
+// taken, and a taken branch jumps within the phase's region.
+func (g *phasedGen) fill(win []trace.Inst) {
+	w, rng, regionWords := &g.w, g.rng, g.regionWords
+	phase, inPhase, pc, stream := g.phase, g.inPhase, g.pc, g.stream
+	stride := uint32(w.StrideBytes)
+	for i := 0; i < len(win); {
 		if inPhase >= w.PhaseInsts {
 			inPhase = 0
 			phase = (phase + 1) % phaseCount
 			pc = codeBase + uint32(phase*regionWords*4)
 			stream = 0
 		}
-		inPhase++
+		// A run ends at the phase boundary; it is at least one
+		// instruction, as a PhaseInsts below 1 switches phase before
+		// every instruction.
+		run := max(min(len(win)-i, w.PhaseInsts-inPhase), 1)
+		inPhase += run
 		sp := phaseSpecs[phase]
-		foot := int(float64(w.DataBytes) * sp.footFrac)
-		if foot < 64 {
-			foot = 64
-		}
-		inst := trace.Inst{PC: pc, Phase: uint8(phase)}
-		r := rng.Float64()
-		isMem := false
-		switch {
-		case r < sp.loadFrac:
-			inst.IsLoad, isMem = true, true
-			if rng.Float64() < w.UseDist1Frac {
-				inst.UseDist = 1
-			} else {
-				inst.UseDist = 2 + uint8(rng.Intn(2))
-			}
-		case r < sp.loadFrac+sp.storeFrac:
-			inst.IsStore, isMem = true, true
-		case r < sp.loadFrac+sp.storeFrac+sp.branchFrac:
-			inst.IsBranch = true
-			inst.Taken = rng.Float64() < w.TakenFrac
-		}
-		if isMem {
-			if rng.Float64() < sp.streamFrac {
-				inst.Addr = dataBase + stream
-				stream += uint32(w.StrideBytes)
-				if stream >= uint32(foot) {
-					stream = 0
-				}
-			} else {
-				inst.Addr = dataBase + uint32(rng.Intn(foot/4))*4
-			}
-		}
-		// PC walks the phase's own code region; taken branches jump
-		// within it.
+		foot := max(int(float64(w.DataBytes)*sp.footFrac), 64)
+		footWords, footEnd := foot/4, uint32(foot)
+		loadCut := sp.loadFrac
+		storeCut := loadCut + sp.storeFrac
+		branchCut := storeCut + sp.branchFrac
 		regionBase := codeBase + uint32(phase*regionWords*4)
-		if inst.IsBranch && inst.Taken {
-			pc = regionBase + uint32(rng.Intn(regionWords))*4
-		} else {
-			pc += 4
-			if pc >= regionBase+uint32(regionWords*4) {
+		regionEnd := regionBase + uint32(regionWords*4)
+		for _, end := i, i+run; i < end; i++ {
+			in := trace.Inst{PC: pc, Phase: uint8(phase)}
+			switch r := rng.Float64(); {
+			case r < loadCut:
+				in.IsLoad = true
+				if rng.Float64() < w.UseDist1Frac {
+					in.UseDist = 1
+				} else {
+					in.UseDist = 2 + uint8(rng.Intn(2))
+				}
+			case r < storeCut:
+				in.IsStore = true
+			case r < branchCut:
+				in.IsBranch = true
+				in.Taken = rng.Float64() < w.TakenFrac
+			}
+			if in.IsLoad || in.IsStore {
+				if rng.Float64() < sp.streamFrac {
+					in.Addr = dataBase + stream
+					if stream += stride; stream >= footEnd {
+						stream = 0
+					}
+				} else {
+					in.Addr = dataBase + uint32(rng.Intn(footWords))*4
+				}
+			}
+			if in.Taken {
+				pc = regionBase + uint32(rng.Intn(regionWords))*4
+			} else if pc += 4; pc >= regionEnd {
 				pc = regionBase
 			}
+			win[i] = in
 		}
-		return inst
 	}
-	return &seqStream{n: w.Instructions, gen: gen, phased: true}
+	g.phase, g.inPhase, g.pc, g.stream = phase, inPhase, pc, stream
 }
 
 // adversarialBody is the 4-instruction conflict loop: load, ALU,
@@ -387,43 +452,47 @@ func Adversarial(name string, suite Suite, conflictLines, setStrideBytes int, se
 }
 
 func newAdversarialStream(w Workload) trace.Stream {
-	lines := w.DataBytes / w.StrideBytes
-	k, pos := 0, 0
-	refs := 0
-	pc := uint32(codeBase)
-	nextAddr := func() uint32 {
-		a := dataBase + uint32(k*w.StrideBytes)
-		k++
-		if k >= lines {
-			k = 0
-		}
-		return a
-	}
-	gen := func() trace.Inst {
-		inst := trace.Inst{PC: pc}
+	g := &adversarialGen{stride: w.StrideBytes, lines: w.DataBytes / w.StrideBytes, pc: codeBase}
+	return &seqStream{n: w.Instructions, fill: g.fill}
+}
+
+// adversarialGen is the conflict loop's state: the next conflicting
+// line k, the position in the loop body and the memory references made
+// so far.
+type adversarialGen struct {
+	stride, lines int
+	k, pos, refs  int
+	pc            uint32
+}
+
+func (g *adversarialGen) fill(win []trace.Inst) {
+	stride, lines := g.stride, g.lines
+	k, pos, refs, pc := g.k, g.pos, g.refs, g.pc
+	for i := range win {
+		in := trace.Inst{PC: pc}
 		switch pos {
 		case 0, 2:
-			refs++
-			if refs%8 == 0 {
-				inst.IsStore = true
+			if refs++; refs%8 == 0 {
+				in.IsStore = true
 			} else {
-				inst.IsLoad = true
-				inst.UseDist = 3 // keep the EDC stage out of the picture
+				in.IsLoad = true
+				in.UseDist = 3 // keep the EDC stage out of the picture
 			}
-			inst.Addr = nextAddr()
+			in.Addr = dataBase + uint32(k*stride)
+			if k++; k >= lines {
+				k = 0
+			}
 		case adversarialBody - 1:
-			inst.IsBranch, inst.Taken = true, true
+			in.IsBranch, in.Taken = true, true
 		}
-		pos++
-		if pos >= adversarialBody {
-			pos = 0
-			pc = codeBase
+		if pos++; pos >= adversarialBody {
+			pos, pc = 0, codeBase
 		} else {
 			pc += 4
 		}
-		return inst
+		win[i] = in
 	}
-	return &seqStream{n: w.Instructions, gen: gen}
+	g.k, g.pos, g.refs, g.pc = k, pos, refs, pc
 }
 
 // corpusWorkloads is the registered extension corpus. Suite membership

@@ -178,16 +178,20 @@ func (c *Cache) Access(addr uint32, write bool) Result {
 		}
 		return Result{Hit: true, Way: w}
 	}
-	return c.accessSlow(set, tag, write)
+	var r Result
+	c.accessSlow(set, tag, write, &r)
+	return r
 }
 
 // accessSlow is the probe-and-fill path shared by Access and
 // AccessBatch, entered once the last-line memo has missed; the caller
 // has already split the address, bumped the tick and established that
 // at least one way is enabled (SetWayEnabled cannot run mid-batch — a
-// Cache is single-goroutine). It leaves the memo pointing at the line
-// it touched.
-func (c *Cache) accessSlow(set int, tag uint32, write bool) Result {
+// Cache is single-goroutine). It writes the outcome into *r, every
+// field of it, so AccessBatch hands it its slot of the result slice
+// and no Result is copied through the stack. It leaves the memo
+// pointing at the line it touched.
+func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
 	base := set * c.ways
 
 	// Probe: one mask word selects the live ways; the tag scan walks
@@ -202,7 +206,8 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool) Result {
 				c.dirty[set] |= uint64(1) << uint(w)
 			}
 			c.mSet, c.mWay, c.mTag = int32(set), int32(w), tag
-			return Result{Hit: true, Way: w}
+			*r = Result{Hit: true, Way: w}
+			return
 		}
 	}
 
@@ -222,16 +227,16 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool) Result {
 		}
 	}
 	bit := uint64(1) << uint(victim)
-	res := Result{
+	*r = Result{
 		Way:       victim,
 		Evicted:   c.valid[set]&bit != 0,
 		Writeback: c.valid[set]&c.dirty[set]&bit != 0,
 	}
-	if res.Evicted {
+	if r.Evicted {
 		// Reconstruct the displaced line's address from its tag before
 		// the fill overwrites it — the next level needs it to absorb the
 		// write-back.
-		res.Victim = tags[victim]<<(c.offBits+c.idxBits) | uint32(set)<<c.offBits
+		r.Victim = tags[victim]<<(c.offBits+c.idxBits) | uint32(set)<<c.offBits
 	}
 	c.valid[set] |= bit
 	if write {
@@ -242,7 +247,6 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool) Result {
 	tags[victim] = tag
 	c.lru[base+victim] = c.tick
 	c.mSet, c.mWay, c.mTag = int32(set), int32(victim), tag
-	return res
 }
 
 // Op is one access of a batch.
@@ -286,7 +290,7 @@ func (c *Cache) AccessBatch(ops []Op, res []Result) {
 			res[i] = Result{Hit: true, Way: mWay}
 			continue
 		}
-		res[i] = c.accessSlow(set, tag, write)
+		c.accessSlow(set, tag, write, &res[i])
 		mSet, mWay, mTag = c.mSet, int(c.mWay), c.mTag
 	}
 }

@@ -50,11 +50,26 @@ type Arena struct {
 // arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
+// filler is the fast path of a Stream that computes its records rather
+// than decoding them (bench's generators): Fill writes the next
+// min(len(dst), remaining) records straight into dst and returns how
+// many it wrote. NewArena checks for it as io.Copy checks for an
+// io.WriterTo.
+type filler interface {
+	Fill(dst []Inst) int
+}
+
 // NewArena materializes the whole stream into a slab; n is the expected
 // length (0 if unknown), so an exact n makes the slab one allocation.
+// A stream that can fill writes its first n records straight into the
+// slab, with no window buffer and no window copy; decoded streams, and
+// whatever a filler holds beyond n, are drained window by window.
 // Phase annotation is inherited, so cursors replay as the stream would.
 func NewArena(s Stream, n int) *Arena {
 	insts := make([]Inst, 0, n)
+	if f, ok := s.(filler); ok {
+		insts = insts[:f.Fill(insts[:n])]
+	}
 	for {
 		w := s.NextSlice(arenaChunk)
 		if len(w) == 0 {
