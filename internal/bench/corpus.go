@@ -165,8 +165,7 @@ func Stencil(name string, suite Suite, dataBytes, elemBytes int, seed int64) Wor
 }
 
 func newStencilStream(w Workload) trace.Stream {
-	g := &stencilGen{elem: w.StrideBytes, n: (w.DataBytes / 2) / w.StrideBytes, pc: codeBase}
-	g.outBase = uint32(dataBase + w.DataBytes/2)
+	g := &stencilGen{elem: w.StrideBytes, n: (w.DataBytes / 2) / w.StrideBytes, outBase: uint32(dataBase + w.DataBytes/2), pc: codeBase}
 	return &seqStream{n: w.Instructions, fill: g.fill}
 }
 
