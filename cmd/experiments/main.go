@@ -39,7 +39,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -183,15 +182,9 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		if err != nil {
 			return fmt.Errorf("open result store: %w", err)
 		}
-		// The scope is everything beyond the grid coordinates that can
-		// change result bytes: the binary's module version and the
-		// result-shaping options (Workers and -map-threshold are proven
-		// result-neutral and deliberately absent — see CanonicalString).
-		cache = &sim.StoreCache{
-			Store: st,
-			Scope: []string{store.ModuleVersion(), opts.CanonicalString(), "seed=" + strconv.FormatInt(*seed, 10)},
-			Read:  *resume,
-		}
+		// Workers and -map-threshold are proven result-neutral and
+		// deliberately absent from the scope — see CanonicalString.
+		cache = &sim.StoreCache{Store: st, Scope: opts.Scope(*seed), Read: *resume}
 		runner.Cache = cache
 	}
 

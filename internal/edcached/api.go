@@ -6,13 +6,16 @@
 // A job names an experiment, a seed and grid-shaping options; its grid
 // is split into shards leased to workers — in-process pool workers
 // and/or external `edcached -worker` processes claiming over HTTP —
-// under a TTL-based lease protocol. Because every grid point is
-// checkpointed into the store under a content address that covers the
-// whole run identity, shard execution is idempotent: a crashed or hung
-// worker's lease expires, the shard is re-leased, and the recompute
-// (or store replay) yields the same bytes. The completed job's result
-// is byte-identical to a solo `experiments` run, regardless of which
-// workers ran which shards how many times.
+// under a TTL-based lease protocol. Both kinds of worker compute a
+// shard with one executor and report how it ended to one settle policy:
+// a finished run is deposited, a failed one hands its lease back at
+// once, a panicking one quarantines its job. Because every grid point
+// is checkpointed into the store under a content address that covers
+// the whole run identity, shard execution is idempotent: a crashed or
+// hung worker's lease expires, the shard is re-leased, and the
+// recompute (or store replay) yields the same bytes. The completed
+// job's result is byte-identical to a solo `experiments` run,
+// regardless of which workers ran which shards how many times.
 //
 // Degradation is graceful by construction: the job queue is bounded
 // (429 + Retry-After), every non-streaming request carries a timeout,
@@ -152,13 +155,23 @@ type ClaimResponse struct {
 	Scope      []string    `json:"scope"`
 }
 
-// ShardRef identifies a lease in POST /shards/renew and
-// POST /shards/complete.
+// ShardRef identifies a lease in POST /shards/renew and, inside a
+// ShardReport, in POST /shards/complete.
 type ShardRef struct {
 	Worker string `json:"worker"`
 	Job    string `json:"job"`
 	Shard  int    `json:"shard"`
 	Gen    int    `json:"gen"`
+}
+
+// ShardReport is the body of POST /shards/complete: a lease and how its
+// run ended. With neither Error nor Panic set it is a finished run, so
+// a bare ShardRef body still reports one. A failed or panicking run is
+// reported, not left to expire: it hands the lease back at once.
+type ShardReport struct {
+	ShardRef
+	Error string `json:"error,omitempty"` // a task's error: charges the shard an attempt
+	Panic string `json:"panic,omitempty"` // a task's panic and stack: quarantines the job
 }
 
 // StoreStatus is the body of GET /storez: the shared store's health

@@ -11,8 +11,8 @@ import (
 	"edcache/internal/sim"
 )
 
-// fuzzRegistry is benchRegistry without the experiments that panic on
-// purpose (their 500 is the recovery path other tests pin), with grids
+// fuzzRegistry is benchRegistry without the experiments that panic or
+// fail on purpose (other tests pin their recovery paths), with grids
 // capped at 16 points so that no fuzzed body allocates a huge grid.
 func fuzzRegistry(o GridOptions) *sim.Registry {
 	o.Instructions = min(o.Instructions, 16)

@@ -56,23 +56,21 @@ type ScopeFunc func(o GridOptions, seed int64) []string
 // job's options, exactly as cmd/experiments does.
 func DefaultRegistry(o GridOptions) *sim.Registry {
 	reg := sim.NewRegistry()
-	experiments.RegisterAll(reg, experiments.Options{
-		Instructions: o.Instructions,
-		Trials:       o.Trials,
-		Workers:      o.Workers,
-	})
+	experiments.RegisterAll(reg, o.experimentOptions())
 	return reg
 }
 
-// DefaultScope matches cmd/experiments' scope byte-for-byte, so a
-// store populated by the CLI serves this daemon's jobs and vice versa.
+// experimentOptions is the experiments.Options a job's grid options
+// select; every other option keeps its default.
+func (o GridOptions) experimentOptions() experiments.Options {
+	return experiments.Options{Instructions: o.Instructions, Trials: o.Trials, Workers: o.Workers}
+}
+
+// DefaultScope is experiments.Options.Scope, the scope cmd/experiments
+// uses, so a store populated by the CLI serves this daemon's jobs and
+// vice versa.
 func DefaultScope(o GridOptions, seed int64) []string {
-	opts := experiments.Options{
-		Instructions: o.Instructions,
-		Trials:       o.Trials,
-		Workers:      o.Workers,
-	}
-	return []string{store.ModuleVersion(), opts.CanonicalString(), "seed=" + strconv.FormatInt(seed, 10)}
+	return o.experimentOptions().Scope(seed)
 }
 
 // Config wires a Manager. Zero values select the documented defaults.
@@ -304,7 +302,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 		m.mu.Unlock()
 		return JobStatus{}, ErrDraining
 	}
-	if m.liveJobsLocked() >= m.cfg.QueueLimit {
+	if len(m.liveLocked()) >= m.cfg.QueueLimit {
 		m.mu.Unlock()
 		return JobStatus{}, ErrQueueFull
 	}
@@ -359,22 +357,30 @@ func (m *Manager) newJobLocked(id string, spec JobSpec, e sim.Experiment, name s
 	return j
 }
 
-// liveJobsLocked counts non-terminal jobs; m.mu must be held.
-func (m *Manager) liveJobsLocked() int {
-	n := 0
+// liveLocked lists the non-terminal jobs, oldest first; m.mu must be
+// held. Journal tombstones are always terminal, so every job listed
+// has a shard table and a context.
+func (m *Manager) liveLocked() []*job {
+	var live []*job
 	for _, id := range m.order {
-		if !m.jobs[id].terminal() {
-			n++
+		if j := m.jobs[id]; !j.terminal() {
+			live = append(live, j)
 		}
 	}
-	return n
+	return live
+}
+
+// lookup finds a job by ID.
+func (m *Manager) lookup(id string) (*job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return j, ok
 }
 
 // Job returns the job's status.
 func (m *Manager) Job(id string) (JobStatus, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return JobStatus{}, false
 	}
@@ -383,9 +389,7 @@ func (m *Manager) Job(id string) (JobStatus, bool) {
 
 // Events returns the job's event log for streaming.
 func (m *Manager) Events(id string) (*eventLog, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return nil, false
 	}
@@ -394,9 +398,7 @@ func (m *Manager) Events(id string) (*eventLog, bool) {
 
 // Result returns a done job's final result set.
 func (m *Manager) Result(id string) ([]sim.Result, JobState, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return nil, "", false
 	}
@@ -407,9 +409,7 @@ func (m *Manager) Result(id string) ([]sim.Result, JobState, bool) {
 
 // Cancel requests a job's cancellation; terminal jobs are unaffected.
 func (m *Manager) Cancel(id string) bool {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return false
 	}
@@ -451,7 +451,7 @@ func (m *Manager) StoreStatus() StoreStatus {
 		Quarantined:     st.Quarantined,
 		QuarantineFiles: st.QuarantineFiles,
 		Jobs:            len(m.order),
-		LiveJobs:        m.liveJobsLocked(),
+		LiveJobs:        len(m.liveLocked()),
 		Draining:        m.draining,
 	}
 }
@@ -470,76 +470,73 @@ func (m *Manager) Draining() bool {
 func (m *Manager) Claim(req ClaimRequest) (ClaimResponse, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, idx, gen, ids, ok := m.claimLocked(req.Worker)
-	if !ok {
-		return ClaimResponse{}, false
-	}
-	return ClaimResponse{
-		Job:        j.id,
-		Shard:      idx,
-		Gen:        gen,
-		TTLMS:      m.cfg.LeaseTTL.Milliseconds(),
-		Experiment: j.expName,
-		Seed:       j.spec.Seed,
-		Options:    j.spec.Options,
-		TaskIDs:    ids,
-		StoreDir:   m.cfg.StoreDir,
-		Scope:      j.scope,
-	}, true
+	_, cl, ok := m.claimLocked(req.Worker)
+	return cl, ok
 }
 
 // claimLocked is the shared claim path (in-process workers and the
 // HTTP handler); m.mu must be held.
-func (m *Manager) claimLocked(worker string) (j *job, idx, gen int, ids []int, ok bool) {
+func (m *Manager) claimLocked(worker string) (*job, ClaimResponse, bool) {
 	if m.draining {
-		return nil, 0, 0, nil, false
+		return nil, ClaimResponse{}, false
 	}
 	for _, id := range m.order {
-		cand := m.jobs[id]
-		if cand.table == nil || cand.terminal() || cand.ctx.Err() != nil {
+		j := m.jobs[id]
+		if j.table == nil || j.terminal() || j.ctx.Err() != nil {
 			continue
 		}
-		if idx, gen, ids, ok = cand.table.claim(worker); ok {
-			cand.setRunning()
-			cand.events.append(Event{Type: "shard", Shard: idx, What: "leased", Worker: worker})
-			return cand, idx, gen, ids, true
+		if idx, gen, ids, ok := j.table.claim(worker); ok {
+			j.setRunning()
+			j.events.append(Event{Type: "shard", Shard: idx, What: "leased", Worker: worker})
+			return j, ClaimResponse{
+				Job:        j.id,
+				Shard:      idx,
+				Gen:        gen,
+				TTLMS:      m.cfg.LeaseTTL.Milliseconds(),
+				Experiment: j.expName,
+				Seed:       j.spec.Seed,
+				Options:    j.spec.Options,
+				TaskIDs:    ids,
+				StoreDir:   m.cfg.StoreDir,
+				Scope:      j.scope,
+			}, true
 		}
 	}
-	return nil, 0, 0, nil, false
+	return nil, ClaimResponse{}, false
 }
 
-// Renew extends an external worker's lease; false means the lease is
-// gone (expired and re-issued, or the job ended) and the worker should
-// abandon the shard.
+// Renew extends a worker's lease; false means the lease is gone
+// (expired and re-issued, or the job ended): abandon the shard.
 func (m *Manager) Renew(ref ShardRef) bool {
-	m.mu.Lock()
-	j, ok := m.jobs[ref.Job]
-	m.mu.Unlock()
+	j, ok := m.lookup(ref.Job)
 	if !ok || j.table == nil || j.terminal() {
 		return false
 	}
 	return j.table.renew(ref.Shard, ref.Gen)
 }
 
-// CompleteExternal accepts an external worker's shard completion. The
-// server trusts nothing in the request beyond the coordinates: it
-// re-reads every task of the shard from the shared store — the worker's
-// checkpoints — and deposits those verified results. A missing or
-// undecodable entry fails the completion (the worker checkpointed
-// nothing usable) and releases the shard for re-execution.
-func (m *Manager) CompleteExternal(ref ShardRef) error {
-	m.mu.Lock()
-	j, ok := m.jobs[ref.Job]
-	m.mu.Unlock()
+// CompleteExternal settles an external worker's shard report. The
+// server trusts nothing in a finished run's report beyond the
+// coordinates: it re-reads every task of the shard from the shared
+// store — the worker's checkpoints — and deposits those verified
+// results. A missing or undecodable entry settles as a failed run (the
+// worker checkpointed nothing usable) and is answered with an error.
+// Failed and panicking runs settle as reported.
+func (m *Manager) CompleteExternal(rep ShardReport) error {
+	j, ok := m.lookup(rep.Job)
 	if !ok {
-		return fmt.Errorf("unknown job %q", ref.Job)
+		return fmt.Errorf("unknown job %q", rep.Job)
 	}
 	if j.table == nil || j.terminal() {
-		return fmt.Errorf("job %s is finished", ref.Job)
+		return fmt.Errorf("job %s is finished", rep.Job)
 	}
-	ids, ok := j.table.shardIDs(ref.Shard)
+	ids, ok := j.table.shardIDs(rep.Shard)
 	if !ok {
-		return fmt.Errorf("job %s has no shard %d", ref.Job, ref.Shard)
+		return fmt.Errorf("job %s has no shard %d", rep.Job, rep.Shard)
+	}
+	if rep.Error != "" || rep.Panic != "" {
+		m.settle(j, rep, nil)
+		return nil
 	}
 	verifier := &sim.StoreCache{Store: m.store, Scope: j.scope, Read: true}
 	results := make([]sim.Result, 0, len(ids))
@@ -549,9 +546,9 @@ func (m *Manager) CompleteExternal(ref ShardRef) error {
 		t.Seed = sim.SubSeed(j.spec.Seed, j.expName, id)
 		r, hit := verifier.Get(j.expName, t)
 		if !hit {
-			j.table.fail(ref.Shard, ref.Gen, true)
-			m.cond.Broadcast()
-			return fmt.Errorf("shard %d task %d not in store; completion rejected", ref.Shard, id)
+			rep.Error = fmt.Sprintf("shard %d task %d not in store; completion rejected", rep.Shard, id)
+			m.settle(j, rep, nil)
+			return errors.New(rep.Error)
 		}
 		r.Experiment = j.expName
 		r.Task = t
@@ -560,7 +557,7 @@ func (m *Manager) CompleteExternal(ref ShardRef) error {
 	for _, r := range results {
 		j.pointEvent(r, true)
 	}
-	m.depositShard(j, ref.Shard, results, ref.Worker)
+	m.settle(j, rep, results)
 	return nil
 }
 
@@ -574,83 +571,71 @@ func (t *shardTable) shardIDs(idx int) ([]int, bool) {
 	return t.shards[idx].ids, true
 }
 
-// depositShard stores a shard's results and marks it done.
-func (m *Manager) depositShard(j *job, idx int, results []sim.Result, worker string) {
-	j.mu.Lock()
-	for _, r := range results {
-		j.results[r.Task.ID] = r
-	}
-	j.mu.Unlock()
-	if j.table.complete(idx) {
-		j.events.append(Event{Type: "shard", Shard: idx, What: "done", Worker: worker})
+// settle applies a shard report, from an in-process or an external
+// worker. A finished run deposits its results and marks the shard done,
+// from any holder (see shardTable.complete). A failed or panicking run
+// counts only from the lease's current holder: a stale holder's lease
+// already moved on, and its failure says nothing the next holder will
+// not report itself. A panic quarantines the job — deterministic re-runs
+// would panic identically. Any other failure hands the lease back,
+// charging an attempt with a "failed" event unless the job's own
+// context is done (a cancel or drain is scheduling, not evidence the
+// shard is bad).
+func (m *Manager) settle(j *job, rep ShardReport, results []sim.Result) {
+	defer m.cond.Broadcast()
+	switch {
+	case rep.Panic != "":
+		if j.table.fail(rep.Shard, rep.Gen, false) {
+			m.finishJob(j, JobQuarantined, rep.Panic)
+		}
+	case rep.Error != "":
+		penalize := j.ctx.Err() == nil
+		// j.mu spans the release and the event: a release that poisons
+		// the table wakes supervise, whose failure message and terminal
+		// event must follow this report's.
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.table.fail(rep.Shard, rep.Gen, penalize) && penalize {
+			j.lastErr = rep.Error
+			j.events.append(Event{Type: "shard", Shard: rep.Shard, What: "failed", Worker: rep.Worker, Error: rep.Error})
+		}
+	default:
+		j.mu.Lock()
+		for _, r := range results {
+			j.results[r.Task.ID] = r
+		}
+		j.mu.Unlock()
+		if j.table.complete(rep.Shard) {
+			j.events.append(Event{Type: "shard", Shard: rep.Shard, What: "done", Worker: rep.Worker})
+		}
 	}
 }
 
 // ---- in-process workers ----
 
+// workerLoop is one in-process worker: it waits for a claimable shard,
+// computes it with the shared executor and settles the report, until
+// the manager stops. Its renewals go through Renew, as an external
+// worker's do over HTTP.
 func (m *Manager) workerLoop(name string) {
 	defer m.wg.Done()
 	for {
-		j, idx, gen, ids, ok := m.claimWait(name)
+		m.mu.Lock()
+		j, cl, ok := m.claimLocked(name)
+		for !ok && m.ctx.Err() == nil {
+			m.cond.Wait()
+			j, cl, ok = m.claimLocked(name)
+		}
+		m.mu.Unlock()
 		if !ok {
 			return
 		}
-		m.runShard(j, name, idx, gen, ids)
+		runner := sim.Runner{Workers: 1, Seed: cl.Seed, Cache: j.cache, Progress: j.pointEvent}
+		results, rep := computeShard(j.ctx, cl, name, runner, j.exp, func(_ context.Context, ref ShardRef) bool {
+			return m.Renew(ref)
+		})
+		m.settle(j, rep, results)
 	}
-}
-
-// claimWait blocks until a shard is claimable or the manager stops.
-func (m *Manager) claimWait(worker string) (j *job, idx, gen int, ids []int, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if m.ctx.Err() != nil {
-			return nil, 0, 0, nil, false
-		}
-		if j, idx, gen, ids, ok = m.claimLocked(worker); ok {
-			return j, idx, gen, ids, true
-		}
-		m.cond.Wait()
-	}
-}
-
-// runShard computes one leased shard under a heartbeat: the lease is
-// renewed at TTL/3, and a failed renewal — the lease expired and moved
-// on — cancels the shard's context so this worker stops burning CPU on
-// work someone else now owns. (Its checkpoints so far still help: the
-// new holder replays them from the store.)
-func (m *Manager) runShard(j *job, worker string, idx, gen int, ids []int) {
-	shardCtx, stop := withHeartbeat(j.ctx, m.cfg.LeaseTTL, func(context.Context) bool {
-		return j.table.renew(idx, gen)
-	})
-	runner := sim.Runner{Workers: 1, Seed: j.spec.Seed, Cache: j.cache, Progress: j.pointEvent}
-	results, err := runner.RunTasks(shardCtx, j.exp, ids)
-	stop()
-
-	if err != nil {
-		var pe *sim.PanicError
-		if errors.As(err, &pe) {
-			// The experiment's own code panicked. Deterministic re-runs
-			// would panic identically; quarantine the job, keep serving.
-			j.table.fail(idx, gen, false)
-			m.finishJob(j, JobQuarantined, err.Error())
-			m.cond.Broadcast()
-			return
-		}
-		// Penalize only genuine task failures: a cancelled job or a lost
-		// lease is scheduling, not evidence the shard is bad.
-		penalize := !errors.Is(context.Cause(shardCtx), errLeaseLost) && j.ctx.Err() == nil
-		j.table.fail(idx, gen, penalize)
-		if penalize {
-			j.mu.Lock()
-			j.lastErr = err.Error()
-			j.mu.Unlock()
-			j.events.append(Event{Type: "shard", Shard: idx, What: "failed", Worker: worker, Error: err.Error()})
-		}
-		m.cond.Broadcast()
-		return
-	}
-	m.depositShard(j, idx, results, worker)
 }
 
 // ---- supervision ----
@@ -757,12 +742,7 @@ func (m *Manager) expiryLoop() {
 		case <-tick.C:
 		}
 		m.mu.Lock()
-		live := make([]*job, 0, len(m.order))
-		for _, id := range m.order {
-			if j := m.jobs[id]; j.table != nil && !j.terminal() {
-				live = append(live, j)
-			}
-		}
+		live := m.liveLocked()
 		m.mu.Unlock()
 		woke := false
 		for _, j := range live {
@@ -787,12 +767,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	already := m.draining
 	m.draining = true
-	live := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		if j := m.jobs[id]; j.cancel != nil && !j.terminal() {
-			live = append(live, j)
-		}
-	}
+	live := m.liveLocked()
 	m.mu.Unlock()
 	if !already {
 		for _, j := range live {
@@ -826,10 +801,7 @@ type journalEntry struct {
 }
 
 // journal durably records the job's current state with the store's
-// write discipline: create a temp file, write, fsync, close, rename it
-// over the journal file, fsync the directory. Without the file's fsync
-// a crash after the rename can leave an empty or partial journal file,
-// which replay skips as unparsable. Journal failures are logged, never
+// write routine (store.WriteFile). Journal failures are logged, never
 // fatal: a lost journal write costs restart fidelity, not correctness —
 // results always re-derive from the store.
 func (m *Manager) journal(j *job) {
@@ -840,35 +812,11 @@ func (m *Manager) journal(j *job) {
 		e.State = JobQueued // running resumes as queued; the store replays it
 	}
 	b, err := json.Marshal(e)
-	if err != nil {
-		logf("edcached: journal %s: %v", j.id, err)
-		return
-	}
-	fsys := m.cfg.fs
-	path := filepath.Join(m.cfg.JobsDir, j.id+".json")
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		logf("edcached: journal %s: %v", j.id, err)
-		return
-	}
-	_, err = f.Write(b)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsys.Rename(tmp, path)
+		err = store.WriteFile(m.cfg.fs, m.cfg.JobsDir, j.id+".json.tmp", j.id+".json", b)
 	}
 	if err != nil {
-		fsys.Remove(tmp)
 		logf("edcached: journal %s: %v", j.id, err)
-		return
-	}
-	if err := fsys.SyncDir(m.cfg.JobsDir); err != nil {
-		logf("edcached: journal %s: sync dir: %v", j.id, err)
 	}
 }
 

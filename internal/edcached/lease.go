@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"edcache/internal/sim"
 )
 
 // errLeaseLost is the cancellation cause of a shard context whose
@@ -41,6 +43,31 @@ func withHeartbeat(parent context.Context, ttl time.Duration, renew func(context
 		cancel(nil)
 		<-done
 	}
+}
+
+// computeShard is the one shard executor, behind in-process and
+// external workers alike: it runs a claimed shard's tasks as worker,
+// under a heartbeat (withHeartbeat) that renews the lease through
+// renew, and reports how the run ended — finished, a task error, or a
+// task panic (sim.PanicError). Manager.settle applies the report. A run
+// cut short by a lost lease still checkpointed its completed points:
+// the next holder replays them from the store.
+func computeShard(ctx context.Context, cl ClaimResponse, worker string, runner sim.Runner, e sim.Experiment,
+	renew func(context.Context, ShardRef) bool) ([]sim.Result, ShardReport) {
+	rep := ShardReport{ShardRef: ShardRef{Worker: worker, Job: cl.Job, Shard: cl.Shard, Gen: cl.Gen}}
+	shardCtx, stop := withHeartbeat(ctx, time.Duration(cl.TTLMS)*time.Millisecond, func(ctx context.Context) bool {
+		return renew(ctx, rep.ShardRef)
+	})
+	results, err := runner.RunTasks(shardCtx, e, cl.TaskIDs)
+	stop()
+	var pe *sim.PanicError
+	switch {
+	case errors.As(err, &pe):
+		rep.Panic = err.Error()
+	case err != nil:
+		rep.Error = err.Error()
+	}
+	return results, rep
 }
 
 // shard lease states.
@@ -172,25 +199,27 @@ func (t *shardTable) complete(idx int) bool {
 	return true
 }
 
-// fail releases a leased shard back to pending. penalize distinguishes
-// a real task failure (count it toward poisoning) from a clean
-// hand-back (cancellation, drain) that should not burn an attempt.
-// Stale generations are ignored: the lease already moved on.
-func (t *shardTable) fail(idx, gen int, penalize bool) {
+// fail releases a leased shard back to pending and reports whether it
+// did. penalize distinguishes a real task failure (count it toward
+// poisoning) from a clean hand-back (cancellation, drain) that should
+// not burn an attempt. A stale generation, or a shard no longer
+// leased, is ignored and charges nothing: the lease already moved on.
+func (t *shardTable) fail(idx, gen int, penalize bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if idx < 0 || idx >= len(t.shards) {
-		return
+		return false
 	}
 	s := &t.shards[idx]
 	if s.state != shardLeased || s.gen != gen {
-		return
+		return false
 	}
 	s.state = shardPending
 	s.owner = ""
 	if penalize {
 		t.penalizeLocked(s, idx)
 	}
+	return true
 }
 
 // expireDue sweeps leases past their TTL back to pending, penalizing

@@ -23,7 +23,7 @@ import (
 //	POST /jobs/{id}/cancel            cancel (DELETE /jobs/{id} works too)
 //	POST /shards/claim                lease a shard (204 when none pending)
 //	POST /shards/renew                heartbeat a lease
-//	POST /shards/complete             deposit a shard (server verifies via store)
+//	POST /shards/complete             report a shard's run (a finished one is verified via the store)
 //	GET  /healthz                     process liveness (always 200)
 //	GET  /readyz                      503 once draining
 //	GET  /storez                      shared-store stats + service load
@@ -336,11 +336,11 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST /shards/complete")
 		return
 	}
-	var ref ShardRef
-	if !decodeBody(w, r, &ref, "ShardRef") {
+	var rep ShardReport
+	if !decodeBody(w, r, &rep, "ShardReport") {
 		return
 	}
-	if err := s.m.CompleteExternal(ref); err != nil {
+	if err := s.m.CompleteExternal(rep); err != nil {
 		httpError(w, http.StatusConflict, err.Error())
 		return
 	}

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"edcache/internal/experiments"
 	"edcache/internal/sim"
 	"edcache/internal/store"
 )
@@ -69,6 +72,20 @@ func benchRegistry(o GridOptions) *sim.Registry {
 	reg.MustRegister(sim.Def{ExpName: "gridpanic", Desc: "Grid panics",
 		GridFn: func() []sim.Task { panic("grid exploded") },
 		RunFn:  run})
+	reg.MustRegister(sim.Def{ExpName: "taskpanic", Desc: "task 3 panics", GridFn: grid,
+		RunFn: func(t sim.Task, rng *rand.Rand) (sim.Result, error) {
+			if t.ID == 3 {
+				panic("task 3 exploded")
+			}
+			return run(t, rng)
+		}})
+	reg.MustRegister(sim.Def{ExpName: "taskerr", Desc: "task 3 fails", GridFn: grid,
+		RunFn: func(t sim.Task, rng *rand.Rand) (sim.Result, error) {
+			if t.ID == 3 {
+				return sim.Result{}, errors.New("task 3 refused")
+			}
+			return run(t, rng)
+		}})
 	return reg
 }
 
@@ -160,23 +177,35 @@ func submitJob(t *testing.T, ts *httptest.Server, spec JobSpec) JobStatus {
 // waitTerminal polls the job until it reaches a terminal state.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
+	return waitTerminalWithin(t, ts, id, 30*time.Second)
+}
+
+// waitTerminalWithin is waitTerminal under the caller's bound.
+func waitTerminalWithin(t *testing.T, ts *httptest.Server, id string, within time.Duration) JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
-		resp, body := getBody(t, ts.URL+"/jobs/"+id)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status: %d: %s", resp.StatusCode, body)
-		}
-		var st JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.State.Terminal() {
+		if st := jobStatus(t, ts, id); st.State.Terminal() {
 			return st
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("job never reached a terminal state")
 	return JobStatus{}
+}
+
+// jobStatus fetches the job's status.
+func jobStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
+	t.Helper()
+	resp, body := getBody(t, ts.URL+"/jobs/"+id)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status: %d: %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // soloBytes renders the experiment the way cmd/experiments would: one
@@ -462,5 +491,23 @@ func TestConcurrentSubmissionsAllComplete(t *testing.T) {
 		if final := waitTerminal(t, ts, id); final.State != JobDone {
 			t.Fatalf("job %s ended %q: %s", id, final.State, final.Error)
 		}
+	}
+}
+
+// TestDefaultScopeIsTheCLIScope pins one option set's store scope to
+// literal strings, through DefaultScope and through the
+// experiments.Options.Scope that cmd/experiments -store keys with: a
+// drift in either splits the store the CLI and the daemon share.
+func TestDefaultScopeIsTheCLIScope(t *testing.T) {
+	want := []string{
+		store.ModuleVersion(),
+		"instructions=2000 trials=40 mcsamples=1000,10000,100000 traces= l2=128x8,512x8 l2lat=6",
+		"seed=3",
+	}
+	if got := DefaultScope(GridOptions{Instructions: 2000, Trials: 40, Workers: 7}, 3); !slices.Equal(got, want) {
+		t.Errorf("DefaultScope = %q, want %q", got, want)
+	}
+	if got := (experiments.Options{Instructions: 2000, Trials: 40}).Scope(3); !slices.Equal(got, want) {
+		t.Errorf("experiments.Options.Scope = %q, want %q", got, want)
 	}
 }

@@ -15,11 +15,11 @@ import (
 
 // Worker is the external shard worker behind `edcached -worker`: an
 // HTTP client that claims shards, computes them against the shared
-// store, and reports completion. The store is the data plane — results
-// never travel over HTTP; completing a shard just tells the server to
-// verify and collect the checkpoints — so a worker that crashes
-// mid-shard loses nothing but its lease: whatever it checkpointed is
-// replayed by the next holder.
+// store, and reports how each run ended. The store is the data plane —
+// results never travel over HTTP; reporting a finished shard just tells
+// the server to verify and collect the checkpoints — so a worker that
+// crashes mid-shard loses nothing but its lease: whatever it
+// checkpointed is replayed by the next holder.
 type Worker struct {
 	// Server is the daemon's base URL (http://host:port).
 	Server string
@@ -76,7 +76,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// runClaim computes one claimed shard under a heartbeat.
+// runClaim computes one claimed shard with the shared executor and
+// reports how the run ended. A worker that cannot resolve the
+// experiment or open the store, or whose own context ends mid-shard,
+// reports nothing: the lease expires and another worker re-claims.
 func (w *Worker) runClaim(ctx context.Context, cl ClaimResponse) {
 	registry := w.Registry
 	if registry == nil {
@@ -85,31 +88,24 @@ func (w *Worker) runClaim(ctx context.Context, cl ClaimResponse) {
 	exp, ok := registry(cl.Options).Get(cl.Experiment)
 	if !ok {
 		logf("edcached worker %s: claim names unknown experiment %q; abandoning shard", w.Name, cl.Experiment)
-		return // the lease expires and someone competent re-claims
+		return
 	}
 	st, err := w.openStore(cl.StoreDir)
 	if err != nil {
 		logf("edcached worker %s: %v", w.Name, err)
 		return
 	}
-	cache := &sim.StoreCache{Store: st, Scope: cl.Scope, Read: true}
-
-	ref := ShardRef{Worker: w.Name, Job: cl.Job, Shard: cl.Shard, Gen: cl.Gen}
-	ttl := time.Duration(cl.TTLMS) * time.Millisecond
-	shardCtx, stop := withHeartbeat(ctx, ttl, func(ctx context.Context) bool {
+	runner := sim.Runner{Workers: 1, Seed: cl.Seed, Cache: &sim.StoreCache{Store: st, Scope: cl.Scope, Read: true}}
+	_, rep := computeShard(ctx, cl, w.Name, runner, exp, func(ctx context.Context, ref ShardRef) bool {
 		code, err := w.post(ctx, "/shards/renew", ref, nil)
 		// Transport errors keep the lease: the server may be mid-restart,
 		// and computing on is harmless (idempotent).
 		return err != nil || code == http.StatusOK
 	})
-	runner := sim.Runner{Workers: 1, Seed: cl.Seed, Cache: cache}
-	_, err = runner.RunTasks(shardCtx, exp, cl.TaskIDs)
-	stop()
-	if err != nil {
-		logf("edcached worker %s: job %s shard %d: %v", w.Name, cl.Job, cl.Shard, err)
+	if ctx.Err() != nil {
 		return // completed points are checkpointed; the lease recycles the rest
 	}
-	if code, err := w.post(ctx, "/shards/complete", ref, nil); err != nil {
+	if code, err := w.post(ctx, "/shards/complete", rep, nil); err != nil {
 		logf("edcached worker %s: complete: %v", w.Name, err)
 	} else if code != http.StatusOK {
 		logf("edcached worker %s: complete: status %d", w.Name, code)

@@ -15,6 +15,7 @@ import (
 	"edcache/internal/bench"
 	"edcache/internal/core"
 	"edcache/internal/sim"
+	"edcache/internal/store"
 	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
@@ -144,6 +145,14 @@ func (o Options) CanonicalString() string {
 	}
 	fmt.Fprintf(&b, " l2lat=%d", o.L2Latency)
 	return b.String()
+}
+
+// Scope is the result store scope of these options under the master
+// seed: everything beyond grid coordinates that can change result
+// bytes. cmd/experiments -store and edcached both key the store with
+// it, so a store populated by one serves the other.
+func (o Options) Scope(seed int64) []string {
+	return []string{store.ModuleVersion(), o.CanonicalString(), fmt.Sprintf("seed=%d", seed)}
 }
 
 // RegisterAll registers the full evaluation suite on the registry. The

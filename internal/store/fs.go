@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -63,6 +65,39 @@ func (OSFS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path
 
 // SyncDir implements FS.
 func (OSFS) SyncDir(path string) error { return SyncDir(path) }
+
+// WriteFile durably writes b to dir/name: create dir/tmp, write, fsync,
+// close, rename it over dir/name, fsync dir. A crash at any point
+// leaves the previous file or the new one, never a torn one; without
+// the file's fsync a crash after the rename could leave it empty or
+// partial. A failed temp file is removed best-effort. After a failed
+// directory sync the new file is visible and valid but not yet
+// durable; the caller decides what that costs.
+func WriteFile(fsys FS, dir, tmp, name string, b []byte) error {
+	tmp = filepath.Join(dir, tmp)
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("sync dir: %w", err)
+	}
+	return nil
+}
 
 // SyncDir fsyncs a directory on the real filesystem: after renaming a
 // file into a directory, only a sync of the directory itself makes the

@@ -162,12 +162,10 @@ func (s *Store) Get(d Digest) ([]byte, bool) {
 	return payload, true
 }
 
-// Put durably stores the payload under the digest: entry bytes are
-// written to a temporary file in the entry's shard directory, fsynced,
-// renamed over the final name, and the directory is fsynced — so after
-// Put returns nil the entry survives a crash, and a crash at any
-// earlier point leaves either the previous entry or no entry, never a
-// torn one. On error the temporary file is removed best-effort and the
+// Put durably stores the payload under the digest, written by
+// WriteFile into the entry's shard directory — so after Put returns nil
+// the entry survives a crash, and a crash at any earlier point leaves
+// either the previous entry or no entry, never a torn one. On error the
 // store remains usable; the caller decides whether a failed checkpoint
 // is fatal (for result caching it is not).
 func (s *Store) Put(d Digest, payload []byte) error {
@@ -176,30 +174,9 @@ func (s *Store) Put(d Digest, payload []byte) error {
 	if err := s.fs.MkdirAll(shard, 0o755); err != nil {
 		return fmt.Errorf("store: put %s: %w", name, err)
 	}
-	tmp := filepath.Join(shard, fmt.Sprintf("%s.%d%s", name, s.tmpSeq.Add(1), tmpExt))
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: put %s: %w", name, err)
-	}
-	_, err = f.Write(encodeEntry(payload))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = s.fs.Rename(tmp, filepath.Join(shard, name+entryExt))
-	}
-	if err != nil {
-		s.fs.Remove(tmp) // best-effort; sweepTmp collects survivors next open
-		return fmt.Errorf("store: put %s: %w", name, err)
-	}
-	if err := s.fs.SyncDir(shard); err != nil {
-		// The rename is visible but not yet guaranteed durable; the
-		// entry is valid either way, so surface the error and let the
-		// caller decide.
-		return fmt.Errorf("store: put %s: sync dir: %w", name, err)
+	tmp := fmt.Sprintf("%s.%d%s", name, s.tmpSeq.Add(1), tmpExt)
+	if err := WriteFile(s.fs, shard, tmp, name+entryExt, encodeEntry(payload)); err != nil {
+		return fmt.Errorf("store: put %s: %w", name, err) // sweepTmp collects a temp file left behind
 	}
 	return nil
 }
