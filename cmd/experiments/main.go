@@ -8,7 +8,7 @@
 //	experiments [-run name,...|all] [-workers N] [-format text|json|csv]
 //	            [-seed S] [-instructions N] [-trials N] [-trace f.trace,...]
 //	            [-l2 SETSxWAYS,...] [-l2lat N] [-store DIR] [-resume] [-list]
-//	            [-cpuprofile FILE] [-memprofile FILE]
+//	            [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]
 //
 // Experiment names may be unique prefixes ("rel" for "reliability").
 // For a fixed -seed, output is byte-identical for every -workers value.
@@ -28,7 +28,9 @@
 //
 // -cpuprofile FILE writes a CPU profile of the run and -memprofile FILE
 // an allocation profile taken at its end, both in the runtime/pprof
-// format that go tool pprof reads. Neither changes the output.
+// format that go tool pprof reads. -exectrace FILE writes a
+// runtime/trace execution trace of the run (goroutines, GC, scheduler
+// latency) for go tool trace. None of them changes the output.
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"strings"
 	"syscall"
 
@@ -84,6 +87,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		list         = fs.Bool("list", false, "list registered experiments and exit")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile   = fs.String("memprofile", "", "write an allocation profile to this file at the end of the run")
+		execTrace    = fs.String("exectrace", "", "write a runtime execution trace of the run to this file (go tool trace)")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
@@ -159,6 +163,22 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		}
 		defer func() {
 			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil && cerr != nil {
+				err = cerr
+			}
+		}()
+	}
+	if *execTrace != "" {
+		f, err := os.Create(*execTrace)
+		if err != nil {
+			return err
+		}
+		if err := trace.Start(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-exectrace: %w", err)
+		}
+		defer func() {
+			trace.Stop()
 			if cerr := f.Close(); err == nil && cerr != nil {
 				err = cerr
 			}

@@ -98,8 +98,9 @@ func TestDeterministicOutputAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
-// profile, and the run's output is the same as without them.
+// TestProfileFlags: -cpuprofile, -memprofile and -exectrace each write
+// a non-empty profile or trace, and the run's output is the same as
+// without them.
 func TestProfileFlags(t *testing.T) {
 	args := []string{"-run", "headline,corpus", "-instructions", "20000", "-format", "json"}
 	var plain, profiled bytes.Buffer
@@ -107,14 +108,14 @@ func TestProfileFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+	cpu, mem, exec := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof"), filepath.Join(dir, "exectrace.out")
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem, "-exectrace", exec), &profiled); err != nil {
 		t.Fatal(err)
 	}
 	if plain.String() != profiled.String() {
-		t.Error("output with -cpuprofile and -memprofile differs from the output without them")
+		t.Error("output with -cpuprofile, -memprofile and -exectrace differs from the output without them")
 	}
-	for _, path := range []string{cpu, mem} {
+	for _, path := range []string{cpu, mem, exec} {
 		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
 			t.Errorf("%s: want a non-empty profile (stat: %v)", filepath.Base(path), err)
 		}

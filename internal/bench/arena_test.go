@@ -120,7 +120,6 @@ func TestArenaCacheReplaysGeneratorExactly(t *testing.T) {
 // loop + cache) without dragging the sizing layer into this package.
 type cachePort struct {
 	c   *cache.Cache
-	ops []cache.Op
 	res []cache.Result
 }
 
@@ -132,15 +131,11 @@ func (p *cachePort) ExtraHitLatency() int { return 0 }
 
 func (p *cachePort) AccessBatch(ops []cpu.PortOp, miss []bool) {
 	n := len(ops)
-	if cap(p.ops) < n {
-		p.ops = make([]cache.Op, n)
+	if cap(p.res) < n {
 		p.res = make([]cache.Result, n)
 	}
-	co, cr := p.ops[:n], p.res[:n]
-	for i, op := range ops {
-		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
-	}
-	p.c.AccessBatch(co, cr)
+	cr := p.res[:n]
+	p.c.AccessBatch(ops, cr)
 	for i := range cr {
 		miss[i] = !cr[i].Hit
 	}

@@ -16,8 +16,8 @@ import (
 // line state, so a replay runs no cache.Cache beside the dice.
 
 // funcBank is one side of a functional replay group: member k replays
-// through fcs[k], or copies member 0's miss row past the last cache —
-// the one fault-free IL1 of a group of dice, the same for every die.
+// through fcs[k], or, past the last cache, shares member 0's row — the
+// one fault-free IL1 of a group of dice, the same for every die.
 type funcBank struct {
 	fcs      []*FunctionalCache
 	k, extra int
@@ -38,21 +38,26 @@ func (b *funcBank) Member(int) cpu.Port { return b }
 // ExtraHitLatency implements cpu.Port.
 func (b *funcBank) ExtraHitLatency() int { return b.extra }
 
+// Row implements cpu.MultiPort: members past the last cache read member
+// 0's row.
+func (b *funcBank) Row(k int) int {
+	if k >= len(b.fcs) {
+		return 0
+	}
+	return k
+}
+
 // AccessBatch implements cpu.MultiPort: each cache replays the chunk
-// as a Load (or Store of funcStoreValue) per op. The caches count no
-// phases, so the id is ignored.
+// as a Load (or Store of funcStoreValue) per op into its own row. The
+// caches count no phases, so the id is ignored.
 func (b *funcBank) AccessBatch(_ uint8, ops []cpu.PortOp, miss [][]bool) {
-	for k := range miss {
-		if k >= len(b.fcs) {
-			copy(miss[k], miss[0])
-			continue
-		}
+	for k, fc := range b.fcs {
 		for i, op := range ops {
 			var hit bool
 			if op.Write {
-				hit = b.fcs[k].Store(op.Addr, funcStoreValue(op.Addr))
+				hit = fc.Store(op.Addr, funcStoreValue(op.Addr))
 			} else {
-				_, hit = b.fcs[k].Load(op.Addr)
+				_, hit = fc.Load(op.Addr)
 			}
 			miss[k][i] = !hit
 		}

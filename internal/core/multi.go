@@ -15,10 +15,11 @@ import (
 
 // Single-pass replay: a group of (System, Mode) evaluation points that
 // share one instruction stream is replayed by one cpu.RunMulti pass. The
-// stream is walked and classified once; only the cache accesses and
-// energy tallies fan out per member. Every single-stream evaluation in
-// the repo is such a group — System.Run is the one-member case — so a
-// Report never depends on which other members shared its pass.
+// stream is walked and classified once; the cache accesses fan out per
+// simulator slot, the energy tallies per tally lead, and only timing per
+// member. Every single-stream evaluation in the repo is such a group —
+// System.Run is the one-member case — so a Report never depends on
+// which other members shared its pass.
 //
 // Slots are keyed from configuration (planGroup), so a simulator is
 // built only for a new slot: members whose slotKey — L1 geometry and
@@ -30,14 +31,17 @@ import (
 // geometries × 3 protections) 2 slots per side over 2 L2s. Each side
 // builds one L1 per slot; a slot with a second level is a
 // cache.Hierarchy per side over one unified L2 that both sides front.
-// Members of one slot that also split HP and ULE ways at the same index
-// share one tally: the first of them, the lead, counts the slot's
-// outcomes, and the others, its followers, point at the lead's tally
-// and copy only its miss row per chunk, so the 8-member group tallies
-// twice per side instead of eight times (timing stays per member).
-// Each batch arrives with its phase id, and a lead counts it in place
-// in its tally's entry for that id, so per-phase counts need no state
-// beyond the tally itself.
+// Members of one slot see the same outcome row, so the bank reports
+// the slot's first member as the row of all of them (cpu.MultiPort's
+// Row), and the cpu lane counts each row's misses once. Members of one
+// slot that also split HP and ULE ways at the same index share one
+// tally: the first of them, the lead, counts the slot's outcomes into
+// its tally and the slot's row, and the others point at the lead's
+// tally, so the 8-member group tallies twice per side instead of eight
+// times and fills two rows per side (timing stays per member). Each
+// batch arrives with its phase id, and a lead counts it in place in its
+// tally's entry for that id, so per-phase counts need no state beyond
+// the tally itself.
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -62,16 +66,17 @@ type slotKey struct {
 // front the slot's one L2.
 type groupPlan struct {
 	slot []int          // member k's slot
+	row  []int          // member k's outcome row: the first member of its slot
 	lead []int          // member k's tally lead: k itself, or an earlier member whose tally it shares
 	keys []slotKey      // slot s's cache state
 	l2   []*cache.Cache // slot s's second level, nil for none
 }
 
-// planGroup assigns members to slots by slotKey and to the tally of the
-// first member of their slot with the same HP/ULE way split, and builds
-// each slot's L2.
+// planGroup assigns members to slots by slotKey, to the outcome row of
+// their slot's first member and to the tally of the first member of
+// their slot with the same HP/ULE way split, and builds each slot's L2.
 func planGroup(members []GroupMember) *groupPlan {
-	g := &groupPlan{slot: make([]int, len(members)), lead: make([]int, len(members))}
+	g := &groupPlan{slot: make([]int, len(members)), row: make([]int, len(members)), lead: make([]int, len(members))}
 	for k, gm := range members {
 		key := gm.Sys.stateKey(gm.Mode)
 		idx := slices.Index(g.keys, key)
@@ -84,7 +89,10 @@ func planGroup(members []GroupMember) *groupPlan {
 			}
 			g.l2 = append(g.l2, l2)
 		}
-		g.slot[k], g.lead[k] = idx, k
+		g.slot[k], g.row[k], g.lead[k] = idx, k, k
+		if j := slices.Index(g.slot[:k], idx); j >= 0 {
+			g.row[k] = j
+		}
 		for j := 0; j < k; j++ {
 			if g.slot[j] == idx && members[j].Sys.hpWays() == gm.Sys.hpWays() {
 				g.lead[k] = j
@@ -101,13 +109,12 @@ type slotSim interface {
 	AccessBatch(ops []cache.Op, res []cache.Result)
 }
 
-// runScratch is one bank port's conversion scratch: the op list handed
-// to the simulators and one Result row per slot, sized to the largest
-// chunk seen. Scratch is pooled across runs (and therefore across sweep
-// grid points — a sweep's steady state reuses one scratch set per pool
-// slot instead of reallocating per replay).
+// runScratch is one bank port's outcome scratch: one Result row per
+// slot, sized to the largest chunk seen. Scratch is pooled across runs
+// (and therefore across sweep grid points — a sweep's steady state
+// reuses one scratch set per pool slot instead of reallocating per
+// replay).
 type runScratch struct {
-	ops []cache.Op
 	res [][]cache.Result
 }
 
@@ -170,37 +177,33 @@ func (mp *multiPort) Members() int { return len(mp.ports) }
 // EDC latency and, behind a second level, its tiered timing.
 func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
-// AccessBatch implements cpu.MultiPort: one op conversion, one pass per
-// simulator slot, then each tally lead folds its slot's outcomes into
-// its tally's entry for the batch's phase id, and into its miss row. A
-// follower's counts over the same Result sequence and way split would
-// be identical, so it shares the lead's tally and copies only the miss
-// row.
+// Row implements cpu.MultiPort: members of one slot see one outcome
+// sequence, whatever their way split, so their row is the slot's first
+// member's.
+func (mp *multiPort) Row(k int) int { return mp.plan.row[k] }
+
+// AccessBatch implements cpu.MultiPort: one pass per simulator slot over
+// the lane's op list, then each tally lead folds its slot's outcomes
+// into its tally's entry for the batch's phase id, and into the slot's
+// row. A follower's counts over the same Result sequence and way split
+// would be identical, so it shares the lead's tally, and its row is the
+// slot's.
 func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
 	scr := mp.scr
-	if cap(scr.ops) < n {
-		scr.ops = make([]cache.Op, n)
-	}
 	for len(scr.res) < len(mp.sims) {
 		scr.res = append(scr.res, nil)
-	}
-	co := scr.ops[:n]
-	for i, op := range ops {
-		co[i] = cache.Op{Addr: op.Addr, Write: op.Write}
 	}
 	for s, c := range mp.sims {
 		if cap(scr.res[s]) < n {
 			scr.res[s] = make([]cache.Result, n)
 		}
-		c.AccessBatch(co, scr.res[s][:n])
+		c.AccessBatch(ops, scr.res[s][:n])
 	}
 	for k, p := range mp.ports {
-		if l := mp.plan.lead[k]; l != k {
-			copy(miss[k], miss[l])
-			continue
+		if mp.plan.lead[k] == k {
+			p.tallyChunk(phase, ops, scr.res[mp.plan.slot[k]][:n], miss[mp.plan.row[k]])
 		}
-		p.tallyChunk(phase, co, scr.res[mp.plan.slot[k]][:n], miss[k])
 	}
 }
 

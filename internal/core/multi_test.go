@@ -370,3 +370,25 @@ func TestRunGroupValidation(t *testing.T) {
 		t.Fatal("mixed memory latencies accepted")
 	}
 }
+
+// BenchmarkPaperGroup measures the replay the paper experiments run per
+// workload: the 8-member scenario × mode × design group (2 slots per
+// side) over one 300k-instruction gsm_c slab, built before the timer.
+// ns/inst is the group's cost per instruction of the stream.
+func BenchmarkPaperGroup(b *testing.B) {
+	paper, _ := oracleGroups()
+	w, err := bench.ByName("gsm_c")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w = w.ScaledTo(300_000)
+	slab := bench.NewArenaCache().Get(w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunGroupArena(w.Name, slab, paper); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.Instructions), "ns/inst")
+}

@@ -15,7 +15,6 @@ import (
 type batchPort struct {
 	c     *cache.Cache
 	extra int
-	ops   []cache.Op
 	res   []cache.Result
 }
 
@@ -33,17 +32,13 @@ func (p *batchPort) Access(addr uint32, write bool) bool {
 func (p *batchPort) ExtraHitLatency() int { return p.extra }
 
 func (p *batchPort) AccessBatch(ops []PortOp, miss []bool) {
-	if cap(p.ops) < len(ops) {
-		p.ops = make([]cache.Op, len(ops))
+	if cap(p.res) < len(ops) {
 		p.res = make([]cache.Result, len(ops))
 	}
-	p.ops = p.ops[:len(ops)]
-	for i, op := range ops {
-		p.ops[i] = cache.Op{Addr: op.Addr, Write: op.Write}
-	}
-	p.c.AccessBatch(p.ops, p.res[:len(ops)])
-	for i := range p.ops {
-		miss[i] = !p.res[i].Hit
+	res := p.res[:len(ops)]
+	p.c.AccessBatch(ops, res)
+	for i := range res {
+		miss[i] = !res[i].Hit
 	}
 }
 

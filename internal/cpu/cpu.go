@@ -25,7 +25,10 @@
 // instruction stream driving one IL1 bank and one DL1 bank of K cache
 // configurations (MultiPort); each chunk is one NextSlice window of the
 // stream, classified and split at phase boundaries once, and only the
-// cache accesses and the per-member tallies fan out. Each bank batch
+// cache accesses fan out. A bank reports which members share an outcome
+// row (MultiPort.Row), so misses are counted once per distinct row and
+// load-use stalls once per distinct (row, EDC latency); only the final
+// fold into each member's Stats runs per member. Each bank batch
 // carries its run's phase id, so a bank that counts its own events per
 // phase indexes its table by that id. Every trace source serves full
 // windows, so the chunk grain is the same whether the stream is a
@@ -38,6 +41,7 @@ package cpu
 import (
 	"fmt"
 
+	"edcache/internal/cache"
 	"edcache/internal/trace"
 )
 
@@ -50,11 +54,10 @@ type Port interface {
 	ExtraHitLatency() int
 }
 
-// PortOp is one access of a batched port request.
-type PortOp struct {
-	Addr  uint32
-	Write bool
-}
+// PortOp is one access of a batched port request. It is the cache
+// layer's own op, so a bank hands the chunk's op list to its simulators
+// as it is, with no conversion.
+type PortOp = cache.Op
 
 // BatchPort is one cache configuration as the core drives it: one
 // AccessBatch call covers a whole instruction chunk, in program order,

@@ -17,7 +17,8 @@ const batchSize = 1024
 // lane is one stream replayed through one IL1/DL1 bank pair: the stream
 // that serves its chunks as NextSlice windows of batchSize, K member
 // Stats with their miss pricing, a phase ledger for annotated streams,
-// and the classification scratch shared by all members.
+// the banks' member → row maps, and the classification scratch shared
+// by all members.
 type lane struct {
 	s      trace.Stream
 	phased bool // the stream advertises phase ids
@@ -30,15 +31,20 @@ type lane struct {
 	it, dt   []sideTimer
 	lg       ledger // stays empty on unannotated streams
 
-	iops  []PortOp
-	dops  []PortOp
-	udist []uint8 // use distance per data op (0 for stores)
-	imiss [][]bool
-	dmiss [][]bool
+	// irow/drow[k] is member k's outcome row on each side; iown/down
+	// list the rows that own themselves. stallRow[k] is the first member
+	// with k's D row and EDC latency, and stallOwn lists those with an
+	// active EDC stage.
+	irow, drow, stallRow []int
+	iown, down, stallOwn []int
+	imc, dmc, stalls     []uint64 // per-chunk counts, indexed by owner
+	iops                 []PortOp
+	dops                 []PortOp
+	udist                []uint8 // use distance per data op (0 for stores)
+	imiss, dmiss         [][]bool
 	// irows/drows are the per-chunk re-slicings of imiss/dmiss handed
 	// to AccessBatch (each row exactly the chunk's op count).
-	irows [][]bool
-	drows [][]bool
+	irows, drows [][]bool
 }
 
 func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
@@ -58,17 +64,28 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 	mem := uint64(cfg.MemLatency)
 	l := &lane{
 		s: s, phased: s.HasPhases(), il1: il1, dl1: dl1, mem: mem,
-		sts:    make([]Stats, k),
-		dExtra: make([]int, k),
-		it:     make([]sideTimer, k),
-		dt:     make([]sideTimer, k),
-		iops:   make([]PortOp, batchSize),
-		dops:   make([]PortOp, 0, batchSize),
-		udist:  make([]uint8, 0, batchSize),
-		imiss:  make([][]bool, k),
-		dmiss:  make([][]bool, k),
-		irows:  make([][]bool, k),
-		drows:  make([][]bool, k),
+		sts:      make([]Stats, k),
+		dExtra:   make([]int, k),
+		it:       make([]sideTimer, k),
+		dt:       make([]sideTimer, k),
+		stallRow: make([]int, k),
+		imc:      make([]uint64, k),
+		dmc:      make([]uint64, k),
+		stalls:   make([]uint64, k),
+		iops:     make([]PortOp, batchSize),
+		dops:     make([]PortOp, batchSize),
+		udist:    make([]uint8, batchSize),
+		imiss:    make([][]bool, k),
+		dmiss:    make([][]bool, k),
+		irows:    make([][]bool, k),
+		drows:    make([][]bool, k),
+	}
+	var err error
+	if l.irow, l.iown, err = rowMap(il1, "IL1"); err != nil {
+		return nil, err
+	}
+	if l.drow, l.down, err = rowMap(dl1, "DL1"); err != nil {
+		return nil, err
 	}
 	for m := 0; m < k; m++ {
 		l.dExtra[m] = dl1.Member(m).ExtraHitLatency()
@@ -76,8 +93,35 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 		l.dt[m] = newSideTimer(dl1.Member(m), mem)
 		l.imiss[m] = make([]bool, batchSize)
 		l.dmiss[m] = make([]bool, batchSize)
+		l.stallRow[m] = m
+		for j := 0; j < m; j++ {
+			if l.drow[j] == l.drow[m] && l.dExtra[j] == l.dExtra[m] {
+				l.stallRow[m] = j
+				break
+			}
+		}
+		if l.stallRow[m] == m && l.dExtra[m] > 0 {
+			l.stallOwn = append(l.stallOwn, m)
+		}
 	}
 	return l, nil
+}
+
+// rowMap reads a bank's member → row map and lists the owner rows,
+// rejecting a row that is later than its member or not its own owner.
+func rowMap(p MultiPort, side string) (row, own []int, err error) {
+	row = make([]int, p.Members())
+	for k := range row {
+		r := p.Row(k)
+		if r < 0 || r > k || p.Row(r) != r {
+			return nil, nil, fmt.Errorf("cpu: %s bank maps member %d to row %d, which is not an earlier owner row", side, k, r)
+		}
+		row[k] = r
+		if r == k {
+			own = append(own, k)
+		}
+	}
+	return row, own, nil
 }
 
 // replay is the one replay loop: every round, each live lane replays
@@ -127,31 +171,34 @@ func (l *lane) step() bool {
 
 // process replays one run of phase id's instructions through every
 // member and folds member k's outcome into sts[k]: one classification,
-// one banked AccessBatch per side carrying the id, then a per-member
-// fold. Misses are a branch-free count over each outcome row (every
-// miss on a side costs the same latency), and load-use stalls read the
-// use distances recorded alongside the data ops, only for members with
-// an active EDC stage.
+// one banked AccessBatch per side carrying the id, then one miss count
+// per owner row (every miss on a side costs the same latency) and one
+// load-use stall tally per distinct (D row, EDC latency) with an active
+// EDC stage, over the use distances recorded alongside the data ops.
+// Only the fold runs per member, reading the counts of its rows.
 func (l *lane) process(id uint8, insts []trace.Inst, sts []Stats) {
 	n := len(insts)
-	iops := l.iops[:n]
-	dops, udist, mix := classify(insts, iops, l.dops[:0], l.udist[:0])
-	l.dops, l.udist = dops, udist
+	nd, mix := classify(insts, l.iops, l.dops, l.udist)
 	for k := range l.irows {
 		l.irows[k] = l.imiss[k][:n]
-		l.drows[k] = l.dmiss[k][:len(dops)]
+		l.drows[k] = l.dmiss[k][:nd]
 	}
-	l.il1.AccessBatch(id, iops, l.irows)
-	l.dl1.AccessBatch(id, dops, l.drows)
+	l.il1.AccessBatch(id, l.iops[:n], l.irows)
+	l.dl1.AccessBatch(id, l.dops[:nd], l.drows)
 
+	for _, r := range l.iown {
+		l.imc[r] = countTrue(l.irows[r])
+	}
+	for _, r := range l.down {
+		l.dmc[r] = countTrue(l.drows[r])
+	}
+	for _, k := range l.stallOwn {
+		l.stalls[k] = loadUseStalls(l.dExtra[k], l.udist[:nd], l.drows[l.drow[k]])
+	}
 	for k := range sts {
-		var loadUse uint64
-		if l.dExtra[k] > 0 {
-			loadUse = loadUseStalls(l.dExtra[k], udist, l.drows[k])
-		}
 		it, dt := &l.it[k], &l.dt[k]
 		foldChunk(&sts[k], n, mix, it.cost, dt.cost, l.mem,
-			countTrue(l.irows[k]), countTrue(l.drows[k]), it.l2Delta(), dt.l2Delta(), loadUse)
+			l.imc[l.irow[k]], l.dmc[l.drow[k]], it.l2Delta(), dt.l2Delta(), l.stalls[l.stallRow[k]])
 	}
 }
 
@@ -188,14 +235,17 @@ func (t *sideTimer) l2Delta() uint64 {
 }
 
 // countTrue returns the number of set entries — the batched miss
-// count. The conditional increment lowers to a branch-free add, so
-// tallying a chunk's misses is one linear pass over a byte slice.
+// count — in one branch-free pass over the row. Eight entries are
+// summed as a tree before each add to the total, so the adds do not
+// form one serial chain per entry (about 3x the throughput of a
+// per-entry loop on amd64).
 func countTrue(m []bool) uint64 {
 	var n uint64
+	for ; len(m) >= 8; m = m[8:] {
+		n += b2u(m[0]) + b2u(m[1]) + b2u(m[2]) + b2u(m[3]) + b2u(m[4]) + b2u(m[5]) + b2u(m[6]) + b2u(m[7])
+	}
 	for _, v := range m {
-		if v {
-			n++
-		}
+		n += b2u(v)
 	}
 	return n
 }
@@ -209,39 +259,56 @@ type chunkMix struct {
 }
 
 // classify performs the one walk over a chunk's instructions: it fills
-// iops (one fetch per instruction), appends the data accesses in
-// program order to dops with their use distances alongside in udist,
-// and tallies the instruction mix. iops must have length len(insts);
-// dops and udist are returned re-sliced (append semantics) so callers
-// can reuse their backing arrays.
-func classify(insts []trace.Inst, iops []PortOp, dops []PortOp, udist []uint8) ([]PortOp, []uint8, chunkMix) {
+// iops (one fetch per instruction), writes the data accesses in program
+// order to the front of dops with their use distances alongside in
+// udist, and returns their count and the instruction mix. iops, dops
+// and udist must each hold at least len(insts) entries.
+//
+// The walk has no data-dependent branch: every record writes a data op
+// at the next free index, and the index advances only past a memory op.
+// The precedence is that of a load/store/branch if-else chain, for
+// records carrying any flag combination: a load wins over a store (its
+// access reads, and its use distance counts), a memory op is never
+// counted as a branch, and a taken flag counts only on a branch that
+// is not a memory op. A store's use distance is masked to 0.
+func classify(insts []trace.Inst, iops, dops []PortOp, udist []uint8) (int, chunkMix) {
+	iops = iops[:len(insts)]
+	dops = dops[:len(insts)]
+	udist = udist[:len(insts)]
 	var mix chunkMix
+	d := 0
 	for i := range insts {
 		inst := &insts[i]
 		iops[i] = PortOp{Addr: inst.PC}
-		if inst.IsLoad {
-			mix.loads++
-			dops = append(dops, PortOp{Addr: inst.Addr})
-			udist = append(udist, inst.UseDist)
-		} else if inst.IsStore {
-			mix.stores++
-			dops = append(dops, PortOp{Addr: inst.Addr, Write: true})
-			udist = append(udist, 0)
-		} else if inst.IsBranch {
-			mix.branches++
-			if inst.Taken {
-				mix.taken++
-			}
-		}
+		ld, st := b2u(inst.IsLoad), b2u(inst.IsStore)
+		st &^= ld // a load with a store flag is a load
+		memOp := ld | st
+		br := b2u(inst.IsBranch) &^ memOp
+		dops[d] = PortOp{Addr: inst.Addr, Write: st != 0}
+		udist[d] = inst.UseDist & -uint8(ld)
+		d += int(memOp)
+		mix.loads += ld
+		mix.stores += st
+		mix.branches += br
+		mix.taken += br & b2u(inst.Taken)
 	}
-	return dops, udist, mix
+	return d, mix
+}
+
+// b2u is a flag as 0 or 1; the compiler lowers it to a zero extension.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // loadUseStalls tallies the chunk's load-to-use stall cycles for one
 // EDC-stage latency: for every load that hit (dmiss false) with a
 // consumer UseDist away, the consumer sees the value after 1+dExtra
 // cycles and hides UseDist of them. Callers skip the call entirely when
-// dExtra is zero — the baseline single-cycle hit never stalls.
+// dExtra is zero — the baseline single-cycle hit never stalls — and
+// make it once for all members sharing a D row and latency.
 func loadUseStalls(dExtra int, udist []uint8, dmiss []bool) uint64 {
 	var stalls uint64
 	for d, ud := range udist {

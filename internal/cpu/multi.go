@@ -8,22 +8,32 @@ import (
 
 // MultiPort is one side (IL1 or DL1) of a lane: one port standing in
 // for K cache configurations. AccessBatch must behave exactly as if
-// each member performed the ops in order on its own — miss[k][i] is
-// member k's outcome for op i — but implementations receive the chunk
-// once, which is the point: the op list is built by one classification
-// pass and fanned out to every configuration. Every batch holds the ops
-// of one phase, whose id comes with it: a MultiPort that counts its own
-// events per phase folds the batch into that id's counters.
+// each member performed the ops in order on its own, but
+// implementations receive the chunk once, which is the point: the op
+// list is built by one classification pass and fanned out to every
+// configuration. Members whose outcomes are equal on every op sequence
+// — configurations that share cache state — may share one outcome row:
+// Row names it, and AccessBatch fills only the rows that own
+// themselves. Every batch holds the ops of one phase, whose id comes
+// with it: a MultiPort that counts its own events per phase folds the
+// batch into that id's counters.
 type MultiPort interface {
 	// Members returns the number of configurations behind the port.
 	Members() int
 	// Member returns member k's view for timing: its EDC hit latency,
 	// and its second level when it implements TieredPort.
 	Member(k int) Port
+	// Row returns the member whose outcome row holds member k's
+	// outcomes: k itself, or an earlier member whose outcomes equal
+	// k's on every op sequence, and which is its own row. The answer
+	// is fixed for the life of the port; the lane reads it once.
+	Row(k int) int
 	// AccessBatch performs the ops in order on every member, setting
-	// miss[k][i] to member k's i-th outcome. Each miss[k] has exactly
-	// len(ops) entries. phase is the ops' phase id: the stream's
-	// annotation, or 0 on an unannotated stream.
+	// miss[r][i] to the i-th outcome of the members whose row is r.
+	// Each miss[k] has exactly len(ops) entries; rows with Row(k) != k
+	// are not read after the call, and their contents are unspecified.
+	// phase is the ops' phase id: the stream's annotation, or 0 on an
+	// unannotated stream.
 	AccessBatch(phase uint8, ops []PortOp, miss [][]bool)
 }
 
@@ -57,6 +67,10 @@ func (f *FanPort) Members() int { return len(f.members) }
 // TieredPort member keeps its two-level timing inside the bank).
 func (f *FanPort) Member(k int) Port { return f.members[k] }
 
+// Row implements MultiPort: the members are independent, so each owns
+// its row.
+func (f *FanPort) Row(k int) int { return k }
+
 // AccessBatch implements MultiPort. The members count no phases, so
 // the id is ignored.
 func (f *FanPort) AccessBatch(_ uint8, ops []PortOp, miss [][]bool) {
@@ -73,9 +87,10 @@ func (f *FanPort) AccessBatch(_ uint8, ops []PortOp, miss [][]bool) {
 // This is the single-pass sweep engine's cpu layer, one lane of the
 // replay loop: the stream is walked once, each chunk is classified
 // once (the instruction mix and op lists are configuration-
-// independent), and only the cache accesses and outcome tallies fan
-// out per member. Phase-annotated streams are counted per phase per
-// member, each bank batch carrying its phase id.
+// independent), the cache accesses fan out per member, and misses and
+// load-use stalls are counted once per distinct outcome row.
+// Phase-annotated streams are counted per phase per member, each bank
+// batch carrying its phase id.
 func RunMulti(cfg Config, il1, dl1 MultiPort, s trace.Stream) ([]Stats, error) {
 	sts, err := RunShared(cfg, []CorePorts{{IL1: il1, DL1: dl1}}, []trace.Stream{s})
 	if err != nil {

@@ -86,8 +86,14 @@ func source(t *testing.T, rng *rand.Rand, kind, n int, phased bool, readers *[]*
 		w := ws[rng.Intn(len(ws))].ScaledTo(n)
 		return w.Stream
 	}
+	return fileSource(t, randomInsts(rng, n, phased), phased, readers)
+}
+
+// fileSource writes insts to a v2 trace in 11-record chunks and returns
+// a factory of Readers over it, appending each to readers.
+func fileSource(t *testing.T, insts []trace.Inst, phased bool, readers *[]*trace.Reader) func() trace.Stream {
 	var b bytes.Buffer
-	if _, err := trace.WriteV2(&b, &trace.SliceStream{Insts: randomInsts(rng, n, phased)}, trace.V2Options{ChunkRecords: 11, Phases: phased}); err != nil {
+	if _, err := trace.WriteV2(&b, &trace.SliceStream{Insts: insts}, trace.V2Options{ChunkRecords: 11, Phases: phased}); err != nil {
 		t.Fatal(err)
 	}
 	return func() trace.Stream {

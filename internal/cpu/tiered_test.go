@@ -13,10 +13,9 @@ import (
 // contracts — the same wiring core's hierarchy port uses, minus energy
 // — plus the scalar Access the naive oracle drives.
 type hierPort struct {
-	h    *cache.Hierarchy
-	lat  int
-	cops []cache.Op
-	cres []cache.Result
+	h   *cache.Hierarchy
+	lat int
+	res []cache.Result
 }
 
 func newHierPort(l1, l2 cache.Config, shared *cache.Cache, lat int) *hierPort {
@@ -31,17 +30,13 @@ func (p *hierPort) Access(addr uint32, write bool) bool { return !p.h.Access(add
 func (p *hierPort) ExtraHitLatency() int { return 0 }
 
 func (p *hierPort) AccessBatch(ops []PortOp, miss []bool) {
-	if cap(p.cops) < len(ops) {
-		p.cops = make([]cache.Op, len(ops))
-		p.cres = make([]cache.Result, len(ops))
+	if cap(p.res) < len(ops) {
+		p.res = make([]cache.Result, len(ops))
 	}
-	cops, cres := p.cops[:len(ops)], p.cres[:len(ops)]
-	for i, op := range ops {
-		cops[i] = cache.Op{Addr: op.Addr, Write: op.Write}
-	}
-	p.h.AccessBatch(cops, cres)
-	for i := range cres {
-		miss[i] = !cres[i].Hit
+	res := p.res[:len(ops)]
+	p.h.AccessBatch(ops, res)
+	for i := range res {
+		miss[i] = !res[i].Hit
 	}
 }
 
