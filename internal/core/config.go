@@ -100,10 +100,6 @@ type L2Config struct {
 	Ways      int
 	LineBytes int // must equal the L1 line size (victim lines move verbatim)
 
-	// EnabledWays caps the powered ways (0 = all enabled); the rest
-	// are gated off at construction — the per-level way-disable policy.
-	EnabledWays int
-
 	// Latency is the L1-miss service time from the L2 in cycles; each
 	// demand fill that misses the L2 adds the full MemLatency on top.
 	Latency int
@@ -124,9 +120,6 @@ func (l L2Config) Validate(c Config) error {
 	}
 	if l.LineBytes != c.LineBytes {
 		return fmt.Errorf("core: L2 line size %d B must equal the L1's %d B", l.LineBytes, c.LineBytes)
-	}
-	if l.EnabledWays < 0 || l.EnabledWays > l.Ways {
-		return fmt.Errorf("core: L2 enabled ways %d outside 0..%d", l.EnabledWays, l.Ways)
 	}
 	if l.Latency < 1 {
 		return fmt.Errorf("core: L2 latency %d must be ≥ 1", l.Latency)

@@ -228,7 +228,6 @@ func TestL2ConfigValidate(t *testing.T) {
 		{Sets: 128, Ways: 65, LineBytes: 32, Latency: 6},
 		{Sets: 128, Ways: 8, LineBytes: 64, Latency: 6},
 		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 0},
-		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, EnabledWays: 9},
 		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.Kind(99)},
 	}
 	for i, l2 := range bad {
@@ -236,17 +235,15 @@ func TestL2ConfigValidate(t *testing.T) {
 			t.Errorf("bad L2 config %d accepted: %+v", i, l2)
 		}
 	}
-	good := base.WithL2(L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6,
-		EnabledWays: 4, Protection: ecc.KindDECTED})
+	good := base.WithL2(L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.KindDECTED})
 	if err := good.Validate(); err != nil {
 		t.Errorf("good L2 config rejected: %v", err)
 	}
 }
 
-// TestHierarchyEnabledWaysAndProtection checks the per-level policies
-// bite: capping the L2's enabled ways raises its misses on a thrashing
-// workload, and SECDED protection adds codec energy relative to none.
-func TestHierarchyEnabledWaysAndProtection(t *testing.T) {
+// TestHierarchyProtection checks the L2 protection policy bites: SECDED
+// protection adds codec energy relative to none and widens the array.
+func TestHierarchyProtection(t *testing.T) {
 	base := PaperConfig(yield.ScenarioA, Baseline)
 	w, err := bench.ByName("adversarial_l1")
 	if err != nil {
@@ -259,12 +256,6 @@ func TestHierarchyEnabledWaysAndProtection(t *testing.T) {
 			t.Fatal(err)
 		}
 		return rep
-	}
-	full := run(L2Config{Sets: 32, Ways: 8, LineBytes: 32, Latency: 6})
-	capped := run(L2Config{Sets: 32, Ways: 8, LineBytes: 32, Latency: 6, EnabledWays: 1})
-	if capped.Levels[1].Misses <= full.Levels[1].Misses {
-		t.Errorf("way cap did not raise L2 misses: %d vs %d",
-			capped.Levels[1].Misses, full.Levels[1].Misses)
 	}
 	plain := run(L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6})
 	coded := run(L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.KindSECDED})

@@ -23,8 +23,8 @@ import (
 //
 // Slots are keyed from configuration (planGroup), so a simulator is
 // built only for a new slot: members whose slotKey — L1 geometry and
-// way gating, plus L2 geometry and way cap for a member with Config.L2
-// — coincides share one slot. Baseline and proposed at the same mode
+// way gating, plus L2 geometry for a member with Config.L2 —
+// coincides share one slot. Baseline and proposed at the same mode
 // differ only in cell sizing, coding and latency, none of which touch
 // cache *state*, so the paper's 8-member scenario × mode × design group
 // builds only 2 caches per side, and the 6-member hier group (2 L2
@@ -51,13 +51,13 @@ type GroupMember struct {
 
 // slotKey identifies members whose caches evolve identically under any
 // access sequence: the same L1 geometry and initially-enabled ways and,
-// for a member with a second level, the same L2 geometry and enabled
-// ways (l2 is zero without one). Everything else a member configures —
-// EDC latency, cell sizing, energy models, L2 latency and protection —
-// lives outside the simulator state.
+// for a member with a second level, the same L2 geometry (l2 is zero
+// without one). Everything else a member configures — EDC latency,
+// cell sizing, energy models, L2 latency and protection — lives outside
+// the simulator state.
 type slotKey struct {
-	l1, l2         cache.Config
-	l1Ways, l2Ways uint64 // enabled-way masks
+	l1, l2 cache.Config
+	l1Ways uint64 // enabled-way mask
 }
 
 // groupPlan is a replay group's slot assignment, keyed from the
@@ -85,7 +85,7 @@ func planGroup(members []GroupMember) *groupPlan {
 			g.keys = append(g.keys, key)
 			var l2 *cache.Cache
 			if gm.Sys.cfg.L2 != nil {
-				l2 = newSim(key.l2, key.l2Ways)
+				l2 = cache.MustNew(key.l2)
 			}
 			g.l2 = append(g.l2, l2)
 		}

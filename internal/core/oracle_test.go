@@ -101,14 +101,10 @@ func naiveL1(s *System, m Mode) *cache.Cache {
 	return c
 }
 
-// naiveL2 builds a fresh second-level simulator with the ways past its
-// EnabledWays cap (0 for none) gated, in either mode.
+// naiveL2 builds a fresh second-level simulator, all ways powered in
+// either mode.
 func naiveL2(s *System) *cache.Cache {
-	l2 := cache.MustNew(cache.Config{Sets: s.cfg.L2.Sets, Ways: s.cfg.L2.Ways, LineBytes: s.cfg.L2.LineBytes})
-	for w := s.cfg.L2.EnabledWays; s.cfg.L2.EnabledWays > 0 && w < s.cfg.L2.Ways; w++ {
-		l2.SetWayEnabled(w, false)
-	}
-	return l2
+	return cache.MustNew(cache.Config{Sets: s.cfg.L2.Sets, Ways: s.cfg.L2.Ways, LineBytes: s.cfg.L2.LineBytes})
 }
 
 // naiveSides builds fresh oracle sides for a system in a mode: plain

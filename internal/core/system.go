@@ -417,7 +417,7 @@ func lowWays(n int) uint64 { return ^uint64(0) >> (64 - n) }
 
 // stateKey returns the cache state a member in mode m starts from: ULE
 // mode disables the HP ways, HP mode optionally gates the ULE ways
-// (ablation A5), and an L2 keeps its way cap in both modes, since it
+// (ablation A5), and an L2 powers all its ways in both modes, since it
 // sits behind the mode-switched L1s and is not part of the way split.
 func (s *System) stateKey(m Mode) slotKey {
 	k := slotKey{l1: cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes}}
@@ -431,10 +431,6 @@ func (s *System) stateKey(m Mode) slotKey {
 	}
 	if l2 := s.cfg.L2; l2 != nil {
 		k.l2 = cache.Config{Sets: l2.Sets, Ways: l2.Ways, LineBytes: l2.LineBytes}
-		k.l2Ways = lowWays(l2.Ways)
-		if l2.EnabledWays > 0 {
-			k.l2Ways = lowWays(l2.EnabledWays)
-		}
 	}
 	return k
 }
@@ -591,32 +587,27 @@ func (s *System) levelize(m Mode, b *Breakdown, st cpu.Stats, l2c l2Counters, ti
 
 // l2Breakdown returns the second level's raw (not per-instruction)
 // dynamic, leakage and codec energies for one (sub-)run, mirroring the
-// L1 accounting term by term: parallel lookups over the enabled ways,
+// L1 accounting term by term: parallel lookups over all ways,
 // line-granular fills and write-backs, per-word codec passes, and
-// leakage with the disabled ways gated. Every term is linear in the
-// counters, so phase slices sum to run totals.
+// leakage of every way. Every term is linear in the counters, so phase
+// slices sum to run totals.
 func (s *System) l2Breakdown(m Mode, c l2Counters, timeNS float64) (dyn, leak, edc float64) {
 	vcc := s.cfg.Vcc(m)
 	l2cfg := s.cfg.L2
-	enabled := l2cfg.Ways
-	if l2cfg.EnabledWays > 0 {
-		enabled = l2cfg.EnabledWays
-	}
 	check := l2cfg.Protection.CheckBits()
 	d := s.cfg.DataWordBits + check
 	t := s.cfg.TagWordBits + check
 	wpl := l2cfg.LineBytes * 8 / s.cfg.DataWordBits
 
-	// Lookups probe every enabled way; a write lands its victim line
+	// Lookups probe every way; a write lands its victim line
 	// word by word (writes == word-write count, see l2Counters); fills
 	// write the whole line plus tag; write-backs read the line out.
-	dyn = float64(c.reads+c.writes) * float64(enabled) * s.l2Array.AccessEnergy(vcc, d, t)
+	dyn = float64(c.reads+c.writes) * float64(l2cfg.Ways) * s.l2Array.AccessEnergy(vcc, d, t)
 	dyn += float64(c.writes) * float64(wpl) * s.l2Array.WriteEnergy(vcc, d, 0)
 	dyn += float64(c.fills) * (s.l2Array.WriteEnergy(vcc, d, t) + float64(wpl-1)*s.l2Array.WriteEnergy(vcc, d, 0))
 	dyn += float64(c.wbs) * float64(wpl) * s.l2Array.AccessEnergy(vcc, d, 0)
 
-	leak = (float64(enabled)*s.l2Array.LeakPower(vcc, false) +
-		float64(l2cfg.Ways-enabled)*s.l2Array.LeakPower(vcc, true)) * timeNS
+	leak = float64(l2cfg.Ways) * s.l2Array.LeakPower(vcc, false) * timeNS
 
 	// Codec traffic: reads decode the selected word, incoming lines
 	// (writes and fills) encode every word plus the tag, write-backs to

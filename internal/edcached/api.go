@@ -32,9 +32,11 @@ import "edcache/internal/sim"
 // GridOptions is the client-settable subset of the experiment options
 // that shape a job's grid and results. Zero values mean the package
 // defaults (see experiments.Options). Workers here is the engine's
-// inner Monte-Carlo fan-out, proven result-neutral — it shapes speed,
-// not bytes — so it is safe to let clients tune it per job. Submit
-// caps Instructions at 10 000 000 and Trials at 1 000 000.
+// inner fan-out within one task (workload pools, Monte-Carlo trial
+// shards), proven result-neutral — it shapes speed, not bytes — but
+// it sizes goroutine pools and their per-goroutine state, so Submit
+// bounds it like the others: Instructions at 10 000 000, Trials at
+// 1 000 000 and Workers at 256.
 type GridOptions struct {
 	Instructions int `json:"instructions,omitempty"`
 	Trials       int `json:"trials,omitempty"`

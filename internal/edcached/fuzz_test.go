@@ -57,6 +57,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"experiment":"slowgrid","options":{"instructions":-5,"trials":-1,"workers":-1}}`,
 		`{"experiment":"sweep","seed":"x"}`,
 		`{}`, `[]`, `null`, `not json`, ``,
+		`{"experiment":"reliability","options":{"trials":1000000,"workers":1000000}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -271,16 +271,20 @@ func NewManager(cfg Config) (*Manager, error) {
 // Admission caps on a job's grid options, 33× and 500× paper scale:
 // instructions size every workload slab (16 B each), so an unbounded
 // count lets one request make the first claimant allocate terabytes.
+// Workers sizes a task's inner pools (a Monte-Carlo campaign starts
+// min(workers, trials) goroutines, each with its own fault map), so it
+// is capped too.
 const (
 	maxInstructions = 10_000_000
 	maxTrials       = 1_000_000
+	maxWorkers      = 256
 )
 
 // Submit validates and enqueues a job.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
-	if spec.Options.Instructions > maxInstructions || spec.Options.Trials > maxTrials {
-		return JobStatus{}, fmt.Errorf("%w: options exceed instructions %d or trials %d",
-			ErrBadRequest, maxInstructions, maxTrials)
+	if o := spec.Options; o.Instructions > maxInstructions || o.Trials > maxTrials || o.Workers > maxWorkers {
+		return JobStatus{}, fmt.Errorf("%w: options exceed instructions %d, trials %d or workers %d",
+			ErrBadRequest, maxInstructions, maxTrials, maxWorkers)
 	}
 	if spec.DeadlineMS < 0 || spec.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
 		return JobStatus{}, fmt.Errorf("%w: deadlineMS %d does not fit a time.Duration", ErrBadRequest, spec.DeadlineMS)

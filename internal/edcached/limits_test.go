@@ -82,8 +82,8 @@ func TestDeadlineMSBounded(t *testing.T) {
 }
 
 // TestGridOptionsAdmissionCaps pins the POST /jobs caps on the grid
-// options: a job at maxInstructions or maxTrials is admitted, one past
-// either cap answers 400. The server runs no shard and its registry caps
+// options: a job at maxInstructions, maxTrials or maxWorkers is
+// admitted, one past any cap answers 400. The server runs no shard and its registry caps
 // grids at 16 points, so an admitted job computes and allocates nothing.
 func TestGridOptionsAdmissionCaps(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
@@ -99,6 +99,10 @@ func TestGridOptionsAdmissionCaps(t *testing.T) {
 		{GridOptions{Instructions: maxInstructions + 1}, http.StatusBadRequest},
 		{GridOptions{Trials: maxTrials + 1}, http.StatusBadRequest},
 		{GridOptions{Instructions: 1_000_000_000_000}, http.StatusBadRequest},
+		{GridOptions{Workers: maxWorkers}, http.StatusAccepted},
+		{GridOptions{Trials: maxTrials, Workers: maxWorkers}, http.StatusAccepted},
+		{GridOptions{Workers: maxWorkers + 1}, http.StatusBadRequest},
+		{GridOptions{Trials: maxTrials, Workers: 1_000_000}, http.StatusBadRequest},
 	} {
 		spec := JobSpec{Experiment: "sweep", Seed: 1, Options: tc.opts}
 		if resp, body := postJSON(t, ts.URL+"/jobs", spec); resp.StatusCode != tc.want {

@@ -29,39 +29,33 @@ func ablationExperiments(o Options) []sim.Experiment {
 // waySplitAblation is A1: 7+1 vs 6+2 (Section IV-A).
 func waySplitAblation(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "a1-waysplit",
-		Desc:    "A1: way-split ablation — 7+1 vs 6+2 ULE ways (Section IV-A)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	type point struct {
+		ule int
+		m   core.Mode
+	}
+	return &experiment[point]{
+		name: "a1-waysplit",
+		desc: "A1: way-split ablation — 7+1 vs 6+2 ULE ways (Section IV-A)",
+		grid: func(add func(sim.Task, point)) {
 			for _, ule := range []int{1, 2} {
 				for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
-					tasks = append(tasks, sim.Task{
+					add(sim.Task{
 						Label:  fmt.Sprintf("split=%d+%d mode=%v", 8-ule, ule, m),
 						Params: sim.P("ule_ways", strconv.Itoa(ule), "mode", m.String()),
-					})
+					}, point{ule, m})
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			ule, err := strconv.Atoi(t.Params["ule_ways"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			m, err := modeByName(t.Params["mode"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			w, arena, err := o.workloadArena("adpcm_c")
 			if err != nil {
 				return sim.Result{}, err
 			}
 			cb := core.PaperConfig(yield.ScenarioA, core.Baseline)
-			cb.ULEWays = ule
+			cb.ULEWays = p.ule
 			cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
-			cp.ULEWays = ule
-			rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), m)
+			cp.ULEWays = p.ule
+			rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), p.m)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -78,24 +72,18 @@ func waySplitAblation(o Options) sim.Experiment {
 // memory latency.
 func memLatencyAblation(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "a2-memlat",
-		Desc:    "A2: memory-latency ablation — savings vs 10..80-cycle memory (paper: trends unchanged)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[int]{
+		name: "a2-memlat",
+		desc: "A2: memory-latency ablation — savings vs 10..80-cycle memory (paper: trends unchanged)",
+		grid: func(add func(sim.Task, int)) {
 			for _, lat := range []int{10, 20, 40, 80} {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("memlat=%d", lat),
 					Params: sim.P("mem_latency", strconv.Itoa(lat)),
-				})
+				}, lat)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			lat, err := strconv.Atoi(t.Params["mem_latency"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(lat int, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			var ms []sim.Metric
 			for _, m := range []core.Mode{core.ModeHP, core.ModeULE} {
 				name := "gsm_c"
@@ -124,24 +112,18 @@ func memLatencyAblation(o Options) sim.Experiment {
 // granularityAblation is A3: EDC word granularity — check-bit overhead
 // vs yield.
 func granularityAblation() sim.Experiment {
-	return sim.Def{
-		ExpName: "a3-granularity",
-		Desc:    "A3: EDC word-granularity ablation — check-bit overhead vs yield",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[int]{
+		name: "a3-granularity",
+		desc: "A3: EDC word-granularity ablation — check-bit overhead vs yield",
+		grid: func(add func(sim.Task, int)) {
 			for _, bits := range []int{8, 16, 32} {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("%d-bit words", bits),
 					Params: sim.P("word_bits", strconv.Itoa(bits)),
-				})
+				}, bits)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			bitsPerWord, err := strconv.Atoi(t.Params["word_bits"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(bitsPerWord int, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			codec, err := ecc.NewSECDEDMinimal(bitsPerWord)
 			if err != nil {
 				return sim.Result{}, err
@@ -157,7 +139,7 @@ func granularityAblation() sim.Experiment {
 				sim.Fmt("way_yield_at_1.5e-4", y, "%.5f"),
 			}}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []int) ([]sim.Result, error) {
 			results[len(results)-1].Detail = "(finer words: more overhead, higher yield; the paper's 32-bit choice balances both)\n"
 			return results, nil
 		},
@@ -169,24 +151,18 @@ func granularityAblation() sim.Experiment {
 // cells; compare plain SECDED(39,32) with a 4-way interleaved SECDED
 // over the same 32-bit word on bursts of adjacent flips.
 func interleavingAblation() sim.Experiment {
-	return sim.Def{
-		ExpName: "a4-interleave",
-		Desc:    "A4: bit interleaving vs multi-bit upsets (extension for deep-scaled nodes)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[int]{
+		name: "a4-interleave",
+		desc: "A4: bit interleaving vs multi-bit upsets (extension for deep-scaled nodes)",
+		grid: func(add func(sim.Task, int)) {
 			for burst := 1; burst <= 4; burst++ {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("burst=%d", burst),
 					Params: sim.P("burst", strconv.Itoa(burst)),
-				})
+				}, burst)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			burst, err := strconv.Atoi(t.Params["burst"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(burst int, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			plain, err := ecc.NewSECDED(32)
 			if err != nil {
 				return sim.Result{}, err
@@ -201,7 +177,7 @@ func interleavingAblation() sim.Experiment {
 				sim.Num("interleaved_check_bits", float64(inter.CheckBits())),
 			}}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []int) ([]sim.Result, error) {
 			results[len(results)-1].Detail = "(interleaving buys burst correction at 4x the check-bit overhead — the natural\n" +
 				" extension of the architecture for MBU-prone deep-scaled nodes)\n"
 			return results, nil
@@ -251,17 +227,14 @@ func burstOutcome(c ecc.Codec, burst int) string {
 func uleReuseAblation(o Options) sim.Experiment {
 	o = o.withDefaults()
 	const memAccessPJ = 300.0
-	return sim.Def{
-		ExpName: "a5-ulereuse",
-		Desc:    "A5: reuse vs gate ULE ways at HP mode (Section III-A claim)",
-		GridFn: func() []sim.Task {
-			return []sim.Task{
-				{Label: "reuse ULE way (paper design)", Params: sim.P("gate", "false")},
-				{Label: "gate ULE way off at HP", Params: sim.P("gate", "true")},
-			}
+	return &experiment[bool]{
+		name: "a5-ulereuse",
+		desc: "A5: reuse vs gate ULE ways at HP mode (Section III-A claim)",
+		grid: func(add func(sim.Task, bool)) {
+			add(sim.Task{Label: "reuse ULE way (paper design)", Params: sim.P("gate", "false")}, false)
+			add(sim.Task{Label: "gate ULE way off at HP", Params: sim.P("gate", "true")}, true)
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			gate := t.Params["gate"] == "true"
+		run: func(gate bool, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			// mpeg2_c needs more than the 7 KB of HP ways.
 			w, arena, err := o.workloadArena("mpeg2_c")
 			if err != nil {
@@ -282,7 +255,7 @@ func uleReuseAblation(o Options) sim.Experiment {
 				sim.FmtU("with_memory_epi", rep.EPI.Total()+memEPI, "pJ", "%.2f"),
 			}}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []bool) ([]sim.Result, error) {
 			results[len(results)-1].Detail = "(gating the ULE way shrinks the HP-mode cache to 7 KB: more misses, a slower\n" +
 				" reaction to the event burst, and — once memory accesses are priced in — more\n" +
 				" total energy: the paper's reason to reuse the ULE ways at HP mode)\n"

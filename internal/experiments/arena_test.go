@@ -35,9 +35,9 @@ func TestCorpusMetricsBitIdenticalToGeneratorStreams(t *testing.T) {
 		if r.Task.Params["workload"] == "average" {
 			continue
 		}
-		m, err := modeByName(r.Task.Params["mode"])
-		if err != nil {
-			t.Fatal(err)
+		m := core.ModeHP
+		if r.Task.Params["mode"] == core.ModeULE.String() {
+			m = core.ModeULE
 		}
 		w, err := workloadByName(r.Task.Params["workload"], o.Instructions)
 		if err != nil {

@@ -30,39 +30,33 @@ import (
 // engine.
 func corpusExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "corpus",
-		Desc:    "corpus-wide sweep — EPI, miss rates and ULE slowdown for every registered workload (and any -trace file), both scenarios and modes",
-		GridFn: func() []sim.Task {
+	return &experiment[pairPoint]{
+		name: "corpus",
+		desc: "corpus-wide sweep — EPI, miss rates and ULE slowdown for every registered workload (and any -trace file), both scenarios and modes",
+		grid: func(add func(sim.Task, pairPoint)) {
 			traceNames := traceSourceNames(o.TraceFiles)
-			var tasks []sim.Task
 			for _, s := range scenarios {
 				for _, m := range modes {
 					for _, w := range bench.Full() {
-						tasks = append(tasks, sim.Task{
+						add(sim.Task{
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, w.Name),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", w.Name, "suite", w.Suite.String(), "pattern", w.Pattern.String()),
-						})
+						}, pairPoint{s: s, m: m, src: source{name: w.Name}})
 					}
 					for _, tf := range o.TraceFiles {
-						tasks = append(tasks, sim.Task{
+						add(sim.Task{
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, traceNames[tf]),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", traceNames[tf], "trace", tf,
 								"suite", "trace", "pattern", "trace"),
-						})
+						}, pairPoint{s: s, m: m, src: source{name: traceNames[tf], trace: tf}})
 					}
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			m, err := modeByName(t.Params["mode"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			p, err := o.taskPair(t, m)
+		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			p, err := o.pair(pt)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -78,7 +72,7 @@ func corpusExperiment(o Options) sim.Experiment {
 			}
 			return sim.Result{Metrics: ms, Data: p}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, points []pairPoint) ([]sim.Result, error) {
 			// Corpus-wide averages per (scenario, mode), aggregated with
 			// the library's own summariser so every experiment shares one
 			// averaging convention. File-backed points are reported but
@@ -89,8 +83,7 @@ func corpusExperiment(o Options) sim.Experiment {
 				for _, m := range modes {
 					var pairs []core.Pair
 					for _, r := range results {
-						if r.Task.Params["scenario"] != s.String() || r.Task.Params["mode"] != m.String() ||
-							r.Task.Params["trace"] != "" {
+						if pt := points[r.Task.ID]; pt.s != s || pt.m != m || pt.src.trace != "" {
 							continue
 						}
 						if p, ok := r.Data.(core.Pair); ok {
@@ -124,29 +117,13 @@ func corpusExperiment(o Options) sim.Experiment {
 // are footprint-sized against.
 var corpusMissGeometry = cache.Config{Sets: 32, Ways: 8, LineBytes: 32}
 
-// calibratedByName resolves one of the capacity-calibrated generator
-// instances (bench.CalibratedCorpus over the sweep geometry) at the
-// configured trace length.
-func calibratedByName(name string, instructions int) (bench.Workload, error) {
-	for _, w := range bench.CalibratedCorpus(corpusMissGeometry) {
-		if w.Name == name {
-			return w.ScaledTo(instructions), nil
-		}
-	}
-	return bench.Workload{}, fmt.Errorf("experiments: unknown calibrated workload %q", name)
-}
-
 // profileKey identifies one corpus-miss replay source: the stream
 // whose single stack-distance profile serves the whole capacity axis.
 type profileKey struct {
 	workload string
 	trace    string
-	suite    string // "calibrated" resolves through calibratedByName
-}
-
-// taskProfileKey reads a corpus-miss task's source from its Params.
-func taskProfileKey(t sim.Task) profileKey {
-	return profileKey{workload: t.Params["workload"], trace: t.Params["trace"], suite: t.Params["suite"]}
+	suite    string         // "calibrated" streams w from its generator
+	w        bench.Workload // the generator at the run's trace length; zero for a trace file
 }
 
 // group is the sim.Task.Group of the source's ways tasks.
@@ -182,79 +159,70 @@ func corpusMissExperiment(o Options) sim.Experiment {
 		// pass only, so it streams from its generator instead of
 		// materialising a slab the run would keep.
 		var s trace.Stream
-		var err error
 		switch {
 		case k.suite == "calibrated":
-			var w bench.Workload
-			if w, err = calibratedByName(k.workload, o.Instructions); err == nil {
-				s = w.Stream()
-			}
+			s = k.w.Stream()
 		case k.trace != "":
-			var arena trace.Slab
-			if arena, err = o.fileArenas.Get(k.trace); err == nil {
-				s = arena.NewCursor()
+			arena, err := o.fileArenas.Get(k.trace)
+			if err != nil {
+				return nil, err
 			}
+			s = arena.NewCursor()
 		default:
-			var arena *trace.Arena
-			if _, arena, err = o.workloadArena(k.workload); err == nil {
-				s = arena.NewCursor()
-			}
-		}
-		if err != nil {
-			return nil, err
+			s = o.arenas.Get(k.w).NewCursor()
 		}
 		p := cache.MustNewStackProfile(corpusMissGeometry)
 		ProfileDataRefs(s, p)
 		return p, nil
 	})
-	return sim.Def{
-		ExpName: "corpus-miss",
-		Desc:    "corpus locality sweep — DL1 miss rate vs cache capacity (1-8 ways) for every registered workload, geometry-calibrated footprints (and any -trace file)",
-		GridFn: func() []sim.Task {
+	type point struct {
+		src  profileKey
+		ways int
+	}
+	return &experiment[point]{
+		name: "corpus-miss",
+		desc: "corpus locality sweep — DL1 miss rate vs cache capacity (1-8 ways) for every registered workload, geometry-calibrated footprints (and any -trace file)",
+		grid: func(add func(sim.Task, point)) {
 			traceNames := traceSourceNames(o.TraceFiles)
-			var tasks []sim.Task
-			// source appends one source's ways axis, grouped on its
-			// profile.
-			source := func(name string, params ...string) {
-				for _, k := range ways {
-					t := sim.Task{
-						Label:  fmt.Sprintf("%s ways=%d", name, k),
-						Params: sim.P(append([]string{"workload", name, "ways", strconv.Itoa(k)}, params...)...),
-					}
-					t.Group = taskProfileKey(t).group()
-					tasks = append(tasks, t)
+			// addSource adds one source's ways axis, grouped on its profile.
+			addSource := func(k profileKey, pattern string) {
+				params := []string{"workload", k.workload, "suite", k.suite, "pattern", pattern}
+				if k.trace != "" {
+					params = append(params, "trace", k.trace)
+				}
+				for _, n := range ways {
+					add(sim.Task{
+						Label:  fmt.Sprintf("%s ways=%d", k.workload, n),
+						Params: sim.P(append(params, "ways", strconv.Itoa(n))...),
+						Group:  k.group(),
+					}, point{k, n})
 				}
 			}
 			for _, w := range bench.Full() {
-				source(w.Name, "suite", w.Suite.String(), "pattern", w.Pattern.String())
+				addSource(profileKey{workload: w.Name, suite: w.Suite.String(), w: w.ScaledTo(o.Instructions)}, w.Pattern.String())
 			}
 			for _, w := range bench.CalibratedCorpus(corpusMissGeometry) {
-				source(w.Name, "suite", "calibrated", "pattern", w.Pattern.String())
+				addSource(profileKey{workload: w.Name, suite: "calibrated", w: w.ScaledTo(o.Instructions)}, w.Pattern.String())
 			}
 			for _, tf := range o.TraceFiles {
-				source(traceNames[tf], "trace", tf, "suite", "trace", "pattern", "trace")
+				addSource(profileKey{workload: traceNames[tf], trace: tf, suite: "trace"}, "trace")
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			k, err := strconv.Atoi(t.Params["ways"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			// One profile pass per source serves every ways-k task; the
 			// post-build reads (Refs, Misses) are read-only and safe for
 			// the concurrent tasks sharing it.
-			prof, err := profiles.Get(taskProfileKey(t))
+			prof, err := profiles.Get(p.src)
 			if err != nil {
 				return sim.Result{}, err
 			}
 			refs := prof.Refs()
 			if refs == 0 {
-				return sim.Result{}, fmt.Errorf("experiments: %s produced no memory references", t.Params["workload"])
+				return sim.Result{}, fmt.Errorf("experiments: %s produced no memory references", p.src.workload)
 			}
-			misses := prof.Misses(k)
+			misses := prof.Misses(p.ways)
 			geom := corpusMissGeometry
-			geom.Ways = k
+			geom.Ways = p.ways
 			return sim.Result{Metrics: []sim.Metric{
 				sim.NumU("capacity", float64(geom.SizeBytes()), "B"),
 				sim.Num("refs", float64(refs)),

@@ -199,16 +199,21 @@ func TestCorpusMissGroupStreamsCalibratedSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	calibrated := map[string]bench.Workload{}
+	for _, w := range bench.CalibratedCorpus(corpusMissGeometry) {
+		calibrated[w.Name] = w.ScaledTo(o.Instructions)
+	}
 	checked := 0
 	for _, r := range res {
 		if r.Task.Params["suite"] != "calibrated" {
 			continue
 		}
-		w, err := calibratedByName(r.Task.Params["workload"], o.Instructions)
-		if err != nil {
-			t.Fatal(err)
+		w, ok := calibrated[r.Task.Params["workload"]]
+		if !ok {
+			t.Fatalf("%s: unknown calibrated workload", r.Task.Label)
 		}
 		geom := corpusMissGeometry
+		var err error
 		if geom.Ways, err = strconv.Atoi(r.Task.Params["ways"]); err != nil {
 			t.Fatal(err)
 		}
@@ -234,10 +239,11 @@ func TestCorpusMissGroupStreamsCalibratedSources(t *testing.T) {
 func TestCorpusMissGroupOneUnitPerSource(t *testing.T) {
 	o := tinyOptions()
 	o.TraceFiles = []string{"a/x.trace", "b/x.trace"} // one basename, two sources
-	bySource := map[profileKey]string{}
-	owner := map[string]profileKey{}
+	// A source is its rendered suite, workload and trace coordinates.
+	bySource := map[[3]string]string{}
+	owner := map[string][3]string{}
 	for _, tk := range corpusMissExperiment(o).Grid() {
-		k := taskProfileKey(tk)
+		k := [3]string{tk.Params["suite"], tk.Params["workload"], tk.Params["trace"]}
 		if tk.Group == "" {
 			t.Fatalf("%s: no group", tk.Label)
 		}

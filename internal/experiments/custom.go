@@ -93,26 +93,20 @@ type HybridSpec struct {
 // NewHybridRun builds the cmd/hybridsim experiment: the grid is the
 // design axis, each task sizes the system and replays the stream.
 func NewHybridRun(spec HybridSpec) sim.Experiment {
-	return sim.Def{
-		ExpName: "hybridsim",
-		Desc:    "one workload on one hybrid-cache configuration: timing, cache behaviour, EPI breakdown",
-		GridFn: func() []sim.Task {
-			tasks := make([]sim.Task, len(spec.Designs))
-			for i, d := range spec.Designs {
-				tasks[i] = sim.Task{
+	return &experiment[core.Design]{
+		name: "hybridsim",
+		desc: "one workload on one hybrid-cache configuration: timing, cache behaviour, EPI breakdown",
+		grid: func(add func(sim.Task, core.Design)) {
+			for _, d := range spec.Designs {
+				add(sim.Task{
 					Label: fmt.Sprintf("%v/%v %v", spec.Scenario, d, spec.Mode),
 					Params: sim.P("scenario", spec.Scenario.String(), "design", d.String(),
 						"mode", spec.Mode.String()),
-				}
+				}, d)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			var design core.Design
-			if t.Params["design"] == core.Proposed.String() {
-				design = core.Proposed
-			}
-			sys, err := core.NewSystem(core.PaperConfig(spec.Scenario, design))
+		run: func(d core.Design, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			sys, err := core.NewSystem(core.PaperConfig(spec.Scenario, d))
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -147,7 +141,7 @@ func NewHybridRun(spec HybridSpec) sim.Experiment {
 			ms = append(ms, breakdownMetrics("epi", rep.EPI)...)
 			return sim.Result{Metrics: ms, Detail: b.String()}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []core.Design) ([]sim.Result, error) {
 			if len(results) != 2 {
 				return results, nil
 			}

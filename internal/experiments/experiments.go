@@ -4,13 +4,36 @@
 // (cmd/experiments, cmd/sizer, cmd/hybridsim, examples/yieldsweep) are
 // thin drivers over this package: adding a new scenario is a ~30-line
 // registration here, not a new main().
+//
+// An experiment with a grid adds each task and its typed point in one
+// loop, and its run function receives the point:
+//
+//	return &experiment[int]{
+//		name: "a2-memlat",
+//		grid: func(add func(sim.Task, int)) {
+//			for _, lat := range []int{10, 20, 40, 80} {
+//				add(sim.Task{Label: fmt.Sprintf("memlat=%d", lat),
+//					Params: sim.P("mem_latency", strconv.Itoa(lat))}, lat)
+//			}
+//		},
+//		run: func(lat int, t sim.Task, _ *rand.Rand) (sim.Result, error) {
+//			...
+//		},
+//	}
+//
+// The grid is built on first use, never at registration. Label and
+// Params are output only (sinks, labels, the store digest); no
+// experiment parses them back.
 package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"edcache/internal/bench"
 	"edcache/internal/core"
@@ -196,28 +219,54 @@ var (
 	modes     = []core.Mode{core.ModeHP, core.ModeULE}
 )
 
-// scenarioByName resolves a task's "scenario" parameter.
-func scenarioByName(name string) (yield.Scenario, error) {
-	switch name {
-	case "A", "a":
-		return yield.ScenarioA, nil
-	case "B", "b":
-		return yield.ScenarioB, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown scenario %q", name)
-	}
+// experiment is a sim.Experiment over grid points of type P: grid adds
+// each task with its point, on the first Grid, Run or Finish call, and
+// run and finish receive the points by task ID.
+type experiment[P any] struct {
+	name, desc string
+	grid       func(add func(sim.Task, P))
+	run        func(p P, t sim.Task, rng *rand.Rand) (sim.Result, error)
+	finish     func(results []sim.Result, points []P) ([]sim.Result, error) // optional
+
+	once   sync.Once
+	tasks  []sim.Task
+	points []P
 }
 
-// modeByName resolves a task's "mode" parameter.
-func modeByName(name string) (core.Mode, error) {
-	switch name {
-	case "HP", "hp":
-		return core.ModeHP, nil
-	case "ULE", "ule":
-		return core.ModeULE, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown mode %q", name)
+func (e *experiment[P]) build() {
+	e.once.Do(func() {
+		e.grid(func(t sim.Task, p P) {
+			e.tasks = append(e.tasks, t)
+			e.points = append(e.points, p)
+		})
+	})
+}
+
+// Name implements sim.Experiment.
+func (e *experiment[P]) Name() string { return e.name }
+
+// Description implements sim.Experiment.
+func (e *experiment[P]) Description() string { return e.desc }
+
+// Grid implements sim.Experiment: a fresh copy of the grid's tasks.
+func (e *experiment[P]) Grid() []sim.Task {
+	e.build()
+	return slices.Clone(e.tasks)
+}
+
+// Run implements sim.Experiment.
+func (e *experiment[P]) Run(t sim.Task, rng *rand.Rand) (sim.Result, error) {
+	e.build()
+	return e.run(e.points[t.ID], t, rng)
+}
+
+// Finish implements sim.Finisher; a nil finish passes results through.
+func (e *experiment[P]) Finish(results []sim.Result) ([]sim.Result, error) {
+	if e.finish == nil {
+		return results, nil
 	}
+	e.build()
+	return e.finish(results, e.points)
 }
 
 // workloadByName resolves a benchmark name at the configured trace

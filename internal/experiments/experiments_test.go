@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"edcache/internal/core"
@@ -185,18 +188,61 @@ func closeTo(a, b, tol float64) bool {
 	return d < tol && d > -tol
 }
 
-func TestScenarioModeParsing(t *testing.T) {
-	if s, err := scenarioByName("B"); err != nil || s != yield.ScenarioB {
-		t.Fatalf("scenarioByName(B) = %v, %v", s, err)
+// TestGridBuildsOnFirstUse pins the experiment type every grid
+// registers through: nothing is built before the first Grid or Run
+// call, the build runs once however many callers race on it, each Grid
+// call returns its own slice, and Run and Finish receive the point
+// added with the task at that ID.
+func TestGridBuildsOnFirstUse(t *testing.T) {
+	builds := 0
+	e := &experiment[int]{
+		name: "grid",
+		grid: func(add func(sim.Task, int)) {
+			builds++
+			for i := 0; i < 3; i++ {
+				add(sim.Task{Label: fmt.Sprint(i)}, 10*i)
+			}
+		},
+		run: func(p int, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			return sim.Result{Metrics: []sim.Metric{sim.Num("p", float64(p))}}, nil
+		},
+		finish: func(results []sim.Result, points []int) ([]sim.Result, error) {
+			for _, r := range results {
+				if m, _ := r.Metric("p"); m.Value != float64(points[r.Task.ID]) {
+					t.Errorf("finish: task %d ran point %v, points hold %d", r.Task.ID, m.Value, points[r.Task.ID])
+				}
+			}
+			return results, nil
+		},
 	}
-	if _, err := scenarioByName("C"); err == nil {
-		t.Fatal("scenario C accepted")
+	if builds != 0 {
+		t.Fatalf("grid built %d times before first use", builds)
 	}
-	if m, err := modeByName("ule"); err != nil || m != core.ModeULE {
-		t.Fatalf("modeByName(ule) = %v, %v", m, err)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.Grid()[0].Label = "scratch"
+		}()
 	}
-	if _, err := modeByName("turbo"); err == nil {
-		t.Fatal("mode turbo accepted")
+	wg.Wait()
+	if builds != 1 {
+		t.Fatalf("grid built %d times, want 1", builds)
+	}
+	for id, tk := range e.Grid() {
+		if tk.Label != fmt.Sprint(id) {
+			t.Errorf("task %d label %q: an earlier caller's edit leaked into a fresh slice", id, tk.Label)
+		}
+	}
+	res, err := sim.Runner{Workers: 2}.Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, r := range res {
+		if m, _ := r.Metric("p"); m.Value != float64(10*id) {
+			t.Errorf("task %d ran point %v, want %d", id, m.Value, 10*id)
+		}
 	}
 }
 

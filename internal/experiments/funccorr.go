@@ -8,6 +8,7 @@ import (
 	"edcache/internal/cpu"
 	"edcache/internal/faults"
 	"edcache/internal/sim"
+	"edcache/internal/yield"
 )
 
 // funcCorrWorkload is the corpus workload the functional campaign
@@ -54,36 +55,30 @@ func funcCorrExperiment(o Options) sim.Experiment {
 	if insts > funcCorrInstructions {
 		insts = funcCorrInstructions
 	}
-	return sim.Def{
-		ExpName: "func-corr",
-		Desc:    "functional correction campaign — corpus replay through bit-accurate protected caches over sampled faulty dice, correction counts vs Pf",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	type point struct {
+		s     yield.Scenario
+		scale float64
+	}
+	return &experiment[point]{
+		name: "func-corr",
+		desc: "functional correction campaign — corpus replay through bit-accurate protected caches over sampled faulty dice, correction counts vs Pf",
+		grid: func(add func(sim.Task, point)) {
 			for _, s := range scenarios {
 				for _, scale := range pfScales {
-					tasks = append(tasks, sim.Task{
+					add(sim.Task{
 						Label: fmt.Sprintf("scenario=%v pf=%gx %s", s, scale, funcCorrWorkload),
 						Params: sim.P("scenario", s.String(), "pf_scale", fmt.Sprintf("%g", scale),
 							"workload", funcCorrWorkload),
-					})
+					}, point{s, scale})
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, rng *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
+		run: func(p point, _ sim.Task, rng *rand.Rand) (sim.Result, error) {
+			res, err := o.sizing(p.s)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			var scale float64
-			if _, err := fmt.Sscanf(t.Params["pf_scale"], "%g", &scale); err != nil {
-				return sim.Result{}, fmt.Errorf("experiments: bad pf_scale %q", t.Params["pf_scale"])
-			}
-			res, err := o.sizing(s)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			w, err := workloadByName(t.Params["workload"], insts)
+			w, err := workloadByName(funcCorrWorkload, insts)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -93,13 +88,13 @@ func funcCorrExperiment(o Options) sim.Experiment {
 			// geometry the fault generator fills, its single-fault
 			// tolerance is the screening criterion (matching the
 			// reliability experiment's convention).
-			kind := s.ProposedCode()
+			kind := p.s.ProposedCode()
 			check := kind.CheckBits()
 			geom := faults.WayGeometry{
 				Lines: 32, WordsPerLine: 8,
 				DataWordBits: 32 + check, TagWordBits: 26 + check,
 			}
-			pf := res.ProposedPf * scale
+			pf := res.ProposedPf * p.scale
 
 			// Draw every die first, in rng order, then replay the
 			// accepted ones as one group: one pass over the slab, one

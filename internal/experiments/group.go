@@ -95,25 +95,23 @@ func (o Options) replayGroup(src source) ([]core.Report, error) {
 	return core.RunGroupArena(src.name, arena, members)
 }
 
-// pair returns the source's baseline/proposed pair in one scenario and
-// mode, triggering the source's single replay on first use.
-func (o Options) pair(src source, s yield.Scenario, m core.Mode) (core.Pair, error) {
-	reps, err := o.replays.Get(src)
-	if err != nil {
-		return core.Pair{}, fmt.Errorf("experiments: %s group: %w", src.name, err)
-	}
-	i := 2 * (len(modes)*slices.Index(scenarios, s) + slices.Index(modes, m))
-	return core.Pair{Workload: src.name, Base: reps[i], Prop: reps[i+1]}, nil
+// pairPoint is one scenario and mode of one source: the grid point of
+// every experiment that reads a baseline/proposed pair.
+type pairPoint struct {
+	s   yield.Scenario
+	m   core.Mode
+	src source
 }
 
-// taskPair is pair for a grid task: its "scenario", its "workload"
-// label and, for file-backed points, its "trace" path.
-func (o Options) taskPair(t sim.Task, m core.Mode) (core.Pair, error) {
-	s, err := taskScenario(t)
+// pair returns the point's baseline/proposed pair, triggering the
+// source's single replay on first use.
+func (o Options) pair(p pairPoint) (core.Pair, error) {
+	reps, err := o.replays.Get(p.src)
 	if err != nil {
-		return core.Pair{}, err
+		return core.Pair{}, fmt.Errorf("experiments: %s group: %w", p.src.name, err)
 	}
-	return o.pair(source{name: t.Params["workload"], trace: t.Params["trace"]}, s, m)
+	i := 2 * (len(modes)*slices.Index(scenarios, p.s) + slices.Index(modes, p.m))
+	return core.Pair{Workload: p.src.name, Base: reps[i], Prop: reps[i+1]}, nil
 }
 
 // replayTwo replays two systems in one mode as a single-pass group over

@@ -30,7 +30,8 @@ type L2Geometry struct {
 func (g L2Geometry) String() string { return fmt.Sprintf("%dx%d", g.Sets, g.Ways) }
 
 // ParseL2Geometries parses a comma-separated "SETSxWAYS,..." list, the
-// cmd/experiments -l2 flag syntax.
+// cmd/experiments -l2 flag syntax. A geometry may appear once, so its
+// index on the list names one axis point.
 func ParseL2Geometries(spec string) ([]L2Geometry, error) {
 	var out []L2Geometry
 	for _, part := range strings.Split(spec, ",") {
@@ -54,21 +55,15 @@ func ParseL2Geometries(spec string) ([]L2Geometry, error) {
 		if err := cfg.L2.Validate(cfg); err != nil {
 			return nil, fmt.Errorf("experiments: bad L2 geometry %q: %w", part, err)
 		}
+		if slices.Contains(out, g) {
+			return nil, fmt.Errorf("experiments: L2 geometry %v repeated in %q", g, spec)
+		}
 		out = append(out, g)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("experiments: empty L2 geometry list %q", spec)
 	}
 	return out, nil
-}
-
-// taskL2Geometry resolves a task's "l2" parameter.
-func taskL2Geometry(t sim.Task) (L2Geometry, error) {
-	gs, err := ParseL2Geometries(t.Params["l2"])
-	if err != nil {
-		return L2Geometry{}, err
-	}
-	return gs[0], nil
 }
 
 // l2Protections is the protection-policy axis of hier-epi.
@@ -79,16 +74,6 @@ var l2Protections = []struct {
 	{"none", ecc.KindNone},
 	{"secded", ecc.KindSECDED},
 	{"dected", ecc.KindDECTED},
-}
-
-// protByName returns the index of a protection on l2Protections.
-func protByName(name string) (int, error) {
-	for i, p := range l2Protections {
-		if p.name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("experiments: unknown L2 protection %q", name)
 }
 
 // hierWorkloads spans the corpus regimes the hierarchy differentiates:
@@ -104,18 +89,10 @@ func hierConfig(g L2Geometry, latency int, prot ecc.Kind) core.Config {
 	})
 }
 
-// hierReport returns the workload's tiered report at one design point
-// of the run's axes, triggering the workload's hier group replay on
-// first use.
-func (o Options) hierReport(w string, g L2Geometry, prot string) (core.Report, error) {
-	gi := slices.Index(o.L2Geometries, g)
-	if gi < 0 {
-		return core.Report{}, fmt.Errorf("experiments: L2 geometry %v is not on the run's axis %v", g, o.L2Geometries)
-	}
-	pi, err := protByName(prot)
-	if err != nil {
-		return core.Report{}, err
-	}
+// hierReport returns the workload's tiered report at geometry gi of
+// Options.L2Geometries and protection pi of l2Protections, triggering
+// the workload's hier group replay on first use.
+func (o Options) hierReport(w string, gi, pi int) (core.Report, error) {
 	reps, err := o.replays.Get(source{name: w, hier: true})
 	if err != nil {
 		return core.Report{}, fmt.Errorf("experiments: %s hier group: %w", w, err)
@@ -129,34 +106,32 @@ func (o Options) hierReport(w string, g L2Geometry, prot string) (core.Report, e
 // whole-run EPI and cycle delta against the single-level platform.
 func hierEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "hier-epi",
-		Desc:    "two-level hierarchy sweep — per-level EPI, traffic and stall breakdown across L2 geometry × protection × workload, with deltas vs the single-level platform",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
-			for _, g := range o.L2Geometries {
-				for _, p := range l2Protections {
+	type point struct {
+		gi, pi int // indices on Options.L2Geometries and l2Protections
+		w      string
+	}
+	return &experiment[point]{
+		name: "hier-epi",
+		desc: "two-level hierarchy sweep — per-level EPI, traffic and stall breakdown across L2 geometry × protection × workload, with deltas vs the single-level platform",
+		grid: func(add func(sim.Task, point)) {
+			for gi, l2 := range o.L2Geometries {
+				for pi, p := range l2Protections {
 					for _, w := range hierWorkloads {
-						tasks = append(tasks, sim.Task{
-							Label: fmt.Sprintf("l2=%v prot=%s %s", g, p.name, w),
-							Params: sim.P("l2", g.String(), "prot", p.name,
+						add(sim.Task{
+							Label: fmt.Sprintf("l2=%v prot=%s %s", l2, p.name, w),
+							Params: sim.P("l2", l2.String(), "prot", p.name,
 								"workload", w, "mode", "HP"),
-						})
+						}, point{gi, pi, w})
 					}
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			g, err := taskL2Geometry(t)
+		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			rep, err := o.hierReport(p.w, p.gi, p.pi)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rep, err := o.hierReport(t.Params["workload"], g, t.Params["prot"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			flat, err := o.pair(source{name: t.Params["workload"]}, scenarios[0], core.ModeHP)
+			flat, err := o.pair(pairPoint{s: scenarios[0], m: core.ModeHP, src: source{name: p.w}})
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -195,36 +170,34 @@ var sharedPairs = [][2]string{
 // when sharing versus running the same hierarchy alone.
 func sharedL2Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "shared-l2",
-		Desc:    "shared-L2 contention sweep — per-core EPI and L2 miss inflation of co-running workload pairs vs each running the hierarchy alone",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
-			for _, g := range o.L2Geometries {
+	type point struct {
+		gi   int // index on Options.L2Geometries
+		pair [2]string
+	}
+	return &experiment[point]{
+		name: "shared-l2",
+		desc: "shared-L2 contention sweep — per-core EPI and L2 miss inflation of co-running workload pairs vs each running the hierarchy alone",
+		grid: func(add func(sim.Task, point)) {
+			for gi, l2 := range o.L2Geometries {
 				for _, pair := range sharedPairs {
-					tasks = append(tasks, sim.Task{
-						Label: fmt.Sprintf("l2=%v %s+%s", g, pair[0], pair[1]),
-						Params: sim.P("l2", g.String(), "wa", pair[0], "wb", pair[1],
+					add(sim.Task{
+						Label: fmt.Sprintf("l2=%v %s+%s", l2, pair[0], pair[1]),
+						Params: sim.P("l2", l2.String(), "wa", pair[0], "wb", pair[1],
 							"mode", "HP"),
-					})
+					}, point{gi, pair})
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			g, err := taskL2Geometry(t)
+		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			wa, aa, err := o.workloadArena(p.pair[0])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			wa, aa, err := o.workloadArena(t.Params["wa"])
+			wb, ab, err := o.workloadArena(p.pair[1])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			wb, ab, err := o.workloadArena(t.Params["wb"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			sys, err := core.NewSystem(hierConfig(g, o.L2Latency, ecc.KindNone))
+			sys, err := core.NewSystem(hierConfig(o.L2Geometries[p.gi], o.L2Latency, ecc.KindNone))
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -239,7 +212,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			fmt.Fprintf(&detail, "  %-16s %10s %10s %12s %12s\n",
 				"core", "epi pJ/i", "Δepi", "l2 misses", "Δmisses")
 			for i, rep := range shared {
-				alone, err := o.hierReport(rep.Workload, g, "none")
+				alone, err := o.hierReport(rep.Workload, p.gi, 0) // l2Protections[0] is none
 				if err != nil {
 					return sim.Result{}, err
 				}

@@ -12,29 +12,19 @@ import (
 )
 
 // scenarioGrid is the two-task grid over reliability scenarios.
-func scenarioGrid() []sim.Task {
-	tasks := make([]sim.Task, len(scenarios))
-	for i, s := range scenarios {
-		tasks[i] = sim.Task{Label: "scenario=" + s.String(), Params: sim.P("scenario", s.String())}
+func scenarioGrid(add func(sim.Task, yield.Scenario)) {
+	for _, s := range scenarios {
+		add(sim.Task{Label: "scenario=" + s.String(), Params: sim.P("scenario", s.String())}, s)
 	}
-	return tasks
-}
-
-func taskScenario(t sim.Task) (yield.Scenario, error) {
-	return scenarioByName(t.Params["scenario"])
 }
 
 // sizingExperiment reproduces the Fig. 2 design methodology (E4).
 func sizingExperiment() sim.Experiment {
-	return sim.Def{
-		ExpName: "sizing",
-		Desc:    "E4: design methodology — sized cells and the 8T+EDC loop (paper Fig. 2, Section III-C)",
-		GridFn:  scenarioGrid,
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
+	return &experiment[yield.Scenario]{
+		name: "sizing",
+		desc: "E4: design methodology — sized cells and the 8T+EDC loop (paper Fig. 2, Section III-C)",
+		grid: scenarioGrid,
+		run: func(s yield.Scenario, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			res, err := yield.Run(yield.PaperInput(s))
 			if err != nil {
 				return sim.Result{}, err
@@ -102,24 +92,24 @@ func yieldExperiment() sim.Experiment {
 }
 
 // pairGrid builds the scenario × workload grid of a figure experiment.
-func pairGrid(m core.Mode, instructions int) []sim.Task {
-	var tasks []sim.Task
-	for _, s := range scenarios {
-		for _, w := range suite(m, instructions) {
-			tasks = append(tasks, sim.Task{
-				Label:  fmt.Sprintf("scenario=%v %s", s, w.Name),
-				Params: sim.P("scenario", s.String(), "workload", w.Name),
-			})
+func pairGrid(m core.Mode, instructions int) func(add func(sim.Task, pairPoint)) {
+	return func(add func(sim.Task, pairPoint)) {
+		for _, s := range scenarios {
+			for _, w := range suite(m, instructions) {
+				add(sim.Task{
+					Label:  fmt.Sprintf("scenario=%v %s", s, w.Name),
+					Params: sim.P("scenario", s.String(), "workload", w.Name),
+				}, pairPoint{s: s, m: m, src: source{name: w.Name}})
+			}
 		}
 	}
-	return tasks
 }
 
 // runPairTask evaluates one (scenario, workload) bar pair, read from
 // the workload's single shared replay (group.go), and attaches the Pair
 // as the result payload for the Finish aggregation.
-func runPairTask(t sim.Task, m core.Mode, o Options) (sim.Result, core.Pair, error) {
-	p, err := o.taskPair(t, m)
+func runPairTask(o Options, pt pairPoint) (sim.Result, core.Pair, error) {
+	p, err := o.pair(pt)
 	if err != nil {
 		return sim.Result{}, core.Pair{}, err
 	}
@@ -158,13 +148,13 @@ func bars(label string, base, prop core.Breakdown) string {
 // core.Summarize so the figures and the headline experiment share one
 // averaging convention. paperSaving quotes the published number per
 // scenario.
-func figureFinish(name string, m core.Mode, paperSaving map[yield.Scenario]string, withTime bool) func([]sim.Result) ([]sim.Result, error) {
-	return func(results []sim.Result) ([]sim.Result, error) {
+func figureFinish(name string, m core.Mode, paperSaving map[yield.Scenario]string, withTime bool) func([]sim.Result, []pairPoint) ([]sim.Result, error) {
+	return func(results []sim.Result, points []pairPoint) ([]sim.Result, error) {
 		out := results
 		for _, s := range scenarios {
 			var pairs []core.Pair
 			for _, r := range results {
-				if r.Task.Params["scenario"] != s.String() {
+				if points[r.Task.ID].s != s {
 					continue
 				}
 				if p, ok := r.Data.(core.Pair); ok {
@@ -204,15 +194,15 @@ func figureFinish(name string, m core.Mode, paperSaving map[yield.Scenario]strin
 // HP mode over BigBench, one grid task per (scenario, workload).
 func fig3Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "fig3",
-		Desc:    "E1: Fig. 3 — normalized average EPI at HP mode (BigBench)",
-		GridFn:  func() []sim.Task { return pairGrid(core.ModeHP, o.Instructions) },
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, _, err := runPairTask(t, core.ModeHP, o)
+	return &experiment[pairPoint]{
+		name: "fig3",
+		desc: "E1: Fig. 3 — normalized average EPI at HP mode (BigBench)",
+		grid: pairGrid(core.ModeHP, o.Instructions),
+		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			res, _, err := runPairTask(o, pt)
 			return res, err
 		},
-		FinishFn: figureFinish("fig3", core.ModeHP,
+		finish: figureFinish("fig3", core.ModeHP,
 			map[yield.Scenario]string{yield.ScenarioA: "14%", yield.ScenarioB: "12%"}, false),
 	}
 }
@@ -221,60 +211,51 @@ func fig3Experiment(o Options) sim.Experiment {
 // at ULE mode over SmallBench, bars included per task.
 func fig4Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "fig4",
-		Desc:    "E2: Fig. 4 — normalized EPI breakdowns at ULE mode (SmallBench)",
-		GridFn:  func() []sim.Task { return pairGrid(core.ModeULE, o.Instructions) },
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			res, p, err := runPairTask(t, core.ModeULE, o)
+	return &experiment[pairPoint]{
+		name: "fig4",
+		desc: "E2: Fig. 4 — normalized EPI breakdowns at ULE mode (SmallBench)",
+		grid: pairGrid(core.ModeULE, o.Instructions),
+		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			res, p, err := runPairTask(o, pt)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			res.Detail = bars(fmt.Sprintf("%v %s", t.Params["scenario"], p.Workload), p.Base.EPI, p.Prop.EPI)
+			res.Detail = bars(fmt.Sprintf("%v %s", pt.s, p.Workload), p.Base.EPI, p.Prop.EPI)
 			return res, nil
 		},
-		FinishFn: figureFinish("fig4", core.ModeULE,
+		finish: figureFinish("fig4", core.ModeULE,
 			map[yield.Scenario]string{yield.ScenarioA: "42%", yield.ScenarioB: "39%"}, true),
 	}
 }
 
 // headlineExperiment prints the paper-vs-measured summary (E3). Each
-// grid task is one (scenario, mode) point whose workload suite fans out
-// on the inner pool, each workload's pair read from its single shared
-// replay (group.go).
+// grid task is one (scenario, mode) point, its source left zero, whose
+// workload suite fans out on the inner pool, each workload's pair read
+// from its single shared replay (group.go).
 func headlineExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	paper := map[yield.Scenario]map[core.Mode]string{
 		yield.ScenarioA: {core.ModeHP: "14%", core.ModeULE: "42%"},
 		yield.ScenarioB: {core.ModeHP: "12%", core.ModeULE: "39%"},
 	}
-	return sim.Def{
-		ExpName: "headline",
-		Desc:    "E3: headline numbers — measured vs paper EPI savings and slowdowns (Section IV-B)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[pairPoint]{
+		name: "headline",
+		desc: "E3: headline numbers — measured vs paper EPI savings and slowdowns (Section IV-B)",
+		grid: func(add func(sim.Task, pairPoint)) {
 			for _, s := range scenarios {
 				for _, m := range modes {
-					tasks = append(tasks, sim.Task{
+					add(sim.Task{
 						Label:  fmt.Sprintf("scenario=%v mode=%v", s, m),
 						Params: sim.P("scenario", s.String(), "mode", m.String()),
-					})
+					}, pairPoint{s: s, m: m})
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			m, err := modeByName(t.Params["mode"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			s, m := pt.s, pt.m
 			ws := suite(m, o.Instructions)
 			pairs, err := sim.Map(o.Workers, len(ws), func(i int) (core.Pair, error) {
-				return o.pair(source{name: ws[i].Name}, s, m)
+				return o.pair(pairPoint{s: s, m: m, src: source{name: ws[i].Name}})
 			})
 			if err != nil {
 				return sim.Result{}, err
@@ -296,15 +277,11 @@ func headlineExperiment(o Options) sim.Experiment {
 
 // areaExperiment prints the area comparison (E5).
 func areaExperiment() sim.Experiment {
-	return sim.Def{
-		ExpName: "area",
-		Desc:    "E5: area — min-size 6T bitcell equivalents per cache (Section IV-B)",
-		GridFn:  scenarioGrid,
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
+	return &experiment[yield.Scenario]{
+		name: "area",
+		desc: "E5: area — min-size 6T bitcell equivalents per cache (Section IV-B)",
+		grid: scenarioGrid,
+		run: func(s yield.Scenario, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			base := core.MustNewSystem(core.PaperConfig(s, core.Baseline)).Area()
 			prop := core.MustNewSystem(core.PaperConfig(s, core.Proposed)).Area()
 			tb := stats.NewTable("design", "HP ways", "ULE way", "codecs", "total", "vs baseline")

@@ -23,41 +23,35 @@ import (
 // replaying it.
 func phaseEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "phase-epi",
-		Desc:    "phase-segmented corpus sweep — EPI, saving and miss rate per working-set regime of every phase-annotated workload (and any -trace file)",
-		GridFn: func() []sim.Task {
+	return &experiment[pairPoint]{
+		name: "phase-epi",
+		desc: "phase-segmented corpus sweep — EPI, saving and miss rate per working-set regime of every phase-annotated workload (and any -trace file)",
+		grid: func(add func(sim.Task, pairPoint)) {
 			traceNames := traceSourceNames(o.TraceFiles)
-			var tasks []sim.Task
 			for _, s := range scenarios {
 				for _, m := range modes {
 					for _, w := range bench.Full() {
 						if !w.HasPhases() {
 							continue
 						}
-						tasks = append(tasks, sim.Task{
+						add(sim.Task{
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, w.Name),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", w.Name, "pattern", w.Pattern.String()),
-						})
+						}, pairPoint{s: s, m: m, src: source{name: w.Name}})
 					}
 					for _, tf := range o.TraceFiles {
-						tasks = append(tasks, sim.Task{
+						add(sim.Task{
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, traceNames[tf]),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", traceNames[tf], "trace", tf, "pattern", "trace"),
-						})
+						}, pairPoint{s: s, m: m, src: source{name: traceNames[tf], trace: tf}})
 					}
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			m, err := modeByName(t.Params["mode"])
-			if err != nil {
-				return sim.Result{}, err
-			}
-			if path := t.Params["trace"]; path != "" {
+		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
+			if path := pt.src.trace; path != "" {
 				arena, err := o.fileArenas.Get(path)
 				if err != nil {
 					return sim.Result{}, err
@@ -68,7 +62,7 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 					}}, nil
 				}
 			}
-			p, err := o.taskPair(t, m)
+			p, err := o.pair(pt)
 			if err != nil {
 				return sim.Result{}, err
 			}

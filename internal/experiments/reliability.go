@@ -19,37 +19,35 @@ import (
 // samples across the inner trial pool.
 func reliabilityExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "reliability",
-		Desc:    "E7: reliability equivalence — Monte-Carlo fault campaigns vs analytic yield (Eq. 2)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	type point struct {
+		s yield.Scenario
+		d core.Design
+	}
+	return &experiment[point]{
+		name: "reliability",
+		desc: "E7: reliability equivalence — Monte-Carlo fault campaigns vs analytic yield (Eq. 2)",
+		grid: func(add func(sim.Task, point)) {
 			for _, s := range scenarios {
 				for _, d := range []core.Design{core.Baseline, core.Proposed} {
-					tasks = append(tasks, sim.Task{
+					add(sim.Task{
 						Label:  fmt.Sprintf("scenario=%v %v", s, d),
 						Params: sim.P("scenario", s.String(), "design", d.String()),
-					})
+					}, point{s, d})
 				}
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			s, err := taskScenario(t)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			res, err := o.sizing(s)
+		run: func(p point, t sim.Task, _ *rand.Rand) (sim.Result, error) {
+			res, err := o.sizing(p.s)
 			if err != nil {
 				return sim.Result{}, err
 			}
 			// Baseline dies carry the baseline code's check bits and
 			// tolerate no hard fault per word; proposed dies carry the
 			// proposed code's and tolerate one.
-			check := s.BaselineCode().CheckBits()
+			check := p.s.BaselineCode().CheckBits()
 			pf, tolerable, analytic := res.BaselinePf, 0, res.BaselineYield
-			if t.Params["design"] == core.Proposed.String() {
-				check = s.ProposedCode().CheckBits()
+			if p.d == core.Proposed {
+				check = p.s.ProposedCode().CheckBits()
 				pf, tolerable, analytic = res.ProposedPf, 1, res.ProposedYield
 			}
 			c := faults.Campaign{
@@ -148,24 +146,18 @@ func serExperiment(o Options) sim.Experiment {
 		lambda = 1e-13 // soft errors / bit / second (SER-class magnitude)
 	)
 	o = o.withDefaults()
-	return sim.Def{
-		ExpName: "ser",
-		Desc:    "E9: soft-error MTTF at ULE mode, scenario B (DECTED vs SECDED, scrub-interval sweep)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[float64]{
+		name: "ser",
+		desc: "E9: soft-error MTTF at ULE mode, scenario B (DECTED vs SECDED, scrub-interval sweep)",
+		grid: func(add func(sim.Task, float64)) {
 			for _, scrub := range []float64{60, 3600, 86400} {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("scrub=%.0fs", scrub),
 					Params: sim.P("scrub_s", fmt.Sprintf("%.0f", scrub)),
-				})
+				}, scrub)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			var scrub float64
-			if _, err := fmt.Sscanf(t.Params["scrub_s"], "%f", &scrub); err != nil {
-				return sim.Result{}, err
-			}
+		run: func(scrub float64, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			res, err := o.sizing(yield.ScenarioB)
 			if err != nil {
 				return sim.Result{}, err
@@ -192,7 +184,7 @@ func serExperiment(o Options) sim.Experiment {
 				sim.Fmt("proposed_mttf_years", faults.MTTFYears(rp), "%.2e"),
 			}}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []float64) ([]sim.Result, error) {
 			results[len(results)-1].Detail = "(the DECTED design's clean words survive two accumulated soft errors vs the\n" +
 				" baseline's one, which more than covers the few words whose budget a hard fault\n" +
 				" consumes — the proposed design does not regress soft-error reliability)\n"

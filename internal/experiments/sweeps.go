@@ -16,24 +16,18 @@ import (
 // with the operating point. Infeasible points are reported, not
 // errors — the cliff is the result.
 func sweepVoltageExperiment() sim.Experiment {
-	return sim.Def{
-		ExpName: "sweep-voltage",
-		Desc:    "sizing vs ULE voltage — 10T/8T cell sizes and area ratio across 300-450 mV (scenario A)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[float64]{
+		name: "sweep-voltage",
+		desc: "sizing vs ULE voltage — 10T/8T cell sizes and area ratio across 300-450 mV (scenario A)",
+		grid: func(add func(sim.Task, float64)) {
 			for _, mv := range []float64{300, 325, 350, 375, 400, 450} {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("vcc=%.0fmV", mv),
 					Params: sim.P("vcc_mv", fmt.Sprintf("%.0f", mv)),
-				})
+				}, mv)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			mv, err := strconv.ParseFloat(t.Params["vcc_mv"], 64)
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(mv float64, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			in := yield.PaperInput(yield.ScenarioA)
 			in.VccULE = mv / 1000
 			res, err := yield.Run(in)
@@ -59,24 +53,18 @@ func sweepVoltageExperiment() sim.Experiment {
 // the 6T failure floor — a real feasibility cliff (the fix would be
 // coding the HP ways too).
 func sweepYieldExperiment() sim.Experiment {
-	return sim.Def{
-		ExpName: "sweep-yieldtarget",
-		Desc:    "sizing vs yield target — Pf requirement and cell sizes across 90-99.9% (scenario A, 350 mV)",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[float64]{
+		name: "sweep-yieldtarget",
+		desc: "sizing vs yield target — Pf requirement and cell sizes across 90-99.9% (scenario A, 350 mV)",
+		grid: func(add func(sim.Task, float64)) {
 			for _, y := range []float64{0.90, 0.95, 0.99, 0.995, 0.999} {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("yield=%.1f%%", y*100),
 					Params: sim.P("target_yield", fmt.Sprintf("%g", y)),
-				})
+				}, y)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			y, err := strconv.ParseFloat(t.Params["target_yield"], 64)
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(y float64, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			in := yield.PaperInput(yield.ScenarioA)
 			in.TargetYield = y
 			res, err := yield.Run(in)
@@ -100,24 +88,18 @@ func sweepYieldExperiment() sim.Experiment {
 // sampling estimate runs on the sharded parallel estimator, so this
 // experiment also exercises the engine's worker-count invariance.
 func mcSamplingExperiment(o Options) sim.Experiment {
-	return sim.Def{
-		ExpName: "mc-sampling",
-		Desc:    "naive Monte-Carlo vs mean-shift importance sampling at the paper's Pf magnitudes",
-		GridFn: func() []sim.Task {
-			var tasks []sim.Task
+	return &experiment[int]{
+		name: "mc-sampling",
+		desc: "naive Monte-Carlo vs mean-shift importance sampling at the paper's Pf magnitudes",
+		grid: func(add func(sim.Task, int)) {
 			for _, n := range o.MCSamples {
-				tasks = append(tasks, sim.Task{
+				add(sim.Task{
 					Label:  fmt.Sprintf("samples=%d", n),
 					Params: sim.P("samples", strconv.Itoa(n)),
-				})
+				}, n)
 			}
-			return tasks
 		},
-		RunFn: func(t sim.Task, _ *rand.Rand) (sim.Result, error) {
-			n, err := strconv.Atoi(t.Params["samples"])
-			if err != nil {
-				return sim.Result{}, err
-			}
+		run: func(n int, t sim.Task, _ *rand.Rand) (sim.Result, error) {
 			cell := bitcell.MustNew(bitcell.T10, 2.60)
 			naive := bitcell.NaiveMonteCarloFailureProb(cell, 0.35, n, t.Seed)
 			is := bitcell.MonteCarloFailureProbN(cell, 0.35, n, t.Seed, o.Workers)
@@ -128,7 +110,7 @@ func mcSamplingExperiment(o Options) sim.Experiment {
 				sim.Fmt("analytic", is.Analytic, "%.4g"),
 			}}, nil
 		},
-		FinishFn: func(results []sim.Result) ([]sim.Result, error) {
+		finish: func(results []sim.Result, _ []int) ([]sim.Result, error) {
 			results[len(results)-1].Detail = "(naive sampling cannot see a 1e-6 tail at these sample counts; the\n" +
 				" mean-shifted estimator resolves it with a few thousand samples)\n"
 			return results, nil

@@ -30,8 +30,10 @@ type Task struct {
 	// Label names the grid point for humans, e.g. "scenario=A mode=HP".
 	Label string `json:"label"`
 
-	// Params are the grid coordinates, kept as strings so every sink
-	// can render them without reflection.
+	// Params are the rendered and hashed form of the grid point: sinks
+	// print them, labels echo them and the store digest covers them.
+	// Experiments keep their own typed points and do not read Params
+	// back.
 	Params map[string]string `json:"params,omitempty"`
 
 	// Seed is the task's deterministic RNG seed, derived by the Runner
