@@ -12,8 +12,8 @@
 //
 // Experiment names may be unique prefixes ("rel" for "reliability").
 // For a fixed -seed, output is byte-identical for every -workers value.
-// -trace adds captured trace files (tracegen output) to
-// the corpus/corpus-miss/phase-epi sweeps as file-backed grid points;
+// -trace adds captured trace files (tracegen output), each listed once,
+// to the corpus/corpus-miss/phase-epi sweeps as file-backed grid points;
 // each file is decoded once and replayed from every point.
 //
 // -store DIR checkpoints every completed grid point into a crash-safe
@@ -39,9 +39,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -78,7 +80,7 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		seed         = fs.Int64("seed", 0, "master seed for every Monte-Carlo campaign")
 		instructions = fs.Int("instructions", 300_000, "dynamic instructions per benchmark run")
 		trials       = fs.Int("trials", 2000, "silicon samples per reliability campaign")
-		traceFiles   = fs.String("trace", "", "comma-separated captured .trace files to sweep as file-backed grid points (corpus, corpus-miss, phase-epi)")
+		traceFiles   = fs.String("trace", "", "comma-separated captured .trace files, each listed once, to sweep as file-backed grid points (corpus, corpus-miss, phase-epi)")
 		mapThreshold = fs.Int64("map-threshold", 0, "file size in bytes at which -trace files are mmapped instead of decoded into slabs (0 = 64 MiB default)")
 		l2Geoms      = fs.String("l2", "", "comma-separated L2 geometries (SETSxWAYS) swept by hier-epi and shared-l2 (default 128x8,512x8)")
 		l2Lat        = fs.Int("l2lat", 0, "L2 hit latency in cycles for the hierarchy sweeps (0 = default 6)")
@@ -113,9 +115,15 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 
 	var traces []string
 	for _, t := range strings.Split(*traceFiles, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			traces = append(traces, t)
+		if t = strings.TrimSpace(t); t == "" {
+			continue
 		}
+		if slices.ContainsFunc(traces, func(u string) bool { return filepath.Clean(u) == filepath.Clean(t) }) {
+			fmt.Fprintf(fs.Output(), "invalid value %q for flag -trace: %s repeated\n", *traceFiles, t)
+			fs.Usage()
+			return cli.ErrBadFlags
+		}
+		traces = append(traces, t)
 	}
 	var geoms []experiments.L2Geometry
 	if *l2Geoms != "" {

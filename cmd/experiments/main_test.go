@@ -156,6 +156,44 @@ func TestBadL2GeometriesRejected(t *testing.T) {
 	}
 }
 
+// TestRepeatedTraceFilesRejected: a -trace path listed twice, spelled
+// the same or not, would sweep every file-backed row twice under a
+// label switched to the full path. It is a usage error whose message
+// names the path.
+func TestRepeatedTraceFilesRejected(t *testing.T) {
+	dir := t.TempDir()
+	g, h := filepath.Join(dir, "g.trace"), filepath.Join(dir, "h.trace")
+	for _, v := range []string{g + "," + g, g + "," + h + "," + g, g + "," + dir + "/./g.trace"} {
+		stderr := captureStderr(t, func() {
+			if err := run([]string{"-run", "corpus", "-trace", v}, &bytes.Buffer{}); !errors.Is(err, cli.ErrBadFlags) {
+				t.Errorf("-trace %s: want a usage error, got %v", v, err)
+			}
+		})
+		if !strings.Contains(stderr, "g.trace repeated") {
+			t.Errorf("-trace %s: message does not name the repeated path:\n%s", v, stderr)
+		}
+	}
+}
+
+// captureStderr returns what f writes to os.Stderr.
+func captureStderr(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stderr
+	os.Stderr = tmp
+	defer func() { os.Stderr = saved }()
+	f()
+	b, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-run", "nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -326,8 +326,8 @@ func (c *Cache) Flush() int {
 // DrainDirty invalidates the whole cache like Flush, but additionally
 // reports the line address of every dirty line through emit, in
 // deterministic order (sets ascending, ways ascending within a set). It
-// returns the number of dirty lines. The Hierarchy uses it to drain an
-// L1 into its L2 as one write batch; callers that only need the count
+// returns the number of dirty lines: the functional cache's reference
+// test checks memory against it. Callers that only need the count
 // should use Flush, which never walks lines.
 func (c *Cache) DrainDirty(emit func(addr uint32)) int {
 	c.mSet = -1

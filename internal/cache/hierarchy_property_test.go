@@ -6,16 +6,23 @@ import (
 )
 
 // naiveHier is the two-level reference model: a naive AoS cache per
-// level, L1 misses replayed one by one onto the L2 in the Hierarchy's
+// level, L1 misses replayed one by one onto each L2 in the Hierarchy's
 // documented order (demand fill read first, then the dirty victim's
-// write-back). Everything the Hierarchy batches — the single L2
-// AccessBatch per chunk, the reused op buffers, the fill-miss counter —
-// must be invisible against this op-at-a-time model.
+// write-back). Everything the Hierarchy batches — the single L2 op
+// batch per chunk, one AccessBatch per tier over it, the reused op
+// buffers, the per-tier fill-miss counters — must be invisible against
+// this op-at-a-time model, in which every L2 is fed the L1's traffic on
+// its own.
 type naiveHier struct {
-	l1, l2     *naiveCache // l2 may be shared between naiveHiers
-	fillMisses uint64
+	l1         *naiveCache
+	l2s        []*naiveCache // each may be shared between naiveHiers
+	fillMisses []uint64      // per L2
 	l2ops      []Op
-	l2res      []Result
+	l2res      [][]Result // per L2
+}
+
+func newNaiveHier(l1 *naiveCache, l2s ...*naiveCache) *naiveHier {
+	return &naiveHier{l1: l1, l2s: l2s, fillMisses: make([]uint64, len(l2s)), l2res: make([][]Result, len(l2s))}
 }
 
 func (n *naiveHier) accessBatch(ops []Op) []Result {
@@ -24,7 +31,6 @@ func (n *naiveHier) accessBatch(ops []Op) []Result {
 		res[i] = n.l1.access(op.Addr, op.Write)
 	}
 	n.l2ops = n.l2ops[:0]
-	n.l2res = n.l2res[:0]
 	for i := range ops {
 		if res[i].Hit {
 			continue
@@ -34,42 +40,22 @@ func (n *naiveHier) accessBatch(ops []Op) []Result {
 			n.l2ops = append(n.l2ops, Op{Addr: res[i].Victim, Write: true})
 		}
 	}
-	for _, op := range n.l2ops {
-		r := n.l2.access(op.Addr, op.Write)
-		n.l2res = append(n.l2res, r)
-		if !op.Write && !r.Hit {
-			n.fillMisses++
+	for t, l2 := range n.l2s {
+		n.l2res[t] = n.l2res[t][:0]
+		for _, op := range n.l2ops {
+			r := l2.access(op.Addr, op.Write)
+			n.l2res[t] = append(n.l2res[t], r)
+			if !op.Write && !r.Hit {
+				n.fillMisses[t]++
+			}
 		}
 	}
 	return res
 }
 
-// drainDirty mirrors Cache.DrainDirty: invalidate everything, emitting
-// dirty line addresses in set-ascending, way-ascending order.
-func (n *naiveCache) drainDirty(emit func(addr uint32)) int {
-	dirty := 0
-	for set := 0; set < n.cfg.Sets; set++ {
-		for w := 0; w < n.cfg.Ways; w++ {
-			ln := &n.lines[set*n.cfg.Ways+w]
-			if ln.valid && ln.dirty {
-				emit(ln.tag<<(n.offBits+n.idxBits) | uint32(set)<<n.offBits)
-				dirty++
-			}
-			*ln = naiveLine{}
-		}
-	}
-	return dirty
-}
-
-func (n *naiveHier) flush() (l1Dirty, l2Dirty int) {
-	l1Dirty = n.l1.drainDirty(func(addr uint32) {
-		n.l2.access(addr, true)
-	})
-	return l1Dirty, n.l2.flush()
-}
-
-// checkChunk compares one chunk's full outcome — L1 results, the L2 op
-// batch the Hierarchy derived, the L2 results, and the fill-miss count.
+// checkChunk compares one chunk's full outcome — L1 results and, per
+// tier, the L2 op batch the Hierarchy derived, the L2 results, and the
+// fill-miss count.
 func checkChunk(t *testing.T, tag string, step int, h *Hierarchy, ref *naiveHier, ops []Op, got, want []Result) {
 	t.Helper()
 	for i := range ops {
@@ -78,46 +64,77 @@ func checkChunk(t *testing.T, tag string, step int, h *Hierarchy, ref *naiveHier
 				tag, step, i, ops[i], got[i], want[i])
 		}
 	}
-	hOps, hRes := h.L2Ops(), h.L2Results()
-	if len(hOps) != len(ref.l2ops) || len(hRes) != len(ref.l2res) {
-		t.Fatalf("%s step %d: L2 batch sizes %d/%d, naive model %d/%d",
-			tag, step, len(hOps), len(hRes), len(ref.l2ops), len(ref.l2res))
-	}
-	for i := range hOps {
-		if hOps[i] != ref.l2ops[i] {
-			t.Fatalf("%s step %d: L2 op %d = %+v, naive model %+v", tag, step, i, hOps[i], ref.l2ops[i])
+	for tr := range ref.l2s {
+		hOps, hRes := h.L2Ops(), h.L2Results(tr)
+		if len(hOps) != len(ref.l2ops) || len(hRes) != len(ref.l2res[tr]) {
+			t.Fatalf("%s step %d: tier %d L2 batch sizes %d/%d, naive model %d/%d",
+				tag, step, tr, len(hOps), len(hRes), len(ref.l2ops), len(ref.l2res[tr]))
 		}
-		if hRes[i] != ref.l2res[i] {
-			t.Fatalf("%s step %d: L2 result %d (op %+v) = %+v, naive model %+v",
-				tag, step, i, hOps[i], hRes[i], ref.l2res[i])
+		for i := range hOps {
+			if hOps[i] != ref.l2ops[i] {
+				t.Fatalf("%s step %d: L2 op %d = %+v, naive model %+v", tag, step, i, hOps[i], ref.l2ops[i])
+			}
+			if hRes[i] != ref.l2res[tr][i] {
+				t.Fatalf("%s step %d: tier %d L2 result %d (op %+v) = %+v, naive model %+v",
+					tag, step, tr, i, hOps[i], hRes[i], ref.l2res[tr][i])
+			}
+		}
+		if h.FillMisses(tr) != ref.fillMisses[tr] {
+			t.Fatalf("%s step %d: tier %d fill misses %d, naive model %d", tag, step, tr, h.FillMisses(tr), ref.fillMisses[tr])
 		}
 	}
-	if h.FillMisses() != ref.fillMisses {
-		t.Fatalf("%s step %d: fill misses %d, naive model %d", tag, step, h.FillMisses(), ref.fillMisses)
+}
+
+// sameContents reports whether h's levels and ref's agree on whether
+// addr is resident, level by level.
+func sameContents(h *Hierarchy, ref *naiveHier, addr uint32) bool {
+	if h.L1().Contains(addr) != ref.l1.contains(addr) {
+		return false
 	}
+	for tr, l2 := range ref.l2s {
+		if h.L2(tr).Contains(addr) != l2.contains(addr) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPropertyHierarchyMatchesNaiveTwoLevelModel differentially proves
 // the L1→L2 composition: random interleavings of scalar accesses,
-// batched chunks, per-level way gating and full-hierarchy flushes must
-// behave identically on the batched Hierarchy and the op-at-a-time
-// two-level AoS oracle — including the write-back propagation order and
-// the demand-fill miss count the cpu timing rides on.
+// batched chunks and per-level way gating must behave identically on
+// the batched Hierarchy and the op-at-a-time two-level AoS oracle —
+// including the write-back propagation order and the demand-fill miss
+// count the cpu timing rides on. One L1 in front of two or three L2s
+// must leave each L2 as the oracle leaves that L2 fed the L1's traffic
+// alone, and an L1 with no L2 must be the plain L1.
 func TestPropertyHierarchyMatchesNaiveTwoLevelModel(t *testing.T) {
 	cases := []struct {
-		name   string
-		l1, l2 Config
+		name string
+		l1   Config
+		l2s  []Config
 	}{
-		{"paperL1_bigL2", Config{Sets: 32, Ways: 8, LineBytes: 32}, Config{Sets: 128, Ways: 8, LineBytes: 32}},
-		{"tiny_conflict", Config{Sets: 4, Ways: 2, LineBytes: 16}, Config{Sets: 16, Ways: 4, LineBytes: 16}},
-		{"l2_smaller_than_l1", Config{Sets: 8, Ways: 4, LineBytes: 32}, Config{Sets: 4, Ways: 2, LineBytes: 32}},
-		{"direct_mapped_l2", Config{Sets: 8, Ways: 2, LineBytes: 32}, Config{Sets: 64, Ways: 1, LineBytes: 32}},
+		{"paperL1_bigL2", Config{Sets: 32, Ways: 8, LineBytes: 32}, []Config{{Sets: 128, Ways: 8, LineBytes: 32}}},
+		{"tiny_conflict", Config{Sets: 4, Ways: 2, LineBytes: 16}, []Config{{Sets: 16, Ways: 4, LineBytes: 16}}},
+		{"l2_smaller_than_l1", Config{Sets: 8, Ways: 4, LineBytes: 32}, []Config{{Sets: 4, Ways: 2, LineBytes: 32}}},
+		{"direct_mapped_l2", Config{Sets: 8, Ways: 2, LineBytes: 32}, []Config{{Sets: 64, Ways: 1, LineBytes: 32}}},
+		{"two_l2s", Config{Sets: 8, Ways: 4, LineBytes: 32},
+			[]Config{{Sets: 16, Ways: 4, LineBytes: 32}, {Sets: 64, Ways: 8, LineBytes: 32}}},
+		{"three_l2s", Config{Sets: 4, Ways: 2, LineBytes: 16},
+			[]Config{{Sets: 16, Ways: 4, LineBytes: 16}, {Sets: 4, Ways: 2, LineBytes: 16}, {Sets: 64, Ways: 1, LineBytes: 16}}},
+		{"l1_alone", Config{Sets: 8, Ways: 2, LineBytes: 32}, nil},
 	}
 	for _, tc := range cases {
-		h := MustNewHierarchy(MustNew(tc.l1), MustNew(tc.l2))
-		ref := &naiveHier{l1: newNaive(tc.l1), l2: newNaive(tc.l2)}
-		rng := rand.New(rand.NewSource(int64(tc.l1.Sets*1000 + tc.l2.Sets)))
-		addrSpace := uint32((tc.l1.SizeBytes() + tc.l2.SizeBytes()) * 2)
+		l2s, naiveL2s := make([]*Cache, len(tc.l2s)), make([]*naiveCache, len(tc.l2s))
+		seed, biggest := int64(tc.l1.Sets*1000), 0
+		for i, cfg := range tc.l2s {
+			l2s[i], naiveL2s[i] = MustNew(cfg), newNaive(cfg)
+			seed += int64(cfg.Sets)
+			biggest = max(biggest, cfg.SizeBytes())
+		}
+		h := MustNewHierarchy(MustNew(tc.l1), l2s...)
+		ref := newNaiveHier(newNaive(tc.l1), naiveL2s...)
+		rng := rand.New(rand.NewSource(seed))
+		addrSpace := uint32((tc.l1.SizeBytes() + biggest) * 2)
 		var cursor uint32
 		randAddr := func() uint32 {
 			if rng.Intn(2) == 0 {
@@ -135,7 +152,7 @@ func TestPropertyHierarchyMatchesNaiveTwoLevelModel(t *testing.T) {
 				got := h.Access(addr, write)
 				want := ref.accessBatch([]Op{{Addr: addr, Write: write}})
 				checkChunk(t, tc.name, step, h, ref, []Op{{Addr: addr, Write: write}}, []Result{got}, want)
-			case k < 85: // batched chunk of 1..256 ops
+			case k < 90: // batched chunk of 1..256 ops
 				n := 1 + rng.Intn(len(ops))
 				for i := 0; i < n; i++ {
 					ops[i] = Op{Addr: randAddr(), Write: rng.Intn(4) == 0}
@@ -143,11 +160,10 @@ func TestPropertyHierarchyMatchesNaiveTwoLevelModel(t *testing.T) {
 				h.AccessBatch(ops[:n], res[:n])
 				want := ref.accessBatch(ops[:n])
 				checkChunk(t, tc.name, step, h, ref, ops[:n], res[:n], want)
-			case k < 95: // gate a way of either level (never the last one)
-				level := 1 + rng.Intn(2)
+			default: // gate a way of any level (never the last one)
 				c, nc := h.L1(), ref.l1
-				if level == 2 {
-					c, nc = h.L2(), ref.l2
+				if level := rng.Intn(1 + len(l2s)); level > 0 {
+					c, nc = h.L2(level-1), ref.l2s[level-1]
 				}
 				way := rng.Intn(c.Config().Ways)
 				on := rng.Intn(2) == 0
@@ -156,26 +172,15 @@ func TestPropertyHierarchyMatchesNaiveTwoLevelModel(t *testing.T) {
 				}
 				c.SetWayEnabled(way, on)
 				nc.setWayEnabled(way, on)
-			default: // full-hierarchy flush
-				gotL1, gotL2 := h.Flush()
-				wantL1, wantL2 := ref.flush()
-				if gotL1 != wantL1 || gotL2 != wantL2 {
-					t.Fatalf("%s step %d: Flush = (%d, %d), naive model (%d, %d)",
-						tc.name, step, gotL1, gotL2, wantL1, wantL2)
-				}
 			}
-			if step%89 == 0 { // read-only state probe on both levels
-				addr := randAddr()
-				if h.L1().Contains(addr) != ref.l1.contains(addr) {
-					t.Fatalf("%s step %d: L1 Contains(%#x) diverged", tc.name, step, addr)
-				}
-				if h.L2().Contains(addr) != ref.l2.contains(addr) {
-					t.Fatalf("%s step %d: L2 Contains(%#x) diverged", tc.name, step, addr)
+			if step%89 == 0 { // read-only state probe on every level
+				if addr := randAddr(); !sameContents(h, ref, addr) {
+					t.Fatalf("%s step %d: Contains(%#x) diverged", tc.name, step, addr)
 				}
 			}
 		}
 		for a := uint32(0); a < addrSpace; a += uint32(tc.l1.LineBytes) {
-			if h.L1().Contains(a) != ref.l1.contains(a) || h.L2().Contains(a) != ref.l2.contains(a) {
+			if !sameContents(h, ref, a) {
 				t.Fatalf("%s: final state diverged at %#x", tc.name, a)
 			}
 		}
@@ -198,8 +203,8 @@ func TestPropertySharedL2TwoStreams(t *testing.T) {
 		MustNewHierarchy(MustNew(l1cfg), l2),
 	}
 	refs := [2]*naiveHier{
-		{l1: newNaive(l1cfg), l2: refL2},
-		{l1: newNaive(l1cfg), l2: refL2},
+		newNaiveHier(newNaive(l1cfg), refL2),
+		newNaiveHier(newNaive(l1cfg), refL2),
 	}
 	rng := rand.New(rand.NewSource(7))
 	addrSpace := uint32(l2cfg.SizeBytes() * 3)
@@ -230,5 +235,27 @@ func TestPropertySharedL2TwoStreams(t *testing.T) {
 		if hs[0].L1().Contains(a) != refs[0].l1.contains(a) || hs[1].L1().Contains(a) != refs[1].l1.contains(a) {
 			t.Fatalf("shared: final private-L1 state diverged at %#x", a)
 		}
+	}
+}
+
+// TestNewHierarchyRejects pins the construction checks: every L2 must
+// exist, differ from the L1 and share the L1's line size.
+func TestNewHierarchyRejects(t *testing.T) {
+	l1cfg := Config{Sets: 8, Ways: 2, LineBytes: 32}
+	l1, l2 := MustNew(l1cfg), MustNew(Config{Sets: 16, Ways: 4, LineBytes: 32})
+	for name, l2s := range map[string][]*Cache{
+		"nil L2":     {nil},
+		"L1 as L2":   {l1},
+		"line sizes": {MustNew(Config{Sets: 16, Ways: 4, LineBytes: 16})},
+	} {
+		if _, err := NewHierarchy(l1, l2s...); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := NewHierarchy(nil); err == nil {
+		t.Error("nil L1: accepted")
+	}
+	if _, err := NewHierarchy(l1, l2, MustNew(l1cfg)); err != nil {
+		t.Errorf("two L2s: %v", err)
 	}
 }

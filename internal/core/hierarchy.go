@@ -34,7 +34,7 @@ func (s *System) RunShared(names []string, streams []trace.Stream, m Mode) ([]Re
 	if len(names) != len(streams) {
 		return nil, fmt.Errorf("core: %d names but %d streams", len(names), len(streams))
 	}
-	// One plan for every core: its one slot's L2 is the shared L2.
+	// One plan for every core: its one slot's one tier is the shared L2.
 	one := []GroupMember{{s, m}}
 	plan := planGroup(one)
 	cores := make([]cpu.CorePorts, len(streams))

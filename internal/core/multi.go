@@ -21,27 +21,23 @@ import (
 // System.Run is the one-member case — so a Report never depends on
 // which other members shared its pass.
 //
-// Slots are keyed from configuration (planGroup), so a simulator is
-// built only for a new slot: members whose slotKey — L1 geometry and
-// way gating, plus L2 geometry for a member with Config.L2 —
-// coincides share one slot. Baseline and proposed at the same mode
-// differ only in cell sizing, coding and latency, none of which touch
-// cache *state*, so the paper's 8-member scenario × mode × design group
-// builds only 2 caches per side, and the 6-member hier group (2 L2
-// geometries × 3 protections) 2 slots per side over 2 L2s. Each side
-// builds one L1 per slot; a slot with a second level is a
-// cache.Hierarchy per side over one unified L2 that both sides front.
-// Members of one slot see the same outcome row, so the bank reports
-// the slot's first member as the row of all of them (cpu.MultiPort's
-// Row), and the cpu lane counts each row's misses once. Members of one
-// slot that also split HP and ULE ways at the same index share one
-// tally: the first of them, the lead, counts the slot's outcomes into
-// its tally and the slot's row, and the others point at the lead's
-// tally, so the 8-member group tallies twice per side instead of eight
-// times and fills two rows per side (timing stays per member). Each
-// batch arrives with its phase id, and a lead counts it in place in its
-// tally's entry for that id, so per-phase counts need no state beyond
-// the tally itself.
+// Slots are keyed from L1 configuration (planGroup, slotKey), so a
+// simulator is built only for a new slot. Baseline and proposed at the
+// same mode differ only in cell sizing, coding and latency, none of
+// which touch cache *state*, so the paper's 8-member scenario × mode ×
+// design group builds only 2 L1s per side. Nor does a second level
+// split a slot: an L2 is inclusive of nothing, so the L1 never depends
+// on it. Each side's slot is one cache.Hierarchy — its L1 in front of
+// the slot's tiers, one L2 per distinct L2 geometry among its members,
+// shared by both sides — so the 6-member hier group (2 L2 geometries ×
+// 3 protections) replays 1 L1 per side over 2 L2s. Members of one slot
+// share one outcome row, the first member's (cpu.MultiPort's Row), and
+// the cpu lane counts each row's misses once. Members of one slot and
+// tier with the same HP/ULE way split share one tally: the first of
+// them, the lead, counts the slot's outcomes and the tier's L2 traffic
+// into it, per phase id in place, and fills the slot's row, so the
+// 8-member group tallies twice per side instead of eight times (timing
+// stays per member).
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -49,64 +45,64 @@ type GroupMember struct {
 	Mode Mode
 }
 
-// slotKey identifies members whose caches evolve identically under any
-// access sequence: the same L1 geometry and initially-enabled ways and,
-// for a member with a second level, the same L2 geometry (l2 is zero
-// without one). Everything else a member configures — EDC latency,
-// cell sizing, energy models, L2 latency and protection — lives outside
-// the simulator state.
+// slotKey identifies members whose L1s evolve identically under any
+// access sequence: the same L1 geometry and initially-enabled ways.
+// EDC latency, cell sizing, energy models and the second level live
+// outside the L1 state.
 type slotKey struct {
-	l1, l2 cache.Config
+	l1     cache.Config
 	l1Ways uint64 // enabled-way mask
 }
 
-// groupPlan is a replay group's slot assignment, keyed from the
-// members' configurations, and owns each slot's L2. It does not depend
-// on the side: the IL1 and DL1 banks build one L1 per slot, and both
-// front the slot's one L2.
+// groupPlan is a replay group's slot and tier assignment, and owns
+// each slot's L2s. It does not depend on the side: the IL1 and DL1
+// banks build one L1 per slot, and both front the slot's tiers.
 type groupPlan struct {
-	slot []int          // member k's slot
-	row  []int          // member k's outcome row: the first member of its slot
-	lead []int          // member k's tally lead: k itself, or an earlier member whose tally it shares
-	keys []slotKey      // slot s's cache state
-	l2   []*cache.Cache // slot s's second level, nil for none
+	slot  []int            // member k's slot
+	tier  []int            // member k's L2 among its slot's tiers, -1 for none
+	row   []int            // member k's outcome row: the first member of its slot
+	lead  []int            // member k's tally lead: k itself, or an earlier member whose tally it shares
+	keys  []slotKey        // slot s's L1 state
+	tiers [][]*cache.Cache // slot s's L2s, one per distinct L2 geometry among its members
 }
 
-// planGroup assigns members to slots by slotKey, to the outcome row of
-// their slot's first member and to the tally of the first member of
-// their slot with the same HP/ULE way split, and builds each slot's L2.
+// planGroup assigns members to slots by slotKey and to their slot's
+// tier of their L2 geometry (an L2 powers all its ways in either mode),
+// building each tier's L2; to the outcome row of their slot's first
+// member; and to the tally of the first member of their slot and tier
+// with the same HP/ULE way split.
 func planGroup(members []GroupMember) *groupPlan {
-	g := &groupPlan{slot: make([]int, len(members)), row: make([]int, len(members)), lead: make([]int, len(members))}
+	n := len(members)
+	g := &groupPlan{slot: make([]int, n), tier: make([]int, n), row: make([]int, n), lead: make([]int, n)}
 	for k, gm := range members {
 		key := gm.Sys.stateKey(gm.Mode)
-		idx := slices.Index(g.keys, key)
-		if idx < 0 {
-			idx = len(g.keys)
+		s := slices.Index(g.keys, key)
+		if s < 0 {
+			s = len(g.keys)
 			g.keys = append(g.keys, key)
-			var l2 *cache.Cache
-			if gm.Sys.cfg.L2 != nil {
-				l2 = cache.MustNew(key.l2)
-			}
-			g.l2 = append(g.l2, l2)
+			g.tiers = append(g.tiers, nil)
 		}
-		g.slot[k], g.row[k], g.lead[k] = idx, k, k
-		if j := slices.Index(g.slot[:k], idx); j >= 0 {
+		t := -1
+		if l2 := gm.Sys.cfg.L2; l2 != nil {
+			geom := cache.Config{Sets: l2.Sets, Ways: l2.Ways, LineBytes: l2.LineBytes}
+			t = slices.IndexFunc(g.tiers[s], func(c *cache.Cache) bool { return c.Config() == geom })
+			if t < 0 {
+				t = len(g.tiers[s])
+				g.tiers[s] = append(g.tiers[s], cache.MustNew(geom))
+			}
+		}
+		g.slot[k], g.tier[k], g.row[k], g.lead[k] = s, t, k, k
+		if j := slices.Index(g.slot[:k], s); j >= 0 {
 			g.row[k] = j
 		}
 		for j := 0; j < k; j++ {
-			if g.slot[j] == idx && members[j].Sys.hpWays() == gm.Sys.hpWays() {
+			if g.slot[j] == s && g.tier[j] == t && members[j].Sys.hpWays() == gm.Sys.hpWays() {
 				g.lead[k] = j
 				break
 			}
 		}
 	}
 	return g
-}
-
-// slotSim is one simulator slot of a bank: a *cache.Cache, or a
-// *cache.Hierarchy for a member with a second level.
-type slotSim interface {
-	AccessBatch(ops []cache.Op, res []cache.Result)
 }
 
 // runScratch is one bank port's outcome scratch: one Result row per
@@ -125,29 +121,25 @@ var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 // per member) over the group plan's simulator slots.
 type multiPort struct {
 	plan  *groupPlan
-	ports []*port   // logical member ports
-	sims  []slotSim // one simulator per plan slot
+	ports []*port            // logical member ports
+	sims  []*cache.Hierarchy // one per plan slot: its L1 in front of its tiers
 	scr   *runScratch
 }
 
 // newMultiPort builds one side's bank port over plan: one L1 per slot,
-// chained in front of the slot's L2 if it has one.
+// in front of the slot's tiers.
 func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort {
 	mp := &multiPort{
 		plan:  plan,
 		ports: make([]*port, len(members)),
-		sims:  make([]slotSim, len(plan.keys)),
+		sims:  make([]*cache.Hierarchy, len(plan.keys)),
 		scr:   scratchPool.Get().(*runScratch),
 	}
 	for s, key := range plan.keys {
-		l1 := newSim(key.l1, key.l1Ways)
-		mp.sims[s] = l1
-		if l2 := plan.l2[s]; l2 != nil {
-			mp.sims[s] = cache.MustNewHierarchy(l1, l2)
-		}
+		mp.sims[s] = cache.MustNewHierarchy(newSim(key.l1, key.l1Ways), plan.tiers[s]...)
 	}
 	for k, gm := range members {
-		p := &port{hpWays: gm.Sys.hpWays()}
+		p := &port{hpWays: gm.Sys.hpWays(), hier: mp.sims[plan.slot[k]], tier: plan.tier[k]}
 		if l := plan.lead[k]; l != k {
 			p.t = mp.ports[l].t
 		} else {
@@ -156,8 +148,8 @@ func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort
 		if dside {
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
 		}
-		if h, ok := mp.sims[plan.slot[k]].(*cache.Hierarchy); ok {
-			p.hier, p.l2lat = h, gm.Sys.cfg.L2.Latency
+		if p.tier >= 0 {
+			p.l2lat = gm.Sys.cfg.L2.Latency
 		}
 		mp.ports[k] = p
 	}
@@ -183,11 +175,12 @@ func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 func (mp *multiPort) Row(k int) int { return mp.plan.row[k] }
 
 // AccessBatch implements cpu.MultiPort: one pass per simulator slot over
-// the lane's op list, then each tally lead folds its slot's outcomes
-// into its tally's entry for the batch's phase id, and into the slot's
-// row. A follower's counts over the same Result sequence and way split
-// would be identical, so it shares the lead's tally, and its row is the
-// slot's.
+// the lane's op list (one L1 pass, then one pass per tier over the L1's
+// miss traffic), then each tally lead folds its slot's outcomes and its
+// tier's L2 traffic into its tally's entry for the batch's phase id,
+// and into the slot's row. A follower's counts over the same Result
+// sequences and way split would be identical, so it shares the lead's
+// tally, and its row is the slot's.
 func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
 	scr := mp.scr
@@ -214,12 +207,12 @@ func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 // gating, design, mode and second level may differ freely.
 //
 // A member with Config.L2 replays its IL1 and DL1 against one unified
-// L2 (shared with members of equal L1 and L2 state, which evolve
-// identically): per replay chunk, the IL1 miss traffic reaches the L2
-// first, then the DL1's — the deterministic chunk-order semantics of
-// the batched hierarchy (cache.Hierarchy) — and its report gains
-// per-level breakdowns in Levels. Phase-annotated streams additionally
-// yield a per-phase segmentation of counters, time and EPI.
+// L2 (shared with members of equal L1 state and L2 geometry, which
+// evolve identically): per replay chunk, the IL1 miss traffic reaches
+// the L2 first, then the DL1's — the deterministic chunk-order
+// semantics of the batched hierarchy (cache.Hierarchy) — and its
+// report gains per-level breakdowns in Levels. Phase-annotated streams
+// additionally yield a per-phase segmentation of counters, time and EPI.
 func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: empty replay group")

@@ -73,15 +73,16 @@ func checkMember(t *testing.T, label string, got Report, gm GroupMember, w bench
 // TestGroupDedupSharesSimulators pins the bank-slot sharing that makes
 // a design×mode group cheap: baseline and proposed at the same mode
 // have identical cache geometry and gating, so the 4-member paper group
-// must build only 2 distinct simulators per side. Members with a second
-// level never share a slot with flat members.
+// must build only 2 distinct simulators per side. A member with a
+// second level shares the L1 slot of a flat member of identical L1
+// state, but not its tally.
 func TestGroupDedupSharesSimulators(t *testing.T) {
 	base := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
 	prop := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
 	members := []GroupMember{
 		{base, ModeHP}, {prop, ModeHP}, {base, ModeULE}, {prop, ModeULE},
 	}
-	plan := checkPlan(t, "design×mode group", members, []int{0, 0, 1, 1}, []int{0, 0, 2, 2}, 0)
+	plan := checkPlan(t, "design×mode group", members, []int{0, 0, 1, 1}, []int{-1, -1, -1, -1}, []int{0, 0, 2, 2}, 0)
 	mp := newMultiPort(members, plan, true)
 	defer mp.release()
 	// The EDC latency stays per logical member despite the shared slot.
@@ -93,23 +94,26 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	gatedCfg := PaperConfig(yield.ScenarioA, Baseline)
 	gatedCfg.GateULEWaysAtHP = true
 	gated := MustNewSystem(gatedCfg)
-	checkPlan(t, "gated vs ungated HP", []GroupMember{{base, ModeHP}, {gated, ModeHP}}, []int{0, 1}, []int{0, 1}, 0)
-	// A hierarchy member never shares a slot with a flat member of
-	// identical L1.
+	checkPlan(t, "gated vs ungated HP", []GroupMember{{base, ModeHP}, {gated, ModeHP}}, []int{0, 1}, []int{-1, -1}, []int{0, 1}, 0)
+	// A hierarchy member shares the L1 of a flat member of identical
+	// L1 state, with a tally of its own.
 	tiered := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(testL2()))
 	checkPlan(t, "flat vs hierarchy", []GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}, {tiered, ModeHP}},
-		[]int{0, 1, 0, 1}, []int{0, 1, 0, 1}, 1)
+		[]int{0, 0, 0, 0}, []int{-1, 0, -1, 0}, []int{0, 1, 0, 1}, 1)
 }
 
-// checkPlan plans a group and requires the given slots and tally leads
-// with l2s distinct L2s, and both sides' banks built over the plan to
-// hold one L1 per slot, each side's own, in front of the slot's L2:
-// the IL1 and DL1 of slot s front the same *cache.Cache.
-func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, wantLead []int, l2s int) *groupPlan {
+// checkPlan plans a group and requires the given slots, tiers and
+// tally leads with l2s distinct L2s, and both sides' banks built over
+// the plan to hold one hierarchy per slot, each side's own L1 in front
+// of the slot's tier L2s: the IL1 and DL1 of slot s front the same
+// *cache.Cache at each tier, no L2 serves two tiers, and every member's
+// port reads its slot's hierarchy at a tier of its own L2 geometry.
+func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, wantTier, wantLead []int, l2s int) *groupPlan {
 	t.Helper()
 	plan := planGroup(members)
-	if !reflect.DeepEqual(plan.slot, wantSlot) || !reflect.DeepEqual(plan.lead, wantLead) {
-		t.Fatalf("%s: slots %v, leads %v; want %v, %v", label, plan.slot, plan.lead, wantSlot, wantLead)
+	if !reflect.DeepEqual(plan.slot, wantSlot) || !reflect.DeepEqual(plan.tier, wantTier) || !reflect.DeepEqual(plan.lead, wantLead) {
+		t.Fatalf("%s: slots %v, tiers %v, leads %v; want %v, %v, %v",
+			label, plan.slot, plan.tier, plan.lead, wantSlot, wantTier, wantLead)
 	}
 	il1, dl1 := newMultiPort(members, plan, false), newMultiPort(members, plan, true)
 	defer il1.release()
@@ -118,27 +122,31 @@ func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, want
 		t.Fatalf("%s: %d IL1 and %d DL1 simulators, want %d per side", label, len(il1.sims), len(dl1.sims), slots)
 	}
 	distinct := map[*cache.Cache]bool{}
-	for s, l2 := range plan.l2 {
-		i, ihier := il1.sims[s].(*cache.Hierarchy)
-		d, dhier := dl1.sims[s].(*cache.Hierarchy)
-		if ihier != (l2 != nil) || dhier != (l2 != nil) {
-			t.Fatalf("%s slot %d: hierarchy IL1 %v, DL1 %v, L2 %p", label, s, ihier, dhier, l2)
+	for s, tiers := range plan.tiers {
+		i, d := il1.sims[s], dl1.sims[s]
+		if i.L1() == d.L1() {
+			t.Fatalf("%s slot %d: IL1 and DL1 must front the slot's tiers from their own L1s", label, s)
 		}
-		if l2 == nil {
-			continue
+		for tr, l2 := range tiers {
+			if i.L2(tr) != l2 || d.L2(tr) != l2 || distinct[l2] {
+				t.Fatalf("%s slot %d tier %d: IL1 and DL1 must front the tier's own L2", label, s, tr)
+			}
+			distinct[l2] = true
 		}
-		if i.L2() != l2 || d.L2() != l2 || i.L1() == d.L1() {
-			t.Fatalf("%s slot %d: IL1 and DL1 must front the slot's L2 from their own L1s", label, s)
-		}
-		distinct[l2] = true
 	}
 	if len(distinct) != l2s {
 		t.Fatalf("%s: %d distinct L2s, want %d", label, len(distinct), l2s)
 	}
 	for k, slot := range plan.slot {
+		l2 := members[k].Sys.cfg.L2
 		for _, mp := range []*multiPort{il1, dl1} {
-			if h, _ := mp.sims[slot].(*cache.Hierarchy); mp.ports[k].hier != h || (h == nil) != (members[k].Sys.cfg.L2 == nil) {
-				t.Fatalf("%s member %d: port hierarchy %p, want its slot's %p", label, k, mp.ports[k].hier, h)
+			p := mp.ports[k]
+			if p.hier != mp.sims[slot] || p.tier != plan.tier[k] || (p.tier < 0) != (l2 == nil) {
+				t.Fatalf("%s member %d: port reads hierarchy %p tier %d, want its slot's %p tier %d",
+					label, k, p.hier, p.tier, mp.sims[slot], plan.tier[k])
+			}
+			if l2 != nil && p.hier.L2(p.tier).Config() != (cache.Config{Sets: l2.Sets, Ways: l2.Ways, LineBytes: l2.LineBytes}) {
+				t.Fatalf("%s member %d: tier %d is %+v, not the member's L2 geometry", label, k, p.tier, p.hier.L2(p.tier).Config())
 			}
 		}
 	}
@@ -146,12 +154,15 @@ func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, want
 }
 
 // TestHierGroupSharesEqualShapes pins the hierarchy slot sharing on a
-// hier-epi-shaped group — 2 L2 geometries × 3 protections — plus
-// members that differ from the first only in L2 latency (shares), in
-// mode (another L1, its own slot) and in having no L2 at all. Both sides must hold the asserted slots
-// and tally leads over the same L2s, and every member's Report must
-// equal the member replayed alone, with Stats equal to the naive
-// unified-L2 oracle on plain and phase-annotated streams.
+// hier-epi-shaped group — 2 L2 geometries × 3 protections, one L1 per
+// side in front of 2 tiers — plus members that differ from the first
+// only in L2 latency (shares its tier and tally), in mode (another L1:
+// its own slot, with an L2 of its own) and in having no L2 at all
+// (shares the L1 slot, not the tally). Both sides must hold the
+// asserted slots, tiers and tally leads over the same L2s, and every
+// member's Report must equal the member replayed alone, with Stats
+// equal to the naive unified-L2 oracle on plain and phase-annotated
+// streams.
 func TestHierGroupSharesEqualShapes(t *testing.T) {
 	tiered := func(sets, ways, latency int, prot ecc.Kind) *System {
 		return MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(L2Config{
@@ -168,10 +179,11 @@ func TestHierGroupSharesEqualShapes(t *testing.T) {
 		GroupMember{tiered(64, 8, 6, ecc.KindNone), ModeULE},
 		GroupMember{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed)), ModeHP},
 	)
-	// The hier-epi shape alone: 2 slots per side over 2 L2s.
-	checkPlan(t, "hier-epi group", members[:6], []int{0, 0, 0, 1, 1, 1}, []int{0, 0, 0, 3, 3, 3}, 2)
+	// The hier-epi shape alone: 1 slot per side over 2 L2s.
+	checkPlan(t, "hier-epi group", members[:6],
+		[]int{0, 0, 0, 0, 0, 0}, []int{0, 0, 0, 1, 1, 1}, []int{0, 0, 0, 3, 3, 3}, 2)
 	checkPlan(t, "extended group", members,
-		[]int{0, 0, 0, 1, 1, 1, 0, 2, 3}, []int{0, 0, 0, 3, 3, 3, 0, 7, 8}, 3)
+		[]int{0, 0, 0, 0, 0, 0, 0, 1, 0}, []int{0, 0, 0, 1, 1, 1, 0, 0, -1}, []int{0, 0, 0, 3, 3, 3, 0, 7, 8}, 3)
 
 	arenas := bench.NewArenaCache()
 	for _, tc := range []struct {

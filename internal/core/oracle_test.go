@@ -69,7 +69,7 @@ func (e *naiveEvents) countL1(phase uint8, r cache.Result, write bool, hpWays in
 
 // countL2 counts the L2 traffic of the hierarchy's last access.
 func (e *naiveEvents) countL2(phase uint8, h *cache.Hierarchy) {
-	ops, rs := h.L2Ops(), h.L2Results()
+	ops, rs := h.L2Ops(), h.L2Results(0)
 	for _, c := range []*naiveCount{&e.run, &e.phase[phase]} {
 		for i, r := range rs {
 			if ops[i].Write {
@@ -134,7 +134,7 @@ func naiveSides(s *System, m Mode) (il1, dl1 naiveSide) {
 				ev.countL2(phase, h)
 				return !r.Hit
 			},
-			fills: h.FillMisses,
+			fills: func() uint64 { return h.FillMisses(0) },
 			l2lat: uint64(s.cfg.L2.Latency),
 			ev:    ev,
 		}

@@ -296,8 +296,8 @@ func (c *portCounters) tally(res cache.Result, write bool, hpWays int) (miss boo
 
 // l2Counters are one port's second-level event counts. Word writes into
 // the L2 need no separate tally: every L2 write (an L1 victim line
-// coming down, or a flush) lands its words exactly once, so writes is
-// also the word-write count the energy model charges.
+// coming down) lands its words exactly once, so writes is also the
+// word-write count the energy model charges.
 type l2Counters struct {
 	reads  uint64 // demand fill reads from the L1
 	writes uint64 // dirty-victim write-backs from the L1
@@ -370,10 +370,11 @@ type port struct {
 
 	hpWays int // ways [0, hpWays) are HP ways
 
-	// Two-level state, nil/zero on single-level ports: the hierarchy
-	// whose L1 is this port's simulator (the L2 behind it may be shared
-	// with other ports) and the L2 service latency.
+	// hier is the slot hierarchy whose L1 is this port's simulator, and
+	// tier the (possibly shared) L2 behind it that this port's member
+	// reads: -1, with a zero l2lat, for a single-level member.
 	hier  *cache.Hierarchy
+	tier  int
 	l2lat int
 
 	// t holds the port's counts per phase. A tally follower points at
@@ -382,12 +383,12 @@ type port struct {
 }
 
 // tallyChunk folds one chunk's simulator outcomes, and behind a second
-// level the hierarchy's L2 batch for the chunk, into phase id's counts,
+// level its tier's L2 batch for the chunk, into phase id's counts,
 // setting miss[i] for the core's timing.
 func (p *port) tallyChunk(id uint8, ops []cache.Op, res []cache.Result, miss []bool) {
 	c := p.t.phase(id)
-	if p.hier != nil {
-		c.l2.tally(p.hier.L2Ops(), p.hier.L2Results())
+	if p.tier >= 0 {
+		c.l2.tally(p.hier.L2Ops(), p.hier.L2Results(p.tier))
 	}
 	for i := range res {
 		miss[i] = c.tally(res[i], ops[i].Write, p.hpWays)
@@ -403,10 +404,10 @@ func (p *port) L2Latency() int { return p.l2lat }
 
 // L2FillMisses implements cpu.TieredPort.
 func (p *port) L2FillMisses() uint64 {
-	if p.hier == nil {
+	if p.tier < 0 {
 		return 0
 	}
-	return p.hier.FillMisses()
+	return p.hier.FillMisses(p.tier)
 }
 
 // hpWays is the L1's HP way count: ways [0, hpWays) are HP ways.
@@ -415,10 +416,9 @@ func (s *System) hpWays() int { return s.cfg.Ways - s.cfg.ULEWays }
 // lowWays returns the way mask of ways [0, n).
 func lowWays(n int) uint64 { return ^uint64(0) >> (64 - n) }
 
-// stateKey returns the cache state a member in mode m starts from: ULE
-// mode disables the HP ways, HP mode optionally gates the ULE ways
-// (ablation A5), and an L2 powers all its ways in both modes, since it
-// sits behind the mode-switched L1s and is not part of the way split.
+// stateKey returns the L1 state a member in mode m starts from: ULE
+// mode disables the HP ways, and HP mode optionally gates the ULE ways
+// (ablation A5).
 func (s *System) stateKey(m Mode) slotKey {
 	k := slotKey{l1: cache.Config{Sets: s.cfg.Sets, Ways: s.cfg.Ways, LineBytes: s.cfg.LineBytes}}
 	switch {
@@ -428,9 +428,6 @@ func (s *System) stateKey(m Mode) slotKey {
 		k.l1Ways = lowWays(s.hpWays())
 	default:
 		k.l1Ways = lowWays(s.cfg.Ways)
-	}
-	if l2 := s.cfg.L2; l2 != nil {
-		k.l2 = cache.Config{Sets: l2.Sets, Ways: l2.Ways, LineBytes: l2.LineBytes}
 	}
 	return k
 }

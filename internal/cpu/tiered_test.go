@@ -42,7 +42,7 @@ func (p *hierPort) AccessBatch(ops []PortOp, miss []bool) {
 
 func (p *hierPort) L2Latency() int { return p.lat }
 
-func (p *hierPort) L2FillMisses() uint64 { return p.h.FillMisses() }
+func (p *hierPort) L2FillMisses() uint64 { return p.h.FillMisses(0) }
 
 var (
 	tinyL1 = cache.Config{Sets: 4, Ways: 1, LineBytes: 32}

@@ -417,6 +417,52 @@ func TestRestartTombstonesTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestRestartRefusesUnresolvableJobs: a journaled live job whose spec
+// no longer selects exactly one experiment under the restarted
+// server's registry is not resumed. It is tombstoned failed, with the
+// resolve error Submit would give, both for an experiment the new
+// registry lacks and for a selector that now selects two.
+func TestRestartRefusesUnresolvableJobs(t *testing.T) {
+	only := func(names ...string) RegistryFunc {
+		return func(o GridOptions) *sim.Registry {
+			full, reg := benchRegistry(o), sim.NewRegistry()
+			for _, n := range names {
+				e, _ := full.Get(n)
+				reg.MustRegister(e)
+			}
+			return reg
+		}
+	}
+	for _, tc := range []struct {
+		name, experiment string
+		before, after    RegistryFunc
+		want             string
+	}{
+		{"experiment gone", "slowgrid", benchRegistry, only("sweep"), `unknown experiment "slowgrid"`},
+		{"selector now selects two", "all", only("sweep"), only("sweep", "summed"), `"all" selects 2 experiments; a job is one grid`},
+	} {
+		storeDir, jobsDir := t.TempDir(), t.TempDir()
+		// No in-process workers: the job stays queued, and the drain
+		// leaves it live in the journal.
+		srv1, ts1 := newServerAt(t, storeDir, jobsDir, func(c *Config) { c.Registry, c.Workers = tc.before, 0 })
+		st := submitJob(t, ts1, JobSpec{Experiment: tc.experiment, Options: GridOptions{Instructions: 4}})
+		if err := srv1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ts1.Close()
+
+		srv2, _ := newServerAt(t, storeDir, jobsDir, func(c *Config) { c.Registry, c.Workers = tc.after, 0 })
+		got, ok := srv2.Manager().Job(st.ID)
+		if !ok {
+			t.Fatalf("%s: journaled job %s vanished", tc.name, st.ID)
+		}
+		if got.State != JobFailed || !strings.Contains(got.Error, "not resumable after restart: ") ||
+			!strings.Contains(got.Error, tc.want) || strings.Contains(got.Error, "<nil>") {
+			t.Errorf("%s: restarted job %q: %q; want failed, not resumable: %s", tc.name, got.State, got.Error, tc.want)
+		}
+	}
+}
+
 // TestJournalSyncsBeforeRename records the journal's filesystem steps
 // over one job's life and requires the store's write order for every
 // journal file: create the temp file, write it, fsync it, close it,

@@ -289,16 +289,10 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.DeadlineMS < 0 || spec.DeadlineMS > math.MaxInt64/int64(time.Millisecond) {
 		return JobStatus{}, fmt.Errorf("%w: deadlineMS %d does not fit a time.Duration", ErrBadRequest, spec.DeadlineMS)
 	}
-	reg := m.cfg.Registry(spec.Options)
-	names, err := reg.Resolve(spec.Experiment)
+	e, name, err := m.resolve(spec)
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if len(names) != 1 {
-		return JobStatus{}, fmt.Errorf("%w: %q selects %d experiments; a job is one grid",
-			ErrBadRequest, spec.Experiment, len(names))
-	}
-	e, _ := reg.Get(names[0])
 	grid := e.Grid()
 
 	m.mu.Lock()
@@ -312,7 +306,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	id := "j" + strconv.Itoa(m.nextID)
 	m.nextID++
-	j := m.newJobLocked(id, spec, e, names[0], grid)
+	j := m.newJobLocked(id, spec, e, name, grid)
 	m.mu.Unlock()
 
 	m.journal(j)
@@ -321,6 +315,20 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	go m.supervise(j)
 	m.cond.Broadcast()
 	return m.statusOf(j), nil
+}
+
+// resolve returns the one experiment spec selects, and its full name.
+func (m *Manager) resolve(spec JobSpec) (sim.Experiment, string, error) {
+	reg := m.cfg.Registry(spec.Options)
+	names, err := reg.Resolve(spec.Experiment)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(names) != 1 {
+		return nil, "", fmt.Errorf("%q selects %d experiments; a job is one grid", spec.Experiment, len(names))
+	}
+	e, _ := reg.Get(names[0])
+	return e, names[0], nil
 }
 
 // newJobLocked builds and registers a live job; m.mu must be held.
@@ -872,17 +880,15 @@ func (m *Manager) replayJournal() error {
 		}
 		// Re-enqueue: resolve the experiment again (the registry may
 		// have changed across the restart).
-		reg := m.cfg.Registry(e.Spec.Options)
-		names, rerr := reg.Resolve(e.Spec.Experiment)
-		if rerr != nil || len(names) != 1 {
+		exp, name, rerr := m.resolve(e.Spec)
+		if rerr != nil {
 			e.State = JobFailed
 			e.Error = fmt.Sprintf("not resumable after restart: %v", rerr)
 			m.addTombstone(e)
 			continue
 		}
-		exp, _ := reg.Get(names[0])
 		m.mu.Lock()
-		j := m.newJobLocked(e.ID, e.Spec, exp, names[0], exp.Grid())
+		j := m.newJobLocked(e.ID, e.Spec, exp, name, exp.Grid())
 		m.mu.Unlock()
 		j.events.append(Event{Type: "state", State: JobQueued})
 		m.wg.Add(1)
