@@ -14,7 +14,9 @@
 // For a fixed -seed, output is byte-identical for every -workers value.
 // -trace adds captured trace files (tracegen output), each listed once,
 // to the corpus/corpus-miss/phase-epi sweeps as file-backed grid points;
-// each file is decoded once and replayed from every point.
+// each file is decoded once and replayed from every point. A repeated
+// or missing path is a usage error, reported before any experiment
+// runs.
 //
 // -store DIR checkpoints every completed grid point into a crash-safe
 // content-addressed result store; -resume additionally serves matching
@@ -124,6 +126,16 @@ func runCtx(ctx context.Context, args []string, stdout io.Writer) (err error) {
 			return cli.ErrBadFlags
 		}
 		traces = append(traces, t)
+	}
+	// A trace file is first opened when a grid point reads it; check
+	// each now, so a bad path fails before any work instead of after
+	// every point ahead of it.
+	for _, t := range traces {
+		if _, err := os.Stat(t); err != nil {
+			fmt.Fprintf(fs.Output(), "invalid value %q for flag -trace: %v\n", *traceFiles, err)
+			fs.Usage()
+			return cli.ErrBadFlags
+		}
 	}
 	var geoms []experiments.L2Geometry
 	if *l2Geoms != "" {

@@ -175,6 +175,26 @@ func TestRepeatedTraceFilesRejected(t *testing.T) {
 	}
 }
 
+// TestMissingTraceFileRejected: a -trace path that cannot be stat'ed
+// is a usage error found before any experiment runs, so nothing is
+// computed and stdout stays empty, even with -run all.
+func TestMissingTraceFileRejected(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	var out bytes.Buffer
+	stderr := captureStderr(t, func() {
+		err := run([]string{"-run", "all", "-trace", missing, "-instructions", "2000", "-trials", "20"}, &out)
+		if !errors.Is(err, cli.ErrBadFlags) {
+			t.Errorf("missing -trace file: want a usage error, got %v", err)
+		}
+	})
+	if out.Len() != 0 {
+		t.Errorf("missing -trace file: %d bytes written to stdout before the usage error:\n%s", out.Len(), out.String())
+	}
+	if !strings.Contains(stderr, "missing.trace") {
+		t.Errorf("message does not name the missing path:\n%s", stderr)
+	}
+}
+
 // captureStderr returns what f writes to os.Stderr.
 func captureStderr(t *testing.T, f func()) string {
 	t.Helper()
@@ -324,18 +344,22 @@ func TestResumeRequiresStore(t *testing.T) {
 }
 
 // TestTaskErrorFlushesCompletedResults pins the failure path: a grid
-// point that errors (here: a missing trace file) must still flush every
+// point that errors (here: a corrupt trace file, which passes the
+// flag-time check and fails to decode) must still flush every
 // result that completed before the failure stopped dispatch, and the
 // run must report the error for the non-zero exit.
 func TestTaskErrorFlushesCompletedResults(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.trace")
+	corrupt := filepath.Join(t.TempDir(), "corrupt.trace")
+	if err := os.WriteFile(corrupt, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	err := run([]string{"-run", "corpus", "-instructions", "2000",
-		"-trace", missing, "-format", "csv", "-workers", "2"}, &out)
+		"-trace", corrupt, "-format", "csv", "-workers", "2"}, &out)
 	if err == nil {
-		t.Fatal("missing trace file did not fail the sweep")
+		t.Fatal("corrupt trace file did not fail the sweep")
 	}
-	if !strings.Contains(err.Error(), "missing.trace") {
+	if !strings.Contains(err.Error(), "corrupt.trace") {
 		t.Fatalf("error does not name the failing source: %v", err)
 	}
 	if !strings.Contains(out.String(), "corpus,scenario=A") {

@@ -56,7 +56,7 @@ func (s *System) RunShared(names []string, streams []trace.Stream, m Mode) ([]Re
 		if stats[i][0].Instructions == 0 {
 			return nil, fmt.Errorf("core: shared core %d: empty instruction stream %q", i, names[i])
 		}
-		reports[i] = s.assemble(names[i], m, stats[i][0], ports[i][0].ports[0].t, ports[i][1].ports[0].t)
+		reports[i] = s.assemble(names[i], m, stats[i][0], ports[i][0], ports[i][1], 0)
 	}
 	return reports, nil
 }

@@ -218,6 +218,36 @@ func TestRunSharedReports(t *testing.T) {
 	}
 }
 
+// TestRunSharedTrafficMatchesAlone holds each shared-L2 core's traffic
+// to its stream replayed alone. The L1s are private and an L2 never
+// feeds back into an L1, so a core's L1 counts, its L1 energy and the
+// traffic it sends the L2 (though not the L2's hits, nor any time) are
+// its own whatever the other cores do: each core must keep its own L2
+// counts.
+func TestRunSharedTrafficMatchesAlone(t *testing.T) {
+	sys := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(L2Config{
+		Sets: 16, Ways: 2, LineBytes: 32, Latency: 6, Protection: ecc.KindNone}))
+	ws := bench.Small()
+	ws = []bench.Workload{ws[0].ScaledTo(25_000), ws[1].ScaledTo(30_000)}
+	shared, err := sys.RunShared([]string{ws[0].Name, ws[1].Name}, []trace.Stream{ws[0].Stream(), ws[1].Stream()}, ModeHP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		alone, err := sys.Run(w, ModeHP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, a := shared[i].Levels, alone.Levels
+		if g[0].Accesses != a[0].Accesses || g[0].Misses != a[0].Misses || g[0].Dynamic != a[0].Dynamic || g[0].EDC != a[0].EDC {
+			t.Errorf("core %d (%s): shared L1 row %+v, alone %+v", i, w.Name, g[0], a[0])
+		}
+		if g[1].Accesses != a[1].Accesses {
+			t.Errorf("core %d (%s): %d L2 accesses shared, %d alone", i, w.Name, g[1].Accesses, a[1].Accesses)
+		}
+	}
+}
+
 // TestL2ConfigValidate exercises the geometry/policy gate.
 func TestL2ConfigValidate(t *testing.T) {
 	base := PaperConfig(yield.ScenarioA, Baseline)

@@ -15,11 +15,11 @@ import (
 
 // Single-pass replay: a group of (System, Mode) evaluation points that
 // share one instruction stream is replayed by one cpu.RunMulti pass. The
-// stream is walked and classified once; the cache accesses fan out per
-// simulator slot, the energy tallies per tally lead, and only timing per
-// member. Every single-stream evaluation in the repo is such a group —
-// System.Run is the one-member case — so a Report never depends on
-// which other members shared its pass.
+// stream is walked and classified once; the cache accesses and their
+// event counts fan out per simulator slot, and only timing and pricing
+// per member. Every single-stream evaluation in the repo is such a
+// group — System.Run is the one-member case — so a Report never
+// depends on which other members shared its pass.
 //
 // Slots are keyed from L1 configuration (planGroup, slotKey), so a
 // simulator is built only for a new slot. Baseline and proposed at the
@@ -31,13 +31,16 @@ import (
 // the slot's tiers, one L2 per distinct L2 geometry among its members,
 // shared by both sides — so the 6-member hier group (2 L2 geometries ×
 // 3 protections) replays 1 L1 per side over 2 L2s. Members of one slot
-// share one outcome row, the first member's (cpu.MultiPort's Row), and
-// the cpu lane counts each row's misses once. Members of one slot and
-// tier with the same HP/ULE way split share one tally: the first of
-// them, the lead, counts the slot's outcomes and the tier's L2 traffic
-// into it, per phase id in place, and fills the slot's row, so the
-// 8-member group tallies twice per side instead of eight times (timing
-// stays per member).
+// share one outcome row, the slot's first member's (cpu.MultiPort's
+// Row), and the cpu lane counts each row's misses once.
+//
+// Each side counts each slot's L1 events once, per way and per phase
+// id, and each tier's L2 traffic once, right after the slot's
+// AccessBatch. Which ways are HP and which ULE is a fact of a member's
+// design, not of cache state, so it is decided only when a member's
+// Report is priced (System.breakdown): the 8-member group keeps 2 L1
+// tallies per side, and members that split their ways differently
+// still share their slot's.
 
 // GroupMember is one evaluation point of a replay group.
 type GroupMember struct {
@@ -60,20 +63,17 @@ type slotKey struct {
 type groupPlan struct {
 	slot  []int            // member k's slot
 	tier  []int            // member k's L2 among its slot's tiers, -1 for none
-	row   []int            // member k's outcome row: the first member of its slot
-	lead  []int            // member k's tally lead: k itself, or an earlier member whose tally it shares
+	owner []int            // slot s's outcome row: its first member
 	keys  []slotKey        // slot s's L1 state
 	tiers [][]*cache.Cache // slot s's L2s, one per distinct L2 geometry among its members
 }
 
 // planGroup assigns members to slots by slotKey and to their slot's
 // tier of their L2 geometry (an L2 powers all its ways in either mode),
-// building each tier's L2; to the outcome row of their slot's first
-// member; and to the tally of the first member of their slot and tier
-// with the same HP/ULE way split.
+// building each tier's L2. A slot's first member owns its outcome row.
 func planGroup(members []GroupMember) *groupPlan {
 	n := len(members)
-	g := &groupPlan{slot: make([]int, n), tier: make([]int, n), row: make([]int, n), lead: make([]int, n)}
+	g := &groupPlan{slot: make([]int, n), tier: make([]int, n)}
 	for k, gm := range members {
 		key := gm.Sys.stateKey(gm.Mode)
 		s := slices.Index(g.keys, key)
@@ -81,6 +81,7 @@ func planGroup(members []GroupMember) *groupPlan {
 			s = len(g.keys)
 			g.keys = append(g.keys, key)
 			g.tiers = append(g.tiers, nil)
+			g.owner = append(g.owner, k)
 		}
 		t := -1
 		if l2 := gm.Sys.cfg.L2; l2 != nil {
@@ -91,38 +92,33 @@ func planGroup(members []GroupMember) *groupPlan {
 				g.tiers[s] = append(g.tiers[s], cache.MustNew(geom))
 			}
 		}
-		g.slot[k], g.tier[k], g.row[k], g.lead[k] = s, t, k, k
-		if j := slices.Index(g.slot[:k], s); j >= 0 {
-			g.row[k] = j
-		}
-		for j := 0; j < k; j++ {
-			if g.slot[j] == s && g.tier[j] == t && members[j].Sys.hpWays() == gm.Sys.hpWays() {
-				g.lead[k] = j
-				break
-			}
-		}
+		g.slot[k], g.tier[k] = s, t
 	}
 	return g
 }
 
-// runScratch is one bank port's outcome scratch: one Result row per
-// slot, sized to the largest chunk seen. Scratch is pooled across runs
-// (and therefore across sweep grid points — a sweep's steady state
-// reuses one scratch set per pool slot instead of reallocating per
-// replay).
+// runScratch is one bank port's outcome scratch: one Result row, sized
+// to the largest chunk seen, reused by every slot in turn. Scratch is
+// pooled across runs (and therefore across sweep grid points — a
+// sweep's steady state reuses one scratch set per pool slot instead of
+// reallocating per replay).
 type runScratch struct {
-	res [][]cache.Result
+	res []cache.Result
 }
 
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
 // multiPort is core's cpu-facing port: one side (IL1 or DL1) of a
-// replay group, as a cpu.MultiPort — K logical ports (one tally state
-// per member) over the group plan's simulator slots.
+// replay group, as a cpu.MultiPort — K logical ports (one timing view
+// per member) over the group plan's simulator slots, and the side's
+// event counts: one L1 tally per slot and one L2 tally per slot and
+// tier.
 type multiPort struct {
 	plan  *groupPlan
 	ports []*port            // logical member ports
 	sims  []*cache.Hierarchy // one per plan slot: its L1 in front of its tiers
+	l1    []tally[portCounters]
+	l2    [][]tally[l2Counters] // [slot][tier]
 	scr   *runScratch
 }
 
@@ -133,18 +129,16 @@ func newMultiPort(members []GroupMember, plan *groupPlan, dside bool) *multiPort
 		plan:  plan,
 		ports: make([]*port, len(members)),
 		sims:  make([]*cache.Hierarchy, len(plan.keys)),
+		l1:    make([]tally[portCounters], len(plan.keys)),
+		l2:    make([][]tally[l2Counters], len(plan.keys)),
 		scr:   scratchPool.Get().(*runScratch),
 	}
 	for s, key := range plan.keys {
 		mp.sims[s] = cache.MustNewHierarchy(newSim(key.l1, key.l1Ways), plan.tiers[s]...)
+		mp.l2[s] = make([]tally[l2Counters], len(plan.tiers[s]))
 	}
 	for k, gm := range members {
-		p := &port{hpWays: gm.Sys.hpWays(), hier: mp.sims[plan.slot[k]], tier: plan.tier[k]}
-		if l := plan.lead[k]; l != k {
-			p.t = mp.ports[l].t
-		} else {
-			p.t = new(tally)
-		}
+		p := &port{hier: mp.sims[plan.slot[k]], tier: plan.tier[k]}
 		if dside {
 			p.extra = gm.Sys.ExtraHitLatency(gm.Mode)
 		}
@@ -170,34 +164,37 @@ func (mp *multiPort) Members() int { return len(mp.ports) }
 func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 
 // Row implements cpu.MultiPort: members of one slot see one outcome
-// sequence, whatever their way split, so their row is the slot's first
-// member's.
-func (mp *multiPort) Row(k int) int { return mp.plan.row[k] }
+// sequence, so their row is the slot's owner's.
+func (mp *multiPort) Row(k int) int { return mp.plan.owner[mp.plan.slot[k]] }
 
-// AccessBatch implements cpu.MultiPort: one pass per simulator slot over
-// the lane's op list (one L1 pass, then one pass per tier over the L1's
-// miss traffic), then each tally lead folds its slot's outcomes and its
-// tier's L2 traffic into its tally's entry for the batch's phase id,
-// and into the slot's row. A follower's counts over the same Result
-// sequences and way split would be identical, so it shares the lead's
-// tally, and its row is the slot's.
+// AccessBatch implements cpu.MultiPort: per simulator slot, one pass
+// over the lane's op list (one L1 pass, then one pass per tier over the
+// L1's miss traffic), whose L1 outcomes fold into the slot's tally and
+// row and whose L2 traffic folds into each tier's tally, all at the
+// batch's phase id.
 func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
-	scr := mp.scr
-	for len(scr.res) < len(mp.sims) {
-		scr.res = append(scr.res, nil)
+	if cap(mp.scr.res) < n {
+		mp.scr.res = make([]cache.Result, n)
 	}
-	for s, c := range mp.sims {
-		if cap(scr.res[s]) < n {
-			scr.res[s] = make([]cache.Result, n)
-		}
-		c.AccessBatch(ops, scr.res[s][:n])
-	}
-	for k, p := range mp.ports {
-		if mp.plan.lead[k] == k {
-			p.tallyChunk(phase, ops, scr.res[mp.plan.slot[k]][:n], miss[mp.plan.row[k]])
+	res := mp.scr.res[:n]
+	for s, h := range mp.sims {
+		h.AccessBatch(ops, res)
+		mp.l1[s].phase(phase).fold(ops, res, miss[mp.plan.owner[s]])
+		for t := range mp.l2[s] {
+			mp.l2[s][t].phase(phase).fold(h.L2Ops(), h.L2Results(t))
 		}
 	}
+}
+
+// tallies returns member k's counts on this side: its slot's L1 tally
+// and, behind a second level, its tier's L2 tally (nil without one).
+func (mp *multiPort) tallies(k int) (tally[portCounters], tally[l2Counters]) {
+	s, t := mp.plan.slot[k], mp.plan.tier[k]
+	if t < 0 {
+		return mp.l1[s], nil
+	}
+	return mp.l1[s], mp.l2[s][t]
 }
 
 // RunGroup replays one instruction stream through every member in a
@@ -240,7 +237,7 @@ func RunGroup(name string, stream trace.Stream, members []GroupMember) ([]Report
 	}
 	reports := make([]Report, len(members))
 	for k, gm := range members {
-		reports[k] = gm.Sys.assemble(name, gm.Mode, stats[k], il1.ports[k].t, dl1.ports[k].t)
+		reports[k] = gm.Sys.assemble(name, gm.Mode, stats[k], il1, dl1, k)
 	}
 	return reports, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"edcache/internal/bench"
 	"edcache/internal/cache"
+	"edcache/internal/cpu"
 	"edcache/internal/ecc"
 	"edcache/internal/trace"
 	"edcache/internal/yield"
@@ -73,16 +74,16 @@ func checkMember(t *testing.T, label string, got Report, gm GroupMember, w bench
 // TestGroupDedupSharesSimulators pins the bank-slot sharing that makes
 // a design×mode group cheap: baseline and proposed at the same mode
 // have identical cache geometry and gating, so the 4-member paper group
-// must build only 2 distinct simulators per side. A member with a
-// second level shares the L1 slot of a flat member of identical L1
-// state, but not its tally.
+// must build only 2 distinct simulators and 2 L1 tallies per side. A
+// member with a second level shares the L1 slot, and the L1 tally, of
+// a flat member of identical L1 state.
 func TestGroupDedupSharesSimulators(t *testing.T) {
 	base := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline))
 	prop := MustNewSystem(PaperConfig(yield.ScenarioA, Proposed))
 	members := []GroupMember{
 		{base, ModeHP}, {prop, ModeHP}, {base, ModeULE}, {prop, ModeULE},
 	}
-	plan := checkPlan(t, "design×mode group", members, []int{0, 0, 1, 1}, []int{-1, -1, -1, -1}, []int{0, 0, 2, 2}, 0)
+	plan := checkPlan(t, "design×mode group", members, []int{0, 0, 1, 1}, []int{-1, -1, -1, -1}, 0)
 	mp := newMultiPort(members, plan, true)
 	defer mp.release()
 	// The EDC latency stays per logical member despite the shared slot.
@@ -94,32 +95,44 @@ func TestGroupDedupSharesSimulators(t *testing.T) {
 	gatedCfg := PaperConfig(yield.ScenarioA, Baseline)
 	gatedCfg.GateULEWaysAtHP = true
 	gated := MustNewSystem(gatedCfg)
-	checkPlan(t, "gated vs ungated HP", []GroupMember{{base, ModeHP}, {gated, ModeHP}}, []int{0, 1}, []int{-1, -1}, []int{0, 1}, 0)
+	checkPlan(t, "gated vs ungated HP", []GroupMember{{base, ModeHP}, {gated, ModeHP}}, []int{0, 1}, []int{-1, -1}, 0)
 	// A hierarchy member shares the L1 of a flat member of identical
-	// L1 state, with a tally of its own.
+	// L1 state; its L2 traffic has a tally of its own.
 	tiered := MustNewSystem(PaperConfig(yield.ScenarioA, Baseline).WithL2(testL2()))
 	checkPlan(t, "flat vs hierarchy", []GroupMember{{base, ModeHP}, {tiered, ModeHP}, {base, ModeHP}, {tiered, ModeHP}},
-		[]int{0, 0, 0, 0}, []int{-1, 0, -1, 0}, []int{0, 1, 0, 1}, 1)
+		[]int{0, 0, 0, 0}, []int{-1, 0, -1, 0}, 1)
 }
 
-// checkPlan plans a group and requires the given slots, tiers and
-// tally leads with l2s distinct L2s, and both sides' banks built over
-// the plan to hold one hierarchy per slot, each side's own L1 in front
-// of the slot's tier L2s: the IL1 and DL1 of slot s front the same
-// *cache.Cache at each tier, no L2 serves two tiers, and every member's
-// port reads its slot's hierarchy at a tier of its own L2 geometry.
-func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, wantTier, wantLead []int, l2s int) *groupPlan {
+// checkPlan plans a group and requires the given slots and tiers with
+// l2s distinct L2s, each member's outcome row its slot's first member,
+// and both sides' banks built over the plan to hold one hierarchy and
+// one L1 tally per slot and one L2 tally per tier, each side's own L1
+// in front of the slot's tier L2s: the IL1 and DL1 of slot s front the
+// same *cache.Cache at each tier, no L2 serves two tiers, and every
+// member's port reads its slot's hierarchy at a tier of its own L2
+// geometry.
+func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, wantTier []int, l2s int) *groupPlan {
 	t.Helper()
 	plan := planGroup(members)
-	if !reflect.DeepEqual(plan.slot, wantSlot) || !reflect.DeepEqual(plan.tier, wantTier) || !reflect.DeepEqual(plan.lead, wantLead) {
-		t.Fatalf("%s: slots %v, tiers %v, leads %v; want %v, %v, %v",
-			label, plan.slot, plan.tier, plan.lead, wantSlot, wantTier, wantLead)
+	if !reflect.DeepEqual(plan.slot, wantSlot) || !reflect.DeepEqual(plan.tier, wantTier) {
+		t.Fatalf("%s: slots %v, tiers %v; want %v, %v", label, plan.slot, plan.tier, wantSlot, wantTier)
 	}
 	il1, dl1 := newMultiPort(members, plan, false), newMultiPort(members, plan, true)
 	defer il1.release()
 	defer dl1.release()
-	if slots := slices.Max(wantSlot) + 1; len(il1.sims) != slots || len(dl1.sims) != slots {
-		t.Fatalf("%s: %d IL1 and %d DL1 simulators, want %d per side", label, len(il1.sims), len(dl1.sims), slots)
+	slots := slices.Max(wantSlot) + 1
+	for _, mp := range []*multiPort{il1, dl1} {
+		if len(mp.sims) != slots {
+			t.Fatalf("%s: %d simulators on one side, want %d", label, len(mp.sims), slots)
+		}
+		if n1, n2 := tallyCounts(mp); n1 != slots || n2 != l2s {
+			t.Fatalf("%s: %d L1 and %d L2 tallies on one side, want %d and %d", label, n1, n2, slots, l2s)
+		}
+		for k, s := range wantSlot {
+			if row := mp.Row(k); row != slices.Index(wantSlot, s) {
+				t.Fatalf("%s member %d: outcome row %d, want its slot's first member %d", label, k, row, slices.Index(wantSlot, s))
+			}
+		}
 	}
 	distinct := map[*cache.Cache]bool{}
 	for s, tiers := range plan.tiers {
@@ -153,13 +166,61 @@ func checkPlan(t *testing.T, label string, members []GroupMember, wantSlot, want
 	return plan
 }
 
+// tallyCounts returns a side's numbers of L1 and L2 tallies.
+func tallyCounts(mp *multiPort) (l1, l2 int) {
+	for s := range mp.l1 {
+		l2 += len(mp.l2[s])
+	}
+	return len(mp.l1), l2
+}
+
+// checkTallies replays members over stream as RunGroup does and
+// requires each side to keep l1 L1 tallies and l2 L2 tallies, each
+// folded once per chunk: every L1 tally counts each of its side's
+// accesses once, and every L2 tally one demand fill read per miss of
+// its slot's L1.
+func checkTallies(t *testing.T, label string, members []GroupMember, stream trace.Stream, l1, l2 int) {
+	t.Helper()
+	plan := planGroup(members)
+	il1, dl1 := newMultiPort(members, plan, false), newMultiPort(members, plan, true)
+	defer il1.release()
+	defer dl1.release()
+	stats, err := cpu.RunMulti(cpu.Config{MemLatency: members[0].Sys.cfg.MemLatency}, il1, dl1, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for side, mp := range []*multiPort{il1, dl1} {
+		name := [2]string{"IL1", "DL1"}[side]
+		if n1, n2 := tallyCounts(mp); n1 != l1 || n2 != l2 {
+			t.Fatalf("%s %s: %d L1 and %d L2 tallies, want %d and %d", label, name, n1, n2, l1, l2)
+		}
+		for s := range mp.l1 {
+			st := stats[plan.owner[s]]
+			accesses, misses := st.IAccesses, st.IMisses
+			if side == 1 {
+				accesses, misses = st.DAccesses, st.DMisses
+			}
+			var c portCounters
+			if c.add(mp.l1[s]...); c.reads+c.writes != accesses {
+				t.Errorf("%s %s slot %d: L1 tally counts %d accesses, want %d", label, name, s, c.reads+c.writes, accesses)
+			}
+			for tr := range mp.l2[s] {
+				var c l2Counters
+				if c.add(mp.l2[s][tr]...); c.reads != misses {
+					t.Errorf("%s %s slot %d tier %d: L2 tally counts %d fill reads, want %d", label, name, s, tr, c.reads, misses)
+				}
+			}
+		}
+	}
+}
+
 // TestHierGroupSharesEqualShapes pins the hierarchy slot sharing on a
 // hier-epi-shaped group — 2 L2 geometries × 3 protections, one L1 per
 // side in front of 2 tiers — plus members that differ from the first
-// only in L2 latency (shares its tier and tally), in mode (another L1:
-// its own slot, with an L2 of its own) and in having no L2 at all
-// (shares the L1 slot, not the tally). Both sides must hold the
-// asserted slots, tiers and tally leads over the same L2s, and every
+// only in L2 latency (shares its tier), in mode (another L1: its own
+// slot, with an L2 of its own) and in having no L2 at all (shares the
+// L1 slot). Both sides must hold the asserted slots and tiers, one
+// tally per slot and tier, over the same L2s, and every
 // member's Report must equal the member replayed alone, with Stats
 // equal to the naive unified-L2 oracle on plain and phase-annotated
 // streams.
@@ -181,9 +242,9 @@ func TestHierGroupSharesEqualShapes(t *testing.T) {
 	)
 	// The hier-epi shape alone: 1 slot per side over 2 L2s.
 	checkPlan(t, "hier-epi group", members[:6],
-		[]int{0, 0, 0, 0, 0, 0}, []int{0, 0, 0, 1, 1, 1}, []int{0, 0, 0, 3, 3, 3}, 2)
+		[]int{0, 0, 0, 0, 0, 0}, []int{0, 0, 0, 1, 1, 1}, 2)
 	checkPlan(t, "extended group", members,
-		[]int{0, 0, 0, 0, 0, 0, 0, 1, 0}, []int{0, 0, 0, 1, 1, 1, 0, 0, -1}, []int{0, 0, 0, 3, 3, 3, 0, 7, 8}, 3)
+		[]int{0, 0, 0, 0, 0, 0, 0, 1, 0}, []int{0, 0, 0, 1, 1, 1, 0, 0, -1}, 3)
 
 	arenas := bench.NewArenaCache()
 	for _, tc := range []struct {
@@ -222,13 +283,17 @@ func TestHierGroupSharesEqualShapes(t *testing.T) {
 	}
 }
 
-// TestSharedTallyMatchesAlone pins the shared tally: in the paper's
-// 8-member scenario × mode × design group over a phase-annotated
-// stream, the four members of each mode share one slot and one tally
-// per side, and every member's Report — Phases included — must equal
-// the member replayed alone, with Stats equal to the naive oracle's.
-// Two members that share a slot but split their ways differently (ULE
-// ways 1 vs 2, HP mode, no gating) must keep separate tallies.
+// TestSharedTallyMatchesAlone pins the shared tallies over a
+// phase-annotated stream: in the paper's 8-member scenario × mode ×
+// design group the four members of each mode share one slot and so one
+// L1 tally per side; two members that share a slot but split their
+// ways differently (ULE ways 1 vs 2, HP mode, no gating) still share
+// its one L1 tally, the split being priced per member; and a hier
+// group over 3 L2 geometries keeps 1 L1 tally and 3 L2 tallies per
+// side. Every tally must count each access (or L1 miss) once, and every
+// member's Report — Phases included — must equal the member replayed
+// alone, with Stats equal to the naive oracle's and, for the way-split
+// group, energy equal to the naive oracle's HP/ULE counts priced.
 func TestSharedTallyMatchesAlone(t *testing.T) {
 	var paper []GroupMember
 	for _, sc := range []yield.Scenario{yield.ScenarioA, yield.ScenarioB} {
@@ -241,6 +306,11 @@ func TestSharedTallyMatchesAlone(t *testing.T) {
 	split := PaperConfig(yield.ScenarioA, Baseline)
 	split.ULEWays = 2
 	mixed := []GroupMember{paper[0], {MustNewSystem(split), ModeHP}, paper[1]}
+	var hier []GroupMember
+	for _, g := range [][2]int{{64, 4}, {128, 8}, {512, 16}} {
+		hier = append(hier, GroupMember{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(L2Config{
+			Sets: g[0], Ways: g[1], LineBytes: 32, Latency: 6})), ModeHP})
+	}
 	w, err := bench.ByName("phased_mix")
 	if err != nil {
 		t.Fatal(err)
@@ -250,15 +320,14 @@ func TestSharedTallyMatchesAlone(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		members []GroupMember
-		slots   int
-		lead    []int // per member
+		l1, l2  int  // tallies per side
+		energy  bool // hold energy to the naive oracle too
 	}{
-		{"paper group", paper, 2, []int{0, 0, 2, 2, 0, 0, 2, 2}},
-		{"way split 7+1 vs 6+2", mixed, 1, []int{0, 1, 0}},
+		{"paper group", paper, 2, 0, false},
+		{"way split 7+1 vs 6+2", mixed, 1, 0, true},
+		{"3-geometry hier group", hier, 1, 3, false},
 	} {
-		if plan := planGroup(tc.members); !reflect.DeepEqual(plan.lead, tc.lead) || len(plan.keys) != tc.slots {
-			t.Fatalf("%s: tally leads %v over %d slots, want %v over %d", tc.name, plan.lead, len(plan.keys), tc.lead, tc.slots)
-		}
+		checkTallies(t, tc.name, tc.members, slab.NewCursor(), tc.l1, tc.l2)
 		got, err := RunGroupArena(w.Name, slab, tc.members)
 		if err != nil {
 			t.Fatal(err)
@@ -279,6 +348,9 @@ func TestSharedTallyMatchesAlone(t *testing.T) {
 			want := naivePhasedStats(gm.Sys.cfg.MemLatency, gm.Sys.ExtraHitLatency(gm.Mode), il1, dl1, collect(slab.NewCursor()))
 			if !reflect.DeepEqual(got[k].Stats, want) {
 				t.Errorf("%s: stats diverge from the naive oracle:\n got  %+v\n want %+v", label, got[k].Stats, want)
+			}
+			if tc.energy {
+				checkEnergyOracle(t, label, got[k], gm, collect(slab.NewCursor()))
 			}
 		}
 	}

@@ -275,16 +275,16 @@ func runOne(sys *System, name string, s trace.Stream, m Mode) (Report, error) {
 }
 
 // counters converts one side's naive counts into the accounting's
-// input types.
-func (c naiveCount) counters() (portCounters, l2Counters) {
-	return portCounters{
-			reads: c.reads, writes: c.writes,
-			fillsHP: c.fills[0], fillsULE: c.fills[1],
-			wbHP: c.wbs[0], wbULE: c.wbs[1],
-			writeHitHP: c.wordWrites[0], writeHitULE: c.wordWrites[1],
-		}, l2Counters{
-			reads: c.l2[0], writes: c.l2[1], fills: c.l2[2], wbs: c.l2[3],
-		}
+// input types: the HP class lands in way 0 and the ULE class in the
+// L1's last way. Pricing sums ways by class, so any way of the class
+// would do; the last way keeps a misplaced HP/ULE boundary visible on
+// splits with more than one ULE way.
+func (c naiveCount) counters(ways int) (portCounters, l2Counters) {
+	p := portCounters{reads: c.reads, writes: c.writes}
+	for class, w := range []int{0, ways - 1} {
+		p.ways[w].add(wayCounts{fills: c.fills[class], wbs: c.wbs[class], wordWrites: c.wordWrites[class]})
+	}
+	return p, l2Counters{reads: c.l2[0], writes: c.l2[1], fills: c.l2[2], wbs: c.l2[3]}
 }
 
 // checkEnergyOracle replays insts through the naive oracle for one
@@ -303,8 +303,8 @@ func checkEnergyOracle(t *testing.T, label string, got Report, gm GroupMember, i
 	}
 	price := func(st cpu.Stats, i, d naiveCount) (Breakdown, []LevelEPI) {
 		timeNS := float64(st.Cycles) / s.cfg.FreqGHz(m)
-		ip, il2 := i.counters()
-		dp, dl2 := d.counters()
+		ip, il2 := i.counters(s.cfg.Ways)
+		dp, dl2 := d.counters(s.cfg.Ways)
 		b := s.breakdown(m, ip, dp, st.Instructions, timeNS)
 		if s.cfg.L2 == nil {
 			return b, nil

@@ -230,8 +230,10 @@ func oracleGroups() (paper, hier []GroupMember) {
 // far apart, the first one past every id the stream later carries.
 func TestPhaseEnergyMatchesNaiveOracle(t *testing.T) {
 	paper, hier := oracleGroups()
-	if plan := planGroup(paper); reflect.DeepEqual(plan.lead, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("paper group has no tally followers (leads %v)", plan.lead)
+	mp := newMultiPort(paper, planGroup(paper), false)
+	defer mp.release()
+	if len(mp.l1) != 2 {
+		t.Fatalf("paper group keeps %d L1 tallies per side, want 2 shared by its 8 members", len(mp.l1))
 	}
 	w, err := bench.ByName("phased_mix")
 	if err != nil {

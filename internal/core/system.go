@@ -230,68 +230,78 @@ func (s *System) cacheLeakPower(m Mode) float64 {
 	return p
 }
 
-// portCounters are the per-cache event counts the energy accounting
-// consumes.
-type portCounters struct {
-	reads, writes           uint64
-	fillsHP, fillsULE       uint64
-	wbHP, wbULE             uint64
-	writeHitHP, writeHitULE uint64
+// maxWays bounds an L1's associativity (cache.Config packs way flags
+// into one word); a Result's way masked by maxWays-1 indexes per-way
+// counts without a bounds check.
+const maxWays = 64
+
+// wayCounts are one L1 way's line and word traffic.
+type wayCounts struct {
+	fills, wbs uint64 // lines filled, dirty victims written back
+	wordWrites uint64 // store hits, plus the store into a write-allocated line
 }
 
 // add accumulates d into c.
-func (c *portCounters) add(d portCounters) {
-	c.reads += d.reads
-	c.writes += d.writes
-	c.fillsHP += d.fillsHP
-	c.fillsULE += d.fillsULE
-	c.wbHP += d.wbHP
-	c.wbULE += d.wbULE
-	c.writeHitHP += d.writeHitHP
-	c.writeHitULE += d.writeHitULE
+func (c *wayCounts) add(d wayCounts) {
+	c.fills += d.fills
+	c.wbs += d.wbs
+	c.wordWrites += d.wordWrites
 }
 
-// tally folds one access outcome into the counters and reports whether
-// it missed. Ways [0, hpWays) are HP ways.
-func (c *portCounters) tally(res cache.Result, write bool, hpWays int) (miss bool) {
-	if write {
-		c.writes++
-	} else {
-		c.reads++
+// portCounters are the per-cache event counts the energy accounting
+// consumes: lookups, and every way's line and word traffic. They hold
+// no HP/ULE split; pricing decides which ways are which.
+type portCounters struct {
+	reads, writes uint64
+	ways          [maxWays]wayCounts
+}
+
+// add accumulates every entry of ds into c.
+func (c *portCounters) add(ds ...portCounters) {
+	for i := range ds {
+		d := &ds[i]
+		c.reads += d.reads
+		c.writes += d.writes
+		for w := range c.ways {
+			c.ways[w].add(d.ways[w])
+		}
 	}
-	ule := res.Way >= hpWays
-	if res.Hit {
-		if write {
-			if ule {
-				c.writeHitULE++
-			} else {
-				c.writeHitHP++
+}
+
+// fold counts one chunk's L1 outcomes, each in the way it hit or
+// filled, and sets miss[i] for the core's timing.
+func (c *portCounters) fold(ops []cache.Op, res []cache.Result, miss []bool) {
+	ops, miss = ops[:len(res)], miss[:len(res)]
+	for i := range res {
+		r := &res[i]
+		w := &c.ways[r.Way&(maxWays-1)]
+		if ops[i].Write {
+			c.writes++
+			w.wordWrites++
+		} else {
+			c.reads++
+		}
+		miss[i] = !r.Hit
+		if !r.Hit {
+			w.fills++
+			if r.Writeback {
+				w.wbs++
 			}
 		}
-		return false
 	}
-	if ule {
-		c.fillsULE++
-	} else {
-		c.fillsHP++
-	}
-	if res.Writeback {
-		if ule {
-			c.wbULE++
+}
+
+// split sums the way counts of ways [0, hpWays), the HP ways, and of
+// the rest, the ULE ways.
+func (c *portCounters) split(hpWays int) (hp, ule wayCounts) {
+	for w := range c.ways {
+		if w < hpWays {
+			hp.add(c.ways[w])
 		} else {
-			c.wbHP++
+			ule.add(c.ways[w])
 		}
 	}
-	// A filled line is immediately written (write-allocate): account the
-	// store's word write as a write hit into the fill way.
-	if write {
-		if ule {
-			c.writeHitULE++
-		} else {
-			c.writeHitHP++
-		}
-	}
-	return true
+	return hp, ule
 }
 
 // l2Counters are one port's second-level event counts. Word writes into
@@ -305,16 +315,18 @@ type l2Counters struct {
 	wbs    uint64 // dirty L2 lines written back to memory
 }
 
-// add accumulates d into c.
-func (c *l2Counters) add(d l2Counters) {
-	c.reads += d.reads
-	c.writes += d.writes
-	c.fills += d.fills
-	c.wbs += d.wbs
+// add accumulates every entry of ds into c.
+func (c *l2Counters) add(ds ...l2Counters) {
+	for _, d := range ds {
+		c.reads += d.reads
+		c.writes += d.writes
+		c.fills += d.fills
+		c.wbs += d.wbs
+	}
 }
 
-// tally folds one L2 batch into the counters.
-func (c *l2Counters) tally(ops []cache.Op, rs []cache.Result) {
+// fold counts one L2 batch.
+func (c *l2Counters) fold(ops []cache.Op, rs []cache.Result) {
 	for i := range rs {
 		if ops[i].Write {
 			c.writes++
@@ -330,45 +342,36 @@ func (c *l2Counters) tally(ops []cache.Op, rs []cache.Result) {
 	}
 }
 
-// counts are one logical cache's event counts over one phase or one
-// run: its L1 counters and, behind a second level, its L2 counters.
-type counts struct {
-	portCounters
-	l2 l2Counters
-}
-
-// tally is one logical cache's counts indexed by phase id, grown on
-// first use: each batch is counted in place in its phase's entry, ids
-// the stream never carried stay zero, and the run's counts are the sum
-// of the entries. An unannotated stream counts everything as phase 0.
-type tally []counts
+// tally is one cache's counts indexed by phase id, grown on first use:
+// each batch is counted in place in its phase's entry, ids the stream
+// never carried stay zero, and the run's counts are the sum of the
+// entries (the counters' add). An unannotated stream counts everything
+// as phase 0.
+type tally[C any] []C
 
 // phase returns phase id's counts, growing the table to cover id.
-func (t *tally) phase(id uint8) *counts {
+func (t *tally[C]) phase(id uint8) *C {
 	if int(id) >= len(*t) {
-		*t = append(*t, make(tally, int(id)+1-len(*t))...)
+		*t = append(*t, make(tally[C], int(id)+1-len(*t))...)
 	}
 	return &(*t)[id]
 }
 
-// run returns the counts summed over every phase.
-func (t tally) run() counts {
-	var c counts
-	for _, s := range t {
-		c.portCounters.add(s.portCounters)
-		c.l2.add(s.l2)
+// at returns phase id's counts, zero for an id the table never saw.
+func (t tally[C]) at(id uint8) C {
+	var c C
+	if int(id) < len(t) {
+		c = t[id]
 	}
 	return c
 }
 
 // port is one logical cache of a replay group: the timing view the cpu
-// layer reads (cpu.Port, and cpu.TieredPort behind a second level) and
-// the event counts the energy accounting consumes. Its accesses arrive
-// through the group's multiPort, which owns the simulators.
+// layer reads (cpu.Port, and cpu.TieredPort behind a second level).
+// Its accesses arrive, and its events are counted, through the group's
+// multiPort, which owns the simulators and the tallies.
 type port struct {
 	extra int
-
-	hpWays int // ways [0, hpWays) are HP ways
 
 	// hier is the slot hierarchy whose L1 is this port's simulator, and
 	// tier the (possibly shared) L2 behind it that this port's member
@@ -376,23 +379,6 @@ type port struct {
 	hier  *cache.Hierarchy
 	tier  int
 	l2lat int
-
-	// t holds the port's counts per phase. A tally follower points at
-	// its lead's tally.
-	t *tally
-}
-
-// tallyChunk folds one chunk's simulator outcomes, and behind a second
-// level its tier's L2 batch for the chunk, into phase id's counts,
-// setting miss[i] for the core's timing.
-func (p *port) tallyChunk(id uint8, ops []cache.Op, res []cache.Result, miss []bool) {
-	c := p.t.phase(id)
-	if p.tier >= 0 {
-		c.l2.tally(p.hier.L2Ops(), p.hier.L2Results(p.tier))
-	}
-	for i := range res {
-		miss[i] = c.tally(res[i], ops[i].Write, p.hpWays)
-	}
 }
 
 // ExtraHitLatency implements cpu.Port.
@@ -524,33 +510,44 @@ func (s *System) Run(w bench.Workload, m Mode) (Report, error) {
 	return reps[0], nil
 }
 
-// assemble turns one run's Stats and the two L1s' tallies into a
-// Report: the shared accounting tail of RunGroup and RunShared, whose
-// callers have rejected empty streams. The run is priced from each
-// tally's summed entries and every phase from its own entry, with the
-// same accounting: its terms are linear in the counters, so phases sum
-// to the totals (exactly for counters, to float rounding for energy).
-func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *tally) Report {
+// assemble turns one run's Stats and member k's counts on the two L1
+// sides into a Report: the shared accounting tail of RunGroup and
+// RunShared, whose callers have rejected empty streams. The run is
+// priced from each tally's summed entries and every phase from its own
+// entry, with the same accounting: its terms are linear in the
+// counters, so phases sum to the totals (exactly for counters, to
+// float rounding for energy).
+func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *multiPort, k int) Report {
 	rep := Report{Config: s.cfg, Mode: m, Workload: name, Stats: stats}
-	rep.TimeNS, rep.EPI, rep.Levels = s.price(m, stats, il1.run(), dl1.run())
+	i1, i2 := il1.tallies(k)
+	d1, d2 := dl1.tallies(k)
+	var ir, dr portCounters
+	var l2 l2Counters
+	ir.add(i1...)
+	dr.add(d1...)
+	l2.add(i2...)
+	l2.add(d2...)
+	rep.TimeNS, rep.EPI, rep.Levels = s.price(m, stats, ir, dr, l2)
 	for _, seg := range stats.Phases {
-		pr := PhaseReport{Phase: seg.Phase, Stats: seg.Stats}
-		pr.TimeNS, pr.EPI, pr.Levels = s.price(m, seg.Stats, *il1.phase(seg.Phase), *dl1.phase(seg.Phase))
+		id := seg.Phase
+		pr := PhaseReport{Phase: id, Stats: seg.Stats}
+		var l2 l2Counters
+		l2.add(i2.at(id), d2.at(id))
+		pr.TimeNS, pr.EPI, pr.Levels = s.price(m, seg.Stats, i1.at(id), d1.at(id), l2)
 		rep.Phases = append(rep.Phases, pr)
 	}
 	return rep
 }
 
 // price returns one (sub-)run's wall time, EPI breakdown and, behind a
-// second level, per-level split, from its Stats and the two L1s' counts.
-func (s *System) price(m Mode, st cpu.Stats, il1, dl1 counts) (float64, Breakdown, []LevelEPI) {
+// second level, per-level split, from its Stats, the two L1s' counts
+// and their L2 traffic.
+func (s *System) price(m Mode, st cpu.Stats, il1, dl1 portCounters, l2 l2Counters) (float64, Breakdown, []LevelEPI) {
 	timeNS := float64(st.Cycles) / s.cfg.FreqGHz(m)
-	b := s.breakdown(m, il1.portCounters, dl1.portCounters, st.Instructions, timeNS)
+	b := s.breakdown(m, il1, dl1, st.Instructions, timeNS)
 	if s.cfg.L2 == nil {
 		return timeNS, b, nil
 	}
-	l2 := il1.l2
-	l2.add(dl1.l2)
 	return timeNS, b, s.levelize(m, &b, st, l2, timeNS)
 }
 
@@ -620,38 +617,40 @@ func (s *System) l2Breakdown(m Mode, c l2Counters, timeNS float64) (dyn, leak, e
 
 // breakdown decomposes the energy of one (sub-)run — full run or one
 // phase segment — given the two cache ports' event counters, the
-// instruction count and the wall time. Every term is linear in its
-// counters; assemble relies on that to make per-phase breakdowns sum
-// to the run-level one.
+// instruction count and the wall time. It is where ways [0, hpWays)
+// are priced as HP ways and the rest as ULE ways. Every term is linear
+// in its counters; assemble relies on that to make per-phase
+// breakdowns sum to the run-level one.
 func (s *System) breakdown(m Mode, il1c, dl1c portCounters, instructions uint64, timeNS float64) Breakdown {
 	var b Breakdown
 	vcc := s.cfg.Vcc(m)
 	dataCodec, tagCodec := s.activeCodecs(m)
 	wpl := s.cfg.WordsPerLine()
 	for _, p := range []portCounters{il1c, dl1c} {
+		hp, ule := p.split(s.hpWays())
 		// Parallel lookups: every access probes all enabled ways.
 		b.CacheDynamic += float64(p.reads+p.writes) * s.lookupEnergy(m)
-		// Store hits write one word into the hit way.
-		b.CacheDynamic += float64(p.writeHitHP) * s.wayWordWriteEnergy(m, false, false)
-		b.CacheDynamic += float64(p.writeHitULE) * s.wayWordWriteEnergy(m, true, false)
+		// Stores write one word into the way they hit or filled.
+		b.CacheDynamic += float64(hp.wordWrites) * s.wayWordWriteEnergy(m, false, false)
+		b.CacheDynamic += float64(ule.wordWrites) * s.wayWordWriteEnergy(m, true, false)
 		// Line fills write the whole line plus tag into the fill way.
 		fillHP := s.wayWordWriteEnergy(m, false, true) + float64(wpl-1)*s.wayWordWriteEnergy(m, false, false)
 		fillULE := s.wayWordWriteEnergy(m, true, true) + float64(wpl-1)*s.wayWordWriteEnergy(m, true, false)
-		b.CacheDynamic += float64(p.fillsHP)*fillHP + float64(p.fillsULE)*fillULE
+		b.CacheDynamic += float64(hp.fills)*fillHP + float64(ule.fills)*fillULE
 		// Writebacks read the victim line out.
 		vd, _ := s.hpReadBits()
 		ud, _ := s.uleReadBits(m)
-		b.CacheDynamic += float64(p.wbHP) * float64(wpl) * s.hpArray.AccessEnergy(vcc, vd, 0)
-		b.CacheDynamic += float64(p.wbULE) * float64(wpl) * s.uleArray.AccessEnergy(vcc, ud, 0)
+		b.CacheDynamic += float64(hp.wbs) * float64(wpl) * s.hpArray.AccessEnergy(vcc, vd, 0)
+		b.CacheDynamic += float64(ule.wbs) * float64(wpl) * s.uleArray.AccessEnergy(vcc, ud, 0)
 
 		// EDC: one decode per read (the selected word), one encode per
 		// written word, line fills encode every word plus the tag,
 		// writebacks decode every word.
 		b.EDC += float64(p.reads) * dataCodec.DecodeEnergy(vcc)
-		b.EDC += float64(p.writeHitHP+p.writeHitULE) * dataCodec.EncodeEnergy(vcc)
-		fills := float64(p.fillsHP + p.fillsULE)
+		b.EDC += float64(hp.wordWrites+ule.wordWrites) * dataCodec.EncodeEnergy(vcc)
+		fills := float64(hp.fills + ule.fills)
 		b.EDC += fills * (float64(wpl)*dataCodec.EncodeEnergy(vcc) + tagCodec.EncodeEnergy(vcc))
-		b.EDC += float64(p.wbHP+p.wbULE) * float64(wpl) * dataCodec.DecodeEnergy(vcc)
+		b.EDC += float64(hp.wbs+ule.wbs) * float64(wpl) * dataCodec.DecodeEnergy(vcc)
 	}
 	// Two cache instances (IL1, DL1) leak for the whole (sub-)run.
 	b.CacheLeakage = 2 * s.cacheLeakPower(m) * timeNS
