@@ -88,9 +88,10 @@ type Cache struct {
 	// access. Between two consecutive accesses nothing else mutates the
 	// cache (a Cache is single-goroutine, and Flush/SetWayEnabled
 	// invalidate the memo), so an access to the same line is provably a
-	// hit at the same way — no probe, no victim scan. Sequential fetch
-	// (several instructions per line) and streaming data make this the
-	// most common case of real replay.
+	// hit at the same way — no probe, no victim scan. Streaming data,
+	// and fetch runs handed over as one op with a repeat count (Op.Rep)
+	// but cut at a line smaller than this cache's, make this the most
+	// common case of real replay.
 	mSet int32 // -1 when the memo is invalid
 	mWay int32
 	mTag uint32
@@ -249,15 +250,26 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
 	c.mSet, c.mWay, c.mTag = int32(set), int32(victim), tag
 }
 
-// Op is one access of a batch.
+// Op is one access of a batch, or a run of 1+Rep accesses to Addr's
+// line. Rep lets a caller that knows consecutive accesses share a line
+// (a core fetching straight-line code) hand them over as one op: the
+// repeats all hit the line the first access left most recently used,
+// so AccessBatch performs the run as that one access and advances the
+// LRU clock by its length. Every state change — contents, dirty bits,
+// LRU stamps — is then exactly that of the 1+Rep accesses issued one by
+// one, and the op's Result is the first access's; the repeats' own
+// results are hits on the same way. Rep fits in the struct's padding,
+// so an Op stays 8 bytes.
 type Op struct {
 	Addr  uint32
 	Write bool
+	Rep   uint16 // further accesses to Addr's line, right behind this one
 }
 
-// AccessBatch performs the ops in order, writing the i-th access's
-// outcome into res[i]. It is semantically identical to calling Access in
-// a loop — same state transitions, same results — but the all-ways-off
+// AccessBatch performs the ops in order, writing the i-th op's outcome
+// into res[i]. It is semantically identical to calling Access in a loop,
+// 1+Rep times per op — same state transitions, same results, the first
+// access's for a run — but the all-ways-off
 // guard is hoisted to one compare per batch, the geometry and memo live
 // in registers across the chunk, and the last-line fast path runs
 // inline: one inner loop over the SoA state with a single call out only
@@ -281,7 +293,7 @@ func (c *Cache) AccessBatch(ops []Op, res []Result) {
 		addr, write := ops[i].Addr, ops[i].Write
 		set := int((addr >> offBits) & setMask)
 		tag := addr >> idxBits
-		c.tick++
+		c.tick += 1 + uint64(ops[i].Rep)
 		if int32(set) == mSet && tag == mTag {
 			c.lru[set*c.ways+mWay] = c.tick
 			if write {

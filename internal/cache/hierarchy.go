@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Hierarchy chains a private L1 in front of zero or more (possibly
 // shared) L2s, all the same SoA engine. The L1 filters the reference
@@ -82,7 +85,9 @@ func (h *Hierarchy) L2(t int) *Cache { return h.l2s[t] }
 // any L2, a single AccessBatch per tier over the miss traffic the L1
 // results imply. res receives the L1 results (the hit/miss signal the
 // core times against); the chunk's L2 ops and each tier's results stay
-// readable via L2Ops/L2Results until the next access.
+// readable via L2Ops/L2Results until the next access. An op standing
+// for a run of accesses to one line (Op.Rep) sends the L2 traffic of
+// its first access only, the one access of the run that can miss.
 func (h *Hierarchy) AccessBatch(ops []Op, res []Result) {
 	h.l1.AccessBatch(ops, res)
 	if len(h.l2s) == 0 {
@@ -101,10 +106,7 @@ func (h *Hierarchy) AccessBatch(ops []Op, res []Result) {
 	}
 	n := len(h.l2ops)
 	for t, l2 := range h.l2s {
-		if cap(h.l2res[t]) < n {
-			h.l2res[t] = make([]Result, n)
-		}
-		rs := h.l2res[t][:n]
+		rs := slices.Grow(h.l2res[t][:0], n)[:n] // amortised like l2ops' appends
 		h.l2res[t] = rs
 		l2.AccessBatch(h.l2ops, rs)
 		for i := range h.l2ops {

@@ -167,20 +167,34 @@ func (mp *multiPort) Member(k int) cpu.Port { return mp.ports[k] }
 // sequence, so their row is the slot's owner's.
 func (mp *multiPort) Row(k int) int { return mp.plan.owner[mp.plan.slot[k]] }
 
+// RunLineBytes implements cpu.RunPort: every slot's L1 is a
+// cache.Cache, which performs a fetch run as one access, so the bank
+// takes runs cut at the smallest L1 line among its slots.
+func (mp *multiPort) RunLineBytes() int {
+	line := mp.plan.keys[0].l1.LineBytes
+	for _, key := range mp.plan.keys {
+		line = min(line, key.l1.LineBytes)
+	}
+	return line
+}
+
 // AccessBatch implements cpu.MultiPort: per simulator slot, one pass
 // over the lane's op list (one L1 pass, then one pass per tier over the
 // L1's miss traffic), whose L1 outcomes fold into the slot's tally and
 // row and whose L2 traffic folds into each tier's tally, all at the
-// batch's phase id.
+// batch's phase id. An op may stand for a fetch run (cpu.RunPort): the
+// L1 performs it as one access, and the tally counts its length.
 func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 	n := len(ops)
-	if cap(mp.scr.res) < n {
-		mp.scr.res = make([]cache.Result, n)
-	}
+	mp.scr.res = slices.Grow(mp.scr.res[:0], n)
 	res := mp.scr.res[:n]
 	for s, h := range mp.sims {
 		h.AccessBatch(ops, res)
-		mp.l1[s].phase(phase).fold(ops, res, miss[mp.plan.owner[s]])
+		c := mp.l1[s].phase(phase)
+		if c.ways == nil {
+			c.ways = make([]wayCounts, mp.plan.keys[s].l1.Ways)
+		}
+		c.fold(ops, res, miss[mp.plan.owner[s]])
 		for t := range mp.l2[s] {
 			mp.l2[s][t].phase(phase).fold(h.L2Ops(), h.L2Results(t))
 		}
@@ -188,13 +202,13 @@ func (mp *multiPort) AccessBatch(phase uint8, ops []cpu.PortOp, miss [][]bool) {
 }
 
 // tallies returns member k's counts on this side: its slot's L1 tally
-// and, behind a second level, its tier's L2 tally (nil without one).
-func (mp *multiPort) tallies(k int) (tally[portCounters], tally[l2Counters]) {
+// and, behind a second level, its tier's L2 tally (empty without one).
+func (mp *multiPort) tallies(k int) (*tally[portCounters], *tally[l2Counters]) {
 	s, t := mp.plan.slot[k], mp.plan.tier[k]
 	if t < 0 {
-		return mp.l1[s], nil
+		return &mp.l1[s], &tally[l2Counters]{}
 	}
-	return mp.l1[s], mp.l2[s][t]
+	return &mp.l1[s], &mp.l2[s][t]
 }
 
 // RunGroup replays one instruction stream through every member in a

@@ -201,12 +201,12 @@ func checkTallies(t *testing.T, label string, members []GroupMember, stream trac
 				accesses, misses = st.DAccesses, st.DMisses
 			}
 			var c portCounters
-			if c.add(mp.l1[s]...); c.reads+c.writes != accesses {
+			if c.add(mp.l1[s].cs...); c.reads+c.writes != accesses {
 				t.Errorf("%s %s slot %d: L1 tally counts %d accesses, want %d", label, name, s, c.reads+c.writes, accesses)
 			}
 			for tr := range mp.l2[s] {
 				var c l2Counters
-				if c.add(mp.l2[s][tr]...); c.reads != misses {
+				if c.add(mp.l2[s][tr].cs...); c.reads != misses {
 					t.Errorf("%s %s slot %d tier %d: L2 tally counts %d fill reads, want %d", label, name, s, tr, c.reads, misses)
 				}
 			}
@@ -466,4 +466,28 @@ func BenchmarkPaperGroup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w.Instructions), "ns/inst")
+}
+
+// TestTallyKeepsOneEntryPerPhaseSeen pins the tallies' size to the
+// phase ids a stream carries, not to their values: over a stream in
+// phases 0, 255 and 0 again, every L1 and L2 tally on both sides holds
+// exactly 2 entries, for ids 0 and 255 in first-seen order.
+func TestTallyKeepsOneEntryPerPhaseSeen(t *testing.T) {
+	members := []GroupMember{{MustNewSystem(PaperConfig(yield.ScenarioA, Proposed).WithL2(testL2())), ModeHP}}
+	plan := planGroup(members)
+	il1, dl1 := newMultiPort(members, plan, false), newMultiPort(members, plan, true)
+	defer il1.release()
+	defer dl1.release()
+	s := &trace.SliceStream{Insts: phasedOracleInsts(0, 255)}
+	if _, err := cpu.RunMulti(cpu.Config{MemLatency: members[0].Sys.cfg.MemLatency}, il1, dl1, s); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint8{0, 255}
+	for side, mp := range []*multiPort{il1, dl1} {
+		l1, l2 := mp.tallies(0)
+		if !reflect.DeepEqual(l1.ids, want) || len(l1.cs) != 2 || !reflect.DeepEqual(l2.ids, want) || len(l2.cs) != 2 {
+			t.Errorf("side %d: L1 tally ids %v (%d entries), L2 tally ids %v (%d entries), want %v and 2 entries each",
+				side, l1.ids, len(l1.cs), l2.ids, len(l2.cs), want)
+		}
+	}
 }

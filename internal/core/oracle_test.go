@@ -280,7 +280,7 @@ func runOne(sys *System, name string, s trace.Stream, m Mode) (Report, error) {
 // would do; the last way keeps a misplaced HP/ULE boundary visible on
 // splits with more than one ULE way.
 func (c naiveCount) counters(ways int) (portCounters, l2Counters) {
-	p := portCounters{reads: c.reads, writes: c.writes}
+	p := portCounters{reads: c.reads, writes: c.writes, ways: make([]wayCounts, ways)}
 	for class, w := range []int{0, ways - 1} {
 		p.ways[w].add(wayCounts{fills: c.fills[class], wbs: c.wbs[class], wordWrites: c.wordWrites[class]})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"edcache/internal/bench"
 	"edcache/internal/bitcell"
@@ -230,11 +231,6 @@ func (s *System) cacheLeakPower(m Mode) float64 {
 	return p
 }
 
-// maxWays bounds an L1's associativity (cache.Config packs way flags
-// into one word); a Result's way masked by maxWays-1 indexes per-way
-// counts without a bounds check.
-const maxWays = 64
-
 // wayCounts are one L1 way's line and word traffic.
 type wayCounts struct {
 	fills, wbs uint64 // lines filled, dirty victims written back
@@ -249,37 +245,47 @@ func (c *wayCounts) add(d wayCounts) {
 }
 
 // portCounters are the per-cache event counts the energy accounting
-// consumes: lookups, and every way's line and word traffic. They hold
-// no HP/ULE split; pricing decides which ways are which.
+// consumes: lookups, and every way's line and word traffic, one entry
+// per L1 way (nil until the first fold). They hold no HP/ULE split;
+// pricing decides which ways are which.
 type portCounters struct {
 	reads, writes uint64
-	ways          [maxWays]wayCounts
+	ways          []wayCounts
 }
 
-// add accumulates every entry of ds into c.
+// add accumulates every entry of ds into c, growing c's way counts to
+// cover theirs.
 func (c *portCounters) add(ds ...portCounters) {
 	for i := range ds {
 		d := &ds[i]
 		c.reads += d.reads
 		c.writes += d.writes
-		for w := range c.ways {
+		if len(c.ways) < len(d.ways) {
+			c.ways = append(c.ways, make([]wayCounts, len(d.ways)-len(c.ways))...)
+		}
+		for w := range d.ways {
 			c.ways[w].add(d.ways[w])
 		}
 	}
 }
 
 // fold counts one chunk's L1 outcomes, each in the way it hit or
-// filled, and sets miss[i] for the core's timing.
+// filled, and sets miss[i] for the core's timing; c's way counts must
+// cover the L1's ways. An op that stands for a run of 1+Rep accesses to
+// one line (cache.Op) counts 1+Rep lookups and, for a store run, as
+// many word writes; its fill and write-back count once, since only the
+// run's first access can miss.
 func (c *portCounters) fold(ops []cache.Op, res []cache.Result, miss []bool) {
 	ops, miss = ops[:len(res)], miss[:len(res)]
 	for i := range res {
 		r := &res[i]
-		w := &c.ways[r.Way&(maxWays-1)]
+		w := &c.ways[r.Way]
+		n := 1 + uint64(ops[i].Rep)
 		if ops[i].Write {
-			c.writes++
-			w.wordWrites++
+			c.writes += n
+			w.wordWrites += n
 		} else {
-			c.reads++
+			c.reads += n
 		}
 		miss[i] = !r.Hit
 		if !r.Hit {
@@ -342,26 +348,32 @@ func (c *l2Counters) fold(ops []cache.Op, rs []cache.Result) {
 	}
 }
 
-// tally is one cache's counts indexed by phase id, grown on first use:
-// each batch is counted in place in its phase's entry, ids the stream
-// never carried stay zero, and the run's counts are the sum of the
-// entries (the counters' add). An unannotated stream counts everything
-// as phase 0.
-type tally[C any] []C
+// tally is one cache's counts per phase id, one dense entry per id the
+// stream carried, in first-seen order: each batch is counted in place
+// in its phase's entry, and the run's counts are the sum of the entries
+// (the counters' add). An unannotated stream counts everything as
+// phase 0, so a tally holds as many entries as the stream has distinct
+// phase ids, whatever their values.
+type tally[C any] struct {
+	ids []uint8 // ids[i] is the phase id entry i counts
+	cs  []C
+}
 
-// phase returns phase id's counts, growing the table to cover id.
+// phase returns phase id's counts, adding a zero entry for a new id.
 func (t *tally[C]) phase(id uint8) *C {
-	if int(id) >= len(*t) {
-		*t = append(*t, make(tally[C], int(id)+1-len(*t))...)
+	if i := slices.Index(t.ids, id); i >= 0 {
+		return &t.cs[i]
 	}
-	return &(*t)[id]
+	t.ids = append(t.ids, id)
+	t.cs = append(t.cs, *new(C))
+	return &t.cs[len(t.cs)-1]
 }
 
 // at returns phase id's counts, zero for an id the table never saw.
-func (t tally[C]) at(id uint8) C {
+func (t *tally[C]) at(id uint8) C {
 	var c C
-	if int(id) < len(t) {
-		c = t[id]
+	if i := slices.Index(t.ids, id); i >= 0 {
+		c = t.cs[i]
 	}
 	return c
 }
@@ -523,10 +535,10 @@ func (s *System) assemble(name string, m Mode, stats cpu.Stats, il1, dl1 *multiP
 	d1, d2 := dl1.tallies(k)
 	var ir, dr portCounters
 	var l2 l2Counters
-	ir.add(i1...)
-	dr.add(d1...)
-	l2.add(i2...)
-	l2.add(d2...)
+	ir.add(i1.cs...)
+	dr.add(d1.cs...)
+	l2.add(i2.cs...)
+	l2.add(d2.cs...)
 	rep.TimeNS, rep.EPI, rep.Levels = s.price(m, stats, ir, dr, l2)
 	for _, seg := range stats.Phases {
 		id := seg.Phase

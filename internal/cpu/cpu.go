@@ -25,17 +25,23 @@
 // instruction stream driving one IL1 bank and one DL1 bank of K cache
 // configurations (MultiPort); each chunk is one NextSlice window of the
 // stream, classified and split at phase boundaries once, and only the
-// cache accesses fan out. A bank reports which members share an outcome
-// row (MultiPort.Row), so misses are counted once per distinct row and
-// load-use stalls once per distinct (row, EDC latency); only the final
-// fold into each member's Stats runs per member. Each bank batch
-// carries its run's phase id, so a bank that counts its own events per
-// phase indexes its table by that id. Every trace source serves full
-// windows, so the chunk grain is the same whether the stream is a
-// generator, a slab cursor or a file Reader. Run is one lane of one
-// member, RunMulti one lane of K members, and RunShared N lanes
-// interleaved round-robin at chunk granularity over caches that may
-// share state behind the L1s.
+// cache accesses fan out. An IL1 bank that takes runs (RunPort: core's
+// energy bank) gets one op per run of consecutive fetches on one line,
+// cut at its smallest L1 line and never across a chunk or phase
+// boundary: the in-order core fetches straight-line code, so most
+// fetches repeat the line of the fetch before, and such a fetch always
+// hits. Other IL1 banks (FanPort, core's functional bank) get one op
+// per fetch, and every DL1 bank one op per data access. A bank reports
+// which members share an outcome row (MultiPort.Row), so misses are
+// counted once per distinct row and load-use stalls once per distinct
+// (row, EDC latency); only the final fold into each member's Stats runs
+// per member. Each bank batch carries its phase id, so a bank that
+// counts its own events per phase files the batch under that id. Every
+// trace source serves full windows, so the chunk grain is the same
+// whether the stream is a generator, a slab cursor or a file Reader.
+// Run is one lane of one member, RunMulti one lane of K members, and
+// RunShared N lanes interleaved round-robin at chunk granularity over
+// caches that may share state behind the L1s.
 package cpu
 
 import (

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"edcache/internal/trace"
 )
@@ -23,6 +24,9 @@ type lane struct {
 	s      trace.Stream
 	phased bool // the stream advertises phase ids
 	done   bool
+	// runShift is log2 of the line I-fetch runs are cut at, or -1 when
+	// the IL1 bank takes one op per fetch (it is no RunPort).
+	runShift int
 
 	il1, dl1 MultiPort
 	sts      []Stats
@@ -61,9 +65,17 @@ func newLane(cfg Config, il1, dl1 MultiPort, s trace.Stream) (*lane, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("cpu: empty cache bank")
 	}
+	runShift := -1
+	if rp, ok := il1.(RunPort); ok {
+		b := rp.RunLineBytes()
+		if b <= 0 || b&(b-1) != 0 {
+			return nil, fmt.Errorf("cpu: IL1 bank cuts runs at %d B, not a positive power of two", b)
+		}
+		runShift = bits.TrailingZeros(uint(b))
+	}
 	mem := uint64(cfg.MemLatency)
 	l := &lane{
-		s: s, phased: s.HasPhases(), il1: il1, dl1: dl1, mem: mem,
+		s: s, phased: s.HasPhases(), runShift: runShift, il1: il1, dl1: dl1, mem: mem,
 		sts:      make([]Stats, k),
 		dExtra:   make([]int, k),
 		it:       make([]sideTimer, k),
@@ -171,19 +183,21 @@ func (l *lane) step() bool {
 
 // process replays one run of phase id's instructions through every
 // member and folds member k's outcome into sts[k]: one classification,
-// one banked AccessBatch per side carrying the id, then one miss count
-// per owner row (every miss on a side costs the same latency) and one
-// load-use stall tally per distinct (D row, EDC latency) with an active
-// EDC stage, over the use distances recorded alongside the data ops.
-// Only the fold runs per member, reading the counts of its rows.
+// one banked AccessBatch per side carrying the id — the I side one op
+// per fetch line run when the bank takes runs — then one miss count
+// per owner row (every miss on a side costs the same latency, and only
+// a run's first fetch can miss) and one load-use stall tally per
+// distinct (D row, EDC latency) with an active EDC stage, over the use
+// distances recorded alongside the data ops. Only the fold runs per
+// member, reading the counts of its rows.
 func (l *lane) process(id uint8, insts []trace.Inst, sts []Stats) {
 	n := len(insts)
-	nd, mix := classify(insts, l.iops, l.dops, l.udist)
+	ni, nd, mix := classify(insts, l.iops, l.dops, l.udist, l.runShift)
 	for k := range l.irows {
-		l.irows[k] = l.imiss[k][:n]
+		l.irows[k] = l.imiss[k][:ni]
 		l.drows[k] = l.dmiss[k][:nd]
 	}
-	l.il1.AccessBatch(id, l.iops[:n], l.irows)
+	l.il1.AccessBatch(id, l.iops[:ni], l.irows)
 	l.dl1.AccessBatch(id, l.dops[:nd], l.drows)
 
 	for _, r := range l.iown {
@@ -259,10 +273,14 @@ type chunkMix struct {
 }
 
 // classify performs the one walk over a chunk's instructions: it fills
-// iops (one fetch per instruction), writes the data accesses in program
-// order to the front of dops with their use distances alongside in
-// udist, and returns their count and the instruction mix. iops, dops
-// and udist must each hold at least len(insts) entries.
+// iops with one fetch op per instruction, writes the data accesses in
+// program order to the front of dops with their use distances
+// alongside in udist, and returns the counts of both and the
+// instruction mix. With runShift ≥ 0 it then merges the fetch ops into
+// one op per run of consecutive fetches on one 1<<runShift-byte line
+// (fetchRuns), and the first count is the runs'. iops, dops and udist
+// must each hold at least len(insts) entries, and insts at most
+// batchSize, so a run's Rep never wraps.
 //
 // The walk has no data-dependent branch: every record writes a data op
 // at the next free index, and the index advances only past a memory op.
@@ -270,8 +288,10 @@ type chunkMix struct {
 // records carrying any flag combination: a load wins over a store (its
 // access reads, and its use distance counts), a memory op is never
 // counted as a branch, and a taken flag counts only on a branch that
-// is not a memory op. A store's use distance is masked to 0.
-func classify(insts []trace.Inst, iops, dops []PortOp, udist []uint8) (int, chunkMix) {
+// is not a memory op. A store's use distance is masked to 0. Runs are
+// found in a pass over the fetch ops rather than in the walk, which
+// keeps the walk as cheap for banks that take one op per fetch.
+func classify(insts []trace.Inst, iops, dops []PortOp, udist []uint8, runShift int) (int, int, chunkMix) {
 	iops = iops[:len(insts)]
 	dops = dops[:len(insts)]
 	udist = udist[:len(insts)]
@@ -292,7 +312,29 @@ func classify(insts []trace.Inst, iops, dops []PortOp, udist []uint8) (int, chun
 		mix.branches += br
 		mix.taken += br & b2u(inst.Taken)
 	}
-	return d, mix
+	if runShift < 0 {
+		return len(iops), d, mix
+	}
+	return fetchRuns(iops, uint(runShift)), d, mix
+}
+
+// fetchRuns merges consecutive fetch ops on one 1<<shift-byte line in
+// place into one op per run — the run's first fetch, its further
+// fetches counted in Rep — and returns the number of runs.
+func fetchRuns(iops []PortOp, shift uint) int {
+	if len(iops) == 0 {
+		return 0
+	}
+	r := 0
+	for _, op := range iops[1:] {
+		if op.Addr>>shift == iops[r].Addr>>shift {
+			iops[r].Rep++
+		} else {
+			r++
+			iops[r] = op
+		}
+	}
+	return r + 1
 }
 
 // b2u is a flag as 0 or 1; the compiler lowers it to a zero extension.

@@ -16,7 +16,9 @@ import (
 // Row names it, and AccessBatch fills only the rows that own
 // themselves. Every batch holds the ops of one phase, whose id comes
 // with it: a MultiPort that counts its own events per phase folds the
-// batch into that id's counters.
+// batch into that id's counters. An IL1 bank gets one op per fetch
+// unless it takes fetch line runs by also implementing RunPort, as
+// core's energy bank does; FanPort and core's functional bank do not.
 type MultiPort interface {
 	// Members returns the number of configurations behind the port.
 	Members() int
@@ -37,11 +39,32 @@ type MultiPort interface {
 	AccessBatch(phase uint8, ops []PortOp, miss [][]bool)
 }
 
+// RunPort is an optional MultiPort extension, probed on a lane's IL1
+// bank: a bank that implements it takes I-fetch line runs. The lane
+// hands it one op per run of consecutive
+// fetches on one RunLineBytes-byte line, the run's further fetches
+// counted in the op's Rep (cache.Op's contract), instead of one op per
+// fetch. A run within the smallest line of the bank is a run within
+// every larger line, so each member may perform it as one access: the
+// repeats hit the line the first fetch left most recently used. miss
+// then holds one entry per run, the first fetch's outcome, and a bank
+// that counts its own events counts a run as 1+Rep lookups. Banks that
+// are no RunPort — FanPort, and functional banks, where every fetch
+// reads its own word — keep one op per fetch. DL1 banks always get one
+// op per data access.
+type RunPort interface {
+	MultiPort
+	// RunLineBytes returns the line size, a power of two, that runs are
+	// cut at: the smallest L1 line among the bank's members.
+	RunLineBytes() int
+}
+
 // FanPort adapts K independent BatchPorts into a MultiPort by fanning
 // every batch out member by member. It is the generic bank adapter —
 // ports that can share work across members (one op conversion, one
 // simulator for identical configurations) implement MultiPort directly
-// instead.
+// instead. It takes no runs (it is no RunPort): a BatchPort sees one op
+// per fetch.
 type FanPort struct {
 	members []BatchPort
 }

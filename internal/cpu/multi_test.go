@@ -97,6 +97,11 @@ func TestRunMultiValidation(t *testing.T) {
 	if _, err := RunMulti(Config{MemLatency: 20}, nil, one(1), w.Stream()); err == nil {
 		t.Fatal("nil IL1 bank accepted")
 	}
+	for _, line := range []int{0, 24} {
+		if _, err := RunMulti(Config{MemLatency: 20}, &runFan{FanPort: one(1), line: line}, one(1), w.Stream()); err == nil {
+			t.Fatalf("IL1 bank cutting runs at %d B accepted", line)
+		}
+	}
 	if _, err := RunMulti(Config{MemLatency: 20}, one(2), one(3), w.Stream()); err == nil {
 		t.Fatal("mismatched bank sizes accepted")
 	}
@@ -115,4 +120,33 @@ func mustFan(t *testing.T, ports ...BatchPort) *FanPort {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// opTally is a BatchPort that counts the ops it is handed.
+type opTally struct {
+	*batchPort
+	ops int
+}
+
+func (p *opTally) AccessBatch(ops []PortOp, miss []bool) {
+	p.ops += len(ops)
+	p.batchPort.AccessBatch(ops, miss)
+}
+
+// TestFanPortTakesOneOpPerFetch pins that a bank which is no RunPort is
+// handed one IL1 op per fetch, with no repeats, even on a workload
+// whose fetches come in long same-line runs.
+func TestFanPortTakesOneOpPerFetch(t *testing.T) {
+	w, err := bench.ByName("gsm_c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w = w.ScaledTo(20_000)
+	il1 := &opTally{batchPort: newBatchPort(0)}
+	if _, err := RunMulti(Config{MemLatency: 20}, mustFan(t, il1), mustFan(t, newBatchPort(0)), w.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	if il1.ops != w.Instructions {
+		t.Errorf("IL1 took %d ops over %d fetches", il1.ops, w.Instructions)
+	}
 }

@@ -47,6 +47,17 @@ type extraHierPort struct {
 
 func (p *extraHierPort) ExtraHitLatency() int { return p.extra }
 
+// runFan is a FanPort that takes I-fetch line runs cut at line bytes,
+// so its members see one op per run and perform it as one access
+// (cache.Op's Rep). line must not exceed the members' smallest IL1
+// line.
+type runFan struct {
+	*FanPort
+	line int
+}
+
+func (r *runFan) RunLineBytes() int { return r.line }
+
 // randomInsts builds a random instruction mix over a small code and
 // data footprint (so every geometry sees hits, misses and write-backs),
 // with phase ids in runs when phased.
@@ -109,7 +120,9 @@ func fileSource(t *testing.T, insts []trace.Inst, phased bool, readers *[]*trace
 // TestReplayMatchesNaiveOracle drives the one replay loop with random
 // inputs — stream kind, phases on or off, flat, tiered or unified-L2
 // members, K = 1..4 members per lane and N = 1..3 lanes, through Run,
-// RunMulti or RunShared — and requires every member's Stats to
+// RunMulti or RunShared, and on every odd iteration IL1 banks that take
+// fetch runs, cut at the lane's smallest IL1 line or at half of it on
+// every fourth — and requires every member's Stats to
 // DeepEqual the naive oracle replaying that member's stream alone. A
 // unified L2 sees each chunk's IL1 traffic before its DL1 traffic, so
 // those members also pin every source to full batchSize windows.
@@ -156,6 +169,16 @@ func TestReplayMatchesNaiveOracle(t *testing.T) {
 				iports[k], dports[k] = spec.ports()
 			}
 			cores[i] = CorePorts{IL1: mustFan(t, iports...), DL1: mustFan(t, dports...)}
+			if iter%2 == 1 && lanes*members > 1 {
+				line := specs[i][0].il1.LineBytes
+				for _, spec := range specs[i] {
+					line = min(line, spec.il1.LineBytes)
+				}
+				if iter%4 == 3 {
+					line /= 2
+				}
+				cores[i].IL1 = &runFan{FanPort: cores[i].IL1.(*FanPort), line: line}
+			}
 			streams[i] = open[i]()
 		}
 		var got [][]Stats
