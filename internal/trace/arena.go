@@ -1,12 +1,10 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Slab is the replay-many contract shared by the materialized Arena
@@ -50,20 +48,28 @@ type Arena struct {
 // arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
-// filler is the fast path of a Stream that computes its records rather
-// than decoding them (bench's generators): Fill writes the next
-// min(len(dst), remaining) records straight into dst and returns how
-// many it wrote. NewArena checks for it as io.Copy checks for an
-// io.WriterTo.
+// filler is the fast path of a Stream that can write its records
+// straight into a slab: bench's generators compute them there, and a
+// Reader (through readerFill) decodes whole chunks there. Fill writes up
+// to the next len(dst) records into dst and returns how many it wrote;
+// NewArena drains whatever it leaves window by window. NewArena checks
+// for it as io.Copy checks for an io.WriterTo.
 type filler interface {
 	Fill(dst []Inst) int
 }
 
+// readerFill is a Reader that fills: its chunks decode straight into
+// the slab rather than through its chunk buffer.
+type readerFill struct{ *Reader }
+
+// Fill implements filler.
+func (f readerFill) Fill(dst []Inst) int { return f.fill(dst) }
+
 // NewArena materializes the whole stream into a slab; n is the expected
 // length (0 if unknown), so an exact n makes the slab one allocation.
 // A stream that can fill writes its first n records straight into the
-// slab, with no window buffer and no window copy; decoded streams, and
-// whatever a filler holds beyond n, are drained window by window.
+// slab, with no window buffer and no window copy; other streams, and
+// whatever a filler leaves, are drained window by window.
 // Phase annotation is inherited, so cursors replay as the stream would.
 func NewArena(s Stream, n int) *Arena {
 	insts := make([]Inst, 0, n)
@@ -96,125 +102,74 @@ func NewArena(s Stream, n int) *Arena {
 
 // loadArena decodes a serialised trace (either container version,
 // compressed or not) into a slab in one pass, validating it end to end
-// — trailer count, reserved bits, gzip checksum — exactly as streaming
-// replay would. Phase annotation follows the file's stream-flag bit 1.
-func loadArena(r io.Reader) (*Arena, error) {
+// — trailer count, reserved bits, chunk CRCs, index, gzip checksum —
+// exactly as streaming replay would. n is the slab size hint NewArena
+// takes. Phase annotation follows the file's stream-flag bit 1.
+func loadArena(r io.Reader, n int) (*Arena, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	a := NewArena(rd, 0)
+	a := NewArena(readerFill{rd}, n)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	a.phased = rd.HasPhases()
 	return a, nil
 }
 
-// LoadArenaFile is loadArena over a file path, with a fast path for
-// indexed containers (v2 stream-flag bit 3): the validated chunk index
-// gives every chunk's file offset and record count, so the slab is
-// sized exactly up front and the chunks are decoded in parallel across
-// a worker pool into disjoint slab ranges. Unindexed files (v1,
-// pre-index v2, gzip) take the sequential streaming decode.
+// LoadArenaFile is loadArena over a file path. A regular file's slab is
+// sized once, up front, from the record total its container declares
+// (declaredRecords).
 func LoadArenaFile(path string) (*Arena, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	n := 0
 	if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
-		meta, err := readFileMeta(f, st.Size())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if meta.indexed {
-			a, err := loadArenaIndexed(f, meta)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			return a, nil
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
+		n = declaredRecords(f, st.Size())
 	}
-	a, err := loadArena(f)
+	a, err := loadArena(f, n)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return a, nil
 }
 
-// loadArenaIndexed decodes an indexed v2 container into a slab chunk by
-// chunk across a worker pool. The index (validated by readFileMeta)
-// gives each chunk's slab range via a prefix sum over the entry counts,
-// so workers write disjoint ranges with no synchronisation beyond the
-// work counter. Every chunk frame goes through decodeChunk, and the
-// entry it implies must equal the index entry exactly, as in the
-// streaming reader's index cross-check.
-func loadArenaIndexed(f *os.File, meta *fileMeta) (*Arena, error) {
-	insts := make([]Inst, meta.total)
-	starts := make([]int, len(meta.entries)+1)
-	for i, e := range meta.entries {
-		starts[i+1] = starts[i] + e.Count
+// declaredRecords peeks the record total a size-byte container
+// declares, without validating it: a v1 file's size implies it, and a
+// v2 file's trailer holds it — the last 8 bytes, or for an indexed file
+// the 8 bytes before the index its footer points at. It is only a size
+// hint, since the Reader then validates everything the peek read, so it
+// is clamped to the records size bytes can hold: a lying trailer cannot
+// make the slab outgrow the file. Gzip bodies, whose trailer is not on
+// disk, and unreadable containers yield 0.
+func declaredRecords(f io.ReaderAt, size int64) int {
+	h, err := readHeader(io.NewSectionReader(f, 0, size))
+	if err != nil || h.compressed {
+		return 0
 	}
-	// decode reads chunk i's frame into raw (grown as needed) and
-	// decodes it into its slab range.
-	decode := func(i int, raw []byte) ([]byte, error) {
-		e := meta.entries[i]
-		if n := meta.frameBytes(e.Count); cap(raw) < n {
-			raw = make([]byte, n)
-		} else {
-			raw = raw[:n]
+	if h.version == traceVersionV1 {
+		return int((size - 12) / recordBytes) // the 8-byte header and 4-byte trailer
+	}
+	trailer := size - 8
+	if h.indexed {
+		var fb [indexFooterBytes]byte
+		if _, err := f.ReadAt(fb[:], size-indexFooterBytes); err != nil {
+			return 0
 		}
-		if _, err := f.ReadAt(raw, e.Offset); err != nil {
-			return raw, fmt.Errorf("trace: %w: chunk %d at offset %d: %v", ErrTruncated, i, e.Offset, err)
-		}
-		got, _, err := meta.decodeChunk(raw, insts[starts[i]:starts[i+1]])
+		_, indexOff, err := getIndexFooter(fb[:])
 		if err != nil {
-			return raw, fmt.Errorf("%w (chunk %d)", err, i)
+			return 0
 		}
-		if got.Offset = e.Offset; got != e {
-			return raw, fmt.Errorf("trace: %w: entry %d is %+v, chunk holds %+v", ErrIndex, i, e, got)
-		}
-		return raw, nil
+		trailer = indexOff - 8
 	}
-	var (
-		next     atomic.Int64 // next chunk to claim
-		failed   atomic.Bool  // set once any worker fails, stops the others
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(meta.entries)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var raw []byte
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(meta.entries) || failed.Load() {
-					return
-				}
-				var err error
-				if raw, err = decode(i, raw); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
+	var tb [8]byte
+	if _, err := f.ReadAt(tb[:], trailer); err != nil {
+		return 0
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &Arena{insts: insts, phased: meta.phases}, nil
+	return int(min(binary.LittleEndian.Uint64(tb[:]), uint64(size/recordBytes)))
 }
 
 // DefaultMapThreshold is the file size at which OpenSlab switches from

@@ -96,13 +96,13 @@ func TestCompatMatrix(t *testing.T) {
 				}
 			}
 
-			// Slab loading, streaming and file-backed (the latter takes
-			// the parallel path for indexed variants).
+			// Slab loading, from a reader and from a file (the latter
+			// sized by the record total the container declares).
 			for _, load := range []struct {
 				name string
 				do   func() (*Arena, error)
 			}{
-				{"loadArena", func() (*Arena, error) { return loadArena(bytes.NewReader(data)) }},
+				{"loadArena", func() (*Arena, error) { return loadArena(bytes.NewReader(data), 0) }},
 				{"LoadArenaFile", func() (*Arena, error) { return LoadArenaFile(path) }},
 			} {
 				a, err := load.do()
@@ -183,7 +183,7 @@ func TestCompatRejectsFutureBits(t *testing.T) {
 		do   func() error
 	}{
 		{"NewReader", func() error { _, err := NewReader(bytes.NewReader(data)); return err }},
-		{"loadArena", func() error { _, err := loadArena(bytes.NewReader(data)); return err }},
+		{"loadArena", func() error { _, err := loadArena(bytes.NewReader(data), 0); return err }},
 		{"LoadArenaFile", func() error { _, err := LoadArenaFile(path); return err }},
 		{"OpenMapArena", func() error { _, err := OpenMapArena(path); return err }},
 		{"OpenSlab", func() error { _, err := OpenSlab(path, 1); return err }},

@@ -13,9 +13,9 @@ import (
 // The corruption-injection suite: every structural region of a v2.1
 // container (header, chunk body, chunk CRC, end marker, trailer, index
 // entries, index CRC, footer) is flipped — and the file truncated at
-// every byte boundary — and every read path (streaming, slab loading,
-// parallel indexed loading, mmap) must fail with a wrapped sentinel
-// naming the region: no panics, no silent success.
+// every byte boundary — and every read path (streaming, slab loading
+// from a reader and from a file, mmap) must fail with a wrapped
+// sentinel naming the region: no panics, no silent success.
 
 // corpusInsts is the fixed instruction sequence the corruption suite
 // serialises: 10 phase-annotated records in chunks of 4, giving three
@@ -101,8 +101,8 @@ func tempTrace(t *testing.T, data []byte) string {
 }
 
 // readPaths is every consumer the suite drives over each corruption:
-// the streaming reader, slab loading (streaming and parallel indexed),
-// and the mmap arena.
+// the streaming reader, slab loading (from a reader, and from a file
+// whose slab is sized by peeking the trailer), and the mmap arena.
 var readPaths = []readPath{
 	{"stream", func(t *testing.T, data []byte) error {
 		r, err := NewReader(bytes.NewReader(data))
@@ -113,7 +113,7 @@ var readPaths = []readPath{
 		return r.Err()
 	}},
 	{"load-arena", func(t *testing.T, data []byte) error {
-		_, err := loadArena(bytes.NewReader(data))
+		_, err := loadArena(bytes.NewReader(data), 0)
 		return err
 	}},
 	{"load-arena-file", func(t *testing.T, data []byte) error {
@@ -133,10 +133,9 @@ func TestCorruptionInjection(t *testing.T) {
 	l := buildV21(t)
 
 	// Each case mutates one region of a fresh copy and names the
-	// sentinels a reader may legitimately classify the damage as (paths
-	// check regions in different orders — a flipped index entry is an
-	// entry mismatch to the streaming cross-check but a CRC mismatch to
-	// the seekable loader, both naming the index).
+	// sentinels a reader may legitimately classify the damage as (a
+	// flipped index entry may surface as an entry mismatch or as a CRC
+	// mismatch, both naming the index).
 	cases := []struct {
 		name   string
 		mutate func(data []byte)

@@ -20,7 +20,7 @@ var (
 	ErrRecord = errors.New("corrupt record")
 
 	// ErrChunk: chunk framing is invalid — a chunk count above the
-	// declared capacity, or a frame that disagrees with the index.
+	// declared capacity — or a gzip body is corrupt.
 	ErrChunk = errors.New("corrupt chunk")
 
 	// ErrChunkCRC: a chunk's CRC32C does not match its bytes

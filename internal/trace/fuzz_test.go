@@ -154,11 +154,12 @@ func FuzzRoundTrip(f *testing.F) {
 
 // FuzzIndex aims the fuzzer at the seekable machinery: mutated
 // footer/index bytes (and anything else — seeds are whole indexed
-// files) must never panic the random-access consumers — the parallel
-// indexed arena loader and the mmap arena — and must never make them
-// disagree with the streaming reader: any file the streaming reader
-// accepts, the seekable paths must accept with the identical record
-// sequence, and any file it rejects they must reject. An input whose
+// files) must never panic the file-backed consumers — the arena
+// loader, which peeks the footer and trailer to size its slab, and the
+// mmap arena — and must never make them disagree with the streaming
+// reader: any file the streaming reader accepts, the file-backed paths
+// must accept with the identical record sequence, and any file it
+// rejects they must reject. An input whose
 // footer and entries parse runs a second time with its index CRC
 // recomputed, so mutated entry fields reach the semantic checks
 // instead of stopping at the CRC.
@@ -197,7 +198,7 @@ func FuzzIndex(f *testing.F) {
 func checkSeekableAgree(t *testing.T, data []byte) {
 	t.Helper()
 	// The streaming reader is the oracle: its verdict on the mutated
-	// bytes decides what the seekable paths must do.
+	// bytes decides what the file-backed paths must do.
 	var want []Inst
 	streamOK := false
 	if r, err := NewReader(bytes.NewReader(data)); err == nil {

@@ -3,16 +3,14 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 )
 
 // Seekable chunk index (v2 stream-flag bit 3, docs/TRACEFORMAT.md):
 // the container's last bytes are a fixed 16-byte footer pointing back
 // at one 16-byte entry per chunk plus an index CRC32C. A seekable
-// consumer reads the footer, walks back to the entries, and from then
-// on can address any chunk — LoadArenaFile decodes them in parallel —
-// without streaming the body.
+// consumer can read the footer, walk back to the entries, and address
+// any chunk without streaming the body; the streaming reader
+// cross-checks every entry against the chunk it streamed.
 
 const (
 	indexEntryBytes  = 16
@@ -66,95 +64,4 @@ func getIndexFooter(b []byte) (chunks uint32, indexOff int64, err error) {
 		return 0, 0, fmt.Errorf("trace: %w: bad footer magic %#x", ErrIndex, m)
 	}
 	return binary.LittleEndian.Uint32(b[4:8]), int64(binary.LittleEndian.Uint64(b[8:16])), nil
-}
-
-// fileMeta is a container's header — and, when present, its fully
-// validated chunk index — parsed from a seekable source without
-// reading the body. It is what lets LoadArenaFile decode an indexed
-// file's chunks in parallel.
-type fileMeta struct {
-	header
-	size    int64
-	total   uint64       // trailer record count (indexed only)
-	entries []IndexEntry // indexed only
-}
-
-// readFileMeta parses the header from a seekable source and, for an
-// indexed v2 container, reads and validates the chunk index: footer
-// magic and geometry, index CRC, entry reserved bytes, strictly
-// increasing offsets whose frame arithmetic tiles the body exactly,
-// counts within the chunk capacity summing to the trailer, and the end
-// marker/trailer themselves. The chunk bodies are NOT read — that is
-// the point — so each chunk is checked against its entry when it is
-// decoded.
-func readFileMeta(r io.ReaderAt, size int64) (*fileMeta, error) {
-	h, err := readHeader(io.NewSectionReader(r, 0, size))
-	if err != nil {
-		return nil, err
-	}
-	m := &fileMeta{header: h, size: size}
-	if !h.indexed {
-		return m, nil
-	}
-	return m, m.readIndex(r)
-}
-
-// readIndex loads and validates the chunk index of an indexed v2
-// container (see readFileMeta for what is checked).
-func (m *fileMeta) readIndex(r io.ReaderAt) error {
-	if m.size < v2HeaderBytes+v2EndBytes+chunkCRCBytes+indexFooterBytes {
-		return fmt.Errorf("trace: %w: %w: %d-byte file cannot hold an indexed container", ErrIndex, ErrTruncated, m.size)
-	}
-	var fb [indexFooterBytes]byte
-	if _, err := r.ReadAt(fb[:], m.size-indexFooterBytes); err != nil {
-		return fmt.Errorf("trace: %w: %w: index footer: %v", ErrIndex, ErrTruncated, err)
-	}
-	chunks, indexOff, err := getIndexFooter(fb[:])
-	if err != nil {
-		return err
-	}
-	if want := indexOff + int64(chunks)*indexEntryBytes + chunkCRCBytes + indexFooterBytes; indexOff < v2HeaderBytes+v2EndBytes || want != m.size {
-		return fmt.Errorf("trace: %w: footer geometry (offset %d, %d chunks) does not tile the %d-byte file", ErrIndex, indexOff, chunks, m.size)
-	}
-	idx := make([]byte, int(chunks)*indexEntryBytes+chunkCRCBytes)
-	if _, err := r.ReadAt(idx, indexOff); err != nil {
-		return fmt.Errorf("trace: %w: %w: index: %v", ErrIndex, ErrTruncated, err)
-	}
-	entryBytes := int(chunks) * indexEntryBytes
-	if want, got := binary.LittleEndian.Uint32(idx[entryBytes:]), crc32.Checksum(idx[:entryBytes], castagnoli); want != got {
-		return fmt.Errorf("trace: %w: stored %08x, computed %08x", ErrIndexCRC, want, got)
-	}
-	m.entries = make([]IndexEntry, chunks)
-	off := int64(v2HeaderBytes)
-	var total uint64
-	for i := range m.entries {
-		e, err := getIndexEntry(idx[i*indexEntryBytes:])
-		if err != nil {
-			return fmt.Errorf("%w (entry %d)", err, i)
-		}
-		if e.Count < 1 || e.Count > m.chunkCap {
-			return fmt.Errorf("trace: %w: entry %d holds %d records, capacity %d", ErrIndex, i, e.Count, m.chunkCap)
-		}
-		if e.Offset != off {
-			return fmt.Errorf("trace: %w: entry %d at offset %d, previous frame ended at %d", ErrIndex, i, e.Offset, off)
-		}
-		off += int64(m.frameBytes(e.Count))
-		total += uint64(e.Count)
-		m.entries[i] = e
-	}
-	if off != indexOff-v2EndBytes {
-		return fmt.Errorf("trace: %w: chunks end at offset %d, end marker expected at %d", ErrIndex, off, indexOff-v2EndBytes)
-	}
-	var end [v2EndBytes]byte
-	if _, err := r.ReadAt(end[:], off); err != nil {
-		return fmt.Errorf("trace: %w: %w: end marker: %v", ErrTrailer, ErrTruncated, err)
-	}
-	if c := binary.LittleEndian.Uint32(end[0:4]); c != 0 {
-		return fmt.Errorf("trace: %w: end marker holds chunk count %d", ErrTrailer, c)
-	}
-	if got := binary.LittleEndian.Uint64(end[4:12]); got != total {
-		return fmt.Errorf("trace: %w: trailer count %d, index sums to %d", ErrTrailer, got, total)
-	}
-	m.total = total
-	return nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -147,29 +146,9 @@ func (c *MapCursor) NextSlice(max int) []Inst {
 		ch := c.a.chunks[c.chunk]
 		i := c.pos - ch.start
 		take := min(ch.count-i, max-n)
-		recs := c.a.data[ch.off+i*recordBytes : ch.off+(i+take)*recordBytes]
-		out := c.buf[n : n+take]
-		// Inline decode of the validated records: the open-time
-		// streaming pass proved every flag byte, so no error path — this loop is the
-		// replay hot path that keeps mmap replay near slab replay.
-		for k := range out {
-			rec := recs[k*recordBytes : k*recordBytes+recordBytes : k*recordBytes+recordBytes]
-			flags := rec[8]
-			out[k] = Inst{
-				PC:       binary.LittleEndian.Uint32(rec[0:4]),
-				Addr:     binary.LittleEndian.Uint32(rec[4:8]),
-				IsLoad:   flags&flagLoad != 0,
-				IsStore:  flags&flagStore != 0,
-				IsBranch: flags&flagBranch != 0,
-				Taken:    flags&flagTaken != 0,
-				UseDist:  rec[9],
-			}
-		}
-		if c.a.phased {
-			for k := range out {
-				out[k].Phase = recs[k*recordBytes+10]
-			}
-		}
+		// The open-time streaming pass proved every flag byte, so the
+		// flags decodeRecords returns need no check here.
+		decodeRecords(c.buf[n:n+take], c.a.data[ch.off+i*recordBytes:], c.a.phased)
 		n += take
 		c.pos += take
 	}

@@ -69,28 +69,42 @@ func encodeRecord(rec []byte, inst Inst, phases bool) {
 	}
 }
 
-// decodeRecord deserialises one 12-byte record, rejecting reserved flag
-// bits. Byte 10 is decoded as the phase id only when the stream
-// advertises phases; in phase-less streams it is reserved and ignored,
-// per the compatibility rules of docs/TRACEFORMAT.md.
-func decodeRecord(rec []byte, phases bool) (Inst, error) {
-	flags := rec[8]
-	if flags&^byte(flagKnown) != 0 {
-		return Inst{}, fmt.Errorf("trace: %w: unknown record flag bits %#02x", ErrRecord, flags&^byte(flagKnown))
-	}
-	inst := Inst{
-		PC:       binary.LittleEndian.Uint32(rec[0:4]),
-		Addr:     binary.LittleEndian.Uint32(rec[4:8]),
-		IsLoad:   flags&flagLoad != 0,
-		IsStore:  flags&flagStore != 0,
-		IsBranch: flags&flagBranch != 0,
-		Taken:    flags&flagTaken != 0,
-		UseDist:  rec[9],
+// decodeRecords is the one record decoder: it deserialises the first
+// len(dst) 12-byte records of recs into dst and returns the OR of their
+// flag bytes. It has no error path, so it is the hot loop of every read
+// path; a caller that has not already validated the records rejects
+// them when the returned flags carry a reserved bit (errRecordFlags).
+// Byte 10 is decoded as the phase id only when the stream advertises
+// phases; in phase-less streams it is reserved and ignored, per the
+// compatibility rules of docs/TRACEFORMAT.md.
+func decodeRecords(dst []Inst, recs []byte, phases bool) byte {
+	recs = recs[:len(dst)*recordBytes]
+	var or byte
+	for k := range dst {
+		rec := recs[k*recordBytes : k*recordBytes+recordBytes : k*recordBytes+recordBytes]
+		flags := rec[8]
+		or |= flags
+		dst[k] = Inst{
+			PC:       binary.LittleEndian.Uint32(rec[0:4]),
+			Addr:     binary.LittleEndian.Uint32(rec[4:8]),
+			IsLoad:   flags&flagLoad != 0,
+			IsStore:  flags&flagStore != 0,
+			IsBranch: flags&flagBranch != 0,
+			Taken:    flags&flagTaken != 0,
+			UseDist:  rec[9],
+		}
 	}
 	if phases {
-		inst.Phase = rec[10]
+		for k := range dst {
+			dst[k].Phase = recs[k*recordBytes+10]
+		}
 	}
-	return inst, nil
+	return or
+}
+
+// errRecordFlags reports a record whose flag byte sets reserved bits.
+func errRecordFlags(flags byte) error {
+	return fmt.Errorf("trace: %w: unknown record flag bits %#02x", ErrRecord, flags&^byte(flagKnown))
 }
 
 // Write serialises the full stream to w in format v1 (flat records, a
@@ -153,7 +167,8 @@ type Reader struct {
 	// header/record mismatch instead of losing it silently.
 	stray uint64
 
-	br *bufio.Reader // v1: record source; v2: raw (pre-decompression) source
+	br  *bufio.Reader     // v1: record source; v2: raw (pre-decompression) source
+	rec [recordBytes]byte // v1: the record being read, kept off the heap
 
 	v2 *readerV2 // nil for v1 files
 
@@ -289,9 +304,11 @@ func (r *Reader) NextSlice(max int) []Inst {
 			continue
 		}
 		v2 := r.v2
-		if v2.pos == len(v2.chunk) && !r.loadChunk() {
-			r.done = true
-			break
+		if v2.pos == len(v2.chunk) {
+			if _, ok := r.loadChunk(nil); !ok {
+				r.done = true
+				break
+			}
 		}
 		end := min(len(v2.chunk), v2.pos+max-len(win))
 		run := v2.chunk[v2.pos:end:end]
@@ -310,8 +327,8 @@ func (r *Reader) NextSlice(max int) []Inst {
 // distinguished from the 4-byte trailer by read length: a full record
 // keeps streaming, a short tail ends the trace.
 func (r *Reader) nextV1() (Inst, bool) {
-	var rec [recordBytes]byte
-	n, err := io.ReadFull(r.br, rec[:])
+	rec := r.rec[:]
+	n, err := io.ReadFull(r.br, rec)
 	if err != nil {
 		r.done = true
 		if n == 4 {
@@ -331,17 +348,17 @@ func (r *Reader) nextV1() (Inst, bool) {
 		}
 		return Inst{}, false
 	}
-	inst, err := decodeRecord(rec[:], false)
-	if err != nil {
+	var inst [1]Inst
+	if flags := decodeRecords(inst[:], rec, false); flags&^byte(flagKnown) != 0 {
 		r.done = true
-		r.err = fmt.Errorf("%w (record %d)", err, r.read)
+		r.err = fmt.Errorf("%w (record %d)", errRecordFlags(flags), r.read)
 		return Inst{}, false
 	}
 	if rec[10] != 0 {
 		r.stray++
 	}
 	r.read++
-	return inst, true
+	return inst[0], true
 }
 
 // NextBatch copies the next window into buf and returns its length; it

@@ -82,8 +82,8 @@ type V2Options struct {
 	Checksums bool
 	// Index appends a seekable chunk index after the trailer
 	// (stream-flag bit 3): per chunk its file offset, record count and
-	// phase-id range, plus an index CRC and a fixed footer. It is what
-	// lets LoadArenaFile decode chunks in parallel.
+	// phase-id range, plus an index CRC and a fixed footer, which
+	// readers cross-check against the chunks they stream.
 	Index bool
 }
 
@@ -109,41 +109,42 @@ func (h header) frameBytes(n int) int {
 }
 
 // decodeChunk is the one validator of a v2 chunk frame. frame holds the
-// whole frame of len(dst) records, and its stored count must say so. It
+// whole frame of len(dst) > 0 records, as its stored count says. It
 // verifies the CRC32C under stream-flag bit 2 and every record's
 // reserved flag bits, decodes the records into dst, and returns the
 // index entry the frame implies (count and phase range; the caller
 // knows the offset) plus the number of records whose reserved phase
 // byte is set in a phase-less stream.
 func (h header) decodeChunk(frame []byte, dst []Inst) (IndexEntry, uint64, error) {
-	if n := binary.LittleEndian.Uint32(frame[0:4]); int(n) != len(dst) {
-		return IndexEntry{}, 0, fmt.Errorf("trace: %w: stored count %d, expected %d", ErrChunk, n, len(dst))
-	}
 	if h.checksums {
 		body := frame[:len(frame)-chunkCRCBytes]
 		if want, got := binary.LittleEndian.Uint32(frame[len(body):]), crc32.Checksum(body, castagnoli); want != got {
 			return IndexEntry{}, 0, fmt.Errorf("trace: %w: stored %08x, computed %08x", ErrChunkCRC, want, got)
 		}
 	}
+	recs := frame[4:]
+	if flags := decodeRecords(dst, recs, h.phases); flags&^byte(flagKnown) != 0 {
+		// Some record sets a reserved bit: name the first one.
+		i := 0
+		for recs[i*recordBytes+8]&^byte(flagKnown) == 0 {
+			i++
+		}
+		return IndexEntry{}, 0, fmt.Errorf("%w (record %d of the chunk)", errRecordFlags(recs[i*recordBytes+8]), i)
+	}
 	e := IndexEntry{Count: len(dst)}
 	var stray uint64
-	for i := range dst {
-		rec := frame[4+i*recordBytes:]
-		inst, err := decodeRecord(rec, h.phases)
-		if err != nil {
-			return IndexEntry{}, 0, fmt.Errorf("%w (record %d of the chunk)", err, i)
+	if h.phases {
+		e.MinPhase, e.MaxPhase = dst[0].Phase, dst[0].Phase
+		for _, inst := range dst[1:] {
+			e.MinPhase = min(e.MinPhase, inst.Phase)
+			e.MaxPhase = max(e.MaxPhase, inst.Phase)
 		}
-		if h.phases {
-			if i == 0 || inst.Phase < e.MinPhase {
-				e.MinPhase = inst.Phase
+	} else {
+		for i := range dst {
+			if recs[i*recordBytes+10] != 0 {
+				stray++
 			}
-			if inst.Phase > e.MaxPhase {
-				e.MaxPhase = inst.Phase
-			}
-		} else if rec[10] != 0 {
-			stray++
 		}
-		dst[i] = inst
 	}
 	return e, stray, nil
 }
@@ -291,37 +292,44 @@ func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
 	return v2, nil
 }
 
-// loadChunk decodes the next chunk into r.v2.chunk. It returns false
-// when the stream is finished — either cleanly (end marker, verified
-// trailer and, when advertised, verified index) or with r.err set.
-func (r *Reader) loadChunk() bool {
+// loadChunk decodes the next chunk: straight into room when it fits
+// there, the records then counting as read, and otherwise into
+// r.v2.chunk for NextSlice to serve. It returns how many records went
+// to room, and false when the stream is finished — either cleanly (end
+// marker, verified trailer and, when advertised, verified index) or
+// with r.err set.
+func (r *Reader) loadChunk(room []Inst) (int, bool) {
 	v2 := r.v2
 	if _, err := io.ReadFull(v2.body, v2.raw[0:4]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err)
-		return false
+		return 0, false
 	}
 	n := int(binary.LittleEndian.Uint32(v2.raw[0:4]))
 	if n == 0 {
 		r.err = r.finishV2()
-		return false
+		return 0, false
 	}
 	if n > r.hdr.chunkCap {
 		r.err = fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, r.hdr.chunkCap)
-		return false
+		return 0, false
 	}
 	frame := v2.raw[:r.hdr.frameBytes(n)]
 	if _, err := io.ReadFull(v2.body, frame[4:]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err)
-		return false
+		return 0, false
 	}
-	if cap(v2.chunk) < n {
-		v2.chunk = make([]Inst, n)
+	placed, dst := n, room
+	if len(room) < n {
+		if cap(v2.chunk) < n {
+			v2.chunk = make([]Inst, n)
+		}
+		v2.chunk, v2.pos = v2.chunk[:n], 0
+		placed, dst = 0, v2.chunk
 	}
-	v2.chunk = v2.chunk[:n]
-	e, stray, err := r.hdr.decodeChunk(frame, v2.chunk)
+	e, stray, err := r.hdr.decodeChunk(frame, dst[:n])
 	if err != nil {
 		r.err = fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1)
-		return false
+		return 0, false
 	}
 	r.stray += stray
 	e.Offset = v2.chunkOff
@@ -333,8 +341,28 @@ func (r *Reader) loadChunk() bool {
 	}
 	v2.chunkOff += int64(len(frame))
 	v2.chunks++
-	v2.pos = 0
-	return true
+	r.read += uint64(placed)
+	return placed, true
+}
+
+// fill decodes whole v2 chunks straight into dst for as long as they
+// fit, and returns how many records it placed. It stops at the end of
+// the stream or at the first chunk that does not fit, which it leaves
+// in the chunk buffer for NextSlice. A v1 file, or a chunk NextSlice
+// has begun serving, fills nothing.
+func (r *Reader) fill(dst []Inst) int {
+	n := 0
+	for r.v2 != nil && r.v2.pos == len(r.v2.chunk) && !r.done && r.err == nil {
+		k, ok := r.loadChunk(dst[n:])
+		if !ok {
+			r.done = true
+		}
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	return n
 }
 
 // finishV2 validates everything after the end marker: the 8-byte
