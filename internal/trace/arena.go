@@ -48,28 +48,20 @@ type Arena struct {
 // arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
-// filler is the fast path of a Stream that can write its records
-// straight into a slab: bench's generators compute them there, and a
-// Reader (through readerFill) decodes whole chunks there. Fill writes up
-// to the next len(dst) records into dst and returns how many it wrote;
-// NewArena drains whatever it leaves window by window. NewArena checks
-// for it as io.Copy checks for an io.WriterTo.
+// filler is the fast path of a Stream that computes its records rather
+// than decoding them (bench's generators): Fill writes the next
+// min(len(dst), remaining) records straight into dst and returns how
+// many it wrote. NewArena checks for it as io.Copy checks for an
+// io.WriterTo.
 type filler interface {
 	Fill(dst []Inst) int
 }
 
-// readerFill is a Reader that fills: its chunks decode straight into
-// the slab rather than through its chunk buffer.
-type readerFill struct{ *Reader }
-
-// Fill implements filler.
-func (f readerFill) Fill(dst []Inst) int { return f.fill(dst) }
-
 // NewArena materializes the whole stream into a slab; n is the expected
 // length (0 if unknown), so an exact n makes the slab one allocation.
 // A stream that can fill writes its first n records straight into the
-// slab, with no window buffer and no window copy; other streams, and
-// whatever a filler leaves, are drained window by window.
+// slab, with no window buffer and no window copy; decoded streams, and
+// whatever a filler holds beyond n, are drained window by window.
 // Phase annotation is inherited, so cursors replay as the stream would.
 func NewArena(s Stream, n int) *Arena {
 	insts := make([]Inst, 0, n)
@@ -110,7 +102,7 @@ func loadArena(r io.Reader, n int) (*Arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := NewArena(readerFill{rd}, n)
+	a := NewArena(rd, n)
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}

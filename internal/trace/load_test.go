@@ -101,41 +101,6 @@ func TestLoadArenaFileSizesSlabOnce(t *testing.T) {
 	}
 }
 
-// TestLoadArenaHintKeepsRecords: whatever the size hint — none, short
-// of a chunk boundary, on one, or past the end — a container loads into
-// a slab holding exactly its records. The Reader fills whole chunks
-// straight into the slab while they fit and hands the rest to
-// NewArena's window loop, so each hint moves where one path stops and
-// the other takes over.
-func TestLoadArenaHintKeepsRecords(t *testing.T) {
-	const n, chunk = 100, 7
-	stripped := loadInsts(n, false)
-	insts := slices.Clone(stripped)
-	for i := range insts {
-		insts[i].Phase = uint8(i % 5)
-	}
-	for _, tc := range []struct {
-		name string
-		data []byte
-		want []Inst
-	}{
-		{"v2-indexed", writeV2(t, insts, V2Options{ChunkRecords: chunk, Phases: true, Checksums: true, Index: true}), insts},
-		{"v2-plain", writeV2(t, insts, V2Options{ChunkRecords: chunk}), stripped},
-		{"v2-gzip", writeV2(t, insts, V2Options{ChunkRecords: chunk, Compress: true, Phases: true}), insts},
-		{"v1", writeV1(t, insts), stripped},
-	} {
-		for _, hint := range []int{0, 1, chunk - 1, chunk, chunk + 1, n - 1, n, n + 1, 2 * n} {
-			a, err := loadArena(bytes.NewReader(tc.data), hint)
-			if err != nil {
-				t.Fatalf("%s hint %d: %v", tc.name, hint, err)
-			}
-			if !slices.Equal(a.insts, tc.want) || cap(a.insts) != len(a.insts) {
-				t.Fatalf("%s hint %d: slab of %d records (cap %d) differs from the %d written", tc.name, hint, len(a.insts), cap(a.insts), n)
-			}
-		}
-	}
-}
-
 // TestLoadArenaFileBoundsDeclaredTotal: the record total LoadArenaFile
 // peeks to size its slab is read before anything validates it. A
 // trailer claiming 2^40 records — at the end of a plain container, or

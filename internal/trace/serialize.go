@@ -304,11 +304,9 @@ func (r *Reader) NextSlice(max int) []Inst {
 			continue
 		}
 		v2 := r.v2
-		if v2.pos == len(v2.chunk) {
-			if _, ok := r.loadChunk(nil); !ok {
-				r.done = true
-				break
-			}
+		if v2.pos == len(v2.chunk) && !r.loadChunk() {
+			r.done = true
+			break
 		}
 		end := min(len(v2.chunk), v2.pos+max-len(win))
 		run := v2.chunk[v2.pos:end:end]

@@ -292,44 +292,37 @@ func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
 	return v2, nil
 }
 
-// loadChunk decodes the next chunk: straight into room when it fits
-// there, the records then counting as read, and otherwise into
-// r.v2.chunk for NextSlice to serve. It returns how many records went
-// to room, and false when the stream is finished — either cleanly (end
-// marker, verified trailer and, when advertised, verified index) or
-// with r.err set.
-func (r *Reader) loadChunk(room []Inst) (int, bool) {
+// loadChunk decodes the next chunk into r.v2.chunk. It returns false
+// when the stream is finished — either cleanly (end marker, verified
+// trailer and, when advertised, verified index) or with r.err set.
+func (r *Reader) loadChunk() bool {
 	v2 := r.v2
 	if _, err := io.ReadFull(v2.body, v2.raw[0:4]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err)
-		return 0, false
+		return false
 	}
 	n := int(binary.LittleEndian.Uint32(v2.raw[0:4]))
 	if n == 0 {
 		r.err = r.finishV2()
-		return 0, false
+		return false
 	}
 	if n > r.hdr.chunkCap {
 		r.err = fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, r.hdr.chunkCap)
-		return 0, false
+		return false
 	}
 	frame := v2.raw[:r.hdr.frameBytes(n)]
 	if _, err := io.ReadFull(v2.body, frame[4:]); err != nil {
 		r.err = fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err)
-		return 0, false
+		return false
 	}
-	placed, dst := n, room
-	if len(room) < n {
-		if cap(v2.chunk) < n {
-			v2.chunk = make([]Inst, n)
-		}
-		v2.chunk, v2.pos = v2.chunk[:n], 0
-		placed, dst = 0, v2.chunk
+	if cap(v2.chunk) < n {
+		v2.chunk = make([]Inst, n)
 	}
-	e, stray, err := r.hdr.decodeChunk(frame, dst[:n])
+	v2.chunk = v2.chunk[:n]
+	e, stray, err := r.hdr.decodeChunk(frame, v2.chunk)
 	if err != nil {
 		r.err = fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1)
-		return 0, false
+		return false
 	}
 	r.stray += stray
 	e.Offset = v2.chunkOff
@@ -341,28 +334,8 @@ func (r *Reader) loadChunk(room []Inst) (int, bool) {
 	}
 	v2.chunkOff += int64(len(frame))
 	v2.chunks++
-	r.read += uint64(placed)
-	return placed, true
-}
-
-// fill decodes whole v2 chunks straight into dst for as long as they
-// fit, and returns how many records it placed. It stops at the end of
-// the stream or at the first chunk that does not fit, which it leaves
-// in the chunk buffer for NextSlice. A v1 file, or a chunk NextSlice
-// has begun serving, fills nothing.
-func (r *Reader) fill(dst []Inst) int {
-	n := 0
-	for r.v2 != nil && r.v2.pos == len(r.v2.chunk) && !r.done && r.err == nil {
-		k, ok := r.loadChunk(dst[n:])
-		if !ok {
-			r.done = true
-		}
-		if k == 0 {
-			break
-		}
-		n += k
-	}
-	return n
+	v2.pos = 0
+	return true
 }
 
 // finishV2 validates everything after the end marker: the 8-byte
