@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,9 +16,12 @@ import (
 // FuzzReader feeds arbitrary bytes to the reader: whatever the input —
 // truncated headers, hostile chunk counts, corrupt gzip bodies — the
 // reader must terminate without panicking and either replay records or
-// report an error, never both silently wrong. It drains in windows of
-// window+1 records, and the records and the clean-end verdict must
-// match a second read of the same bytes one record at a time.
+// report an error, never both silently wrong. It reads every input
+// three ways: in NextSlice windows of window+1 records, one record at a
+// time, and through NewArena's Fill path, which decodes chunks straight
+// into the slab. All three must replay the same records and end with
+// the same Err (the same error, naming the same record) and the same
+// UnadvertisedPhaseBytes count.
 func FuzzReader(f *testing.F) {
 	// Seed with valid v1, v2 and v2-gzip files plus degenerate inputs.
 	var v1 bytes.Buffer
@@ -53,13 +58,35 @@ func FuzzReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := readWindows(t, r1, 1, len(data))
-		if !slices.Equal(got, want) {
-			t.Fatalf("window %d read %d records unlike the %d of window 1", int(window)+1, len(got), len(want))
+		rf, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (r.Err() == nil) != (r1.Err() == nil) {
-			t.Fatalf("window %d ends with %v, window 1 with %v", int(window)+1, r.Err(), r1.Err())
+		filled := NewArena(rf, 0).insts
+		for _, c := range []struct {
+			name string
+			r    *Reader
+			got  []Inst
+		}{{fmt.Sprintf("window %d", int(window)+1), r, got}, {"NewArena", rf, filled}} {
+			if !slices.Equal(c.got, want) {
+				t.Fatalf("%s read %d records unlike the %d of window 1", c.name, len(c.got), len(want))
+			}
+			if errString(c.r.Err()) != errString(r1.Err()) {
+				t.Fatalf("%s ends with %v, window 1 with %v", c.name, c.r.Err(), r1.Err())
+			}
+			if c.r.UnadvertisedPhaseBytes() != r1.UnadvertisedPhaseBytes() {
+				t.Fatalf("%s counts %d unadvertised phase bytes, window 1 %d", c.name, c.r.UnadvertisedPhaseBytes(), r1.UnadvertisedPhaseBytes())
+			}
 		}
 	})
+}
+
+// errString is err's text, or "" for nil.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // readWindows drains r in windows of max records, failing on an
@@ -163,6 +190,14 @@ func FuzzRoundTrip(f *testing.F) {
 // footer and entries parse runs a second time with its index CRC
 // recomputed, so mutated entry fields reach the semantic checks
 // instead of stopping at the CRC.
+//
+// Every input goes through the arena loader in memory: the size peek
+// over an io.ReaderAt and loadArena over a bytes.Reader, which is all
+// LoadArenaFile adds to opening the file. Writing the input to a file
+// for LoadArenaFile and OpenMapArena costs far more than the checks,
+// so while fuzzing only one input in indexFileSample (by content hash)
+// takes the file paths; replaying the corpus takes them for every
+// input.
 func FuzzIndex(f *testing.F) {
 	for _, o := range []V2Options{
 		{Index: true},
@@ -182,20 +217,27 @@ func FuzzIndex(f *testing.F) {
 		f.Add(empty.Bytes())
 	}
 
+	fuzzing := flag.Lookup("test.fuzz").Value.String() != ""
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return
 		}
-		checkSeekableAgree(t, data)
+		files := !fuzzing || crc32.ChecksumIEEE(data)%indexFileSample == 0
+		checkSeekableAgree(t, data, files)
 		if fixed := withIndexCRCFixed(data); fixed != nil && !bytes.Equal(fixed, data) {
-			checkSeekableAgree(t, fixed)
+			checkSeekableAgree(t, fixed, files)
 		}
 	})
 }
 
-// checkSeekableAgree holds the arena loader and the mmap arena to the
-// streaming reader's verdict and record sequence on data.
-func checkSeekableAgree(t *testing.T, data []byte) {
+// indexFileSample is one over the share of inputs FuzzIndex also runs
+// through the file-backed paths while fuzzing.
+const indexFileSample = 16
+
+// checkSeekableAgree holds the arena loader — in memory and, when files
+// is set, from a file — and the mmap arena to the streaming reader's
+// verdict and record sequence on data.
+func checkSeekableAgree(t *testing.T, data []byte, files bool) {
 	t.Helper()
 	// The streaming reader is the oracle: its verdict on the mutated
 	// bytes decides what the file-backed paths must do.
@@ -205,21 +247,34 @@ func checkSeekableAgree(t *testing.T, data []byte) {
 		want = readWindows(t, r, 1, len(data))
 		streamOK = r.Err() == nil
 	}
+	checkLoaded := func(how string, a *Arena, err error) {
+		t.Helper()
+		if err != nil {
+			if streamOK {
+				t.Fatalf("%s rejected a stream-valid file: %v", how, err)
+			}
+			return
+		}
+		if !streamOK {
+			t.Fatalf("%s accepted a file the streaming reader rejects", how)
+		}
+		if got := drainAll(a.Cursor()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s loaded %d records unlike the %d the stream read", how, len(got), len(want))
+		}
+	}
+	in := bytes.NewReader(data)
+	a, err := loadArena(in, declaredRecords(in, in.Size()))
+	checkLoaded("arena loader", a, err)
+	if !files {
+		return
+	}
 
 	path := filepath.Join(t.TempDir(), "fuzz.trace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if a, err := LoadArenaFile(path); err == nil {
-		if !streamOK {
-			t.Fatal("arena loader accepted a file the streaming reader rejects")
-		}
-		if got := drainAll(a.Cursor()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("arena loaded %d records unlike the %d the stream read", len(got), len(want))
-		}
-	} else if streamOK {
-		t.Fatalf("arena loader rejected a stream-valid file: %v", err)
-	}
+	a, err = LoadArenaFile(path)
+	checkLoaded("file arena loader", a, err)
 	if ma, err := OpenMapArena(path); err == nil {
 		if !streamOK {
 			t.Fatal("mmap arena accepted a file the streaming reader rejects")

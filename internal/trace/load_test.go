@@ -60,10 +60,11 @@ func allocatedBy(f func()) uint64 {
 const loadSlack = 512 << 10
 
 // TestLoadArenaFileSizesSlabOnce: a file whose container declares its
-// record total (indexed and plain v2 in their trailer, v1 in its size)
-// loads into a slab allocated once at its final size. A load that had
-// to grow its slab window by window would allocate about three times
-// the slab; the pin allows 10 % over it plus the reader's buffers.
+// record total (indexed and plain v2 in their trailer, v1 in its size,
+// gzip v2 through its footer's ISIZE) loads into a slab allocated once
+// at its final size. A load that had to grow its slab window by window
+// would allocate about three times the slab; the pin allows 10 % over
+// it plus the reader's buffers.
 func TestLoadArenaFileSizesSlabOnce(t *testing.T) {
 	const n = 200_000
 	insts := loadInsts(n, true)
@@ -73,6 +74,7 @@ func TestLoadArenaFileSizesSlabOnce(t *testing.T) {
 	}{
 		{"v2-indexed", writeV2(t, insts, V2Options{Phases: true, Checksums: true, Index: true})},
 		{"v2-plain", writeV2(t, insts, V2Options{})},
+		{"v2-gzip", writeV2(t, insts, V2Options{Compress: true, Phases: true})},
 		{"v1", writeV1(t, insts)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -106,42 +108,69 @@ func TestLoadArenaFileSizesSlabOnce(t *testing.T) {
 // trailer claiming 2^40 records — at the end of a plain container, or
 // where an indexed container's footer points — must fail as a corrupt
 // trailer without the load allocating beyond what the file's size can
-// hold.
+// hold. A gzip footer whose ISIZE claims 0xFFFFFFFF bytes must fail the
+// gzip checksum without the load allocating beyond what the file could
+// inflate to at deflate's maximum ratio.
 func TestLoadArenaFileBoundsDeclaredTotal(t *testing.T) {
 	insts := loadInsts(100, false)
 	for _, tc := range []struct {
-		name    string
-		data    []byte
-		trailer func(data []byte) int // offset of the 8-byte trailer
+		name     string
+		data     []byte
+		field    func(data []byte) []byte // the peeked total, as stored
+		lie      func(field []byte)
+		want     error
+		inflates int64 // file bytes to body bytes, at most
 	}{
-		{"v2-plain", writeV2(t, insts, V2Options{ChunkRecords: 16}), func(d []byte) int { return len(d) - 8 }},
-		{"v2-indexed", writeV2(t, insts, V2Options{ChunkRecords: 16, Checksums: true, Index: true}), func(d []byte) int {
+		{"v2-plain", writeV2(t, insts, V2Options{ChunkRecords: 16}), func(d []byte) []byte { return d[len(d)-8:] }, lie40, ErrTrailer, 1},
+		{"v2-indexed", writeV2(t, insts, V2Options{ChunkRecords: 16, Checksums: true, Index: true}), func(d []byte) []byte {
 			_, indexOff, err := getIndexFooter(d[len(d)-indexFooterBytes:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			return int(indexOff) - 8
-		}},
+			return d[indexOff-8 : indexOff]
+		}, lie40, ErrTrailer, 1},
+		{"v2-gzip", writeV2(t, insts, V2Options{ChunkRecords: 16, Compress: true}), func(d []byte) []byte { return d[len(d)-4:] }, func(f []byte) { binary.LittleEndian.PutUint32(f, 0xFFFFFFFF) }, ErrChunk, maxDeflateRatio},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := bytes.Clone(tc.data)
-			off := tc.trailer(data)
-			if got := binary.LittleEndian.Uint64(data[off:]); got != uint64(len(insts)) {
-				t.Fatalf("trailer at %d holds %d, want %d", off, got, len(insts))
-			}
-			binary.LittleEndian.PutUint64(data[off:], 1<<40)
 			path := tempTrace(t, data)
+			if got := declaredOf(t, path); got != len(insts) {
+				t.Fatalf("honest container declares %d records, want %d", got, len(insts))
+			}
+			tc.lie(tc.field(data))
+			path = tempTrace(t, data)
 			var err error
 			got := allocatedBy(func() { _, err = LoadArenaFile(path) })
-			if !errors.Is(err, ErrTrailer) {
-				t.Fatalf("load error %v, want one wrapping %v", err, ErrTrailer)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("load error %v, want one wrapping %v", err, tc.want)
 			}
 			t.Logf("load of a %d-byte file allocated %d bytes", len(data), got)
-			if limit := uint64(1.1*16*float64(len(data))/recordBytes) + loadSlack; got > limit {
+			if limit := uint64(1.1*16*float64(int64(len(data))*tc.inflates)/recordBytes) + loadSlack; got > limit {
 				t.Errorf("load of a %d-byte file allocated %d bytes, limit %d", len(data), got, limit)
 			}
 		})
 	}
+}
+
+// lie40 overwrites an 8-byte record total with 2^40.
+func lie40(field []byte) {
+	binary.LittleEndian.PutUint64(field, 1<<40)
+}
+
+// declaredOf is the record total LoadArenaFile would size path's slab
+// for.
+func declaredOf(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return declaredRecords(f, st.Size())
 }
 
 // BenchmarkLoadTrace measures turning a trace file into a replayable

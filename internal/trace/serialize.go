@@ -102,6 +102,29 @@ func decodeRecords(dst []Inst, recs []byte, phases bool) byte {
 	return or
 }
 
+// firstBadRecord returns the index of the first record in recs whose
+// flag byte sets reserved bits; the caller knows there is one.
+func firstBadRecord(recs []byte) int {
+	i := 0
+	for recs[i*recordBytes+8]&^byte(flagKnown) == 0 {
+		i++
+	}
+	return i
+}
+
+// strayPhaseBytes counts the first n records of recs whose reserved
+// phase byte (record byte 10) is set: the Reader's stray count for a
+// stream that does not advertise phases.
+func strayPhaseBytes(recs []byte, n int) uint64 {
+	var stray uint64
+	for i := 0; i < n; i++ {
+		if recs[i*recordBytes+10] != 0 {
+			stray++
+		}
+	}
+	return stray
+}
+
 // errRecordFlags reports a record whose flag byte sets reserved bits.
 func errRecordFlags(flags byte) error {
 	return fmt.Errorf("trace: %w: unknown record flag bits %#02x", ErrRecord, flags&^byte(flagKnown))
@@ -150,15 +173,24 @@ func Write(w io.Writer, s Stream) (int, error) {
 
 // Reader replays a serialised trace as a Stream. It reads v1 and v2
 // files transparently (NewReader sniffs the header version) and never
-// materialises the full trace: v1 is decoded record by record, v2 chunk
-// by chunk, so multi-million-instruction traces replay in constant
-// memory. NextSlice windows span v2 chunk boundaries.
+// materialises the full trace: v2 is decoded chunk by chunk and v1,
+// which has no chunks, a block of records per read, so
+// multi-million-instruction traces replay in constant memory.
+// NextSlice windows span v2 chunk boundaries, and Fill decodes each
+// chunk straight into the caller's slice, which is how NewArena loads a
+// file.
 type Reader struct {
 	hdr  header
 	err  error
 	done bool
-	read uint64 // records streamed so far, checked against the trailer
-	win  []Inst // NextSlice's window when it is not a view of one v2 chunk
+	read uint64 // records decoded so far, checked against the trailer
+
+	// buf holds the last chunk (or v1 block) that was decoded into the
+	// Reader's own buffer rather than into a caller's slice; buf[pos:]
+	// is what Fill and NextSlice have not handed out yet.
+	buf []Inst
+	pos int
+	win []Inst // NextSlice's window when it is not a view of buf
 
 	// stray counts records whose reserved phase byte (record byte 10)
 	// is non-zero in a stream that does not advertise phases. The spec
@@ -167,8 +199,9 @@ type Reader struct {
 	// header/record mismatch instead of losing it silently.
 	stray uint64
 
-	br  *bufio.Reader     // v1: record source; v2: raw (pre-decompression) source
-	rec [recordBytes]byte // v1: the record being read, kept off the heap
+	br   *bufio.Reader // v1: record source; v2: raw (pre-decompression) source
+	raw  []byte        // v2: one chunk frame; v1: one block of records and the 4 bytes after it
+	held int           // v1: bytes at the front of raw carried over from the last block
 
 	v2 *readerV2 // nil for v1 files
 
@@ -242,6 +275,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	rd := &Reader{hdr: h, br: br}
 	if h.version == traceVersionV2 {
+		rd.raw = make([]byte, h.frameBytes(h.chunkCap))
 		if rd.v2, err = newReaderV2(br, h); err != nil {
 			return nil, err
 		}
@@ -289,29 +323,25 @@ func (r *Reader) Chunks() uint64 {
 // and tools should report it rather than ignore it silently.
 func (r *Reader) UnadvertisedPhaseBytes() uint64 { return r.stray }
 
-// NextSlice implements Stream. A window that lies inside one decoded
-// v2 chunk is a view of it; any other window is assembled in the
-// Reader's own buffer, across as many chunks as it spans. Either way
-// its capacity ends with it. Read failures end the stream early and
-// are reported by Err.
+// NextSlice implements Stream. It loads each chunk with the Reader's
+// own buffer as the destination: a window that lies inside one chunk
+// is a view of it, and any other window is assembled in the Reader's
+// window buffer, across as many chunks as it spans. Either way its
+// capacity ends with it. Read failures end the stream early and are
+// reported by Err.
 func (r *Reader) NextSlice(max int) []Inst {
 	win := r.win[:0]
-	for len(win) < max && !r.done && r.err == nil {
-		if r.v2 == nil {
-			if inst, ok := r.nextV1(); ok {
-				win = append(win, inst)
+	for len(win) < max {
+		if r.pos == len(r.buf) {
+			if r.done {
+				break
 			}
+			r.load(nil) // an empty destination: the chunk lands in buf
 			continue
 		}
-		v2 := r.v2
-		if v2.pos == len(v2.chunk) && !r.loadChunk() {
-			r.done = true
-			break
-		}
-		end := min(len(v2.chunk), v2.pos+max-len(win))
-		run := v2.chunk[v2.pos:end:end]
-		v2.pos += len(run)
-		r.read += uint64(len(run))
+		end := min(len(r.buf), r.pos+max-len(win))
+		run := r.buf[r.pos:end:end]
+		r.pos = end
 		if len(run) == max {
 			return run
 		}
@@ -321,47 +351,129 @@ func (r *Reader) NextSlice(max int) []Inst {
 	return win[:len(win):len(win)]
 }
 
-// nextV1 decodes one flat v1 record. The 12-byte records are
-// distinguished from the 4-byte trailer by read length: a full record
-// keeps streaming, a short tail ends the trace.
-func (r *Reader) nextV1() (Inst, bool) {
-	rec := r.rec[:]
-	n, err := io.ReadFull(r.br, rec)
-	if err != nil {
-		r.done = true
-		if n == 4 {
-			// The 4-byte trailer: validate the record count so a
-			// truncated file cannot pass silently.
-			if count := binary.LittleEndian.Uint32(rec[0:4]); uint64(count) != r.read {
-				r.err = fmt.Errorf("trace: %w: trailer count %d, streamed %d records (truncated file?)", ErrTrailer, count, r.read)
-			} else if r.onChunk != nil {
-				r.onChunk(8, int(r.read)) // the records follow the 8-byte header
-			}
-			return Inst{}, false
-		}
-		if err != io.EOF || n != 0 {
-			r.err = fmt.Errorf("trace: %w: truncated record after %d records", ErrTruncated, r.read)
-		} else {
-			r.err = fmt.Errorf("trace: %w: %w: missing trailer after %d records", ErrTrailer, ErrTruncated, r.read)
-		}
-		return Inst{}, false
+// Fill is NewArena's fast path (filler): it decodes the next
+// min(len(dst), remaining) records straight into dst and returns how
+// many it wrote. Records left in the Reader's buffer go first; then
+// each chunk that fits the rest of dst is decoded in place, and only
+// one that overruns it is decoded into the buffer and copied, its
+// remainder kept for the next call. Read failures end the stream early
+// and are reported by Err.
+func (r *Reader) Fill(dst []Inst) int {
+	n := copy(dst, r.buf[r.pos:])
+	r.pos += n
+	for n < len(dst) && !r.done {
+		n += r.load(dst[n:])
 	}
-	var inst [1]Inst
-	if flags := decodeRecords(inst[:], rec, false); flags&^byte(flagKnown) != 0 {
-		r.done = true
-		r.err = fmt.Errorf("%w (record %d)", errRecordFlags(flags), r.read)
-		return Inst{}, false
-	}
-	if rec[10] != 0 {
-		r.stray++
-	}
-	r.read++
-	return inst[0], true
+	return n
 }
 
-// NextBatch copies the next window into buf and returns its length; it
-// is NextSlice under the batch signature edbench's probe still calls.
-func (r *Reader) NextBatch(buf []Inst) int { return copy(buf, r.NextSlice(len(buf))) }
+// load decodes the next v2 chunk or v1 block for dst and returns how
+// many records it wrote into dst. It is called only once the buffer is
+// drained; at the end of the stream it writes none and sets done.
+func (r *Reader) load(dst []Inst) int {
+	if r.v2 == nil {
+		return r.loadV1(dst)
+	}
+	return r.loadChunk(dst)
+}
+
+// target is where load decodes n records for dst: dst itself when they
+// fit, or else the Reader's buffer, which it grows as needed. Nothing
+// changes until deliver accepts the records.
+func (r *Reader) target(dst []Inst, n int) []Inst {
+	if n <= len(dst) {
+		return dst[:n]
+	}
+	if cap(r.buf) < n {
+		return make([]Inst, n)
+	}
+	return r.buf[:n]
+}
+
+// deliver accepts recs, the validated records a load decoded into
+// target(dst, n), and returns how many of them are in dst: all of them,
+// or when they overran dst, as many as dst holds, the rest kept in the
+// buffer.
+func (r *Reader) deliver(dst, recs []Inst, n int) int {
+	r.read += uint64(len(recs))
+	if n <= len(dst) {
+		return len(recs)
+	}
+	r.buf, r.pos = recs, copy(dst, recs)
+	return r.pos
+}
+
+// end ends the stream, cleanly when err is nil, and reports that no
+// records were loaded.
+func (r *Reader) end(err error) int {
+	r.err, r.done = err, true
+	return 0
+}
+
+// v1BlockRecords is the most v1 records one read decodes: a block the
+// size of a default v2 chunk.
+const v1BlockRecords = DefaultChunkRecords
+
+// loadV1 reads the next block of flat v1 records — min(len(dst),
+// v1BlockRecords) of them, or a whole block when dst is empty — and
+// decodes it with decodeRecords. Each read takes 4 bytes past the block
+// and holds them back for the next, since they may be the trailer: a
+// read that comes up short at the end of the file leaves whole records
+// and a tail that must be exactly the 4-byte trailer.
+func (r *Reader) loadV1(dst []Inst) int {
+	n := v1BlockRecords
+	if len(dst) > 0 {
+		n = min(n, len(dst))
+	}
+	need := n*recordBytes + 4
+	if cap(r.raw) < need {
+		r.raw = append(make([]byte, 0, need), r.raw[:r.held]...)
+	}
+	raw := r.raw[:need]
+	got, err := io.ReadFull(r.br, raw[r.held:])
+	got += r.held
+	whole := got / recordBytes
+	recs := r.target(dst, n)[:whole]
+	good := whole
+	if flags := decodeRecords(recs, raw, false); flags&^byte(flagKnown) != 0 {
+		good = firstBadRecord(raw)
+	}
+	r.stray += strayPhaseBytes(raw, good)
+	k := r.deliver(dst, recs[:good], n)
+	switch {
+	case good < whole:
+		r.end(fmt.Errorf("%w (record %d)", errRecordFlags(raw[good*recordBytes+8]), r.read))
+	case err == nil:
+		r.held = copy(raw, raw[n*recordBytes:])
+	default:
+		r.end(r.finishV1(raw[whole*recordBytes:got], err))
+	}
+	return k
+}
+
+// finishV1 validates the tail a v1 read ended on: it must be the
+// 4-byte trailer, holding the count of records streamed, so a truncated
+// file cannot pass silently.
+func (r *Reader) finishV1(tail []byte, err error) error {
+	switch {
+	case len(tail) == 4:
+		if count := binary.LittleEndian.Uint32(tail); uint64(count) != r.read {
+			return fmt.Errorf("trace: %w: trailer count %d, streamed %d records (truncated file?)", ErrTrailer, count, r.read)
+		}
+		if r.onChunk != nil {
+			r.onChunk(8, int(r.read)) // the records follow the 8-byte header
+		}
+		return nil
+	case len(tail) == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF):
+		return fmt.Errorf("trace: %w: %w: missing trailer after %d records", ErrTrailer, ErrTruncated, r.read)
+	default:
+		return fmt.Errorf("trace: %w: truncated record after %d records", ErrTruncated, r.read)
+	}
+}
+
+// NextBatch is Fill under the batch signature edbench's probe still
+// calls.
+func (r *Reader) NextBatch(buf []Inst) int { return r.Fill(buf) }
 
 // Err reports a non-EOF read failure encountered during streaming.
 func (r *Reader) Err() error { return r.err }

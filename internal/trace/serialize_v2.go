@@ -125,28 +125,19 @@ func (h header) decodeChunk(frame []byte, dst []Inst) (IndexEntry, uint64, error
 	recs := frame[4:]
 	if flags := decodeRecords(dst, recs, h.phases); flags&^byte(flagKnown) != 0 {
 		// Some record sets a reserved bit: name the first one.
-		i := 0
-		for recs[i*recordBytes+8]&^byte(flagKnown) == 0 {
-			i++
-		}
+		i := firstBadRecord(recs)
 		return IndexEntry{}, 0, fmt.Errorf("%w (record %d of the chunk)", errRecordFlags(recs[i*recordBytes+8]), i)
 	}
 	e := IndexEntry{Count: len(dst)}
-	var stray uint64
-	if h.phases {
-		e.MinPhase, e.MaxPhase = dst[0].Phase, dst[0].Phase
-		for _, inst := range dst[1:] {
-			e.MinPhase = min(e.MinPhase, inst.Phase)
-			e.MaxPhase = max(e.MaxPhase, inst.Phase)
-		}
-	} else {
-		for i := range dst {
-			if recs[i*recordBytes+10] != 0 {
-				stray++
-			}
-		}
+	if !h.phases {
+		return e, strayPhaseBytes(recs, len(dst)), nil
 	}
-	return e, stray, nil
+	e.MinPhase, e.MaxPhase = dst[0].Phase, dst[0].Phase
+	for _, inst := range dst[1:] {
+		e.MinPhase = min(e.MinPhase, inst.Phase)
+		e.MaxPhase = max(e.MaxPhase, inst.Phase)
+	}
+	return e, 0, nil
 }
 
 // WriteV2 serialises the full stream to w in format v2 and returns the
@@ -264,10 +255,6 @@ type readerV2 struct {
 	body io.Reader // raw or gzip-decompressed chunk source
 	gz   *gzip.Reader
 
-	chunk []Inst // decoded records of the current chunk
-	pos   int    // replay cursor within chunk
-	raw   []byte // scratch for one chunk frame
-
 	chunks   uint64       // chunks streamed so far
 	chunkOff int64        // file offset of the next chunk frame
 	streamed []IndexEntry // what the body actually contained, for the index cross-check
@@ -276,11 +263,7 @@ type readerV2 struct {
 // newReaderV2 sets up body decoding for a v2 file whose header h has
 // been read from br.
 func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
-	v2 := &readerV2{
-		body:     br,
-		raw:      make([]byte, h.frameBytes(h.chunkCap)),
-		chunkOff: v2HeaderBytes,
-	}
+	v2 := &readerV2{body: br, chunkOff: v2HeaderBytes}
 	if h.compressed {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
@@ -292,37 +275,32 @@ func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
 	return v2, nil
 }
 
-// loadChunk decodes the next chunk into r.v2.chunk. It returns false
-// when the stream is finished — either cleanly (end marker, verified
-// trailer and, when advertised, verified index) or with r.err set.
-func (r *Reader) loadChunk() bool {
+// loadChunk is the one chunk loader: it reads the next chunk frame and
+// decodes it through decodeChunk into target(dst, n) — straight into
+// dst when the chunk fits — and returns the records it wrote into dst.
+// At the end of the stream, clean (end marker, verified trailer and,
+// when advertised, verified index) or with r.err set, it writes none
+// and sets r.done.
+func (r *Reader) loadChunk(dst []Inst) int {
 	v2 := r.v2
-	if _, err := io.ReadFull(v2.body, v2.raw[0:4]); err != nil {
-		r.err = fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err)
-		return false
+	if _, err := io.ReadFull(v2.body, r.raw[0:4]); err != nil {
+		return r.end(fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err))
 	}
-	n := int(binary.LittleEndian.Uint32(v2.raw[0:4]))
+	n := int(binary.LittleEndian.Uint32(r.raw[0:4]))
 	if n == 0 {
-		r.err = r.finishV2()
-		return false
+		return r.end(r.finishV2())
 	}
 	if n > r.hdr.chunkCap {
-		r.err = fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, r.hdr.chunkCap)
-		return false
+		return r.end(fmt.Errorf("trace: %w: chunk of %d records exceeds declared capacity %d", ErrChunk, n, r.hdr.chunkCap))
 	}
-	frame := v2.raw[:r.hdr.frameBytes(n)]
+	frame := r.raw[:r.hdr.frameBytes(n)]
 	if _, err := io.ReadFull(v2.body, frame[4:]); err != nil {
-		r.err = fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err)
-		return false
+		return r.end(fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err))
 	}
-	if cap(v2.chunk) < n {
-		v2.chunk = make([]Inst, n)
-	}
-	v2.chunk = v2.chunk[:n]
-	e, stray, err := r.hdr.decodeChunk(frame, v2.chunk)
+	recs := r.target(dst, n)
+	e, stray, err := r.hdr.decodeChunk(frame, recs)
 	if err != nil {
-		r.err = fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1)
-		return false
+		return r.end(fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1))
 	}
 	r.stray += stray
 	e.Offset = v2.chunkOff
@@ -334,8 +312,7 @@ func (r *Reader) loadChunk() bool {
 	}
 	v2.chunkOff += int64(len(frame))
 	v2.chunks++
-	v2.pos = 0
-	return true
+	return r.deliver(dst, recs, n)
 }
 
 // finishV2 validates everything after the end marker: the 8-byte
