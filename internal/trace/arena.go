@@ -48,11 +48,10 @@ type Arena struct {
 // arenaChunk is the window NewArena drains its source with.
 const arenaChunk = 8192
 
-// filler is the fast path of a Stream that can write its records
-// straight into a caller's slice — bench's generators compute them
-// there, the trace Reader decodes its chunks there: Fill writes the
-// next min(len(dst), remaining) records into dst and returns how many
-// it wrote. NewArena checks for it as io.Copy checks for an
+// filler is the fast path of a Stream that computes its records rather
+// than decoding them (bench's generators): Fill writes the next
+// min(len(dst), remaining) records straight into dst and returns how
+// many it wrote. NewArena checks for it as io.Copy checks for an
 // io.WriterTo.
 type filler interface {
 	Fill(dst []Inst) int
@@ -60,26 +59,17 @@ type filler interface {
 
 // NewArena materializes the whole stream into a slab; n is the expected
 // length (0 if unknown), so an exact n makes the slab one allocation.
-// A stream that can fill writes its records straight into the slab's
-// free capacity, with no window buffer and no window copy, and is asked
-// for one more record whenever the slab is full; every other stream is
-// drained window by window. Phase annotation is inherited, so cursors
-// replay as the stream would.
+// A stream that can fill writes its first n records straight into the
+// slab, with no window buffer and no window copy; decoded streams, and
+// whatever a filler holds beyond n, are drained window by window.
+// Phase annotation is inherited, so cursors replay as the stream would.
 func NewArena(s Stream, n int) *Arena {
 	insts := make([]Inst, 0, n)
-	f, fills := s.(filler)
-	var one [1]Inst
+	if f, ok := s.(filler); ok {
+		insts = insts[:f.Fill(insts[:n])]
+	}
 	for {
-		var w []Inst
-		if fills {
-			insts = insts[:len(insts)+f.Fill(insts[len(insts):cap(insts)])]
-			if len(insts) < cap(insts) {
-				break // a short fill is the end of the stream
-			}
-			w = one[:f.Fill(one[:])]
-		} else {
-			w = s.NextSlice(arenaChunk)
-		}
+		w := s.NextSlice(arenaChunk)
 		if len(w) == 0 {
 			break
 		}
@@ -139,9 +129,12 @@ func LoadArenaFile(path string) (*Arena, error) {
 	return a, nil
 }
 
-// maxDeflateRatio is the most bytes one byte of a deflate stream can
-// inflate to: a 258-byte match coded in 2 bits (RFC 1951).
-const maxDeflateRatio = 1032
+// maxGzipRatio is the most body bytes declaredRecords lets a gzip
+// trace's footer claim per byte of file, so a lying footer can reserve
+// at most about 21x the file's size. It covers every tracegen workload
+// but the four that compress 72-205:1 into files under 340 KB, whose
+// slabs grow as they decode (TRACEFORMAT.md lists the ratios).
+const maxGzipRatio = 16
 
 // declaredRecords peeks the record total a size-byte container
 // declares, without validating it: a v1 file's size implies it, and a
@@ -150,11 +143,11 @@ const maxDeflateRatio = 1032
 // trailer is compressed, so its total is derived from the gzip footer's
 // ISIZE (the body's length mod 2^32, the file's last 4 bytes) and the
 // header's chunk capacity, exact for a body whose chunks are all full
-// but the last, as WriteV2 writes them. It is only a size hint, since
-// the Reader then validates everything the peek read, so it is clamped
-// to the records size bytes can hold — inflated at deflate's maximum
-// ratio for a gzip body — and a lying trailer or footer cannot make the
-// slab outgrow what an honest file of that size could need.
+// but the last, as WriteV2 writes them; an ISIZE no such body has
+// yields 0. It is only a size hint, since the Reader then validates
+// everything the peek read, so it is clamped to the records size bytes
+// can hold — maxGzipRatio times as many for a gzip body — and a lying
+// trailer or footer cannot make the slab outgrow that.
 // Unreadable containers yield 0.
 func declaredRecords(f io.ReaderAt, size int64) int {
 	h, err := readHeader(io.NewSectionReader(f, 0, size))
@@ -171,8 +164,12 @@ func declaredRecords(f io.ReaderAt, size int64) int {
 		}
 		body := int64(binary.LittleEndian.Uint32(isize[:])) - v2EndBytes
 		frame := int64(h.frameBytes(h.chunkCap))
-		total := body/frame*int64(h.chunkCap) + max(body%frame-4, 0)/recordBytes
-		return int(min(total, size*maxDeflateRatio/recordBytes))
+		last := body % frame // the short last chunk's frame, if any
+		if body < 0 || last != 0 && (last < 4+recordBytes || (last-4)%recordBytes != 0) {
+			return 0
+		}
+		total := body/frame*int64(h.chunkCap) + max(last-4, 0)/recordBytes
+		return int(min(total, size*maxGzipRatio/recordBytes))
 	}
 	trailer := size - 8
 	if h.indexed {

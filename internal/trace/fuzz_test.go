@@ -18,10 +18,10 @@ import (
 // reader must terminate without panicking and either replay records or
 // report an error, never both silently wrong. It reads every input
 // three ways: in NextSlice windows of window+1 records, one record at a
-// time, and through NewArena's Fill path, which decodes chunks straight
-// into the slab. All three must replay the same records and end with
-// the same Err (the same error, naming the same record) and the same
-// UnadvertisedPhaseBytes count.
+// time, and through NewArena, which drains the reader the way
+// LoadArenaFile does. All three must replay the same records and end
+// with the same Err (the same error, naming the same record) and the
+// same UnadvertisedPhaseBytes count.
 func FuzzReader(f *testing.F) {
 	// Seed with valid v1, v2 and v2-gzip files plus degenerate inputs.
 	var v1 bytes.Buffer
@@ -62,12 +62,12 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filled := NewArena(rf, 0).insts
+		loaded := NewArena(rf, 0).insts
 		for _, c := range []struct {
 			name string
 			r    *Reader
 			got  []Inst
-		}{{fmt.Sprintf("window %d", int(window)+1), r, got}, {"NewArena", rf, filled}} {
+		}{{fmt.Sprintf("window %d", int(window)+1), r, got}, {"NewArena", rf, loaded}} {
 			if !slices.Equal(c.got, want) {
 				t.Fatalf("%s read %d records unlike the %d of window 1", c.name, len(c.got), len(want))
 			}

@@ -108,48 +108,76 @@ func TestLoadArenaFileSizesSlabOnce(t *testing.T) {
 // trailer claiming 2^40 records — at the end of a plain container, or
 // where an indexed container's footer points — must fail as a corrupt
 // trailer without the load allocating beyond what the file's size can
-// hold. A gzip footer whose ISIZE claims 0xFFFFFFFF bytes must fail the
-// gzip checksum without the load allocating beyond what the file could
-// inflate to at deflate's maximum ratio.
+// hold. A gzip footer whose ISIZE lies must fail the gzip checksum, on
+// a file of several MB: ISIZE 0xFFFFFFFF, which no chunked body has
+// (the file gives no hint), and the largest ISIZE a body of full chunks
+// can have, whose hint is clamped to maxGzipRatio body bytes per file
+// byte. Neither load may allocate beyond that clamp and one copy of the
+// records the file holds.
 func TestLoadArenaFileBoundsDeclaredTotal(t *testing.T) {
 	insts := loadInsts(100, false)
+	const gzRecords = 3 << 18
+	gz := writeV2(t, loadInsts(gzRecords, false), V2Options{Compress: true}) // about 3.6 MB
+	// The largest ISIZE of a body of whole default-capacity chunks.
+	frame := uint32(4 + DefaultChunkRecords*recordBytes)
+	fullChunks := v2EndBytes + (0xFFFFFFFF-v2EndBytes)/frame*frame
 	for _, tc := range []struct {
 		name     string
 		data     []byte
+		n        int                      // the records data holds
 		field    func(data []byte) []byte // the peeked total, as stored
 		lie      func(field []byte)
+		declares func(size int) int // the lying file's hint
 		want     error
-		inflates int64 // file bytes to body bytes, at most
+		inflates int // file bytes to the body bytes a hint may claim
 	}{
-		{"v2-plain", writeV2(t, insts, V2Options{ChunkRecords: 16}), func(d []byte) []byte { return d[len(d)-8:] }, lie40, ErrTrailer, 1},
-		{"v2-indexed", writeV2(t, insts, V2Options{ChunkRecords: 16, Checksums: true, Index: true}), func(d []byte) []byte {
+		{"v2-plain", writeV2(t, insts, V2Options{ChunkRecords: 16}), len(insts), func(d []byte) []byte { return d[len(d)-8:] }, lie40, perFileByte, ErrTrailer, 1},
+		{"v2-indexed", writeV2(t, insts, V2Options{ChunkRecords: 16, Checksums: true, Index: true}), len(insts), func(d []byte) []byte {
 			_, indexOff, err := getIndexFooter(d[len(d)-indexFooterBytes:])
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d[indexOff-8 : indexOff]
-		}, lie40, ErrTrailer, 1},
-		{"v2-gzip", writeV2(t, insts, V2Options{ChunkRecords: 16, Compress: true}), func(d []byte) []byte { return d[len(d)-4:] }, func(f []byte) { binary.LittleEndian.PutUint32(f, 0xFFFFFFFF) }, ErrChunk, maxDeflateRatio},
+		}, lie40, perFileByte, ErrTrailer, 1},
+		{"v2-gzip", gz, gzRecords, isizeOf, lieISIZE(0xFFFFFFFF), func(int) int { return 0 }, ErrChunk, maxGzipRatio},
+		{"v2-gzip-full-chunks", gz, gzRecords, isizeOf, lieISIZE(fullChunks), func(size int) int { return size * maxGzipRatio / recordBytes }, ErrChunk, maxGzipRatio},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := bytes.Clone(tc.data)
 			path := tempTrace(t, data)
-			if got := declaredOf(t, path); got != len(insts) {
-				t.Fatalf("honest container declares %d records, want %d", got, len(insts))
+			if got := declaredOf(t, path); got != tc.n {
+				t.Fatalf("honest container declares %d records, want the %d written", got, tc.n)
 			}
 			tc.lie(tc.field(data))
 			path = tempTrace(t, data)
+			if got, want := declaredOf(t, path), tc.declares(len(data)); got != want {
+				t.Fatalf("lying container declares %d records, want %d", got, want)
+			}
 			var err error
 			got := allocatedBy(func() { _, err = LoadArenaFile(path) })
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("load error %v, want one wrapping %v", err, tc.want)
 			}
 			t.Logf("load of a %d-byte file allocated %d bytes", len(data), got)
-			if limit := uint64(1.1*16*float64(int64(len(data))*tc.inflates)/recordBytes) + loadSlack; got > limit {
+			// The slab of the clamped hint, and the exact slab NewArena
+			// copies the records it decoded into.
+			if limit := uint64(1.1*16*float64(len(data)*tc.inflates/recordBytes+tc.n)) + loadSlack; got > limit {
 				t.Errorf("load of a %d-byte file allocated %d bytes, limit %d", len(data), got, limit)
 			}
 		})
 	}
+}
+
+// perFileByte is the clamp on an uncompressed container's hint: one
+// record per 12 bytes of file.
+func perFileByte(size int) int { return size / recordBytes }
+
+// isizeOf is a gzip file's ISIZE footer field, its last 4 bytes.
+func isizeOf(data []byte) []byte { return data[len(data)-4:] }
+
+// lieISIZE overwrites an ISIZE field with isize.
+func lieISIZE(isize uint32) func(field []byte) {
+	return func(field []byte) { binary.LittleEndian.PutUint32(field, isize) }
 }
 
 // lie40 overwrites an 8-byte record total with 2^40.

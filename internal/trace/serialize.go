@@ -79,25 +79,25 @@ func encodeRecord(rec []byte, inst Inst, phases bool) {
 // compatibility rules of docs/TRACEFORMAT.md.
 func decodeRecords(dst []Inst, recs []byte, phases bool) byte {
 	recs = recs[:len(dst)*recordBytes]
-	var or byte
+	var phaseMask, or byte
+	if phases {
+		phaseMask = 0xFF
+	}
 	for k := range dst {
 		rec := recs[k*recordBytes : k*recordBytes+recordBytes : k*recordBytes+recordBytes]
 		flags := rec[8]
 		or |= flags
-		dst[k] = Inst{
-			PC:       binary.LittleEndian.Uint32(rec[0:4]),
-			Addr:     binary.LittleEndian.Uint32(rec[4:8]),
-			IsLoad:   flags&flagLoad != 0,
-			IsStore:  flags&flagStore != 0,
-			IsBranch: flags&flagBranch != 0,
-			Taken:    flags&flagTaken != 0,
-			UseDist:  rec[9],
-		}
-	}
-	if phases {
-		for k := range dst {
-			dst[k].Phase = recs[k*recordBytes+10]
-		}
+		// Field by field in place: a composite literal is built on the
+		// stack and copied, which doubles the loop's cost.
+		d := &dst[k]
+		d.PC = binary.LittleEndian.Uint32(rec[0:4])
+		d.IsLoad = flags&flagLoad != 0
+		d.IsStore = flags&flagStore != 0
+		d.Addr = binary.LittleEndian.Uint32(rec[4:8])
+		d.UseDist = rec[9]
+		d.IsBranch = flags&flagBranch != 0
+		d.Taken = flags&flagTaken != 0
+		d.Phase = rec[10] & phaseMask
 	}
 	return or
 }
@@ -176,20 +176,15 @@ func Write(w io.Writer, s Stream) (int, error) {
 // materialises the full trace: v2 is decoded chunk by chunk and v1,
 // which has no chunks, a block of records per read, so
 // multi-million-instruction traces replay in constant memory.
-// NextSlice windows span v2 chunk boundaries, and Fill decodes each
-// chunk straight into the caller's slice, which is how NewArena loads a
-// file.
+// NextSlice windows span chunk and block boundaries.
 type Reader struct {
 	hdr  header
 	err  error
 	done bool
 	read uint64 // records decoded so far, checked against the trailer
 
-	// buf holds the last chunk (or v1 block) that was decoded into the
-	// Reader's own buffer rather than into a caller's slice; buf[pos:]
-	// is what Fill and NextSlice have not handed out yet.
-	buf []Inst
-	pos int
+	buf []Inst // the decoded records of the current v2 chunk or v1 block
+	pos int    // replay cursor within buf
 	win []Inst // NextSlice's window when it is not a view of buf
 
 	// stray counts records whose reserved phase byte (record byte 10)
@@ -199,9 +194,8 @@ type Reader struct {
 	// header/record mismatch instead of losing it silently.
 	stray uint64
 
-	br   *bufio.Reader // v1: record source; v2: raw (pre-decompression) source
-	raw  []byte        // v2: one chunk frame; v1: one block of records and the 4 bytes after it
-	held int           // v1: bytes at the front of raw carried over from the last block
+	br  *bufio.Reader // v1: record source; v2: raw (pre-decompression) source
+	raw []byte        // scratch for one v2 chunk frame or one v1 block
 
 	v2 *readerV2 // nil for v1 files
 
@@ -274,11 +268,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, err
 	}
 	rd := &Reader{hdr: h, br: br}
-	if h.version == traceVersionV2 {
-		rd.raw = make([]byte, h.frameBytes(h.chunkCap))
-		if rd.v2, err = newReaderV2(br, h); err != nil {
-			return nil, err
-		}
+	if h.version == traceVersionV1 {
+		rd.raw = make([]byte, v1BlockRecords*recordBytes)
+		return rd, nil
+	}
+	rd.raw = make([]byte, h.frameBytes(h.chunkCap))
+	if rd.v2, err = newReaderV2(br, h); err != nil {
+		return nil, err
 	}
 	return rd, nil
 }
@@ -323,22 +319,14 @@ func (r *Reader) Chunks() uint64 {
 // and tools should report it rather than ignore it silently.
 func (r *Reader) UnadvertisedPhaseBytes() uint64 { return r.stray }
 
-// NextSlice implements Stream. It loads each chunk with the Reader's
-// own buffer as the destination: a window that lies inside one chunk
-// is a view of it, and any other window is assembled in the Reader's
-// window buffer, across as many chunks as it spans. Either way its
-// capacity ends with it. Read failures end the stream early and are
-// reported by Err.
+// NextSlice implements Stream. A window that lies inside one decoded
+// v2 chunk or v1 block is a view of it; any other window is assembled
+// in the Reader's own buffer, across as many chunks as it spans.
+// Either way its capacity ends with it. Read failures end the stream
+// early and are reported by Err.
 func (r *Reader) NextSlice(max int) []Inst {
 	win := r.win[:0]
-	for len(win) < max {
-		if r.pos == len(r.buf) {
-			if r.done {
-				break
-			}
-			r.load(nil) // an empty destination: the chunk lands in buf
-			continue
-		}
+	for len(win) < max && (r.pos < len(r.buf) || r.load()) {
 		end := min(len(r.buf), r.pos+max-len(win))
 		run := r.buf[r.pos:end:end]
 		r.pos = end
@@ -351,104 +339,60 @@ func (r *Reader) NextSlice(max int) []Inst {
 	return win[:len(win):len(win)]
 }
 
-// Fill is NewArena's fast path (filler): it decodes the next
-// min(len(dst), remaining) records straight into dst and returns how
-// many it wrote. Records left in the Reader's buffer go first; then
-// each chunk that fits the rest of dst is decoded in place, and only
-// one that overruns it is decoded into the buffer and copied, its
-// remainder kept for the next call. Read failures end the stream early
-// and are reported by Err.
-func (r *Reader) Fill(dst []Inst) int {
-	n := copy(dst, r.buf[r.pos:])
-	r.pos += n
-	for n < len(dst) && !r.done {
-		n += r.load(dst[n:])
+// load decodes the next v2 chunk or v1 block into buf once NextSlice
+// has drained it, and reports whether buf holds records. The end of the
+// stream, clean or with r.err set, sets done.
+func (r *Reader) load() bool {
+	switch {
+	case r.done:
+		return false
+	case r.v2 == nil:
+		return r.loadV1()
+	default:
+		return r.loadChunk()
 	}
-	return n
 }
 
-// load decodes the next v2 chunk or v1 block for dst and returns how
-// many records it wrote into dst. It is called only once the buffer is
-// drained; at the end of the stream it writes none and sets done.
-func (r *Reader) load(dst []Inst) int {
-	if r.v2 == nil {
-		return r.loadV1(dst)
-	}
-	return r.loadChunk(dst)
+// end ends the stream with err (nil for a clean end) and reports that
+// it loaded no records.
+func (r *Reader) end(err error) bool {
+	r.err, r.done = err, true
+	return false
 }
 
-// target is where load decodes n records for dst: dst itself when they
-// fit, or else the Reader's buffer, which it grows as needed. Nothing
-// changes until deliver accepts the records.
-func (r *Reader) target(dst []Inst, n int) []Inst {
-	if n <= len(dst) {
-		return dst[:n]
-	}
+// bufFor returns buf's first n records to decode into, growing it if
+// need be. NextSlice replays them only once the loader sets buf's
+// length, so a load that fails leaves nothing to replay.
+func (r *Reader) bufFor(n int) []Inst {
 	if cap(r.buf) < n {
-		return make([]Inst, n)
+		r.buf = make([]Inst, n)
 	}
 	return r.buf[:n]
 }
 
-// deliver accepts recs, the validated records a load decoded into
-// target(dst, n), and returns how many of them are in dst: all of them,
-// or when they overran dst, as many as dst holds, the rest kept in the
-// buffer.
-func (r *Reader) deliver(dst, recs []Inst, n int) int {
-	r.read += uint64(len(recs))
-	if n <= len(dst) {
-		return len(recs)
-	}
-	r.buf, r.pos = recs, copy(dst, recs)
-	return r.pos
-}
-
-// end ends the stream, cleanly when err is nil, and reports that no
-// records were loaded.
-func (r *Reader) end(err error) int {
-	r.err, r.done = err, true
-	return 0
-}
-
-// v1BlockRecords is the most v1 records one read decodes: a block the
-// size of a default v2 chunk.
+// v1BlockRecords is the most flat v1 records one read decodes: a block
+// the size of a default v2 chunk.
 const v1BlockRecords = DefaultChunkRecords
 
-// loadV1 reads the next block of flat v1 records — min(len(dst),
-// v1BlockRecords) of them, or a whole block when dst is empty — and
-// decodes it with decodeRecords. Each read takes 4 bytes past the block
-// and holds them back for the next, since they may be the trailer: a
-// read that comes up short at the end of the file leaves whole records
-// and a tail that must be exactly the 4-byte trailer.
-func (r *Reader) loadV1(dst []Inst) int {
-	n := v1BlockRecords
-	if len(dst) > 0 {
-		n = min(n, len(dst))
+// loadV1 reads a block of flat v1 records and decodes it with
+// decodeRecords. Records are told from the 4-byte trailer by read
+// length: a read that comes up short at the end of the file holds whole
+// records and then a tail that must be exactly the trailer.
+func (r *Reader) loadV1() bool {
+	got, err := io.ReadFull(r.br, r.raw)
+	recs := r.raw[:got/recordBytes*recordBytes]
+	n := len(recs) / recordBytes
+	if flags := decodeRecords(r.bufFor(n), recs, false); flags&^byte(flagKnown) != 0 {
+		n = firstBadRecord(recs)
+		r.end(fmt.Errorf("%w (record %d)", errRecordFlags(recs[n*recordBytes+8]), r.read+uint64(n)))
 	}
-	need := n*recordBytes + 4
-	if cap(r.raw) < need {
-		r.raw = append(make([]byte, 0, need), r.raw[:r.held]...)
+	r.stray += strayPhaseBytes(recs, n)
+	r.read += uint64(n)
+	r.buf, r.pos = r.buf[:n], 0
+	if err != nil && !r.done {
+		r.end(r.finishV1(r.raw[len(recs):got], err))
 	}
-	raw := r.raw[:need]
-	got, err := io.ReadFull(r.br, raw[r.held:])
-	got += r.held
-	whole := got / recordBytes
-	recs := r.target(dst, n)[:whole]
-	good := whole
-	if flags := decodeRecords(recs, raw, false); flags&^byte(flagKnown) != 0 {
-		good = firstBadRecord(raw)
-	}
-	r.stray += strayPhaseBytes(raw, good)
-	k := r.deliver(dst, recs[:good], n)
-	switch {
-	case good < whole:
-		r.end(fmt.Errorf("%w (record %d)", errRecordFlags(raw[good*recordBytes+8]), r.read))
-	case err == nil:
-		r.held = copy(raw, raw[n*recordBytes:])
-	default:
-		r.end(r.finishV1(raw[whole*recordBytes:got], err))
-	}
-	return k
+	return n > 0
 }
 
 // finishV1 validates the tail a v1 read ended on: it must be the
@@ -471,9 +415,9 @@ func (r *Reader) finishV1(tail []byte, err error) error {
 	}
 }
 
-// NextBatch is Fill under the batch signature edbench's probe still
-// calls.
-func (r *Reader) NextBatch(buf []Inst) int { return r.Fill(buf) }
+// NextBatch copies the next window into buf and returns its length; it
+// is NextSlice under the batch signature edbench's probe still calls.
+func (r *Reader) NextBatch(buf []Inst) int { return copy(buf, r.NextSlice(len(buf))) }
 
 // Err reports a non-EOF read failure encountered during streaming.
 func (r *Reader) Err() error { return r.err }

@@ -275,13 +275,10 @@ func newReaderV2(br *bufio.Reader, h header) (*readerV2, error) {
 	return v2, nil
 }
 
-// loadChunk is the one chunk loader: it reads the next chunk frame and
-// decodes it through decodeChunk into target(dst, n) — straight into
-// dst when the chunk fits — and returns the records it wrote into dst.
-// At the end of the stream, clean (end marker, verified trailer and,
-// when advertised, verified index) or with r.err set, it writes none
-// and sets r.done.
-func (r *Reader) loadChunk(dst []Inst) int {
+// loadChunk decodes the next chunk into buf. It returns false when
+// the stream is finished — either cleanly (end marker, verified trailer
+// and, when advertised, verified index) or with r.err set.
+func (r *Reader) loadChunk() bool {
 	v2 := r.v2
 	if _, err := io.ReadFull(v2.body, r.raw[0:4]); err != nil {
 		return r.end(fmt.Errorf("trace: %w: chunk header after %d records: %v", ErrTruncated, r.read, err))
@@ -297,8 +294,7 @@ func (r *Reader) loadChunk(dst []Inst) int {
 	if _, err := io.ReadFull(v2.body, frame[4:]); err != nil {
 		return r.end(fmt.Errorf("trace: %w: chunk after %d records: %v", ErrTruncated, r.read, err))
 	}
-	recs := r.target(dst, n)
-	e, stray, err := r.hdr.decodeChunk(frame, recs)
+	e, stray, err := r.hdr.decodeChunk(frame, r.bufFor(n))
 	if err != nil {
 		return r.end(fmt.Errorf("%w (chunk %d, records %d..%d)", err, v2.chunks, r.read, r.read+uint64(n)-1))
 	}
@@ -312,7 +308,9 @@ func (r *Reader) loadChunk(dst []Inst) int {
 	}
 	v2.chunkOff += int64(len(frame))
 	v2.chunks++
-	return r.deliver(dst, recs, n)
+	r.read += uint64(n)
+	r.buf, r.pos = r.buf[:n], 0
+	return true
 }
 
 // finishV2 validates everything after the end marker: the 8-byte
