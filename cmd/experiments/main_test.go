@@ -143,7 +143,7 @@ func TestNegativeGridFlagsRejected(t *testing.T) {
 // that do not parse or that core.L2Config.Validate refuses, whichever
 // experiment is selected.
 func TestBadL2GeometriesRejected(t *testing.T) {
-	for _, v := range []string{"foo", "3x8", "0x8", "128x0", "128x8,3x8", "64x4,64x4"} {
+	for _, v := range []string{"foo", "3x8", "0x8", "128x0", "128x8,3x8", "64x4,64x4", "1073741824x64"} {
 		for _, sel := range []string{"area", "fig3"} {
 			err := run([]string{"-run", sel, "-l2", v}, &bytes.Buffer{})
 			if !errors.Is(err, cli.ErrBadFlags) {

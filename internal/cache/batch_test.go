@@ -7,11 +7,12 @@ import (
 	"unsafe"
 )
 
-// TestAccessBatchMatchesAccess verifies the batch entry point's
-// contract: identical state transitions and results to a scalar loop.
-func TestAccessBatchMatchesAccess(t *testing.T) {
+// TestAccessBatchMatchesNaiveModel verifies the batch entry point
+// against the naive per-line model: identical results op by op and
+// identical final contents, with chunk boundaries anywhere.
+func TestAccessBatchMatchesNaiveModel(t *testing.T) {
 	cfg := Config{Sets: 16, Ways: 4, LineBytes: 32}
-	a, b := MustNew(cfg), MustNew(cfg)
+	a, b := MustNew(cfg), newNaive(cfg)
 	rng := rand.New(rand.NewSource(7))
 
 	ops := make([]Op, 10_000)
@@ -29,14 +30,14 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 		start = end
 	}
 	for i, op := range ops {
-		want := b.Access(op.Addr, op.Write)
+		want := b.access(op.Addr, op.Write)
 		if res[i] != want {
-			t.Fatalf("op %d (%+v): batch result %+v != scalar %+v", i, op, res[i], want)
+			t.Fatalf("op %d (%+v): batch result %+v != naive model %+v", i, op, res[i], want)
 		}
 	}
 	// Final states must agree too.
 	for addr := uint32(0); addr < 1<<14; addr += 32 {
-		if a.Contains(addr) != b.Contains(addr) {
+		if a.Contains(addr) != b.contains(addr) {
 			t.Fatalf("state diverged at %#x", addr)
 		}
 	}
@@ -56,10 +57,13 @@ func TestAccessBatchShortResultBufferPanics(t *testing.T) {
 // hierarchy with two L2 tiers: an op with Rep r leaves every level
 // exactly — contents, dirty bits, LRU stamps, fill-miss counters — as
 // its 1+r accesses issued one by one do, and its result is the first
-// access's. An Op stays 8 bytes.
+// access's. An Op stays 8 bytes and a Result 16.
 func TestRunOpMatchesExpandedAccesses(t *testing.T) {
 	if n := unsafe.Sizeof(Op{}); n != 8 {
 		t.Fatalf("Op is %d bytes, want 8", n)
+	}
+	if n := unsafe.Sizeof(Result{}); n != 16 {
+		t.Fatalf("Result is %d bytes, want 16", n)
 	}
 	build := func() *Hierarchy {
 		l1 := MustNew(Config{Sets: 8, Ways: 4, LineBytes: 32})

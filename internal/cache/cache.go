@@ -47,13 +47,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result describes one access.
+// Result describes one access. Its fields are ordered so that a Result
+// packs into 16 bytes.
 type Result struct {
-	Hit       bool
 	Way       int    // way hit, or way filled on a miss
-	Evicted   bool   // a valid line was displaced
-	Writeback bool   // the displaced line was dirty (memory write traffic)
-	Victim    uint32 // line address of the displaced line, valid iff Evicted
+	Victim    uint32 // line address of the displaced line, valid iff Writeback
+	Hit       bool
+	Writeback bool // a dirty line was displaced (memory write traffic)
 }
 
 // Cache is a set-associative cache with per-way gating. A Cache holds
@@ -83,18 +83,6 @@ type Cache struct {
 	tick    uint64
 	offBits uint
 	idxBits uint
-
-	// Last-line memo: the (set, tag, way) of the immediately preceding
-	// access. Between two consecutive accesses nothing else mutates the
-	// cache (a Cache is single-goroutine, and Flush/SetWayEnabled
-	// invalidate the memo), so an access to the same line is provably a
-	// hit at the same way — no probe, no victim scan. Streaming data,
-	// and fetch runs handed over as one op with a repeat count (Op.Rep)
-	// but cut at a line smaller than this cache's, make this the most
-	// common case of real replay.
-	mSet int32 // -1 when the memo is invalid
-	mWay int32
-	mTag uint32
 }
 
 // New builds a cache with all ways enabled.
@@ -112,7 +100,6 @@ func New(cfg Config) (*Cache, error) {
 		enabled: ^uint64(0) >> (64 - uint(cfg.Ways)),
 		offBits: uint(bits.TrailingZeros32(uint32(cfg.LineBytes))),
 		idxBits: uint(bits.TrailingZeros32(uint32(cfg.Sets))),
-		mSet:    -1,
 	}, nil
 }
 
@@ -136,7 +123,6 @@ func (c *Cache) SetWayEnabled(way int, on bool) {
 	if way < 0 || way >= c.ways {
 		panic(fmt.Sprintf("cache: way %d out of range", way))
 	}
-	c.mSet = -1 // line validity may change under the memo
 	bit := uint64(1) << uint(way)
 	if on {
 		c.enabled |= bit
@@ -158,41 +144,20 @@ func (c *Cache) EnabledWays() int { return bits.OnesCount64(c.enabled) }
 
 // Access performs a read (write=false) or write (write=true) with
 // write-allocate semantics: misses always fill the line into the LRU
-// enabled way.
+// enabled way. It is a one-op AccessBatch.
 func (c *Cache) Access(addr uint32, write bool) Result {
-	if c.enabled == 0 {
-		panic("cache: access with all ways gated off")
-	}
-	set := int((addr >> c.offBits) & uint32(c.cfg.Sets-1))
-	tag := addr >> (c.offBits + c.idxBits)
-	c.tick++
-
-	// Same line as the previous access: a guaranteed hit at the same
-	// way — nothing can have displaced it in between. AccessBatch
-	// carries the identical fast path inline in its loop; the property
-	// and differential tests hold the two to one behaviour.
-	if int32(set) == c.mSet && tag == c.mTag {
-		w := int(c.mWay)
-		c.lru[set*c.ways+w] = c.tick
-		if write {
-			c.dirty[set] |= uint64(1) << uint(w)
-		}
-		return Result{Hit: true, Way: w}
-	}
-	var r Result
-	c.accessSlow(set, tag, write, &r)
-	return r
+	var r [1]Result
+	c.AccessBatch([]Op{{Addr: addr, Write: write}}, r[:])
+	return r[0]
 }
 
-// accessSlow is the probe-and-fill path shared by Access and
-// AccessBatch, entered once the last-line memo has missed; the caller
-// has already split the address, bumped the tick and established that
-// at least one way is enabled (SetWayEnabled cannot run mid-batch — a
-// Cache is single-goroutine). It writes the outcome into *r, every
-// field of it, so AccessBatch hands it its slot of the result slice
-// and no Result is copied through the stack. It leaves the memo
-// pointing at the line it touched.
-func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
+// probe performs one access once AccessBatch has split the address,
+// bumped the tick and established that at least one way is enabled
+// (SetWayEnabled cannot run mid-batch — a Cache is single-goroutine).
+// It writes the outcome into *r, every field of it, so AccessBatch
+// hands it its slot of the result slice and no Result is copied
+// through the stack.
+func (c *Cache) probe(set int, tag uint32, write bool, r *Result) {
 	base := set * c.ways
 
 	// Probe: one mask word selects the live ways; the tag scan walks
@@ -206,7 +171,6 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
 			if write {
 				c.dirty[set] |= uint64(1) << uint(w)
 			}
-			c.mSet, c.mWay, c.mTag = int32(set), int32(w), tag
 			*r = Result{Hit: true, Way: w}
 			return
 		}
@@ -228,15 +192,11 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
 		}
 	}
 	bit := uint64(1) << uint(victim)
-	*r = Result{
-		Way:       victim,
-		Evicted:   c.valid[set]&bit != 0,
-		Writeback: c.valid[set]&c.dirty[set]&bit != 0,
-	}
-	if r.Evicted {
-		// Reconstruct the displaced line's address from its tag before
-		// the fill overwrites it — the next level needs it to absorb the
-		// write-back.
+	*r = Result{Way: victim}
+	if c.valid[set]&c.dirty[set]&bit != 0 {
+		// Reconstruct the dirty line's address from its tag before the
+		// fill overwrites it — the next level absorbs its write-back.
+		r.Writeback = true
 		r.Victim = tags[victim]<<(c.offBits+c.idxBits) | uint32(set)<<c.offBits
 	}
 	c.valid[set] |= bit
@@ -247,7 +207,6 @@ func (c *Cache) accessSlow(set int, tag uint32, write bool, r *Result) {
 	}
 	tags[victim] = tag
 	c.lru[base+victim] = c.tick
-	c.mSet, c.mWay, c.mTag = int32(set), int32(victim), tag
 }
 
 // Op is one access of a batch, or a run of 1+Rep accesses to Addr's
@@ -267,14 +226,10 @@ type Op struct {
 }
 
 // AccessBatch performs the ops in order, writing the i-th op's outcome
-// into res[i]. It is semantically identical to calling Access in a loop,
-// 1+Rep times per op — same state transitions, same results, the first
-// access's for a run — but the all-ways-off
-// guard is hoisted to one compare per batch, the geometry and memo live
-// in registers across the chunk, and the last-line fast path runs
-// inline: one inner loop over the SoA state with a single call out only
-// when a probe is actually needed. This is the loop the cpu package's
-// batched replay rides on.
+// into res[i]: each op is 1+Rep accesses to its line, whose result is
+// the first access's. The all-ways-off guard is hoisted to one compare
+// per batch and the geometry lives in registers across the chunk. This
+// is the loop the replay banks and Hierarchy ride on.
 func (c *Cache) AccessBatch(ops []Op, res []Result) {
 	if len(res) < len(ops) {
 		panic(fmt.Sprintf("cache: AccessBatch result buffer %d too small for %d ops", len(res), len(ops)))
@@ -288,22 +243,10 @@ func (c *Cache) AccessBatch(ops []Op, res []Result) {
 	res = res[:len(ops)]
 	offBits, idxBits := c.offBits, c.offBits+c.idxBits
 	setMask := uint32(c.cfg.Sets - 1)
-	mSet, mWay, mTag := c.mSet, int(c.mWay), c.mTag
 	for i := range ops {
-		addr, write := ops[i].Addr, ops[i].Write
-		set := int((addr >> offBits) & setMask)
-		tag := addr >> idxBits
+		addr := ops[i].Addr
 		c.tick += 1 + uint64(ops[i].Rep)
-		if int32(set) == mSet && tag == mTag {
-			c.lru[set*c.ways+mWay] = c.tick
-			if write {
-				c.dirty[set] |= uint64(1) << uint(mWay)
-			}
-			res[i] = Result{Hit: true, Way: mWay}
-			continue
-		}
-		c.accessSlow(set, tag, write, &res[i])
-		mSet, mWay, mTag = c.mSet, int(c.mWay), c.mTag
+		c.probe(int((addr>>offBits)&setMask), addr>>idxBits, ops[i].Write, &res[i])
 	}
 }
 
@@ -325,7 +268,6 @@ func (c *Cache) Contains(addr uint32) bool {
 // lines that would be written back (the mode-switch cost). One popcount
 // and two mask clears per set — no line walk.
 func (c *Cache) Flush() int {
-	c.mSet = -1
 	dirty := 0
 	for set := range c.valid {
 		dirty += bits.OnesCount64(c.valid[set] & c.dirty[set])
@@ -342,7 +284,6 @@ func (c *Cache) Flush() int {
 // test checks memory against it. Callers that only need the count
 // should use Flush, which never walks lines.
 func (c *Cache) DrainDirty(emit func(addr uint32)) int {
-	c.mSet = -1
 	dirty := 0
 	for set := range c.valid {
 		for live := c.valid[set] & c.dirty[set]; live != 0; live &= live - 1 {

@@ -56,8 +56,8 @@ func TestLRUReplacement(t *testing.T) {
 	c.Access(0x100, false) // B
 	c.Access(0x000, false) // touch A — B becomes LRU
 	res := c.Access(0x200, false)
-	if res.Hit || !res.Evicted {
-		t.Fatalf("expected evicting miss, got %+v", res)
+	if res.Hit || res.Way != 1 {
+		t.Fatalf("expected a miss refilling B's way 1, got %+v", res)
 	}
 	if !c.Contains(0x000) {
 		t.Error("MRU line A was evicted instead of LRU line B")
@@ -161,9 +161,11 @@ func TestWorkingSetResidency(t *testing.T) {
 	}
 }
 
+// TestSingleWayModeIsDirectMapped checks the way-gating relation: the
+// paper's 8-way cache with only way w powered, gated before any access,
+// gives the same Hit/Writeback/Victim row as a fresh direct-mapped cache
+// of equal sets and line size, for every w (ULE mode is w = 7).
 func TestSingleWayModeIsDirectMapped(t *testing.T) {
-	// ULE mode: 1 enabled way over 32 sets behaves as a 1 KB
-	// direct-mapped cache; two lines mapping to the same set conflict.
 	c := MustNew(paperCfg())
 	for w := 0; w < 7; w++ {
 		c.SetWayEnabled(w, false)
@@ -172,6 +174,32 @@ func TestSingleWayModeIsDirectMapped(t *testing.T) {
 	c.Access(0x0400, false) // same set (index bits), different tag
 	if c.Contains(0x0000) {
 		t.Error("direct-mapped conflict did not evict")
+	}
+
+	dm := Config{Sets: paperCfg().Sets, Ways: 1, LineBytes: paperCfg().LineBytes}
+	for w := 0; w < paperCfg().Ways; w++ {
+		gated, ref := MustNew(paperCfg()), MustNew(dm)
+		for v := 0; v < paperCfg().Ways; v++ {
+			gated.SetWayEnabled(v, v == w)
+		}
+		rng := rand.New(rand.NewSource(int64(40 + w)))
+		ops := make([]Op, 256)
+		got, want := make([]Result, len(ops)), make([]Result, len(ops))
+		for chunk := 0; chunk < 40; chunk++ {
+			for i := range ops {
+				// Four times the cache's reach: hits, clean and dirty
+				// conflicts in every set.
+				ops[i] = Op{Addr: uint32(rng.Intn(4 * dm.SizeBytes())), Write: rng.Intn(3) == 0, Rep: uint16(rng.Intn(3))}
+			}
+			gated.AccessBatch(ops, got)
+			ref.AccessBatch(ops, want)
+			for i := range ops {
+				g, r := got[i], want[i]
+				if g.Hit != r.Hit || g.Writeback != r.Writeback || g.Victim != r.Victim || g.Way != w {
+					t.Fatalf("way %d chunk %d op %d (%+v): gated %+v, direct-mapped %+v", w, chunk, i, ops[i], g, r)
+				}
+			}
+		}
 	}
 }
 

@@ -41,9 +41,6 @@ type Hierarchy struct {
 	// fillMisses[t] counts demand fill reads that missed tier t (memory
 	// fetches); write-back writes that miss allocate but do not count.
 	fillMisses []uint64
-
-	one    [1]Op // scratch for the scalar path
-	oneRes [1]Result
 }
 
 // NewHierarchy builds a hierarchy of one L1 in front of the given L2s
@@ -120,9 +117,9 @@ func (h *Hierarchy) AccessBatch(ops []Op, res []Result) {
 // Access is the scalar path: a one-op chunk through AccessBatch, so the
 // scalar and batched replays share one L2 interleaving rule.
 func (h *Hierarchy) Access(addr uint32, write bool) Result {
-	h.one[0] = Op{Addr: addr, Write: write}
-	h.AccessBatch(h.one[:], h.oneRes[:])
-	return h.oneRes[0]
+	var r [1]Result
+	h.AccessBatch([]Op{{Addr: addr, Write: write}}, r[:])
+	return r[0]
 }
 
 // L2Ops returns the L2 op batch of the most recent chunk.

@@ -38,8 +38,9 @@ func benchCache(b *testing.B, enabledWays int) *Cache {
 	return c
 }
 
-// BenchmarkCacheAccess pins the scalar hot path: one Access call per
-// op, at full associativity and in the single-way ULE configuration.
+// BenchmarkCacheAccess pins the one-op path: one Access call (a one-op
+// AccessBatch) per op, at full associativity and in the single-way ULE
+// configuration.
 func BenchmarkCacheAccess(b *testing.B) {
 	ops := benchOps(1 << 16)
 	for _, ways := range []int{8, 1} {

@@ -6,7 +6,7 @@ import "fmt"
 // one access stream. The replay engine's own bank is core's multiPort;
 // MultiCache is kept for edbench's probe, the only caller of Bank. Every
 // member owns its full simulator state — tag/LRU slabs, packed
-// valid/dirty masks, enabled mask, memo — so members may differ in
+// valid/dirty masks, enabled mask — so members may differ in
 // geometry and gating, and each one's behaviour is exactly that of a
 // standalone Cache fed the same op sequence. What the bank shares is
 // the *stream*: AccessBatch takes one op chunk (built by one cursor

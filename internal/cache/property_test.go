@@ -7,11 +7,11 @@ import (
 
 // naiveCache is an array-of-structs reference model with the simulator's
 // exact contract — the pre-SoA implementation, kept as the oracle for
-// the packed-mask layout: per-line valid/dirty/tag/lru fields, an O(ways)
-// scan everywhere, no masks, no memo. Every optimisation the SoA engine
-// makes (packed bitmasks, the O(1) enabled guard, the last-line memo,
-// batched loops) must be invisible against this model under arbitrary
-// interleavings of accesses, way gating and flushes.
+// the packed-mask layout: per-line valid/dirty/tag/lru fields and an
+// O(ways) scan everywhere, no masks. Every optimisation the SoA engine
+// makes (packed bitmasks, the O(1) enabled guard, batched loops) must be
+// invisible against this model under arbitrary interleavings of
+// accesses, way gating and flushes.
 type naiveLine struct {
 	valid bool
 	dirty bool
@@ -82,8 +82,8 @@ func (n *naiveCache) access(addr uint32, write bool) Result {
 		}
 	}
 	ln := &n.lines[base+victim]
-	res := Result{Way: victim, Evicted: ln.valid, Writeback: ln.valid && ln.dirty}
-	if ln.valid {
+	res := Result{Way: victim, Writeback: ln.valid && ln.dirty}
+	if res.Writeback {
 		res.Victim = ln.tag<<(n.offBits+n.idxBits) | uint32(set)<<n.offBits
 	}
 	*ln = naiveLine{valid: true, tag: tag, lru: n.tick, dirty: write}
@@ -136,8 +136,8 @@ func (n *naiveCache) contains(addr uint32) bool {
 // maintenance under mode switches: a random interleaving of scalar
 // accesses, batched slabs, way gating, flushes and state queries must
 // behave identically on the SoA engine and the naive per-line model —
-// not just under steady-state replay, where a stale mask bit or memo
-// could hide.
+// not just under steady-state replay, where a stale mask bit could
+// hide.
 func TestPropertyInterleavedOpsMatchNaiveModel(t *testing.T) {
 	configs := []Config{
 		{Sets: 32, Ways: 8, LineBytes: 32}, // the paper's L1
@@ -151,8 +151,7 @@ func TestPropertyInterleavedOpsMatchNaiveModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(cfg.Sets*100 + cfg.Ways)))
 		// Address pool small enough for heavy reuse (hits and conflicts),
 		// with a sequential cursor mixed in so consecutive accesses often
-		// share a line — the last-line memo path must face real traffic,
-		// not only cold jumps.
+		// share a line, not only cold jumps.
 		addrSpace := uint32(cfg.SizeBytes() * 4)
 		var cursor uint32
 		randAddr := func() uint32 {

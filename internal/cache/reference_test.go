@@ -22,20 +22,20 @@ func newRef(cfg Config) *refCache {
 	return &refCache{cfg: cfg, sets: make([][]refLine, cfg.Sets)}
 }
 
-func (r *refCache) split(addr uint32) (int, uint32) {
-	off := uint(0)
+// shifts returns the offset and index widths of an address.
+func (r *refCache) shifts() (off, idx uint) {
 	for 1<<off < r.cfg.LineBytes {
 		off++
 	}
-	idx := uint(0)
 	for 1<<idx < r.cfg.Sets {
 		idx++
 	}
-	return int((addr >> off) & uint32(r.cfg.Sets-1)), addr >> (off + idx)
+	return off, idx
 }
 
 func (r *refCache) access(addr uint32, write bool, ways int) Result {
-	set, tag := r.split(addr)
+	off, idx := r.shifts()
+	set, tag := int((addr>>off)&uint32(r.cfg.Sets-1)), addr>>(off+idx)
 	lines := r.sets[set]
 	for i, ln := range lines {
 		if ln.tag == tag {
@@ -51,8 +51,10 @@ func (r *refCache) access(addr uint32, write bool, ways int) Result {
 	res := Result{}
 	if len(lines) == ways {
 		victim := lines[len(lines)-1]
-		res.Evicted = true
-		res.Writeback = victim.dirty
+		if victim.dirty {
+			res.Writeback = true
+			res.Victim = victim.tag<<(off+idx) | uint32(set)<<off
+		}
 		lines = lines[:len(lines)-1]
 	}
 	r.sets[set] = append([]refLine{{tag: tag, dirty: write}}, lines...)
@@ -85,7 +87,7 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 			write := rng.Intn(4) == 0
 			got := c.Access(addr, write)
 			want := ref.access(addr, write, cfg.Ways)
-			if got.Hit != want.Hit || got.Evicted != want.Evicted || got.Writeback != want.Writeback {
+			if got.Hit != want.Hit || got.Writeback != want.Writeback || got.Victim != want.Victim {
 				t.Fatalf("cfg %+v step %d addr %#x write=%v: sim %+v != ref %+v",
 					cfg, step, addr, write, got, want)
 			}

@@ -109,6 +109,12 @@ type L2Config struct {
 	Protection ecc.Kind
 }
 
+// maxL2Bytes caps an L2's data capacity at 512 times the 128 KB L2 of
+// the hierarchy sweeps' default grid. Far beyond any geometry those
+// sweeps study, it still refuses one whose tag and LRU slabs would not
+// fit in memory (2^36 lines at -l2 1073741824x64).
+const maxL2Bytes = 64 << 20
+
 // Validate reports whether the L2 geometry and policy are usable
 // against the owning configuration.
 func (l L2Config) Validate(c Config) error {
@@ -120,6 +126,11 @@ func (l L2Config) Validate(c Config) error {
 	}
 	if l.LineBytes != c.LineBytes {
 		return fmt.Errorf("core: L2 line size %d B must equal the L1's %d B", l.LineBytes, c.LineBytes)
+	}
+	// Divide rather than multiply: Sets*Ways overflows for a set count
+	// near 2^62.
+	if l.Sets > maxL2Bytes/l.Ways/max(l.LineBytes, 1) {
+		return fmt.Errorf("core: L2 %dx%d of %d B lines exceeds the %d MiB capacity cap", l.Sets, l.Ways, l.LineBytes, maxL2Bytes>>20)
 	}
 	if l.Latency < 1 {
 		return fmt.Errorf("core: L2 latency %d must be ≥ 1", l.Latency)

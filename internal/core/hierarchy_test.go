@@ -259,15 +259,21 @@ func TestL2ConfigValidate(t *testing.T) {
 		{Sets: 128, Ways: 8, LineBytes: 64, Latency: 6},
 		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 0},
 		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.Kind(99)},
+		{Sets: 1 << 19, Ways: 8, LineBytes: 32, Latency: 6},  // 128 MiB, over the cap
+		{Sets: 1 << 62, Ways: 64, LineBytes: 32, Latency: 6}, // Sets*Ways overflows
 	}
 	for i, l2 := range bad {
 		if err := base.WithL2(l2).Validate(); err == nil {
 			t.Errorf("bad L2 config %d accepted: %+v", i, l2)
 		}
 	}
-	good := base.WithL2(L2Config{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.KindDECTED})
-	if err := good.Validate(); err != nil {
-		t.Errorf("good L2 config rejected: %v", err)
+	for _, l2 := range []L2Config{
+		{Sets: 128, Ways: 8, LineBytes: 32, Latency: 6, Protection: ecc.KindDECTED},
+		{Sets: 1 << 18, Ways: 8, LineBytes: 32, Latency: 6}, // 64 MiB, at the cap
+	} {
+		if err := base.WithL2(l2).Validate(); err != nil {
+			t.Errorf("good L2 config %+v rejected: %v", l2, err)
+		}
 	}
 }
 

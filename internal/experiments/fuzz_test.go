@@ -11,14 +11,14 @@ import (
 
 // FuzzParseL2Geometries feeds arbitrary -l2 flag values to the parser:
 // it must never panic, every geometry it accepts must be one the
-// hierarchy can build and appear once on the list, and the accepted
-// list must print (one String() per geometry, comma-joined) to a spec
-// that parses back to itself.
+// hierarchy can build, hold at most 64 MiB and appear once on the list,
+// and the accepted list must print (one String() per geometry,
+// comma-joined) to a spec that parses back to itself.
 func FuzzParseL2Geometries(f *testing.F) {
 	for _, seed := range []string{
 		"128x8,512x8", "128x8, 512x8,16x2", "", ",", "128", "x8", "128x",
 		"3x8", "0x8", "128x0", "128x65", "+128x08", "-128x8", "1x1", "9223372036854775807x64",
-		"64x4,64x4",
+		"64x4,64x4", "1073741824x64", "4611686018427387904x64", "262144x8",
 	} {
 		f.Add(seed)
 	}
@@ -32,6 +32,9 @@ func FuzzParseL2Geometries(f *testing.F) {
 			cfg := hierConfig(g, 1, ecc.KindNone)
 			if err := cfg.L2.Validate(cfg); err != nil {
 				t.Fatalf("%q: accepted geometry %v fails validation: %v", spec, g, err)
+			}
+			if g.Sets > 64<<20/32/g.Ways {
+				t.Fatalf("%q: accepted geometry %v holds more than 64 MiB of 32 B lines", spec, g)
 			}
 			if slices.Contains(gs[:i], g) {
 				t.Fatalf("%q: accepted geometry %v twice", spec, g)
