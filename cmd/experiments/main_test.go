@@ -336,6 +336,50 @@ func TestStoreResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStoreResumeRewrittenTrace: a -trace file rewritten in place
+// between two -store runs is a new input, so the -resume run's output
+// is that of a fresh run over the new bytes, not the stored rows of the
+// old ones.
+func TestStoreResumeRewrittenTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.trace")
+	write := func(name string) {
+		w, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.WriteV2(f, w.ScaledTo(2_000).Stream(), trace.V2Options{Phases: w.HasPhases()}); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := func(extra ...string) []string {
+		return append([]string{"-run", "phase-epi,corpus-miss", "-instructions", "2000",
+			"-trace", path, "-format", "json"}, extra...)
+	}
+	dir := t.TempDir()
+	write("phased_mix")
+	if err := run(args("-store", dir), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	write("gsm_c")
+	var fresh, resumed bytes.Buffer
+	if err := run(args(), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args("-store", dir, "-resume"), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if resumed.String() != fresh.String() {
+		t.Fatal("-resume over a rewritten trace file served the old file's rows")
+	}
+}
+
 func TestResumeRequiresStore(t *testing.T) {
 	err := run([]string{"-resume", "-run", "area"}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "-store") {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hybridsim [-scenario A|B] [-design baseline|proposed] [-mode HP|ULE]
-//	          [-workload adpcm_c] [-instructions N] [-compare]
+//	          [-workload adpcm_c | -trace FILE] [-instructions N] [-compare]
 //	          [-format text|json|csv]
 //
 // With -compare the tool runs both designs (in parallel) and prints the
@@ -39,13 +39,18 @@ func run(args []string, stdout io.Writer) error {
 		modeFlag     = fs.String("mode", "ULE", "operating mode: HP or ULE")
 		workload     = fs.String("workload", "adpcm_c", "benchmark name (see -list)")
 		traceFile    = fs.String("trace", "", "replay a binary trace file (from cmd/tracegen) instead of a generated workload")
-		instructions = fs.Int("instructions", 300_000, "dynamic instruction count")
+		instructions = fs.Int("instructions", 300_000, "dynamic instruction count (0 selects the default)")
 		compare      = fs.Bool("compare", false, "run both designs and print the comparison")
 		list         = fs.Bool("list", false, "list available workloads and exit")
 		format       = fs.String("format", "text", "output format: text, json or csv")
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
+	}
+	if *instructions < 0 {
+		fmt.Fprintf(fs.Output(), "invalid value %d for flag -instructions: must not be negative\n", *instructions)
+		fs.Usage()
+		return cli.ErrBadFlags
 	}
 	if *list {
 		tb := stats.NewTable("name", "suite", "pattern", "code", "data", "mode duty")

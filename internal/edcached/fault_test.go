@@ -45,7 +45,6 @@ func newServerAt(t *testing.T, storeDir, jobsDir string, mod func(*Config)) (*Se
 		StoreDir:         storeDir,
 		JobsDir:          jobsDir,
 		Registry:         benchRegistry,
-		Scope:            testScope,
 		Workers:          2,
 		LeaseTTL:         time.Second,
 		MaxShardAttempts: 10,

@@ -47,11 +47,6 @@ var (
 // the grids (instruction counts, trial counts) at registration time.
 type RegistryFunc func(o GridOptions) *sim.Registry
 
-// ScopeFunc derives the store scope — the digest prefix covering
-// everything beyond grid coordinates that could change result bytes —
-// for a job's options and seed.
-type ScopeFunc func(o GridOptions, seed int64) []string
-
 // DefaultRegistry registers the paper's full experiment suite with the
 // job's options, exactly as cmd/experiments does.
 func DefaultRegistry(o GridOptions) *sim.Registry {
@@ -66,10 +61,11 @@ func (o GridOptions) experimentOptions() experiments.Options {
 	return experiments.Options{Instructions: o.Instructions, Trials: o.Trials, Workers: o.Workers}
 }
 
-// DefaultScope is experiments.Options.Scope, the scope cmd/experiments
-// uses, so a store populated by the CLI serves this daemon's jobs and
-// vice versa.
-func DefaultScope(o GridOptions, seed int64) []string {
+// scope is a job's store scope — the digest prefix covering everything
+// beyond grid coordinates that could change result bytes. It is
+// experiments.Options.Scope, the scope cmd/experiments uses, so a store
+// populated by the CLI serves this daemon's jobs and vice versa.
+func scope(o GridOptions, seed int64) []string {
 	return o.experimentOptions().Scope(seed)
 }
 
@@ -84,10 +80,9 @@ type Config struct {
 	// jobs survive a server restart. Required.
 	JobsDir string
 
-	// Registry and Scope default to DefaultRegistry and DefaultScope;
-	// tests substitute cheap private suites.
+	// Registry defaults to DefaultRegistry; tests substitute cheap
+	// private suites.
 	Registry RegistryFunc
-	Scope    ScopeFunc
 
 	// Workers is the in-process shard-worker count. 0 means none: every
 	// shard waits for external `edcached -worker` claimants.
@@ -121,9 +116,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = DefaultRegistry
-	}
-	if c.Scope == nil {
-		c.Scope = DefaultScope
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 16
@@ -339,7 +331,7 @@ func (m *Manager) newJobLocked(id string, spec JobSpec, e sim.Experiment, name s
 		exp:     e,
 		expName: name,
 		grid:    grid,
-		scope:   m.cfg.Scope(spec.Options, spec.Seed),
+		scope:   scope(spec.Options, spec.Seed),
 		events:  newEventLog(),
 		state:   JobQueued,
 		points:  make(map[int]struct{}),

@@ -89,10 +89,6 @@ func benchRegistry(o GridOptions) *sim.Registry {
 	return reg
 }
 
-func testScope(o GridOptions, seed int64) []string {
-	return []string{"edcached-test", fmt.Sprintf("n=%d", o.Instructions), fmt.Sprintf("seed=%d", seed)}
-}
-
 // newTestServer stands up a Server over fresh store/jobs dirs; mod
 // tweaks the config before construction. The HTTP front is an
 // httptest.Server; cleanup drains.
@@ -108,7 +104,6 @@ func newTestServer(t testing.TB, mod func(*Config)) (*Server, *httptest.Server) 
 		StoreDir:         storeDir,
 		JobsDir:          t.TempDir(),
 		Registry:         benchRegistry,
-		Scope:            testScope,
 		Workers:          2,
 		LeaseTTL:         time.Second,
 		MaxShardAttempts: 10,
@@ -495,17 +490,17 @@ func TestConcurrentSubmissionsAllComplete(t *testing.T) {
 }
 
 // TestDefaultScopeIsTheCLIScope pins one option set's store scope to
-// literal strings, through DefaultScope and through the
+// literal strings, through the daemon's scope and through the
 // experiments.Options.Scope that cmd/experiments -store keys with: a
 // drift in either splits the store the CLI and the daemon share.
 func TestDefaultScopeIsTheCLIScope(t *testing.T) {
 	want := []string{
 		store.ModuleVersion(),
-		"instructions=2000 trials=40 mcsamples=1000,10000,100000 traces= l2=128x8,512x8 l2lat=6",
+		"instructions=2000 trials=40 traces= l2=128x8,512x8 l2lat=6",
 		"seed=3",
 	}
-	if got := DefaultScope(GridOptions{Instructions: 2000, Trials: 40, Workers: 7}, 3); !slices.Equal(got, want) {
-		t.Errorf("DefaultScope = %q, want %q", got, want)
+	if got := scope(GridOptions{Instructions: 2000, Trials: 40, Workers: 7}, 3); !slices.Equal(got, want) {
+		t.Errorf("scope = %q, want %q", got, want)
 	}
 	if got := (experiments.Options{Instructions: 2000, Trials: 40}).Scope(3); !slices.Equal(got, want) {
 		t.Errorf("experiments.Options.Scope = %q, want %q", got, want)

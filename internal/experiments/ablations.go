@@ -47,7 +47,7 @@ func waySplitAblation(o Options) sim.Experiment {
 			}
 		},
 		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
-			w, arena, err := o.workloadArena("adpcm_c")
+			slab, err := o.slab(o.workload("adpcm_c"))
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -55,7 +55,7 @@ func waySplitAblation(o Options) sim.Experiment {
 			cb.ULEWays = p.ule
 			cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cp.ULEWays = p.ule
-			rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), p.m)
+			rb, rp, err := replayTwo("adpcm_c", slab, core.MustNewSystem(cb), core.MustNewSystem(cp), p.m)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -90,7 +90,7 @@ func memLatencyAblation(o Options) sim.Experiment {
 				if m == core.ModeULE {
 					name = "adpcm_c"
 				}
-				w, arena, err := o.workloadArena(name)
+				slab, err := o.slab(o.workload(name))
 				if err != nil {
 					return sim.Result{}, err
 				}
@@ -98,7 +98,7 @@ func memLatencyAblation(o Options) sim.Experiment {
 				cb.MemLatency = lat
 				cp := core.PaperConfig(yield.ScenarioA, core.Proposed)
 				cp.MemLatency = lat
-				rb, rp, err := replayTwo(w.Name, arena, core.MustNewSystem(cb), core.MustNewSystem(cp), m)
+				rb, rp, err := replayTwo(name, slab, core.MustNewSystem(cb), core.MustNewSystem(cp), m)
 				if err != nil {
 					return sim.Result{}, err
 				}
@@ -236,13 +236,13 @@ func uleReuseAblation(o Options) sim.Experiment {
 		},
 		run: func(gate bool, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			// mpeg2_c needs more than the 7 KB of HP ways.
-			w, arena, err := o.workloadArena("mpeg2_c")
+			slab, err := o.slab(o.workload("mpeg2_c"))
 			if err != nil {
 				return sim.Result{}, err
 			}
 			cfg := core.PaperConfig(yield.ScenarioA, core.Proposed)
 			cfg.GateULEWaysAtHP = gate
-			reps, err := core.RunGroupArena(w.Name, arena, []core.GroupMember{{Sys: core.MustNewSystem(cfg), Mode: core.ModeHP}})
+			reps, err := core.RunGroupArena("mpeg2_c", slab, []core.GroupMember{{Sys: core.MustNewSystem(cfg), Mode: core.ModeHP}})
 			if err != nil {
 				return sim.Result{}, err
 			}

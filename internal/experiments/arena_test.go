@@ -39,10 +39,7 @@ func TestCorpusMetricsBitIdenticalToGeneratorStreams(t *testing.T) {
 		if r.Task.Params["mode"] == core.ModeULE.String() {
 			m = core.ModeULE
 		}
-		w, err := workloadByName(r.Task.Params["workload"], o.Instructions)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := o.workload(r.Task.Params["workload"]).w
 		pair := systems[r.Task.Params["scenario"]]
 		rb, err := pair[0].Run(w, m) // generator-backed reference
 		if err != nil {
@@ -113,10 +110,7 @@ func writeWorkloadTrace(t *testing.T, w bench.Workload, o trace.V2Options) strin
 // grid.
 func TestCorpusTraceFileSource(t *testing.T) {
 	o := tinyOptions()
-	w, err := workloadByName("gsm_c", o.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := o.workload("gsm_c").w
 	o.TraceFiles = []string{writeWorkloadTrace(t, w, trace.V2Options{Compress: true})}
 
 	var outputs [][]byte
@@ -178,10 +172,7 @@ func TestCorpusTraceFileSource(t *testing.T) {
 func TestCorpusMissTraceFileSource(t *testing.T) {
 	o := tinyOptions()
 	o.Instructions = 10_000
-	w, err := workloadByName("adversarial_l1", o.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := o.workload("adversarial_l1").w
 	o.TraceFiles = []string{writeWorkloadTrace(t, w, trace.V2Options{})}
 	res, err := sim.Runner{Workers: 8, Seed: 3}.Run(corpusMissExperiment(o))
 	if err != nil {
@@ -222,10 +213,7 @@ func TestPhaseEPITraceFileSource(t *testing.T) {
 	o.Instructions = 4_000
 	phased := bench.Phased("phased_capture", bench.BigBench, 4096, 1_000, 77).ScaledTo(o.Instructions)
 	phasedPath := writeWorkloadTrace(t, phased, trace.V2Options{Phases: true})
-	flat, err := workloadByName("adpcm_c", o.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := o.workload("adpcm_c").w
 	flatPath := writeWorkloadTrace(t, flat, trace.V2Options{})
 	o.TraceFiles = []string{phasedPath, flatPath}
 

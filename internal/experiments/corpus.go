@@ -42,7 +42,7 @@ func corpusExperiment(o Options) sim.Experiment {
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, w.Name),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", w.Name, "suite", w.Suite.String(), "pattern", w.Pattern.String()),
-						}, pairPoint{s: s, m: m, src: source{name: w.Name}})
+						}, pairPoint{s: s, m: m, src: o.gen(w)})
 					}
 					for _, tf := range o.TraceFiles {
 						add(sim.Task{
@@ -117,18 +117,6 @@ func corpusExperiment(o Options) sim.Experiment {
 // are footprint-sized against.
 var corpusMissGeometry = cache.Config{Sets: 32, Ways: 8, LineBytes: 32}
 
-// profileKey identifies one corpus-miss replay source: the stream
-// whose single stack-distance profile serves the whole capacity axis.
-type profileKey struct {
-	workload string
-	trace    string
-	suite    string         // "calibrated" streams w from its generator
-	w        bench.Workload // the generator at the run's trace length; zero for a trace file
-}
-
-// group is the sim.Task.Group of the source's ways tasks.
-func (k profileKey) group() string { return k.suite + "\x00" + k.workload + "\x00" + k.trace }
-
 // corpusMissExperiment characterises every corpus workload's data-side
 // locality: DL1 miss rate as capacity grows from the 1 KB ULE way to
 // the full 8 KB cache (ways 1, 2, 4, 8). The sweep separates capacity
@@ -148,77 +136,71 @@ func (k profileKey) group() string { return k.suite + "\x00" + k.workload + "\x0
 func corpusMissExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	ways := []int{1, 2, 4, 8}
-	// profiles holds each source's one stack-distance pass. A source's
-	// ways tasks share a sim.Task.Group, so one worker builds the
-	// profile and reads it out for all of them while the other workers
-	// profile other sources; no task waits on a build elsewhere unless
-	// RunTasks splits the source across shards.
-	profiles := sim.NewShared(func(k profileKey) (*cache.StackProfile, error) {
-		// The registered workloads and trace files replay the slabs the
-		// corpus grid shares. A calibrated instance is read by this one
-		// pass only, so it streams from its generator instead of
-		// materialising a slab the run would keep.
+	type point struct {
+		src   source
+		suite string // the suite column; a "calibrated" source is read once
+		ways  int
+	}
+	// profiles holds each source's one stack-distance pass, keyed by its
+	// point at ways 0. A source's ways tasks share a sim.Task.Group, so
+	// one worker builds the profile and reads it out for all of them
+	// while the other workers profile other sources; no task waits on a
+	// build elsewhere unless RunTasks splits the source across shards.
+	profiles := sim.NewShared(func(p point) (*cache.StackProfile, error) {
 		var s trace.Stream
-		switch {
-		case k.suite == "calibrated":
-			s = k.w.Stream()
-		case k.trace != "":
-			arena, err := o.fileArenas.Get(k.trace)
+		if p.suite == "calibrated" {
+			s = p.src.w.Stream() // read once: see Options.slab
+		} else {
+			slab, err := o.slab(p.src)
 			if err != nil {
 				return nil, err
 			}
-			s = arena.NewCursor()
-		default:
-			s = o.arenas.Get(k.w).NewCursor()
+			s = slab.NewCursor()
 		}
-		p := cache.MustNewStackProfile(corpusMissGeometry)
-		ProfileDataRefs(s, p)
-		return p, nil
+		prof := cache.MustNewStackProfile(corpusMissGeometry)
+		ProfileDataRefs(s, prof)
+		return prof, nil
 	})
-	type point struct {
-		src  profileKey
-		ways int
-	}
 	return &experiment[point]{
 		name: "corpus-miss",
 		desc: "corpus locality sweep — DL1 miss rate vs cache capacity (1-8 ways) for every registered workload, geometry-calibrated footprints (and any -trace file)",
 		grid: func(add func(sim.Task, point)) {
 			traceNames := traceSourceNames(o.TraceFiles)
 			// addSource adds one source's ways axis, grouped on its profile.
-			addSource := func(k profileKey, pattern string) {
-				params := []string{"workload", k.workload, "suite", k.suite, "pattern", pattern}
-				if k.trace != "" {
-					params = append(params, "trace", k.trace)
+			addSource := func(src source, suite, pattern string) {
+				params := []string{"workload", src.name, "suite", suite, "pattern", pattern}
+				if src.trace != "" {
+					params = append(params, "trace", src.trace)
 				}
 				for _, n := range ways {
 					add(sim.Task{
-						Label:  fmt.Sprintf("%s ways=%d", k.workload, n),
+						Label:  fmt.Sprintf("%s ways=%d", src.name, n),
 						Params: sim.P(append(params, "ways", strconv.Itoa(n))...),
-						Group:  k.group(),
-					}, point{k, n})
+						Group:  suite + "\x00" + src.name + "\x00" + src.trace,
+					}, point{src, suite, n})
 				}
 			}
 			for _, w := range bench.Full() {
-				addSource(profileKey{workload: w.Name, suite: w.Suite.String(), w: w.ScaledTo(o.Instructions)}, w.Pattern.String())
+				addSource(o.gen(w), w.Suite.String(), w.Pattern.String())
 			}
 			for _, w := range bench.CalibratedCorpus(corpusMissGeometry) {
-				addSource(profileKey{workload: w.Name, suite: "calibrated", w: w.ScaledTo(o.Instructions)}, w.Pattern.String())
+				addSource(o.gen(w), "calibrated", w.Pattern.String())
 			}
 			for _, tf := range o.TraceFiles {
-				addSource(profileKey{workload: traceNames[tf], trace: tf, suite: "trace"}, "trace")
+				addSource(source{name: traceNames[tf], trace: tf}, "trace", "trace")
 			}
 		},
 		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			// One profile pass per source serves every ways-k task; the
 			// post-build reads (Refs, Misses) are read-only and safe for
 			// the concurrent tasks sharing it.
-			prof, err := profiles.Get(p.src)
+			prof, err := profiles.Get(point{src: p.src, suite: p.suite})
 			if err != nil {
 				return sim.Result{}, err
 			}
 			refs := prof.Refs()
 			if refs == 0 {
-				return sim.Result{}, fmt.Errorf("experiments: %s produced no memory references", p.src.workload)
+				return sim.Result{}, fmt.Errorf("experiments: %s produced no memory references", p.src.name)
 			}
 			misses := prof.Misses(p.ways)
 			geom := corpusMissGeometry

@@ -186,7 +186,7 @@ func TestCorpusMissSweep(t *testing.T) {
 // TestCorpusMissGroupStreamsCalibratedSources holds corpus-miss's
 // calibrated rows to an oracle that shares nothing with the sweep: one
 // ReplayDataRefs per ways-k cache over a fresh generator stream. It
-// also pins what the sweep leaves in the run's arena memo: the
+// also pins what the sweep leaves in the run's slab memo: the
 // registered workloads' slabs, which the corpus grid replays too, and
 // none for the calibrated instances, which are read once and streamed.
 func TestCorpusMissGroupStreamsCalibratedSources(t *testing.T) {
@@ -229,8 +229,8 @@ func TestCorpusMissGroupStreamsCalibratedSources(t *testing.T) {
 	if want := 4 * len(bench.CalibratedCorpus(corpusMissGeometry)); checked != want {
 		t.Fatalf("checked %d calibrated rows, want %d", checked, want)
 	}
-	if got, want := o.arenas.Len(), len(bench.Full()); got != want {
-		t.Errorf("corpus-miss left %d slabs in the arena memo, want %d (one per registered workload)", got, want)
+	if got, want := o.slabs.Len(), len(bench.Full()); got != want {
+		t.Errorf("corpus-miss left %d slabs in the slab memo, want %d (one per registered workload)", got, want)
 	}
 }
 

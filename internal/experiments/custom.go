@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 
+	"edcache/internal/bench"
 	"edcache/internal/bitcell"
 	"edcache/internal/core"
 	"edcache/internal/sim"
 	"edcache/internal/stats"
-	"edcache/internal/trace"
 	"edcache/internal/yield"
 )
 
@@ -87,12 +86,14 @@ type HybridSpec struct {
 	Designs      []core.Design // grid axis; two designs add a comparison row
 	Workload     string        // bench name; ignored when TraceFile is set
 	TraceFile    string        // replay a serialised trace instead
-	Instructions int
+	Instructions int           // the workload's length; 0 selects Options' default
 }
 
 // NewHybridRun builds the cmd/hybridsim experiment: the grid is the
-// design axis, each task sizes the system and replays the stream.
+// design axis, each task sizes the system and replays the source's one
+// slab (Options.slab), which every design shares.
 func NewHybridRun(spec HybridSpec) sim.Experiment {
+	o := Options{Instructions: spec.Instructions}.withDefaults()
 	return &experiment[core.Design]{
 		name: "hybridsim",
 		desc: "one workload on one hybrid-cache configuration: timing, cache behaviour, EPI breakdown",
@@ -110,10 +111,23 @@ func NewHybridRun(spec HybridSpec) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			rep, err := runHybridStream(sys, spec)
+			src := source{name: spec.TraceFile, trace: spec.TraceFile}
+			if spec.TraceFile == "" {
+				w, err := bench.ByName(spec.Workload)
+				if err != nil {
+					return sim.Result{}, fmt.Errorf("%v (use -list)", err)
+				}
+				src = o.gen(w)
+			}
+			slab, err := o.slab(src)
 			if err != nil {
 				return sim.Result{}, err
 			}
+			reps, err := core.RunGroupArena(src.name, slab, []core.GroupMember{{Sys: sys, Mode: spec.Mode}})
+			if err != nil {
+				return sim.Result{}, err
+			}
+			rep := reps[0]
 			siz := sys.Sizing()
 			var b strings.Builder
 			fmt.Fprintf(&b, "configuration %s at %v mode (%.2f V, %.0f MHz), workload %s (%d instructions)\n",
@@ -158,36 +172,4 @@ func NewHybridRun(spec HybridSpec) sim.Experiment {
 			}), nil
 		},
 	}
-}
-
-// runHybridStream executes either the named workload generator or, when
-// TraceFile is set, a serialised trace file.
-func runHybridStream(sys *core.System, spec HybridSpec) (core.Report, error) {
-	if spec.TraceFile != "" {
-		f, err := os.Open(spec.TraceFile)
-		if err != nil {
-			return core.Report{}, err
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			return core.Report{}, err
-		}
-		reps, err := core.RunGroup(spec.TraceFile, r, []core.GroupMember{{Sys: sys, Mode: spec.Mode}})
-		// The reader's error is the root cause when both fail: a corrupt
-		// first chunk delivers zero records, and the replay's "empty
-		// stream" complaint would mask the real corruption report.
-		if rerr := r.Err(); rerr != nil {
-			return core.Report{}, rerr
-		}
-		if err != nil {
-			return core.Report{}, err
-		}
-		return reps[0], nil
-	}
-	w, err := workloadByName(spec.Workload, spec.Instructions)
-	if err != nil {
-		return core.Report{}, fmt.Errorf("%v (use -list)", err)
-	}
-	return sys.Run(w, spec.Mode)
 }

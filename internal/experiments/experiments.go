@@ -27,8 +27,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -52,9 +56,6 @@ type Options struct {
 	// Trials is the silicon-sample count of the Monte-Carlo
 	// reliability campaign (default 2000).
 	Trials int
-	// MCSamples are the sample counts the mc-sampling experiment
-	// contrasts (default 1e3, 1e4, 1e5).
-	MCSamples []int
 	// Workers bounds the inner-loop pools (workload fan-out, trial
 	// shards) that run inside a single grid task; ≤ 0 means
 	// runtime.GOMAXPROCS(0). When the driver also runs grid tasks
@@ -67,8 +68,8 @@ type Options struct {
 	// to sweep as first-class grid points alongside the generator
 	// corpus: corpus and corpus-miss add one grid point per
 	// (scenario/ways, mode, file), phase-epi one per file when the file
-	// carries phase annotations. Each file is opened once as a shared
-	// slab and every grid point replays it.
+	// carries phase annotations. Each file is opened once, through the
+	// run's slab memo (Options.slab), and every grid point replays it.
 	TraceFiles []string
 
 	// L2Geometries lists the second-level geometries (sets × ways at
@@ -98,10 +99,9 @@ type Options struct {
 // memos are the run-scoped caches behind Options. Each builds lazily,
 // on first use, and at most once per key per run.
 type memos struct {
-	arenas     *bench.ArenaCache                            // workload slabs
-	fileArenas *sim.Shared[string, trace.Slab]              // opened trace files
-	systems    *sim.Shared[yield.Scenario, [2]*core.System] // sized baseline/proposed pair per scenario
-	replays    *sim.Shared[source, []core.Report]           // each source's single group replay (group.go)
+	slabs   *sim.Shared[source, trace.Slab]              // every stream a grid point reads (Options.slab)
+	systems *sim.Shared[yield.Scenario, [2]*core.System] // sized baseline/proposed pair per scenario
+	replays *sim.Shared[source, []core.Report]           // each source's single group replay (group.go)
 }
 
 func (o Options) withDefaults() Options {
@@ -110,9 +110,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Trials <= 0 {
 		o.Trials = 2000
-	}
-	if len(o.MCSamples) == 0 {
-		o.MCSamples = []int{1_000, 10_000, 100_000}
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -124,14 +121,8 @@ func (o Options) withDefaults() Options {
 		o.L2Latency = 6
 	}
 	if o.memos == nil {
-		threshold := o.MapThreshold
-		o.memos = &memos{
-			arenas: bench.NewArenaCache(),
-			fileArenas: sim.NewShared(func(path string) (trace.Slab, error) {
-				return trace.OpenSlab(path, threshold)
-			}),
-			systems: newSystems(),
-		}
+		o.memos = &memos{systems: newSystems()}
+		o.slabs = sim.NewShared(o.openSlab)
 		o.replays = sim.NewShared(o.replayGroup)
 	}
 	return o
@@ -139,25 +130,20 @@ func (o Options) withDefaults() Options {
 
 // CanonicalString renders every result-affecting option in a fixed
 // order — the "canonicalized Options" part of a result store digest.
-// Workers and MapThreshold are deliberately absent: the engine's
-// standing determinism and mmap-differential tests prove neither can
-// change a result byte, so including them would only split the cache.
+// A trace file enters as its path and the SHA-256 of its bytes, so a
+// rewritten file misses the rows its old content produced. Workers and
+// MapThreshold are deliberately absent: the engine's standing
+// determinism and mmap-differential tests prove neither can change a
+// result byte, so including them would only split the cache.
 func (o Options) CanonicalString() string {
 	o = o.withDefaults()
 	var b strings.Builder
-	fmt.Fprintf(&b, "instructions=%d trials=%d mcsamples=", o.Instructions, o.Trials)
-	for i, s := range o.MCSamples {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", s)
-	}
-	b.WriteString(" traces=")
+	fmt.Fprintf(&b, "instructions=%d trials=%d traces=", o.Instructions, o.Trials)
 	for i, tf := range o.TraceFiles {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(tf)
+		b.WriteString(tf + "@" + fileSHA256(tf))
 	}
 	b.WriteString(" l2=")
 	for i, g := range o.L2Geometries {
@@ -168,6 +154,22 @@ func (o Options) CanonicalString() string {
 	}
 	fmt.Fprintf(&b, " l2lat=%d", o.L2Latency)
 	return b.String()
+}
+
+// fileSHA256 is the hex SHA-256 of the file's bytes, or "unreadable".
+// A run that cannot read a file fails every grid point that reads it,
+// so no row of that file is ever stored under the "unreadable" scope.
+func fileSHA256(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return "unreadable"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unreadable"
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Scope is the result store scope of these options under the master
@@ -269,25 +271,20 @@ func (e *experiment[P]) Finish(results []sim.Result) ([]sim.Result, error) {
 	return e.finish(results, e.points)
 }
 
-// workloadByName resolves a benchmark name at the configured trace
-// length.
-func workloadByName(name string, instructions int) (bench.Workload, error) {
-	w, err := bench.ByName(name)
-	if err != nil {
-		return bench.Workload{}, err
-	}
-	return w.ScaledTo(instructions), nil
+// gen is the generator source of workload w at the run's trace length.
+func (o Options) gen(w bench.Workload) source {
+	return source{name: w.Name, w: w.ScaledTo(o.Instructions)}
 }
 
-// workloadArena resolves a benchmark name to its shared decode-once
-// slab (generated at most once per run across every experiment sharing
-// these Options).
-func (o Options) workloadArena(name string) (bench.Workload, *trace.Arena, error) {
-	w, err := workloadByName(name, o.Instructions)
+// workload is gen of a registered workload. The experiments name their
+// workloads with this package's constants, so an unknown name is a
+// programming error.
+func (o Options) workload(name string) source {
+	w, err := bench.ByName(name)
 	if err != nil {
-		return bench.Workload{}, nil, err
+		panic(err)
 	}
-	return w, o.arenas.Get(w), nil
+	return o.gen(w)
 }
 
 // traceSourceNames labels each file-backed sweep source for the
@@ -318,16 +315,6 @@ func missPct(misses, accesses uint64) float64 {
 		return 0
 	}
 	return 100 * float64(misses) / float64(accesses)
-}
-
-// suite returns the paper's per-mode workload suite scaled to the
-// configured trace length.
-func suite(m core.Mode, instructions int) []bench.Workload {
-	ws := core.PaperModeWorkloads(m)
-	for i := range ws {
-		ws[i] = ws[i].ScaledTo(instructions)
-	}
-	return ws
 }
 
 // breakdownMetrics flattens an EPI breakdown into named metrics.

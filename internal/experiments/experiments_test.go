@@ -18,7 +18,6 @@ func tinyOptions() Options {
 	return Options{
 		Instructions: 2_000,
 		Trials:       40,
-		MCSamples:    []int{500, 1_000},
 		Workers:      4,
 	}
 }
@@ -173,7 +172,11 @@ func TestFigureSummaryMatchesSerialSummarize(t *testing.T) {
 	if !found {
 		t.Fatal("fig4 produced no scenario-A average row")
 	}
-	pairs, err := core.Pairs(yield.ScenarioA, core.ModeULE, suite(core.ModeULE, o.Instructions), nil, 1)
+	ws := core.PaperModeWorkloads(core.ModeULE)
+	for i := range ws {
+		ws[i] = ws[i].ScaledTo(o.Instructions)
+	}
+	pairs, err := core.Pairs(yield.ScenarioA, core.ModeULE, ws, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

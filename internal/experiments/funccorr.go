@@ -51,10 +51,10 @@ func funcCorrExperiment(o Options) sim.Experiment {
 	if dice > 12 {
 		dice = 12
 	}
-	insts := o.Instructions
-	if insts > funcCorrInstructions {
-		insts = funcCorrInstructions
-	}
+	// The stencil at the capped length: the corpus's own slab of it
+	// when the run's trace is no longer than the cap.
+	src := o.workload(funcCorrWorkload)
+	src.w = src.w.ScaledTo(min(o.Instructions, funcCorrInstructions))
 	type point struct {
 		s     yield.Scenario
 		scale float64
@@ -78,11 +78,10 @@ func funcCorrExperiment(o Options) sim.Experiment {
 			if err != nil {
 				return sim.Result{}, err
 			}
-			w, err := workloadByName(funcCorrWorkload, insts)
+			arena, err := o.slab(src)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			arena := o.arenas.Get(w)
 
 			// The proposed ULE-mode way: its code kind sizes the word
 			// geometry the fault generator fills, its single-fault
@@ -128,7 +127,7 @@ func funcCorrExperiment(o Options) sim.Experiment {
 				if err != nil {
 					return sim.Result{}, err
 				}
-				sts, err := core.ReplayFunctionalGroup(cpu.Config{MemLatency: 20}, il1, dl1s, 1, arena.Cursor())
+				sts, err := core.ReplayFunctionalGroup(cpu.Config{MemLatency: 20}, il1, dl1s, 1, arena.NewCursor())
 				if err != nil {
 					return sim.Result{}, err
 				}

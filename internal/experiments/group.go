@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"edcache/internal/bench"
 	"edcache/internal/core"
 	"edcache/internal/sim"
 	"edcache/internal/trace"
@@ -13,23 +14,49 @@ import (
 // One replay per source. Every experiment that replays a source — fig3,
 // fig4, headline, corpus, phase-epi, hier-epi and shared-l2 — reads its
 // reports from one run-wide memo (Options.replays) keyed by source: a
-// workload name, or a trace file. The first request for a source
-// replays it once, as one core.RunGroupArena pass. A paper source has 8
-// members, [A, B] × [HP, ULE] × [baseline, proposed]. The paper's two
-// scenarios share the L1 geometry and the designs share cache state at
-// equal mode, so that pass simulates 2 caches per side and tallies each
-// once (core/multi.go). A hier source is a workload behind every
+// generator, or a trace file. The first request for a source replays
+// its slab (Options.slab) once, as one core.RunGroupArena pass. A
+// paper source has 8 members, [A, B] × [HP, ULE] × [baseline,
+// proposed]. The paper's two scenarios share the L1 geometry and the
+// designs share cache state at equal mode, so that pass simulates 2
+// caches per side and tallies each once (core/multi.go). A hier
+// source is a workload behind every
 // Options.L2Geometries × l2Protections design point at HP (hier.go).
 // Every later request, from any experiment, mode or scenario, is a
 // lookup. A Report never depends on the group it was replayed in, so
 // the bytes of each experiment are those of its members replayed alone,
 // whichever experiment ran first.
 
-// source identifies one replay source of the memo.
+// source is one stream the run reads: a generator at its trace length,
+// or a trace file.
 type source struct {
-	name  string // report label: the workload name, or the trace file's sweep label
-	trace string // file path for trace-backed sources, "" otherwise
-	hier  bool   // the workload's hierarchy group, not its paper group
+	name  string         // report label: the workload name, or the trace file's sweep label
+	trace string         // trace file path; "" for a generator
+	w     bench.Workload // the generator at its trace length; zero for a trace file
+	hier  bool           // replay memo only: the workload's hierarchy group, not its paper group
+}
+
+// slab returns the source's stream as a shared slab, and is the only
+// way a grid point opens one. The run's one slab memo (Options.slabs)
+// is keyed by what the stream is made of — the trace path, or the
+// generator at its trace length — so each file is decoded (or mapped)
+// and each generator run at most once per run, whichever experiments,
+// labels and groups read it.
+//
+// A source that exactly one pass reads skips the memo: corpus-miss's
+// calibrated instances, each read only by its stack-distance profile,
+// stream from their generator (src.w.Stream()) instead of
+// materialising a slab the run would keep.
+func (o Options) slab(src source) (trace.Slab, error) {
+	return o.slabs.Get(source{trace: src.trace, w: src.w})
+}
+
+// openSlab is the slab memo's build.
+func (o Options) openSlab(src source) (trace.Slab, error) {
+	if src.trace != "" {
+		return trace.OpenSlab(src.trace, o.MapThreshold)
+	}
+	return trace.NewArena(src.w.Stream(), src.w.Instructions), nil
 }
 
 // newSystems returns the memo of sized baseline/proposed pairs, one
@@ -60,13 +87,7 @@ func (o Options) sizing(s yield.Scenario) (yield.Result, error) {
 // group's reports are ordered scenario-major, then mode, then
 // [baseline, proposed]; a hier group's geometry-major, then protection.
 func (o Options) replayGroup(src source) ([]core.Report, error) {
-	var arena trace.Slab
-	var err error
-	if src.trace != "" {
-		arena, err = o.fileArenas.Get(src.trace)
-	} else {
-		_, arena, err = o.workloadArena(src.name)
-	}
+	arena, err := o.slab(src)
 	if err != nil {
 		return nil, err
 	}

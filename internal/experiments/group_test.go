@@ -23,10 +23,7 @@ func replayTestOptions(t *testing.T) Options {
 	o := tinyOptions()
 	o.Instructions = 4_000
 	phased := bench.Phased("phased_capture", bench.BigBench, 4096, 1_000, 77).ScaledTo(o.Instructions)
-	flat, err := workloadByName("gsm_c", o.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := o.workload("gsm_c").w
 	o.TraceFiles = []string{
 		writeWorkloadTrace(t, phased, trace.V2Options{Phases: true}),
 		writeWorkloadTrace(t, flat, trace.V2Options{}),
@@ -113,25 +110,34 @@ func (s countingSlab) NewCursor() trace.SliceBatcher {
 	return s.Slab.NewCursor()
 }
 
-// TestRunAllReplaysEachSourceOnce counts the memo's builds over one
-// full-suite run with trace files: every generator workload and every
-// file is replayed exactly once, whichever experiments read it, and so
-// is each hier workload's hierarchy group, which both hier-epi and
-// shared-l2 read. Each file is walked exactly twice — its group replay
-// and corpus-miss's stack-distance profile — so no reader replays it
-// behind the memo.
+// TestRunAllReplaysEachSourceOnce counts the memos' builds over one
+// full-suite run at 8 workers with trace files. Every generator
+// workload and every file is replayed exactly once, whichever
+// experiments read it, and so is each hier workload's hierarchy group,
+// which both hier-epi and shared-l2 read. The slab memo builds one slab
+// per key, and its keys are exactly the registered workloads at the
+// run's length, stencil_s at func-corr's capped length, and each file.
+// Each file is walked exactly twice — its group replay and
+// corpus-miss's stack-distance profile — so no reader replays it behind
+// the memo.
 func TestRunAllReplaysEachSourceOnce(t *testing.T) {
 	o := replayTestOptions(t).withDefaults()
 	walks := map[string]*atomic.Int64{}
 	for _, path := range o.TraceFiles {
 		walks[path] = new(atomic.Int64)
 	}
-	files := o.fileArenas
-	o.fileArenas = sim.NewShared(func(path string) (trace.Slab, error) {
-		s, err := files.Get(path)
-		return countingSlab{s, walks[path]}, err
-	})
 	var mu sync.Mutex
+	slabs := map[source]int{}
+	o.slabs = sim.NewShared(func(src source) (trace.Slab, error) {
+		mu.Lock()
+		slabs[src]++
+		mu.Unlock()
+		s, err := o.openSlab(src)
+		if src.trace != "" {
+			s = countingSlab{s, walks[src.trace]}
+		}
+		return s, err
+	})
 	builds := map[source]int{}
 	o.replays = sim.NewShared(func(src source) ([]core.Report, error) {
 		mu.Lock()
@@ -145,27 +151,38 @@ func TestRunAllReplaysEachSourceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[source]bool{}
+	wantSlabs := map[source]bool{}
 	for _, w := range bench.Full() {
-		want[source{name: w.Name}] = true
+		want[o.workload(w.Name)] = true
+		wantSlabs[source{w: w.ScaledTo(o.Instructions)}] = true
 	}
 	for _, w := range hierWorkloads {
-		want[source{name: w, hier: true}] = true
+		src := o.workload(w)
+		src.hier = true
+		want[src] = true
 	}
 	for path, name := range traceSourceNames(o.TraceFiles) {
 		want[source{name: name, trace: path}] = true
+		wantSlabs[source{trace: path}] = true
 	}
-	for src, n := range builds {
-		if !want[src] {
-			t.Errorf("unexpected replay source %+v", src)
-		} else if n != 1 {
-			t.Errorf("%+v replayed %d times, want once", src, n)
+	stencil := o.workload(funcCorrWorkload).w
+	wantSlabs[source{w: stencil.ScaledTo(min(o.Instructions, funcCorrInstructions))}] = true
+	check := func(memo string, got map[source]int, want map[source]bool) {
+		for src, n := range got {
+			if !want[src] {
+				t.Errorf("unexpected %s source %+v", memo, src)
+			} else if n != 1 {
+				t.Errorf("%s source %+v built %d times, want once", memo, src, n)
+			}
+		}
+		for src := range want {
+			if got[src] == 0 {
+				t.Errorf("%s source %+v never built", memo, src)
+			}
 		}
 	}
-	for src := range want {
-		if builds[src] == 0 {
-			t.Errorf("%+v never replayed", src)
-		}
-	}
+	check("replay", builds, want)
+	check("slab", slabs, wantSlabs)
 	for path, n := range walks {
 		if n.Load() != 2 {
 			t.Errorf("%s walked %d times, want 2 (group replay, miss profile)", path, n.Load())

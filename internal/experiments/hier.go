@@ -92,10 +92,11 @@ func hierConfig(g L2Geometry, latency int, prot ecc.Kind) core.Config {
 // hierReport returns the workload's tiered report at geometry gi of
 // Options.L2Geometries and protection pi of l2Protections, triggering
 // the workload's hier group replay on first use.
-func (o Options) hierReport(w string, gi, pi int) (core.Report, error) {
-	reps, err := o.replays.Get(source{name: w, hier: true})
+func (o Options) hierReport(src source, gi, pi int) (core.Report, error) {
+	src.hier = true
+	reps, err := o.replays.Get(src)
 	if err != nil {
-		return core.Report{}, fmt.Errorf("experiments: %s hier group: %w", w, err)
+		return core.Report{}, fmt.Errorf("experiments: %s hier group: %w", src.name, err)
 	}
 	return reps[gi*len(l2Protections)+pi], nil
 }
@@ -108,7 +109,7 @@ func hierEPIExperiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	type point struct {
 		gi, pi int // indices on Options.L2Geometries and l2Protections
-		w      string
+		src    source
 	}
 	return &experiment[point]{
 		name: "hier-epi",
@@ -121,17 +122,17 @@ func hierEPIExperiment(o Options) sim.Experiment {
 							Label: fmt.Sprintf("l2=%v prot=%s %s", l2, p.name, w),
 							Params: sim.P("l2", l2.String(), "prot", p.name,
 								"workload", w, "mode", "HP"),
-						}, point{gi, pi, w})
+						}, point{gi, pi, o.workload(w)})
 					}
 				}
 			}
 		},
 		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
-			rep, err := o.hierReport(p.w, p.gi, p.pi)
+			rep, err := o.hierReport(p.src, p.gi, p.pi)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			flat, err := o.pair(pairPoint{s: scenarios[0], m: core.ModeHP, src: source{name: p.w}})
+			flat, err := o.pair(pairPoint{s: scenarios[0], m: core.ModeHP, src: p.src})
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -172,7 +173,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 	o = o.withDefaults()
 	type point struct {
 		gi   int // index on Options.L2Geometries
-		pair [2]string
+		pair [2]source
 	}
 	return &experiment[point]{
 		name: "shared-l2",
@@ -184,16 +185,16 @@ func sharedL2Experiment(o Options) sim.Experiment {
 						Label: fmt.Sprintf("l2=%v %s+%s", l2, pair[0], pair[1]),
 						Params: sim.P("l2", l2.String(), "wa", pair[0], "wb", pair[1],
 							"mode", "HP"),
-					}, point{gi, pair})
+					}, point{gi, [2]source{o.workload(pair[0]), o.workload(pair[1])}})
 				}
 			}
 		},
 		run: func(p point, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
-			wa, aa, err := o.workloadArena(p.pair[0])
+			aa, err := o.slab(p.pair[0])
 			if err != nil {
 				return sim.Result{}, err
 			}
-			wb, ab, err := o.workloadArena(p.pair[1])
+			ab, err := o.slab(p.pair[1])
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -202,7 +203,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 				return sim.Result{}, err
 			}
 			shared, err := sys.RunShared(
-				[]string{wa.Name, wb.Name},
+				[]string{p.pair[0].name, p.pair[1].name},
 				[]trace.Stream{aa.NewCursor(), ab.NewCursor()}, core.ModeHP)
 			if err != nil {
 				return sim.Result{}, err
@@ -212,7 +213,7 @@ func sharedL2Experiment(o Options) sim.Experiment {
 			fmt.Fprintf(&detail, "  %-16s %10s %10s %12s %12s\n",
 				"core", "epi pJ/i", "Δepi", "l2 misses", "Δmisses")
 			for i, rep := range shared {
-				alone, err := o.hierReport(rep.Workload, p.gi, 0) // l2Protections[0] is none
+				alone, err := o.hierReport(p.pair[i], p.gi, 0) // l2Protections[0] is none
 				if err != nil {
 					return sim.Result{}, err
 				}

@@ -92,14 +92,14 @@ func yieldExperiment() sim.Experiment {
 }
 
 // pairGrid builds the scenario × workload grid of a figure experiment.
-func pairGrid(m core.Mode, instructions int) func(add func(sim.Task, pairPoint)) {
+func (o Options) pairGrid(m core.Mode) func(add func(sim.Task, pairPoint)) {
 	return func(add func(sim.Task, pairPoint)) {
 		for _, s := range scenarios {
-			for _, w := range suite(m, instructions) {
+			for _, w := range core.PaperModeWorkloads(m) {
 				add(sim.Task{
 					Label:  fmt.Sprintf("scenario=%v %s", s, w.Name),
 					Params: sim.P("scenario", s.String(), "workload", w.Name),
-				}, pairPoint{s: s, m: m, src: source{name: w.Name}})
+				}, pairPoint{s: s, m: m, src: o.gen(w)})
 			}
 		}
 	}
@@ -197,7 +197,7 @@ func fig3Experiment(o Options) sim.Experiment {
 	return &experiment[pairPoint]{
 		name: "fig3",
 		desc: "E1: Fig. 3 — normalized average EPI at HP mode (BigBench)",
-		grid: pairGrid(core.ModeHP, o.Instructions),
+		grid: o.pairGrid(core.ModeHP),
 		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			res, _, err := runPairTask(o, pt)
 			return res, err
@@ -214,7 +214,7 @@ func fig4Experiment(o Options) sim.Experiment {
 	return &experiment[pairPoint]{
 		name: "fig4",
 		desc: "E2: Fig. 4 — normalized EPI breakdowns at ULE mode (SmallBench)",
-		grid: pairGrid(core.ModeULE, o.Instructions),
+		grid: o.pairGrid(core.ModeULE),
 		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			res, p, err := runPairTask(o, pt)
 			if err != nil {
@@ -253,9 +253,9 @@ func headlineExperiment(o Options) sim.Experiment {
 		},
 		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
 			s, m := pt.s, pt.m
-			ws := suite(m, o.Instructions)
+			ws := core.PaperModeWorkloads(m)
 			pairs, err := sim.Map(o.Workers, len(ws), func(i int) (core.Pair, error) {
-				return o.pair(pairPoint{s: s, m: m, src: source{name: ws[i].Name}})
+				return o.pair(pairPoint{s: s, m: m, src: o.gen(ws[i])})
 			})
 			if err != nil {
 				return sim.Result{}, err

@@ -38,7 +38,7 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 							Label: fmt.Sprintf("scenario=%v %v %s", s, m, w.Name),
 							Params: sim.P("scenario", s.String(), "mode", m.String(),
 								"workload", w.Name, "pattern", w.Pattern.String()),
-						}, pairPoint{s: s, m: m, src: source{name: w.Name}})
+						}, pairPoint{s: s, m: m, src: o.gen(w)})
 					}
 					for _, tf := range o.TraceFiles {
 						add(sim.Task{
@@ -51,12 +51,12 @@ func phaseEPIExperiment(o Options) sim.Experiment {
 			}
 		},
 		run: func(pt pairPoint, _ sim.Task, _ *rand.Rand) (sim.Result, error) {
-			if path := pt.src.trace; path != "" {
-				arena, err := o.fileArenas.Get(path)
+			if pt.src.trace != "" {
+				slab, err := o.slab(pt.src)
 				if err != nil {
 					return sim.Result{}, err
 				}
-				if !arena.HasPhases() {
+				if !slab.HasPhases() {
 					return sim.Result{Metrics: []sim.Metric{
 						sim.Str("phases", "none (file carries no phase annotations; write it with tracegen -phases)"),
 					}}, nil

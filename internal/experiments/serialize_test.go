@@ -83,16 +83,15 @@ func TestPairPayloadSurvivesCheckpoint(t *testing.T) {
 // MapThreshold) must not — or every worker-count change would cold the
 // cache.
 func TestCanonicalStringCoversResultShapingOptions(t *testing.T) {
-	baseOpt := Options{Instructions: 2_000, Trials: 40, MCSamples: []int{500}}
+	baseOpt := Options{Instructions: 2_000, Trials: 40}
 	baseStr := baseOpt.CanonicalString()
 
 	shaping := map[string]Options{
-		"instructions": {Instructions: 3_000, Trials: 40, MCSamples: []int{500}},
-		"trials":       {Instructions: 2_000, Trials: 50, MCSamples: []int{500}},
-		"mcsamples":    {Instructions: 2_000, Trials: 40, MCSamples: []int{600}},
-		"traces":       {Instructions: 2_000, Trials: 40, MCSamples: []int{500}, TraceFiles: []string{"a.trc"}},
-		"l2":           {Instructions: 2_000, Trials: 40, MCSamples: []int{500}, L2Geometries: []L2Geometry{{Sets: 64, Ways: 4}}},
-		"l2lat":        {Instructions: 2_000, Trials: 40, MCSamples: []int{500}, L2Latency: 9},
+		"instructions": {Instructions: 3_000, Trials: 40},
+		"trials":       {Instructions: 2_000, Trials: 50},
+		"traces":       {Instructions: 2_000, Trials: 40, TraceFiles: []string{"a.trc"}},
+		"l2":           {Instructions: 2_000, Trials: 40, L2Geometries: []L2Geometry{{Sets: 64, Ways: 4}}},
+		"l2lat":        {Instructions: 2_000, Trials: 40, L2Latency: 9},
 	}
 	for name, o := range shaping {
 		if o.CanonicalString() == baseStr {
@@ -101,8 +100,8 @@ func TestCanonicalStringCoversResultShapingOptions(t *testing.T) {
 	}
 
 	neutral := map[string]Options{
-		"workers":      {Instructions: 2_000, Trials: 40, MCSamples: []int{500}, Workers: 13},
-		"mapthreshold": {Instructions: 2_000, Trials: 40, MCSamples: []int{500}, MapThreshold: 1},
+		"workers":      {Instructions: 2_000, Trials: 40, Workers: 13},
+		"mapthreshold": {Instructions: 2_000, Trials: 40, MapThreshold: 1},
 	}
 	for name, o := range neutral {
 		if o.CanonicalString() != baseStr {

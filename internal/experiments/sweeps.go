@@ -83,7 +83,8 @@ func sweepYieldExperiment() sim.Experiment {
 
 // mcSamplingExperiment demonstrates why the methodology needs
 // importance sampling (Chen et al., ICCAD 2007): naive Monte-Carlo
-// cannot see a 1e-6 tail at practical sample counts, the mean-shifted
+// cannot see a 1e-6 tail at practical sample counts (1e3, 1e4 and 1e5
+// here, about 8 ms in all), the mean-shifted
 // estimator resolves it with a few thousand samples. The importance-
 // sampling estimate runs on the sharded parallel estimator, so this
 // experiment also exercises the engine's worker-count invariance.
@@ -92,7 +93,7 @@ func mcSamplingExperiment(o Options) sim.Experiment {
 		name: "mc-sampling",
 		desc: "naive Monte-Carlo vs mean-shift importance sampling at the paper's Pf magnitudes",
 		grid: func(add func(sim.Task, int)) {
-			for _, n := range o.MCSamples {
+			for _, n := range []int{1_000, 10_000, 100_000} {
 				add(sim.Task{
 					Label:  fmt.Sprintf("samples=%d", n),
 					Params: sim.P("samples", strconv.Itoa(n)),

@@ -7,8 +7,8 @@ import "sync"
 // every other Get — concurrent or later — waits for and shares that
 // one result. It generalizes the pattern every experiment family had
 // hand-rolled for its sized System pair (and now also backs the
-// workload-arena and trace-file-arena caches): expensive immutable
-// values built once per run, replayed from every grid point.
+// experiments' slab memo): expensive immutable values built once per
+// run, replayed from every grid point.
 //
 // Distinct keys build concurrently (the map lock is not held during
 // builds); a build's outcome — value or error — is cached either way,

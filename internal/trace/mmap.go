@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 )
 
 // MapArena is the mmap-backed counterpart of Arena: instead of
@@ -18,7 +19,8 @@ import (
 // the page cache, shared between arenas, cursors and processes, which
 // is what makes very large traces replayable without duplicating them
 // on the heap. A MapArena is immutable and safe for any number of
-// concurrent cursors; Close unmaps it.
+// concurrent cursors; Close unmaps it, and so does the garbage
+// collector once the arena and its cursors are unreachable.
 type MapArena struct {
 	data   []byte // the whole mapped (or, on fallback, read) file
 	chunks []mapChunk
@@ -61,6 +63,7 @@ func OpenMapArena(path string) (*MapArena, error) {
 		return nil, fmt.Errorf("%s: %w: %v", path, ErrNotMappable, err)
 	}
 	a := &MapArena{data: data, unmap: unmap}
+	runtime.SetFinalizer(a, (*MapArena).Close)
 	rd, err := NewReader(bytes.NewReader(data))
 	if err == nil && rd.Compressed() {
 		err = fmt.Errorf("%w: gzip body has no addressable records", ErrNotMappable)
@@ -99,6 +102,7 @@ func (a *MapArena) NewCursor() Stream {
 // Close unmaps the file. Cursors must not be used afterwards. Close is
 // idempotent.
 func (a *MapArena) Close() error {
+	runtime.SetFinalizer(a, nil)
 	if a.unmap == nil {
 		return nil
 	}
